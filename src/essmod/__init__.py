@@ -16,16 +16,17 @@ from .algebra import (
     spectral_projection,
 )
 from .fields import (
+    FieldAnalysis,
     FieldModuleSpec,
     FieldPiece,
     SubspaceField,
+    analyze_field,
     commutative_limit_identity,
     essential_witness,
     inductive_witness_section,
     is_essential_field,
     non_essential_witness,
     residual_set,
-    total_defect_set,
 )
 from .modules import (
     CompactOperator,
@@ -39,7 +40,7 @@ from .modules import (
     theta,
 )
 from .sections import PiecewiseSection, bump, pointwise_inner, unit_bump
-from .subsets import Interval, SymbolicSubset, subset_normalize
+from .subsets import Interval, SymbolicSubset
 
 __version__ = "0.1.0"
 
@@ -47,6 +48,7 @@ __all__ = [
     "AlgebraElement",
     "AlgebraShape",
     "CompactOperator",
+    "FieldAnalysis",
     "FieldModuleSpec",
     "FieldPiece",
     "Interval",
@@ -56,6 +58,7 @@ __all__ = [
     "Submodule",
     "SubspaceField",
     "SymbolicSubset",
+    "analyze_field",
     "bump",
     "calculus",
     "closed_subideal",
@@ -76,9 +79,7 @@ __all__ = [
     "residual_set",
     "shifted_positive_part",
     "spectral_projection",
-    "subset_normalize",
     "submodule_of_ideal",
     "theta",
-    "total_defect_set",
     "unit_bump",
 ]

@@ -6,6 +6,9 @@ symbolic pieces, each carrying a rational spanning matrix whose exact
 orthogonal projector decides membership m(x) ∈ L_x. Everything here runs in
 Gaussian-rational arithmetic; nowhere-density is a qualitative property
 that floating point would ruin.
+
+`analyze_field` computes each generator's defect set once per spec; the
+decision, the witnesses and the CLI reports all read from that analysis.
 """
 
 from __future__ import annotations
@@ -27,17 +30,17 @@ from .rationals import (
     ComplexRational,
     Matrix,
     cr,
-    mat,
     mat_identity,
     mat_rank,
     mat_shape,
     mat_sub,
     mat_vec,
+    mat_zeros,
     orthogonal_projector,
     vec_is_zero,
 )
 from .sections import PiecewiseSection, bump, pointwise_inner, unit_bump
-from .subsets import SymbolicSubset
+from .subsets import Interval, SymbolicSubset
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,9 +52,6 @@ class FieldPiece:
 
     region: SymbolicSubset
     basis: Matrix  # d×r, columns span the subspace
-
-    def subspace_dim(self) -> int:
-        return mat_rank(self.basis) if mat_shape(self.basis)[1] else 0
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,12 @@ class SubspaceField:
         if union != SymbolicSubset.full():
             raise ValueError("partition pieces do not cover [0, 1]")
         projs = tuple(
-            orthogonal_projector(p.basis) if mat_shape(p.basis)[1] else _zero_proj(self.d)
+            orthogonal_projector(p.basis) if mat_shape(p.basis)[1] else mat_zeros(self.d, self.d)
             for p in self.pieces
         )
+        ident = mat_identity(self.d)
         object.__setattr__(self, "_projectors", projs)
+        object.__setattr__(self, "_complements", tuple(mat_sub(ident, p) for p in projs))
 
     @classmethod
     def full(cls, d: int) -> "SubspaceField":
@@ -92,18 +94,17 @@ class SubspaceField:
     def projector_at(self, x: Fraction) -> Matrix:
         return self._projectors[self.piece_index_at(x)]
 
-    def projector(self, index: int) -> Matrix:
-        return self._projectors[index]
+    def complement(self, index: int) -> Matrix:
+        """I − P on piece `index`: it maps v to the part of v outside L_x."""
+        return self._complements[index]
 
-    def boundary_values(self) -> list[Fraction]:
-        vals = set()
-        for piece in self.pieces:
-            vals.update(piece.region.boundary_values())
-        return sorted(vals)
+    def complement_at(self, x: Fraction) -> Matrix:
+        return self._complements[self.piece_index_at(x)]
 
 
-def _zero_proj(d: int) -> Matrix:
-    return mat([[0] * d for _ in range(d)])
+def _outside(comp: Matrix, v) -> bool:
+    """True iff v ∉ L, given comp = I − P_L."""
+    return not vec_is_zero(mat_vec(comp, v))
 
 
 # --- atoms: the common refinement of the partition and section pieces ------
@@ -122,7 +123,10 @@ class Atom:
 
 
 def field_atoms(field: SubspaceField, extra_bounds) -> list[Atom]:
-    bounds = sorted({ZERO, ONE, *field.boundary_values(), *(Fraction(b) for b in extra_bounds)})
+    ends = {ZERO, ONE, *map(Fraction, extra_bounds)}
+    for piece in field.pieces:
+        ends.update(piece.region.boundary_values())
+    bounds = sorted(ends)
     atoms = []
     for i, b in enumerate(bounds):
         atoms.append(Atom(b, b, field.piece_index_at(b)))
@@ -132,18 +136,14 @@ def field_atoms(field: SubspaceField, extra_bounds) -> list[Atom]:
     return atoms
 
 
-def _residual_polys(section: PiecewiseSection, proj: Matrix, piece: tuple[GaussianPoly, ...]):
+def _residual_polys(comp: Matrix, piece: tuple[GaussianPoly, ...]) -> list[GaussianPoly]:
     """(I − P) applied to the polynomial vector of one section piece."""
-    d = section.d
-    ident = mat_identity(d)
-    comp = mat_sub(ident, proj)
     out = []
-    for i in range(d):
+    for row in comp:
         acc = GaussianPoly.zero()
-        for j in range(d):
-            c = comp[i][j]
+        for c, p in zip(row, piece):
             if not c.is_zero():
-                acc = acc + piece[j] * c
+                acc = acc + p * c
         out.append(acc)
     return out
 
@@ -153,29 +153,26 @@ def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
 
     On each atom of the common refinement the membership failure set is
     either empty, the whole open atom minus finitely many rational roots,
-    or a single point; irrational root boundaries are rejected.
+    or a single point; irrational root boundaries are rejected. The pieces
+    are collected and normalized once.
     """
     if m.d != field.d:
         raise DimensionMismatch("section and field dimensions differ")
-    acc = SymbolicSubset.empty()
+    points: list[Fraction] = []
+    intervals: list[Interval] = []
     for atom in field_atoms(field, m.breakpoints):
-        proj = field.projector(atom.piece_index)
+        comp = field.complement(atom.piece_index)
         if atom.is_point:
-            v = m(atom.lo)
-            r = mat_vec(mat_sub(mat_identity(field.d), proj), v)
-            if not vec_is_zero(r):
-                acc = acc.union(SymbolicSubset.point(atom.lo))
+            if _outside(comp, m(atom.lo)):
+                points.append(atom.lo)
             continue
-        piece = m.pieces[m.piece_index_for_interval(atom.lo)]
-        resid = _residual_polys(m, proj, piece)
+        resid = _residual_polys(comp, m.pieces[m.piece_index_for_interval(atom.lo)])
         if all(p.is_zero() for p in resid):
             continue
         zeros = exact_zero_points(resid, atom.lo, atom.hi)
-        defect = SymbolicSubset.interval(atom.lo, atom.hi, False, False)
-        if zeros:
-            defect = defect.difference(SymbolicSubset.from_points(zeros))
-        acc = acc.union(defect)
-    return acc
+        cuts = [atom.lo, *sorted(z for z in zeros if atom.lo < z < atom.hi), atom.hi]
+        intervals.extend(Interval(a, b, False, False) for a, b in zip(cuts, cuts[1:]))
+    return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
 
 
 @dataclass(frozen=True)
@@ -203,13 +200,23 @@ class FieldModuleSpec:
             raise DimensionMismatch("subspace field of wrong fiber dimension")
 
 
-def total_defect_set(spec: FieldModuleSpec) -> SymbolicSubset:
-    """Union of the generator defect sets: the set where the generators
-    witness L_x ≠ H_x."""
-    acc = SymbolicSubset.empty()
-    for g in spec.generators:
-        acc = acc.union(residual_set(g, spec.subfield))
-    return acc
+@dataclass(frozen=True)
+class FieldAnalysis:
+    """The defect sets of one spec, each computed once: `defects[k]` is the
+    residual set of generator k and `total` their union, the set where the
+    generators witness L_x ≠ H_x."""
+
+    defects: tuple[SymbolicSubset, ...]
+    total: SymbolicSubset
+
+
+def analyze_field(spec: FieldModuleSpec) -> FieldAnalysis:
+    defects = tuple(residual_set(g, spec.subfield) for g in spec.generators)
+    total = SymbolicSubset(
+        points=tuple(p for s in defects for p in s.points),
+        intervals=tuple(iv for s in defects for iv in s.intervals),
+    )
+    return FieldAnalysis(defects, total)
 
 
 @dataclass(frozen=True)
@@ -257,17 +264,17 @@ def check_generator_spanning(spec: FieldModuleSpec, defect: SymbolicSubset) -> l
 @dataclass(frozen=True)
 class FieldDecision:
     essential: bool
-    defect_set: SymbolicSubset
+    analysis: FieldAnalysis
     probes: tuple[SpanningProbe, ...]
 
 
 def is_essential_field(spec: FieldModuleSpec) -> FieldDecision:
     """The geometric criterion: the submodule of sections through L is
     essential iff the total defect set is nowhere dense."""
-    defect = total_defect_set(spec)
-    probes = check_generator_spanning(spec, defect)
+    analysis = analyze_field(spec)
+    probes = check_generator_spanning(spec, analysis.total)
     return FieldDecision(
-        essential=defect.is_nowhere_dense(), defect_set=defect, probes=tuple(probes)
+        essential=analysis.total.is_nowhere_dense(), analysis=analysis, probes=tuple(probes)
     )
 
 
@@ -299,10 +306,12 @@ class EssentialWitness:
         return self.residual_empty and self.ma_nonzero
 
 
-def essential_witness(m: PiecewiseSection, field: SubspaceField) -> EssentialWitness:
+def essential_witness(
+    m: PiecewiseSection, field: SubspaceField, defect: SymbolicSubset
+) -> EssentialWitness:
+    """`defect` is residual_set(m, field)."""
     if m.is_zero():
         raise ZeroInput("witness requires m ≠ 0")
-    defect = residual_set(m, field)
     if not defect.is_nowhere_dense():
         raise PreconditionFailed("the defect set of m is not nowhere dense")
     support = m.support_set()
@@ -350,8 +359,10 @@ class NonEssentialWitness:
         )
 
 
-def non_essential_witness(m: PiecewiseSection, field: SubspaceField) -> NonEssentialWitness:
-    defect = residual_set(m, field)
+def non_essential_witness(
+    m: PiecewiseSection, field: SubspaceField, defect: SymbolicSubset
+) -> NonEssentialWitness:
+    """`defect` is residual_set(m, field)."""
     v = defect.closure().interior()
     if v.is_empty():
         raise PreconditionFailed("interior of closure(Y_m) is empty")
@@ -397,20 +408,20 @@ class InductiveWitness:
 
 
 def inductive_witness_section(
-    spec: FieldModuleSpec, interval: tuple[Fraction, Fraction], samples
+    spec: FieldModuleSpec, interval: tuple[Fraction, Fraction], samples, defect: SymbolicSubset
 ) -> InductiveWitness:
     """Build m = Σ_{j≤J} λ_j g_{k_j} a_j with m(x_j) ∉ L_{x_j} for all j.
 
     Each a_j peaks at 1 on its sample and vanishes at all earlier samples;
     λ_j = 2^{-j} unless that unique value drops the partial sum into the
     subspace, in which case 2^{-j-1} is taken (at most one λ can fail since
-    g_{k_j}(x_j) leaves the subspace).
+    g_{k_j}(x_j) leaves the subspace). `defect` is the total defect set,
+    analyze_field(spec).total.
     """
     xs = [Fraction(x) for x in samples]
     if len(set(xs)) != len(xs):
         raise ValueError("sample points must be distinct")
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    defect = total_defect_set(spec)
     field = spec.subfield
     for x in xs:
         if not (ZERO < x < ONE):
@@ -421,18 +432,12 @@ def inductive_witness_section(
             raise SampleNotInDefect(f"sample {x} is not in the defect set")
 
     d = spec.d
-    ident = mat_identity(d)
     lambdas: list[Fraction] = []
     picks: list[int] = []
     bumps: list[PiecewiseSection] = []
     for j, x in enumerate(xs, start=1):
-        proj = field.projector_at(x)
-        k_j = None
-        for k, g in enumerate(spec.generators):
-            r = mat_vec(mat_sub(ident, proj), g(x))
-            if not vec_is_zero(r):
-                k_j = k
-                break
+        comp = field.complement_at(x)
+        k_j = next((k for k, g in enumerate(spec.generators) if _outside(comp, g(x))), None)
         if k_j is None:
             raise NoGeneratorDefect(
                 f"no generator leaves the subspace at sample {x}; "
@@ -450,8 +455,8 @@ def inductive_witness_section(
             s = [acc + g_val[i] * weight for i, acc in enumerate(s)]
         lam = Fraction(1, 2 ** j)
         g_val = spec.generators[k_j](x)
-        trial = [s[i] + g_val[i] * cr(lam) for i in range(d)]
-        if vec_is_zero(mat_vec(mat_sub(ident, proj), tuple(trial))):
+        trial = tuple(s[i] + g_val[i] * cr(lam) for i in range(d))
+        if not _outside(comp, trial):
             lam = Fraction(1, 2 ** (j + 1))
         lambdas.append(lam)
         picks.append(k_j)
@@ -462,18 +467,12 @@ def inductive_witness_section(
         term = spec.generators[k_i].mul_scalar_section(a_i).scale(cr(lam))
         total = total + term
 
-    verified = True
-    for x in xs:
-        proj = field.projector_at(x)
-        r = mat_vec(mat_sub(ident, proj), total(x))
-        if vec_is_zero(r):
-            verified = False
     return InductiveWitness(
         m=total,
         lambdas=tuple(lambdas),
         picks=tuple(picks),
         samples=tuple(xs),
-        sample_defects_verified=verified,
+        sample_defects_verified=all(_outside(field.complement_at(x), total(x)) for x in xs),
     )
 
 

@@ -281,7 +281,7 @@ def _gen_field_attempt(
             generators.append(extra)
     spec = FieldModuleSpec(d, tuple(generators), field)
     # force IrrationalRoot rejection now rather than at check time
-    from .fields import total_defect_set
+    from .fields import analyze_field
 
-    total_defect_set(spec)
+    analyze_field(spec)
     return spec

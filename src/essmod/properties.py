@@ -357,7 +357,7 @@ def prop_residual_subset_total(rng, trials):
     def body(rng):
         defect_kind = ("none", "points", "interval")[rng.randint(0, 2)]
         spec, _ = _planted_spec(rng.spawn(1), defect_kind)
-        total = fields.total_defect_set(spec)
+        total = fields.analyze_field(spec).total
         m = _rand_combination(rng, spec)
         if m.is_zero():
             return True
@@ -377,24 +377,26 @@ def prop_criterion_coherence(rng, trials):
                 m = _rand_combination(rng, spec)
                 if m.is_zero():
                     continue
-                if not fields.residual_set(m, spec.subfield).is_nowhere_dense():
+                defect = fields.residual_set(m, spec.subfield)
+                if not defect.is_nowhere_dense():
                     return False
-                w = fields.essential_witness(m, spec.subfield)
+                w = fields.essential_witness(m, spec.subfield, defect)
                 if not w.verified:
                     return False
             return True
-        iv = max(decision.defect_set.closure().interior().intervals, key=lambda i: i.hi - i.lo)
+        total = decision.analysis.total
+        iv = max(total.closure().interior().intervals, key=lambda i: i.hi - i.lo)
         span = iv.hi - iv.lo
         xs = sorted({iv.lo + span * Fraction(i, 8) for i in range(1, 5)})
-        witness = fields.inductive_witness_section(spec, (iv.lo, iv.hi), xs)
+        witness = fields.inductive_witness_section(spec, (iv.lo, iv.hi), xs, total)
         inductive_ok = (
             witness.sample_defects_verified
             and not fields.residual_set(witness.m, spec.subfield).is_nowhere_dense()
         )
         direct_ok = False
-        for g in spec.generators:
-            if not fields.residual_set(g, spec.subfield).closure().interior().is_empty():
-                direct_ok = fields.non_essential_witness(g, spec.subfield).verified
+        for g, defect in zip(spec.generators, decision.analysis.defects):
+            if not defect.closure().interior().is_empty():
+                direct_ok = fields.non_essential_witness(g, spec.subfield, defect).verified
                 break
         return inductive_ok or direct_ok
     return _run("fields.criterion_coherence", rng, trials, body)
@@ -403,12 +405,12 @@ def prop_criterion_coherence(rng, trials):
 def prop_inductive_postcondition(rng, trials):
     def body(rng):
         spec, _ = _planted_spec(rng.spawn(3), "interval")
-        decision = fields.is_essential_field(spec)
-        iv = max(decision.defect_set.closure().interior().intervals, key=lambda i: i.hi - i.lo)
+        total = fields.is_essential_field(spec).analysis.total
+        iv = max(total.closure().interior().intervals, key=lambda i: i.hi - i.lo)
         span = iv.hi - iv.lo
         count = rng.randint(2, 6)
         xs = sorted({iv.lo + span * Fraction(i, count + 1) for i in range(1, count + 1)})
-        w = fields.inductive_witness_section(spec, (iv.lo, iv.hi), xs)
+        w = fields.inductive_witness_section(spec, (iv.lo, iv.hi), xs, total)
         if not w.sample_defects_verified:
             return False
         return all(
@@ -427,11 +429,11 @@ def prop_term_norm_bound(rng, trials):
             if all(p.degree <= 0 for row in g.pieces for p in row)
         )
         spec = fields.FieldModuleSpec(spec.d, consts, spec.subfield)
-        decision = fields.is_essential_field(spec)
-        iv = max(decision.defect_set.closure().interior().intervals, key=lambda i: i.hi - i.lo)
+        total = fields.is_essential_field(spec).analysis.total
+        iv = max(total.closure().interior().intervals, key=lambda i: i.hi - i.lo)
         span = iv.hi - iv.lo
         xs = sorted({iv.lo + span * Fraction(i, 5) for i in range(1, 4)})
-        w = fields.inductive_witness_section(spec, (iv.lo, iv.hi), xs)
+        w = fields.inductive_witness_section(spec, (iv.lo, iv.hi), xs, total)
         for j, (lam, k) in enumerate(zip(w.lambdas, w.picks), start=1):
             g = spec.generators[k]
             x = w.samples[j - 1]

@@ -2,8 +2,8 @@
 
 The continuous-field layer never touches floating point: scalars are
 complex numbers with Fraction real and imaginary parts, matrices are plain
-nested tuples of them. Sizes stay tiny (fiber dimension ≤ 4), so naive
-Gaussian elimination is plenty.
+nested tuples of them. Sizes stay tiny (fiber dimension ≤ 4), so one naive
+Gauss-Jordan kernel, `_rref`, serves inverse, rank and column basis alike.
 """
 
 from __future__ import annotations
@@ -108,9 +108,6 @@ def mat_zeros(n: int, m: int) -> Matrix:
     return tuple(tuple(CR_ZERO for _ in range(m)) for _ in range(n))
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -141,58 +138,17 @@ def mat_vec(a: Matrix, v: tuple[ComplexRational, ...]) -> tuple[ComplexRational,
     return tuple(sum((a[i][j] * v[j] for j in range(len(v))), CR_ZERO) for i in range(len(a)))
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises ValueError on singular input."""
-    n, m = mat_shape(a)
-    if n != m:
-        raise ValueError("inverse of a non-square matrix")
-    aug = [list(row) + list(ident_row) for row, ident_row in zip(a, mat_identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_piv = CR_ONE / aug[col][col]
-        aug[col] = [x * inv_piv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_rank(a: Matrix) -> int:
-    """Exact rank by row elimination."""
-    n, m = mat_shape(a)
-    rows = [list(r) for r in a]
-    rank = 0
-    col = 0
-    while rank < n and col < m:
-        piv = next((r for r in range(rank, n) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_piv = CR_ONE / rows[rank][col]
-        rows[rank] = [x * inv_piv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def column_basis(a: Matrix) -> Matrix:
-    """Subset of columns forming a basis of the column space (exact)."""
-    n, m = mat_shape(a)
-    if m == 0:
-        return a
-    rows = [list(r) for r in a]
-    pivots = []
-    rank = 0
-    for col in range(m):
+def _rref(rows: list[list[ComplexRational]], ncols: int) -> list[int]:
+    """Reduce `rows` in place to reduced row echelon form on their first
+    `ncols` columns (Gauss-Jordan: unit pivots, zeros above and below);
+    return the pivot columns. Later columns ride along, so an augmented
+    block receives the same row operations."""
+    n = len(rows)
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == n:
+            break
         piv = next((r for r in range(rank, n) if not rows[r][col].is_zero()), None)
         if piv is None:
             continue
@@ -204,7 +160,32 @@ def column_basis(a: Matrix) -> Matrix:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
+    return pivots
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    """Exact inverse by reducing [A | I]; raises ValueError on singular input."""
+    n, m = mat_shape(a)
+    if n != m:
+        raise ValueError("inverse of a non-square matrix")
+    aug = [list(row) + list(ident_row) for row, ident_row in zip(a, mat_identity(n))]
+    if len(_rref(aug, n)) < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def mat_rank(a: Matrix) -> int:
+    """Exact rank: the number of pivots."""
+    return len(_rref([list(r) for r in a], mat_shape(a)[1]))
+
+
+def column_basis(a: Matrix) -> Matrix:
+    """Subset of columns forming a basis of the column space (exact): the
+    pivot columns."""
+    n, m = mat_shape(a)
+    if m == 0:
+        return a
+    pivots = _rref([list(r) for r in a], m)
     return tuple(tuple(a[i][j] for j in pivots) for i in range(n))
 
 

@@ -21,6 +21,7 @@ from .serialize import (
     ideal_to_json,
     module_element_to_json,
     section_to_json,
+    submodule_from_json,
     subset_to_json,
 )
 
@@ -38,10 +39,6 @@ def _right_ideal_from_payload(payload: dict) -> tuple[algebra.RightIdeal, list]:
         if g.shape != ideal.shape:
             raise SchemaError("generator over a different shape")
     return ideal, gens
-
-
-def _submodule_from_payload(payload: dict) -> modules.Submodule:
-    return serialize.submodule_from_json(payload)
 
 
 def _finish(report: dict, t0: float) -> dict:
@@ -70,7 +67,7 @@ def run_check(doc) -> dict:
             cert.intersection_dim == 0 if not decision else True
         )
     elif kind == "module_submodule":
-        n = _submodule_from_payload(payload)
+        n = submodule_from_json(payload)
         decision, cert = modules.is_essential_submodule(n)
         report["decision"] = decision
         report["essential"] = cert.essential
@@ -85,7 +82,7 @@ def run_check(doc) -> dict:
         spec = field_spec_from_json(payload)
         decision = fields.is_essential_field(spec)
         report["decision"] = decision.essential
-        report["defect_set"] = subset_to_json(decision.defect_set)
+        report["defect_set"] = subset_to_json(decision.analysis.total)
         report["spanning_probes"] = len(decision.probes)
         report["checks_ok"] = all(p.full for p in decision.probes)
     return _finish(report, t0)
@@ -132,7 +129,7 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> dict:
         }
         report["checks_ok"] = w.verified and all(e <= 1e-8 for e in w.membership_errors)
     elif kind == "module_submodule":
-        n = _submodule_from_payload(payload)
+        n = submodule_from_json(payload)
         decision, cert = modules.is_essential_submodule(n)
         report["decision"] = decision
         if decision:
@@ -150,8 +147,8 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> dict:
         decision = fields.is_essential_field(spec)
         report["decision"] = decision.essential
         if decision.essential:
-            m = spec.generators[section_index % len(spec.generators)]
-            w = fields.essential_witness(m, spec.subfield)
+            k = section_index % len(spec.generators)
+            w = fields.essential_witness(spec.generators[k], spec.subfield, decision.analysis.defects[k])
             report["witness"] = {
                 "kind": "essential",
                 "a": section_to_json(w.a),
@@ -168,12 +165,13 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> dict:
 
 
 def _non_essential_witnesses(spec, decision, samples: int) -> dict:
-    closure_interior = decision.defect_set.closure().interior()
+    analysis = decision.analysis
+    closure_interior = analysis.total.closure().interior()
     iv = max(closure_interior.intervals, key=lambda i: i.hi - i.lo)
     quarter = (iv.hi - iv.lo) / 4
     lo, hi = iv.lo + quarter, iv.hi - quarter
-    xs = _dyadic_samples(lo, hi, samples, decision.defect_set)
-    inductive = fields.inductive_witness_section(spec, (lo, hi), xs)
+    xs = _dyadic_samples(lo, hi, samples, analysis.total)
+    inductive = fields.inductive_witness_section(spec, (lo, hi), xs, analysis.total)
     doc = {
         "kind": "non_essential",
         "interval": [frac_to_json(lo), frac_to_json(hi)],
@@ -190,10 +188,9 @@ def _non_essential_witnesses(spec, decision, samples: int) -> dict:
         for j, lam in enumerate(inductive.lambdas, start=1)
     )
     direct = None
-    for g in spec.generators:
-        defect = fields.residual_set(g, spec.subfield)
+    for g, defect in zip(spec.generators, analysis.defects):
         if not defect.closure().interior().is_empty():
-            w = fields.non_essential_witness(g, spec.subfield)
+            w = fields.non_essential_witness(g, spec.subfield, defect)
             direct = {
                 "support": [frac_to_json(w.support[0]), frac_to_json(w.support[1])],
                 "closure_equal": w.closure_equal,

@@ -10,7 +10,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch
 from .polynomials import GaussianPoly, RationalPoly, exact_zero_points
 from .rationals import ComplexRational, cr
-from .subsets import SymbolicSubset
+from .subsets import Interval, SymbolicSubset
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -149,16 +149,17 @@ class PiecewiseSection:
     # -- exact sets -----------------------------------------------------------
 
     def zero_set(self) -> SymbolicSubset:
-        """{x : all coordinates vanish}, exactly (may raise IrrationalRoot)."""
-        acc = SymbolicSubset.empty()
-        for i in range(len(self.pieces)):
-            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            zeros = exact_zero_points(self.pieces[i], lo, hi)
+        """{x : all coordinates vanish}, exactly (may raise IrrationalRoot).
+        The pieces' zero sets are collected and normalized once."""
+        points: list[Fraction] = []
+        intervals: list[Interval] = []
+        for piece, lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
+            zeros = exact_zero_points(piece, lo, hi)
             if zeros is None:
-                acc = acc.union(SymbolicSubset.interval(lo, hi, True, True))
-            elif zeros:
-                acc = acc.union(SymbolicSubset.from_points(zeros))
-        return acc
+                intervals.append(Interval(lo, hi, True, True))
+            else:
+                points.extend(zeros)
+        return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
 
     def support_set(self) -> SymbolicSubset:
         """{x : section(x) ≠ 0}, the complement of the exact zero set."""

@@ -1,5 +1,5 @@
-"""JSON (de)serialization for every public value type, plus instance and
-report envelopes.
+"""JSON (de)serialization for the value types that instances and reports
+carry, plus instance and report envelopes.
 
 Conventions: floating scalars are [re, im] pairs; exact scalars are
 rational strings "p/q"; exact complex scalars are ["p/q", "p/q"] pairs.
@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape, RightIdeal
 from .errors import SchemaError
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField
-from .modules import CompactOperator, ModuleElement, Submodule
+from .modules import ModuleElement, Submodule
 from .polynomials import GaussianPoly
 from .rationals import ComplexRational, Matrix, mat_shape
 from .sections import PiecewiseSection
@@ -116,18 +116,6 @@ def ideal_to_json(J: RightIdeal) -> dict:
     }
 
 
-def ideal_from_json(doc) -> RightIdeal:
-    if not isinstance(doc, dict) or "support_projection" not in doc:
-        raise SchemaError("right ideal must have a support_projection")
-    p = element_from_json(doc["support_projection"])
-    from .algebra import ideal_from_projection
-
-    try:
-        return ideal_from_projection(p)
-    except Exception as exc:
-        raise SchemaError(f"support_projection is not a projection: {exc}") from exc
-
-
 def module_element_to_json(x: ModuleElement) -> dict:
     return {
         "shape": shape_to_json(x.shape),
@@ -145,31 +133,6 @@ def module_element_from_json(doc) -> ModuleElement:
     if "k" in doc and doc["k"] != len(coords):
         raise SchemaError("k does not match the number of coordinates")
     return ModuleElement(coords[0].shape, coords)
-
-
-def compact_operator_to_json(t: CompactOperator) -> dict:
-    return {
-        "shape": shape_to_json(t.shape),
-        "k": t.k,
-        "matrix": [[element_to_json(e) for e in row] for row in t.matrix],
-    }
-
-
-def compact_operator_from_json(doc) -> CompactOperator:
-    if not isinstance(doc, dict) or "matrix" not in doc:
-        raise SchemaError("compact operator must have a matrix")
-    rows = tuple(tuple(element_from_json(e) for e in row) for row in doc["matrix"])
-    if not rows:
-        raise SchemaError("operator matrix is empty")
-    return CompactOperator(rows[0][0].shape, rows)
-
-
-def submodule_to_json(n: Submodule) -> dict:
-    return {
-        "shape": shape_to_json(n.shape),
-        "k": n.k,
-        "generators": [module_element_to_json(g) for g in n.generators],
-    }
 
 
 def submodule_from_json(doc) -> Submodule:
@@ -203,12 +166,20 @@ def subset_to_json(s: SymbolicSubset) -> dict:
     }
 
 
+def _require(value, kind: type, what: str):
+    """`value` if it is a `kind` (list or dict), else SchemaError."""
+    if not isinstance(value, kind):
+        article = "a list" if kind is list else "an object"
+        raise SchemaError(f"{what} must be {article}, got {type(value).__name__}")
+    return value
+
+
 def subset_from_json(doc) -> SymbolicSubset:
-    if not isinstance(doc, dict):
-        raise SchemaError("subset must be an object")
-    pts = [frac_from_json(p) for p in doc.get("points", [])]
+    _require(doc, dict, "subset")
+    pts = [frac_from_json(p) for p in _require(doc.get("points", []), list, "subset points")]
     ivs = []
-    for iv in doc.get("intervals", []):
+    for iv in _require(doc.get("intervals", []), list, "subset intervals"):
+        _require(iv, dict, "interval")
         try:
             ivs.append(
                 Interval(
@@ -228,9 +199,7 @@ def _poly_to_json(p: GaussianPoly) -> list:
 
 
 def _poly_from_json(doc) -> GaussianPoly:
-    if not isinstance(doc, list):
-        raise SchemaError("polynomial must be a coefficient list")
-    return GaussianPoly.from_coeffs([crat_from_json(c) for c in doc])
+    return GaussianPoly.from_coeffs([crat_from_json(c) for c in _require(doc, list, "polynomial")])
 
 
 def section_to_json(m: PiecewiseSection) -> dict:
@@ -247,8 +216,11 @@ def section_from_json(doc) -> PiecewiseSection:
     d = doc.get("d")
     if not isinstance(d, int) or d < 1:
         raise SchemaError("section needs a positive fiber dimension d")
-    bps = tuple(frac_from_json(b) for b in doc["breakpoints"])
-    pieces = tuple(tuple(_poly_from_json(p) for p in row) for row in doc["pieces"])
+    bps = tuple(frac_from_json(b) for b in _require(doc["breakpoints"], list, "breakpoints"))
+    pieces = tuple(
+        tuple(_poly_from_json(p) for p in _require(row, list, "section piece"))
+        for row in _require(doc["pieces"], list, "section pieces")
+    )
     try:
         return PiecewiseSection(d, bps, pieces)
     except ValueError as exc:
@@ -261,9 +233,8 @@ def _basis_to_json(basis: Matrix) -> list:
 
 
 def _basis_from_json(doc, d: int) -> Matrix:
-    if not isinstance(doc, list):
-        raise SchemaError("basis must be a list of columns")
-    cols = [[crat_from_json(e) for e in col] for col in doc]
+    columns = _require(doc, list, "basis")
+    cols = [[crat_from_json(e) for e in _require(col, list, "basis column")] for col in columns]
     for col in cols:
         if len(col) != d:
             raise SchemaError(f"basis column of length {len(col)}, expected {d}")
@@ -281,16 +252,15 @@ def field_spec_to_json(spec: FieldModuleSpec) -> dict:
 
 
 def field_spec_from_json(doc) -> FieldModuleSpec:
-    if not isinstance(doc, dict):
-        raise SchemaError("field spec must be an object")
+    _require(doc, dict, "field spec")
     for key in ("d", "partition", "subspace_bases", "generators"):
         if key not in doc:
             raise SchemaError(f"field spec missing {key!r}")
     d = doc["d"]
     if not isinstance(d, int) or d < 1:
         raise SchemaError("field spec needs a positive fiber dimension d")
-    regions = [subset_from_json(p) for p in doc["partition"]]
-    bases = doc["subspace_bases"]
+    regions = [subset_from_json(p) for p in _require(doc["partition"], list, "partition")]
+    bases = _require(doc["subspace_bases"], list, "subspace_bases")
     if len(bases) != len(regions):
         raise SchemaError("partition and subspace_bases lengths differ")
     pieces = tuple(
@@ -301,7 +271,7 @@ def field_spec_from_json(doc) -> FieldModuleSpec:
         field = SubspaceField(d, pieces)
         return FieldModuleSpec(
             d,
-            tuple(section_from_json(g) for g in doc["generators"]),
+            tuple(section_from_json(g) for g in _require(doc["generators"], list, "generators")),
             field,
             bool(doc.get("vanish_at_boundary", False)),
         )

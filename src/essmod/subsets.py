@@ -2,15 +2,19 @@
 
 Every subset is kept in a normalized form: disjoint sorted intervals that
 cannot be merged or extended, and isolated points lying in no interval.
-All operations (union, intersection, complement, closure, interior) are
-exact and are computed by a boundary sweep: collecting every endpoint
-involved, deciding membership on each elementary region, and rebuilding.
+One merge-sweep kernel, `_sweep`, computes that form for the constructor
+and for every set operation (union, intersection, difference, complement;
+closure and interior build on them). It sorts the endpoints of all
+operands once, which cuts [0, 1] into elementary regions, and reads each
+operand's coverage of every region off a running count of its interval
+openings and closings: linear after the sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import OutOfRange
@@ -102,22 +106,16 @@ class SymbolicSubset:
     # -- set algebra ---------------------------------------------------------
 
     def union(self, other: "SymbolicSubset") -> "SymbolicSubset":
-        return _rebuild(
-            _bounds([self, other]), lambda x: self.contains(x) or other.contains(x)
-        )
+        return _rebuild((self, other), lambda a, b: a or b)
 
     def intersection(self, other: "SymbolicSubset") -> "SymbolicSubset":
-        return _rebuild(
-            _bounds([self, other]), lambda x: self.contains(x) and other.contains(x)
-        )
+        return _rebuild((self, other), lambda a, b: a and b)
 
     def difference(self, other: "SymbolicSubset") -> "SymbolicSubset":
-        return _rebuild(
-            _bounds([self, other]), lambda x: self.contains(x) and not other.contains(x)
-        )
+        return _rebuild((self, other), lambda a, b: a and not b)
 
     def complement(self) -> "SymbolicSubset":
-        return _rebuild(_bounds([self]), lambda x: not self.contains(x))
+        return _rebuild((self,), lambda a: not a)
 
     def __or__(self, other):
         return self.union(other)
@@ -151,13 +149,6 @@ class SymbolicSubset:
         return " ∪ ".join(parts)
 
 
-def subset_normalize(points=(), intervals=()) -> SymbolicSubset:
-    """Normalize raw subset data (points and possibly overlapping intervals,
-    given as (lo, hi, lo_closed, hi_closed) tuples) into the invariant form.
-    Raises OutOfRange for endpoints outside [0, 1]."""
-    return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
-
-
 def _check_range(x: Fraction):
     if not (ZERO <= x <= ONE):
         raise OutOfRange(f"value {x} outside [0, 1]")
@@ -182,67 +173,64 @@ def _normalize(points, intervals) -> tuple[tuple[Fraction, ...], tuple[Interval,
                 pts.append(iv.lo)
             continue
         ivs.append(iv)
-    if not pts and not ivs:
-        return (), ()
-
-    def member(x: Fraction) -> bool:
-        return x in pts or any(iv.contains(x) for iv in ivs)
-
-    bounds = sorted({ZERO, ONE, *pts, *(iv.lo for iv in ivs), *(iv.hi for iv in ivs)})
-    rebuilt = _sweep(bounds, member)
-    return rebuilt
+    return _sweep(((pts, ivs),), bool)
 
 
-def _bounds(sets: list["SymbolicSubset"]) -> list[Fraction]:
-    vals = {ZERO, ONE}
-    for s in sets:
-        vals.update(s.boundary_values())
-    return sorted(vals)
-
-
-def _rebuild(bounds: list[Fraction], member: Callable[[Fraction], bool]) -> "SymbolicSubset":
-    pts, ivs = _sweep(bounds, member)
+def _rebuild(sets, keep: Callable[..., bool]) -> "SymbolicSubset":
+    """Set operation on normalized operands: the result is normal already,
+    so the constructor's normalization is skipped."""
+    pts, ivs = _sweep([(s.points, s.intervals) for s in sets], keep)
     out = SymbolicSubset.__new__(SymbolicSubset)
     object.__setattr__(out, "points", pts)
     object.__setattr__(out, "intervals", ivs)
     return out
 
 
-def _sweep(bounds: list[Fraction], member: Callable[[Fraction], bool]):
-    """Rebuild normal form from membership on elementary regions.
+def _sweep(operands, keep: Callable[..., bool]):
+    """Normal form of the set that holds a region iff `keep` holds for the
+    coverage counts of the operands there.
 
-    Regions alternate point / open gap between consecutive bounds; the
-    membership callable must be constant on each gap (guaranteed when all
-    operand boundaries are among the bounds), so the gap midpoint decides.
+    Each operand is a (points, intervals) pair, in any order and possibly
+    overlapping. The sorted union of all endpoints (plus 0 and 1) cuts
+    [0, 1] into regions 0..n-1, alternately a boundary point (even) and the
+    open gap to the next boundary (odd); every operand is constant on each.
+    An operand adds +1 where each of its pieces starts and -1 after it
+    ends; a running sum then gives its coverage of every region.
     """
-    regions = []  # (is_point, lo, hi, included)
-    for i, b in enumerate(bounds):
-        regions.append((True, b, b, member(b)))
-        if i + 1 < len(bounds):
-            mid = (b + bounds[i + 1]) / 2
-            regions.append((False, b, bounds[i + 1], member(mid)))
+    ends = {ZERO, ONE}
+    for pts, ivs in operands:
+        ends.update(pts)
+        for iv in ivs:
+            ends.update((iv.lo, iv.hi))
+    bounds = sorted(ends)
+    slot = {b: 2 * i for i, b in enumerate(bounds)}
+    n = 2 * len(bounds) - 1
+    counts = []
+    for pts, ivs in operands:
+        delta = [0] * (n + 1)
+        for p in pts:
+            delta[slot[p]] += 1
+            delta[slot[p] + 1] -= 1
+        for iv in ivs:
+            delta[slot[iv.lo] + (not iv.lo_closed)] += 1
+            delta[slot[iv.hi] + iv.hi_closed] -= 1
+        counts.append(accumulate(delta[:n]))
+    inside = [keep(*c) for c in zip(*counts)]
 
     points: list[Fraction] = []
     intervals: list[Interval] = []
-    run = None  # (lo, lo_closed, hi_so_far, hi_closed_so_far)
-    for is_point, lo, hi, included in regions:
-        if included:
-            if run is None:
-                run = [lo, is_point, hi, is_point]
-            else:
-                run[2], run[3] = hi, is_point
+    k = 0
+    while k < n:
+        if not inside[k]:
+            k += 1
+            continue
+        start = k
+        while k + 1 < n and inside[k + 1]:
+            k += 1
+        lo, hi = bounds[start // 2], bounds[(k + 1) // 2]
+        if lo == hi:
+            points.append(lo)
         else:
-            if run is not None:
-                _emit(run, points, intervals)
-                run = None
-    if run is not None:
-        _emit(run, points, intervals)
+            intervals.append(Interval(lo, hi, start % 2 == 0, k % 2 == 0))
+        k += 1
     return tuple(points), tuple(intervals)
-
-
-def _emit(run, points: list[Fraction], intervals: list[Interval]):
-    lo, lo_closed, hi, hi_closed = run
-    if lo == hi:
-        points.append(lo)
-    else:
-        intervals.append(Interval(lo, hi, lo_closed, hi_closed))

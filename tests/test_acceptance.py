@@ -198,7 +198,7 @@ def test_criterion_6_witness_soundness():
         spec = serialize.field_spec_from_json(doc["payload"])
         if expected:
             m = spec.generators[0]
-            w = essential_witness(m, spec.subfield)
+            w = essential_witness(m, spec.subfield, residual_set(m, spec.subfield))
             assert residual_set(w.ma, spec.subfield).is_empty()
             assert not w.ma.is_zero()
         else:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from essmod import cli, properties, runner, serialize
 from essmod.generate import gen_field, gen_right_ideal
 
@@ -186,3 +188,53 @@ def test_run_check_reports_have_stable_digest():
     assert r1["digest"] == r2["digest"]
     body1 = {k: v for k, v in r1.items() if k not in ("digest", "timing_ms")}
     assert serialize.digest(body1) == r1["digest"]
+
+
+# run_check / run_witness digests of gen_field(d, 4, d + 1, defect, 10 * d),
+# recorded before the exact layer was reworked: every report must stay
+# byte-identical.
+GOLDEN_FIELD_DIGESTS = [
+    (1, "none", "f4ad8583204b2870197fe7afa93f7191b923979d06511fcf6992f3897c50d95e",
+     "9fe55b5b780a6637cf5a1d9dcf0268858b774a48d9f127381e39ae695b1d2e56"),
+    (1, "points", "f0ea6c295dcf9ad761322703822a25ebe0951698227a9f4532ce5dfd286c4f1b",
+     "88528dbfa1b82355cfb9655f83cccefdf72ca2de8d21f10c6ee2775a896da0ee"),
+    (1, "interval", "b99791f7dfb3468fceb53d64e1eba7711c754f1109697f99ebd85380b66ed814",
+     "5c8e35f28dd8c6bdac76c14b777096837573eb34f1a63c8f5b3275be34c3aaab"),
+    (2, "none", "c7f31c57a4be343ce650a31277cf5f1603b327bd85b94150d77ed5770283bcd0",
+     "ca4386b821b4c68031ba69c47afd4f97cd01b0384545a04b7850c288c98237d2"),
+    (2, "points", "8a29d858a7e12704b86429f56b1ef26599596baac036617780fe4ad359318110",
+     "b90eeceab49d4ffa87c1b54f16d0864215103e63127419c06720f5679f2778ad"),
+    (2, "interval", "d94b4a170f59a0a9fc02fcb85219dd065023a405df261c451cd55a90e7e93f8c",
+     "e2c7eb12f27ac67297f87c9c6c0a3f2bbd2468131bfff89d61e98607c2bc43c0"),
+    (3, "none", "ada1f173990f8fa57cfec8486a84023450672b245ecaad391d8cd1c975d503bf",
+     "700a541a1a5af737e45dab75194045419ccbe6310648ba23263af310ab7cc3bf"),
+    (3, "points", "9dc350cd597ca2a1274f6d46fb5fdd54b41e8f14ddf7e11f02dd23cd9e75aa45",
+     "95b8a3febb1c536168f92a3c9a97fc4c47bbf99c53c3aa2138fd759ff87dbba9"),
+    (3, "interval", "20075b74b1006c4e89dcebf1aa06c157b836dbabcb38dac330ea75b0c48a8ad0",
+     "3189d80b600cbbe413814a6dd850ac3a848cd5d8235e99faf3479c8cf7e6f26c"),
+]
+
+
+@pytest.mark.parametrize("d, defect, check_digest, witness_digest", GOLDEN_FIELD_DIGESTS)
+def test_field_report_digests_are_pinned(d, defect, check_digest, witness_digest):
+    doc = gen_field(d, 4, d + 1, defect, 10 * d)
+    assert runner.run_check(doc)["digest"] == check_digest
+    assert runner.run_witness(doc)["digest"] == witness_digest
+
+
+def test_malformed_field_payload_exits_2(tmp_path, capsys):
+    """Wrong JSON types inside a field payload are input errors (exit 2 and
+    one line), not a TypeError escaping with the check-failed code."""
+    inst = gen_to_file(tmp_path, "f.json", ["--kind", "field", "--d", "1", "--defect", "none", "--seed", "3"])
+    doc = json.loads(inst.read_text())
+    bad_intervals = json.loads(json.dumps(doc))
+    bad_intervals["payload"]["partition"][0]["intervals"] = [5]
+    bad_bases = json.loads(json.dumps(doc))
+    bad_bases["payload"]["subspace_bases"] = 5
+    for bad in (bad_intervals, bad_bases):
+        inst.write_text(json.dumps(bad))
+        for command in ("check", "witness"):
+            capsys.readouterr()
+            assert cli.main([command, "--in", str(inst)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and err.count("\n") == 1, err

@@ -7,10 +7,10 @@ from essmod.fields import (
     FieldModuleSpec,
     FieldPiece,
     SubspaceField,
+    analyze_field,
     commutative_limit_identity,
     is_essential_field,
     residual_set,
-    total_defect_set,
 )
 from essmod.polynomials import GaussianPoly, RationalPoly
 from essmod.rationals import cr, mat, mat_identity
@@ -114,7 +114,7 @@ def test_total_defect_standard_basis_full_field():
         (PiecewiseSection.constant([1, 0]), PiecewiseSection.constant([0, 1])),
         SubspaceField.full(2),
     )
-    assert total_defect_set(spec).is_empty()
+    assert analyze_field(spec).total.is_empty()
     assert is_essential_field(spec).essential
 
 
@@ -122,7 +122,7 @@ def test_total_defect_single_generator_half_line():
     spec = FieldModuleSpec(
         1, (PiecewiseSection.scalar_poly(x_poly()),), two_zone_field()
     )
-    assert total_defect_set(spec) == SymbolicSubset.interval(0, F(1, 2), False, True)
+    assert analyze_field(spec).total == SymbolicSubset.interval(0, F(1, 2), False, True)
 
 
 def test_total_defect_union_of_disjoint_defects():
@@ -146,7 +146,9 @@ def test_total_defect_union_of_disjoint_defects():
     expected = SymbolicSubset.interval(F(1, 8), F(1, 4), False, False) | SymbolicSubset.interval(
         F(5, 8), F(3, 4), False, False
     )
-    assert total_defect_set(spec) == expected
+    analysis = analyze_field(spec)
+    assert analysis.total == expected
+    assert analysis.defects == (residual_set(e1, field), residual_set(e2, field))
     assert residual_set(e1, field) == SymbolicSubset.interval(F(1, 8), F(1, 4), False, False)
 
 
@@ -164,7 +166,7 @@ def test_essential_field_point_defects():
     )
     decision = is_essential_field(spec)
     assert decision.essential
-    assert decision.defect_set == SymbolicSubset.from_points(pts)
+    assert decision.analysis.total == SymbolicSubset.from_points(pts)
 
 
 def test_non_essential_field_interval_defect():
@@ -183,7 +185,7 @@ def test_non_essential_field_interval_defect():
     )
     decision = is_essential_field(spec)
     assert not decision.essential
-    assert decision.defect_set == SymbolicSubset.interval(F(3, 10), F(2, 5), False, False)
+    assert decision.analysis.total == SymbolicSubset.interval(F(3, 10), F(2, 5), False, False)
 
 
 def test_generators_not_spanning_raises():
@@ -228,7 +230,7 @@ def test_combination_defects_stay_inside_total_defect():
         spec_pool.append(field_spec_from_json(doc["payload"]))
     while checked < 200:
         spec = spec_pool[rng.randint(0, len(spec_pool) - 1)]
-        total = total_defect_set(spec)
+        total = analyze_field(spec).total
         m = PiecewiseSection.zero(spec.d)
         for g in spec.generators:
             coeffs = [cr(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(2)]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from essmod.errors import OutOfRange
-from essmod.subsets import Interval, SymbolicSubset, subset_normalize
+from essmod.subsets import Interval, SymbolicSubset
 
 
 def iv(lo, hi, lc=True, hc=True):
@@ -58,13 +58,13 @@ def test_out_of_range_rejected():
     with pytest.raises(OutOfRange):
         SymbolicSubset.interval(F(-1, 2), F(1, 2))
     with pytest.raises(OutOfRange):
-        subset_normalize(points=[F(2)])
+        SymbolicSubset(points=(F(2),))
 
 
-def test_subset_normalize_accepts_raw_tuples():
-    s = subset_normalize(
-        points=[F(1, 2)],
-        intervals=[(F(0), F(1, 2), True, False), (F(1, 4), F(3, 4), True, True)],
+def test_subset_constructor_normalizes_raw_tuples():
+    s = SymbolicSubset(
+        points=(F(1, 2),),
+        intervals=((F(0), F(1, 2), True, False), (F(1, 4), F(3, 4), True, True)),
     )
     assert s == iv(0, F(3, 4))
     assert s.contains(F(1, 2)) and not s.contains(F(7, 8))
@@ -171,3 +171,46 @@ def test_union_intersection_laws(a, b):
 @given(subsets(), frac01)
 def test_membership_consistency(s, x):
     assert s.contains(x) == (not s.complement().contains(x))
+
+
+@st.composite
+def raw_parts(draw):
+    """Unnormalized (points, intervals): unsorted, overlapping, degenerate."""
+    pts = draw(st.lists(frac01, max_size=3))
+    ivs = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = sorted([draw(frac01), draw(frac01)])
+        ivs.append(Interval(a, b, draw(st.booleans()), draw(st.booleans())))
+    return pts, ivs
+
+
+def raw_member(parts, x):
+    pts, ivs = parts
+    return x in pts or any(
+        i.contains(x) and (i.lo < i.hi or (i.lo_closed and i.hi_closed)) for i in ivs
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(raw_parts(), raw_parts())
+def test_sweep_matches_pointwise_membership(pa, pb):
+    """Every set operation agrees with membership of the raw operands at each
+    boundary and each gap midpoint, and returns the normal form."""
+    a = SymbolicSubset(points=tuple(pa[0]), intervals=tuple(pa[1]))
+    b = SymbolicSubset(points=tuple(pb[0]), intervals=tuple(pb[1]))
+    ends = sorted(
+        {F(0), F(1), *pa[0], *pb[0], *(e for i in pa[1] + pb[1] for e in (i.lo, i.hi))}
+    )
+    for x in ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])]:
+        in_a, in_b = raw_member(pa, x), raw_member(pb, x)
+        assert a.contains(x) == in_a
+        assert (a | b).contains(x) == (in_a or in_b)
+        assert (a & b).contains(x) == (in_a and in_b)
+        assert (a - b).contains(x) == (in_a and not in_b)
+        assert a.complement().contains(x) == (not in_a)
+    for s in (a, a | b, a & b, a - b, a.complement()):
+        assert list(s.points) == sorted(set(s.points))
+        for i, j in zip(s.intervals, s.intervals[1:]):
+            assert i.hi < j.lo or (i.hi == j.lo and not i.hi_closed and not j.lo_closed)
+        for p in s.points:
+            assert all(p < iv.lo or p > iv.hi for iv in s.intervals)

@@ -8,6 +8,7 @@ from essmod.fields import (
     FieldPiece,
     SubspaceField,
     _pick_interval,
+    analyze_field,
     essential_witness,
     inductive_witness_section,
     is_essential_field,
@@ -40,7 +41,8 @@ def field_with_regions(d, *pairs):
 
 def test_essential_witness_full_field():
     m = PiecewiseSection.constant([1, 0])
-    w = essential_witness(m, SubspaceField.full(2))
+    field = SubspaceField.full(2)
+    w = essential_witness(m, field, residual_set(m, field))
     assert w.verified
     assert not w.ma.is_zero()
 
@@ -48,7 +50,7 @@ def test_essential_witness_full_field():
 def test_essential_witness_avoids_point_defect():
     field = field_with_regions(1, (SymbolicSubset.point(F(1, 2)), zero_basis(1)))
     m = PiecewiseSection.constant([1])
-    w = essential_witness(m, field)
+    w = essential_witness(m, field, residual_set(m, field))
     assert w.verified
     lo, hi = w.support
     assert not (lo <= F(1, 2) <= hi)
@@ -65,7 +67,7 @@ def test_essential_witness_support_follows_the_section_support():
     field = field_with_regions(
         1, (SymbolicSubset.interval(F(0), F(1, 4), False, False), zero_basis(1))
     )
-    w = essential_witness(m, field)
+    w = essential_witness(m, field, residual_set(m, field))
     assert w.verified
     lo, hi = w.support
     assert F(1, 2) < lo < hi < F(1)
@@ -73,15 +75,16 @@ def test_essential_witness_support_follows_the_section_support():
 
 def test_essential_witness_rejects_zero_section():
     with pytest.raises(ZeroInput):
-        essential_witness(PiecewiseSection.zero(1), SubspaceField.full(1))
+        essential_witness(PiecewiseSection.zero(1), SubspaceField.full(1), SymbolicSubset.empty())
 
 
 def test_essential_witness_precondition():
     field = field_with_regions(
         1, (SymbolicSubset.interval(F(1, 4), F(1, 2), False, False), zero_basis(1))
     )
+    m = PiecewiseSection.constant([1])
     with pytest.raises(PreconditionFailed):
-        essential_witness(PiecewiseSection.constant([1]), field)
+        essential_witness(m, field, residual_set(m, field))
 
 
 def test_pick_interval_requires_an_interval():
@@ -96,7 +99,7 @@ def test_non_essential_witness_interval_defect():
         2, (SymbolicSubset.interval(F(3, 10), F(2, 5), False, False), mat([[0], [1]]))
     )
     m = PiecewiseSection.constant([1, 0])
-    w = non_essential_witness(m, field)
+    w = non_essential_witness(m, field, residual_set(m, field))
     assert w.closure_equal and w.ma_nonzero and w.verified
     lo, hi = w.support
     assert F(3, 10) <= lo < hi <= F(2, 5)
@@ -113,14 +116,15 @@ def test_non_essential_witness_polynomial_defect():
         (F(0), F(1)),
         ((GaussianPoly(RationalPoly.x(), RationalPoly.zero()), GaussianPoly.zero()),),
     )
-    w = non_essential_witness(m, field)
+    w = non_essential_witness(m, field, residual_set(m, field))
     assert w.closure_equal and w.ma_nonzero
 
 
 def test_non_essential_witness_precondition_failure():
     field = field_with_regions(1, (SymbolicSubset.point(F(1, 2)), zero_basis(1)))
+    m = PiecewiseSection.constant([1])
     with pytest.raises(PreconditionFailed):
-        non_essential_witness(PiecewiseSection.constant([1]), field)
+        non_essential_witness(m, field, residual_set(m, field))
 
 
 # --- inductive witness section --------------------------------------------------------
@@ -136,7 +140,7 @@ def planted_interval_spec():
 
 def test_inductive_witness_base_case():
     spec = planted_interval_spec()
-    w = inductive_witness_section(spec, (F(3, 10), F(2, 5)), [F(1, 3)])
+    w = inductive_witness_section(spec, (F(3, 10), F(2, 5)), [F(1, 3)], analyze_field(spec).total)
     assert w.sample_defects_verified
     assert w.lambdas == (F(1, 2),)
     # m = λ1 g_{k1} a1 exactly: value at the sample is λ1·g(x1)
@@ -148,7 +152,7 @@ def test_inductive_witness_base_case():
 def test_inductive_witness_shared_generator_keeps_default_lambdas():
     spec = planted_interval_spec()
     xs = [F(3, 10) + F(i, 100) for i in range(1, 9)]
-    w = inductive_witness_section(spec, (F(3, 10), F(2, 5)), xs)
+    w = inductive_witness_section(spec, (F(3, 10), F(2, 5)), xs, analyze_field(spec).total)
     assert w.sample_defects_verified
     assert w.picks == (0,) * 8
     assert w.lambdas == tuple(F(1, 2 ** j) for j in range(1, 9))
@@ -167,7 +171,7 @@ def test_inductive_witness_adversarial_lambda_adjustment():
     g1 = PiecewiseSection.constant([1, 1])
     g2 = PiecewiseSection.constant([1, F(-2, 3)])
     spec = FieldModuleSpec(2, (g1, g2), field)
-    w = inductive_witness_section(spec, (F(1, 16), F(3, 4)), [x1, x2, x3])
+    w = inductive_witness_section(spec, (F(1, 16), F(3, 4)), [x1, x2, x3], analyze_field(spec).total)
     assert w.picks == (0, 1, 0)
     assert w.lambdas == (F(1, 2), F(1, 4), F(1, 16))
     assert w.sample_defects_verified
@@ -176,13 +180,13 @@ def test_inductive_witness_adversarial_lambda_adjustment():
 def test_inductive_witness_rejects_sample_outside_defect():
     spec = planted_interval_spec()
     with pytest.raises(SampleNotInDefect):
-        inductive_witness_section(spec, (F(1, 10), F(2, 5)), [F(1, 10)])
+        inductive_witness_section(spec, (F(1, 10), F(2, 5)), [F(1, 10)], analyze_field(spec).total)
 
 
 def test_inductive_witness_lambda_bounds_and_membership():
     spec = planted_interval_spec()
     xs = [F(3, 10) + F(i, 50) for i in range(1, 5)]
-    w = inductive_witness_section(spec, (F(3, 10), F(2, 5)), xs)
+    w = inductive_witness_section(spec, (F(3, 10), F(2, 5)), xs, analyze_field(spec).total)
     for j, lam in enumerate(w.lambdas, start=1):
         assert F(0) < lam <= F(1, 2 ** j)
     # exact postcondition: m(x_j) outside L at every sample
@@ -201,7 +205,7 @@ def test_inductive_witness_defect_set_not_nowhere_dense():
     decision = is_essential_field(spec)
     assert not decision.essential
     xs = [F(3, 10) + F(i, 100) for i in range(1, 9)]
-    w = inductive_witness_section(spec, (F(3, 10), F(2, 5)), xs)
+    w = inductive_witness_section(spec, (F(3, 10), F(2, 5)), xs, analyze_field(spec).total)
     y_m = residual_set(w.m, spec.subfield)
     for x in xs:
         assert y_m.contains(x)
