@@ -9,6 +9,7 @@ right ideal is of the form pA for a projection p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -61,7 +62,13 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """Element of ⊕ M_{n_i}, stored blockwise."""
+    """Element of ⊕ M_{n_i}, stored blockwise.
+
+    The blocks are read-only arrays, so an element never changes: its
+    C*-norm and the eigendecomposition of each block are computed once, on
+    first use, and every later norm, hermiticity check and functional
+    calculus reads them.
+    """
 
     shape: AlgebraShape
     blocks: tuple[np.ndarray, ...]
@@ -119,9 +126,19 @@ class AlgebraElement:
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement(self.shape, tuple(a.conj().T for a in self.blocks))
 
+    @cached_property
+    def _norm(self) -> float:
+        return max(linalg.op_norm(b) for b in self.blocks)
+
+    @cached_property
+    def _eig(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        # Read only after is_hermitian(tol) passed with the caller's tol,
+        # which implies herm_eig's looser per-block check: skip that one.
+        return tuple(linalg.herm_eig(b, tol=np.inf) for b in self.blocks)
+
     def norm(self) -> float:
         """C*-norm: max of block operator norms."""
-        return max(linalg.op_norm(b) for b in self.blocks)
+        return self._norm
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         scale = 1.0 + self.norm()
@@ -134,10 +151,10 @@ class AlgebraElement:
         return (self - other).norm()
 
 
-def _eig_blocks(a: AlgebraElement, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def _eig_blocks(a: AlgebraElement, tol: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     if not a.is_hermitian(tol):
         raise NotHermitian("algebra element is not hermitian within tolerance")
-    return [linalg.herm_eig(b, tol=tol * (1.0 + a.norm())) for b in a.blocks]
+    return a._eig
 
 
 def all_eigenvalues(a: AlgebraElement, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -238,9 +255,8 @@ class RightIdeal:
         return int(round(sum(np.trace(b).real for b in self.support_projection.blocks)))
 
 
-def ideal_from_projection(p: AlgebraElement, tol: float = DEFAULT_TOL) -> RightIdeal:
-    if not is_projection(p, tol=max(tol, 1e-8)):
-        raise NotProjection("input is not a projection within tolerance")
+def ideal_from_projection(p: AlgebraElement) -> RightIdeal:
+    """The right ideal pA; raises NotProjection unless p is a projection."""
     return RightIdeal(p.shape, p)
 
 
@@ -337,7 +353,7 @@ def closed_subideal(x: AlgebraElement, tol: float = DEFAULT_TOL) -> SubidealWitn
     g = _interp_resolvent(eps)
     ga = calculus(a, g, tol=tol)
     fa = calculus(a, lambda t: t * g(t), tol=tol)
-    ideal = ideal_from_projection(p, tol=tol)
+    ideal = ideal_from_projection(p)
 
     scale = 1.0 + a.norm()
     fa_p_error = (fa * p).distance(p) / scale
@@ -384,27 +400,24 @@ def is_essential_right_ideal(J: RightIdeal, tol: float = DEFAULT_TOL) -> tuple[b
     """
     p = J.support_projection
     shape = J.shape
-    ident = AlgebraElement.identity(shape)
-    err = p.distance(ident)
-    if err <= tol * (1.0 + p.norm()):
-        return True, IdealCertificate(essential=True, identity_error=float(err))
+    cut = tol * (1.0 + p.norm())
+    errs = [linalg.op_norm(pb - np.eye(n)) for pb, n in zip(p.blocks, shape.block_dims)]
+    if max(errs) <= cut:
+        return True, IdealCertificate(essential=True, identity_error=max(errs))
 
-    # locate a defective block and a unit vector missing from range(p)
-    for b, n in enumerate(shape.block_dims):
-        pb = p.blocks[b]
-        if linalg.op_norm(pb - np.eye(n)) <= tol * (1.0 + p.norm()):
-            continue
-        eigs, u = linalg.herm_eig(pb, tol=1e-8)
-        v = u[:, 0]  # eigenvalue ≈ 0: orthogonal complement of range(p)
-        q_blocks = [np.zeros((m, m), dtype=np.complex128) for m in shape.block_dims]
-        q_blocks[b] = np.outer(v, v.conj())
-        q = AlgebraElement(shape, tuple(q_blocks))
-        inter = linalg.subspace_intersection_dim(pb, q.blocks[b], tol=1e-8)
-        return False, IdealCertificate(
-            essential=False,
-            block=b,
-            vector=tuple(complex(z) for z in v),
-            rank_one=q,
-            intersection_dim=int(inter),
-        )
-    raise AssertionError("projection differs from identity but no block is defective")
+    # a defective block and a unit vector missing from range(p)
+    b = next(b for b, err in enumerate(errs) if err > cut)
+    pb = p.blocks[b]
+    eigs, u = linalg.herm_eig(pb, tol=1e-8)
+    v = u[:, 0]  # eigenvalue ≈ 0: orthogonal complement of range(p)
+    q_blocks = [np.zeros((m, m), dtype=np.complex128) for m in shape.block_dims]
+    q_blocks[b] = np.outer(v, v.conj())
+    q = AlgebraElement(shape, tuple(q_blocks))
+    inter = linalg.subspace_intersection_dim(pb, q.blocks[b], tol=1e-8)
+    return False, IdealCertificate(
+        essential=False,
+        block=b,
+        vector=tuple(complex(z) for z in v),
+        rank_one=q,
+        intersection_dim=int(inter),
+    )

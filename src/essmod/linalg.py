@@ -63,8 +63,10 @@ def herm_eig(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     Raises NotHermitian if ``‖a - a*‖ > tol``, NoConvergence if LAPACK fails.
     """
     m = as_matrix(a)
-    scale = 1.0 + op_norm(m)
-    if m.shape[0] != m.shape[1] or np.max(np.abs(m - m.conj().T), initial=0.0) > tol * scale:
+    if m.shape[0] != m.shape[1]:
+        raise NotHermitian("matrix is not square")
+    asym = np.max(np.abs(m - m.conj().T), initial=0.0)
+    if asym > tol and asym > tol * (1.0 + op_norm(m)):  # scale ≥ 1: no SVD when asym ≤ tol
         raise NotHermitian(f"matrix is not hermitian within tol={tol}")
     h = (m + m.conj().T) / 2.0
     try:
@@ -108,9 +110,6 @@ def orthonormal_column_basis(a, tol: float = DEFAULT_TOL) -> np.ndarray:
 def column_space_projector(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the column space of ``a``."""
     q = orthonormal_column_basis(a, tol=tol)
-    n = as_matrix(a).shape[0]
-    if q.shape[1] == 0:
-        return np.zeros((n, n), dtype=np.complex128)
     return q @ q.conj().T
 
 

@@ -11,6 +11,8 @@ to the ideal layer through that identification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from . import linalg
@@ -19,7 +21,6 @@ from .algebra import (
     AlgebraShape,
     RightIdeal,
     IdealCertificate,
-    ideal_support_projection,
     is_essential_right_ideal,
 )
 from .errors import ShapeMismatch, ZeroInput
@@ -213,10 +214,6 @@ def theta(x: ModuleElement, y: ModuleElement) -> CompactOperator:
 
 # --- flattening A^k to a complex coordinate space -------------------------
 
-def module_dim(shape: AlgebraShape, k: int) -> int:
-    return k * shape.dim
-
-
 def module_vec(x: ModuleElement) -> np.ndarray:
     """Flatten to C^{k·dim A} (coordinates, then blocks, row-major)."""
     parts = []
@@ -224,18 +221,6 @@ def module_vec(x: ModuleElement) -> np.ndarray:
         for blk in c.blocks:
             parts.append(blk.reshape(-1))
     return np.concatenate(parts)
-
-
-def module_unvec(v: np.ndarray, shape: AlgebraShape, k: int) -> ModuleElement:
-    coords = []
-    pos = 0
-    for _ in range(k):
-        blocks = []
-        for n in shape.block_dims:
-            blocks.append(v[pos:pos + n * n].reshape(n, n))
-            pos += n * n
-        coords.append(AlgebraElement(shape, tuple(blocks)))
-    return ModuleElement(shape, tuple(coords))
 
 
 def module_basis(shape: AlgebraShape, k: int) -> list[ModuleElement]:
@@ -266,9 +251,9 @@ class Submodule:
             if g.shape != self.shape or g.k != self.k:
                 raise ShapeMismatch("generator of wrong shape or rank")
 
-    def span_basis(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Orthonormal basis (columns) of the submodule as a complex subspace."""
-        dim = module_dim(self.shape, self.k)
+    @cached_property
+    def _span_basis(self) -> np.ndarray:
+        dim = self.k * self.shape.dim
         cols = []
         for g in self.generators:
             for b, r, c in self.shape.matrix_units():
@@ -276,78 +261,65 @@ class Submodule:
                 cols.append(module_vec(g * e))
         if not cols:
             return np.zeros((dim, 0), dtype=np.complex128)
-        return linalg.orthonormal_column_basis(np.column_stack(cols), tol=tol)
+        q = linalg.orthonormal_column_basis(np.column_stack(cols))
+        q.setflags(write=False)
+        return q
 
-    def projector(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        q = self.span_basis(tol)
-        dim = module_dim(self.shape, self.k)
-        if q.shape[1] == 0:
-            return np.zeros((dim, dim), dtype=np.complex128)
+    def span_basis(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the submodule as a complex subspace,
+        computed once; the generators never change."""
+        return self._span_basis
+
+    def projector(self) -> np.ndarray:
+        q = self.span_basis()
         return q @ q.conj().T
 
     def contains(self, x: ModuleElement, tol: float = DEFAULT_TOL) -> bool:
         v = module_vec(x)
-        q = self.span_basis(tol)
+        q = self.span_basis()
         resid = v - q @ (q.conj().T @ v)
         return bool(np.linalg.norm(resid) <= tol * (1.0 + np.linalg.norm(v)))
 
     def same_span(self, other: "Submodule", tol: float = 1e-8) -> bool:
         return bool(linalg.op_norm(self.projector() - other.projector()) <= tol)
 
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.span_basis(tol).shape[1] == 0
+    def is_zero(self) -> bool:
+        return self.span_basis().shape[1] == 0
 
 
 def ideal_of_submodule(N: Submodule, tol: float = DEFAULT_TOL) -> RightIdeal:
     """The right ideal J_N = {T ∈ M_k(A) : Ran T ⊆ N} of the compact
     operators, returned by its support projection over the amplified shape.
 
-    Ran T ⊆ N holds iff T maps every A-module basis vector into N, i.e. iff
-    every column of T lies in N; a complex spanning set of J_N is therefore
-    made of the single-column operators built from a span basis of N.
+    Block b of that projection is the projector onto col M_b, where M_b
+    stacks the block-b coordinates of each generator k high and puts the
+    generators side by side. Right multiplication by the block-b matrix
+    units moves block-b columns, so the block-b part of N is every
+    k·n_b × n_b matrix with columns in col M_b. Ran T ⊆ N holds iff every
+    column of T lies in N, i.e. iff every column of T's amplified block b
+    lies in col M_b, i.e. iff p_b T_b = T_b.
     """
-    q = N.span_basis(tol)
     shape, k = N.shape, N.k
+    blocks = []
+    for b, n in enumerate(shape.block_dims):
+        cols = [np.vstack([c.blocks[b] for c in g.coords]) for g in N.generators]
+        m_b = np.hstack(cols) if cols else np.zeros((k * n, 0), dtype=np.complex128)
+        blocks.append(linalg.column_space_projector(m_b, tol=tol))
     amp = operator_shape(shape, k)
-    if q.shape[1] == 0:
-        from .algebra import ideal_from_projection
-        return ideal_from_projection(AlgebraElement.zeros(amp))
-    spanning = []
-    zero_row = tuple(AlgebraElement.zeros(shape) for _ in range(k))
-    for col in range(k):
-        for idx in range(q.shape[1]):
-            n_elem = module_unvec(q[:, idx], shape, k)
-            rows = []
-            for i in range(k):
-                row = list(zero_row)
-                row[col] = n_elem.coords[i]
-                rows.append(tuple(row))
-            spanning.append(CompactOperator(shape, tuple(rows)).to_algebra())
-    return ideal_support_projection(spanning, tol=tol)
+    return RightIdeal(amp, AlgebraElement(amp, tuple(blocks)))
 
 
-def operator_range_in_submodule(T: CompactOperator, N: Submodule, tol: float = DEFAULT_TOL) -> bool:
-    """Membership test for J_N: T·(basis probes) all land in N."""
-    return all(N.contains(T.apply(z), tol) for z in module_basis(T.shape, T.k))
-
-
-def submodule_of_ideal(J: RightIdeal, shape: AlgebraShape, k: int, tol: float = DEFAULT_TOL) -> Submodule:
+def submodule_of_ideal(J: RightIdeal, shape: AlgebraShape, k: int) -> Submodule:
     """Recover the submodule J·ℳ from a right ideal of the compact operators.
 
-    Spanned by T·(module basis) as T runs over a spanning set of J; since
-    the spanning operators are p·E with E matrix units, the span equals
-    p·(span basis of ℳ).
+    J = p·M_k(A) contains p and maps ℳ = A^k into p·ℳ, so J·ℳ = p·ℳ. The
+    basis vectors e_r generate ℳ and p is A-linear, so the columns p e_r of
+    the support projection generate J·ℳ.
     """
     if J.shape != operator_shape(shape, k):
         raise ShapeMismatch("ideal is not over the amplified shape")
     p_op = CompactOperator.from_algebra(J.support_projection, shape, k)
-    gens = []
-    for r in range(k):
-        for b, i, j in shape.matrix_units():
-            coords = [AlgebraElement.zeros(shape) for _ in range(k)]
-            coords[r] = AlgebraElement.matrix_unit(shape, b, i, j)
-            gens.append(p_op.apply(ModuleElement(shape, tuple(coords))))
-    return Submodule(shape, k, tuple(gens))
+    return Submodule(shape, k, tuple(p_op.column(r) for r in range(k)))
 
 
 def algebra_basis_elements(shape: AlgebraShape) -> list[AlgebraElement]:
@@ -374,7 +346,7 @@ def reformulation_probe(m: ModuleElement, N: Submodule, tol: float = DEFAULT_TOL
     shape, k = m.shape, m.k
     basis = algebra_basis_elements(shape)
     M = np.column_stack([module_vec(m * e) for e in basis])
-    P = N.projector(tol)
+    P = N.projector()
     resid = M - P @ M
     ns = _nullspace(resid, tol)
     if ns.shape[1] == 0:

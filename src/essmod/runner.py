@@ -14,6 +14,7 @@ from . import algebra, fields, modules, serialize
 from .errors import PreconditionFailed, SchemaError
 from .serialize import (
     SCHEMA,
+    _require,
     element_from_json,
     element_to_json,
     field_spec_from_json,
@@ -34,7 +35,7 @@ def _right_ideal_from_payload(payload: dict) -> tuple[algebra.RightIdeal, list]:
         ideal = algebra.ideal_from_projection(p)
     except Exception as exc:
         raise SchemaError(f"bad support projection: {exc}") from exc
-    gens = [element_from_json(g) for g in payload.get("generators", [])]
+    gens = [element_from_json(g) for g in _require(payload.get("generators", []), list, "generators")]
     for g in gens:
         if g.shape != ideal.shape:
             raise SchemaError("generator over a different shape")
@@ -136,12 +137,11 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> dict:
             report["witness"] = None
             report["checks_ok"] = True
         else:
-            probe = modules.reformulation_probe(cert.witness, n)
             report["witness"] = {
                 "m": module_element_to_json(cert.witness),
-                "probe_found": probe.found,
+                "probe_found": cert.witness_probe_found,
             }
-            report["checks_ok"] = probe.found is False
+            report["checks_ok"] = cert.witness_probe_found is False
     else:
         spec = field_spec_from_json(payload)
         decision = fields.is_essential_field(spec)

@@ -9,6 +9,7 @@ right_ideal / module_submodule / field.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 from fractions import Fraction
@@ -60,7 +61,10 @@ def complex_to_json(z: complex) -> list:
 def complex_from_json(v) -> complex:
     if not isinstance(v, list) or len(v) != 2:
         raise SchemaError(f"expected [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    z = complex(float(v[0]), float(v[1]))
+    if not cmath.isfinite(z):
+        raise SchemaError(f"expected finite [re, im] pair, got {v!r}")
+    return z
 
 
 # --- float-layer types -------------------------------------------------------
@@ -94,9 +98,10 @@ def element_from_json(doc) -> AlgebraElement:
         raise SchemaError("algebra element must have shape and blocks")
     shape = shape_from_json(doc["shape"])
     blocks = []
-    if len(doc["blocks"]) != shape.num_blocks:
+    docs = _require(doc["blocks"], list, "element blocks")
+    if len(docs) != shape.num_blocks:
         raise SchemaError("block count does not match shape")
-    for n, blk in zip(shape.block_dims, doc["blocks"]):
+    for n, blk in zip(shape.block_dims, docs):
         try:
             m = np.array(
                 [[complex_from_json(z) for z in row] for row in blk], dtype=np.complex128
@@ -127,7 +132,7 @@ def module_element_to_json(x: ModuleElement) -> dict:
 def module_element_from_json(doc) -> ModuleElement:
     if not isinstance(doc, dict) or "coords" not in doc:
         raise SchemaError("module element must have coords")
-    coords = tuple(element_from_json(c) for c in doc["coords"])
+    coords = tuple(element_from_json(c) for c in _require(doc["coords"], list, "module element coords"))
     if not coords:
         raise SchemaError("module element needs k >= 1 coordinates")
     if "k" in doc and doc["k"] != len(coords):
@@ -140,7 +145,7 @@ def submodule_from_json(doc) -> Submodule:
         raise SchemaError("submodule must have generators")
     shape = shape_from_json(doc.get("shape", {}))
     k = doc.get("k")
-    gens = tuple(module_element_from_json(g) for g in doc["generators"])
+    gens = tuple(module_element_from_json(g) for g in _require(doc["generators"], list, "submodule generators"))
     if not isinstance(k, int) or k < 1:
         raise SchemaError("submodule needs a positive integer k")
     for g in gens:

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from essmod import cli, properties, runner, serialize
-from essmod.generate import gen_field, gen_right_ideal
+from essmod.errors import PreconditionFailed
+from essmod.generate import gen_field, gen_module_submodule, gen_right_ideal
 
 
 def run_cli(args, tmp_path, stdin_doc=None, monkeypatch=None, capsys=None):
@@ -222,19 +223,97 @@ def test_field_report_digests_are_pinned(d, defect, check_digest, witness_digest
     assert runner.run_witness(doc)["digest"] == witness_digest
 
 
-def test_malformed_field_payload_exits_2(tmp_path, capsys):
-    """Wrong JSON types inside a field payload are input errors (exit 2 and
-    one line), not a TypeError escaping with the check-failed code."""
-    inst = gen_to_file(tmp_path, "f.json", ["--kind", "field", "--d", "1", "--defect", "none", "--seed", "3"])
-    doc = json.loads(inst.read_text())
-    bad_intervals = json.loads(json.dumps(doc))
-    bad_intervals["payload"]["partition"][0]["intervals"] = [5]
-    bad_bases = json.loads(json.dumps(doc))
-    bad_bases["payload"]["subspace_bases"] = 5
-    for bad in (bad_intervals, bad_bases):
-        inst.write_text(json.dumps(bad))
+# run_check / run_witness digests of gen_right_ideal(blocks, seed), recorded
+# before the float layer was reworked: every right-ideal report must stay
+# byte-identical. None marks a witness refused for want of a nonzero generator.
+GOLDEN_RIGHT_IDEAL_DIGESTS = [
+    ((2,), 1, "72aaaff6a453ce166c8d12761737b62df6eafe5a99cb847b00e9dd73fa56768d",
+     "00d26e0aadbfb56cca42d7302435bff65228196c62b6c951563a5d208a61d93e"),
+    ((2,), 2, "007ab6bad367b1fecd32d4626e55ff609d2a4e1bf6fedc4c3154e26edd478b4e",
+     "fbbe30364655ff689eb45ace3dbd3bd73537fc0655653d2a81232d1e3dbf2121"),
+    ((2,), 3, "e0212df6a721213662b9bdd6169c5c87d003d1ac0dcf83aea7aa862797b7a5e6",
+     "f383d480c0a93e3308ebaa5ddf8d1a80b21fe4b8c1932ebf315b063bccc23077"),
+    ((2,), 4, "567eb5383ba62df7252fb945e7a20c4832f0e2f94e4b8ed57147f0c2410da0f6",
+     "decb83e62f536d6599e13055cd3829c7405c54b40038dfc5bfbc4eb9756899e9"),
+    ((1, 2), 1, "85fa2a8a4bb9a61436d0588d7b496073d88781604cbc7e341f20e4b1cd2133b1",
+     "86ca4feb78c24c8dbd888ab1d04f6f4432fa454dd99aeabbe523f89340bf56dc"),
+    ((1, 2), 2, "1b65bf1004a8cc2831891333e62fe1c19645fab040ccb3acf0d7972f95a89e02", None),
+    ((1, 2), 3, "e72025a84a5996b5d7bf7a98af11e1033a7811402c06155cb99ab78e77afd3d5",
+     "e76a258221747dd9dbdf29e2f0e0febe35ed148b33d90ea92bf69ba1a72eef7d"),
+    ((1, 2), 4, "f306d88b31e54c53a67ed0b9f356220a0192a6124e80119d6ea3178151cbe2c6", None),
+    ((2, 3), 1, "e64018ee1504dbe3ab15b4806692e56328b3cee65cf6d10ec13068cc17851363",
+     "b2248dc2ddc3502d56c132c68c51e7722ba5b4a0c75f7619d961d5591711eb7f"),
+    ((2, 3), 2, "c83ceb290b927b9b2cd331324b1d2b70f47e8f6a16f69133078230eee8b1e0a1",
+     "96e07a2bc893ee54c998203d99da7afa3e8de324d89930801492a3f7297d312e"),
+    ((2, 3), 3, "84973379b0ad68ca792872e32fe36e5c3823082508ab495159f1cafc682dfc55",
+     "d5ba61069bd54e3022c226c0eb8055798df4212407d8a9e21e0cf0a91a506025"),
+    ((2, 3), 4, "5cb655ab947726a1000444ddea24b7ffeadf519722a32b02b5a3572956d885d4",
+     "5428af762319f7756902ae469cb1bdb475f9e1a519d1a1db52ca25251321ed37"),
+    ((1, 2, 3), 1, "84f6a7937d556da72c52f05f72b956a7a3d4a03777eba00c342d57fdabd486e4",
+     "e1b0579ff702e47ce9d206bdb7039bba2c938ba69b04712d5ec237c7a3871406"),
+    ((1, 2, 3), 2, "61b1fe44dbb9f781e6126fefd810c7565ec6bb166da662d0bca093adb53f2ff6", None),
+    ((1, 2, 3), 3, "69678e9df22ad581a72709bc95e85400feea6d48942c7be6ba5c5686733f3b51",
+     "f05415c897d399df44822c76522c447efda8d4fa9f4ae6e795fa78e506b530bf"),
+    ((1, 2, 3), 4, "1ae6788dd8ca11471041fda1aea7078cd931f3f33dad78c73fff5efc30ff96be",
+     "856e0172d12e19370b0a6253eb51828950877d57c189ec30a016b6ff7b5cc27e"),
+]
+
+
+@pytest.mark.parametrize("blocks, seed, check_digest, witness_digest", GOLDEN_RIGHT_IDEAL_DIGESTS)
+def test_right_ideal_report_digests_are_pinned(blocks, seed, check_digest, witness_digest):
+    doc = gen_right_ideal(blocks, seed)
+    assert runner.run_check(doc)["digest"] == check_digest
+    if witness_digest is None:
+        with pytest.raises(PreconditionFailed):
+            runner.run_witness(doc)
+    else:
+        assert runner.run_witness(doc)["digest"] == witness_digest
+
+
+def assert_input_errors(path, docs, capsys):
+    """Each document is an input error for check and witness: exit 2 and
+    one line, not a traceback escaping with the check-failed code."""
+    for bad in docs:
+        path.write_text(json.dumps(bad))
         for command in ("check", "witness"):
             capsys.readouterr()
-            assert cli.main([command, "--in", str(inst)]) == 2
+            assert cli.main([command, "--in", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+def edited(doc, path, value):
+    """A copy of the instance with payload[path[0]][path[1]]... set to value."""
+    out = json.loads(json.dumps(doc))
+    target = out["payload"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+def test_malformed_field_payload_exits_2(tmp_path, capsys):
+    """Wrong JSON types inside a field payload are input errors."""
+    inst = gen_to_file(tmp_path, "f.json", ["--kind", "field", "--d", "1", "--defect", "none", "--seed", "3"])
+    doc = json.loads(inst.read_text())
+    assert_input_errors(inst, [
+        edited(doc, ("partition", 0, "intervals"), [5]),
+        edited(doc, ("subspace_bases",), 5),
+    ], capsys)
+
+
+def test_malformed_float_payload_exits_2(tmp_path, capsys):
+    """Wrong JSON types and non-finite scalars inside right-ideal and
+    module payloads are input errors."""
+    ideal = gen_right_ideal((2,), 1)
+    module = gen_module_submodule((2,), 2, 5)
+    entry = ("blocks", 0, 0, 0)
+    assert_input_errors(tmp_path / "bad.json", [
+        edited(ideal, ("support_projection", "blocks"), 5),
+        edited(ideal, ("generators",), 5),
+        edited(ideal, ("generators", 0, *entry), [float("nan"), 0.0]),
+        edited(module, ("generators", 0, "coords"), 5),
+        edited(module, ("generators",), 5),
+        edited(module, ("generators", 0, "coords", 0, *entry), [float("nan"), 0.0]),
+        edited(module, ("generators", 0, "coords", 1, *entry), [0.0, float("inf")]),
+    ], capsys)

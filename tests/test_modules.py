@@ -13,7 +13,6 @@ from essmod.modules import (
     inner_product,
     is_essential_submodule,
     module_basis,
-    operator_range_in_submodule,
     operator_shape,
     reformulation_probe,
     submodule_of_ideal,
@@ -169,6 +168,11 @@ def test_compact_operator_algebra_roundtrip():
 
 # --- the submodule ↔ ideal correspondence ---------------------------------------
 
+def operator_range_in_submodule(T: CompactOperator, N: Submodule) -> bool:
+    """The definition of J_N: T maps every module basis vector into N."""
+    return all(N.contains(T.apply(z)) for z in module_basis(T.shape, T.k))
+
+
 def test_ideal_of_whole_module_is_everything():
     n = Submodule(C, 2, tuple(module_basis(C, 2)))
     ideal = ideal_of_submodule(n)
@@ -195,6 +199,31 @@ def test_ideal_of_coordinate_line_k2():
     drop = CompactOperator(C, ((scalar(2.0), scalar(3.0)), (scalar(1.0), scalar(0.0))))
     assert operator_range_in_submodule(keep, n)
     assert not operator_range_in_submodule(drop, n)
+
+
+def test_ideal_of_submodule_matches_range_definition_random():
+    """T ∈ ideal_of_submodule(N) exactly when every column of T lies in N."""
+    rng = SplitMix64(31)
+    seen = set()
+    for _ in range(60):
+        shape = (C, M2, MIXED)[rng.randint(0, 2)]
+        k = rng.randint(1, 3)
+        gens = tuple(rand_module_element(rng, shape, k) for _ in range(rng.randint(1, 2)))
+        n = Submodule(shape, k, gens)
+        ideal = ideal_of_submodule(n)
+        columns = []
+        for _ in range(k):
+            col = ModuleElement.zeros(shape, k)
+            for g in gens:
+                col = col + g * rand_algebra_element(rng, shape)
+            columns.append(col)
+        if rng.randint(0, 1):
+            columns[rng.randint(0, k - 1)] = rand_module_element(rng, shape, k)
+        T = CompactOperator(shape, tuple(tuple(columns[j].coords[i] for j in range(k)) for i in range(k)))
+        inside = operator_range_in_submodule(T, n)
+        assert ideal.contains(T.to_algebra()) == inside
+        seen.add(inside)
+    assert seen == {True, False}
 
 
 def test_submodule_of_ideal_extremes():
