@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import generate, properties, runner, serialize
-from .errors import EssmodError, SchemaError
+from .errors import EssmodError, SchemaError, SizeCap
 
 
 def _read_doc(path: str | None):
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as exc:
+    except (SchemaError, SizeCap) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except EssmodError as exc:

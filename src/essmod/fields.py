@@ -123,17 +123,23 @@ class Atom:
 
 
 def field_atoms(field: SubspaceField, extra_bounds) -> list[Atom]:
+    """Atoms in order with their pieces. The sorted bounds cut [0, 1] into
+    regions 2i (the point bounds[i]) and 2i + 1 (the gap after it); one
+    pass over the pieces' points and intervals marks each region's owner."""
     ends = {ZERO, ONE, *map(Fraction, extra_bounds)}
     for piece in field.pieces:
-        ends.update(piece.region.boundary_values())
+        ends.update(piece.region.points)
+        ends.update(x for iv in piece.region.intervals for x in (iv.lo, iv.hi))
     bounds = sorted(ends)
-    atoms = []
-    for i, b in enumerate(bounds):
-        atoms.append(Atom(b, b, field.piece_index_at(b)))
-        if i + 1 < len(bounds):
-            mid = (b + bounds[i + 1]) / 2
-            atoms.append(Atom(b, bounds[i + 1], field.piece_index_at(mid)))
-    return atoms
+    slot = {b: 2 * i for i, b in enumerate(bounds)}
+    owner = [0] * (2 * len(bounds) - 1)
+    for i, piece in enumerate(field.pieces):
+        for x in piece.region.points:
+            owner[slot[x]] = i
+        for iv in piece.region.intervals:
+            for r in range(slot[iv.lo] + (not iv.lo_closed), slot[iv.hi] + iv.hi_closed):
+                owner[r] = i
+    return [Atom(bounds[r // 2], bounds[(r + 1) // 2], i) for r, i in enumerate(owner)]
 
 
 def _residual_polys(comp: Matrix, piece: tuple[GaussianPoly, ...]) -> list[GaussianPoly]:

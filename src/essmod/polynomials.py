@@ -1,17 +1,23 @@
 """Univariate polynomials with exact rational and Gaussian-rational
 coefficients, plus exact real-root location on intervals.
 
-Root location is split in two: rational roots come from the rational root
-theorem (complete for rational candidates), and a Sturm count certifies
-that no further real roots hide in an interval — if one does, the input is
-rejected with IrrationalRoot rather than approximated.
+Real roots are isolated, never enumerated: a Sturm chain of the primitive
+integer squarefree part s of p (primitive remainder sequences keep its
+coefficients small) splits the interval until each piece holds one root,
+and sign bisection narrows that piece below 1/(2·a_n²), a_n the leading
+coefficient of s. A rational root u/v has v | a_n, and two such rationals
+lie 1/a_n² apart, so the midpoint's best approximation with denominator
+≤ |a_n| is the only candidate; if it is not a root, the root is irrational
+and the input is rejected with IrrationalRoot. Cost grows with coefficient
+bit length, never with magnitude.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .errors import IrrationalRoot
 from .rationals import ComplexRational
@@ -56,10 +62,7 @@ class RationalPoly:
         return acc
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RationalPoly(tuple(x + y for x, y in zip(a, b)))
+        return RationalPoly(tuple(x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         return self + (-other)
@@ -83,27 +86,15 @@ class RationalPoly:
     def __rmul__(self, other) -> "RationalPoly":
         return self * other
 
-    def derivative(self) -> "RationalPoly":
-        return RationalPoly(tuple(c * i for i, c in enumerate(self.coeffs) if i > 0))
-
     def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            f = rem[-1] / dlead
-            pos = len(rem) - 1 - dd
-            q[pos] = f
+        rem, dd = list(self.coeffs), other.degree
+        q = [Fraction(0)] * max(0, len(rem) - dd)
+        for pos in reversed(range(len(q))):
+            f = q[pos] = rem[pos + dd] / other.coeffs[-1]
             for i, c in enumerate(other.coeffs):
                 rem[pos + i] -= f * c
-            rem.pop()
         return RationalPoly(tuple(q)), RationalPoly(tuple(rem))
 
     def monic(self) -> "RationalPoly":
@@ -113,118 +104,134 @@ class RationalPoly:
         return RationalPoly(tuple(c / lead for c in self.coeffs))
 
 
-def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Monic gcd over Q[x]."""
-    x, y = a, b
-    while not y.is_zero():
-        _, r = x.divmod(y)
-        x, y = y, r
-    return x.monic()
+# --- integer kernels: coefficient lists over Z, ascending, no trailing zeros
+
+def _primitive(cs) -> list[int]:
+    """The integer list with no common factor that is a positive multiple
+    of the rational (or integer) list cs."""
+    den = lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = gcd(*ints) or 1
+    return [c // g for c in ints]
 
 
-def squarefree_part(p: RationalPoly) -> RationalPoly:
-    if p.is_zero() or p.degree == 0:
-        return p.monic() if not p.is_zero() else p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    q, _ = p.divmod(g)
-    return q.monic()
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lc(b)^(deg a − deg b + 1)·a by b, in Z[x]."""
+    r, lb, db = list(a), b[-1], len(b) - 1
+    for top in range(len(a) - 1, db - 1, -1):
+        f = r[top]
+        r = [lb * c for c in r[:top]]
+        for i, c in enumerate(b[:-1]):
+            r[top - db + i] -= f * c
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
-
-
-def rational_roots(p: RationalPoly) -> list[Fraction]:
-    """All rational roots (without multiplicity), sorted ascending."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has every rational as a root")
-    cs = list(p.coeffs)
-    roots = set()
-    # strip x^v factor
-    v = 0
-    while cs[v] == 0:
-        v += 1
-    if v > 0:
-        roots.add(Fraction(0))
-        cs = cs[v:]
-    if len(cs) <= 1:
-        return sorted(roots)
-    # integerize: multiply by lcm of denominators
-    denom_lcm = 1
-    for c in cs:
-        denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-    ics = [int(c * denom_lcm) for c in cs]
-    content = 0
-    for c in ics:
-        content = int_gcd(content, abs(c))
-    ics = [c // content for c in ics]
-    a0, an = ics[0], ics[-1]
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and p(cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def sturm_sequence(p: RationalPoly) -> list[RationalPoly]:
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero():
-        _, r = seq[-2].divmod(seq[-1])
-        seq.append(-r)
-    seq.pop()
+def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b, −rem(a, b), … down to gcd(a, b), for deg a ≥ deg b ≥ 0, by
+    primitive pseudo-remainders; each member is a positive multiple of the
+    classical one, so for b = a' with a squarefree it is a Sturm chain."""
+    seq = [a, b]
+    while r := _primitive(_prem(seq[-2], seq[-1])):
+        # prem = lc(b)^(δ+1)·rem: negate unless that factor is negative
+        flip = -1 if seq[-1][-1] > 0 or (len(seq[-2]) - len(seq[-1])) % 2 else 1
+        seq.append([flip * c for c in r])
     return seq
 
 
-def _sign_variations(seq: list[RationalPoly], x: Fraction) -> int:
-    signs = []
-    for q in seq:
-        val = q(x)
-        if val != 0:
-            signs.append(1 if val > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _derivative(cs: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(cs)][1:]
 
 
-def count_distinct_real_roots(p: RationalPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]; requires p(lo) ≠ 0."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p(lo) == 0:
-        raise ValueError("Sturm count needs p(lo) ≠ 0")
-    sf = squarefree_part(p)
-    seq = sturm_sequence(sf)
-    return _sign_variations(seq, lo) - _sign_variations(seq, hi)
+def _sturm_chain(cs: list[int]) -> list[list[int]]:
+    """Sturm chain of the squarefree part s = cs / gcd(cs, cs'), which is
+    its first member (the division is exact in Z[x] by Gauss's lemma)."""
+    chain = _remainder_sequence(cs, _primitive(_derivative(cs))) if len(cs) > 1 else [cs]
+    if len(chain[-1]) > 1:
+        s = [int(c) for c in RationalPoly(tuple(cs)).divmod(RationalPoly(tuple(chain[-1])))[0].coeffs]
+        chain = _remainder_sequence(s, _primitive(_derivative(s)))
+    return chain
+
+
+def _value(cs: list[int], u: int, v: int) -> int:
+    """v^deg · p(u/v): an integer with the sign of p(u/v) when v > 0."""
+    acc, w = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        w *= v
+        acc = acc * u + c * w
+    return acc
+
+
+def _signs(chain: list[list[int]], x: Fraction) -> tuple[int, list[int]]:
+    """Sign variations of the chain at x, and the signs themselves."""
+    signs = [(val > 0) - (val < 0) for val in (_value(q, x.numerator, x.denominator) for q in chain)]
+    nz = [s for s in signs if s]
+    return sum(1 for a, b in zip(nz, nz[1:]) if a != b), signs
+
+
+def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
+    """Monic gcd over Q[x]."""
+    if a.is_zero() or b.is_zero():
+        return (a + b).monic()
+    a, b = sorted((_primitive(a.coeffs), _primitive(b.coeffs)), key=len, reverse=True)
+    return RationalPoly(tuple(_remainder_sequence(a, b)[-1])).monic()
 
 
 def certify_only_rational_roots(p: RationalPoly, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """Rational roots of p in the closed interval [lo, hi], with a proof
-    that no other real root lies there; raises IrrationalRoot otherwise."""
+    """Rational roots of p in the closed interval [lo, hi] (lo ≤ hi), with a
+    proof that no other real root lies there; raises IrrationalRoot otherwise.
+
+    Sturm counts on the squarefree part s split [lo, hi] until each piece
+    (a, b) holds one root; `inner` is the sign of s just right of a. A root
+    at a split point or an end counts in neither neighbouring piece (with
+    zeros dropped, the chain's variations there equal those just right)."""
     if p.is_zero():
         raise ValueError("zero polynomial vanishes everywhere")
-    roots = [r for r in rational_roots(p) if lo <= r <= hi]
-    reduced = squarefree_part(p)
-    for r in rational_roots(p):
-        q, rem = reduced.divmod(RationalPoly((-r, Fraction(1))))
-        if rem.is_zero():
-            reduced = q
-    if reduced.degree >= 1 and lo < hi:
-        # reduced has no rational roots, so it cannot vanish at lo or hi
-        if count_distinct_real_roots(reduced, lo, hi) > 0:
-            raise IrrationalRoot(
-                f"polynomial has an irrational real root in [{lo}, {hi}]"
-            )
-    return roots
+    chain = _sturm_chain(_primitive(p.coeffs))
+    (va, sa), (vb, sb) = _signs(chain, lo), _signs(chain, hi)
+    roots = sorted({x for x, sx in ((lo, sa), (hi, sb)) if sx[0] == 0})
+    stack = [(lo, hi, va, vb + (sb[0] == 0), sa[0] or sa[1])] if lo < hi else []
+    while stack:
+        a, b, va, vb, inner = stack.pop()
+        if va - vb > 1:
+            m = (a + b) / 2
+            vm, sm = _signs(chain, m)
+            if sm[0] == 0:
+                roots.append(m)
+            stack += [(a, m, va, vm + (sm[0] == 0), inner), (m, b, vm, vb, sm[0] or sm[1])]
+        elif va - vb == 1:
+            root = _rational_root_in(chain[0], a, b, inner)
+            if root is None:
+                raise IrrationalRoot(f"polynomial has an irrational real root in [{lo}, {hi}]")
+            roots.append(root)
+    return sorted(roots)
+
+
+def _rational_root_in(s: list[int], a: Fraction, b: Fraction, inner: int) -> Fraction | None:
+    """The one root of s in (a, b) if it is rational, else None.
+
+    Bisection on the sign of s narrows (a, b) below 1/(2q²), where one
+    rational with denominator ≤ q fits at most: the midpoint's best
+    approximation. q doubles its bit length up to |a_n|, so a root with a
+    small denominator ends the search early."""
+    an, q = abs(s[-1]), 1
+    while True:
+        q = min(an, 2 * q * q)
+        while 2 * q * q * (b - a) >= 1:
+            m = (a + b) / 2
+            sm = _value(s, m.numerator, m.denominator)
+            if sm == 0:
+                return m
+            if (sm > 0) == (inner > 0):
+                a = m
+            else:
+                b = m
+        cand = ((a + b) / 2).limit_denominator(q)
+        if a < cand < b and _value(s, cand.numerator, cand.denominator) == 0:
+            return cand
+        if q == an:
+            return None
 
 
 @dataclass(frozen=True)
@@ -252,13 +259,8 @@ class GaussianPoly:
         )
 
     def coeff_list(self) -> list[ComplexRational]:
-        n = max(len(self.re.coeffs), len(self.im.coeffs))
-        out = []
-        for i in range(n):
-            re = self.re.coeffs[i] if i < len(self.re.coeffs) else Fraction(0)
-            im = self.im.coeffs[i] if i < len(self.im.coeffs) else Fraction(0)
-            out.append(ComplexRational(re, im))
-        return out
+        pairs = zip_longest(self.re.coeffs, self.im.coeffs, fillvalue=Fraction(0))
+        return [ComplexRational(re, im) for re, im in pairs]
 
     @property
     def degree(self) -> int:
@@ -301,10 +303,7 @@ class GaussianPoly:
 
     def abs_coeff_bound(self) -> Fraction:
         """Rational upper bound for sup |p(x)| over [0, 1]: Σ (|re|+|im|)."""
-        bound = Fraction(0)
-        for c in self.coeff_list():
-            bound += abs(c.re) + abs(c.im)
-        return bound
+        return sum((abs(c) for c in self.re.coeffs + self.im.coeffs), Fraction(0))
 
 
 def common_real_zero_gcd(polys) -> RationalPoly:
@@ -314,9 +313,7 @@ def common_real_zero_gcd(polys) -> RationalPoly:
     g = RationalPoly.zero()
     for p in polys:
         for part in (p.re, p.im):
-            if part.is_zero():
-                continue
-            g = part.monic() if g.is_zero() else poly_gcd(g, part)
+            g = poly_gcd(g, part)
             if g.degree == 0:
                 return g
     return g

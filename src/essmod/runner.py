@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from . import algebra, fields, modules, serialize
-from .errors import PreconditionFailed, SchemaError
+from .errors import PreconditionFailed, SchemaError, SizeCap
 from .serialize import (
     SCHEMA,
     _require,
@@ -101,9 +101,15 @@ def _ideal_certificate_json(cert: algebra.IdealCertificate) -> dict:
     return doc
 
 
+# The inductive field witness costs about samples² section products.
+MAX_SAMPLES = 64
+
+
 def run_witness(doc, samples: int = 8, section_index: int = 0) -> dict:
     """Construct and verify the witness objects matching the instance kind."""
     t0 = time.perf_counter()
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise SizeCap(f"samples must lie in 0..{MAX_SAMPLES}")
     kind, payload = serialize.validate_instance(doc)
     report = {
         "schema": SCHEMA,
@@ -166,10 +172,7 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> dict:
 
 def _non_essential_witnesses(spec, decision, samples: int) -> dict:
     analysis = decision.analysis
-    closure_interior = analysis.total.closure().interior()
-    iv = max(closure_interior.intervals, key=lambda i: i.hi - i.lo)
-    quarter = (iv.hi - iv.lo) / 4
-    lo, hi = iv.lo + quarter, iv.hi - quarter
+    lo, hi = fields._pick_interval(analysis.total.closure().interior())
     xs = _dyadic_samples(lo, hi, samples, analysis.total)
     inductive = fields.inductive_witness_section(spec, (lo, hi), xs, analysis.total)
     doc = {
@@ -213,9 +216,10 @@ def _dyadic_samples(lo: Fraction, hi: Fraction, count: int, defect) -> list[Frac
     depth = 3
     while len(out) < count and depth < 24:
         step = (hi - lo) / (1 << depth)
-        for i in range(1, (1 << depth)):
+        # past the first grid only odd multiples are new: a coarser grid saw the rest
+        for i in range(1, 1 << depth, 1 if depth == 3 else 2):
             x = lo + i * step
-            if x not in out and defect.contains(x):
+            if defect.contains(x):
                 out.append(x)
                 if len(out) == count:
                     break

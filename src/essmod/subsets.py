@@ -96,13 +96,6 @@ class SymbolicSubset:
         """True iff the set contains an interval of positive length."""
         return bool(self.intervals)
 
-    def boundary_values(self) -> list[Fraction]:
-        vals = set(self.points)
-        for iv in self.intervals:
-            vals.add(iv.lo)
-            vals.add(iv.hi)
-        return sorted(vals)
-
     # -- set algebra ---------------------------------------------------------
 
     def union(self, other: "SymbolicSubset") -> "SymbolicSubset":

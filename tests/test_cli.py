@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -317,3 +318,33 @@ def test_malformed_float_payload_exits_2(tmp_path, capsys):
         edited(module, ("generators", 0, "coords", 0, *entry), [float("nan"), 0.0]),
         edited(module, ("generators", 0, "coords", 1, *entry), [0.0, float("inf")]),
     ], capsys)
+
+
+def test_huge_constant_term_finishes_fast(tmp_path, capsys):
+    """A field generator (2^61 − 1) + x + x²: root certification must not
+    depend on the size of the constant term (divisor enumeration would
+    trial-divide up to √(2^61 − 1))."""
+    inst = gen_to_file(tmp_path, "f.json", ["--kind", "field", "--d", "1", "--defect", "interval", "--seed", "2"])
+    coeffs = [[f"{2 ** 61 - 1}/1", "0/1"], ["1/1", "0/1"], ["1/1", "0/1"]]
+    doc = edited(json.loads(inst.read_text()), ("generators",),
+                 [{"breakpoints": ["0/1", "1/1"], "d": 1, "pieces": [[coeffs]]}])
+    inst.write_text(json.dumps(doc))
+    for command in ("check", "witness"):
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        code = cli.main([command, "--in", str(inst)])
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and err.startswith("input error: ") and err.count("\n") == 1), (code, err)
+
+
+def test_witness_samples_cap_exits_2(tmp_path, capsys):
+    inst = gen_to_file(tmp_path, "f.json", ["--kind", "field", "--d", "2", "--defect", "interval", "--seed", "5"])
+    for samples in (str(runner.MAX_SAMPLES + 1), str(1 << 24), "-1"):
+        capsys.readouterr()
+        assert cli.main(["witness", "--in", str(inst), "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+    out = tmp_path / "w.json"
+    assert cli.main(["witness", "--in", str(inst), "--samples", str(runner.MAX_SAMPLES), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["witness"]["samples"]) == runner.MAX_SAMPLES

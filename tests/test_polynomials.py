@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,19 +10,104 @@ from essmod.errors import IrrationalRoot
 from essmod.polynomials import (
     GaussianPoly,
     RationalPoly,
+    _primitive,
+    _signs,
+    _sturm_chain,
     certify_only_rational_roots,
     common_real_zero_gcd,
-    count_distinct_real_roots,
     exact_zero_points,
     poly_gcd,
-    rational_roots,
-    squarefree_part,
 )
 from essmod.rationals import ComplexRational
 
 
 def p(*coeffs):
     return RationalPoly(tuple(F(c) for c in coeffs))
+
+
+def squarefree_part(q: RationalPoly) -> RationalPoly:
+    """The first member of the kernel's Sturm chain, made monic."""
+    return RationalPoly(tuple(_sturm_chain(_primitive(q.coeffs))[0])).monic()
+
+
+def count_distinct_real_roots(q: RationalPoly, lo: F, hi: F) -> int:
+    """Distinct real roots in (lo, hi], for q(lo) ≠ 0, from the kernel's
+    Sturm chain."""
+    chain = _sturm_chain(_primitive(q.coeffs))
+    return _signs(chain, lo)[0] - _signs(chain, hi)[0]
+
+
+# --- reference certifier: the rational root theorem by divisor enumeration,
+# plus a Sturm count over Q with Fraction Euclid, independent of the
+# integer isolation kernel it checks
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return out
+
+
+def oracle_rational_roots(q: RationalPoly) -> list[F]:
+    """All rational roots of q (without multiplicity), sorted ascending."""
+    cs = list(q.coeffs)
+    roots = set()
+    while cs[0] == 0:
+        roots.add(F(0))
+        cs = cs[1:]
+    if len(cs) > 1:
+        den = math.lcm(*(c.denominator for c in cs))
+        ics = [int(c * den) for c in cs]
+        for num in _divisors(ics[0]):
+            for d in _divisors(ics[-1]):
+                for cand in (F(num, d), F(-num, d)):
+                    if q(cand) == 0:
+                        roots.add(cand)
+    return sorted(roots)
+
+
+def oracle_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def oracle_sturm_count(q: RationalPoly, lo: F, hi: F) -> int:
+    """Distinct real roots of q in (lo, hi], for q(lo) ≠ 0."""
+    g = oracle_gcd(q, RationalPoly(tuple(c * i for i, c in enumerate(q.coeffs) if i > 0)))
+    sf = q.divmod(g)[0]
+    seq = [sf, RationalPoly(tuple(c * i for i, c in enumerate(sf.coeffs) if i > 0))]
+    while not seq[-1].is_zero():
+        seq.append(-seq[-2].divmod(seq[-1])[1])
+    seq.pop()
+
+    def variations(x):
+        signs = [v > 0 for v in (s(x) for s in seq) if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(lo) - variations(hi)
+
+
+def oracle_certify(q: RationalPoly, lo: F, hi: F) -> list[F]:
+    """The rational roots in [lo, hi]; raises IrrationalRoot when q, with its
+    rational roots divided out, keeps a Sturm-counted root in (lo, hi]."""
+    roots = oracle_rational_roots(q)
+    reduced = q
+    for r in roots:
+        while True:
+            quo, rem = reduced.divmod(p(-r, 1))
+            if not rem.is_zero():
+                break
+            reduced = quo
+    if reduced.degree >= 1 and lo < hi and oracle_sturm_count(reduced, lo, hi) > 0:
+        raise IrrationalRoot("oracle")
+    return [r for r in roots if lo <= r <= hi]
 
 
 def test_eval_and_degree():
@@ -55,12 +142,14 @@ def test_squarefree_part_strips_multiplicity():
 def test_rational_roots_complete():
     # roots 0, 1/2, -3
     q = p(0, 1) * p(-1, 2) * p(3, 1)
-    assert rational_roots(q) == [F(-3), F(0), F(1, 2)]
+    assert certify_only_rational_roots(q, F(-4), F(4)) == [F(-3), F(0), F(1, 2)]
 
 
 def test_rational_roots_ignores_irrational():
     q = p(-2, 0, 1)  # x^2 - 2
-    assert rational_roots(q) == []
+    assert certify_only_rational_roots(q, F(0), F(1)) == []
+    with pytest.raises(IrrationalRoot):
+        certify_only_rational_roots(q, F(0), F(2))
 
 
 def test_sturm_counts_distinct_roots():
@@ -71,6 +160,16 @@ def test_sturm_counts_distinct_roots():
     # multiple root counted once
     sq = p(-1, 1) * p(-1, 1)
     assert count_distinct_real_roots(sq, F(0), F(2)) == 1
+
+
+def test_sturm_count_across_a_degree_gap():
+    # the chain of x^4 + x + c drops from degree 3 to 1 with a negative
+    # leading coefficient, where the pseudo-remainder's sign must be undone
+    assert count_distinct_real_roots(p(-1, 1, 0, 0, 1), F(-3), F(3)) == 2
+    assert count_distinct_real_roots(p(1, 1, 0, 0, 1), F(-3), F(3)) == 0
+    assert certify_only_rational_roots(p(1, 1, 0, 0, 1), F(-3), F(3)) == []
+    with pytest.raises(IrrationalRoot):
+        certify_only_rational_roots(p(-1, 1, 0, 0, 1), F(0), F(1))
 
 
 def test_certify_returns_rational_roots_in_range():
@@ -103,7 +202,7 @@ def test_common_real_zero_gcd():
     g1 = GaussianPoly(p(0, 1) * p(-1, 1), p(0))  # x(x-1)
     g2 = GaussianPoly(p(0, 1) * p(-2, 1), p(0))  # x(x-2)
     g = common_real_zero_gcd([g1, g2])
-    assert rational_roots(g) == [F(0)]
+    assert certify_only_rational_roots(g, F(-3), F(3)) == [F(0)]
 
 
 def test_exact_zero_points_modes():
@@ -150,5 +249,71 @@ def test_gcd_divides_both(a, b):
 def test_rational_roots_are_roots(a):
     if a.is_zero():
         return
-    for r in rational_roots(a):
+    # every real root lies within Cauchy's bound
+    bound = 1 + max(abs(c / a.coeffs[-1]) for c in a.coeffs)
+    try:
+        roots = certify_only_rational_roots(a, -bound, bound)
+    except IrrationalRoot:
+        with pytest.raises(IrrationalRoot):
+            oracle_certify(a, -bound, bound)
+        return
+    assert roots == oracle_rational_roots(a)
+    for r in roots:
         assert a(r) == 0
+
+
+@st.composite
+def factored_polys(draw):
+    """A product of rational linear factors, squared factors and quadratics
+    (irreducible ones among them), with an interval whose ends are often
+    roots, sometimes equal."""
+    q, marks = p(draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))), []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["linear", "square", "quadratic"]))
+        if kind == "quadratic":
+            q = q * p(draw(st.integers(-6, 6)), draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+            continue
+        r = F(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+        marks.append(r)
+        q = q * p(-r, 1) * (p(-r, 1) if kind == "square" else p(1))
+    spans = st.fractions(min_value=-7, max_value=7, max_denominator=6)
+    ends = st.one_of(st.sampled_from(marks), spans) if marks else spans
+    lo, hi = sorted([draw(ends), draw(ends)])
+    if draw(st.integers(0, 4)) == 0:
+        hi = lo
+    return q, lo, hi
+
+
+@settings(deadline=None, max_examples=300)
+@given(factored_polys())
+def test_certify_matches_divisor_enumeration(case):
+    q, lo, hi = case
+    try:
+        expected = oracle_certify(q, lo, hi)
+    except IrrationalRoot:
+        with pytest.raises(IrrationalRoot):
+            certify_only_rational_roots(q, lo, hi)
+        return
+    assert certify_only_rational_roots(q, lo, hi) == expected
+
+
+@pytest.mark.parametrize("bits", [60, 90, 120])
+def test_certify_large_denominators(bits):
+    """Six rational roots with `bits`-bit denominators times a quadratic:
+    the degree-8 product's coefficients run to about 6·bits bits, far past
+    what divisor enumeration can factor."""
+    rng = random.Random(bits)
+    roots = []
+    for _ in range(6):
+        v = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        roots.append(F(rng.randrange(1, v // 2), v))
+    linear = p(1)
+    for r in roots:
+        linear = linear * p(-r.numerator, r.denominator)
+    # x^2 + 2 has no real root: all six roots are certified
+    assert certify_only_rational_roots(linear * p(2, 0, 1), F(0), F(1)) == sorted(roots)
+    # 3x^2 - 1 has the irrational root 1/√3 ≈ 0.577, beyond every planted one
+    with pytest.raises(IrrationalRoot):
+        certify_only_rational_roots(linear * p(-1, 0, 3), F(0), F(1))
+    assert certify_only_rational_roots(linear * p(-1, 0, 3), F(0), F(1, 2)) == sorted(roots)
+    assert certify_only_rational_roots(linear * p(-1, 0, 3), roots[0], roots[0]) == [roots[0]]
