@@ -2,8 +2,9 @@
 piecewise-constant subspace assignments, and exact essentiality analysis.
 
 The subspace field x ↦ L_x is primary data: a partition of [0, 1] into
-symbolic pieces, each carrying a rational spanning matrix whose exact
-orthogonal projector decides membership m(x) ∈ L_x. Everything here runs in
+symbolic pieces, each carrying a rational spanning matrix B. Membership
+m(x) ∈ L_x is decided by the piece's annihilator: Gaussian-integer rows a
+with a·B = 0, whose common kernel is exactly col B. Everything here runs in
 Gaussian-rational arithmetic; nowhere-density is a qualitative property
 that floating point would ruin.
 
@@ -28,15 +29,14 @@ from .errors import (
 from .polynomials import GaussianPoly, exact_zero_points
 from .rationals import (
     ComplexRational,
+    GaussianIntVector,
     Matrix,
+    annihilator,
+    clear_denominators,
     cr,
     mat_identity,
     mat_rank,
     mat_shape,
-    mat_sub,
-    mat_vec,
-    mat_zeros,
-    orthogonal_projector,
     vec_is_zero,
 )
 from .sections import PiecewiseSection, bump, pointwise_inner, unit_bump
@@ -73,13 +73,10 @@ class SubspaceField:
             union = union.union(piece.region)
         if union != SymbolicSubset.full():
             raise ValueError("partition pieces do not cover [0, 1]")
-        projs = tuple(
-            orthogonal_projector(p.basis) if mat_shape(p.basis)[1] else mat_zeros(self.d, self.d)
-            for p in self.pieces
+        # annihilators[i]: the rows whose common kernel is L on piece i
+        object.__setattr__(
+            self, "annihilators", tuple(annihilator(p.basis, self.d) for p in self.pieces)
         )
-        ident = mat_identity(self.d)
-        object.__setattr__(self, "_projectors", projs)
-        object.__setattr__(self, "_complements", tuple(mat_sub(ident, p) for p in projs))
 
     @classmethod
     def full(cls, d: int) -> "SubspaceField":
@@ -91,20 +88,19 @@ class SubspaceField:
                 return i
         raise AssertionError("partition does not cover the point")  # unreachable
 
-    def projector_at(self, x: Fraction) -> Matrix:
-        return self._projectors[self.piece_index_at(x)]
-
-    def complement(self, index: int) -> Matrix:
-        """I − P on piece `index`: it maps v to the part of v outside L_x."""
-        return self._complements[index]
-
-    def complement_at(self, x: Fraction) -> Matrix:
-        return self._complements[self.piece_index_at(x)]
+    def annihilator_at(self, x: Fraction) -> tuple[GaussianIntVector, ...]:
+        return self.annihilators[self.piece_index_at(x)]
 
 
-def _outside(comp: Matrix, v) -> bool:
-    """True iff v ∉ L, given comp = I − P_L."""
-    return not vec_is_zero(mat_vec(comp, v))
+def _outside(ann: tuple[GaussianIntVector, ...], v) -> bool:
+    """True iff v ∉ L, given the annihilator rows of L: some row a has
+    a·v ≠ 0, found in integers on v's common denominator."""
+    w = clear_denominators(v)
+    return any(
+        sum(ar * x - ai * y for (ar, ai), (x, y) in zip(a, w))
+        or sum(ar * y + ai * x for (ar, ai), (x, y) in zip(a, w))
+        for a in ann
+    )
 
 
 # --- atoms: the common refinement of the partition and section pieces ------
@@ -142,14 +138,15 @@ def field_atoms(field: SubspaceField, extra_bounds) -> list[Atom]:
     return [Atom(bounds[r // 2], bounds[(r + 1) // 2], i) for r, i in enumerate(owner)]
 
 
-def _residual_polys(comp: Matrix, piece: tuple[GaussianPoly, ...]) -> list[GaussianPoly]:
-    """(I − P) applied to the polynomial vector of one section piece."""
+def _residual_polys(ann, piece: tuple[GaussianPoly, ...]) -> list[GaussianPoly]:
+    """The annihilator rows applied to the polynomial vector of one section
+    piece: their common real zeros are where the piece lies in L."""
     out = []
-    for row in comp:
+    for row in ann:
         acc = GaussianPoly.zero()
-        for c, p in zip(row, piece):
-            if not c.is_zero():
-                acc = acc + p * c
+        for (ar, ai), p in zip(row, piece):
+            if ar or ai:
+                acc = acc + p * cr(ar, ai)
         out.append(acc)
     return out
 
@@ -167,12 +164,12 @@ def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
     points: list[Fraction] = []
     intervals: list[Interval] = []
     for atom in field_atoms(field, m.breakpoints):
-        comp = field.complement(atom.piece_index)
+        ann = field.annihilators[atom.piece_index]
         if atom.is_point:
-            if _outside(comp, m(atom.lo)):
+            if _outside(ann, m(atom.lo)):
                 points.append(atom.lo)
             continue
-        resid = _residual_polys(comp, m.pieces[m.piece_index_for_interval(atom.lo)])
+        resid = _residual_polys(ann, m.pieces[m.piece_index_for_interval(atom.lo)])
         if all(p.is_zero() for p in resid):
             continue
         zeros = exact_zero_points(resid, atom.lo, atom.hi)
@@ -442,8 +439,8 @@ def inductive_witness_section(
     picks: list[int] = []
     bumps: list[PiecewiseSection] = []
     for j, x in enumerate(xs, start=1):
-        comp = field.complement_at(x)
-        k_j = next((k for k, g in enumerate(spec.generators) if _outside(comp, g(x))), None)
+        ann = field.annihilator_at(x)
+        k_j = next((k for k, g in enumerate(spec.generators) if _outside(ann, g(x))), None)
         if k_j is None:
             raise NoGeneratorDefect(
                 f"no generator leaves the subspace at sample {x}; "
@@ -462,7 +459,7 @@ def inductive_witness_section(
         lam = Fraction(1, 2 ** j)
         g_val = spec.generators[k_j](x)
         trial = tuple(s[i] + g_val[i] * cr(lam) for i in range(d))
-        if not _outside(comp, trial):
+        if not _outside(ann, trial):
             lam = Fraction(1, 2 ** (j + 1))
         lambdas.append(lam)
         picks.append(k_j)
@@ -478,7 +475,7 @@ def inductive_witness_section(
         lambdas=tuple(lambdas),
         picks=tuple(picks),
         samples=tuple(xs),
-        sample_defects_verified=all(_outside(field.complement_at(x), total(x)) for x in xs),
+        sample_defects_verified=all(_outside(field.annihilator_at(x), total(x)) for x in xs),
     )
 
 

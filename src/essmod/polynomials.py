@@ -56,10 +56,13 @@ class RationalPoly:
         return not self.coeffs
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(u/v) from the integer D·v^deg·p(u/v), D the coefficients'
+        common denominator, by Horner in integers and one division."""
+        if not self.coeffs:
+            return Fraction(0)
+        den = lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        return Fraction(_value(ints, x.numerator, x.denominator), den * x.denominator ** self.degree)
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
         return RationalPoly(tuple(x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))

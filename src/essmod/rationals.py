@@ -3,13 +3,16 @@
 The continuous-field layer never touches floating point: scalars are
 complex numbers with Fraction real and imaginary parts, matrices are plain
 nested tuples of them. Sizes stay tiny (fiber dimension ≤ 4), so one naive
-Gauss-Jordan kernel, `_rref`, serves inverse, rank and column basis alike.
+Gauss-Jordan kernel, `_rref`, serves rank and annihilator alike. An
+annihilator is kept in Gaussian integers, pairs (re, im) of ints, so that
+membership tests against it need no Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 def _frac(value) -> Fraction:
@@ -104,48 +107,12 @@ def mat_identity(n: int) -> Matrix:
     return tuple(tuple(CR_ONE if i == j else CR_ZERO for j in range(n)) for i in range(n))
 
 
-def mat_zeros(n: int, m: int) -> Matrix:
-    return tuple(tuple(CR_ZERO for _ in range(m)) for _ in range(n))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m = mat_shape(a)
-    m2, p = mat_shape(b)
-    if m != m2:
-        raise ValueError("matrix shapes do not compose")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = CR_ZERO
-            for l in range(m):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_conj_t(a: Matrix) -> Matrix:
-    n, m = mat_shape(a)
-    return tuple(tuple(a[i][j].conj() for i in range(n)) for j in range(m))
-
-
-def mat_vec(a: Matrix, v: tuple[ComplexRational, ...]) -> tuple[ComplexRational, ...]:
-    return tuple(sum((a[i][j] * v[j] for j in range(len(v))), CR_ZERO) for i in range(len(a)))
-
-
-def _rref(rows: list[list[ComplexRational]], ncols: int) -> list[int]:
-    """Reduce `rows` in place to reduced row echelon form on their first
-    `ncols` columns (Gauss-Jordan: unit pivots, zeros above and below);
-    return the pivot columns. Later columns ride along, so an augmented
-    block receives the same row operations."""
+def _rref(rows: list[list[ComplexRational]]) -> list[int]:
+    """Reduce `rows` in place to reduced row echelon form (Gauss-Jordan:
+    unit pivots, zeros above and below); return the pivot columns."""
     n = len(rows)
     pivots: list[int] = []
-    for col in range(ncols):
+    for col in range(len(rows[0]) if rows else 0):
         rank = len(pivots)
         if rank == n:
             break
@@ -163,45 +130,43 @@ def _rref(rows: list[list[ComplexRational]], ncols: int) -> list[int]:
     return pivots
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse by reducing [A | I]; raises ValueError on singular input."""
-    n, m = mat_shape(a)
-    if n != m:
-        raise ValueError("inverse of a non-square matrix")
-    aug = [list(row) + list(ident_row) for row, ident_row in zip(a, mat_identity(n))]
-    if len(_rref(aug, n)) < n:
-        raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def mat_rank(a: Matrix) -> int:
     """Exact rank: the number of pivots."""
-    return len(_rref([list(r) for r in a], mat_shape(a)[1]))
+    return len(_rref([list(r) for r in a]))
 
 
-def column_basis(a: Matrix) -> Matrix:
-    """Subset of columns forming a basis of the column space (exact): the
-    pivot columns."""
-    n, m = mat_shape(a)
-    if m == 0:
-        return a
-    pivots = _rref([list(r) for r in a], m)
-    return tuple(tuple(a[i][j] for j in pivots) for i in range(n))
+GaussianIntVector = tuple[tuple[int, int], ...]
 
 
-def orthogonal_projector(basis: Matrix) -> Matrix:
-    """Exact orthogonal projector B (B*B)^{-1} B* onto the column span.
+def clear_denominators(v) -> GaussianIntVector:
+    """The Gaussian-integer vector (pairs (re, im)) that is v times the
+    least common denominator of its parts."""
+    den = lcm(*(x.re.denominator for x in v), *(x.im.denominator for x in v))
+    return tuple(
+        (x.re.numerator * (den // x.re.denominator), x.im.numerator * (den // x.im.denominator))
+        for x in v
+    )
 
-    Dependent columns are reduced to a basis first, so B*B is invertible;
-    the result satisfies P² = P = P* exactly.
-    """
-    n, m = mat_shape(basis)
-    b = column_basis(basis) if m else basis
-    if mat_shape(b)[1] == 0:
-        return mat_zeros(n, n)
-    bh = mat_conj_t(b)
-    gram_inv = mat_inverse(mat_mul(bh, b))
-    return mat_mul(b, mat_mul(gram_inv, bh))
+
+def annihilator(basis: Matrix, d: int) -> tuple[GaussianIntVector, ...]:
+    """Gaussian-integer rows a spanning {a : a·B = 0} for the d×r matrix B,
+    so that {v : a·v = 0 for every row} is exactly the column span of B.
+
+    Read off the RREF of Bᵀ (transposed, not conjugated: a·v is the plain
+    bilinear product): one kernel vector per free column. No columns give
+    the identity rows, a basis of rank d gives none."""
+    rows = [[basis[i][k] for i in range(d)] for k in range(mat_shape(basis)[1])]
+    pivots = _rref(rows)
+    out = []
+    for f in range(d):
+        if f in pivots:
+            continue
+        vec = [CR_ZERO] * d
+        vec[f] = CR_ONE
+        for row, p in zip(rows, pivots):
+            vec[p] = -row[f]
+        out.append(clear_denominators(vec))
+    return tuple(out)
 
 
 def vec_is_zero(v: tuple[ComplexRational, ...]) -> bool:

@@ -1,0 +1,124 @@
+"""Reference membership test by exact orthogonal projectors.
+
+L = col B is decided by I − P with P = B(B*B)⁻¹B* over the independent
+columns of B, the Gram matrix inverted by Gauss-Jordan on [G | I]. This
+is independent of the annihilator kernel in `essmod.rationals`, which the
+tests check against it.
+"""
+
+from essmod.fields import field_atoms
+from essmod.polynomials import GaussianPoly, exact_zero_points
+from essmod.rationals import CR_ONE, CR_ZERO, mat_identity, mat_shape, vec_is_zero
+from essmod.subsets import Interval, SymbolicSubset
+
+
+def mat_mul(a, b):
+    if mat_shape(a)[1] != len(b):
+        raise ValueError("matrix shapes do not compose")
+    cols = mat_shape(b)[1]
+    return tuple(
+        tuple(sum((row[l] * b[l][j] for l in range(len(b))), CR_ZERO) for j in range(cols))
+        for row in a
+    )
+
+
+def mat_conj_t(a):
+    n, m = mat_shape(a)
+    return tuple(tuple(a[i][j].conj() for i in range(n)) for j in range(m))
+
+
+def mat_vec(a, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), CR_ZERO) for row in a)
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _gauss_jordan(rows, ncols):
+    """Reduce rows in place on their first ncols columns, later columns
+    riding along; return the pivot columns."""
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = CR_ONE / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not rows[r][col].is_zero():
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return pivots
+
+
+def mat_inverse(a):
+    """Exact inverse by reducing [A | I]; ValueError on singular input."""
+    n, m = mat_shape(a)
+    if n != m:
+        raise ValueError("inverse of a non-square matrix")
+    aug = [list(row) + list(e) for row, e in zip(a, mat_identity(n))]
+    if len(_gauss_jordan(aug, n)) < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def column_basis(a):
+    """The pivot columns of a: a basis of its column space."""
+    n, m = mat_shape(a)
+    pivots = _gauss_jordan([list(r) for r in a], m)
+    return tuple(tuple(a[i][j] for j in pivots) for i in range(n))
+
+
+def orthogonal_projector(basis, d):
+    """B(B*B)⁻¹B* onto the column span of the d×r matrix B (r may be 0)."""
+    b = column_basis(basis) if mat_shape(basis)[1] else ()
+    if mat_shape(b)[1] == 0:
+        return tuple(tuple(CR_ZERO for _ in range(d)) for _ in range(d))
+    bh = mat_conj_t(b)
+    return mat_mul(b, mat_mul(mat_inverse(mat_mul(bh, b)), bh))
+
+
+def complement(basis, d):
+    """I − P: it maps v to the part of v outside col B."""
+    return mat_sub(mat_identity(d), orthogonal_projector(basis, d))
+
+
+def outside(basis, d, v) -> bool:
+    return not vec_is_zero(mat_vec(complement(basis, d), v))
+
+
+def projector_at(field, x):
+    return orthogonal_projector(field.pieces[field.piece_index_at(x)].basis, field.d)
+
+
+def outside_at(field, x, v) -> bool:
+    return outside(field.pieces[field.piece_index_at(x)].basis, field.d, v)
+
+
+def residual_set(m, field) -> SymbolicSubset:
+    """{x : m(x) ∉ L_x} with I − P applied on every atom."""
+    comps = [complement(p.basis, field.d) for p in field.pieces]
+    points, intervals = [], []
+    for atom in field_atoms(field, m.breakpoints):
+        comp = comps[atom.piece_index]
+        if atom.is_point:
+            if not vec_is_zero(mat_vec(comp, m(atom.lo))):
+                points.append(atom.lo)
+            continue
+        piece = m.pieces[m.piece_index_for_interval(atom.lo)]
+        resid = []
+        for row in comp:
+            acc = GaussianPoly.zero()
+            for c, p in zip(row, piece):
+                acc = acc + p * c
+            resid.append(acc)
+        if all(p.is_zero() for p in resid):
+            continue
+        zeros = exact_zero_points(resid, atom.lo, atom.hi)
+        cuts = [atom.lo, *sorted(z for z in zeros if atom.lo < z < atom.hi), atom.hi]
+        intervals.extend(Interval(a, b, False, False) for a, b in zip(cuts, cuts[1:]))
+    return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))

@@ -1,19 +1,26 @@
 from fractions import Fraction as F
 
+import projector_oracle
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from projector_oracle import mat_conj_t, mat_mul
 
 from essmod.errors import DimensionMismatch, GeneratorsNotSpanning, IrrationalRoot
 from essmod.fields import (
     FieldModuleSpec,
     FieldPiece,
     SubspaceField,
+    _outside,
     analyze_field,
     commutative_limit_identity,
     is_essential_field,
     residual_set,
 )
+from essmod.generate import gen_field
 from essmod.polynomials import GaussianPoly, RationalPoly
-from essmod.rationals import cr, mat, mat_identity
+from essmod.rationals import CR_ZERO, annihilator, cr, mat, mat_identity, mat_rank
+from essmod.serialize import field_spec_from_json
 from essmod.sections import PiecewiseSection
 from essmod.subsets import SymbolicSubset
 
@@ -58,12 +65,11 @@ def test_projectors_are_exact_idempotents():
             FieldPiece(SymbolicSubset.interval(F(1, 2), 1, True, True), mat_identity(2)),
         ),
     )
-    from essmod.rationals import mat_conj_t, mat_mul
-
-    p = field.projector_at(F(1, 4))
+    p = projector_oracle.projector_at(field, F(1, 4))
     assert mat_mul(p, p) == p
     assert mat_conj_t(p) == p
     assert p[0][0] == cr(F(1, 2))  # projector onto span(1,1)
+    assert field.annihilator_at(F(1, 4)) == (((-1, 0), (1, 0)),)
 
 
 def test_residual_set_full_fiber_is_empty():
@@ -272,3 +278,72 @@ def test_identity_dimension_mismatch():
         commutative_limit_identity(
             PiecewiseSection.constant([1]), PiecewiseSection.constant([1, 0])
         )
+
+
+# --- annihilators against the projector oracle ------------------------------------
+
+gaussian_rationals = st.builds(
+    cr,
+    st.builds(F, st.integers(-6, 6), st.integers(1, 2**40)),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 2**40)),
+)
+
+
+@st.composite
+def bases_and_vectors(draw):
+    """A d×r Gaussian-rational basis, some columns combinations of earlier
+    ones, and v = B·c, sometimes perturbed in one coordinate."""
+    d = draw(st.integers(1, 4))
+    cols = []
+    for _ in range(draw(st.integers(0, d + 1))):
+        if cols and draw(st.booleans()):
+            i, j = (draw(st.integers(0, len(cols) - 1)) for _ in range(2))
+            a, b = draw(gaussian_rationals), draw(gaussian_rationals)
+            cols.append(tuple(a * x + b * y for x, y in zip(cols[i], cols[j])))
+        else:
+            cols.append(tuple(draw(gaussian_rationals) for _ in range(d)))
+    basis = tuple(tuple(col[i] for col in cols) for i in range(d))
+    coeffs = [draw(gaussian_rationals) for _ in cols]
+    v = [sum((c * col[i] for c, col in zip(coeffs, cols)), CR_ZERO) for i in range(d)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, d - 1))
+        v[k] = v[k] + draw(gaussian_rationals.filter(lambda z: not z.is_zero()))
+    return d, basis, tuple(v)
+
+
+@settings(deadline=None, max_examples=300)
+@given(bases_and_vectors())
+# complex basis, v inside: an annihilator of conj(B) would put v outside
+@example((2, mat([[1], [cr(0, 1)]]), (cr(1), cr(0, 1))))
+# one free column: dropping it would put every v inside
+@example((2, mat([[1], [cr(0, 1)]]), (cr(1), cr(0))))
+def test_outside_agrees_with_projector_oracle(case):
+    d, basis, v = case
+    ann = annihilator(basis, d)
+    assert len(ann) == d - mat_rank(basis)
+    assert _outside(ann, v) == projector_oracle.outside(basis, d, v)
+
+
+@pytest.mark.parametrize("defect", ["none", "points", "interval"])
+@settings(deadline=None, max_examples=12)
+@given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_residual_sets_agree_with_projector_oracle(defect, d, seed):
+    spec = field_spec_from_json(gen_field(d, 6, d + 2, defect, seed)["payload"])
+    for g in spec.generators:
+        assert residual_set(g, spec.subfield) == projector_oracle.residual_set(g, spec.subfield)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: point probes miss isolated rank drops")
+def test_spanning_certificate_sees_isolated_rank_drop():
+    """g(x) = x − 1/3 spans C off {1/3} only: the certificate must show the
+    rank drop at 1/3, in the defect set, a probe, or by refusing."""
+    g = PiecewiseSection.scalar_poly(GaussianPoly(RationalPoly((F(-1, 3), F(1))), RationalPoly.zero()))
+    assert g(F(1, 3)) == (CR_ZERO,)
+    spec = FieldModuleSpec(1, (g,), SubspaceField.full(1))
+    try:
+        decision = is_essential_field(spec)
+    except GeneratorsNotSpanning:
+        return
+    assert decision.analysis.total.contains(F(1, 3)) or any(
+        p.x == F(1, 3) and not p.full for p in decision.probes
+    )

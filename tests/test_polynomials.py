@@ -317,3 +317,35 @@ def test_certify_large_denominators(bits):
         certify_only_rational_roots(linear * p(-1, 0, 3), F(0), F(1))
     assert certify_only_rational_roots(linear * p(-1, 0, 3), F(0), F(1, 2)) == sorted(roots)
     assert certify_only_rational_roots(linear * p(-1, 0, 3), roots[0], roots[0]) == [roots[0]]
+
+
+def fraction_horner(q: RationalPoly, x: F) -> F:
+    acc = F(0)
+    for c in reversed(q.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+wide_fracs = st.builds(F, st.integers(-(2**64), 2**64), st.integers(1, 2**200))
+wide_points = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(-7, 3)]),
+    wide_fracs,
+    st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 2**200)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(wide_fracs, max_size=8).map(lambda cs: RationalPoly(tuple(cs))), wide_points)
+def test_integer_horner_matches_fraction_horner(q, x):
+    """Coefficients with 200-bit denominators, the zero and constant
+    polynomials among them (trailing zeros are dropped)."""
+    assert q(x) == fraction_horner(q, x)
+
+
+def test_integer_horner_edge_cases():
+    assert RationalPoly.zero()(F(5, 3)) == 0
+    assert RationalPoly.const(F(-2, 7))(F(10**30, 3)) == F(-2, 7)
+    q = p(F(1, 2**200), F(-3, 5), 0, F(7, 2**199 + 1))
+    for x in (F(0), F(1), F(-1), F(-5, 2), F(3, 2**200 + 1)):
+        assert q(x) == fraction_horner(q, x)
+    assert q(0) == q(F(0)) and q(-2) == fraction_horner(q, F(-2))

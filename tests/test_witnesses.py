@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import projector_oracle
 import pytest
 
 from essmod.errors import NoRoom, PreconditionFailed, SampleNotInDefect, ZeroInput
@@ -190,12 +191,8 @@ def test_inductive_witness_lambda_bounds_and_membership():
     for j, lam in enumerate(w.lambdas, start=1):
         assert F(0) < lam <= F(1, 2 ** j)
     # exact postcondition: m(x_j) outside L at every sample
-    from essmod.rationals import mat_sub, mat_vec, vec_is_zero
-
-    ident = mat_identity(2)
     for x in w.samples:
-        proj = spec.subfield.projector_at(x)
-        assert not vec_is_zero(mat_vec(mat_sub(ident, proj), w.m(x)))
+        assert projector_oracle.outside_at(spec.subfield, x, w.m(x))
 
 
 def test_inductive_witness_defect_set_not_nowhere_dense():
