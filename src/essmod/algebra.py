@@ -41,11 +41,6 @@ class AlgebraShape:
     def num_blocks(self) -> int:
         return len(self.block_dims)
 
-    @property
-    def dim(self) -> int:
-        """Complex dimension of the algebra, Σ n_i²."""
-        return sum(n * n for n in self.block_dims)
-
     def matrix_units(self) -> Iterable[tuple[int, int, int]]:
         """All (block, row, col) index triples of the matrix-unit basis."""
         for b, n in enumerate(self.block_dims):
@@ -353,20 +348,20 @@ def closed_subideal(x: AlgebraElement, tol: float = DEFAULT_TOL) -> SubidealWitn
     g = _interp_resolvent(eps)
     ga = calculus(a, g, tol=tol)
     fa = calculus(a, lambda t: t * g(t), tol=tol)
-    ideal = ideal_from_projection(p)
 
     scale = 1.0 + a.norm()
     fa_p_error = (fa * p).distance(p) / scale
-    probe_errors = []
-    membership_errors = []
+    probe_errors, membership_errors = [], []
     xadj = x.adjoint()
-    for b in ideal.spanning_set():
-        bscale = 1.0 + b.norm()
-        probe_errors.append((fa * (p * b)).distance(b) / bscale)
-        # explicit factorization through x: b = x · (x* g(a) p b)
-        membership_errors.append((x * (xadj * (ga * (p * b)))).distance(b) / bscale)
+    # block i's n² probes b = p·E_rc, stacked; their other blocks are zero
+    for n, p_i, fa_i, ga_i, x_i, xadj_i in zip(x.shape.block_dims, *(e.blocks for e in (p, fa, ga, x, xadj))):
+        b = p_i @ np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
+        bscale = 1.0 + np.linalg.norm(b, 2, axis=(1, 2))
+        probe_errors.extend(np.linalg.norm(fa_i @ (p_i @ b) - b, 2, axis=(1, 2)) / bscale)
+        factored = x_i @ (xadj_i @ (ga_i @ (p_i @ b)))  # explicit factorization through x
+        membership_errors.extend(np.linalg.norm(factored - b, 2, axis=(1, 2)) / bscale)
     return SubidealWitness(
-        eps=eps, a=a, p=p, fa=fa, ga=ga, ideal=ideal,
+        eps=eps, a=a, p=p, fa=fa, ga=ga, ideal=ideal_from_projection(p),
         fa_p_error=float(fa_p_error),
         probe_errors=tuple(float(e) for e in probe_errors),
         membership_errors=tuple(float(e) for e in membership_errors),

@@ -20,7 +20,7 @@ def _read_doc(path: str | None):
             with open(path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
         return json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise SchemaError(f"invalid JSON input: {exc}") from exc
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc

@@ -74,4 +74,4 @@ class SchemaError(EssmodError):
 
 
 class SizeCap(EssmodError):
-    """Requested instance size exceeds the generator caps."""
+    """A size past a cap, such as the generator caps or Python's integer printing limit."""

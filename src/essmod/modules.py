@@ -212,17 +212,6 @@ def theta(x: ModuleElement, y: ModuleElement) -> CompactOperator:
     )
 
 
-# --- flattening A^k to a complex coordinate space -------------------------
-
-def module_vec(x: ModuleElement) -> np.ndarray:
-    """Flatten to C^{k·dim A} (coordinates, then blocks, row-major)."""
-    parts = []
-    for c in x.coords:
-        for blk in c.blocks:
-            parts.append(blk.reshape(-1))
-    return np.concatenate(parts)
-
-
 def module_basis(shape: AlgebraShape, k: int) -> list[ModuleElement]:
     """A-module basis: e_r with the identity algebra element, r = 1..k."""
     out = []
@@ -233,13 +222,21 @@ def module_basis(shape: AlgebraShape, k: int) -> list[ModuleElement]:
     return out
 
 
+def _stacked_block(x: ModuleElement, b: int) -> np.ndarray:
+    """The block-b coordinates of x stacked k high: a k·n_b × n_b matrix."""
+    return np.vstack([c.blocks[b] for c in x.coords])
+
+
 @dataclass(frozen=True)
 class Submodule:
     """A-submodule of A^k given by generators.
 
-    The generated submodule is a complex-linear subspace of A^k, spanned by
-    the products g·e over generators g and matrix units e; membership and
-    equality are decided on that span.
+    Right multiplication by the block-b matrix units moves block-b
+    columns, so the block-b part of the generated submodule is every
+    k·n_b × n_b matrix with columns in col M_b, where M_b puts the stacked
+    block-b coordinates of the generators side by side. The submodule is
+    therefore carried by its block projectors P_b onto col M_b, and
+    membership, equality and zeroness are decided block by block on them.
     """
 
     shape: AlgebraShape
@@ -252,61 +249,44 @@ class Submodule:
                 raise ShapeMismatch("generator of wrong shape or rank")
 
     @cached_property
-    def _span_basis(self) -> np.ndarray:
-        dim = self.k * self.shape.dim
-        cols = []
-        for g in self.generators:
-            for b, r, c in self.shape.matrix_units():
-                e = AlgebraElement.matrix_unit(self.shape, b, r, c)
-                cols.append(module_vec(g * e))
-        if not cols:
-            return np.zeros((dim, 0), dtype=np.complex128)
-        q = linalg.orthonormal_column_basis(np.column_stack(cols))
-        q.setflags(write=False)
-        return q
+    def block_projectors(self) -> tuple[np.ndarray, ...]:
+        """P_b, the projector onto col M_b, per block; computed once, since
+        the generators never change."""
+        out = []
+        for b, n in enumerate(self.shape.block_dims):
+            cols = [_stacked_block(g, b) for g in self.generators]
+            m_b = np.hstack(cols) if cols else np.zeros((self.k * n, 0), dtype=np.complex128)
+            p = linalg.column_space_projector(m_b)
+            p.setflags(write=False)
+            out.append(p)
+        return tuple(out)
 
-    def span_basis(self) -> np.ndarray:
-        """Orthonormal basis (columns) of the submodule as a complex subspace,
-        computed once; the generators never change."""
-        return self._span_basis
-
-    def projector(self) -> np.ndarray:
-        q = self.span_basis()
-        return q @ q.conj().T
-
-    def contains(self, x: ModuleElement, tol: float = DEFAULT_TOL) -> bool:
-        v = module_vec(x)
-        q = self.span_basis()
-        resid = v - q @ (q.conj().T @ v)
-        return bool(np.linalg.norm(resid) <= tol * (1.0 + np.linalg.norm(v)))
+    def contains(self, x: ModuleElement) -> bool:
+        """x ∈ N iff every column of each stacked block X_b lies in col M_b."""
+        xs = [_stacked_block(x, b) for b in range(self.shape.num_blocks)]
+        resid = sum(np.linalg.norm(x_b - p @ x_b) ** 2 for p, x_b in zip(self.block_projectors, xs))
+        norm = sum(np.linalg.norm(x_b) ** 2 for x_b in xs)
+        return bool(np.sqrt(resid) <= DEFAULT_TOL * (1.0 + np.sqrt(norm)))
 
     def same_span(self, other: "Submodule", tol: float = 1e-8) -> bool:
-        return bool(linalg.op_norm(self.projector() - other.projector()) <= tol)
+        return max(
+            linalg.op_norm(p - q) for p, q in zip(self.block_projectors, other.block_projectors)
+        ) <= tol
 
     def is_zero(self) -> bool:
-        return self.span_basis().shape[1] == 0
+        return not any(p.any() for p in self.block_projectors)
 
 
-def ideal_of_submodule(N: Submodule, tol: float = DEFAULT_TOL) -> RightIdeal:
+def ideal_of_submodule(N: Submodule) -> RightIdeal:
     """The right ideal J_N = {T ∈ M_k(A) : Ran T ⊆ N} of the compact
     operators, returned by its support projection over the amplified shape.
 
-    Block b of that projection is the projector onto col M_b, where M_b
-    stacks the block-b coordinates of each generator k high and puts the
-    generators side by side. Right multiplication by the block-b matrix
-    units moves block-b columns, so the block-b part of N is every
-    k·n_b × n_b matrix with columns in col M_b. Ran T ⊆ N holds iff every
+    Its block b is N's block projector P_b. Ran T ⊆ N holds iff every
     column of T lies in N, i.e. iff every column of T's amplified block b
-    lies in col M_b, i.e. iff p_b T_b = T_b.
+    lies in col M_b, i.e. iff P_b T_b = T_b.
     """
-    shape, k = N.shape, N.k
-    blocks = []
-    for b, n in enumerate(shape.block_dims):
-        cols = [np.vstack([c.blocks[b] for c in g.coords]) for g in N.generators]
-        m_b = np.hstack(cols) if cols else np.zeros((k * n, 0), dtype=np.complex128)
-        blocks.append(linalg.column_space_projector(m_b, tol=tol))
-    amp = operator_shape(shape, k)
-    return RightIdeal(amp, AlgebraElement(amp, tuple(blocks)))
+    amp = operator_shape(N.shape, N.k)
+    return RightIdeal(amp, AlgebraElement(amp, N.block_projectors))
 
 
 def submodule_of_ideal(J: RightIdeal, shape: AlgebraShape, k: int) -> Submodule:
@@ -322,10 +302,6 @@ def submodule_of_ideal(J: RightIdeal, shape: AlgebraShape, k: int) -> Submodule:
     return Submodule(shape, k, tuple(p_op.column(r) for r in range(k)))
 
 
-def algebra_basis_elements(shape: AlgebraShape) -> list[AlgebraElement]:
-    return [AlgebraElement.matrix_unit(shape, b, r, c) for b, r, c in shape.matrix_units()]
-
-
 @dataclass(frozen=True)
 class ProbeResult:
     """Outcome of the essentiality reformulation probe at a point m."""
@@ -335,42 +311,37 @@ class ProbeResult:
     image_norm: float
 
 
-def reformulation_probe(m: ModuleElement, N: Submodule, tol: float = DEFAULT_TOL) -> ProbeResult:
+def reformulation_probe(m: ModuleElement, N: Submodule) -> ProbeResult:
     """Search for a ∈ A with m·a ∈ N and m·a ≠ 0.
 
-    S_m = {a : m·a ∈ N} is the kernel of a linear map; the probe succeeds
-    iff m·S_m is a nonzero subspace, and then returns a maximizing witness.
+    Block b of m·a is X_b a_b, X_b the stacked block-b coordinates of m,
+    and it lies in N iff every column of a_b lies in K_b = ker((1 − P_b)X_b).
+    So S_m = {a : m·a ∈ N} is ⊕_b K_b^{n_b}, and the probe succeeds iff some
+    X_b K_b is nonzero. The witness is a single column in the block where
+    X_b K_b has the largest norm: its top right singular vector, mapped
+    back through K_b.
     """
-    if m.is_zero(tol):
+    if m.is_zero():
         raise ZeroInput("reformulation probe requires m ≠ 0")
-    shape, k = m.shape, m.k
-    basis = algebra_basis_elements(shape)
-    M = np.column_stack([module_vec(m * e) for e in basis])
-    P = N.projector()
-    resid = M - P @ M
-    ns = _nullspace(resid, tol)
-    if ns.shape[1] == 0:
-        return ProbeResult(found=False, witness=None, image_norm=0.0)
-    images = M @ ns
-    norms = np.linalg.norm(images, axis=0)
-    best = int(np.argmax(norms))
-    if norms[best] <= tol * (1.0 + m.norm()):
-        return ProbeResult(found=False, witness=None, image_norm=float(norms[best]))
-    coeffs = ns[:, best]
-    a = AlgebraElement.zeros(shape)
-    for z, e in zip(coeffs, basis):
-        a = a + complex(z) * e
-    return ProbeResult(found=True, witness=a, image_norm=float(norms[best]))
+    best_norm, best_block, best_col = 0.0, None, None
+    for b, p in enumerate(N.block_projectors):
+        x_b = _stacked_block(m, b)
+        kernel = _nullspace(x_b - p @ x_b)
+        if kernel.shape[1] == 0:
+            continue
+        _, s, vh = np.linalg.svd(x_b @ kernel)
+        if s[0] > best_norm:
+            best_norm, best_block, best_col = float(s[0]), b, kernel @ vh[0].conj()
+    if best_norm <= DEFAULT_TOL * (1.0 + m.norm()):
+        return ProbeResult(found=False, witness=None, image_norm=best_norm)
+    blocks = [np.zeros((n, n), dtype=np.complex128) for n in m.shape.block_dims]
+    blocks[best_block][:, 0] = best_col
+    return ProbeResult(found=True, witness=AlgebraElement(m.shape, tuple(blocks)), image_norm=best_norm)
 
 
-def _nullspace(a: np.ndarray, tol: float) -> np.ndarray:
-    if a.size == 0:
-        return np.eye(a.shape[1], dtype=np.complex128)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    if s.size == 0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol * max(1.0, s[0])))
+def _nullspace(a: np.ndarray) -> np.ndarray:
+    _, s, vh = np.linalg.svd(a)
+    rank = int(np.sum(s > DEFAULT_TOL * max(1.0, s[0])))
     return vh[rank:].conj().T
 
 
@@ -392,18 +363,17 @@ class SubmoduleCertificate:
     witness_probe_found: bool | None = None
 
 
-def is_essential_submodule(N: Submodule, tol: float = DEFAULT_TOL) -> tuple[bool, SubmoduleCertificate]:
+def is_essential_submodule(N: Submodule) -> tuple[bool, SubmoduleCertificate]:
     """Decide essentiality of N via the compact-operator correspondence:
     N is essential iff J_N is an essential right ideal of M_k(A)."""
-    J = ideal_of_submodule(N, tol)
-    decision, ideal_cert = is_essential_right_ideal(J, tol)
+    decision, ideal_cert = is_essential_right_ideal(ideal_of_submodule(N))
     if decision:
         cert = SubmoduleCertificate(
             essential=True, topologically_essential=True, ideal_certificate=ideal_cert
         )
         return True, cert
     m = _witness_from_ideal_certificate(ideal_cert, N.shape, N.k)
-    probe = reformulation_probe(m, N, tol)
+    probe = reformulation_probe(m, N)
     cert = SubmoduleCertificate(
         essential=False,
         topologically_essential=False,

@@ -2,7 +2,8 @@
 carry, plus instance and report envelopes.
 
 Conventions: floating scalars are [re, im] pairs; exact scalars are
-rational strings "p/q"; exact complex scalars are ["p/q", "p/q"] pairs.
+rational strings "p/q" or "p" of decimal integers, each at most MAX_DIGITS
+digits long; exact complex scalars are ["p/q", "p/q"] pairs.
 Instance documents carry schema "essmod/1" and one of the kinds
 right_ideal / module_submodule / field.
 """
@@ -12,12 +13,13 @@ from __future__ import annotations
 import cmath
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, RightIdeal
-from .errors import SchemaError
+from .errors import SchemaError, SizeCap
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField
 from .modules import ModuleElement, Submodule
 from .polynomials import GaussianPoly
@@ -32,16 +34,38 @@ KINDS = ("right_ideal", "module_submodule", "field")
 # --- scalars ----------------------------------------------------------------
 
 def frac_to_json(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # past Python's limit on int/str conversion
+        raise SizeCap("a report integer is past Python's printing limit (4300 digits by default)") from exc
+
+
+# Digits allowed in each integer of an exact scalar: far below Python's
+# 4300-digit limit on int/str conversion, so every value read can be
+# written back, and parsing cost grows with the text, never with a magnitude.
+MAX_DIGITS = 1000
+_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _excerpt(value) -> str:
+    """repr of an input value, cut short for an error message."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def frac_from_json(s) -> Fraction:
     if not isinstance(s, str):
-        raise SchemaError(f"expected rational string, got {s!r}")
+        raise SchemaError(f"expected rational string, got {_excerpt(s)}")
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise SchemaError(f"bad rational {_excerpt(s)}: expected p/q with decimal integers p, q")
+    sign, num, den = match.groups()
+    if max(len(num), len(den or "")) > MAX_DIGITS:
+        raise SchemaError(f"bad rational {_excerpt(s)}: an integer has more than {MAX_DIGITS} digits")
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {s!r}: {exc}") from exc
+        return Fraction(int(sign + num), int(den or "1"))
+    except ZeroDivisionError as exc:
+        raise SchemaError(f"bad rational {_excerpt(s)}: zero denominator") from exc
 
 
 def crat_to_json(z: ComplexRational) -> list:
@@ -50,7 +74,7 @@ def crat_to_json(z: ComplexRational) -> list:
 
 def crat_from_json(v) -> ComplexRational:
     if not isinstance(v, list) or len(v) != 2:
-        raise SchemaError(f"expected [re, im] rational pair, got {v!r}")
+        raise SchemaError(f"expected [re, im] rational pair, got {_excerpt(v)}")
     return ComplexRational(frac_from_json(v[0]), frac_from_json(v[1]))
 
 
@@ -60,10 +84,13 @@ def complex_to_json(z: complex) -> list:
 
 def complex_from_json(v) -> complex:
     if not isinstance(v, list) or len(v) != 2:
-        raise SchemaError(f"expected [re, im] pair, got {v!r}")
-    z = complex(float(v[0]), float(v[1]))
+        raise SchemaError(f"expected [re, im] pair, got {_excerpt(v)}")
+    try:
+        z = complex(float(v[0]), float(v[1]))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"expected [re, im] pair of numbers, got {_excerpt(v)}") from exc
     if not cmath.isfinite(z):
-        raise SchemaError(f"expected finite [re, im] pair, got {v!r}")
+        raise SchemaError(f"expected finite [re, im] pair, got {_excerpt(v)}")
     return z
 
 
@@ -298,10 +325,10 @@ def validate_instance(doc) -> tuple[str, dict]:
     if not isinstance(doc, dict):
         raise SchemaError("instance must be a JSON object")
     if doc.get("schema") != SCHEMA:
-        raise SchemaError(f"unsupported schema {doc.get('schema')!r}, expected {SCHEMA!r}")
+        raise SchemaError(f"unsupported schema {_excerpt(doc.get('schema'))}, expected {SCHEMA!r}")
     kind = doc.get("kind")
     if kind not in KINDS:
-        raise SchemaError(f"unknown kind {kind!r}, expected one of {KINDS}")
+        raise SchemaError(f"unknown kind {_excerpt(kind)}, expected one of {KINDS}")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise SchemaError("instance payload must be an object")

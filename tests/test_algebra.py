@@ -284,6 +284,31 @@ def test_closed_subideal_rank_matches_svd_oracle():
         assert w.verified
 
 
+def closed_subideal_probe_oracle(x, w):
+    """The per-unit probe loop: each probe p·E of the spanning set as an
+    algebra element, checked by two element distances."""
+    p, fa, ga, xadj = w.p, w.fa, w.ga, x.adjoint()
+    probe_errors, membership_errors = [], []
+    for b in w.ideal.spanning_set():
+        bscale = 1.0 + b.norm()
+        probe_errors.append((fa * (p * b)).distance(b) / bscale)
+        membership_errors.append((x * (xadj * (ga * (p * b)))).distance(b) / bscale)
+    return tuple(probe_errors), tuple(membership_errors)
+
+
+def test_closed_subideal_probes_match_per_unit_oracle():
+    rng = SplitMix64(14)
+    for shape in (M2, M3, MIXED, AlgebraShape((1, 2, 3))):
+        for _ in range(5):
+            x = rand_algebra_element(rng, shape)
+            if rng.randint(0, 1):
+                x = rand_projection(rng, shape) * x
+            if x.is_zero(1e-8):
+                continue
+            w = closed_subideal(x)
+            assert (w.probe_errors, w.membership_errors) == closed_subideal_probe_oracle(x, w)
+
+
 def test_closed_subideal_rejects_zero():
     with pytest.raises(ZeroInput):
         closed_subideal(AlgebraElement.zeros(M2))

@@ -338,6 +338,65 @@ def test_huge_constant_term_finishes_fast(tmp_path, capsys):
         assert code == 0 or (code == 2 and err.startswith("input error: ") and err.count("\n") == 1), (code, err)
 
 
+def test_exponent_coefficient_exits_2(tmp_path, capsys):
+    """"1e20000" parsed, and witness then failed to print the 20001-digit
+    integer: a ValueError traceback with exit 1, while check exited 0."""
+    inst = gen_to_file(tmp_path, "f.json", ["--kind", "field", "--d", "1", "--defect", "interval", "--seed", "2"])
+    coeffs = [["1e20000", "0/1"], ["1/1", "0/1"]]
+    doc = edited(json.loads(inst.read_text()), ("generators",),
+                 [{"breakpoints": ["0/1", "1/1"], "d": 1, "pieces": [[coeffs]]}])
+    assert_input_errors(inst, [doc], capsys)
+
+
+def test_report_integer_past_print_limit_exits_2(tmp_path, capsys):
+    """Inputs within the digit cap can still build a report integer past
+    Python's 4300-digit printing limit: here the defect interval [a, b]
+    and the three generator coefficients have unrelated 1000-digit
+    denominators, and they meet in the witness sections. That was a
+    ValueError traceback with exit 1."""
+    q = 10 ** 1000 - 3
+    a, b = f"{q // 3}/{q}", f"{2 * q // 3}/{q}"
+    line = [[["1/1", "0/1"]]]
+
+    def piece(lo, hi, lo_closed, hi_closed):
+        return {"points": [], "intervals": [{"lo": lo, "hi": hi, "lo_closed": lo_closed, "hi_closed": hi_closed}]}
+
+    coeffs = [[f"{i + 1}/{10 ** 999 + 7 + 2 * i}", "0/1"] for i in range(3)]
+    doc = {"schema": "essmod/1", "kind": "field", "payload": {
+        "d": 1,
+        "partition": [piece("0/1", a, True, False), piece(a, b, True, True), piece(b, "1/1", False, True)],
+        "subspace_bases": [line, [], line],
+        "generators": [{"d": 1, "breakpoints": ["0/1", "1/1"], "pieces": [[coeffs]]}],
+    }}
+    inst = tmp_path / "f.json"
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["check", "--in", str(inst)]) == 0
+    capsys.readouterr()
+    assert cli.main(["witness", "--in", str(inst)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1 and len(err) < 300, err[:300]
+
+
+def test_long_values_give_one_short_error_line(tmp_path, capsys):
+    """A 5001-digit numerator gave a 5,174-character error line, a long
+    string in a float block entry was echoed whole, and a 5001-digit JSON
+    number escaped as a ValueError traceback."""
+    inst = gen_to_file(tmp_path, "f.json", ["--kind", "field", "--d", "1", "--defect", "none", "--seed", "3"])
+    doc = json.loads(inst.read_text())
+    long_numerator = edited(doc, ("partition", 0, "intervals", 0, "hi"), "1" * 5001 + "/1")
+    long_entry = edited(gen_right_ideal((2,), 1), ("support_projection", "blocks", 0, 0, 0), ["x" * 5000, 0.0])
+    path = tmp_path / "bad.json"
+    for text in (json.dumps(long_numerator), json.dumps(long_entry),
+                 json.dumps(doc)[:-1] + ', "extra": ' + "1" * 5001 + "}"):
+        path.write_text(text)
+        for command in ("check", "witness"):
+            capsys.readouterr()
+            assert cli.main([command, "--in", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ") and err.count("\n") == 1 and len(err) < 300, err[:300]
+
+
 def test_witness_samples_cap_exits_2(tmp_path, capsys):
     inst = gen_to_file(tmp_path, "f.json", ["--kind", "field", "--d", "2", "--defect", "interval", "--seed", "5"])
     for samples in (str(runner.MAX_SAMPLES + 1), str(1 << 24), "-1"):

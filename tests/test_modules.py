@@ -4,7 +4,8 @@ import pytest
 from essmod import linalg
 from essmod.algebra import AlgebraElement, AlgebraShape, is_essential_right_ideal
 from essmod.errors import ShapeMismatch, ZeroInput
-from essmod.generate import SplitMix64, rand_algebra_element, rand_module_element
+from essmod.generate import SplitMix64, rand_algebra_element, rand_module_element, rand_projection
+from essmod.linalg import DEFAULT_TOL
 from essmod.modules import (
     CompactOperator,
     ModuleElement,
@@ -166,6 +167,112 @@ def test_compact_operator_algebra_roundtrip():
     assert (T.compose(S).to_algebra() - (amp * S.to_algebra())).norm() <= 1e-9
 
 
+# --- flattened oracles ---------------------------------------------------------------
+#
+# The submodule as one complex subspace of C^{k·dim A}: every product g·E of
+# a generator with a matrix unit, flattened, and one SVD of them all. The
+# library carries the same span as its block projectors instead.
+
+def module_vec(x: ModuleElement) -> np.ndarray:
+    """Flatten to C^{k·dim A} (coordinates, then blocks, row-major)."""
+    return np.concatenate([blk.reshape(-1) for c in x.coords for blk in c.blocks])
+
+
+def matrix_units(shape):
+    return [AlgebraElement.matrix_unit(shape, b, r, c) for b, r, c in shape.matrix_units()]
+
+
+def span_basis_oracle(N: Submodule) -> np.ndarray:
+    cols = [module_vec(g * e) for g in N.generators for e in matrix_units(N.shape)]
+    if not cols:
+        return np.zeros((N.k * sum(n * n for n in N.shape.block_dims), 0), dtype=complex)
+    return linalg.orthonormal_column_basis(np.column_stack(cols))
+
+
+def contains_oracle(N: Submodule, x: ModuleElement) -> bool:
+    v, q = module_vec(x), span_basis_oracle(N)
+    return bool(np.linalg.norm(v - q @ (q.conj().T @ v)) <= DEFAULT_TOL * (1.0 + np.linalg.norm(v)))
+
+
+def same_span_oracle(N: Submodule, other: Submodule, tol: float = 1e-8) -> bool:
+    q, r = span_basis_oracle(N), span_basis_oracle(other)
+    return linalg.op_norm(q @ q.conj().T - r @ r.conj().T) <= tol
+
+
+def probe_found_oracle(m: ModuleElement, N: Submodule) -> bool:
+    """Some a with m·a ∈ N and m·a ≠ 0: the kernel of a ↦ (1 − P)·vec(m·a)
+    over the whole matrix-unit basis, and the largest image of a kernel
+    basis vector."""
+    M = np.column_stack([module_vec(m * e) for e in matrix_units(m.shape)])
+    q = span_basis_oracle(N)
+    _, s, vh = np.linalg.svd(M - q @ (q.conj().T @ M))
+    kernel = vh[int(np.sum(s > DEFAULT_TOL * max(1.0, s[0]))):].conj().T
+    if kernel.shape[1] == 0:
+        return False
+    return bool(np.linalg.norm(M @ kernel, axis=0).max() > DEFAULT_TOL * (1.0 + m.norm()))
+
+
+def rand_generators(rng, shape, k):
+    """Empty, full, random, or rank-deficient generator lists: a dependent
+    generator, or all cut down by one projection, which can empty a block."""
+    mode = rng.randint(0, 4)
+    if mode == 0:
+        return ()
+    if mode == 1:
+        return tuple(module_basis(shape, k))
+    gens = [rand_module_element(rng, shape, k) for _ in range(rng.randint(1, 2))]
+    if mode == 3:
+        gens.append(gens[0] * rand_algebra_element(rng, shape))
+    if mode == 4:
+        cut = rand_projection(rng, shape)
+        gens = [g * cut for g in gens]
+    return tuple(gens)
+
+
+def test_submodule_questions_match_flattened_oracles():
+    """contains, same_span, is_zero and the reformulation probe, decided on
+    the block projectors, agree with the flattened span of all g·E."""
+    rng = SplitMix64(32)
+    seen = {"contains": set(), "same_span": set(), "is_zero": set(), "found": set()}
+    for _ in range(120):
+        shape = (C, M2, MIXED)[rng.randint(0, 2)]
+        k = rng.randint(1, 3)
+        gens = rand_generators(rng, shape, k)
+        n = Submodule(shape, k, gens)
+
+        x = ModuleElement.zeros(shape, k)
+        for g in gens:
+            x = x + g * rand_algebra_element(rng, shape)
+        if rng.randint(0, 1):
+            x = x + rand_module_element(rng, shape, k) * rand_projection(rng, shape)
+        assert n.contains(x) == contains_oracle(n, x)
+        seen["contains"].add(n.contains(x))
+
+        if rng.randint(0, 1):
+            other = Submodule(shape, k, tuple(g * rand_algebra_element(rng, shape) for g in gens))
+        else:
+            other = Submodule(shape, k, rand_generators(rng, shape, k))
+        assert n.same_span(other) == same_span_oracle(n, other)
+        seen["same_span"].add(n.same_span(other))
+
+        assert n.is_zero() == (span_basis_oracle(n).shape[1] == 0)
+        seen["is_zero"].add(n.is_zero())
+
+        dec, cert = is_essential_submodule(n)
+        probes = [] if dec else [cert.witness]
+        probes.append(rand_module_element(rng, shape, k) * rand_projection(rng, shape))
+        for m in probes:
+            if m.is_zero():
+                continue
+            probe = reformulation_probe(m, n)
+            assert probe.found == probe_found_oracle(m, n)
+            if probe.found:
+                assert contains_oracle(n, m * probe.witness)
+                assert not (m * probe.witness).is_zero(1e-8)
+            seen["found"].add(probe.found)
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
 # --- the submodule ↔ ideal correspondence ---------------------------------------
 
 def operator_range_in_submodule(T: CompactOperator, N: Submodule) -> bool:
@@ -231,7 +338,7 @@ def test_submodule_of_ideal_extremes():
     full = submodule_of_ideal(
         ideal_of_submodule(Submodule(C, 2, tuple(module_basis(C, 2)))), C, 2
     )
-    assert full.span_basis().shape[1] == 2
+    assert all(linalg.op_norm(p - np.eye(len(p))) <= 1e-10 for p in full.block_projectors)
     zero = submodule_of_ideal(ideal_of_submodule(Submodule(C, 2, ())), C, 2)
     assert zero.is_zero()
 

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from essmod import properties
+from essmod import properties, serialize
 from essmod.generate import SplitMix64
 
 
@@ -29,6 +29,15 @@ def test_every_property_reports_trials_and_name():
     for p in report["properties"]:
         assert p["trials"] >= 1
         assert "." in p["name"]
+
+
+def test_property_timings_stay_outside_the_digest():
+    report = properties.run_suite(5, 1)
+    timing = report.pop("property_timing_ms")
+    assert list(timing) == [p["name"] for p in report["properties"]]
+    assert all(ms >= 0.0 for ms in timing.values())
+    assert sum(timing.values()) <= report.pop("timing_ms")
+    assert serialize.digest({k: v for k, v in report.items() if k != "digest"}) == report["digest"]
 
 
 def test_property_results_isolated_per_substream():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,36 @@ def test_fraction_roundtrip():
         serialize.frac_from_json("1/0")
     with pytest.raises(SchemaError):
         serialize.frac_from_json(1.5)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1E3", ".5", "1/2.0", " 1/2", "1/2 ", "+1", "1_000",
+                                  "1/-2", "--1", "\u0661", "", "1/", "/2", "inf", "nan"])
+def test_fraction_grammar_is_strict(text):
+    """Only p/q or p with decimal integers: Fraction's own grammar also
+    takes decimals, exponents, spaces and underscores."""
+    with pytest.raises(SchemaError):
+        serialize.frac_from_json(text)
+
+
+def test_fraction_exponent_is_rejected_fast():
+    """"1e4000000" is nine characters, but Fraction builds a 13M-bit integer
+    from it: the cost grew with the magnitude, not with the text."""
+    t0 = time.perf_counter()
+    with pytest.raises(SchemaError):
+        serialize.frac_from_json("1e4000000")
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_fraction_digit_cap_and_short_errors():
+    cap = serialize.MAX_DIGITS
+    assert serialize.frac_from_json("-" + "7" * cap + "/" + "9" * cap) == F(-int("7" * cap), int("9" * cap))
+    for text in ("1" * (cap + 1), "1/" + "3" * (cap + 1), "1" * 5001 + "/1"):
+        with pytest.raises(SchemaError) as err:
+            serialize.frac_from_json(text)
+        assert len(str(err.value)) < 120
+    with pytest.raises(SchemaError) as err:
+        serialize.frac_from_json(["1/2"] * 1000)
+    assert len(str(err.value)) < 120
 
 
 def test_algebra_element_roundtrip():
