@@ -50,7 +50,7 @@ class IrrationalRoot(EssmodError):
 
 
 class GeneratorsNotSpanning(EssmodError):
-    """Field generators fail to span the full fiber at a probe point."""
+    """Field generators fail to span the full fiber off the defect set."""
 
 
 class NoRoom(EssmodError):

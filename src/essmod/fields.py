@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     DimensionMismatch,
@@ -26,7 +27,7 @@ from .errors import (
     SampleNotInDefect,
     ZeroInput,
 )
-from .polynomials import GaussianPoly, exact_zero_points
+from .polynomials import GaussianPoly, common_real_zero_gcd, exact_zero_points, real_root_count
 from .rationals import (
     ComplexRational,
     GaussianIntVector,
@@ -35,12 +36,11 @@ from .rationals import (
     clear_denominators,
     cr,
     mat_identity,
-    mat_rank,
     mat_shape,
     vec_is_zero,
 )
 from .sections import PiecewiseSection, bump, pointwise_inner, unit_bump
-from .subsets import Interval, SymbolicSubset
+from .subsets import Interval, SymbolicSubset, _sweep
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,12 +66,12 @@ class SubspaceField:
             rows, _ = mat_shape(piece.basis)
             if rows != self.d and mat_shape(piece.basis)[1] != 0:
                 raise DimensionMismatch("basis rows must equal the fiber dimension")
-        union = SymbolicSubset.empty()
-        for i, piece in enumerate(self.pieces):
-            if not piece.region.intersection(union).is_empty():
-                raise ValueError("partition pieces overlap")
-            union = union.union(piece.region)
-        if union != SymbolicSubset.full():
+        coverage: set[int] = set()  # `keep` only records how many pieces cover each region
+        _sweep([([x for p in self.pieces for x in p.region.points],
+                 [iv for p in self.pieces for iv in p.region.intervals])], coverage.add)
+        if max(coverage) > 1:
+            raise ValueError("partition pieces overlap")
+        if 0 in coverage:
             raise ValueError("partition pieces do not cover [0, 1]")
         # annihilators[i]: the rows whose common kernel is L on piece i
         object.__setattr__(
@@ -222,63 +222,72 @@ def analyze_field(spec: FieldModuleSpec) -> FieldAnalysis:
     return FieldAnalysis(defects, total)
 
 
-@dataclass(frozen=True)
-class SpanningProbe:
-    x: Fraction
-    rank: int
-    full: bool
+def _minors(cols, d: int):
+    """The d×d minors of the matrix with polynomial columns `cols`, one at a
+    time, by Laplace expansion along the last row: every smaller minor of
+    the leading rows is kept, and a vanishing one costs no products above."""
+    memo = {(): GaussianPoly.const(cr(1))}
+
+    def minor(s: tuple[int, ...]) -> GaussianPoly:
+        if s not in memo:
+            k, acc = len(s) - 1, GaussianPoly.zero()
+            for t, j in enumerate(s):
+                if cols[j][k].is_zero() or (sub := minor(s[:t] + s[t + 1 :])).is_zero():
+                    continue
+                term = cols[j][k] * sub
+                acc = acc - term if (k + t) % 2 else acc + term
+            memo[s] = acc
+        return memo[s]
+
+    return (minor(s) for s in combinations(range(len(cols)), d))
 
 
-def check_generator_spanning(spec: FieldModuleSpec, defect: SymbolicSubset) -> list[SpanningProbe]:
-    """Verify that the generator values span the full fiber C^d at rational
-    probe points outside the defect set; raises GeneratorsNotSpanning.
+def _rank_drop(minors, a: Fraction, b: Fraction, rest: SymbolicSubset) -> str | None:
+    """Where rank G < d on `rest` ⊆ [a, b], from the gcd h of the minors of
+    G: nowhere for a constant h, everywhere for h = 0, else at a root of h
+    in `rest`, rational or not (points exactly, intervals by Sturm count)."""
+    h = common_real_zero_gcd(minors)
+    if h.degree <= 0:
+        return None if h.degree == 0 else f"on all of [{a}, {b}]"
+    for x in rest.points:
+        if h(x) == 0:
+            return f"at x = {x}"
+    for iv in rest.intervals:
+        if real_root_count(h, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed):
+            return f"in {iv}"
+    return None
 
-    This validates taking the subspace field as primary data: off the defect
-    set the fibers of the generated module must equal the full fiber.
-    """
-    extra = []
-    for g in spec.generators:
-        extra.extend(g.breakpoints)
-    probes: list[Fraction] = []
-    for atom in field_atoms(spec.subfield, extra):
-        if atom.is_point:
-            if not defect.contains(atom.lo):
-                probes.append(atom.lo)
-            continue
-        for j in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)):
-            x = atom.lo + (atom.hi - atom.lo) * j
-            if not defect.contains(x):
-                probes.append(x)
-                break
-    results = []
-    for x in probes:
-        cols = [list(g(x)) for g in spec.generators]
-        matx = tuple(tuple(cols[k][i] for k in range(len(cols))) for i in range(spec.d))
-        rank = mat_rank(matx)
-        results.append(SpanningProbe(x=x, rank=rank, full=rank == spec.d))
-    bad = [p for p in results if not p.full]
-    if bad:
-        raise GeneratorsNotSpanning(
-            f"generators span a proper subspace at x = {bad[0].x} (rank {bad[0].rank} < {spec.d})"
-        )
-    return results
+
+def check_generator_spanning(spec: FieldModuleSpec, defect: SymbolicSubset) -> int:
+    """Certify that the generators span the full fiber C^d off the defect
+    set, as taking the subspace field as primary data needs; return the
+    number of cells certified, or raise GeneratorsNotSpanning. On a cell
+    [a, b] between generator breakpoints the generators are one polynomial
+    matrix G; its minors come lazily, and their gcd stops once constant."""
+    cuts = sorted({b for g in spec.generators for b in g.breakpoints})
+    cells = [(a, b, rest) for a, b in zip(cuts, cuts[1:])
+             if not (rest := SymbolicSubset.interval(a, b).difference(defect)).is_empty()]
+    for a, b, rest in cells:
+        cols = [g.pieces[g.piece_index_for_interval(a)] for g in spec.generators]
+        where = _rank_drop(_minors(cols, spec.d), a, b, rest)
+        if where:
+            raise GeneratorsNotSpanning(f"generators span a proper subspace of C^{spec.d} {where}")
+    return len(cells)
 
 
 @dataclass(frozen=True)
 class FieldDecision:
     essential: bool
     analysis: FieldAnalysis
-    probes: tuple[SpanningProbe, ...]
+    spanning_cells: int
 
 
 def is_essential_field(spec: FieldModuleSpec) -> FieldDecision:
     """The geometric criterion: the submodule of sections through L is
     essential iff the total defect set is nowhere dense."""
     analysis = analyze_field(spec)
-    probes = check_generator_spanning(spec, analysis.total)
-    return FieldDecision(
-        essential=analysis.total.is_nowhere_dense(), analysis=analysis, probes=tuple(probes)
-    )
+    cells = check_generator_spanning(spec, analysis.total)
+    return FieldDecision(analysis.total.is_nowhere_dense(), analysis, cells)
 
 
 def _pick_interval(s: SymbolicSubset) -> tuple[Fraction, Fraction]:

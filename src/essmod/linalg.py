@@ -23,10 +23,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
-
-
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:

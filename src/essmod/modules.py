@@ -308,7 +308,6 @@ class ProbeResult:
 
     found: bool
     witness: AlgebraElement | None
-    image_norm: float
 
 
 def reformulation_probe(m: ModuleElement, N: Submodule) -> ProbeResult:
@@ -333,10 +332,10 @@ def reformulation_probe(m: ModuleElement, N: Submodule) -> ProbeResult:
         if s[0] > best_norm:
             best_norm, best_block, best_col = float(s[0]), b, kernel @ vh[0].conj()
     if best_norm <= DEFAULT_TOL * (1.0 + m.norm()):
-        return ProbeResult(found=False, witness=None, image_norm=best_norm)
+        return ProbeResult(found=False, witness=None)
     blocks = [np.zeros((n, n), dtype=np.complex128) for n in m.shape.block_dims]
     blocks[best_block][:, 0] = best_col
-    return ProbeResult(found=True, witness=AlgebraElement(m.shape, tuple(blocks)), image_norm=best_norm)
+    return ProbeResult(found=True, witness=AlgebraElement(m.shape, tuple(blocks)))
 
 
 def _nullspace(a: np.ndarray) -> np.ndarray:

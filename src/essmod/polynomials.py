@@ -173,6 +173,14 @@ def _signs(chain: list[list[int]], x: Fraction) -> tuple[int, list[int]]:
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b), signs
 
 
+def real_root_count(p: RationalPoly, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> int:
+    """Distinct real roots of the nonzero p between lo < hi, each end counted
+    if closed: V(lo) − V(hi) on the Sturm chain of p counts (lo, hi]."""
+    chain = _sturm_chain(_primitive(p.coeffs))
+    (va, sa), (vb, sb) = _signs(chain, lo), _signs(chain, hi)
+    return va - vb + (lo_closed and sa[0] == 0) - (not hi_closed and sb[0] == 0)
+
+
 def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
     """Monic gcd over Q[x]."""
     if a.is_zero() or b.is_zero():

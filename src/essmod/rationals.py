@@ -3,9 +3,9 @@
 The continuous-field layer never touches floating point: scalars are
 complex numbers with Fraction real and imaginary parts, matrices are plain
 nested tuples of them. Sizes stay tiny (fiber dimension ≤ 4), so one naive
-Gauss-Jordan kernel, `_rref`, serves rank and annihilator alike. An
-annihilator is kept in Gaussian integers, pairs (re, im) of ints, so that
-membership tests against it need no Fraction arithmetic.
+Gauss-Jordan kernel, `_rref`, computes the annihilator. An annihilator is
+kept in Gaussian integers, pairs (re, im) of ints, so that membership
+tests against it need no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -128,11 +128,6 @@ def _rref(rows: list[list[ComplexRational]]) -> list[int]:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
     return pivots
-
-
-def mat_rank(a: Matrix) -> int:
-    """Exact rank: the number of pivots."""
-    return len(_rref([list(r) for r in a]))
 
 
 GaussianIntVector = tuple[tuple[int, int], ...]

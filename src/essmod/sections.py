@@ -48,6 +48,13 @@ class PiecewiseSection:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _of(cls, d: int, breakpoints: tuple, pieces: tuple) -> "PiecewiseSection":
+        """An operation's result, continuous as its operands are: built unchecked."""
+        out = cls.__new__(cls)
+        out.__dict__.update(d=d, breakpoints=breakpoints, pieces=pieces)
+        return out
+
+    @classmethod
     def constant(cls, values) -> "PiecewiseSection":
         vals = [v if isinstance(v, ComplexRational) else cr(v) for v in values]
         piece = tuple(GaussianPoly.const(v) for v in vals)
@@ -81,10 +88,8 @@ class PiecewiseSection:
         bps = sorted({*self.breakpoints, *(Fraction(b) for b in extra_breakpoints)})
         if any(b < ZERO or b > ONE for b in bps):
             raise ValueError("refinement breakpoints outside [0, 1]")
-        pieces = []
-        for lo in bps[:-1]:
-            pieces.append(self.pieces[self.piece_index_for_interval(lo)])
-        return PiecewiseSection(self.d, tuple(bps), tuple(pieces))
+        pieces = tuple(self.pieces[self.piece_index_for_interval(lo)] for lo in bps[:-1])
+        return PiecewiseSection._of(self.d, tuple(bps), pieces)
 
     def piece_index_for_interval(self, lo: Fraction) -> int:
         i = bisect_right(self.breakpoints, lo) - 1
@@ -102,40 +107,37 @@ class PiecewiseSection:
         pieces = tuple(
             tuple(pa + pb for pa, pb in zip(ra, rb)) for ra, rb in zip(a.pieces, b.pieces)
         )
-        return PiecewiseSection(self.d, a.breakpoints, pieces)
+        return PiecewiseSection._of(self.d, a.breakpoints, pieces)
 
     def __sub__(self, other: "PiecewiseSection") -> "PiecewiseSection":
         return self + (-other)
 
+    def _map(self, f) -> "PiecewiseSection":
+        """f applied to every coordinate polynomial of every piece."""
+        return PiecewiseSection._of(self.d, self.breakpoints, tuple(tuple(map(f, row)) for row in self.pieces))
+
     def __neg__(self) -> "PiecewiseSection":
-        return PiecewiseSection(
-            self.d, self.breakpoints, tuple(tuple(-p for p in row) for row in self.pieces)
-        )
+        return self._map(GaussianPoly.__neg__)
 
     def scale(self, c) -> "PiecewiseSection":
         c = c if isinstance(c, ComplexRational) else cr(c)
-        return PiecewiseSection(
-            self.d, self.breakpoints, tuple(tuple(p * c for p in row) for row in self.pieces)
-        )
+        return self._map(lambda p: p * c)
 
     def mul_scalar_section(self, s: "PiecewiseSection") -> "PiecewiseSection":
         """Pointwise product with a scalar (d = 1) section."""
         if s.d != 1:
             raise DimensionMismatch("scalar section must have d = 1")
-        a = self.refine(s.breakpoints)
-        b = s.refine(self.breakpoints)
+        a, b = self._aligned(s)
         pieces = tuple(
             tuple(p * rb[0] for p in ra) for ra, rb in zip(a.pieces, b.pieces)
         )
-        return PiecewiseSection(self.d, a.breakpoints, pieces)
+        return PiecewiseSection._of(self.d, a.breakpoints, pieces)
 
     def conj(self) -> "PiecewiseSection":
-        return PiecewiseSection(
-            self.d, self.breakpoints, tuple(tuple(p.conj() for p in row) for row in self.pieces)
-        )
+        return self._map(GaussianPoly.conj)
 
     def coordinate(self, i: int) -> "PiecewiseSection":
-        return PiecewiseSection(1, self.breakpoints, tuple((row[i],) for row in self.pieces))
+        return PiecewiseSection._of(1, self.breakpoints, tuple((row[i],) for row in self.pieces))
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.pieces for p in row)
@@ -214,7 +216,7 @@ def pointwise_inner(u: PiecewiseSection, v: PiecewiseSection) -> PiecewiseSectio
         for pa, pb in zip(ra, rb):
             acc = acc + pa.conj() * pb
         pieces.append((acc,))
-    return PiecewiseSection(1, a.breakpoints, tuple(pieces))
+    return PiecewiseSection._of(1, a.breakpoints, tuple(pieces))
 
 
 def bump(lo, hi) -> PiecewiseSection:

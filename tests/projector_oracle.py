@@ -3,7 +3,7 @@
 L = col B is decided by I − P with P = B(B*B)⁻¹B* over the independent
 columns of B, the Gram matrix inverted by Gauss-Jordan on [G | I]. This
 is independent of the annihilator kernel in `essmod.rationals`, which the
-tests check against it.
+tests check against it; `mat_rank` counts the same Gauss-Jordan pivots.
 """
 
 from essmod.fields import field_atoms
@@ -53,6 +53,11 @@ def _gauss_jordan(rows, ncols):
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
     return pivots
+
+
+def mat_rank(a):
+    """Exact rank: the number of pivots."""
+    return len(_gauss_jordan([list(r) for r in a], mat_shape(a)[1]))
 
 
 def mat_inverse(a):

@@ -1,11 +1,16 @@
 import json
 import time
+from fractions import Fraction as F
 
 import pytest
 
 from essmod import cli, properties, runner, serialize
 from essmod.errors import PreconditionFailed
+from essmod.fields import FieldModuleSpec, SubspaceField
 from essmod.generate import gen_field, gen_module_submodule, gen_right_ideal
+from essmod.polynomials import GaussianPoly, RationalPoly
+from essmod.rationals import cr
+from essmod.sections import PiecewiseSection
 
 
 def run_cli(args, tmp_path, stdin_doc=None, monkeypatch=None, capsys=None):
@@ -194,25 +199,27 @@ def test_run_check_reports_have_stable_digest():
 
 # run_check / run_witness digests of gen_field(d, 4, d + 1, defect, 10 * d),
 # recorded before the exact layer was reworked: every report must stay
-# byte-identical.
+# byte-identical. The check digests were re-recorded once, when the report's
+# `spanning_probes` count gave way to `spanning_cells`; every other key of
+# those reports held.
 GOLDEN_FIELD_DIGESTS = [
-    (1, "none", "f4ad8583204b2870197fe7afa93f7191b923979d06511fcf6992f3897c50d95e",
+    (1, "none", "a08b7b9e74910060b9d49e486cbe533ab1494c9c7cb81dea4276fb92aba10144",
      "9fe55b5b780a6637cf5a1d9dcf0268858b774a48d9f127381e39ae695b1d2e56"),
-    (1, "points", "f0ea6c295dcf9ad761322703822a25ebe0951698227a9f4532ce5dfd286c4f1b",
+    (1, "points", "2998189ba5d19a4240d8cbbb7ac803f15332ccbecde24643773cad01e737d97d",
      "88528dbfa1b82355cfb9655f83cccefdf72ca2de8d21f10c6ee2775a896da0ee"),
-    (1, "interval", "b99791f7dfb3468fceb53d64e1eba7711c754f1109697f99ebd85380b66ed814",
+    (1, "interval", "7d7fc175e07202d9ad6fc476f81373e3af9490e439b181b820b9439d41c2d55a",
      "5c8e35f28dd8c6bdac76c14b777096837573eb34f1a63c8f5b3275be34c3aaab"),
-    (2, "none", "c7f31c57a4be343ce650a31277cf5f1603b327bd85b94150d77ed5770283bcd0",
+    (2, "none", "c85c0132ebdae5e2641678e599a2542cf1aaf502bd2f1cdf38f7631e4c00b08f",
      "ca4386b821b4c68031ba69c47afd4f97cd01b0384545a04b7850c288c98237d2"),
-    (2, "points", "8a29d858a7e12704b86429f56b1ef26599596baac036617780fe4ad359318110",
+    (2, "points", "a0f72c882fc170f9c797003b029b40992beff1721bb3578fd4740f275a3bad55",
      "b90eeceab49d4ffa87c1b54f16d0864215103e63127419c06720f5679f2778ad"),
-    (2, "interval", "d94b4a170f59a0a9fc02fcb85219dd065023a405df261c451cd55a90e7e93f8c",
+    (2, "interval", "de6eb31a6576530bb513a02623b146de84601b0588d4f3a5db671485aa97952e",
      "e2c7eb12f27ac67297f87c9c6c0a3f2bbd2468131bfff89d61e98607c2bc43c0"),
-    (3, "none", "ada1f173990f8fa57cfec8486a84023450672b245ecaad391d8cd1c975d503bf",
+    (3, "none", "3695acc1a33659e46dbb1668da902ab777891d2c8c1bc45c08603bdb93a8d1a4",
      "700a541a1a5af737e45dab75194045419ccbe6310648ba23263af310ab7cc3bf"),
-    (3, "points", "9dc350cd597ca2a1274f6d46fb5fdd54b41e8f14ddf7e11f02dd23cd9e75aa45",
+    (3, "points", "8c27720fabb06e7140081b3773571d027f858be77d92229d83b512e8ab07579e",
      "95b8a3febb1c536168f92a3c9a97fc4c47bbf99c53c3aa2138fd759ff87dbba9"),
-    (3, "interval", "20075b74b1006c4e89dcebf1aa06c157b836dbabcb38dac330ea75b0c48a8ad0",
+    (3, "interval", "02238a3370127b62a7ce314a0ecf29c7d8adbf0300a64f85a1ab13edae2949b3",
      "3189d80b600cbbe413814a6dd850ac3a848cd5d8235e99faf3479c8cf7e6f26c"),
 ]
 
@@ -407,3 +414,36 @@ def test_witness_samples_cap_exits_2(tmp_path, capsys):
     out = tmp_path / "w.json"
     assert cli.main(["witness", "--in", str(inst), "--samples", str(runner.MAX_SAMPLES), "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["witness"]["samples"]) == runner.MAX_SAMPLES
+
+
+def check_full_field(tmp_path, capsys, d, generators):
+    """Exit code, stderr and seconds of `essmod check` on the full field C^d
+    with the given generators."""
+    spec = FieldModuleSpec(d, tuple(generators), SubspaceField.full(d))
+    path = tmp_path / "f.json"
+    path.write_text(serialize.dumps(serialize.instance_to_json("field", serialize.field_spec_to_json(spec), 0)))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    code = cli.main(["check", "--in", str(path)])
+    return code, capsys.readouterr().err, time.perf_counter() - t0
+
+
+def test_irrational_rank_drop_is_not_spanning(tmp_path, capsys):
+    """g = x² − 1/2 spans C except at 1/√2, which no rational probe point
+    can hit; off the (empty) defect set that is a spanning failure."""
+    g = PiecewiseSection.scalar_poly(GaussianPoly(RationalPoly((-F(1, 2), 0, 1)), RationalPoly.zero()))
+    code, err, _ = check_full_field(tmp_path, capsys, 1, [g])
+    assert code == 2 and err.startswith("error: GeneratorsNotSpanning: ") and err.count("\n") == 1, (code, err)
+
+
+def test_rank_one_generators_fail_fast(tmp_path, capsys):
+    """Eight polynomial multiples of one vector in C^4: all 70 4×4 minors
+    vanish, and the certificate must see it without expanding each one."""
+    v = [cr(1), cr(0, 1), cr(2, -1), cr(F(1, 3))]
+    gens = []
+    for k in range(8):
+        p = GaussianPoly.from_coeffs([cr(k + 1), cr(-1, k), cr(F(1, k + 2))])
+        gens.append(PiecewiseSection(4, (F(0), F(1, 2), F(1)), (tuple(p * c for c in v),) * 2))
+    code, err, seconds = check_full_field(tmp_path, capsys, 4, gens)
+    assert code == 2 and "GeneratorsNotSpanning" in err and err.count("\n") == 1, (code, err)
+    assert seconds < 1.0

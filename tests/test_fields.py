@@ -1,10 +1,11 @@
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 import projector_oracle
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from projector_oracle import mat_conj_t, mat_mul
+from projector_oracle import mat_conj_t, mat_mul, mat_rank
 
 from essmod.errors import DimensionMismatch, GeneratorsNotSpanning, IrrationalRoot
 from essmod.fields import (
@@ -13,16 +14,17 @@ from essmod.fields import (
     SubspaceField,
     _outside,
     analyze_field,
+    check_generator_spanning,
     commutative_limit_identity,
     is_essential_field,
     residual_set,
 )
 from essmod.generate import gen_field
-from essmod.polynomials import GaussianPoly, RationalPoly
-from essmod.rationals import CR_ZERO, annihilator, cr, mat, mat_identity, mat_rank
+from essmod.polynomials import GaussianPoly, RationalPoly, poly_gcd
+from essmod.rationals import CR_ZERO, annihilator, cr, mat, mat_identity
 from essmod.serialize import field_spec_from_json
 from essmod.sections import PiecewiseSection
-from essmod.subsets import SymbolicSubset
+from essmod.subsets import Interval, SymbolicSubset
 
 
 def zero_basis(d):
@@ -45,16 +47,24 @@ def two_zone_field():
 
 
 def test_partition_must_cover_and_not_overlap():
+    def field(*regions):
+        return SubspaceField(1, tuple(FieldPiece(r, mat([[1]])) for r in regions))
+
+    half = F(1, 2)
     with pytest.raises(ValueError, match="cover"):
-        SubspaceField(1, (FieldPiece(SymbolicSubset.interval(0, F(1, 2)), mat([[1]])),))
+        field(SymbolicSubset.interval(0, half))
+    with pytest.raises(ValueError, match="cover"):  # only the point 1/2 is missing
+        field(SymbolicSubset.interval(0, half, True, False), SymbolicSubset.interval(half, 1, False, True))
+    with pytest.raises(ValueError, match="cover"):
+        field()
     with pytest.raises(ValueError, match="overlap"):
-        SubspaceField(
-            1,
-            (
-                FieldPiece(SymbolicSubset.interval(0, F(3, 4)), mat([[1]])),
-                FieldPiece(SymbolicSubset.interval(F(1, 2), 1, False, True), mat([[1]])),
-            ),
-        )
+        field(SymbolicSubset.interval(0, F(3, 4)), SymbolicSubset.interval(half, 1, False, True))
+    with pytest.raises(ValueError, match="overlap"):  # only the point 1/2 is shared
+        field(SymbolicSubset.interval(0, half), SymbolicSubset.interval(half, 1))
+    with pytest.raises(ValueError, match="overlap"):  # overlap wins over a gap
+        field(SymbolicSubset.point(0), SymbolicSubset.point(0))
+    point = SymbolicSubset.point(half)
+    assert len(field(point, SymbolicSubset.full() - point).pieces) == 2
 
 
 def test_projectors_are_exact_idempotents():
@@ -333,10 +343,9 @@ def test_residual_sets_agree_with_projector_oracle(defect, d, seed):
         assert residual_set(g, spec.subfield) == projector_oracle.residual_set(g, spec.subfield)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: point probes miss isolated rank drops")
 def test_spanning_certificate_sees_isolated_rank_drop():
     """g(x) = x − 1/3 spans C off {1/3} only: the certificate must show the
-    rank drop at 1/3, in the defect set, a probe, or by refusing."""
+    rank drop at 1/3, in the defect set or by refusing."""
     g = PiecewiseSection.scalar_poly(GaussianPoly(RationalPoly((F(-1, 3), F(1))), RationalPoly.zero()))
     assert g(F(1, 3)) == (CR_ZERO,)
     spec = FieldModuleSpec(1, (g,), SubspaceField.full(1))
@@ -344,6 +353,157 @@ def test_spanning_certificate_sees_isolated_rank_drop():
         decision = is_essential_field(spec)
     except GeneratorsNotSpanning:
         return
-    assert decision.analysis.total.contains(F(1, 3)) or any(
-        p.x == F(1, 3) and not p.full for p in decision.probes
+    assert decision.analysis.total.contains(F(1, 3))
+
+
+def real_poly(*cs):
+    return GaussianPoly(RationalPoly(tuple(F(c) for c in cs)), RationalPoly.zero())
+
+
+# (1, 0) and (0, x² − 1/8) drop rank at 1/√8 only, inside QUARTER_TO_HALF
+DROP_AT_ROOT_EIGHTH = (
+    PiecewiseSection.constant([1, 0]),
+    PiecewiseSection(2, (F(0), F(1)), ((GaussianPoly.zero(), real_poly(F(-1, 8), 0, 1)),)),
+)
+QUARTER_TO_HALF = SymbolicSubset.interval(F(1, 4), F(1, 2), False, False)
+
+
+def test_rank_drop_inside_the_defect_set_is_allowed():
+    """L = span(e2) on (1/4, 1/2) leaves (1, 0) out there, so the drop at
+    1/√8 lies in the defect set and the generators still span off it."""
+    field = SubspaceField(
+        2,
+        (
+            FieldPiece(QUARTER_TO_HALF, mat([[0], [1]])),
+            FieldPiece(SymbolicSubset.full() - QUARTER_TO_HALF, mat_identity(2)),
+        ),
     )
+    decision = is_essential_field(FieldModuleSpec(2, DROP_AT_ROOT_EIGHTH, field))
+    assert decision.analysis.total == QUARTER_TO_HALF
+    assert not decision.essential and decision.spanning_cells == 1
+
+
+# --- the spanning certificate against eager minors --------------------------------
+
+def leibniz_det(m):
+    """det of a square matrix of Gaussian polynomials, over all permutations."""
+    n, total = len(m), GaussianPoly.zero()
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = GaussianPoly.const(cr(-1 if inversions % 2 else 1))
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+def derivative(p):
+    return RationalPoly(tuple(i * c for i, c in enumerate(p.coeffs))[1:])
+
+
+def roots_in_open(h, lo, hi):
+    """Distinct roots of h in (lo, hi): classical Sturm chain of the
+    squarefree part by Euclidean remainders over Q; a root at hi counts in
+    V(lo) − V(hi), hence the correction."""
+    p = h.divmod(poly_gcd(h, derivative(h)))[0]
+    chain = [p, derivative(p)]
+    while not chain[-1].is_zero():
+        chain.append(-chain[-2].divmod(chain[-1])[1])
+
+    def variations(x):
+        signs = [q(x) > 0 for q in chain if q(x) != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi) - (p(hi) == 0)
+
+
+def spans_off_defect_oracle(gens, d, defect):
+    """Every d×d minor on every generator cell, their gcd h, and the roots
+    of h in the part of the cell outside the defect set."""
+    cuts = sorted({b for g in gens for b in g.breakpoints})
+    for a, b in zip(cuts, cuts[1:]):
+        rest = SymbolicSubset.interval(a, b) - defect
+        if rest.is_empty():
+            continue
+        cols = [g.pieces[g.piece_index_for_interval(a)] for g in gens]
+        h = RationalPoly.zero()
+        for s in combinations(range(len(gens)), d):
+            minor = leibniz_det([[cols[j][i] for j in s] for i in range(d)])
+            h = poly_gcd(poly_gcd(h, minor.re), minor.im)
+        if h.is_zero():
+            return False
+        ends = [iv.lo for iv in rest.intervals if iv.lo_closed] + [iv.hi for iv in rest.intervals if iv.hi_closed]
+        if any(h(x) == 0 for x in (*rest.points, *ends)):
+            return False
+        if any(roots_in_open(h, iv.lo, iv.hi) for iv in rest.intervals):
+            return False
+    return True
+
+
+# drop factors: roots at the cell ends 0 and 1, at the cuts, and irrational
+DROPS = [(0, 1), (-1, 1), (F(-1, 4), 1), (F(-1, 3), 1), (F(-1, 2), 1), (F(-1, 2), 0, 1), (F(-1, 8), 0, 1)]
+GRID = [F(k, 8) for k in range(9)] + [F(1, 3)]
+small_gaussian = st.builds(cr, st.integers(-2, 2), st.integers(-1, 1))
+
+
+def section(d, cut, first, bend):
+    """Polynomial vector `first` on [0, cut] and first + (x − cut)·bend on
+    [cut, 1] (continuous at the cut), or `first` on [0, 1] without one."""
+    if cut is None:
+        return PiecewiseSection(d, (F(0), F(1)), (tuple(first),))
+    kink = real_poly(-cut, 1)
+    second = tuple(p + kink * c for p, c in zip(first, bend))
+    return PiecewiseSection(d, (F(0), cut, F(1)), (tuple(first), second))
+
+
+@st.composite
+def spanning_cases(draw):
+    """Generators of degree ≤ 2: generic linear entries; or a first row that
+    is one drop factor times constants (every minor shares its roots); or
+    multiples of one vector (every minor vanishes). Plus a random defect set
+    with ends on a grid through the rational drops and cuts."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, d + 2))
+    cut = draw(st.sampled_from([None, F(1, 4), F(1, 3), F(1, 2)]))
+    mode = draw(st.sampled_from(["generic", "shared", "rank_one"]))
+    drop = real_poly(*draw(st.sampled_from(DROPS)))
+    vec = [draw(small_gaussian) for _ in range(d)]
+    gens = []
+    for _ in range(n):
+        line = [GaussianPoly.from_coeffs([draw(small_gaussian), draw(small_gaussian)]) for _ in range(d)]
+        bend = [draw(small_gaussian) for _ in range(d)]
+        if mode == "shared":
+            line[0], bend[0] = drop * draw(small_gaussian), cr(0)
+        elif mode == "rank_one":
+            line, bend = [line[0] * c for c in vec], [bend[0] * c for c in vec]
+        g = section(d, cut, line, bend)
+        assume(not g.is_zero())
+        gens.append(g)
+    points = draw(st.lists(st.sampled_from(GRID), max_size=3))
+    intervals = []
+    for _ in range(draw(st.integers(0, 3))):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=2, unique=True)))
+        intervals.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return d, tuple(gens), SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
+
+
+def scalar_case(poly, defect=SymbolicSubset()):
+    return 1, (PiecewiseSection(1, (F(0), F(1)), ((real_poly(*poly),),)),), defect
+
+
+@settings(deadline=None, max_examples=200)
+@given(spanning_cases())
+@example(scalar_case((F(-1, 3), 1), SymbolicSubset.point(F(1, 3))))  # the drop is a defect point
+@example(scalar_case((0, 1)))  # a drop at the cell end 0
+@example(scalar_case((F(-1, 2), 0, 1)))  # an irrational drop
+@example((2, (PiecewiseSection.constant([1, 0]), PiecewiseSection.constant([2, 0])), SymbolicSubset()))  # h = 0
+@example((2, DROP_AT_ROOT_EIGHTH, QUARTER_TO_HALF))  # an irrational drop inside the defect set
+def test_spanning_certificate_matches_all_minors_oracle(case):
+    d, gens, defect = case
+    spec = FieldModuleSpec(d, gens, SubspaceField.full(d))
+    try:
+        check_generator_spanning(spec, defect)
+    except GeneratorsNotSpanning:
+        assert not spans_off_defect_oracle(gens, d, defect)
+    else:
+        assert spans_off_defect_oracle(gens, d, defect)

@@ -1,9 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from projector_oracle import column_basis, mat_inverse, mat_mul, orthogonal_projector
+from projector_oracle import column_basis, mat_inverse, mat_mul, mat_rank, orthogonal_projector
 
-from essmod.rationals import annihilator, cr, mat, mat_identity, mat_rank
+from essmod.rationals import annihilator, cr, mat, mat_identity
 
 
 def test_inverse_is_exact():
