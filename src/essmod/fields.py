@@ -14,9 +14,12 @@ decision, the witnesses and the CLI reports all read from that analysis.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     DimensionMismatch,
@@ -27,7 +30,7 @@ from .errors import (
     SampleNotInDefect,
     ZeroInput,
 )
-from .polynomials import GaussianPoly, common_real_zero_gcd, exact_zero_points, real_root_count
+from .polynomials import GaussianPoly, RationalPoly, _value, exact_zero_points, poly_gcd, real_root_count
 from .rationals import (
     ComplexRational,
     GaussianIntVector,
@@ -39,7 +42,7 @@ from .rationals import (
     mat_shape,
     vec_is_zero,
 )
-from .sections import PiecewiseSection, bump, pointwise_inner, unit_bump
+from .sections import PiecewiseSection, bump, pointwise_inner
 from .subsets import Interval, SymbolicSubset, _sweep
 
 ZERO = Fraction(0)
@@ -92,10 +95,9 @@ class SubspaceField:
         return self.annihilators[self.piece_index_at(x)]
 
 
-def _outside(ann: tuple[GaussianIntVector, ...], v) -> bool:
-    """True iff v ∉ L, given the annihilator rows of L: some row a has
-    a·v ≠ 0, found in integers on v's common denominator."""
-    w = clear_denominators(v)
+def _outside(ann: tuple[GaussianIntVector, ...], w: GaussianIntVector) -> bool:
+    """True iff w ∉ L (w a positive multiple of the vector in question, in
+    Gaussian integers), given the annihilator rows of L: some a·w ≠ 0."""
     return any(
         sum(ar * x - ai * y for (ar, ai), (x, y) in zip(a, w))
         or sum(ar * y + ai * x for (ar, ai), (x, y) in zip(a, w))
@@ -138,17 +140,21 @@ def field_atoms(field: SubspaceField, extra_bounds) -> list[Atom]:
     return [Atom(bounds[r // 2], bounds[(r + 1) // 2], i) for r, i in enumerate(owner)]
 
 
+def _scaled_value(piece: tuple[GaussianPoly, ...], x: Fraction) -> GaussianIntVector:
+    """D·v^n·(piece at x = u/v) in Gaussian integers, by one integer Horner
+    pass per part: n the largest degree, D the parts' common denominator."""
+    u, v = x.numerator, x.denominator
+    parts = [q for p in piece for q in (p.re, p.im)]
+    n, den = max(q.degree for q in parts), lcm(*(q.den for q in parts))
+    vals = [_value(q.nums, u, v) * v ** (n - q.degree) * (den // q.den) if q.nums else 0 for q in parts]
+    return tuple(zip(vals[::2], vals[1::2]))
+
+
 def _residual_polys(ann, piece: tuple[GaussianPoly, ...]) -> list[GaussianPoly]:
     """The annihilator rows applied to the polynomial vector of one section
     piece: their common real zeros are where the piece lies in L."""
-    out = []
-    for row in ann:
-        acc = GaussianPoly.zero()
-        for (ar, ai), p in zip(row, piece):
-            if ar or ai:
-                acc = acc + p * cr(ar, ai)
-        out.append(acc)
-    return out
+    zero = GaussianPoly.zero()
+    return [sum((p * cr(ar, ai) for (ar, ai), p in zip(row, piece) if ar or ai), zero) for row in ann]
 
 
 def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
@@ -166,7 +172,7 @@ def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
     for atom in field_atoms(field, m.breakpoints):
         ann = field.annihilators[atom.piece_index]
         if atom.is_point:
-            if _outside(ann, m(atom.lo)):
+            if _outside(ann, _scaled_value(m.pieces[m.piece_index(atom.lo)], atom.lo)):
                 points.append(atom.lo)
             continue
         resid = _residual_polys(ann, m.pieces[m.piece_index_for_interval(atom.lo)])
@@ -245,10 +251,24 @@ def _minors(cols, d: int):
 def _rank_drop(minors, a: Fraction, b: Fraction, rest: SymbolicSubset) -> str | None:
     """Where rank G < d on `rest` ⊆ [a, b], from the gcd h of the minors of
     G: nowhere for a constant h, everywhere for h = 0, else at a root of h
-    in `rest`, rational or not (points exactly, intervals by Sturm count)."""
-    h = common_real_zero_gcd(minors)
-    if h.degree <= 0:
-        return None if h.degree == 0 else f"on all of [{a}, {b}]"
+    in `rest`. Each partial gcd is a multiple of h: the scan stops once one
+    is constant, or is left unchanged by a minor and has no root in `rest`."""
+    h = checked = RationalPoly.zero()
+    for part in (q for m in minors for q in (m.re, m.im) if not q.is_zero()):
+        g = poly_gcd(h, part)
+        if g.degree == 0:
+            return None
+        if g == h != checked:
+            if _root_in(h, rest) is None:
+                return None
+            checked = h
+        h = g
+    return f"on all of [{a}, {b}]" if h.is_zero() else _root_in(h, rest)
+
+
+def _root_in(h: RationalPoly, rest: SymbolicSubset) -> str | None:
+    """Where the nonconstant h has a root in `rest`, rational or not
+    (points exactly, intervals by Sturm count)."""
     for x in rest.points:
         if h(x) == 0:
             return f"at x = {x}"
@@ -443,48 +463,51 @@ def inductive_witness_section(
         if not defect.contains(x):
             raise SampleNotInDefect(f"sample {x} is not in the defect set")
 
-    d = spec.d
+    d, gens = spec.d, spec.generators
     lambdas: list[Fraction] = []
     picks: list[int] = []
-    bumps: list[PiecewiseSection] = []
+    terms: list[tuple[Fraction, Fraction, RationalPoly]] = []  # support and λ_j·a_j of each term
     for j, x in enumerate(xs, start=1):
         ann = field.annihilator_at(x)
-        k_j = next((k for k, g in enumerate(spec.generators) if _outside(ann, g(x))), None)
+        value = cache(lambda k, x=x: gens[k](x))  # each generator evaluated once per sample
+        k_j = next((k for k in range(len(gens)) if _outside(ann, clear_denominators(value(k)))), None)
         if k_j is None:
             raise NoGeneratorDefect(
                 f"no generator leaves the subspace at sample {x}; "
                 "the defect set is inconsistent with the generators"
             )
-        dists = [abs(x - other) for other in xs[: j - 1]]
-        dists.extend([x, ONE - x])
-        radius = min(dists) / 2
-        a_j = unit_bump(x, radius)
-        # exact partial sum at x over the earlier terms
-        s = [ComplexRational(Fraction(0)) for _ in range(d)]
-        for lam, k_i, a_i in zip(lambdas, picks, bumps):
-            weight = a_i(x)[0] * cr(lam)
-            g_val = spec.generators[k_i](x)
-            s = [acc + g_val[i] * weight for i, acc in enumerate(s)]
+        radius = min([abs(x - other) for other in xs[: j - 1]] + [x, ONE - x]) / 2
+        # exact partial sum at x over the earlier terms whose bump is nonzero there
+        s = [cr(0)] * d
+        for k_i, (a, b, term) in zip(picks, terms):
+            if a < x < b:
+                weight = cr(term(x))
+                s = [acc + g * weight for acc, g in zip(s, value(k_i))]
         lam = Fraction(1, 2 ** j)
-        g_val = spec.generators[k_j](x)
-        trial = tuple(s[i] + g_val[i] * cr(lam) for i in range(d))
-        if not _outside(ann, trial):
+        if not _outside(ann, clear_denominators([acc + g * cr(lam) for acc, g in zip(s, value(k_j))])):
             lam = Fraction(1, 2 ** (j + 1))
         lambdas.append(lam)
         picks.append(k_j)
-        bumps.append(a_j)
+        # λ_j·a_j = c·(x − a)(b − x), a_j the unit bump on (a, b) = x_j ∓ r, c = λ_j / r²
+        a, b, c = x - radius, x + radius, lam / (radius * radius)
+        terms.append((a, b, RationalPoly((-a * b * c, (a + b) * c, -c))))
 
-    total = PiecewiseSection.zero(d)
-    for lam, k_i, a_i in zip(lambdas, picks, bumps):
-        term = spec.generators[k_i].mul_scalar_section(a_i).scale(cr(lam))
-        total = total + term
+    # one pass over the common refinement: each cell sums the terms whose bump covers it
+    cuts = sorted({ZERO, ONE, *(t for k, (a, b, _) in zip(picks, terms) for t in (a, b, *gens[k].breakpoints))})
+    cells = [(GaussianPoly.zero(),) * d for _ in cuts[1:]]
+    for k, (a, b, term) in zip(picks, terms):
+        g = gens[k]
+        for c in range(bisect_left(cuts, a), bisect_left(cuts, b)):
+            piece = g.pieces[g.piece_index_for_interval(cuts[c])]
+            cells[c] = tuple(acc + p * term for acc, p in zip(cells[c], piece))
+    total = PiecewiseSection._of(d, tuple(cuts), tuple(cells))
 
     return InductiveWitness(
         m=total,
         lambdas=tuple(lambdas),
         picks=tuple(picks),
         samples=tuple(xs),
-        sample_defects_verified=all(_outside(field.annihilator_at(x), total(x)) for x in xs),
+        sample_defects_verified=all(_outside(field.annihilator_at(x), clear_denominators(total(x))) for x in xs),
     )
 
 

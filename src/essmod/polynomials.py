@@ -1,5 +1,8 @@
 """Univariate polynomials with exact rational and Gaussian-rational
-coefficients, plus exact real-root location on intervals.
+coefficients, plus exact real-root location on intervals. A rational
+polynomial is its integer numerators over one positive denominator, in
+lowest terms (Knuth, TAOCP vol. 2 §4.6.1), so that arithmetic, evaluation
+and the root code below run in integers.
 
 Real roots are isolated, never enumerated: a Sturm chain of the primitive
 integer squarefree part s of p (primitive remainder sequences keep its
@@ -23,68 +26,81 @@ from .errors import IrrationalRoot
 from .rationals import ComplexRational
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, unsafe_hash=True, slots=True)
 class RationalPoly:
-    """Dense polynomial over Q, coefficients ascending, no trailing zeros."""
+    """Dense polynomial over Q: `nums` ascending, no trailing zero, over `den` > 0, in lowest terms."""
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        cs = [Fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        p = _norm([c.numerator * (den // c.denominator) for c in cs], den)
+        self.nums, self.den = p.nums, p.den
+
+    @classmethod
+    def _of(cls, nums: tuple[int, ...], den: int) -> "RationalPoly":
+        """An operation's result, already in lowest terms: built unchecked."""
+        out = object.__new__(cls)
+        out.nums, out.den = nums, den
+        return out
 
     @classmethod
     def zero(cls) -> "RationalPoly":
-        return cls(())
+        return cls._of((), 1)
 
     @classmethod
     def const(cls, c) -> "RationalPoly":
-        return cls((Fraction(c),))
+        c = Fraction(c)
+        return cls._of((c.numerator,) if c else (), c.denominator)
 
     @classmethod
     def x(cls) -> "RationalPoly":
-        return cls((Fraction(0), Fraction(1)))
+        return cls._of((0, 1), 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, ascending, as Fractions (a read-only view)."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __call__(self, x: Fraction) -> Fraction:
-        """p(u/v) from the integer D·v^deg·p(u/v), D the coefficients'
-        common denominator, by Horner in integers and one division."""
-        if not self.coeffs:
+        """p(u/v) from the integer den·v^deg·p(u/v): integer Horner, one division."""
+        if not self.nums:
             return Fraction(0)
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        return Fraction(_value(ints, x.numerator, x.denominator), den * x.denominator ** self.degree)
+        return Fraction(_value(self.nums, x.numerator, x.denominator), self.den * x.denominator ** self.degree)
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        return RationalPoly(tuple(x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return _norm([a * sa + b * sb for a, b in zip_longest(self.nums, other.nums, fillvalue=0)], den)
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         return self + (-other)
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly(tuple(-c for c in self.coeffs))
+        return RationalPoly._of(tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other):
         if isinstance(other, RationalPoly):
-            if self.is_zero() or other.is_zero():
+            if not self.nums or not other.nums:
                 return RationalPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RationalPoly(tuple(out))
-        return RationalPoly(tuple(c * Fraction(other) for c in self.coeffs))
+            out = [0] * (len(self.nums) + len(other.nums) - 1)
+            for i, a in enumerate(self.nums):
+                if a:
+                    for j, b in enumerate(other.nums):
+                        out[i + j] += a * b
+            return _norm(out, self.den * other.den)
+        c = Fraction(other)
+        return _norm([a * c.numerator for a in self.nums], self.den * c.denominator)
 
     def __rmul__(self, other) -> "RationalPoly":
         return self * other
@@ -92,30 +108,36 @@ class RationalPoly:
     def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem, dd = list(self.coeffs), other.degree
+        rem, div, dd = list(self.coeffs), other.coeffs, other.degree
         q = [Fraction(0)] * max(0, len(rem) - dd)
         for pos in reversed(range(len(q))):
-            f = q[pos] = rem[pos + dd] / other.coeffs[-1]
-            for i, c in enumerate(other.coeffs):
+            f = q[pos] = rem[pos + dd] / div[-1]
+            for i, c in enumerate(div):
                 rem[pos + i] -= f * c
-        return RationalPoly(tuple(q)), RationalPoly(tuple(rem))
+        return RationalPoly(q), RationalPoly(rem)
 
     def monic(self) -> "RationalPoly":
-        if self.is_zero():
+        if not self.nums:
             return self
-        lead = self.coeffs[-1]
-        return RationalPoly(tuple(c / lead for c in self.coeffs))
+        g, lead = gcd(*self.nums), self.nums[-1]
+        s = g if lead > 0 else -g
+        return RationalPoly._of(tuple(c // s for c in self.nums), abs(lead) // g)
+
+
+def _norm(nums: list[int], den: int) -> RationalPoly:
+    """nums/den (den > 0) in lowest terms, trailing zeros dropped."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    return RationalPoly._of(tuple(c // g for c in nums), den // g)
 
 
 # --- integer kernels: coefficient lists over Z, ascending, no trailing zeros
 
 def _primitive(cs) -> list[int]:
-    """The integer list with no common factor that is a positive multiple
-    of the rational (or integer) list cs."""
-    den = lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (den // c.denominator) for c in cs]
-    g = gcd(*ints) or 1
-    return [c // g for c in ints]
+    """The integer list cs over its content (a list of zeros unchanged)."""
+    g = gcd(*cs)
+    return [c // g for c in cs] if g > 1 else list(cs)
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -152,7 +174,7 @@ def _sturm_chain(cs: list[int]) -> list[list[int]]:
     its first member (the division is exact in Z[x] by Gauss's lemma)."""
     chain = _remainder_sequence(cs, _primitive(_derivative(cs))) if len(cs) > 1 else [cs]
     if len(chain[-1]) > 1:
-        s = [int(c) for c in RationalPoly(tuple(cs)).divmod(RationalPoly(tuple(chain[-1])))[0].coeffs]
+        s = list(RationalPoly(cs).divmod(RationalPoly(chain[-1]))[0].nums)
         chain = _remainder_sequence(s, _primitive(_derivative(s)))
     return chain
 
@@ -176,7 +198,7 @@ def _signs(chain: list[list[int]], x: Fraction) -> tuple[int, list[int]]:
 def real_root_count(p: RationalPoly, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> int:
     """Distinct real roots of the nonzero p between lo < hi, each end counted
     if closed: V(lo) − V(hi) on the Sturm chain of p counts (lo, hi]."""
-    chain = _sturm_chain(_primitive(p.coeffs))
+    chain = _sturm_chain(_primitive(p.nums))
     (va, sa), (vb, sb) = _signs(chain, lo), _signs(chain, hi)
     return va - vb + (lo_closed and sa[0] == 0) - (not hi_closed and sb[0] == 0)
 
@@ -185,8 +207,8 @@ def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
     """Monic gcd over Q[x]."""
     if a.is_zero() or b.is_zero():
         return (a + b).monic()
-    a, b = sorted((_primitive(a.coeffs), _primitive(b.coeffs)), key=len, reverse=True)
-    return RationalPoly(tuple(_remainder_sequence(a, b)[-1])).monic()
+    a, b = sorted((_primitive(a.nums), _primitive(b.nums)), key=len, reverse=True)
+    return RationalPoly._of(tuple(_remainder_sequence(a, b)[-1]), 1).monic()
 
 
 def certify_only_rational_roots(p: RationalPoly, lo: Fraction, hi: Fraction) -> list[Fraction]:
@@ -199,7 +221,7 @@ def certify_only_rational_roots(p: RationalPoly, lo: Fraction, hi: Fraction) -> 
     zeros dropped, the chain's variations there equal those just right)."""
     if p.is_zero():
         raise ValueError("zero polynomial vanishes everywhere")
-    chain = _sturm_chain(_primitive(p.coeffs))
+    chain = _sturm_chain(_primitive(p.nums))
     (va, sa), (vb, sb) = _signs(chain, lo), _signs(chain, hi)
     roots = sorted({x for x, sx in ((lo, sa), (hi, sb)) if sx[0] == 0})
     stack = [(lo, hi, va, vb + (sb[0] == 0), sa[0] or sa[1])] if lo < hi else []
@@ -264,10 +286,7 @@ class GaussianPoly:
     @classmethod
     def from_coeffs(cls, coeffs) -> "GaussianPoly":
         cs = list(coeffs)
-        return cls(
-            RationalPoly(tuple(c.re for c in cs)),
-            RationalPoly(tuple(c.im for c in cs)),
-        )
+        return cls(RationalPoly(c.re for c in cs), RationalPoly(c.im for c in cs))
 
     def coeff_list(self) -> list[ComplexRational]:
         pairs = zip_longest(self.re.coeffs, self.im.coeffs, fillvalue=Fraction(0))
@@ -296,13 +315,8 @@ class GaussianPoly:
         return GaussianPoly(-self.re, -self.im)
 
     def __mul__(self, other):
-        if isinstance(other, GaussianPoly):
-            return GaussianPoly(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, ComplexRational):
-            return self * GaussianPoly.const(other)
+        if isinstance(other, (GaussianPoly, ComplexRational)):
+            return GaussianPoly(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
         return GaussianPoly(self.re * other, self.im * other)
 
     def __rmul__(self, other) -> "GaussianPoly":
@@ -314,7 +328,7 @@ class GaussianPoly:
 
     def abs_coeff_bound(self) -> Fraction:
         """Rational upper bound for sup |p(x)| over [0, 1]: Σ (|re|+|im|)."""
-        return sum((abs(c) for c in self.re.coeffs + self.im.coeffs), Fraction(0))
+        return sum((Fraction(sum(map(abs, q.nums)), q.den) for q in (self.re, self.im)), Fraction(0))
 
 
 def common_real_zero_gcd(polys) -> RationalPoly:
@@ -322,11 +336,9 @@ def common_real_zero_gcd(polys) -> RationalPoly:
     given Gaussian polynomials; the zero polynomial means they all vanish
     identically."""
     g = RationalPoly.zero()
-    for p in polys:
-        for part in (p.re, p.im):
-            g = poly_gcd(g, part)
-            if g.degree == 0:
-                return g
+    for part in (q for p in polys for q in (p.re, p.im)):
+        if (g := poly_gcd(g, part)).degree == 0:
+            break
     return g
 
 

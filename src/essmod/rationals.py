@@ -2,17 +2,17 @@
 
 The continuous-field layer never touches floating point: scalars are
 complex numbers with Fraction real and imaginary parts, matrices are plain
-nested tuples of them. Sizes stay tiny (fiber dimension ≤ 4), so one naive
-Gauss-Jordan kernel, `_rref`, computes the annihilator. An annihilator is
-kept in Gaussian integers, pairs (re, im) of ints, so that membership
-tests against it need no Fraction arithmetic.
+nested tuples of them. Sizes stay tiny (fiber dimension ≤ 4). The one
+elimination kernel, `annihilator`, works fraction-free in Gaussian
+integers, pairs (re, im) of ints, and keeps its rows in them, so that
+membership tests against it need no Fraction arithmetic either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def _frac(value) -> Fraction:
@@ -107,29 +107,6 @@ def mat_identity(n: int) -> Matrix:
     return tuple(tuple(CR_ONE if i == j else CR_ZERO for j in range(n)) for i in range(n))
 
 
-def _rref(rows: list[list[ComplexRational]]) -> list[int]:
-    """Reduce `rows` in place to reduced row echelon form (Gauss-Jordan:
-    unit pivots, zeros above and below); return the pivot columns."""
-    n = len(rows)
-    pivots: list[int] = []
-    for col in range(len(rows[0]) if rows else 0):
-        rank = len(pivots)
-        if rank == n:
-            break
-        piv = next((r for r in range(rank, n) if not rows[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_piv = CR_ONE / rows[rank][col]
-        rows[rank] = [x * inv_piv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return pivots
-
-
 GaussianIntVector = tuple[tuple[int, int], ...]
 
 
@@ -143,24 +120,47 @@ def clear_denominators(v) -> GaussianIntVector:
     )
 
 
+def _content_free(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    g = gcd(*(t for z in row for t in z))
+    return [(x // g, y // g) for x, y in row] if g > 1 else row
+
+
 def annihilator(basis: Matrix, d: int) -> tuple[GaussianIntVector, ...]:
     """Gaussian-integer rows a spanning {a : a·B = 0} for the d×r matrix B,
     so that {v : a·v = 0 for every row} is exactly the column span of B.
 
-    Read off the RREF of Bᵀ (transposed, not conjugated: a·v is the plain
-    bilinear product): one kernel vector per free column. No columns give
-    the identity rows, a basis of rank d gives none."""
-    rows = [[basis[i][k] for i in range(d)] for k in range(mat_shape(basis)[1])]
-    pivots = _rref(rows)
+    Fraction-free Gauss–Jordan on Bᵀ (transposed, not conjugated: a·v is
+    the plain bilinear product), its rows B's cleared columns: the pivot
+    row times conj(pivot) has a positive integer pivot n, each other row r
+    becomes n·r − r[col]·(pivot row), and every new row loses its content.
+    One kernel vector per free column, positive there; no columns give the
+    identity rows, rank d gives none."""
+    rows = [clear_denominators([basis[i][k] for i in range(d)]) for k in range(mat_shape(basis)[1])]
+    pivots: list[int] = []
+    for col in range(d):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != (0, 0)), None)
+        if piv is None:
+            continue
+        row, rows[piv] = rows[piv], rows[rank]
+        pr, pi = row[col]
+        rows[rank] = top = _content_free([(pr * x + pi * y, pr * y - pi * x) for x, y in row])
+        n = top[col][0]
+        for r, row in enumerate(rows):
+            if r != rank and row[col] != (0, 0):
+                fr, fi = row[col]
+                rows[r] = _content_free([(n * x - fr * u + fi * w, n * y - fr * w - fi * u)
+                                         for (x, y), (u, w) in zip(row, top)])
+        pivots.append(col)
+    scale = lcm(*(rows[r][p][0] for r, p in enumerate(pivots)))
     out = []
     for f in range(d):
-        if f in pivots:
-            continue
-        vec = [CR_ZERO] * d
-        vec[f] = CR_ONE
-        for row, p in zip(rows, pivots):
-            vec[p] = -row[f]
-        out.append(clear_denominators(vec))
+        if f not in pivots:
+            vec = [(0, 0)] * d
+            vec[f] = (scale, 0)
+            for row, p in zip(rows, pivots):
+                vec[p] = (-row[f][0] * (scale // row[p][0]), -row[f][1] * (scale // row[p][0]))
+            out.append(tuple(_content_free(vec)))
     return tuple(out)
 
 

@@ -101,7 +101,7 @@ def _ideal_certificate_json(cert: algebra.IdealCertificate) -> dict:
     return doc
 
 
-# The inductive field witness costs about samples² section products.
+# Bounds the inductive field witness: per sample, one bump term and one sum over the earlier ones.
 MAX_SAMPLES = 64
 
 

@@ -224,16 +224,10 @@ def bump(lo, hi) -> PiecewiseSection:
     lo, hi = Fraction(lo), Fraction(hi)
     if not ZERO <= lo < hi <= ONE:
         raise ValueError("bump needs 0 ≤ lo < hi ≤ 1")
-    x = RationalPoly.x()
-    poly = GaussianPoly(
-        (x - RationalPoly.const(lo)) * (RationalPoly.const(hi) - x), RationalPoly.zero()
-    )
-    zero = GaussianPoly.zero()
+    poly = GaussianPoly(RationalPoly((-lo * hi, lo + hi, -1)), RationalPoly.zero())
     bps = sorted({ZERO, lo, hi, ONE})
-    pieces = []
-    for a, b in zip(bps[:-1], bps[1:]):
-        pieces.append((poly,) if (a >= lo and b <= hi) else (zero,))
-    return PiecewiseSection(1, tuple(bps), tuple(pieces))
+    pieces = tuple((poly,) if lo <= a and b <= hi else (GaussianPoly.zero(),) for a, b in zip(bps, bps[1:]))
+    return PiecewiseSection(1, tuple(bps), pieces)
 
 
 def unit_bump(center, radius) -> PiecewiseSection:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
@@ -21,7 +22,7 @@ from essmod.fields import (
 )
 from essmod.generate import gen_field
 from essmod.polynomials import GaussianPoly, RationalPoly, poly_gcd
-from essmod.rationals import CR_ZERO, annihilator, cr, mat, mat_identity
+from essmod.rationals import CR_ZERO, annihilator, clear_denominators, cr, mat, mat_identity
 from essmod.serialize import field_spec_from_json
 from essmod.sections import PiecewiseSection
 from essmod.subsets import Interval, SymbolicSubset
@@ -331,7 +332,7 @@ def test_outside_agrees_with_projector_oracle(case):
     d, basis, v = case
     ann = annihilator(basis, d)
     assert len(ann) == d - mat_rank(basis)
-    assert _outside(ann, v) == projector_oracle.outside(basis, d, v)
+    assert _outside(ann, clear_denominators(v)) == projector_oracle.outside(basis, d, v)
 
 
 @pytest.mark.parametrize("defect", ["none", "points", "interval"])
@@ -381,6 +382,21 @@ def test_rank_drop_inside_the_defect_set_is_allowed():
     decision = is_essential_field(FieldModuleSpec(2, DROP_AT_ROOT_EIGHTH, field))
     assert decision.analysis.total == QUARTER_TO_HALF
     assert not decision.essential and decision.spanning_cells == 1
+
+
+def test_shared_minor_factor_in_the_defect_set_stops_early():
+    """16 generators of C^4 whose first row is c_j·(x − 1/2): every 4×4
+    minor shares the factor x − 1/2, whose root is the defect point. The
+    scan ends once a second minor leaves the gcd unchanged, instead of
+    building all C(16, 4) = 1820 minors."""
+    rows = [(real_poly(-F(j + 1, 2), j + 1), real_poly(j), real_poly(j**2), real_poly(j**3)) for j in range(16)]
+    gens = tuple(PiecewiseSection(4, (F(0), F(1)), (row,)) for row in rows)
+    spec = FieldModuleSpec(4, gens, SubspaceField.full(4))
+    t0 = time.perf_counter()
+    assert check_generator_spanning(spec, SymbolicSubset.point(F(1, 2))) == 1
+    assert time.perf_counter() - t0 < 0.3
+    with pytest.raises(GeneratorsNotSpanning):  # off the defect set the drop at 1/2 fails
+        check_generator_spanning(spec, SymbolicSubset())
 
 
 # --- the spanning certificate against eager minors --------------------------------

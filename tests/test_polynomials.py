@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from essmod.errors import IrrationalRoot
+from essmod.fields import _scaled_value
 from essmod.polynomials import (
     GaussianPoly,
     RationalPoly,
@@ -27,13 +28,13 @@ def p(*coeffs):
 
 def squarefree_part(q: RationalPoly) -> RationalPoly:
     """The first member of the kernel's Sturm chain, made monic."""
-    return RationalPoly(tuple(_sturm_chain(_primitive(q.coeffs))[0])).monic()
+    return RationalPoly(tuple(_sturm_chain(_primitive(q.nums))[0])).monic()
 
 
 def count_distinct_real_roots(q: RationalPoly, lo: F, hi: F) -> int:
     """Distinct real roots in (lo, hi], for q(lo) ≠ 0, from the kernel's
     Sturm chain."""
-    chain = _sturm_chain(_primitive(q.coeffs))
+    chain = _sturm_chain(_primitive(q.nums))
     return _signs(chain, lo)[0] - _signs(chain, hi)[0]
 
 
@@ -349,3 +350,96 @@ def test_integer_horner_edge_cases():
     for x in (F(0), F(1), F(-1), F(-5, 2), F(3, 2**200 + 1)):
         assert q(x) == fraction_horner(q, x)
     assert q(0) == q(F(0)) and q(-2) == fraction_horner(q, F(-2))
+
+
+# --- the integer representation against a Fraction-list oracle ----------------------
+
+def trim(cs) -> tuple:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def oracle_add(a, b):
+    n = max(len(a), len(b))
+    return trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def oracle_mul(a, b):
+    out = [F(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(out)
+
+
+def oracle_divmod(a, b):
+    """Schoolbook long division of Fraction lists, b without trailing zeros."""
+    rem, q = list(a), [F(0)] * max(0, len(a) - len(b) + 1)
+    for pos in reversed(range(len(q))):
+        q[pos] = rem[pos + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            rem[pos + i] -= q[pos] * c
+    return trim(q), trim(rem)
+
+
+def assert_canonical(q: RationalPoly, cs) -> None:
+    """q holds the Fraction list cs as integer numerators over one positive
+    denominator, in lowest terms, with no trailing zero."""
+    assert all(type(n) is int for n in q.nums) and type(q.den) is int
+    assert q.den > 0 and math.gcd(q.den, *q.nums) == 1
+    assert not q.nums or q.nums[-1] != 0
+    assert q.coeffs == trim(cs)
+    assert q.degree == len(trim(cs)) - 1
+
+
+fraction_lists = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=5)
+
+
+@settings(deadline=None, max_examples=150)
+@given(fraction_lists, fraction_lists, st.fractions(min_value=-4, max_value=4, max_denominator=9), small_fracs)
+def test_integer_poly_matches_fraction_list_oracle(a_cs, b_cs, c, x):
+    a, b = RationalPoly(a_cs), RationalPoly(b_cs)
+    ta, tb = trim(a_cs), trim(b_cs)
+    assert_canonical(a, ta)
+    assert_canonical(b, tb)
+    assert_canonical(a + b, oracle_add(ta, tb))
+    assert_canonical(a - b, oracle_add(ta, [-y for y in tb]))
+    assert_canonical(-a, [-y for y in ta])
+    assert_canonical(a * b, oracle_mul(ta, tb))
+    assert_canonical(a * c, [y * c for y in ta])
+    assert_canonical(c * a, [y * c for y in ta])
+    assert_canonical(a.monic(), [y / ta[-1] for y in ta] if ta else ())
+    assert a(x) == sum((y * x**i for i, y in enumerate(ta)), F(0))
+    if tb:
+        q, r = a.divmod(b)
+        oq, orem = oracle_divmod(ta, tb)
+        assert_canonical(q, oq)
+        assert_canonical(r, orem)
+    # equality and hashing follow the coefficients, not how they were written
+    assert (a == b) == (ta == tb)
+    twin = RationalPoly([F(y.numerator * 3, y.denominator * 3) for y in ta] + [0, F(0, 7)])
+    assert twin == a and hash(twin) == hash(a)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(st.tuples(fraction_lists, fraction_lists), min_size=1, max_size=4),
+    st.fractions(min_value=0, max_value=1, max_denominator=2**20),
+)
+def test_integer_piece_value_is_a_positive_multiple(parts, x):
+    """`_scaled_value` gives a Gaussian-integer vector w = λ·piece(x) with
+    one rational λ > 0 for every coordinate and part."""
+    piece = tuple(GaussianPoly(RationalPoly(re), RationalPoly(im)) for re, im in parts)
+    w = _scaled_value(piece, x)
+    v = [(z.re, z.im) for z in (p(x) for p in piece)]
+    assert len(w) == len(v) and all(type(t) is int for pair in w for t in pair)
+    flat_w, flat_v = [t for pair in w for t in pair], [t for pair in v for t in pair]
+    nonzero = [i for i, t in enumerate(flat_v) if t != 0]
+    if not nonzero:
+        assert not any(flat_w)
+        return
+    lam = flat_w[nonzero[0]] / flat_v[nonzero[0]]
+    assert lam > 0
+    assert all(tw == lam * tv for tw, tv in zip(flat_w, flat_v))

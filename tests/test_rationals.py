@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from projector_oracle import column_basis, mat_inverse, mat_mul, mat_rank, orthogonal_projector
 
 from essmod.rationals import annihilator, cr, mat, mat_identity
@@ -52,3 +54,44 @@ def test_annihilator_is_gaussian_integer_and_exact():
     )
     assert annihilator((), 2) == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
     assert annihilator(mat([[1, 1], [0, cr(0, 2)]]), 2) == ()
+
+
+gaussian_rationals = st.builds(
+    cr,
+    st.fractions(min_value=-5, max_value=5, max_denominator=30),
+    st.fractions(min_value=-5, max_value=5, max_denominator=30),
+)
+
+
+@st.composite
+def gaussian_matrices(draw):
+    """A d×r Gaussian-rational B, d ≤ 4: random columns, zero columns and
+    combinations of earlier ones (so B is often rank-deficient), r = 0 too."""
+    d = draw(st.integers(1, 4))
+    cols = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["random", "zero", "combination"] if cols else ["random", "zero"]))
+        if kind == "random":
+            cols.append(tuple(draw(gaussian_rationals) for _ in range(d)))
+        elif kind == "zero":
+            cols.append((cr(0),) * d)
+        else:
+            a, b = draw(gaussian_rationals), draw(gaussian_rationals)
+            u, v = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            cols.append(tuple(a * x + b * y for x, y in zip(u, v)))
+    return d, tuple(tuple(col[i] for col in cols) for i in range(d))
+
+
+@settings(deadline=None, max_examples=150)
+@given(gaussian_matrices())
+def test_annihilator_is_a_basis_of_the_left_kernel(case):
+    """Every row a has a·B = 0, the rows are independent, and there are
+    d − rank(B) of them, the rank from the projector oracle."""
+    d, b = case
+    ann = annihilator(b, d)
+    assert len(ann) == d - mat_rank(b)
+    assert all(type(t) is int for row in ann for z in row for t in z)
+    if ann:
+        rows = mat([[cr(*z) for z in row] for row in ann])
+        assert all(z.is_zero() for row in mat_mul(rows, b) for z in row)
+        assert mat_rank(rows) == len(ann)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import projector_oracle
@@ -16,9 +17,11 @@ from essmod.fields import (
     non_essential_witness,
     residual_set,
 )
+from essmod.generate import gen_field
 from essmod.polynomials import GaussianPoly, RationalPoly
-from essmod.rationals import mat, mat_identity
-from essmod.sections import PiecewiseSection
+from essmod.rationals import cr, mat, mat_identity
+from essmod.sections import PiecewiseSection, unit_bump
+from essmod.serialize import field_spec_from_json
 from essmod.subsets import SymbolicSubset
 
 
@@ -206,3 +209,60 @@ def test_inductive_witness_defect_set_not_nowhere_dense():
     y_m = residual_set(w.m, spec.subfield)
     for x in xs:
         assert y_m.contains(x)
+
+
+# --- the one-pass inductive sum against J refine-and-add passes -------------------------
+
+def positive_tent(rng, cuts):
+    """Continuous piecewise-linear scalar section, positive on [0, 1], with
+    breakpoints at `cuts`: multiplying a generator by it changes neither
+    its zero set nor its defect set, only its pieces."""
+    bps = (F(0), *cuts, F(1))
+    vals = [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in bps]
+    pieces = []
+    for a, b, va, vb in zip(bps, bps[1:], vals, vals[1:]):
+        slope = (vb - va) / (b - a)
+        pieces.append((GaussianPoly(RationalPoly((va - slope * a, slope)), RationalPoly.zero()),))
+    return PiecewiseSection(1, bps, tuple(pieces))
+
+
+def refine_and_add_sum(spec, xs, lambdas, picks):
+    """Σ λ_j·g_{k_j}·unit_bump(x_j, r_j) by one refine-and-add pass per term,
+    r_j half the distance from x_j to the nearest earlier sample or to the
+    ends of [0, 1]. Checks on the way that k_j is the first generator
+    leaving L at x_j and λ_j = 2^-j unless that puts the partial sum in L."""
+    field, total = spec.subfield, PiecewiseSection.zero(spec.d)
+    for j, (x, lam, k) in enumerate(zip(xs, lambdas, picks), start=1):
+        outside = [projector_oracle.outside_at(field, x, g(x)) for g in spec.generators]
+        assert k == outside.index(True)
+        partial, g_x = total(x), spec.generators[k](x)
+        default = tuple(s + g * cr(F(1, 2**j)) for s, g in zip(partial, g_x))
+        assert lam == (F(1, 2**j) if projector_oracle.outside_at(field, x, default) else F(1, 2 ** (j + 1)))
+        radius = min([abs(x - y) for y in xs[: j - 1]] + [x, 1 - x]) / 2
+        total = total + spec.generators[k].mul_scalar_section(unit_bump(x, radius)).scale(cr(lam))
+    return total
+
+
+@pytest.mark.parametrize(
+    "d, pieces, seed, count", [(1, 6, 1, 8), (2, 16, 2, 64), (3, 10, 3, 24), (4, 16, 4, 64), (4, 4, 5, 1)]
+)
+def test_one_pass_inductive_sum_equals_refine_and_add(d, pieces, seed, count):
+    """Planted interval specs whose generators are made multi-piece; the
+    samples fill the defect interval in shuffled order, so later bumps sit
+    inside earlier ones. Pieces and breakpoints must agree exactly."""
+    rng = random.Random(seed)
+    spec = field_spec_from_json(gen_field(d, pieces, d + 2, "interval", seed)["payload"])
+    gens = tuple(
+        g.mul_scalar_section(positive_tent(rng, sorted({F(rng.randint(1, 63), 64) for _ in range(3)})))
+        for g in spec.generators
+    )
+    spec = FieldModuleSpec(d, gens, spec.subfield)
+    total = analyze_field(spec).total
+    iv = max(total.closure().interior().intervals, key=lambda i: i.hi - i.lo)
+    xs = [iv.lo + (iv.hi - iv.lo) * F(i, count + 1) for i in range(1, count + 1)]
+    rng.shuffle(xs)
+    w = inductive_witness_section(spec, (iv.lo, iv.hi), xs, total)
+    expected = refine_and_add_sum(spec, xs, w.lambdas, w.picks)
+    assert w.m.breakpoints == expected.breakpoints
+    assert w.m.pieces == expected.pieces
+    assert w.sample_defects_verified
