@@ -29,7 +29,6 @@ from .fields import (
     residual_set,
 )
 from .modules import (
-    CompactOperator,
     ModuleElement,
     Submodule,
     ideal_of_submodule,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement",
     "AlgebraShape",
-    "CompactOperator",
     "FieldAnalysis",
     "FieldModuleSpec",
     "FieldPiece",

@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import generate, properties, runner, serialize
 from .errors import EssmodError, SchemaError, SizeCap
 
@@ -128,7 +130,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # an overflow stays inf, and linalg.op_norm rejects it
+            return args.fn(args)
     except (SchemaError, SizeCap) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

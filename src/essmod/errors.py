@@ -25,6 +25,10 @@ class ShapeMismatch(EssmodError):
     """Operands live over different algebra shapes or module ranks."""
 
 
+class NonFinite(EssmodError):
+    """A float matrix holds inf or NaN, as when a product of huge entries overflows."""
+
+
 class DomainError(EssmodError):
     """A spectral value lies outside the domain of the supplied function."""
 

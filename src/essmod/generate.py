@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import IrrationalRoot, SizeCap
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField
-from .modules import ModuleElement
+from .modules import ModuleElement, module_basis
 from .polynomials import GaussianPoly
 from .rationals import ComplexRational, mat_identity
 from .sections import PiecewiseSection
@@ -104,7 +104,7 @@ def rand_projection(rng: SplitMix64, shape: AlgebraShape, allow_full: bool = Tru
 
 
 def rand_module_element(rng: SplitMix64, shape: AlgebraShape, k: int) -> ModuleElement:
-    return ModuleElement(shape, tuple(rand_algebra_element(rng, shape) for _ in range(k)))
+    return ModuleElement.from_coords([rand_algebra_element(rng, shape) for _ in range(k)])
 
 
 # --- caps -----------------------------------------------------------------------
@@ -149,12 +149,7 @@ def gen_module_submodule(blocks: tuple[int, ...], k: int, seed: int) -> dict:
     shape = AlgebraShape(blocks)
     mode = rng.randint(0, 2)
     if mode == 0:
-        # the full module: the A-module basis generates it
-        gens = []
-        for r in range(k):
-            coords = [AlgebraElement.zeros(shape) for _ in range(k)]
-            coords[r] = AlgebraElement.identity(shape)
-            gens.append(ModuleElement(shape, tuple(coords)))
+        gens = module_basis(shape, k)  # the full module
     else:
         gens = [rand_module_element(rng, shape, k) for _ in range(rng.randint(1, 2))]
     payload = {

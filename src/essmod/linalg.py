@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian
+from .errors import NoConvergence, NonFinite, NotHermitian
 
 DEFAULT_TOL = 1e-10
 
@@ -31,10 +31,14 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
 
 
 def op_norm(a) -> float:
-    """Largest singular value."""
+    """Largest singular value. Every float check reads a norm first, so
+    this is where an overflowed (inf or NaN) matrix is stopped, before
+    LAPACK sees it."""
     m = as_matrix(a)
     if m.size == 0:
         return 0.0
+    if not np.isfinite(m).all():
+        raise NonFinite("a matrix entry is inf or NaN: float input too large")
     return float(np.linalg.norm(m, 2))
 
 

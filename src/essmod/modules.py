@@ -1,17 +1,21 @@
 """Free Hilbert modules A^k, their compact operators, and the
 submodule ↔ right-ideal correspondence.
 
-A module element is a k-tuple of algebra elements with A-valued inner
-product ⟨x, y⟩ = Σ x_i* y_i. At finite rank the compact operators form the
-full matrix algebra M_k(A), which is again a finite-dimensional C*-algebra
-over the amplified shape (k·n_1, ..., k·n_r); essentiality questions reduce
-to the ideal layer through that identification.
+A module element is carried by its stacked blocks: block b holds the
+block-b coordinates x_1, ..., x_k stacked k high, a k·n_b × n_b matrix X_b.
+The A-valued inner product ⟨x, y⟩ = Σ x_i* y_i is then X_b* Y_b per block.
+At finite rank the compact operators form M_k(A), which is the algebra over
+the amplified shape (k·n_1, ..., k·n_r): an operator T is an
+`AlgebraElement` there, acts by T_b X_b, and composes by the algebra
+product. Essentiality questions reduce to the ideal layer through that
+identification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .algebra import (
     AlgebraShape,
     RightIdeal,
     IdealCertificate,
+    _frozen,
     is_essential_right_ideal,
 )
 from .errors import ShapeMismatch, ZeroInput
@@ -29,172 +34,84 @@ from .linalg import DEFAULT_TOL
 
 @dataclass(frozen=True)
 class ModuleElement:
-    """Element of the free module A^k: a k-tuple of algebra elements."""
+    """Element of the free module A^k: blocks[b] is the k·n_b × n_b matrix
+    of its block-b coordinates stacked k high. The blocks are read-only."""
 
     shape: AlgebraShape
-    coords: tuple[AlgebraElement, ...]
+    k: int
+    blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.coords:
+        if self.k < 1:
             raise ShapeMismatch("module rank must be positive")
-        for c in self.coords:
-            if c.shape != self.shape:
-                raise ShapeMismatch("coordinate over a different algebra shape")
+        if len(self.blocks) != self.shape.num_blocks:
+            raise ShapeMismatch("block count does not match shape")
+        frozen = []
+        for n, blk in zip(self.shape.block_dims, self.blocks):
+            m = linalg.as_matrix(blk)
+            if m.shape != (self.k * n, n):
+                raise ShapeMismatch(f"stacked block of shape {m.shape}, expected ({self.k * n}, {n})")
+            frozen.append(_frozen(m))
+        object.__setattr__(self, "blocks", tuple(frozen))
 
-    @property
-    def k(self) -> int:
-        return len(self.coords)
+    @classmethod
+    def from_coords(cls, coords: Sequence[AlgebraElement]) -> "ModuleElement":
+        """The element with coordinates x_1, ..., x_k, all over one shape."""
+        if not coords:
+            raise ShapeMismatch("module rank must be positive")
+        shape = coords[0].shape
+        if any(c.shape != shape for c in coords):
+            raise ShapeMismatch("coordinate over a different algebra shape")
+        stacked = (np.vstack([c.blocks[b] for c in coords]) for b in range(shape.num_blocks))
+        return cls(shape, len(coords), tuple(stacked))
 
     @classmethod
     def zeros(cls, shape: AlgebraShape, k: int) -> "ModuleElement":
-        return cls(shape, tuple(AlgebraElement.zeros(shape) for _ in range(k)))
+        return cls(shape, k, tuple(np.zeros((k * n, n)) for n in shape.block_dims))
 
     def _check_same(self, other: "ModuleElement"):
         if self.shape != other.shape or self.k != other.k:
             raise ShapeMismatch("module elements of different shape or rank")
 
+    def _with(self, blocks) -> "ModuleElement":
+        return ModuleElement(self.shape, self.k, tuple(blocks))
+
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check_same(other)
-        return ModuleElement(self.shape, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._with(x + y for x, y in zip(self.blocks, other.blocks))
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         self._check_same(other)
-        return ModuleElement(self.shape, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._with(x - y for x, y in zip(self.blocks, other.blocks))
 
     def __mul__(self, a) -> "ModuleElement":
         """Right action x·a by an algebra element, or complex scaling."""
-        return ModuleElement(self.shape, tuple(c * a for c in self.coords))
+        if isinstance(a, AlgebraElement):
+            if a.shape != self.shape:
+                raise ShapeMismatch("algebra elements over different shapes")
+            return self._with(x @ a_b for x, a_b in zip(self.blocks, a.blocks))
+        return self._with(x * complex(a) for x in self.blocks)
 
     def __rmul__(self, z) -> "ModuleElement":
-        return ModuleElement(self.shape, tuple(complex(z) * c for c in self.coords))
+        return self._with(complex(z) * x for x in self.blocks)
 
     def norm(self) -> float:
         return float(np.sqrt(inner_product(self, self).norm()))
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(c.is_zero(tol) for c in self.coords)
+        """Every coordinate is zero: each n_b-row slice of each block."""
+        return all(
+            linalg.op_norm(x[i * n:(i + 1) * n]) <= tol
+            for x, n in zip(self.blocks, self.shape.block_dims)
+            for i in range(self.k)
+        )
 
 
 def inner_product(x: ModuleElement, y: ModuleElement) -> AlgebraElement:
-    """A-valued inner product Σ x_i* y_i (linear in the second slot)."""
+    """A-valued inner product Σ x_i* y_i = X_b* Y_b per block (linear in the
+    second slot)."""
     x._check_same(y)
-    acc = x.coords[0].adjoint() * y.coords[0]
-    for xi, yi in zip(x.coords[1:], y.coords[1:]):
-        acc = acc + xi.adjoint() * yi
-    return acc
-
-
-@dataclass(frozen=True)
-class CompactOperator:
-    """A-linear operator on A^k, as a k×k matrix over A acting from the left."""
-
-    shape: AlgebraShape
-    matrix: tuple[tuple[AlgebraElement, ...], ...]
-
-    def __post_init__(self):
-        k = len(self.matrix)
-        for row in self.matrix:
-            if len(row) != k:
-                raise ShapeMismatch("operator matrix must be square")
-            for entry in row:
-                if entry.shape != self.shape:
-                    raise ShapeMismatch("entry over a different algebra shape")
-
-    @property
-    def k(self) -> int:
-        return len(self.matrix)
-
-    @classmethod
-    def zeros(cls, shape: AlgebraShape, k: int) -> "CompactOperator":
-        z = AlgebraElement.zeros(shape)
-        return cls(shape, tuple(tuple(z for _ in range(k)) for _ in range(k)))
-
-    @classmethod
-    def identity(cls, shape: AlgebraShape, k: int) -> "CompactOperator":
-        one = AlgebraElement.identity(shape)
-        z = AlgebraElement.zeros(shape)
-        return cls(shape, tuple(tuple(one if i == j else z for j in range(k)) for i in range(k)))
-
-    def apply(self, z: ModuleElement) -> ModuleElement:
-        if z.shape != self.shape or z.k != self.k:
-            raise ShapeMismatch("operator and argument disagree")
-        coords = []
-        for i in range(self.k):
-            acc = self.matrix[i][0] * z.coords[0]
-            for j in range(1, self.k):
-                acc = acc + self.matrix[i][j] * z.coords[j]
-            coords.append(acc)
-        return ModuleElement(self.shape, tuple(coords))
-
-    def compose(self, other: "CompactOperator") -> "CompactOperator":
-        if other.shape != self.shape or other.k != self.k:
-            raise ShapeMismatch("operators disagree")
-        k = self.k
-        rows = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                acc = self.matrix[i][0] * other.matrix[0][j]
-                for l in range(1, k):
-                    acc = acc + self.matrix[i][l] * other.matrix[l][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return CompactOperator(self.shape, tuple(rows))
-
-    def adjoint(self) -> "CompactOperator":
-        k = self.k
-        return CompactOperator(
-            self.shape,
-            tuple(tuple(self.matrix[j][i].adjoint() for j in range(k)) for i in range(k)),
-        )
-
-    def __add__(self, other: "CompactOperator") -> "CompactOperator":
-        return CompactOperator(
-            self.shape,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.matrix, other.matrix)),
-        )
-
-    def __sub__(self, other: "CompactOperator") -> "CompactOperator":
-        return CompactOperator(
-            self.shape,
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.matrix, other.matrix)),
-        )
-
-    def __rmul__(self, z) -> "CompactOperator":
-        return CompactOperator(
-            self.shape, tuple(tuple(complex(z) * a for a in row) for row in self.matrix)
-        )
-
-    def norm(self) -> float:
-        return self.to_algebra().norm()
-
-    def column(self, j: int) -> ModuleElement:
-        """Column j as a module element: the image of the j-th basis vector."""
-        return ModuleElement(self.shape, tuple(self.matrix[i][j] for i in range(self.k)))
-
-    def to_algebra(self) -> AlgebraElement:
-        """Identify M_k(A) with the algebra over the amplified shape."""
-        amp = operator_shape(self.shape, self.k)
-        blocks = []
-        for b in range(self.shape.num_blocks):
-            grid = [[self.matrix[i][j].blocks[b] for j in range(self.k)] for i in range(self.k)]
-            blocks.append(np.block(grid))
-        return AlgebraElement(amp, tuple(blocks))
-
-    @classmethod
-    def from_algebra(cls, t: AlgebraElement, shape: AlgebraShape, k: int) -> "CompactOperator":
-        if t.shape != operator_shape(shape, k):
-            raise ShapeMismatch("element is not over the amplified shape")
-        rows = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                blocks = []
-                for b, n in enumerate(shape.block_dims):
-                    blocks.append(t.blocks[b][i * n:(i + 1) * n, j * n:(j + 1) * n])
-                row.append(AlgebraElement(shape, tuple(blocks)))
-            rows.append(tuple(row))
-        return cls(shape, tuple(rows))
+    return AlgebraElement(x.shape, tuple(a.conj().T @ b for a, b in zip(x.blocks, y.blocks)))
 
 
 def operator_shape(shape: AlgebraShape, k: int) -> AlgebraShape:
@@ -202,29 +119,24 @@ def operator_shape(shape: AlgebraShape, k: int) -> AlgebraShape:
     return AlgebraShape(tuple(k * n for n in shape.block_dims))
 
 
-def theta(x: ModuleElement, y: ModuleElement) -> CompactOperator:
-    """Elementary operator z ↦ x ⟨y, z⟩, as the matrix (x_i y_j*)_{ij}."""
+def theta(x: ModuleElement, y: ModuleElement) -> AlgebraElement:
+    """Elementary operator z ↦ x ⟨y, z⟩ in M_k(A): X_b Y_b* per block."""
     x._check_same(y)
-    k = x.k
-    return CompactOperator(
-        x.shape,
-        tuple(tuple(x.coords[i] * y.coords[j].adjoint() for j in range(k)) for i in range(k)),
-    )
+    amp = operator_shape(x.shape, x.k)
+    return AlgebraElement(amp, tuple(a @ b.conj().T for a, b in zip(x.blocks, y.blocks)))
+
+
+def apply(t: AlgebraElement, z: ModuleElement) -> ModuleElement:
+    """The compact operator t ∈ M_k(A) applied to z: T_b Z_b per block."""
+    if t.shape != operator_shape(z.shape, z.k):
+        raise ShapeMismatch("operator and argument disagree")
+    return z._with(t_b @ z_b for t_b, z_b in zip(t.blocks, z.blocks))
 
 
 def module_basis(shape: AlgebraShape, k: int) -> list[ModuleElement]:
     """A-module basis: e_r with the identity algebra element, r = 1..k."""
-    out = []
-    for r in range(k):
-        coords = [AlgebraElement.zeros(shape) for _ in range(k)]
-        coords[r] = AlgebraElement.identity(shape)
-        out.append(ModuleElement(shape, tuple(coords)))
-    return out
-
-
-def _stacked_block(x: ModuleElement, b: int) -> np.ndarray:
-    """The block-b coordinates of x stacked k high: a k·n_b × n_b matrix."""
-    return np.vstack([c.blocks[b] for c in x.coords])
+    dims = shape.block_dims
+    return [ModuleElement(shape, k, tuple(np.eye(k * n, n, -r * n) for n in dims)) for r in range(k)]
 
 
 @dataclass(frozen=True)
@@ -254,7 +166,7 @@ class Submodule:
         the generators never change."""
         out = []
         for b, n in enumerate(self.shape.block_dims):
-            cols = [_stacked_block(g, b) for g in self.generators]
+            cols = [g.blocks[b] for g in self.generators]
             m_b = np.hstack(cols) if cols else np.zeros((self.k * n, 0), dtype=np.complex128)
             p = linalg.column_space_projector(m_b)
             p.setflags(write=False)
@@ -263,9 +175,8 @@ class Submodule:
 
     def contains(self, x: ModuleElement) -> bool:
         """x ∈ N iff every column of each stacked block X_b lies in col M_b."""
-        xs = [_stacked_block(x, b) for b in range(self.shape.num_blocks)]
-        resid = sum(np.linalg.norm(x_b - p @ x_b) ** 2 for p, x_b in zip(self.block_projectors, xs))
-        norm = sum(np.linalg.norm(x_b) ** 2 for x_b in xs)
+        resid = sum(np.linalg.norm(x_b - p @ x_b) ** 2 for p, x_b in zip(self.block_projectors, x.blocks))
+        norm = sum(np.linalg.norm(x_b) ** 2 for x_b in x.blocks)
         return bool(np.sqrt(resid) <= DEFAULT_TOL * (1.0 + np.sqrt(norm)))
 
     def same_span(self, other: "Submodule", tol: float = 1e-8) -> bool:
@@ -294,12 +205,16 @@ def submodule_of_ideal(J: RightIdeal, shape: AlgebraShape, k: int) -> Submodule:
 
     J = p·M_k(A) contains p and maps ℳ = A^k into p·ℳ, so J·ℳ = p·ℳ. The
     basis vectors e_r generate ℳ and p is A-linear, so the columns p e_r of
-    the support projection generate J·ℳ.
+    the support projection generate J·ℳ: p e_r has the block columns
+    r·n_b .. (r+1)·n_b of P_b as its stacked blocks.
     """
     if J.shape != operator_shape(shape, k):
         raise ShapeMismatch("ideal is not over the amplified shape")
-    p_op = CompactOperator.from_algebra(J.support_projection, shape, k)
-    return Submodule(shape, k, tuple(p_op.column(r) for r in range(k)))
+    p = J.support_projection.blocks
+    return Submodule(shape, k, tuple(
+        ModuleElement(shape, k, tuple(p_b[:, r * n:(r + 1) * n] for p_b, n in zip(p, shape.block_dims)))
+        for r in range(k)
+    ))
 
 
 @dataclass(frozen=True)
@@ -323,8 +238,7 @@ def reformulation_probe(m: ModuleElement, N: Submodule) -> ProbeResult:
     if m.is_zero():
         raise ZeroInput("reformulation probe requires m ≠ 0")
     best_norm, best_block, best_col = 0.0, None, None
-    for b, p in enumerate(N.block_projectors):
-        x_b = _stacked_block(m, b)
+    for b, (p, x_b) in enumerate(zip(N.block_projectors, m.blocks)):
         kernel = _nullspace(x_b - p @ x_b)
         if kernel.shape[1] == 0:
             continue
@@ -386,12 +300,6 @@ def is_essential_submodule(N: Submodule) -> tuple[bool, SubmoduleCertificate]:
 def _witness_from_ideal_certificate(cert: IdealCertificate, shape: AlgebraShape, k: int) -> ModuleElement:
     """Module element whose every right multiple leaves N: place the
     certificate's orthogonal vector as a single column in its block."""
-    b = cert.block
-    n = shape.block_dims[b]
-    v = np.array(cert.vector, dtype=np.complex128)  # length k·n
-    coords = []
-    for i in range(k):
-        blocks = [np.zeros((m, m), dtype=np.complex128) for m in shape.block_dims]
-        blocks[b][:, 0] = v[i * n:(i + 1) * n]
-        coords.append(AlgebraElement(shape, tuple(blocks)))
-    return ModuleElement(shape, tuple(coords))
+    blocks = [np.zeros((k * n, n), dtype=np.complex128) for n in shape.block_dims]
+    blocks[cert.block][:, 0] = cert.vector  # length k·n_b
+    return ModuleElement(shape, k, tuple(blocks))

@@ -326,10 +326,6 @@ class GaussianPoly:
         """Coefficientwise conjugate; evaluates to conj(p(x)) for real x."""
         return GaussianPoly(self.re, -self.im)
 
-    def abs_coeff_bound(self) -> Fraction:
-        """Rational upper bound for sup |p(x)| over [0, 1]: Σ (|re|+|im|)."""
-        return sum((Fraction(sum(map(abs, q.nums)), q.den) for q in (self.re, self.im)), Fraction(0))
-
 
 def common_real_zero_gcd(polys) -> RationalPoly:
     """Monic gcd whose real roots are exactly the common real zeros of all

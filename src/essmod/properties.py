@@ -212,7 +212,7 @@ def prop_theta_apply(rng, trials):
         x = generate.rand_module_element(rng, shape, k)
         y = generate.rand_module_element(rng, shape, k)
         z = generate.rand_module_element(rng, shape, k)
-        lhs = modules.theta(x, y).apply(z)
+        lhs = modules.apply(modules.theta(x, y), z)
         rhs = x * modules.inner_product(y, z)
         return (lhs - rhs).norm() <= 1e-10 * (1 + x.norm() * y.norm() * z.norm())
     return _run("module.theta_apply", rng, trials, body)
@@ -278,14 +278,13 @@ def prop_intertwine(rng, trials):
         shape, k = _rand_module_setup(rng)
         m = generate.rand_module_element(rng, shape, k)
         a = generate.rand_algebra_element(rng, shape)
-        rows = tuple(
-            tuple(generate.rand_algebra_element(rng, shape) for _ in range(k))
-            for _ in range(k)
-        )
-        T = modules.CompactOperator(shape, rows)
+        rows = [[generate.rand_algebra_element(rng, shape) for _ in range(k)] for _ in range(k)]
+        T = AlgebraElement(modules.operator_shape(shape, k), tuple(
+            np.block([[e.blocks[b] for e in row] for row in rows]) for b in range(shape.num_blocks)
+        ))
         u = m * a
-        tu = T.apply(u)
-        lhs = T.compose(modules.theta(u, tu))
+        tu = modules.apply(T, u)
+        lhs = T * modules.theta(u, tu)
         rhs = modules.theta(tu, tu)
         return (lhs - rhs).norm() <= 1e-8 * (1 + lhs.norm() + rhs.norm())
     return _run("module.intertwine", rng, trials, body)
@@ -295,7 +294,7 @@ def prop_left_module_identity(rng, trials):
     def body(rng):
         shape, k = _rand_module_setup(rng)
         x, y, u, v = (generate.rand_module_element(rng, shape, k) for _ in range(4))
-        lhs = modules.theta(x, y).compose(modules.theta(u, v))
+        lhs = modules.theta(x, y) * modules.theta(u, v)
         rhs = modules.theta(x * modules.inner_product(y, u), v)
         return (lhs - rhs).norm() <= 1e-8 * (1 + lhs.norm() + rhs.norm())
     return _run("module.left_module_identity", rng, trials, body)

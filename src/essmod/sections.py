@@ -169,14 +169,6 @@ class PiecewiseSection:
 
     # -- norms ---------------------------------------------------------------
 
-    def sup_norm_upper_bound(self) -> Fraction:
-        """Rational upper bound on sup_x ‖section(x)‖ via coefficient sums."""
-        best = Fraction(0)
-        for row in self.pieces:
-            bound = sum((p.abs_coeff_bound() for p in row), Fraction(0))
-            best = max(best, bound)
-        return best
-
     def exact_sup_norm(self) -> Fraction:
         """Exact sup of |value| for real scalar sections of piece degree ≤ 2.
 

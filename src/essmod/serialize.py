@@ -149,22 +149,24 @@ def ideal_to_json(J: RightIdeal) -> dict:
 
 
 def module_element_to_json(x: ModuleElement) -> dict:
-    return {
-        "shape": shape_to_json(x.shape),
-        "k": x.k,
-        "coords": [element_to_json(c) for c in x.coords],
-    }
+    """{"shape", "k", "coords"}: the stacked blocks split into coordinates."""
+    dims = x.shape.block_dims
+    coords = (AlgebraElement(x.shape, tuple(x_b[i * n:(i + 1) * n] for x_b, n in zip(x.blocks, dims)))
+              for i in range(x.k))
+    return {"shape": shape_to_json(x.shape), "k": x.k, "coords": [element_to_json(c) for c in coords]}
 
 
 def module_element_from_json(doc) -> ModuleElement:
     if not isinstance(doc, dict) or "coords" not in doc:
         raise SchemaError("module element must have coords")
-    coords = tuple(element_from_json(c) for c in _require(doc["coords"], list, "module element coords"))
+    coords = [element_from_json(c) for c in _require(doc["coords"], list, "module element coords")]
     if not coords:
         raise SchemaError("module element needs k >= 1 coordinates")
     if "k" in doc and doc["k"] != len(coords):
         raise SchemaError("k does not match the number of coordinates")
-    return ModuleElement(coords[0].shape, coords)
+    if any(c.shape != coords[0].shape for c in coords):
+        raise SchemaError("module element coordinates over different shapes")
+    return ModuleElement.from_coords(coords)
 
 
 def submodule_from_json(doc) -> Submodule:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -278,6 +282,37 @@ def test_right_ideal_report_digests_are_pinned(blocks, seed, check_digest, witne
         assert runner.run_witness(doc)["digest"] == witness_digest
 
 
+# run_check / run_witness digests of gen_module_submodule(blocks, k, seed),
+# recorded while module elements were still k-tuples of algebra elements and
+# compact operators k×k grids over A: the stacked-block representation must
+# give byte-identical reports. Both decisions occur.
+GOLDEN_MODULE_DIGESTS = [
+    ((2,), 1, 1, "614f1fdd5b208995da665462a6ab1e6f05900c8392efea52ebb95376d7f9ef98",
+     "f21eea3a7bb16a1b449db62b7827a5b14fe911288ab7439f73aa7e74885c9e69"),
+    ((2,), 2, 2, "d074ec9f4b0a8db067796a846f9c1610833f898499b5cf3968264ea93309ad4b",
+     "e9d11a7030ac3e35feb00a97d0b591561383ee036a63fefda45eca358b181341"),
+    ((1, 2), 2, 1, "cbaf88bed1ecbfdb295c9ae821089a124dba2e7c56b61956c6a2e8cea721923e",
+     "0fbc2a307b94e9a5279b26cb33973e378e20d39515d093fcda4cc333456105a0"),
+    ((1, 2), 3, 3, "31d2b26cb20c871438a1436698ffb2adb2365349eeb5a7e5755fcddf8c02d715",
+     "750c9761b9f1693899658c441593ee4bd22f60da770ce0b6b11e2c570c851a99"),
+    ((2, 3), 3, 1, "27fc563bd82689ee9c33484fb03b0ecb7edaa1ad14c35cf3d98fb933dc5e9b35",
+     "6aefd703a21d0a9c8d80d3b0ca3d806ec24520b3ff9e6359f82d2f3dcc2d3572"),
+    ((2, 3), 2, 4, "037fd5c3460ed4825c1076caec76e0d15ecf8e622673339c839012f24eda082e",
+     "77b9eff61e0ae5fe328e60736a3bc3da1c58d3d02604a1ab0c6795f22c9e53bc"),
+    ((1, 2, 3), 2, 5, "b1601d03a65738886fe11c2bb0d3e61a79b7abc69e9ed18944c009596383f3a0",
+     "3ff5da1616517c78d9281c50aa77bdc522a3ddd6796c3c032d8aee1e5110b4ac"),
+    ((3,), 4, 6, "9de30cac5b44be3ec6d99fa1c2d5f9f8b9fdab89a55c45d315e89a63b79eb60a",
+     "53bbd082e109f906d54a11fd76019118668b39fe6a1646be7c90e7e7350272b4"),
+]
+
+
+@pytest.mark.parametrize("blocks, k, seed, check_digest, witness_digest", GOLDEN_MODULE_DIGESTS)
+def test_module_report_digests_are_pinned(blocks, k, seed, check_digest, witness_digest):
+    doc = gen_module_submodule(blocks, k, seed)
+    assert runner.run_check(doc)["digest"] == check_digest
+    assert runner.run_witness(doc)["digest"] == witness_digest
+
+
 def assert_input_errors(path, docs, capsys):
     """Each document is an input error for check and witness: exit 2 and
     one line, not a traceback escaping with the check-failed code."""
@@ -325,6 +360,39 @@ def test_malformed_float_payload_exits_2(tmp_path, capsys):
         edited(module, ("generators", 0, "coords", 0, *entry), [float("nan"), 0.0]),
         edited(module, ("generators", 0, "coords", 1, *entry), [0.0, float("inf")]),
     ], capsys)
+
+
+def run_console(command, doc, tmp_path):
+    """Exit code and stderr of `python -m essmod.cli command` on doc in a
+    child process, so lines that LAPACK writes straight to fd 2 are seen."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "essmod.cli", command, "--in", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+def test_overflowing_generator_exits_2(tmp_path):
+    """Generator entries 1e308 + 1e308i overflow x·x* to inf in the witness:
+    LAPACK printed DLASCL lines and an uncaught LinAlgError ended it."""
+    doc = gen_right_ideal((2, 3), 1)
+    for g in doc["payload"]["generators"]:
+        g["blocks"] = [[[[1e308, 1e308]] * len(row) for row in blk] for blk in g["blocks"]]
+    code, err = run_console("witness", doc, tmp_path)
+    assert code == 2 and err.count("\n") == 1 and "NonFinite" in err, (code, err[:500])
+
+
+def test_overflowing_projection_diagonal_exits_2(tmp_path):
+    """A diagonal entry -1e308 makes p·p overflow, and the NaN block norm was
+    dropped by max(): the document passed as a projection and check exited
+    0 or 1 instead of refusing a malformed input."""
+    doc = gen_right_ideal((2, 3), 1)
+    for i in range(3):
+        bad = edited(doc, ("support_projection", "blocks", 1, i, i), [-1e308, 0.0])
+        code, err = run_console("check", bad, tmp_path)
+        assert code == 2 and err.startswith("input error: ") and err.count("\n") == 1, (i, code, err[:500])
 
 
 def test_huge_constant_term_finishes_fast(tmp_path, capsys):

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from essmod import linalg
+from essmod import linalg, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape, is_essential_right_ideal
 from essmod.errors import ShapeMismatch, ZeroInput
-from essmod.generate import SplitMix64, rand_algebra_element, rand_module_element, rand_projection
+from essmod.generate import (
+    SplitMix64,
+    gen_module_submodule,
+    rand_algebra_element,
+    rand_module_element,
+    rand_projection,
+)
 from essmod.linalg import DEFAULT_TOL
 from essmod.modules import (
-    CompactOperator,
     ModuleElement,
+    apply,
     Submodule,
     ideal_of_submodule,
     inner_product,
@@ -30,7 +36,70 @@ def scalar(z, shape=C):
 
 
 def scalar_module(*zs):
-    return ModuleElement(C, tuple(scalar(z) for z in zs))
+    return ModuleElement.from_coords([scalar(z) for z in zs])
+
+
+def amplified_scalars(rows):
+    """The operator in M_k(C) with the given scalar entries."""
+    return AlgebraElement(operator_shape(C, len(rows)), (np.array(rows, dtype=complex),))
+
+
+# --- the k×k grid oracle ------------------------------------------------------
+#
+# A compact operator as a k×k grid over A with the grid's own arithmetic, and
+# a module element as its k coordinates: the representation the library no
+# longer keeps. theta, apply and the amplified product are checked against it.
+
+def coords(x: ModuleElement) -> list[AlgebraElement]:
+    return [
+        AlgebraElement(x.shape, tuple(blk[i * n:(i + 1) * n] for blk, n in zip(x.blocks, x.shape.block_dims)))
+        for i in range(x.k)
+    ]
+
+
+def grid_of(t: AlgebraElement, shape, k) -> list[list[AlgebraElement]]:
+    dims = shape.block_dims
+    return [
+        [AlgebraElement(shape, tuple(t_b[i * n:(i + 1) * n, j * n:(j + 1) * n] for t_b, n in zip(t.blocks, dims)))
+         for j in range(k)]
+        for i in range(k)
+    ]
+
+
+def amplified(grid, shape) -> AlgebraElement:
+    k = len(grid)
+    return AlgebraElement(operator_shape(shape, k), tuple(
+        np.block([[e.blocks[b] for e in row] for row in grid]) for b in range(shape.num_blocks)
+    ))
+
+
+def grid_sum(terms):
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc
+
+
+def grid_theta(x, y):
+    return [[xi * yj.adjoint() for yj in coords(y)] for xi in coords(x)]
+
+
+def grid_apply(grid, z):
+    zs = coords(z)
+    return ModuleElement.from_coords([grid_sum([g * zj for g, zj in zip(row, zs)]) for row in grid])
+
+
+def grid_compose(g, h):
+    k = len(g)
+    return [[grid_sum([g[i][l] * h[l][j] for l in range(k)]) for j in range(k)] for i in range(k)]
+
+
+def grid_distance(g, h):
+    return max(a.distance(b) for row_g, row_h in zip(g, h) for a, b in zip(row_g, row_h))
+
+
+def rand_operator(rng, shape, k):
+    return amplified([[rand_algebra_element(rng, shape) for _ in range(k)] for _ in range(k)], shape)
 
 
 # --- inner product ---------------------------------------------------------
@@ -69,8 +138,8 @@ def test_inner_product_shape_mismatch():
 
 def test_theta_scalar_example():
     x, y, z = scalar_module(1.0), scalar_module(2.0), scalar_module(3.0)
-    applied = theta(x, y).apply(z)
-    assert applied.coords[0].blocks[0][0, 0] == pytest.approx(6.0)
+    applied = apply(theta(x, y), z)
+    assert applied.blocks[0][0, 0] == pytest.approx(6.0)
 
 
 def test_theta_of_zero_is_zero_operator():
@@ -86,7 +155,7 @@ def test_theta_apply_equals_inner_formula():
         x = rand_module_element(rng, MIXED, 3)
         y = rand_module_element(rng, MIXED, 3)
         z = rand_module_element(rng, MIXED, 3)
-        lhs = theta(x, y).apply(z)
+        lhs = apply(theta(x, y), z)
         rhs = x * inner_product(y, z)
         assert (lhs - rhs).norm() <= 1e-10 * (1 + x.norm() * y.norm() * z.norm())
 
@@ -114,13 +183,10 @@ def test_theta_intertwine_identity():
     for _ in range(10):
         m = rand_module_element(rng, M2, 2)
         a = rand_algebra_element(rng, M2)
-        T = CompactOperator(
-            M2,
-            tuple(tuple(rand_algebra_element(rng, M2) for _ in range(2)) for _ in range(2)),
-        )
+        T = rand_operator(rng, M2, 2)
         u = m * a
-        tu = T.apply(u)
-        lhs = T.compose(theta(u, tu))
+        tu = apply(T, u)
+        lhs = T * theta(u, tu)
         rhs = theta(tu, tu)
         assert (lhs - rhs).norm() <= 1e-8 * (1 + lhs.norm() + rhs.norm())
 
@@ -129,42 +195,73 @@ def test_theta_left_module_identity():
     rng = SplitMix64(27)
     for _ in range(10):
         x, y, u, v = (rand_module_element(rng, MIXED, 2) for _ in range(4))
-        lhs = theta(x, y).compose(theta(u, v))
+        lhs = theta(x, y) * theta(u, v)
         rhs = theta(x * inner_product(y, u), v)
         assert (lhs - rhs).norm() <= 1e-8 * (1 + lhs.norm() + rhs.norm())
 
 
 def test_compact_operator_composition_associative():
     rng = SplitMix64(31)
-    ops = [
-        CompactOperator(
-            M2,
-            tuple(tuple(rand_algebra_element(rng, M2) for _ in range(2)) for _ in range(2)),
-        )
-        for _ in range(3)
-    ]
-    t, s, r = ops
-    lhs = t.compose(s).compose(r)
-    rhs = t.compose(s.compose(r))
+    t, s, r = (rand_operator(rng, M2, 2) for _ in range(3))
+    lhs = (t * s) * r
+    rhs = t * (s * r)
     assert (lhs - rhs).norm() <= 1e-9 * (1 + lhs.norm())
 
 
 def test_compact_operator_algebra_roundtrip():
+    """The amplified algebra agrees with the k×k grid over A: a grid survives
+    the trip through M_k(A), and theta, apply and the product match the
+    grid's own arithmetic."""
     rng = SplitMix64(28)
-    T = CompactOperator(
-        MIXED,
-        tuple(tuple(rand_algebra_element(rng, MIXED) for _ in range(3)) for _ in range(3)),
-    )
-    amp = T.to_algebra()
-    assert amp.shape == operator_shape(MIXED, 3)
-    back = CompactOperator.from_algebra(amp, MIXED, 3)
-    assert (T - back).norm() <= 1e-12
-    # composition agrees with the amplified product
-    S = CompactOperator(
-        MIXED,
-        tuple(tuple(rand_algebra_element(rng, MIXED) for _ in range(3)) for _ in range(3)),
-    )
-    assert (T.compose(S).to_algebra() - (amp * S.to_algebra())).norm() <= 1e-9
+    for shape in (C, M2, MIXED):
+        for k in (1, 2, 3):
+            grid = [[rand_algebra_element(rng, shape) for _ in range(k)] for _ in range(k)]
+            T = amplified(grid, shape)
+            assert T.shape == operator_shape(shape, k)
+            assert grid_distance(grid_of(T, shape, k), grid) == 0.0
+            x, y, z = (rand_module_element(rng, shape, k) for _ in range(3))
+            th = theta(x, y)
+            assert isinstance(th, AlgebraElement) and th.shape == operator_shape(shape, k)
+            assert grid_distance(grid_of(th, shape, k), grid_theta(x, y)) <= 1e-12 * (1 + x.norm() * y.norm())
+            assert (apply(T, z) - grid_apply(grid, z)).norm() <= 1e-10 * (1 + T.norm() * z.norm())
+            S = rand_operator(rng, shape, k)
+            expected = grid_compose(grid, grid_of(S, shape, k))
+            assert grid_distance(grid_of(T * S, shape, k), expected) <= 1e-10 * (1 + T.norm() * S.norm())
+
+
+def test_stacked_module_elements_match_coordinates():
+    """The stacked blocks are the coordinates stacked k high: sums, scaling,
+    the right action, the inner product, norm and is_zero agree with the
+    coordinatewise formulas."""
+    rng = SplitMix64(33)
+    for shape in (C, M2, MIXED):
+        for k in (1, 2, 3):
+            x, y = rand_module_element(rng, shape, k), rand_module_element(rng, shape, k)
+            a = rand_algebra_element(rng, shape)
+            xs, ys = coords(x), coords(y)
+            assert all(np.array_equal(p, q) for p, q in zip(ModuleElement.from_coords(xs).blocks, x.blocks))
+            for got, want in ((x + y, [p + q for p, q in zip(xs, ys)]),
+                              (x - y, [p - q for p, q in zip(xs, ys)]),
+                              (x * a, [p * a for p in xs]),
+                              ((2 - 1j) * x, [(2 - 1j) * p for p in xs])):
+                assert grid_distance([coords(got)], [want]) <= 1e-12 * (1 + x.norm() * (1 + a.norm()))
+            gram = grid_sum([p.adjoint() * q for p, q in zip(xs, ys)])
+            assert inner_product(x, y).distance(gram) <= 1e-12 * (1 + x.norm() * y.norm())
+            assert x.norm() == pytest.approx(np.sqrt(grid_sum([p.adjoint() * p for p in xs]).norm()), rel=1e-12)
+            one = [AlgebraElement.zeros(shape) for _ in range(k)]
+            one[k - 1] = AlgebraElement.matrix_unit(shape, shape.num_blocks - 1, 0, 0)
+            assert ModuleElement.zeros(shape, k).is_zero()
+            assert not ModuleElement.from_coords(one).is_zero()
+
+
+def test_stacking_roundtrips_through_json_bytes():
+    """JSON coordinates stacked by from_coords and split again on output
+    give back the same bytes."""
+    for blocks, k, seed in (((2,), 1, 1), ((1, 2), 3, 3), ((2, 3), 2, 4), ((1, 2, 3), 4, 2)):
+        doc = gen_module_submodule(blocks, k, seed)
+        for g in doc["payload"]["generators"]:
+            back = serialize.module_element_to_json(serialize.module_element_from_json(g))
+            assert serialize.dumps(back) == serialize.dumps(g)
 
 
 # --- flattened oracles ---------------------------------------------------------------
@@ -174,8 +271,8 @@ def test_compact_operator_algebra_roundtrip():
 # library carries the same span as its block projectors instead.
 
 def module_vec(x: ModuleElement) -> np.ndarray:
-    """Flatten to C^{k·dim A} (coordinates, then blocks, row-major)."""
-    return np.concatenate([blk.reshape(-1) for c in x.coords for blk in c.blocks])
+    """Flatten to C^{k·dim A} (stacked blocks, row-major)."""
+    return np.concatenate([blk.reshape(-1) for blk in x.blocks])
 
 
 def matrix_units(shape):
@@ -275,9 +372,9 @@ def test_submodule_questions_match_flattened_oracles():
 
 # --- the submodule ↔ ideal correspondence ---------------------------------------
 
-def operator_range_in_submodule(T: CompactOperator, N: Submodule) -> bool:
+def operator_range_in_submodule(T: AlgebraElement, N: Submodule) -> bool:
     """The definition of J_N: T maps every module basis vector into N."""
-    return all(N.contains(T.apply(z)) for z in module_basis(T.shape, T.k))
+    return all(N.contains(apply(T, z)) for z in module_basis(N.shape, N.k))
 
 
 def test_ideal_of_whole_module_is_everything():
@@ -302,8 +399,8 @@ def test_ideal_of_coordinate_line_k2():
     expected = np.array([[1, 0], [0, 0]], dtype=complex)  # direct linear-algebra oracle
     assert linalg.op_norm(ideal.support_projection.blocks[0] - expected) <= 1e-10
 
-    keep = CompactOperator(C, ((scalar(2.0), scalar(3.0)), (scalar(0.0), scalar(0.0))))
-    drop = CompactOperator(C, ((scalar(2.0), scalar(3.0)), (scalar(1.0), scalar(0.0))))
+    keep = amplified_scalars([[2.0, 3.0], [0.0, 0.0]])
+    drop = amplified_scalars([[2.0, 3.0], [1.0, 0.0]])
     assert operator_range_in_submodule(keep, n)
     assert not operator_range_in_submodule(drop, n)
 
@@ -326,9 +423,12 @@ def test_ideal_of_submodule_matches_range_definition_random():
             columns.append(col)
         if rng.randint(0, 1):
             columns[rng.randint(0, k - 1)] = rand_module_element(rng, shape, k)
-        T = CompactOperator(shape, tuple(tuple(columns[j].coords[i] for j in range(k)) for i in range(k)))
+        # column j of T is columns[j]: its amplified block b puts them side by side
+        T = AlgebraElement(operator_shape(shape, k), tuple(
+            np.hstack([col.blocks[b] for col in columns]) for b in range(shape.num_blocks)
+        ))
         inside = operator_range_in_submodule(T, n)
-        assert ideal.contains(T.to_algebra()) == inside
+        assert ideal.contains(T) == inside
         seen.add(inside)
     assert seen == {True, False}
 
@@ -395,7 +495,7 @@ def test_whole_module_is_essential():
 
 def test_rank_one_coordinate_submodule_not_essential():
     # k = 1 over M2: N = e11·M2 inside M2
-    gen = ModuleElement(M2, (AlgebraElement(M2, (np.array([[1, 0], [0, 0]], dtype=complex),)),))
+    gen = ModuleElement.from_coords([AlgebraElement(M2, (np.array([[1, 0], [0, 0]], dtype=complex),))])
     n = Submodule(M2, 1, (gen,))
     dec, cert = is_essential_submodule(n)
     assert not dec

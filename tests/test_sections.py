@@ -103,12 +103,6 @@ def test_exact_sup_norm_constraints():
         cubic.exact_sup_norm()
 
 
-def test_sup_norm_upper_bound_dominates():
-    m = bump(F(0), F(1))  # x(1-x), true sup 1/4
-    bound = m.sup_norm_upper_bound()
-    assert bound >= F(1, 4)
-
-
 def test_equality_across_refinements():
     a = bump(F(1, 4), F(1, 2))
     b = a.refine([F(1, 3), F(2, 5)])
