@@ -14,7 +14,7 @@ decision, the witnesses and the CLI reports all read from that analysis.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -43,7 +43,7 @@ from .rationals import (
     vec_is_zero,
 )
 from .sections import PiecewiseSection, bump, pointwise_inner
-from .subsets import Interval, SymbolicSubset, _sweep
+from .subsets import Interval, SymbolicSubset, _order, _sweep
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -85,14 +85,8 @@ class SubspaceField:
     def full(cls, d: int) -> "SubspaceField":
         return cls(d, (FieldPiece(SymbolicSubset.full(), mat_identity(d)),))
 
-    def piece_index_at(self, x: Fraction) -> int:
-        for i, piece in enumerate(self.pieces):
-            if piece.region.contains(x):
-                return i
-        raise AssertionError("partition does not cover the point")  # unreachable
-
     def annihilator_at(self, x: Fraction) -> tuple[GaussianIntVector, ...]:
-        return self.annihilators[self.piece_index_at(x)]
+        return next(a for p, a in zip(self.pieces, self.annihilators) if p.region.contains(x))
 
 
 def _outside(ann: tuple[GaussianIntVector, ...], w: GaussianIntVector) -> bool:
@@ -109,35 +103,34 @@ def _outside(ann: tuple[GaussianIntVector, ...], w: GaussianIntVector) -> bool:
 
 @dataclass(frozen=True)
 class Atom:
-    """Point (lo == hi) or open interval (lo, hi) with a constant subspace."""
+    """Point (lo == hi) or open interval (lo, hi): field piece `piece_index`, section piece `section_index`."""
 
     lo: Fraction
     hi: Fraction
     piece_index: int
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
+    section_index: int
+    is_point: bool
 
 
-def field_atoms(field: SubspaceField, extra_bounds) -> list[Atom]:
-    """Atoms in order with their pieces. The sorted bounds cut [0, 1] into
-    regions 2i (the point bounds[i]) and 2i + 1 (the gap after it); one
-    pass over the pieces' points and intervals marks each region's owner."""
-    ends = {ZERO, ONE, *map(Fraction, extra_bounds)}
+def field_atoms(field: SubspaceField, breakpoints) -> list[Atom]:
+    """Atoms in order, for a section with these breakpoints. The sorted bounds
+    cut [0, 1] into regions 2i (the point bounds[i]) and 2i + 1 (the gap
+    after it); one pass over the pieces marks each region's owner, and the
+    inner breakpoints at or before a region number the section's piece."""
+    ends = list(breakpoints)
     for piece in field.pieces:
-        ends.update(piece.region.points)
-        ends.update(x for iv in piece.region.intervals for x in (iv.lo, iv.hi))
-    bounds = sorted(ends)
-    slot = {b: 2 * i for i, b in enumerate(bounds)}
+        ends += piece.region.points
+        ends += (x for iv in piece.region.intervals for x in (iv.lo, iv.hi))
+    bounds, slot = _order(ends)
     owner = [0] * (2 * len(bounds) - 1)
     for i, piece in enumerate(field.pieces):
         for x in piece.region.points:
-            owner[slot[x]] = i
+            owner[slot[x.as_integer_ratio()]] = i
         for iv in piece.region.intervals:
-            for r in range(slot[iv.lo] + (not iv.lo_closed), slot[iv.hi] + iv.hi_closed):
+            for r in range(slot[iv.lo.as_integer_ratio()] + (not iv.lo_closed), slot[iv.hi.as_integer_ratio()] + iv.hi_closed):
                 owner[r] = i
-    return [Atom(bounds[r // 2], bounds[(r + 1) // 2], i) for r, i in enumerate(owner)]
+    inner = [slot[b.as_integer_ratio()] for b in breakpoints[1:-1]]
+    return [Atom(bounds[r // 2], bounds[(r + 1) // 2], i, bisect_right(inner, r), r % 2 == 0) for r, i in enumerate(owner)]
 
 
 def _scaled_value(piece: tuple[GaussianPoly, ...], x: Fraction) -> GaussianIntVector:
@@ -172,15 +165,15 @@ def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
     for atom in field_atoms(field, m.breakpoints):
         ann = field.annihilators[atom.piece_index]
         if atom.is_point:
-            if _outside(ann, _scaled_value(m.pieces[m.piece_index(atom.lo)], atom.lo)):
+            if _outside(ann, _scaled_value(m.pieces[atom.section_index], atom.lo)):
                 points.append(atom.lo)
             continue
-        resid = _residual_polys(ann, m.pieces[m.piece_index_for_interval(atom.lo)])
+        resid = _residual_polys(ann, m.pieces[atom.section_index])
         if all(p.is_zero() for p in resid):
             continue
         zeros = exact_zero_points(resid, atom.lo, atom.hi)
         cuts = [atom.lo, *sorted(z for z in zeros if atom.lo < z < atom.hi), atom.hi]
-        intervals.extend(Interval(a, b, False, False) for a, b in zip(cuts, cuts[1:]))
+        intervals.extend(Interval._of(a, b, False, False) for a, b in zip(cuts, cuts[1:]))
     return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
 
 
@@ -312,10 +305,7 @@ def is_essential_field(spec: FieldModuleSpec) -> FieldDecision:
 
 def _pick_interval(s: SymbolicSubset) -> tuple[Fraction, Fraction]:
     """Largest interval component, shrunk so its closure sits strictly inside."""
-    best = None
-    for iv in s.intervals:
-        if best is None or iv.hi - iv.lo > best.hi - best.lo:
-            best = iv
+    best = max(s.intervals, key=lambda iv: iv.hi - iv.lo, default=None)
     if best is None:
         raise NoRoom("the set contains no interval of positive length")
     quarter = (best.hi - best.lo) / 4

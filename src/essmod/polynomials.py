@@ -34,9 +34,7 @@ class RationalPoly:
     den: int
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        p = _norm([c.numerator * (den // c.denominator) for c in cs], den)
+        p = _over_lcm([Fraction(c).as_integer_ratio() for c in coeffs])
         self.nums, self.den = p.nums, p.den
 
     @classmethod
@@ -122,6 +120,12 @@ class RationalPoly:
         g, lead = gcd(*self.nums), self.nums[-1]
         s = g if lead > 0 else -g
         return RationalPoly._of(tuple(c // s for c in self.nums), abs(lead) // g)
+
+
+def _over_lcm(ratios: list[tuple[int, int]]) -> RationalPoly:
+    """Σ (p_i/q_i)·x^i, q_i > 0: the numerators over the lcm of the q_i, reduced once."""
+    den = lcm(*(q for _, q in ratios))
+    return _norm([p * (den // q) for p, q in ratios], den)
 
 
 def _norm(nums: list[int], den: int) -> RationalPoly:

@@ -74,8 +74,7 @@ class PiecewiseSection:
         x = Fraction(x)
         if not ZERO <= x <= ONE:
             raise ValueError(f"evaluation point {x} outside [0, 1]")
-        i = bisect_right(self.breakpoints, x) - 1
-        return min(i, len(self.pieces) - 1)
+        return self.piece_index_for_interval(x)
 
     def __call__(self, x) -> tuple[ComplexRational, ...]:
         x = Fraction(x)

@@ -22,7 +22,7 @@ from .algebra import AlgebraElement, AlgebraShape, RightIdeal
 from .errors import SchemaError, SizeCap
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField
 from .modules import ModuleElement, Submodule
-from .polynomials import GaussianPoly
+from .polynomials import GaussianPoly, _over_lcm
 from .rationals import ComplexRational, Matrix, mat_shape
 from .sections import PiecewiseSection
 from .subsets import Interval, SymbolicSubset
@@ -53,7 +53,8 @@ def _excerpt(value) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
-def frac_from_json(s) -> Fraction:
+def _ratio_from_json(s) -> tuple[int, int]:
+    """The integers (p, q) of an exact scalar "p/q" or "p", q > 0, not reduced."""
     if not isinstance(s, str):
         raise SchemaError(f"expected rational string, got {_excerpt(s)}")
     match = _RATIONAL.fullmatch(s)
@@ -62,20 +63,28 @@ def frac_from_json(s) -> Fraction:
     sign, num, den = match.groups()
     if max(len(num), len(den or "")) > MAX_DIGITS:
         raise SchemaError(f"bad rational {_excerpt(s)}: an integer has more than {MAX_DIGITS} digits")
-    try:
-        return Fraction(int(sign + num), int(den or "1"))
-    except ZeroDivisionError as exc:
-        raise SchemaError(f"bad rational {_excerpt(s)}: zero denominator") from exc
+    q = int(den or "1")
+    if not q:
+        raise SchemaError(f"bad rational {_excerpt(s)}: zero denominator")
+    return int(sign + num), q
+
+
+def frac_from_json(s) -> Fraction:
+    return Fraction(*_ratio_from_json(s))
 
 
 def crat_to_json(z: ComplexRational) -> list:
     return [frac_to_json(z.re), frac_to_json(z.im)]
 
 
-def crat_from_json(v) -> ComplexRational:
+def _crat_parts(v) -> tuple[tuple[int, int], tuple[int, int]]:
     if not isinstance(v, list) or len(v) != 2:
         raise SchemaError(f"expected [re, im] rational pair, got {_excerpt(v)}")
-    return ComplexRational(frac_from_json(v[0]), frac_from_json(v[1]))
+    return _ratio_from_json(v[0]), _ratio_from_json(v[1])
+
+
+def crat_from_json(v) -> ComplexRational:
+    return ComplexRational(*(Fraction(*part) for part in _crat_parts(v)))
 
 
 def complex_to_json(z: complex) -> list:
@@ -233,7 +242,9 @@ def _poly_to_json(p: GaussianPoly) -> list:
 
 
 def _poly_from_json(doc) -> GaussianPoly:
-    return GaussianPoly.from_coeffs([crat_from_json(c) for c in _require(doc, list, "polynomial")])
+    """Each part's integer numerators over the lcm of its denominators."""
+    parts = [_crat_parts(c) for c in _require(doc, list, "polynomial")]
+    return GaussianPoly(*(_over_lcm([c[k] for c in parts]) for k in (0, 1)))
 
 
 def section_to_json(m: PiecewiseSection) -> dict:
@@ -293,15 +304,12 @@ def field_spec_from_json(doc) -> FieldModuleSpec:
     d = doc["d"]
     if not isinstance(d, int) or d < 1:
         raise SchemaError("field spec needs a positive fiber dimension d")
-    regions = [subset_from_json(p) for p in _require(doc["partition"], list, "partition")]
-    bases = _require(doc["subspace_bases"], list, "subspace_bases")
-    if len(bases) != len(regions):
-        raise SchemaError("partition and subspace_bases lengths differ")
-    pieces = tuple(
-        FieldPiece(region, _basis_from_json(basis, d))
-        for region, basis in zip(regions, bases)
-    )
-    try:
+    try:  # a constructor's ValueError, such as an interval with lo > hi, is an input error
+        regions = [subset_from_json(p) for p in _require(doc["partition"], list, "partition")]
+        bases = _require(doc["subspace_bases"], list, "subspace_bases")
+        if len(bases) != len(regions):
+            raise SchemaError("partition and subspace_bases lengths differ")
+        pieces = tuple(FieldPiece(region, _basis_from_json(basis, d)) for region, basis in zip(regions, bases))
         field = SubspaceField(d, pieces)
         return FieldModuleSpec(
             d,

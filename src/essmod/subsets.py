@@ -8,6 +8,12 @@ closure and interior build on them). It sorts the endpoints of all
 operands once, which cuts [0, 1] into elementary regions, and reads each
 operand's coverage of every region off a running count of its interval
 openings and closings: linear after the sort.
+
+One kernel, `_order`, orders boundaries without comparing or hashing
+Fractions: n/d is deduped and found by its pair (n, d) and sorted by the
+integer key floor(n·2⁶⁴/d); keys tie only within 2⁻⁶⁴, and such ties are
+ordered as Fractions. A key costs its boundary's bit length, never the
+product of all the denominators, as one common denominator would.
 """
 
 from __future__ import annotations
@@ -33,6 +39,13 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
+
+    @classmethod
+    def _of(cls, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> "Interval":
+        """An interval between Fraction endpoints: built unchecked."""
+        out = cls.__new__(cls)
+        out.__dict__.update(lo=lo, hi=hi, lo_closed=lo_closed, hi_closed=hi_closed)
+        return out
 
     def contains(self, x: Fraction) -> bool:
         if self.lo < x < self.hi:
@@ -142,30 +155,27 @@ class SymbolicSubset:
         return " ∪ ".join(parts)
 
 
-def _check_range(x: Fraction):
-    if not (ZERO <= x <= ONE):
-        raise OutOfRange(f"value {x} outside [0, 1]")
+def _check_range(*xs: Fraction):
+    for x in xs:
+        n, d = x.as_integer_ratio()
+        if not 0 <= n <= d:
+            raise OutOfRange(f"value {x} outside [0, 1]")
 
 
 def _normalize(points, intervals) -> tuple[tuple[Fraction, ...], tuple[Interval, ...]]:
-    pts = []
-    for p in points:
-        p = Fraction(p)
-        _check_range(p)
-        pts.append(p)
+    pts = [Fraction(p) for p in points]
+    _check_range(*pts)
     ivs = []
     for iv in intervals:
-        if not isinstance(iv, Interval):
-            iv = Interval(*iv)
-        _check_range(iv.lo)
-        _check_range(iv.hi)
-        if iv.lo > iv.hi:
+        iv = iv if isinstance(iv, Interval) else Interval(*iv)
+        _check_range(iv.lo, iv.hi)
+        (a, b), (c, d) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
+        if (gap := c * b - a * d) < 0:  # (hi - lo)·b·d
             raise ValueError(f"interval with lo > hi: {iv}")
-        if iv.lo == iv.hi:
-            if iv.lo_closed and iv.hi_closed:
-                pts.append(iv.lo)
-            continue
-        ivs.append(iv)
+        if gap:
+            ivs.append(iv)
+        elif iv.lo_closed and iv.hi_closed:
+            pts.append(iv.lo)
     return _sweep(((pts, ivs),), bool)
 
 
@@ -179,6 +189,17 @@ def _rebuild(sets, keep: Callable[..., bool]) -> "SymbolicSubset":
     return out
 
 
+def _order(xs) -> tuple[list[Fraction], dict[tuple[int, int], int]]:
+    """The distinct values of the Fractions xs in increasing order, and the
+    region of each (region 2i is bounds[i]), keyed by its integer pair."""
+    by_pair = {x.as_integer_ratio(): x for x in xs}
+    keys = {(n, d): (n << 64) // d for n, d in by_pair}
+    pairs = sorted(by_pair, key=keys.__getitem__)
+    if len(set(keys.values())) < len(keys):  # values closer than 2⁻⁶⁴
+        pairs.sort(key=by_pair.__getitem__)
+    return [by_pair[p] for p in pairs], {p: 2 * i for i, p in enumerate(pairs)}
+
+
 def _sweep(operands, keep: Callable[..., bool]):
     """Normal form of the set that holds a region iff `keep` holds for the
     coverage counts of the operands there.
@@ -190,23 +211,22 @@ def _sweep(operands, keep: Callable[..., bool]):
     An operand adds +1 where each of its pieces starts and -1 after it
     ends; a running sum then gives its coverage of every region.
     """
-    ends = {ZERO, ONE}
+    ends = [ZERO, ONE]
     for pts, ivs in operands:
-        ends.update(pts)
-        for iv in ivs:
-            ends.update((iv.lo, iv.hi))
-    bounds = sorted(ends)
-    slot = {b: 2 * i for i, b in enumerate(bounds)}
+        ends += pts
+        ends += (x for iv in ivs for x in (iv.lo, iv.hi))
+    bounds, slot = _order(ends)
     n = 2 * len(bounds) - 1
     counts = []
     for pts, ivs in operands:
         delta = [0] * (n + 1)
         for p in pts:
-            delta[slot[p]] += 1
-            delta[slot[p] + 1] -= 1
+            r = slot[p.as_integer_ratio()]
+            delta[r] += 1
+            delta[r + 1] -= 1
         for iv in ivs:
-            delta[slot[iv.lo] + (not iv.lo_closed)] += 1
-            delta[slot[iv.hi] + iv.hi_closed] -= 1
+            delta[slot[iv.lo.as_integer_ratio()] + (not iv.lo_closed)] += 1
+            delta[slot[iv.hi.as_integer_ratio()] + iv.hi_closed] -= 1
         counts.append(accumulate(delta[:n]))
     inside = [keep(*c) for c in zip(*counts)]
 
@@ -220,10 +240,9 @@ def _sweep(operands, keep: Callable[..., bool]):
         start = k
         while k + 1 < n and inside[k + 1]:
             k += 1
-        lo, hi = bounds[start // 2], bounds[(k + 1) // 2]
-        if lo == hi:
-            points.append(lo)
+        if start == k and k % 2 == 0:
+            points.append(bounds[k // 2])
         else:
-            intervals.append(Interval(lo, hi, start % 2 == 0, k % 2 == 0))
+            intervals.append(Interval._of(bounds[start // 2], bounds[(k + 1) // 2], start % 2 == 0, k % 2 == 0))
         k += 1
     return tuple(points), tuple(intervals)

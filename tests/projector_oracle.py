@@ -96,12 +96,16 @@ def outside(basis, d, v) -> bool:
     return not vec_is_zero(mat_vec(complement(basis, d), v))
 
 
+def basis_at(field, x):
+    return next(p.basis for p in field.pieces if p.region.contains(x))
+
+
 def projector_at(field, x):
-    return orthogonal_projector(field.pieces[field.piece_index_at(x)].basis, field.d)
+    return orthogonal_projector(basis_at(field, x), field.d)
 
 
 def outside_at(field, x, v) -> bool:
-    return outside(field.pieces[field.piece_index_at(x)].basis, field.d, v)
+    return outside(basis_at(field, x), field.d, v)
 
 
 def residual_set(m, field) -> SymbolicSubset:

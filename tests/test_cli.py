@@ -345,6 +345,18 @@ def test_malformed_field_payload_exits_2(tmp_path, capsys):
     ], capsys)
 
 
+def test_partition_interval_with_lo_above_hi_exits_2(tmp_path, capsys):
+    """A partition interval (1, 9/16) reached the subset constructor outside
+    the loader's error handling: a ValueError traceback with exit 1."""
+    inst = gen_to_file(tmp_path, "f.json", ["--kind", "field", "--d", "2", "--pieces", "4",
+                                            "--generators", "3", "--defect", "interval", "--seed", "1"])
+    doc = json.loads(inst.read_text())
+    assert_input_errors(inst, [
+        edited(doc, ("partition", 0, "intervals", 0, "lo"), "1"),
+        edited(doc, ("partition", 0, "intervals", 0, "hi"), "0/5"),
+    ], capsys)
+
+
 def test_malformed_float_payload_exits_2(tmp_path, capsys):
     """Wrong JSON types and non-finite scalars inside right-ideal and
     module payloads are input errors."""

@@ -13,6 +13,7 @@ that code means a check failed, and a malformed input is not a failed check.
 import json
 import time
 
+from doc_paths import get, nodes, put
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,20 +22,6 @@ from essmod.generate import gen_module_submodule, gen_right_ideal
 
 SECONDS = 5.0
 BLOCKS = [(1,), (2,), (1, 2), (2, 3)]
-
-
-def nodes(doc, path=()):
-    """Every (path, value) below doc, containers included."""
-    out = [(path, doc)] if path else []
-    if isinstance(doc, dict):
-        items = doc.items()
-    elif isinstance(doc, list):
-        items = enumerate(doc)
-    else:
-        return out
-    for key, value in items:
-        out.extend(nodes(value, path + (key,)))
-    return out
 
 
 def entries(payload):
@@ -52,19 +39,6 @@ def blocks_of(payload):
 def elements(payload):
     """Paths of the algebra elements: dicts with a shape and blocks."""
     return [p for p, v in nodes(payload) if isinstance(v, dict) and "blocks" in v]
-
-
-def put(payload, path, value):
-    target = payload
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-
-
-def get(payload, path):
-    for key in path:
-        payload = payload[key]
-    return payload
 
 
 @st.composite

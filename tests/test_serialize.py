@@ -1,7 +1,10 @@
 import time
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from essmod import runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape, ideal_from_projection
@@ -9,6 +12,7 @@ from essmod.errors import SchemaError
 from essmod.fields import FieldModuleSpec, FieldPiece, SubspaceField
 from essmod.generate import SplitMix64, rand_algebra_element, rand_module_element
 from essmod.modules import Submodule, module_basis
+from essmod.polynomials import GaussianPoly
 from essmod.rationals import cr, mat, mat_identity
 from essmod.sections import PiecewiseSection, bump
 from essmod.subsets import SymbolicSubset
@@ -25,8 +29,11 @@ def test_fraction_roundtrip():
         serialize.frac_from_json(1.5)
 
 
-@pytest.mark.parametrize("text", ["0.5", "1e3", "1E3", ".5", "1/2.0", " 1/2", "1/2 ", "+1", "1_000",
-                                  "1/-2", "--1", "\u0661", "", "1/", "/2", "inf", "nan"])
+NOT_RATIONAL = ["0.5", "1e3", "1E3", ".5", "1/2.0", " 1/2", "1/2 ", "+1", "1_000",
+                "1/-2", "--1", "\u0661", "", "1/", "/2", "inf", "nan"]
+
+
+@pytest.mark.parametrize("text", NOT_RATIONAL)
 def test_fraction_grammar_is_strict(text):
     """Only p/q or p with decimal integers: Fraction's own grammar also
     takes decimals, exponents, spaces and underscores."""
@@ -53,6 +60,59 @@ def test_fraction_digit_cap_and_short_errors():
     with pytest.raises(SchemaError) as err:
         serialize.frac_from_json(["1/2"] * 1000)
     assert len(str(err.value)) < 120
+
+
+def fraction_path_poly(doc) -> GaussianPoly:
+    """The loader's former path, kept as an oracle: every coefficient as a
+    Fraction pair, through crat_from_json, into the public constructor."""
+    return GaussianPoly.from_coeffs([serialize.crat_from_json(c) for c in doc])
+
+
+def loaded_poly(doc) -> GaussianPoly:
+    """The polynomial doc as the loader reads it: one piece of a section."""
+    return serialize.section_from_json({"d": 1, "breakpoints": ["0", "1"], "pieces": [[doc]]}).pieces[0][0]
+
+
+rational_texts = st.one_of(
+    st.sampled_from(["0", "-0", "0/7", "2/4", "-2/4", "6/3", "1", "-12/8"]),
+    st.builds("{}/{}".format, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+)
+coefficient_lists = st.builds(
+    lambda cs, zeros: cs + zeros,
+    st.lists(st.lists(rational_texts, min_size=2, max_size=2), max_size=6),
+    st.lists(st.sampled_from([["0", "0"], ["0/7", "-0/3"], ["0", "0/1"]]), max_size=3),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(coefficient_lists)
+def test_polynomial_parse_matches_fraction_path(doc):
+    """Numerators over the lcm of the written denominators, reduced once,
+    give the lowest-terms polynomial the Fraction path gives."""
+    poly = loaded_poly(doc)
+    assert poly == fraction_path_poly(doc)
+    for k, part in enumerate((poly.re, poly.im)):
+        values = [F(c[k]) for c in doc]
+        while values and not values[-1]:
+            values.pop()
+        assert part.coeffs == tuple(values)
+        assert part.den > 0 and gcd(part.den, *part.nums) == 1
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL + [1.5, None, ["1"], "1" * 1001, "1/0"])
+def test_polynomial_parse_errors_match_fraction_path(bad):
+    """A bad coefficient gives the SchemaError message of the Fraction path,
+    in either part and in any position."""
+    for pos, part in ((0, 0), (1, 1), (2, 0)):
+        doc = [["1/2", "0"], ["-3", "1/3"], ["0", "0"]]
+        doc[pos][part] = bad
+        for cut in (doc, [*doc[:pos], bad]):  # the bad value as a part, or as the [re, im] pair
+            with pytest.raises(SchemaError) as expected:
+                fraction_path_poly(cut)
+            with pytest.raises(SchemaError) as got:
+                loaded_poly(cut)
+            assert str(got.value) == str(expected.value)
 
 
 def test_algebra_element_roundtrip():

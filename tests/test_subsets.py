@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from essmod.errors import OutOfRange
-from essmod.subsets import Interval, SymbolicSubset
+from essmod.subsets import Interval, SymbolicSubset, _order
 
 
 def iv(lo, hi, lc=True, hc=True):
@@ -174,12 +176,12 @@ def test_membership_consistency(s, x):
 
 
 @st.composite
-def raw_parts(draw):
+def raw_parts(draw, fracs=frac01):
     """Unnormalized (points, intervals): unsorted, overlapping, degenerate."""
-    pts = draw(st.lists(frac01, max_size=3))
+    pts = draw(st.lists(fracs, max_size=3))
     ivs = []
     for _ in range(draw(st.integers(0, 3))):
-        a, b = sorted([draw(frac01), draw(frac01)])
+        a, b = sorted([draw(fracs), draw(fracs)])
         ivs.append(Interval(a, b, draw(st.booleans()), draw(st.booleans())))
     return pts, ivs
 
@@ -196,6 +198,10 @@ def raw_member(parts, x):
 def test_sweep_matches_pointwise_membership(pa, pb):
     """Every set operation agrees with membership of the raw operands at each
     boundary and each gap midpoint, and returns the normal form."""
+    assert_sweep_matches_membership(pa, pb)
+
+
+def assert_sweep_matches_membership(pa, pb):
     a = SymbolicSubset(points=tuple(pa[0]), intervals=tuple(pa[1]))
     b = SymbolicSubset(points=tuple(pb[0]), intervals=tuple(pb[1]))
     ends = sorted(
@@ -214,3 +220,53 @@ def test_sweep_matches_pointwise_membership(pa, pb):
             assert i.hi < j.lo or (i.hi == j.lo and not i.hi_closed and not j.lo_closed)
         for p in s.points:
             assert all(p < iv.lo or p > iv.hi for iv in s.intervals)
+
+
+# --- the ordering kernel ---------------------------------------------------------------
+
+def near(k, width=2):
+    """Rationals in [k, k + width)/2⁶⁴ with denominators above 2³²: any two
+    in [k, k + 1)/2⁶⁴ share the sort key floor(x·2⁶⁴)."""
+    return st.builds(
+        lambda j, q, r: F((k + j) * q + r % q, q << 64),
+        st.integers(0, width - 1), st.integers(2 ** 32 + 1, 2 ** 40), st.integers(0, 2 ** 40),
+    ).filter(lambda x: x.denominator > 2 ** 32)
+
+
+keys64 = st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 2]) | st.integers(0, 2 ** 64 - 2)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_order_breaks_near_ties_exactly(data):
+    k = data.draw(keys64)
+    tied = data.draw(st.lists(near(k, 1), min_size=2, max_size=6, unique=True))
+    xs = tied + data.draw(st.lists(near(k), max_size=6))
+    bounds, slot = _order(xs + xs[:2])
+    assert bounds == sorted(set(xs))
+    assert slot == {x.as_integer_ratio(): 2 * i for i, x in enumerate(bounds)}
+
+
+@st.composite
+def near_tie_operands(draw):
+    fracs = near(draw(keys64))
+    return draw(raw_parts(fracs)), draw(raw_parts(fracs))
+
+
+@settings(deadline=None, max_examples=100)
+@given(near_tie_operands())
+def test_sweep_matches_pointwise_membership_near_ties(operands):
+    """The same as test_sweep_matches_pointwise_membership on boundaries
+    closer than 2⁻⁶⁴, where the integer sort keys tie."""
+    assert_sweep_matches_membership(*operands)
+
+
+def test_order_cost_grows_with_bit_length_not_denominator_product():
+    """400 points with unrelated 1000-digit denominators: over one common
+    denominator each key would carry 400,000 digits."""
+    rng = random.Random(5)
+    xs = [F(rng.randrange(q), q) for q in (rng.randrange(10 ** 999, 10 ** 1000) for _ in range(400))]
+    t0 = time.perf_counter()
+    s = SymbolicSubset(points=tuple(xs))
+    assert time.perf_counter() - t0 < 1.0
+    assert list(s.points) == sorted(set(xs))
