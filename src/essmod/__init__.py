@@ -12,7 +12,6 @@ from .algebra import (
     ideal_support_projection,
     is_essential_right_ideal,
     lower_approximants,
-    shifted_positive_part,
     spectral_projection,
 )
 from .fields import (
@@ -75,7 +74,6 @@ __all__ = [
     "pointwise_inner",
     "reformulation_probe",
     "residual_set",
-    "shifted_positive_part",
     "spectral_projection",
     "submodule_of_ideal",
     "theta",

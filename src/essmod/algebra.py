@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatch,
     ZeroInput,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import ACCEPT_TOL, DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,8 @@ class AlgebraElement:
 
     @cached_property
     def _eig(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        # Read only after is_hermitian(tol) passed with the caller's tol,
-        # which implies herm_eig's looser per-block check: skip that one.
+        # Read only after the element passed a hermiticity test at its own
+        # scale (1 + ‖a‖), so herm_eig's per-block test is skipped.
         return tuple(linalg.herm_eig(b, tol=np.inf) for b in self.blocks)
 
     def norm(self) -> float:
@@ -146,19 +146,19 @@ class AlgebraElement:
         return (self - other).norm()
 
 
-def _eig_blocks(a: AlgebraElement, tol: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    if not a.is_hermitian(tol):
+def _eig_blocks(a: AlgebraElement) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    if not a.is_hermitian():
         raise NotHermitian("algebra element is not hermitian within tolerance")
     return a._eig
 
 
-def all_eigenvalues(a: AlgebraElement, tol: float = DEFAULT_TOL) -> np.ndarray:
+def all_eigenvalues(a: AlgebraElement) -> np.ndarray:
     """Sorted spectrum of a hermitian element across all blocks."""
-    eigs = np.concatenate([e for e, _ in _eig_blocks(a, tol)])
+    eigs = np.concatenate([e for e, _ in _eig_blocks(a)])
     return np.sort(eigs)
 
 
-def calculus(a: AlgebraElement, f: Callable[[float], float], tol: float = DEFAULT_TOL) -> AlgebraElement:
+def calculus(a: AlgebraElement, f: Callable[[float], float]) -> AlgebraElement:
     """Continuous functional calculus f(a) for hermitian a.
 
     Applies f to the spectrum blockwise: u diag(f(λ)) u*. callable errors
@@ -167,7 +167,7 @@ def calculus(a: AlgebraElement, f: Callable[[float], float], tol: float = DEFAUL
     from .errors import DomainError
 
     out = []
-    for eigs, u in _eig_blocks(a, tol):
+    for eigs, u in _eig_blocks(a):
         try:
             vals = np.array([float(f(float(t))) for t in eigs])
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -176,22 +176,19 @@ def calculus(a: AlgebraElement, f: Callable[[float], float], tol: float = DEFAUL
     return AlgebraElement(a.shape, tuple(out))
 
 
-def spectral_projection(a: AlgebraElement, eps: float, tol: float = DEFAULT_TOL) -> AlgebraElement:
+def spectral_projection(a: AlgebraElement, eps: float) -> AlgebraElement:
     """χ_(eps, ∞)(a): the spectral projection onto eigenvalues above eps.
 
     Raises EigenvalueAtThreshold when some eigenvalue lies within the scaled
     tolerance of eps — the projection is discontinuous there.
     """
-    scale = 1.0 + a.norm()
-    eigs = all_eigenvalues(a, tol)
-    if np.any(np.abs(eigs - eps) <= tol * scale):
-        raise EigenvalueAtThreshold(
-            f"eigenvalue within {tol * scale:.3g} of threshold {eps}"
-        )
-    return calculus(a, lambda t: 1.0 if t > eps else 0.0, tol=tol)
+    cut = DEFAULT_TOL * (1.0 + a.norm())
+    if np.any(np.abs(all_eigenvalues(a) - eps) <= cut):
+        raise EigenvalueAtThreshold(f"eigenvalue within {cut:.3g} of threshold {eps}")
+    return calculus(a, lambda t: 1.0 if t > eps else 0.0)
 
 
-def lower_approximants(a: AlgebraElement, eps: float, n: int, tol: float = DEFAULT_TOL) -> AlgebraElement:
+def lower_approximants(a: AlgebraElement, eps: float, n: int) -> AlgebraElement:
     """g_n(a) for the piecewise-linear lower approximants of χ_(eps, ∞):
 
         g_n(t) = 0 for t ≤ eps, n(t - eps) on (eps, eps + 1/n), 1 beyond.
@@ -208,17 +205,12 @@ def lower_approximants(a: AlgebraElement, eps: float, n: int, tol: float = DEFAU
             return n * (t - eps)
         return 1.0
 
-    return calculus(a, g, tol=tol)
+    return calculus(a, g)
 
 
-def shifted_positive_part(a: AlgebraElement, eps: float, tol: float = DEFAULT_TOL) -> AlgebraElement:
-    """(a - eps)_+ = max(a - eps, 0) via the functional calculus."""
-    return calculus(a, lambda t: max(t - eps, 0.0), tol=tol)
-
-
-def is_projection(p: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
-    scale = 1.0 + p.norm()
-    return p.is_hermitian(tol) and (p * p).distance(p) <= tol * scale
+def is_projection(p: AlgebraElement) -> bool:
+    """p* = p = p² within the acceptance tolerance, scaled by 1 + ‖p‖."""
+    return p.is_hermitian(ACCEPT_TOL) and (p * p).distance(p) <= ACCEPT_TOL * (1.0 + p.norm())
 
 
 @dataclass(frozen=True)
@@ -231,13 +223,13 @@ class RightIdeal:
     def __post_init__(self):
         if self.support_projection.shape != self.shape:
             raise ShapeMismatch("projection over a different shape")
-        if not is_projection(self.support_projection, tol=1e-8):
+        if not is_projection(self.support_projection):
             raise NotProjection("support projection fails p*p = p = p^*")
 
-    def contains(self, b: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
+    def contains(self, b: AlgebraElement) -> bool:
         """Membership b ∈ pA  ⟺  p b = b."""
         p = self.support_projection
-        return (p * b).distance(b) <= tol * (1.0 + b.norm())
+        return (p * b).distance(b) <= DEFAULT_TOL * (1.0 + b.norm())
 
     def spanning_set(self) -> list[AlgebraElement]:
         """Complex spanning set {p E} over the matrix-unit basis."""
@@ -255,7 +247,7 @@ def ideal_from_projection(p: AlgebraElement) -> RightIdeal:
     return RightIdeal(p.shape, p)
 
 
-def ideal_support_projection(generators: Sequence[AlgebraElement], tol: float = DEFAULT_TOL) -> RightIdeal:
+def ideal_support_projection(generators: Sequence[AlgebraElement]) -> RightIdeal:
     """Support projection of the right ideal generated by the given elements.
 
     Blockwise this is the orthogonal projection onto the joint column space
@@ -271,7 +263,7 @@ def ideal_support_projection(generators: Sequence[AlgebraElement], tol: float = 
     blocks = []
     for b in range(shape.num_blocks):
         stacked = np.hstack([g.blocks[b] for g in gens])
-        blocks.append(linalg.column_space_projector(stacked, tol=tol))
+        blocks.append(linalg.column_space_projector(stacked))
     return RightIdeal(shape, AlgebraElement(shape, tuple(blocks)))
 
 
@@ -288,7 +280,7 @@ def _interp_resolvent(eps: float) -> Callable[[float], float]:
     return g
 
 
-def _choose_threshold(a: AlgebraElement, tol: float) -> float:
+def _choose_threshold(a: AlgebraElement) -> float:
     """Half the smallest nonzero eigenvalue of the positive element a.
 
     Any threshold in (0, ‖a‖) would make (a−eps)₊ nonzero; this choice
@@ -296,9 +288,8 @@ def _choose_threshold(a: AlgebraElement, tol: float) -> float:
     spectral projection has exactly the rank of a. It sits in the middle of
     a spectral gap, far from every eigenvalue.
     """
-    scale = 1.0 + a.norm()
-    eigs = all_eigenvalues(a, tol)
-    nonzero = eigs[eigs > 1e-9 * scale]
+    eigs = all_eigenvalues(a)
+    nonzero = eigs[eigs > 1e-9 * (1.0 + a.norm())]
     if nonzero.size == 0:
         raise ZeroInput("element too small to pick a spectral threshold")
     return float(nonzero[0]) / 2.0
@@ -326,11 +317,13 @@ class SubidealWitness:
 
     @property
     def verified(self) -> bool:
-        tol = 1e-8
-        return self.fa_p_error <= tol and all(e <= tol for e in self.probe_errors)
+        """Every contract residual is within the acceptance tolerance."""
+        return self.fa_p_error <= ACCEPT_TOL and all(
+            e <= ACCEPT_TOL for e in (*self.probe_errors, *self.membership_errors)
+        )
 
 
-def closed_subideal(x: AlgebraElement, tol: float = DEFAULT_TOL) -> SubidealWitness:
+def closed_subideal(x: AlgebraElement) -> SubidealWitness:
     """Produce a closed right ideal K = pA inside the right ideal generated
     by a nonzero x, with verified membership certificates.
 
@@ -340,14 +333,14 @@ def closed_subideal(x: AlgebraElement, tol: float = DEFAULT_TOL) -> SubidealWitn
     f(a)p = p, so every b ∈ K factors as b = f(a) p b = x (x* g(a) p b),
     an element of x A.
     """
-    if x.is_zero(tol):
+    if x.is_zero():
         raise ZeroInput("closed_subideal requires x ≠ 0")
     a = x * x.adjoint()
-    eps = _choose_threshold(a, tol)
-    p = spectral_projection(a, eps, tol=tol)
+    eps = _choose_threshold(a)
+    p = spectral_projection(a, eps)
     g = _interp_resolvent(eps)
-    ga = calculus(a, g, tol=tol)
-    fa = calculus(a, lambda t: t * g(t), tol=tol)
+    ga = calculus(a, g)
+    fa = calculus(a, lambda t: t * g(t))
 
     scale = 1.0 + a.norm()
     fa_p_error = (fa * p).distance(p) / scale
@@ -386,7 +379,7 @@ class IdealCertificate:
     intersection_dim: int | None = None
 
 
-def is_essential_right_ideal(J: RightIdeal, tol: float = DEFAULT_TOL) -> tuple[bool, IdealCertificate]:
+def is_essential_right_ideal(J: RightIdeal) -> tuple[bool, IdealCertificate]:
     """Decide essentiality of the closed right ideal pA.
 
     pA meets every nonzero right ideal iff p is the identity in every block;
@@ -395,20 +388,21 @@ def is_essential_right_ideal(J: RightIdeal, tol: float = DEFAULT_TOL) -> tuple[b
     """
     p = J.support_projection
     shape = J.shape
-    cut = tol * (1.0 + p.norm())
+    cut = DEFAULT_TOL * (1.0 + p.norm())
     errs = [linalg.op_norm(pb - np.eye(n)) for pb, n in zip(p.blocks, shape.block_dims)]
     if max(errs) <= cut:
         return True, IdealCertificate(essential=True, identity_error=max(errs))
 
     # a defective block and a unit vector missing from range(p)
     b = next(b for b, err in enumerate(errs) if err > cut)
-    pb = p.blocks[b]
-    eigs, u = linalg.herm_eig(pb, tol=1e-8)
+    # RightIdeal accepted p as hermitian at the element's scale; a second
+    # test at the block's own scale could refuse the same p
+    _, u = linalg.herm_eig(p.blocks[b], tol=np.inf)
     v = u[:, 0]  # eigenvalue ≈ 0: orthogonal complement of range(p)
     q_blocks = [np.zeros((m, m), dtype=np.complex128) for m in shape.block_dims]
     q_blocks[b] = np.outer(v, v.conj())
     q = AlgebraElement(shape, tuple(q_blocks))
-    inter = linalg.subspace_intersection_dim(pb, q.blocks[b], tol=1e-8)
+    inter = linalg.subspace_intersection_dim(p.blocks[b], q.blocks[b])
     return False, IdealCertificate(
         essential=False,
         block=b,

@@ -165,7 +165,7 @@ def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
     for atom in field_atoms(field, m.breakpoints):
         ann = field.annihilators[atom.piece_index]
         if atom.is_point:
-            if _outside(ann, _scaled_value(m.pieces[atom.section_index], atom.lo)):
+            if ann and _outside(ann, _scaled_value(m.pieces[atom.section_index], atom.lo)):
                 points.append(atom.lo)
             continue
         resid = _residual_polys(ann, m.pieces[atom.section_index])
@@ -427,6 +427,13 @@ class InductiveWitness:
     picks: tuple[int, ...]
     samples: tuple[Fraction, ...]
     sample_defects_verified: bool
+
+    @property
+    def verified(self) -> bool:
+        """m leaves the subspace at every sample and 0 < λ_j ≤ 2^-j."""
+        return self.sample_defects_verified and all(
+            ZERO < lam <= Fraction(1, 2 ** j) for j, lam in enumerate(self.lambdas, start=1)
+        )
 
 
 def inductive_witness_section(

@@ -1,9 +1,11 @@
 """Dense complex linear algebra kernel.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128; every
-function here is pure. The default tolerance is absolute and gets scaled by
-(1 + norm) of the input where a relative notion makes sense: all intended
-instances are well-conditioned matrices of size at most 16.
+function here is pure. Two tolerances cover the float stack. DEFAULT_TOL is
+absolute and gets scaled by (1 + norm) of the input where a relative notion
+makes sense: all intended instances are well-conditioned matrices of size
+at most 16. ACCEPT_TOL is looser: it decides whether a projection or a
+certificate computed in floats is accepted.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 from .errors import NoConvergence, NonFinite, NotHermitian
 
 DEFAULT_TOL = 1e-10
+ACCEPT_TOL = 1e-8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -84,15 +87,17 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
     return bool(eigs[0] >= -tol)
 
 
-def matrix_rank(a, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank via singular values, threshold scaled by the largest one."""
+def _numerical_rank(s: np.ndarray, tol: float) -> int:
+    """The one rank rule: singular values above tol·max(1, s[0])."""
+    return int(np.sum(s > tol * max(1.0, s[0])))
+
+
+def matrix_rank(a) -> int:
+    """Numerical rank at the acceptance tolerance."""
     m = as_matrix(a)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] <= tol:
-        return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return _numerical_rank(np.linalg.svd(m, compute_uv=False), ACCEPT_TOL)
 
 
 def orthonormal_column_basis(a, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -101,23 +106,19 @@ def orthonormal_column_basis(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     if m.size == 0:
         return np.zeros((m.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] <= tol:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    r = int(np.sum(s > tol * max(1.0, s[0])))
-    return u[:, :r]
+    return u[:, :_numerical_rank(s, tol)]
 
 
-def column_space_projector(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+def column_space_projector(a) -> np.ndarray:
     """Orthogonal projector onto the column space of ``a``."""
-    q = orthonormal_column_basis(a, tol=tol)
+    q = orthonormal_column_basis(a)
     return q @ q.conj().T
 
 
-def subspace_intersection_dim(u, v, tol: float = DEFAULT_TOL) -> int:
-    """dim(col(u) ∩ col(v)) via the rank formula."""
-    bu = orthonormal_column_basis(u, tol=tol)
-    bv = orthonormal_column_basis(v, tol=tol)
+def subspace_intersection_dim(u, v) -> int:
+    """dim(col(u) ∩ col(v)) via the rank formula, at the acceptance tolerance."""
+    bu = orthonormal_column_basis(u, tol=ACCEPT_TOL)
+    bv = orthonormal_column_basis(v, tol=ACCEPT_TOL)
     if bu.shape[1] == 0 or bv.shape[1] == 0:
         return 0
-    joint = matrix_rank(np.hstack([bu, bv]), tol=tol)
-    return bu.shape[1] + bv.shape[1] - joint
+    return bu.shape[1] + bv.shape[1] - matrix_rank(np.hstack([bu, bv]))

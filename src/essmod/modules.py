@@ -29,7 +29,7 @@ from .algebra import (
     is_essential_right_ideal,
 )
 from .errors import ShapeMismatch, ZeroInput
-from .linalg import DEFAULT_TOL
+from .linalg import ACCEPT_TOL, DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -179,10 +179,10 @@ class Submodule:
         norm = sum(np.linalg.norm(x_b) ** 2 for x_b in x.blocks)
         return bool(np.sqrt(resid) <= DEFAULT_TOL * (1.0 + np.sqrt(norm)))
 
-    def same_span(self, other: "Submodule", tol: float = 1e-8) -> bool:
+    def same_span(self, other: "Submodule") -> bool:
         return max(
             linalg.op_norm(p - q) for p, q in zip(self.block_projectors, other.block_projectors)
-        ) <= tol
+        ) <= ACCEPT_TOL
 
     def is_zero(self) -> bool:
         return not any(p.any() for p in self.block_projectors)
@@ -254,8 +254,7 @@ def reformulation_probe(m: ModuleElement, N: Submodule) -> ProbeResult:
 
 def _nullspace(a: np.ndarray) -> np.ndarray:
     _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > DEFAULT_TOL * max(1.0, s[0])))
-    return vh[rank:].conj().T
+    return vh[linalg._numerical_rank(s, DEFAULT_TOL):].conj().T
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,6 @@ class RationalPoly:
         c = Fraction(c)
         return cls._of((c.numerator,) if c else (), c.denominator)
 
-    @classmethod
-    def x(cls) -> "RationalPoly":
-        return cls._of((0, 1), 1)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients, ascending, as Fractions (a read-only view)."""

@@ -134,7 +134,7 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> dict:
             "max_probe_error": max(w.probe_errors, default=0.0),
             "max_membership_error": max(w.membership_errors, default=0.0),
         }
-        report["checks_ok"] = w.verified and all(e <= 1e-8 for e in w.membership_errors)
+        report["checks_ok"] = w.verified
     elif kind == "module_submodule":
         n = submodule_from_json(payload)
         decision, cert = modules.is_essential_submodule(n)
@@ -186,27 +186,19 @@ def _non_essential_witnesses(spec, decision, samples: int) -> dict:
             "sample_defects_verified": inductive.sample_defects_verified,
         },
     }
-    lambda_bounds_ok = all(
-        Fraction(0) < lam <= Fraction(1, 2 ** j)
-        for j, lam in enumerate(inductive.lambdas, start=1)
+    direct = next(
+        (fields.non_essential_witness(g, spec.subfield, defect)
+         for g, defect in zip(spec.generators, analysis.defects)
+         if not defect.closure().interior().is_empty()),
+        None,
     )
-    direct = None
-    for g, defect in zip(spec.generators, analysis.defects):
-        if not defect.closure().interior().is_empty():
-            w = fields.non_essential_witness(g, spec.subfield, defect)
-            direct = {
-                "support": [frac_to_json(w.support[0]), frac_to_json(w.support[1])],
-                "closure_equal": w.closure_equal,
-                "ma_nonzero": w.ma_nonzero,
-                "probes_ok": all(p.implication_holds for p in w.probes),
-            }
-            break
-    doc["direct"] = direct
-    doc["all_verified"] = (
-        inductive.sample_defects_verified
-        and lambda_bounds_ok
-        and (direct is None or (direct["closure_equal"] and direct["ma_nonzero"] and direct["probes_ok"]))
-    )
+    doc["direct"] = None if direct is None else {
+        "support": [frac_to_json(direct.support[0]), frac_to_json(direct.support[1])],
+        "closure_equal": direct.closure_equal,
+        "ma_nonzero": direct.ma_nonzero,
+        "probes_ok": all(p.implication_holds for p in direct.probes),
+    }
+    doc["all_verified"] = inductive.verified and (direct is None or direct.verified)
     return doc
 
 

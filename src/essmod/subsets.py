@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import OutOfRange
 
@@ -77,16 +77,8 @@ class SymbolicSubset:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def empty(cls) -> "SymbolicSubset":
-        return cls()
-
-    @classmethod
     def full(cls) -> "SymbolicSubset":
         return cls(intervals=(Interval(ZERO, ONE, True, True),))
-
-    @classmethod
-    def from_points(cls, xs: Iterable) -> "SymbolicSubset":
-        return cls(points=tuple(Fraction(x) for x in xs))
 
     @classmethod
     def point(cls, x) -> "SymbolicSubset":

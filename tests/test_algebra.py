@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from essmod import linalg
+from essmod.linalg import ACCEPT_TOL
 from essmod.algebra import (
     AlgebraElement,
     AlgebraShape,
@@ -14,7 +15,6 @@ from essmod.algebra import (
     ideal_support_projection,
     is_essential_right_ideal,
     lower_approximants,
-    shifted_positive_part,
     spectral_projection,
 )
 from essmod.errors import (
@@ -152,40 +152,6 @@ def test_lower_approximants_increase_in_psd_order():
         prev = cur
 
 
-# --- shifted positive part ----------------------------------------------------------
-
-def test_shifted_positive_part_diagonal():
-    r = shifted_positive_part(diag_elem(3.0, 1.0), 2.0)
-    assert r.distance(diag_elem(1.0, 0.0)) <= 1e-12
-
-
-def test_shifted_positive_part_vanishes_at_norm():
-    rng = SplitMix64(7)
-    a = rand_hermitian(rng, M2)
-    assert shifted_positive_part(a, a.norm() + 1e-6).is_zero(1e-10)
-
-
-def test_shifted_positive_part_is_psd():
-    rng = SplitMix64(15)
-    for _ in range(10):
-        a = rand_hermitian(rng, MIXED)
-        r = shifted_positive_part(a, a.norm() / 3)
-        assert all(linalg.is_psd(b) for b in r.blocks)
-
-
-def test_shifted_positive_part_two_formulas_agree():
-    rng = SplitMix64(8)
-    for _ in range(10):
-        x = rand_algebra_element(rng, M3)
-        a = x * x.adjoint()  # positive
-        eps = a.norm() / 3 + 1e-3
-        if np.min(np.abs(all_eigenvalues(a) - eps)) < 1e-6:
-            continue
-        direct = shifted_positive_part(a, eps)
-        via_chi = (a - eps * AlgebraElement.identity(M3)) * spectral_projection(a, eps)
-        assert direct.distance(via_chi) <= 1e-10 * (1 + a.norm())
-
-
 # --- right ideals ---------------------------------------------------------------------
 
 def test_ideal_from_identity_contains_everything():
@@ -215,6 +181,17 @@ def test_ideal_membership_e11_means_second_row_zero():
 def test_ideal_from_projection_rejects_non_projection():
     with pytest.raises(NotProjection):
         ideal_from_projection(diag_elem(0.5, 1.0))
+
+
+@pytest.mark.parametrize("delta, accepted", [(0.1 * ACCEPT_TOL, True), (10 * ACCEPT_TOL, False)])
+def test_projection_acceptance_boundary(delta, accepted):
+    """e11 + δ·e22 misses p² = p by about δ, against a cut of ACCEPT_TOL·(1 + ‖p‖)."""
+    p = e11_m2() + delta * AlgebraElement.matrix_unit(M2, 0, 1, 1)
+    if accepted:
+        assert ideal_from_projection(p).support_projection is p
+    else:
+        with pytest.raises(NotProjection):
+            ideal_from_projection(p)
 
 
 def test_support_projection_of_identity():
@@ -278,7 +255,7 @@ def test_closed_subideal_rank_matches_svd_oracle():
         if x.is_zero(1e-8):
             continue
         w = closed_subideal(x)
-        rank_oracle = sum(linalg.matrix_rank(b, tol=1e-8) for b in x.blocks)
+        rank_oracle = sum(linalg.matrix_rank(b) for b in x.blocks)
         assert w.ideal.rank() == rank_oracle
         assert not w.p.is_zero(1e-8)
         assert w.verified
@@ -359,6 +336,6 @@ def test_essentiality_matches_rank_one_falsification_oracle():
                 v = rand_matrix(rng, n, 1)
                 if linalg.op_norm(v) < 1e-6:
                     continue
-                if linalg.subspace_intersection_dim(p.blocks[b], v, tol=1e-8) == 0:
+                if linalg.subspace_intersection_dim(p.blocks[b], v) == 0:
                     falsified = True
         assert decision == (not falsified), f"trial {trial}"

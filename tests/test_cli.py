@@ -358,13 +358,14 @@ def test_partition_interval_with_lo_above_hi_exits_2(tmp_path, capsys):
 
 
 def test_malformed_float_payload_exits_2(tmp_path, capsys):
-    """Wrong JSON types and non-finite scalars inside right-ideal and
-    module payloads are input errors."""
+    """Wrong JSON types, ragged blocks and non-finite scalars inside
+    right-ideal and module payloads are input errors."""
     ideal = gen_right_ideal((2,), 1)
     module = gen_module_submodule((2,), 2, 5)
     entry = ("blocks", 0, 0, 0)
     assert_input_errors(tmp_path / "bad.json", [
         edited(ideal, ("support_projection", "blocks"), 5),
+        edited(ideal, ("support_projection", "blocks", 0, 1), [[0.0, 0.0]]),
         edited(ideal, ("generators",), 5),
         edited(ideal, ("generators", 0, *entry), [float("nan"), 0.0]),
         edited(module, ("generators", 0, "coords"), 5),
@@ -372,6 +373,36 @@ def test_malformed_float_payload_exits_2(tmp_path, capsys):
         edited(module, ("generators", 0, "coords", 0, *entry), [float("nan"), 0.0]),
         edited(module, ("generators", 0, "coords", 1, *entry), [0.0, float("inf")]),
     ], capsys)
+
+
+# p = [[1]] ⊕ [[0, 1.5e-8], [0, 0]]: a projection at the element's scale, 1 + ‖p‖ = 2
+NEAR_PROJECTION = {
+    "schema": "essmod/1",
+    "kind": "right_ideal",
+    "payload": {
+        "shape": {"block_dims": [1, 2]},
+        "support_projection": {
+            "shape": {"block_dims": [1, 2]},
+            "blocks": [[[[1.0, 0.0]]], [[[0.0, 0.0], [1.5e-8, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+        },
+    },
+}
+
+
+def test_near_projection_is_checked_at_one_scale(tmp_path, capsys):
+    """check tested the defective block's hermiticity again at the block's
+    own scale, ‖p_b‖ ≈ 1.5e-8, and exited 2 with NotHermitian on a support
+    projection that RightIdeal and witness accept."""
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(NEAR_PROJECTION))
+    for command in ("check", "witness"):
+        assert cli.main([command, "--in", str(path)]) == 0, capsys.readouterr().err
+    report = runner.run_check(NEAR_PROJECTION)
+    assert report["decision"] is False and report["checks_ok"] is True
+    assert report["certificate"]["block"] == 1 and report["certificate"]["intersection_dim"] == 0
+    witness = runner.run_witness(NEAR_PROJECTION)
+    assert witness["checks_ok"] is True
+    assert witness["digest"] == "30d022c4e3c2f91f3c1cd9e3845bff6f39d5a44ef8a57d3fadfe313a73afc59d"
 
 
 def run_console(command, doc, tmp_path):

@@ -33,7 +33,7 @@ def zero_basis(d):
 
 
 def x_poly():
-    return GaussianPoly(RationalPoly.x(), RationalPoly.zero())
+    return GaussianPoly(RationalPoly((0, 1)), RationalPoly.zero())
 
 
 def two_zone_field():
@@ -183,7 +183,7 @@ def test_essential_field_point_defects():
     )
     decision = is_essential_field(spec)
     assert decision.essential
-    assert decision.analysis.total == SymbolicSubset.from_points(pts)
+    assert decision.analysis.total == SymbolicSubset(points=tuple(pts))
 
 
 def test_non_essential_field_interval_defect():
@@ -222,7 +222,7 @@ def test_residual_with_breakpoint_on_point_defect():
         ),
     )
     # m kinks at 1/2: x on the left, 1 - x on the right; m(1/2) = 1/2 ≠ 0
-    left = GaussianPoly(RationalPoly.x(), RationalPoly.zero())
+    left = GaussianPoly(RationalPoly((0, 1)), RationalPoly.zero())
     right = GaussianPoly(RationalPoly((F(1), F(-1))), RationalPoly.zero())
     m = PiecewiseSection(1, (F(0), F(1, 2), F(1)), ((left,), (right,)))
     assert residual_set(m, field) == SymbolicSubset.point(F(1, 2))
@@ -272,7 +272,7 @@ def test_identity_with_n_equal_m():
 
 def test_identity_with_scalar_multiple():
     m = PiecewiseSection.constant([1, cr(0, 1)])
-    c = PiecewiseSection.scalar_poly(GaussianPoly(RationalPoly.x(), RationalPoly((F(1, 3),))))
+    c = PiecewiseSection.scalar_poly(GaussianPoly(RationalPoly((0, 1)), RationalPoly((F(1, 3),))))
     n = m.mul_scalar_section(c)
     assert commutative_limit_identity(m, n)
 

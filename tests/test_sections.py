@@ -10,7 +10,7 @@ from essmod.subsets import SymbolicSubset
 
 
 def x_section():
-    return PiecewiseSection.scalar_poly(GaussianPoly(RationalPoly.x(), RationalPoly.zero()))
+    return PiecewiseSection.scalar_poly(GaussianPoly(RationalPoly((0, 1)), RationalPoly.zero()))
 
 
 def test_constant_section_evaluates():

@@ -94,7 +94,7 @@ def test_difference_and_membership():
 
 
 def test_interval_minus_points_splits():
-    s = iv(0, 1) - SymbolicSubset.from_points([F(1, 4), F(1, 2)])
+    s = iv(0, 1) - SymbolicSubset(points=(F(1, 4), F(1, 2)))
     assert len(s.intervals) == 3
     assert not s.contains(F(1, 4)) and s.contains(F(3, 8))
 
@@ -115,13 +115,13 @@ def test_interior_is_relative_to_unit_interval():
 
 
 def test_interior_drops_isolated_points():
-    s = SymbolicSubset.from_points([F(1, 3), F(2, 3)])
+    s = SymbolicSubset(points=(F(1, 3), F(2, 3)))
     assert s.interior().is_empty()
 
 
 def test_nowhere_dense_examples():
-    assert SymbolicSubset.empty().is_nowhere_dense()
-    assert SymbolicSubset.from_points([F(1, 4), F(1, 2), F(3, 4)]).is_nowhere_dense()
+    assert SymbolicSubset().is_nowhere_dense()
+    assert SymbolicSubset(points=(F(1, 4), F(1, 2), F(3, 4))).is_nowhere_dense()
     assert not iv(F(3, 10), F(2, 5)).is_nowhere_dense()
     assert not (SymbolicSubset.point(F(1, 8)) | iv(F(1, 2), F(5, 8), False, False)).is_nowhere_dense()
 
@@ -165,7 +165,7 @@ def test_union_intersection_laws(a, b):
     assert (a | b) == (b | a)
     assert (a & b).is_subset_of(a)
     assert a.is_subset_of(a | b)
-    assert (a - b) & b == SymbolicSubset.empty()
+    assert (a - b) & b == SymbolicSubset()
     assert ((a - b) | (a & b)) == a
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -64,7 +65,7 @@ def test_essential_witness_avoids_point_defect():
 def test_essential_witness_support_follows_the_section_support():
     # m vanishes on [0, 1/2]; the defect lives in (0, 1/4); a must sit in (1/2, 1)
     rise = GaussianPoly(
-        (RationalPoly.x() - RationalPoly.const(F(1, 2))) * (RationalPoly.x() - RationalPoly.const(F(1, 2))),
+        (RationalPoly((0, 1)) - RationalPoly.const(F(1, 2))) * (RationalPoly((0, 1)) - RationalPoly.const(F(1, 2))),
         RationalPoly.zero(),
     )
     m = PiecewiseSection(1, (F(0), F(1, 2), F(1)), ((GaussianPoly.zero(),), (rise,)))
@@ -79,7 +80,7 @@ def test_essential_witness_support_follows_the_section_support():
 
 def test_essential_witness_rejects_zero_section():
     with pytest.raises(ZeroInput):
-        essential_witness(PiecewiseSection.zero(1), SubspaceField.full(1), SymbolicSubset.empty())
+        essential_witness(PiecewiseSection.zero(1), SubspaceField.full(1), SymbolicSubset())
 
 
 def test_essential_witness_precondition():
@@ -93,7 +94,7 @@ def test_essential_witness_precondition():
 
 def test_pick_interval_requires_an_interval():
     with pytest.raises(NoRoom):
-        _pick_interval(SymbolicSubset.from_points([F(1, 2)]))
+        _pick_interval(SymbolicSubset(points=(F(1, 2),)))
 
 
 # --- non-essential witness ----------------------------------------------------------
@@ -118,7 +119,7 @@ def test_non_essential_witness_polynomial_defect():
     m = PiecewiseSection(
         2,
         (F(0), F(1)),
-        ((GaussianPoly(RationalPoly.x(), RationalPoly.zero()), GaussianPoly.zero()),),
+        ((GaussianPoly(RationalPoly((0, 1)), RationalPoly.zero()), GaussianPoly.zero()),),
     )
     w = non_essential_witness(m, field, residual_set(m, field))
     assert w.closure_equal and w.ma_nonzero
@@ -193,6 +194,9 @@ def test_inductive_witness_lambda_bounds_and_membership():
     w = inductive_witness_section(spec, (F(3, 10), F(2, 5)), xs, analyze_field(spec).total)
     for j, lam in enumerate(w.lambdas, start=1):
         assert F(0) < lam <= F(1, 2 ** j)
+    assert w.verified
+    assert not dataclasses.replace(w, lambdas=(F(1, 2) + w.lambdas[0], *w.lambdas[1:])).verified
+    assert not dataclasses.replace(w, sample_defects_verified=False).verified
     # exact postcondition: m(x_j) outside L at every sample
     for x in w.samples:
         assert projector_oracle.outside_at(spec.subfield, x, w.m(x))
