@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import lcm
 
@@ -31,17 +30,7 @@ from .errors import (
     ZeroInput,
 )
 from .polynomials import GaussianPoly, RationalPoly, _value, exact_zero_points, poly_gcd, real_root_count
-from .rationals import (
-    ComplexRational,
-    GaussianIntVector,
-    Matrix,
-    annihilator,
-    clear_denominators,
-    cr,
-    mat_identity,
-    mat_shape,
-    vec_is_zero,
-)
+from .rationals import GaussianIntVector, Matrix, annihilator, mat_identity, mat_shape, vec_is_zero
 from .sections import PiecewiseSection, bump, pointwise_inner
 from .subsets import Interval, SymbolicSubset, _order, _sweep
 
@@ -147,7 +136,8 @@ def _residual_polys(ann, piece: tuple[GaussianPoly, ...]) -> list[GaussianPoly]:
     """The annihilator rows applied to the polynomial vector of one section
     piece: their common real zeros are where the piece lies in L."""
     zero = GaussianPoly.zero()
-    return [sum((p * cr(ar, ai) for (ar, ai), p in zip(row, piece) if ar or ai), zero) for row in ann]
+    return [sum((GaussianPoly(p.re * ar - p.im * ai, p.re * ai + p.im * ar)
+                 for (ar, ai), p in zip(row, piece) if ar or ai), zero) for row in ann]
 
 
 def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
@@ -225,7 +215,7 @@ def _minors(cols, d: int):
     """The d×d minors of the matrix with polynomial columns `cols`, one at a
     time, by Laplace expansion along the last row: every smaller minor of
     the leading rows is kept, and a vanishing one costs no products above."""
-    memo = {(): GaussianPoly.const(cr(1))}
+    memo = {(): GaussianPoly(RationalPoly.const(1), RationalPoly.zero())}
 
     def minor(s: tuple[int, ...]) -> GaussianPoly:
         if s not in memo:
@@ -276,7 +266,10 @@ def check_generator_spanning(spec: FieldModuleSpec, defect: SymbolicSubset) -> i
     set, as taking the subspace field as primary data needs; return the
     number of cells certified, or raise GeneratorsNotSpanning. On a cell
     [a, b] between generator breakpoints the generators are one polynomial
-    matrix G; its minors come lazily, and their gcd stops once constant."""
+    matrix G; its minors come lazily, and their gcd stops once constant.
+    Sections that vanish at 0 and 1 live over the open interval (0, 1)."""
+    if spec.vanish_at_boundary:
+        defect = defect | SymbolicSubset(points=(ZERO, ONE))
     cuts = sorted({b for g in spec.generators for b in g.breakpoints})
     cells = [(a, b, rest) for a, b in zip(cuts, cuts[1:])
              if not (rest := SymbolicSubset.interval(a, b).difference(defect)).is_empty()]
@@ -461,39 +454,34 @@ def inductive_witness_section(
             raise SampleNotInDefect(f"sample {x} is not in the defect set")
 
     d, gens = spec.d, spec.generators
-    lambdas: list[Fraction] = []
-    picks: list[int] = []
-    terms: list[tuple[Fraction, Fraction, RationalPoly]] = []  # support and λ_j·a_j of each term
-    for j, x in enumerate(xs, start=1):
-        ann = field.annihilator_at(x)
-        value = cache(lambda k, x=x: gens[k](x))  # each generator evaluated once per sample
-        k_j = next((k for k in range(len(gens)) if _outside(ann, clear_denominators(value(k)))), None)
+    anns = [field.annihilator_at(x) for x in xs]
+    picks = []
+    for x, ann in zip(xs, anns):
+        k_j = next((k for k, g in enumerate(gens)
+                    if _outside(ann, _scaled_value(g.pieces[g.piece_index_for_interval(x)], x))), None)
         if k_j is None:
             raise NoGeneratorDefect(
                 f"no generator leaves the subspace at sample {x}; "
                 "the defect set is inconsistent with the generators"
             )
-        radius = min([abs(x - other) for other in xs[: j - 1]] + [x, ONE - x]) / 2
-        # exact partial sum at x over the earlier terms whose bump is nonzero there
-        s = [cr(0)] * d
-        for k_i, (a, b, term) in zip(picks, terms):
-            if a < x < b:
-                weight = cr(term(x))
-                s = [acc + g * weight for acc, g in zip(s, value(k_i))]
+        picks.append(k_j)
+    # a_j is the unit bump on (x_j − r_j, x_j + r_j): r_j is half the distance to the nearest earlier sample or end
+    radii = [min([abs(x - y) for y in xs[:i]] + [x, ONE - x]) / 2 for i, x in enumerate(xs)]
+    # the common refinement: each cell sums the terms whose bump covers it
+    cuts = sorted({ZERO, ONE, *(t for x, r, k in zip(xs, radii, picks) for t in (x - r, x + r, *gens[k].breakpoints))})
+    cells = [(GaussianPoly.zero(),) * d for _ in cuts[1:]]
+    lambdas: list[Fraction] = []
+    for j, (x, r, k, ann) in enumerate(zip(xs, radii, picks, anns), start=1):
+        g, c = gens[k], bisect_right(cuts, x) - 1
+        # the cell holding x sums the earlier terms there, and a_j(x_j) = 1
+        g_piece = g.pieces[g.piece_index_for_interval(cuts[c])]
         lam = Fraction(1, 2 ** j)
-        if not _outside(ann, clear_denominators([acc + g * cr(lam) for acc, g in zip(s, value(k_j))])):
+        if not _outside(ann, _scaled_value(tuple(acc + p * lam for acc, p in zip(cells[c], g_piece)), x)):
             lam = Fraction(1, 2 ** (j + 1))
         lambdas.append(lam)
-        picks.append(k_j)
-        # λ_j·a_j = c·(x − a)(b − x), a_j the unit bump on (a, b) = x_j ∓ r, c = λ_j / r²
-        a, b, c = x - radius, x + radius, lam / (radius * radius)
-        terms.append((a, b, RationalPoly((-a * b * c, (a + b) * c, -c))))
-
-    # one pass over the common refinement: each cell sums the terms whose bump covers it
-    cuts = sorted({ZERO, ONE, *(t for k, (a, b, _) in zip(picks, terms) for t in (a, b, *gens[k].breakpoints))})
-    cells = [(GaussianPoly.zero(),) * d for _ in cuts[1:]]
-    for k, (a, b, term) in zip(picks, terms):
-        g = gens[k]
+        # λ_j·a_j = s·(t − a)(b − t) with (a, b) = x_j ∓ r_j, s = λ_j / r_j²
+        a, b, s = x - r, x + r, lam / (r * r)
+        term = RationalPoly((-a * b * s, (a + b) * s, -s))
         for c in range(bisect_left(cuts, a), bisect_left(cuts, b)):
             piece = g.pieces[g.piece_index_for_interval(cuts[c])]
             cells[c] = tuple(acc + p * term for acc, p in zip(cells[c], piece))
@@ -504,7 +492,9 @@ def inductive_witness_section(
         lambdas=tuple(lambdas),
         picks=tuple(picks),
         samples=tuple(xs),
-        sample_defects_verified=all(_outside(field.annihilator_at(x), clear_denominators(total(x))) for x in xs),
+        sample_defects_verified=all(
+            _outside(ann, _scaled_value(total.pieces[total.piece_index_for_interval(x)], x)) for x, ann in zip(xs, anns)
+        ),
     )
 
 

@@ -88,11 +88,11 @@ def rand_hermitian(rng: SplitMix64, shape: AlgebraShape) -> AlgebraElement:
     )
 
 
-def rand_projection(rng: SplitMix64, shape: AlgebraShape, allow_full: bool = True) -> AlgebraElement:
+def rand_projection(rng: SplitMix64, shape: AlgebraShape) -> AlgebraElement:
     """Random orthogonal projection with seeded ranks per block."""
     blocks = []
     for n in shape.block_dims:
-        r = rng.randint(0, n if allow_full else n - 1)
+        r = rng.randint(0, n)
         if r == 0:
             blocks.append(np.zeros((n, n), dtype=np.complex128))
             continue

@@ -99,17 +99,6 @@ class RationalPoly:
     def __rmul__(self, other) -> "RationalPoly":
         return self * other
 
-    def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem, div, dd = list(self.coeffs), other.coeffs, other.degree
-        q = [Fraction(0)] * max(0, len(rem) - dd)
-        for pos in reversed(range(len(q))):
-            f = q[pos] = rem[pos + dd] / div[-1]
-            for i, c in enumerate(div):
-                rem[pos + i] -= f * c
-        return RationalPoly(q), RationalPoly(rem)
-
     def monic(self) -> "RationalPoly":
         if not self.nums:
             return self
@@ -165,6 +154,17 @@ def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
     return seq
 
 
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[x], for b dividing a there: long division whose every
+    leading coefficient is a multiple of lc(b)."""
+    r, q = list(a), [0] * (len(a) - len(b) + 1)
+    for pos in reversed(range(len(q))):
+        f = q[pos] = r[pos + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            r[pos + i] -= f * c
+    return q
+
+
 def _derivative(cs: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(cs)][1:]
 
@@ -174,7 +174,7 @@ def _sturm_chain(cs: list[int]) -> list[list[int]]:
     its first member (the division is exact in Z[x] by Gauss's lemma)."""
     chain = _remainder_sequence(cs, _primitive(_derivative(cs))) if len(cs) > 1 else [cs]
     if len(chain[-1]) > 1:
-        s = list(RationalPoly(cs).divmod(RationalPoly(chain[-1]))[0].nums)
+        s = _exact_quotient(cs, chain[-1])
         chain = _remainder_sequence(s, _primitive(_derivative(s)))
     return chain
 

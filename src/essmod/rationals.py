@@ -74,9 +74,6 @@ class ComplexRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self) -> str:
         return f"({self.re})+({self.im})i"
 

@@ -120,7 +120,7 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> dict:
     if kind == "right_ideal":
         ideal, gens = _right_ideal_from_payload(payload)
         x = gens[0] if gens else ideal.support_projection
-        if x.is_zero(1e-12):
+        if x.is_zero():
             raise PreconditionFailed("no nonzero generator to build a subideal from")
         w = algebra.closed_subideal(x)
         report["witness"] = {

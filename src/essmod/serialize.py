@@ -210,9 +210,9 @@ def subset_to_json(s: SymbolicSubset) -> dict:
 
 
 def _require(value, kind: type, what: str):
-    """`value` if it is a `kind` (list or dict), else SchemaError."""
+    """`value` if it is a `kind` (list, dict or bool), else SchemaError."""
     if not isinstance(value, kind):
-        article = "a list" if kind is list else "an object"
+        article = {list: "a list", dict: "an object", bool: "a boolean"}[kind]
         raise SchemaError(f"{what} must be {article}, got {type(value).__name__}")
     return value
 
@@ -228,8 +228,8 @@ def subset_from_json(doc) -> SymbolicSubset:
                 Interval(
                     frac_from_json(iv["lo"]),
                     frac_from_json(iv["hi"]),
-                    bool(iv["lo_closed"]),
-                    bool(iv["hi_closed"]),
+                    _require(iv["lo_closed"], bool, "lo_closed"),
+                    _require(iv["hi_closed"], bool, "hi_closed"),
                 )
             )
         except KeyError as exc:
@@ -315,7 +315,7 @@ def field_spec_from_json(doc) -> FieldModuleSpec:
             d,
             tuple(section_from_json(g) for g in _require(doc["generators"], list, "generators")),
             field,
-            bool(doc.get("vanish_at_boundary", False)),
+            _require(doc.get("vanish_at_boundary", False), bool, "vanish_at_boundary"),
         )
     except (ValueError, SchemaError) as exc:
         raise SchemaError(str(exc)) from exc

@@ -9,12 +9,12 @@ from fractions import Fraction as F
 import pytest
 
 from essmod import cli, properties, runner, serialize
-from essmod.errors import PreconditionFailed
+from essmod.errors import PreconditionFailed, SchemaError
 from essmod.fields import FieldModuleSpec, SubspaceField
 from essmod.generate import gen_field, gen_module_submodule, gen_right_ideal
 from essmod.polynomials import GaussianPoly, RationalPoly
 from essmod.rationals import cr
-from essmod.sections import PiecewiseSection
+from essmod.sections import PiecewiseSection, bump
 
 
 def run_cli(args, tmp_path, stdin_doc=None, monkeypatch=None, capsys=None):
@@ -355,6 +355,67 @@ def test_partition_interval_with_lo_above_hi_exits_2(tmp_path, capsys):
         edited(doc, ("partition", 0, "intervals", 0, "lo"), "1"),
         edited(doc, ("partition", 0, "intervals", 0, "hi"), "0/5"),
     ], capsys)
+
+
+@pytest.mark.parametrize("path", [
+    ("partition", 0, "intervals", 0, "lo_closed"),
+    ("partition", 0, "intervals", 0, "hi_closed"),
+    ("vanish_at_boundary",),
+])
+def test_string_boolean_in_field_input_exits_2(path, tmp_path, capsys):
+    """Flags were read with bool(), so the string "false" counted as true
+    and surfaced as an unrelated error ("partition pieces overlap",
+    "generators must vanish at 0 and 1"): the error names the key now."""
+    bad = edited(gen_field(2, 4, 3, "interval", 1), path, "false")
+    assert_input_errors(tmp_path / "bad.json", [bad], capsys)
+    with pytest.raises(SchemaError, match=f"^{path[-1]} must be a boolean, got str$"):
+        serialize.field_spec_from_json(bad["payload"])
+
+
+def vanishing_field_doc(defect, vanish):
+    """gen_field(2, 4, 3, defect, 1) flagged vanish_at_boundary; with
+    `vanish` its generators are multiplied by x(1 − x), which moves no
+    membership inside (0, 1), else they are left as they are."""
+    doc = gen_field(2, 4, 3, defect, 1)
+    spec = serialize.field_spec_from_json(doc["payload"])
+    gens = tuple(g.mul_scalar_section(bump(0, 1)) if vanish else g for g in spec.generators)
+    payload = serialize.field_spec_to_json(FieldModuleSpec(2, gens, spec.subfield))
+    return {**doc, "payload": {**payload, "vanish_at_boundary": True}}
+
+
+@pytest.mark.parametrize("defect", ["points", "interval"])
+def test_vanishing_generators_are_decided(defect, tmp_path, capsys):
+    """Every generator vanishes at 0 and 1, so the spanning certificate
+    must read the base as (0, 1): on [0, 1] it failed at x = 0."""
+    doc = vanishing_field_doc(defect, True)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert cli.main(["check", "--in", str(path), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["decision"] is doc["expected"]["essential"]
+    assert cli.main(["witness", "--in", str(path), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["checks_ok"] is True
+
+
+def test_flagged_generator_not_vanishing_exits_2(tmp_path, capsys):
+    assert_input_errors(tmp_path / "bad.json", [vanishing_field_doc("interval", False)], capsys)
+
+
+def test_right_ideal_witness_refuses_a_zero_generator_once(tmp_path):
+    """The runner refused x at norm 1e-12 and closed_subideal at
+    DEFAULT_TOL, so a generator of norm 5e-11 escaped as ZeroInput."""
+    from essmod.algebra import AlgebraElement, AlgebraShape
+    from essmod.serialize import element_to_json, shape_to_json
+
+    shape = AlgebraShape((2,))
+    one = AlgebraElement.identity(shape)
+    doc = serialize.instance_to_json("right_ideal", {
+        "shape": shape_to_json(shape),
+        "support_projection": element_to_json(one),
+        "generators": [element_to_json(one * 5e-11)],
+    }, None)
+    with pytest.raises(PreconditionFailed):
+        runner.run_witness(doc)
 
 
 def test_malformed_float_payload_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import projector_oracle
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from poly_oracle import poly_divmod
 from projector_oracle import mat_conj_t, mat_mul, mat_rank
 
 from essmod.errors import DimensionMismatch, GeneratorsNotSpanning, IrrationalRoot
@@ -421,10 +422,10 @@ def roots_in_open(h, lo, hi):
     """Distinct roots of h in (lo, hi): classical Sturm chain of the
     squarefree part by Euclidean remainders over Q; a root at hi counts in
     V(lo) − V(hi), hence the correction."""
-    p = h.divmod(poly_gcd(h, derivative(h)))[0]
+    p = poly_divmod(h, poly_gcd(h, derivative(h)))[0]
     chain = [p, derivative(p)]
     while not chain[-1].is_zero():
-        chain.append(-chain[-2].divmod(chain[-1])[1])
+        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
 
     def variations(x):
         signs = [q(x) > 0 for q in chain if q(x) != 0]

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from poly_oracle import oracle_divmod, poly_divmod, trim
 
 from essmod.errors import IrrationalRoot
 from essmod.fields import _scaled_value
 from essmod.polynomials import (
     GaussianPoly,
     RationalPoly,
+    _exact_quotient,
     _primitive,
     _signs,
     _sturm_chain,
@@ -75,17 +77,17 @@ def oracle_rational_roots(q: RationalPoly) -> list[F]:
 
 def oracle_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
     while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
+        a, b = b, poly_divmod(a, b)[1]
     return a.monic()
 
 
 def oracle_sturm_count(q: RationalPoly, lo: F, hi: F) -> int:
     """Distinct real roots of q in (lo, hi], for q(lo) ≠ 0."""
     g = oracle_gcd(q, RationalPoly(tuple(c * i for i, c in enumerate(q.coeffs) if i > 0)))
-    sf = q.divmod(g)[0]
+    sf = poly_divmod(q, g)[0]
     seq = [sf, RationalPoly(tuple(c * i for i, c in enumerate(sf.coeffs) if i > 0))]
     while not seq[-1].is_zero():
-        seq.append(-seq[-2].divmod(seq[-1])[1])
+        seq.append(-poly_divmod(seq[-2], seq[-1])[1])
     seq.pop()
 
     def variations(x):
@@ -102,7 +104,7 @@ def oracle_certify(q: RationalPoly, lo: F, hi: F) -> list[F]:
     reduced = q
     for r in roots:
         while True:
-            quo, rem = reduced.divmod(p(-r, 1))
+            quo, rem = poly_divmod(reduced, p(-r, 1))
             if not rem.is_zero():
                 break
             reduced = quo
@@ -116,14 +118,6 @@ def test_eval_and_degree():
     assert q(F(1)) == 0 and q(F(3)) == 4
     assert q.degree == 2
     assert RationalPoly.zero().degree == -1
-
-
-def test_divmod_exact():
-    a = p(-1, 0, 1)  # x^2 - 1
-    b = p(-1, 1)  # x - 1
-    q, r = a.divmod(b)
-    assert r.is_zero()
-    assert q == p(1, 1)
 
 
 def test_gcd_of_shared_factor():
@@ -241,7 +235,7 @@ def test_gcd_divides_both(a, b):
         assert a.is_zero() and b.is_zero()
         return
     for q in (a, b):
-        _, r = q.divmod(g)
+        _, r = poly_divmod(q, g)
         assert r.is_zero()
 
 
@@ -354,13 +348,6 @@ def test_integer_horner_edge_cases():
 
 # --- the integer representation against a Fraction-list oracle ----------------------
 
-def trim(cs) -> tuple:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 def oracle_add(a, b):
     n = max(len(a), len(b))
     return trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
@@ -372,16 +359,6 @@ def oracle_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return trim(out)
-
-
-def oracle_divmod(a, b):
-    """Schoolbook long division of Fraction lists, b without trailing zeros."""
-    rem, q = list(a), [F(0)] * max(0, len(a) - len(b) + 1)
-    for pos in reversed(range(len(q))):
-        q[pos] = rem[pos + len(b) - 1] / b[-1]
-        for i, c in enumerate(b):
-            rem[pos + i] -= q[pos] * c
-    return trim(q), trim(rem)
 
 
 def assert_canonical(q: RationalPoly, cs) -> None:
@@ -412,15 +389,25 @@ def test_integer_poly_matches_fraction_list_oracle(a_cs, b_cs, c, x):
     assert_canonical(c * a, [y * c for y in ta])
     assert_canonical(a.monic(), [y / ta[-1] for y in ta] if ta else ())
     assert a(x) == sum((y * x**i for i, y in enumerate(ta)), F(0))
-    if tb:
-        q, r = a.divmod(b)
-        oq, orem = oracle_divmod(ta, tb)
-        assert_canonical(q, oq)
-        assert_canonical(r, orem)
     # equality and hashing follow the coefficients, not how they were written
     assert (a == b) == (ta == tb)
     twin = RationalPoly([F(y.numerator * 3, y.denominator * 3) for y in ta] + [0, F(0, 7)])
     assert twin == a and hash(twin) == hash(a)
+
+
+int_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=5)
+
+
+@settings(deadline=None, max_examples=150)
+@given(int_lists, int_lists)
+def test_exact_quotient_matches_long_division(a, b):
+    """Dividing a·b by b in Z[x] gives back a, as Fraction long division does."""
+    a, b = trim(a), trim(b)
+    if not a or not b:
+        return
+    prod = [int(c) for c in oracle_mul(a, b)]
+    assert _exact_quotient(prod, list(b)) == list(a)
+    assert oracle_divmod(prod, b) == (a, ())
 
 
 @settings(deadline=None, max_examples=100)

@@ -20,7 +20,8 @@ from essmod.fields import (
 )
 from essmod.generate import gen_field
 from essmod.polynomials import GaussianPoly, RationalPoly
-from essmod.rationals import cr, mat, mat_identity
+from essmod.rationals import ComplexRational, cr, mat, mat_identity
+from essmod.runner import run_check, run_witness
 from essmod.sections import PiecewiseSection, unit_bump
 from essmod.serialize import field_spec_from_json
 from essmod.subsets import SymbolicSubset
@@ -163,10 +164,13 @@ def test_inductive_witness_shared_generator_keeps_default_lambdas():
     assert w.lambdas == tuple(F(1, 2 ** j) for j in range(1, 9))
 
 
-def test_inductive_witness_adversarial_lambda_adjustment():
+ADVERSARIAL_SAMPLES = [F(1, 2), F(1, 8), F(5, 32)]
+
+
+def adversarial_lambda_spec(gens=None):
     """A crafted instance where λ3 = 1/8 lands the partial sum exactly in the
-    subspace, forcing the fallback λ3 = 1/16."""
-    x1, x2, x3 = F(1, 2), F(1, 8), F(5, 32)
+    subspace at x3, forcing the fallback λ3 = 1/16."""
+    x1, x2, x3 = ADVERSARIAL_SAMPLES
     field = field_with_regions(
         2,
         (SymbolicSubset.point(x1), mat([[1], [0]])),          # span(e1)
@@ -175,8 +179,12 @@ def test_inductive_witness_adversarial_lambda_adjustment():
     )
     g1 = PiecewiseSection.constant([1, 1])
     g2 = PiecewiseSection.constant([1, F(-2, 3)])
-    spec = FieldModuleSpec(2, (g1, g2), field)
-    w = inductive_witness_section(spec, (F(1, 16), F(3, 4)), [x1, x2, x3], analyze_field(spec).total)
+    return FieldModuleSpec(2, gens or (g1, g2), field)
+
+
+def test_inductive_witness_adversarial_lambda_adjustment():
+    spec = adversarial_lambda_spec()
+    w = inductive_witness_section(spec, (F(1, 16), F(3, 4)), ADVERSARIAL_SAMPLES, analyze_field(spec).total)
     assert w.picks == (0, 1, 0)
     assert w.lambdas == (F(1, 2), F(1, 4), F(1, 16))
     assert w.sample_defects_verified
@@ -247,13 +255,10 @@ def refine_and_add_sum(spec, xs, lambdas, picks):
     return total
 
 
-@pytest.mark.parametrize(
-    "d, pieces, seed, count", [(1, 6, 1, 8), (2, 16, 2, 64), (3, 10, 3, 24), (4, 16, 4, 64), (4, 4, 5, 1)]
-)
-def test_one_pass_inductive_sum_equals_refine_and_add(d, pieces, seed, count):
-    """Planted interval specs whose generators are made multi-piece; the
+def planted_multi_piece(d, pieces, seed, count):
+    """A planted interval spec whose generators are made multi-piece; the
     samples fill the defect interval in shuffled order, so later bumps sit
-    inside earlier ones. Pieces and breakpoints must agree exactly."""
+    inside earlier ones."""
     rng = random.Random(seed)
     spec = field_spec_from_json(gen_field(d, pieces, d + 2, "interval", seed)["payload"])
     gens = tuple(
@@ -265,8 +270,51 @@ def test_one_pass_inductive_sum_equals_refine_and_add(d, pieces, seed, count):
     iv = max(total.closure().interior().intervals, key=lambda i: i.hi - i.lo)
     xs = [iv.lo + (iv.hi - iv.lo) * F(i, count + 1) for i in range(1, count + 1)]
     rng.shuffle(xs)
-    w = inductive_witness_section(spec, (iv.lo, iv.hi), xs, total)
+    return spec, (iv.lo, iv.hi), xs
+
+
+def tented_adversarial_lambda():
+    """The adversarial λ spec with its generators times a positive tent that
+    breaks at x3: a positive factor moves no membership, so λ3 still falls
+    back, and x3 now sits on a generator breakpoint."""
+    tent = positive_tent(random.Random(0), [ADVERSARIAL_SAMPLES[2]])
+    spec = adversarial_lambda_spec(tuple(g.mul_scalar_section(tent) for g in adversarial_lambda_spec().generators))
+    return spec, (F(1, 16), F(3, 4)), ADVERSARIAL_SAMPLES
+
+
+PLANTED = [(1, 6, 1, 8), (2, 16, 2, 64), (3, 10, 3, 24), (4, 16, 4, 64), (4, 4, 5, 1)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda c=c: planted_multi_piece(*c), id="-".join(map(str, c))) for c in PLANTED]
+    + [pytest.param(tented_adversarial_lambda, id="adversarial-lambda")],
+)
+def test_one_pass_inductive_sum_equals_refine_and_add(make):
+    """The one-pass sum against J refine-and-add passes: pieces and
+    breakpoints must agree exactly."""
+    spec, interval, xs = make()
+    w = inductive_witness_section(spec, interval, xs, analyze_field(spec).total)
     expected = refine_and_add_sum(spec, xs, w.lambdas, w.picks)
     assert w.m.breakpoints == expected.breakpoints
     assert w.m.pieces == expected.pieces
     assert w.sample_defects_verified
+
+
+def test_field_membership_runs_without_gaussian_rational_arithmetic(monkeypatch):
+    """Checks and witnesses decide membership on the integer kernel
+    (`_scaled_value` and `_outside`): with ComplexRational arithmetic
+    disabled they still run, the λ fallback included."""
+    docs = [gen_field(d, 4, d + 1, "interval", d) for d in (1, 2, 3)]
+    spec = adversarial_lambda_spec()
+
+    def refuse(*_):
+        raise AssertionError("ComplexRational arithmetic")
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(ComplexRational, name, refuse)
+    for doc in docs:
+        assert run_check(doc)["decision"] is False
+        assert run_witness(doc, samples=64)["checks_ok"] is True
+    w = inductive_witness_section(spec, (F(1, 16), F(3, 4)), ADVERSARIAL_SAMPLES, analyze_field(spec).total)
+    assert w.lambdas == (F(1, 2), F(1, 4), F(1, 16)) and w.sample_defects_verified
