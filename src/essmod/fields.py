@@ -2,9 +2,9 @@
 piecewise-constant subspace assignments, and exact essentiality analysis.
 
 The subspace field x ↦ L_x is primary data: a partition of [0, 1] into
-symbolic pieces, each carrying a rational spanning matrix B. Membership
-m(x) ∈ L_x is decided by the piece's annihilator: Gaussian-integer rows a
-with a·B = 0, whose common kernel is exactly col B. Everything here runs in
+symbolic pieces, each carrying Gaussian-integer columns that span L_x.
+Membership m(x) ∈ L_x is decided by the piece's annihilator: Gaussian-integer
+rows a with a·B = 0, whose common kernel is exactly col B. Everything here runs in
 Gaussian-rational arithmetic; nowhere-density is a qualitative property
 that floating point would ruin.
 
@@ -30,7 +30,7 @@ from .errors import (
     ZeroInput,
 )
 from .polynomials import GaussianPoly, RationalPoly, _value, exact_zero_points, poly_gcd, real_root_count
-from .rationals import GaussianIntVector, Matrix, annihilator, mat_identity, mat_shape, vec_is_zero
+from .rationals import GaussianIntVector, annihilator, identity_columns, vec_is_zero
 from .sections import PiecewiseSection, bump, pointwise_inner
 from .subsets import Interval, SymbolicSubset, _order, _sweep
 
@@ -40,10 +40,11 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class FieldPiece:
-    """One constant-subspace piece: a region and a spanning matrix."""
+    """One constant-subspace piece: a region and Gaussian-integer columns
+    spanning the subspace (none for the zero subspace)."""
 
     region: SymbolicSubset
-    basis: Matrix  # d×r, columns span the subspace
+    basis: tuple[GaussianIntVector, ...]
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,8 @@ class SubspaceField:
     pieces: tuple[FieldPiece, ...]
 
     def __post_init__(self):
-        for piece in self.pieces:
-            rows, _ = mat_shape(piece.basis)
-            if rows != self.d and mat_shape(piece.basis)[1] != 0:
-                raise DimensionMismatch("basis rows must equal the fiber dimension")
+        if any(len(col) != self.d for p in self.pieces for col in p.basis):
+            raise DimensionMismatch("basis columns must have the fiber dimension")
         coverage: set[int] = set()  # `keep` only records how many pieces cover each region
         _sweep([([x for p in self.pieces for x in p.region.points],
                  [iv for p in self.pieces for iv in p.region.intervals])], coverage.add)
@@ -72,7 +71,7 @@ class SubspaceField:
 
     @classmethod
     def full(cls, d: int) -> "SubspaceField":
-        return cls(d, (FieldPiece(SymbolicSubset.full(), mat_identity(d)),))
+        return cls(d, (FieldPiece(SymbolicSubset.full(), identity_columns(d)),))
 
     def annihilator_at(self, x: Fraction) -> tuple[GaussianIntVector, ...]:
         return next(a for p, a in zip(self.pieces, self.annihilators) if p.region.contains(x))

@@ -18,7 +18,7 @@ from .errors import IrrationalRoot, SizeCap
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField
 from .modules import ModuleElement, module_basis
 from .polynomials import GaussianPoly
-from .rationals import ComplexRational, mat_identity
+from .rationals import ComplexRational, identity_columns
 from .sections import PiecewiseSection
 from .serialize import (
     element_to_json,
@@ -174,14 +174,13 @@ def _distinct_dyadics(rng: SplitMix64, count: int, denom_power: int = 6) -> list
 
 
 def _rand_proper_basis(rng: SplitMix64, d: int):
-    """Spanning matrix of a proper coordinate subspace of C^d (possibly 0)."""
+    """Spanning columns of a proper coordinate subspace of C^d (possibly 0)."""
     r = rng.randint(0, d - 1)
-    ident = mat_identity(d)
+    ident = identity_columns(d)
     chosen = set()
     while len(chosen) < r:
         chosen.add(rng.randint(0, d - 1))
-    cols = sorted(chosen)
-    return tuple(tuple(ident[i][j] for j in cols) for i in range(d))
+    return tuple(ident[j] for j in sorted(chosen))
 
 
 def _rand_poly_section(rng: SplitMix64, d: int) -> PiecewiseSection:
@@ -233,7 +232,7 @@ def gen_field(
 def _gen_field_attempt(
     rng: SplitMix64, d: int, pieces: int, n_generators: int, defect: str
 ) -> FieldModuleSpec:
-    full_basis = mat_identity(d)
+    full_basis = identity_columns(d)
     remainder = SymbolicSubset.full()
     field_pieces = []
 

@@ -1,11 +1,12 @@
-"""Exact Gaussian-rational scalars and small exact matrices.
+"""Exact Gaussian-rational scalars and the Gaussian-integer elimination kernel.
 
 The continuous-field layer never touches floating point: scalars are
-complex numbers with Fraction real and imaginary parts, matrices are plain
-nested tuples of them. Sizes stay tiny (fiber dimension ≤ 4). The one
-elimination kernel, `annihilator`, works fraction-free in Gaussian
-integers, pairs (re, im) of ints, and keeps its rows in them, so that
-membership tests against it need no Fraction arithmetic either.
+complex numbers with Fraction real and imaginary parts, and subspaces are
+spanned by Gaussian-integer columns, tuples of pairs (re, im) of ints.
+Sizes stay tiny (fiber dimension ≤ 4). The one elimination kernel,
+`annihilator`, works fraction-free on those columns and keeps its rows in
+Gaussian integers, so that membership tests against it need no Fraction
+arithmetic either.
 """
 
 from __future__ import annotations
@@ -78,43 +79,19 @@ class ComplexRational:
         return f"({self.re})+({self.im})i"
 
 
-CR_ZERO = ComplexRational(Fraction(0), Fraction(0))
-CR_ONE = ComplexRational(Fraction(1), Fraction(0))
-
-
 def cr(re, im=0) -> ComplexRational:
     """Shorthand constructor accepting ints, Fractions, or 'p/q' strings."""
     return ComplexRational(_frac(re), _frac(im))
 
 
-# --- exact matrices as tuples of row tuples --------------------------------
-
-Matrix = tuple[tuple[ComplexRational, ...], ...]
-
-
-def mat(rows) -> Matrix:
-    return tuple(tuple(e if isinstance(e, ComplexRational) else cr(e) for e in row) for row in rows)
-
-
-def mat_shape(a: Matrix) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else 0)
-
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(CR_ONE if i == j else CR_ZERO for j in range(n)) for i in range(n))
-
+# --- Gaussian-integer vectors --------------------------------------------------
 
 GaussianIntVector = tuple[tuple[int, int], ...]
 
 
-def clear_denominators(v) -> GaussianIntVector:
-    """The Gaussian-integer vector (pairs (re, im)) that is v times the
-    least common denominator of its parts."""
-    den = lcm(*(x.re.denominator for x in v), *(x.im.denominator for x in v))
-    return tuple(
-        (x.re.numerator * (den // x.re.denominator), x.im.numerator * (den // x.im.denominator))
-        for x in v
-    )
+def identity_columns(d: int) -> tuple[GaussianIntVector, ...]:
+    """The standard basis of C^d as Gaussian-integer columns."""
+    return tuple(tuple((int(i == j), 0) for i in range(d)) for j in range(d))
 
 
 def _content_free(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -122,17 +99,19 @@ def _content_free(row: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(x // g, y // g) for x, y in row] if g > 1 else row
 
 
-def annihilator(basis: Matrix, d: int) -> tuple[GaussianIntVector, ...]:
-    """Gaussian-integer rows a spanning {a : a·B = 0} for the d×r matrix B,
-    so that {v : a·v = 0 for every row} is exactly the column span of B.
+def annihilator(columns: tuple[GaussianIntVector, ...], d: int) -> tuple[GaussianIntVector, ...]:
+    """Gaussian-integer rows a spanning {a : a·B = 0} for the d×r matrix B
+    with these Gaussian-integer columns, so that {v : a·v = 0 for every row}
+    is exactly the column span of B.
 
     Fraction-free Gauss–Jordan on Bᵀ (transposed, not conjugated: a·v is
-    the plain bilinear product), its rows B's cleared columns: the pivot
-    row times conj(pivot) has a positive integer pivot n, each other row r
-    becomes n·r − r[col]·(pivot row), and every new row loses its content.
-    One kernel vector per free column, positive there; no columns give the
-    identity rows, rank d gives none."""
-    rows = [clear_denominators([basis[i][k] for i in range(d)]) for k in range(mat_shape(basis)[1])]
+    the plain bilinear product), its rows B's columns: the pivot row times
+    conj(pivot) has a positive integer pivot n, each other row r becomes
+    n·r − r[col]·(pivot row), and every new row loses its content, so a
+    positive scale on a column changes no output row. One kernel vector per
+    free column, positive there; no columns give the identity rows, rank d
+    gives none."""
+    rows = list(columns)
     pivots: list[int] = []
     for col in range(d):
         rank = len(pivots)

@@ -15,6 +15,8 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .errors import SchemaError, SizeCap
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField
 from .modules import ModuleElement, Submodule
 from .polynomials import GaussianPoly, _over_lcm
-from .rationals import ComplexRational, Matrix, mat_shape
+from .rationals import ComplexRational, GaussianIntVector
 from .sections import PiecewiseSection
 from .subsets import Interval, SymbolicSubset
 
@@ -45,6 +47,9 @@ def frac_to_json(x: Fraction) -> str:
 # written back, and parsing cost grows with the text, never with a magnitude.
 MAX_DIGITS = 1000
 _RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+# Distinct scalar strings whose parse is kept: documents repeat a few
+# ("0/1" above all), and a bad string is never kept, since it raises.
+_PARSE_CACHE_SIZE = 1024
 
 
 def _excerpt(value) -> str:
@@ -53,10 +58,24 @@ def _excerpt(value) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
+def _require(value, kind: type, what: str):
+    """`value` if it is a `kind` (list, dict, bool or int), else SchemaError.
+    A bool is no int here, though Python makes it one."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        article = {list: "a list", dict: "an object", bool: "a boolean", int: "an integer"}[kind]
+        raise SchemaError(f"{what} must be {article}, got {type(value).__name__}")
+    return value
+
+
 def _ratio_from_json(s) -> tuple[int, int]:
     """The integers (p, q) of an exact scalar "p/q" or "p", q > 0, not reduced."""
     if not isinstance(s, str):
         raise SchemaError(f"expected rational string, got {_excerpt(s)}")
+    return _parse_ratio(s)
+
+
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse_ratio(s: str) -> tuple[int, int]:
     match = _RATIONAL.fullmatch(s)
     if match is None:
         raise SchemaError(f"bad rational {_excerpt(s)}: expected p/q with decimal integers p, q")
@@ -81,10 +100,6 @@ def _crat_parts(v) -> tuple[tuple[int, int], tuple[int, int]]:
     if not isinstance(v, list) or len(v) != 2:
         raise SchemaError(f"expected [re, im] rational pair, got {_excerpt(v)}")
     return _ratio_from_json(v[0]), _ratio_from_json(v[1])
-
-
-def crat_from_json(v) -> ComplexRational:
-    return ComplexRational(*(Fraction(*part) for part in _crat_parts(v)))
 
 
 def complex_to_json(z: complex) -> list:
@@ -113,9 +128,7 @@ def shape_from_json(doc) -> AlgebraShape:
     if not isinstance(doc, dict) or "block_dims" not in doc:
         raise SchemaError("shape must be {block_dims: [...]}")
     dims = doc["block_dims"]
-    if not isinstance(dims, list) or not dims or any(
-        not isinstance(n, int) or n < 1 for n in dims
-    ):
+    if not isinstance(dims, list) or not dims or any(_require(n, int, "block_dims entry") < 1 for n in dims):
         raise SchemaError("block_dims must be a nonempty list of positive ints")
     return AlgebraShape(tuple(dims))
 
@@ -171,7 +184,7 @@ def module_element_from_json(doc) -> ModuleElement:
     coords = [element_from_json(c) for c in _require(doc["coords"], list, "module element coords")]
     if not coords:
         raise SchemaError("module element needs k >= 1 coordinates")
-    if "k" in doc and doc["k"] != len(coords):
+    if "k" in doc and _require(doc["k"], int, "k") != len(coords):
         raise SchemaError("k does not match the number of coordinates")
     if any(c.shape != coords[0].shape for c in coords):
         raise SchemaError("module element coordinates over different shapes")
@@ -184,7 +197,7 @@ def submodule_from_json(doc) -> Submodule:
     shape = shape_from_json(doc.get("shape", {}))
     k = doc.get("k")
     gens = tuple(module_element_from_json(g) for g in _require(doc["generators"], list, "submodule generators"))
-    if not isinstance(k, int) or k < 1:
+    if _require(k, int, "k") < 1:
         raise SchemaError("submodule needs a positive integer k")
     for g in gens:
         if g.k != k or g.shape != shape:
@@ -209,14 +222,6 @@ def subset_to_json(s: SymbolicSubset) -> dict:
     }
 
 
-def _require(value, kind: type, what: str):
-    """`value` if it is a `kind` (list, dict or bool), else SchemaError."""
-    if not isinstance(value, kind):
-        article = {list: "a list", dict: "an object", bool: "a boolean"}[kind]
-        raise SchemaError(f"{what} must be {article}, got {type(value).__name__}")
-    return value
-
-
 def subset_from_json(doc) -> SymbolicSubset:
     _require(doc, dict, "subset")
     pts = [frac_from_json(p) for p in _require(doc.get("points", []), list, "subset points")]
@@ -225,7 +230,7 @@ def subset_from_json(doc) -> SymbolicSubset:
         _require(iv, dict, "interval")
         try:
             ivs.append(
-                Interval(
+                Interval._of(
                     frac_from_json(iv["lo"]),
                     frac_from_json(iv["hi"]),
                     _require(iv["lo_closed"], bool, "lo_closed"),
@@ -259,7 +264,7 @@ def section_from_json(doc) -> PiecewiseSection:
     if not isinstance(doc, dict) or "breakpoints" not in doc or "pieces" not in doc:
         raise SchemaError("section must have breakpoints and pieces")
     d = doc.get("d")
-    if not isinstance(d, int) or d < 1:
+    if _require(d, int, "section d") < 1:
         raise SchemaError("section needs a positive fiber dimension d")
     bps = tuple(frac_from_json(b) for b in _require(doc["breakpoints"], list, "breakpoints"))
     pieces = tuple(
@@ -272,18 +277,22 @@ def section_from_json(doc) -> PiecewiseSection:
         raise SchemaError(str(exc)) from exc
 
 
-def _basis_to_json(basis: Matrix) -> list:
-    rows, cols = mat_shape(basis)
-    return [[crat_to_json(basis[i][j]) for i in range(rows)] for j in range(cols)]
+def _basis_to_json(basis: tuple[GaussianIntVector, ...]) -> list:
+    return [[[f"{x}/1", f"{y}/1"] for x, y in col] for col in basis]
 
 
-def _basis_from_json(doc, d: int) -> Matrix:
+def _basis_from_json(doc, d: int) -> tuple[GaussianIntVector, ...]:
+    """Each written column times the lcm of its entries' denominators."""
     columns = _require(doc, list, "basis")
-    cols = [[crat_from_json(e) for e in _require(col, list, "basis column")] for col in columns]
+    cols = [[_crat_parts(e) for e in _require(col, list, "basis column")] for col in columns]
     for col in cols:
         if len(col) != d:
             raise SchemaError(f"basis column of length {len(col)}, expected {d}")
-    return tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(d))
+    out = []
+    for col in cols:
+        den = lcm(*(q for z in col for _, q in z))
+        out.append(tuple((p * (den // q), r * (den // t)) for (p, q), (r, t) in col))
+    return tuple(out)
 
 
 def field_spec_to_json(spec: FieldModuleSpec) -> dict:
@@ -302,7 +311,7 @@ def field_spec_from_json(doc) -> FieldModuleSpec:
         if key not in doc:
             raise SchemaError(f"field spec missing {key!r}")
     d = doc["d"]
-    if not isinstance(d, int) or d < 1:
+    if _require(d, int, "d") < 1:
         raise SchemaError("field spec needs a positive fiber dimension d")
     try:  # a constructor's ValueError, such as an interval with lo > hi, is an input error
         regions = [subset_from_json(p) for p in _require(doc["partition"], list, "partition")]
@@ -343,7 +352,7 @@ def validate_instance(doc) -> tuple[str, dict]:
     if not isinstance(payload, dict):
         raise SchemaError("instance payload must be an object")
     seed = doc.get("seed")
-    if seed is not None and (not isinstance(seed, int) or seed < 0):
+    if seed is not None and _require(seed, int, "seed") < 0:
         raise SchemaError("seed must be a nonnegative integer")
     return kind, payload
 

@@ -4,12 +4,60 @@ L = col B is decided by I − P with P = B(B*B)⁻¹B* over the independent
 columns of B, the Gram matrix inverted by Gauss-Jordan on [G | I]. This
 is independent of the annihilator kernel in `essmod.rationals`, which the
 tests check against it; `mat_rank` counts the same Gauss-Jordan pivots.
+Matrices here are tuples of row tuples of ComplexRational; a field's
+Gaussian-integer basis columns are converted by `matrix_of`. The Fraction
+path of the loader (`crat_from_json`, `clear_denominators`) lives here too,
+as an oracle for the integer loader.
 """
 
+from fractions import Fraction
+from math import lcm
+
+from essmod import serialize
 from essmod.fields import field_atoms
 from essmod.polynomials import GaussianPoly, exact_zero_points
-from essmod.rationals import CR_ONE, CR_ZERO, mat_identity, mat_shape, vec_is_zero
+from essmod.rationals import ComplexRational, cr, vec_is_zero
 from essmod.subsets import Interval, SymbolicSubset
+
+CR_ZERO = cr(0)
+CR_ONE = cr(1)
+
+
+def mat(rows):
+    return tuple(tuple(e if isinstance(e, ComplexRational) else cr(e) for e in row) for row in rows)
+
+
+def mat_shape(a):
+    return (len(a), len(a[0]) if a else 0)
+
+
+def mat_identity(n):
+    return tuple(tuple(CR_ONE if i == j else CR_ZERO for j in range(n)) for i in range(n))
+
+
+def matrix_of(columns, d):
+    """The d×r ComplexRational matrix with these Gaussian-integer columns."""
+    return tuple(tuple(cr(*col[i]) for col in columns) for i in range(d))
+
+
+def crat_from_json(v):
+    """An exact complex scalar [re, im] as a ComplexRational of two Fractions."""
+    return ComplexRational(*(Fraction(*part) for part in serialize._crat_parts(v)))
+
+
+def cleared_columns(a):
+    """The columns of the matrix a, each cleared of its denominators."""
+    return tuple(clear_denominators([row[k] for row in a]) for k in range(mat_shape(a)[1]))
+
+
+def clear_denominators(v):
+    """The Gaussian-integer vector (pairs (re, im)) that is v times the
+    least common denominator of its parts."""
+    den = lcm(*(x.re.denominator for x in v), *(x.im.denominator for x in v))
+    return tuple(
+        (x.re.numerator * (den // x.re.denominator), x.im.numerator * (den // x.im.denominator))
+        for x in v
+    )
 
 
 def mat_mul(a, b):
@@ -97,7 +145,7 @@ def outside(basis, d, v) -> bool:
 
 
 def basis_at(field, x):
-    return next(p.basis for p in field.pieces if p.region.contains(x))
+    return next(matrix_of(p.basis, field.d) for p in field.pieces if p.region.contains(x))
 
 
 def projector_at(field, x):
@@ -110,7 +158,7 @@ def outside_at(field, x, v) -> bool:
 
 def residual_set(m, field) -> SymbolicSubset:
     """{x : m(x) ∉ L_x} with I − P applied on every atom."""
-    comps = [complement(p.basis, field.d) for p in field.pieces]
+    comps = [complement(matrix_of(p.basis, field.d), field.d) for p in field.pieces]
     points, intervals = [], []
     for atom in field_atoms(field, m.breakpoints):
         comp = comps[atom.piece_index]

@@ -39,7 +39,7 @@ from essmod.modules import (
     theta,
 )
 from essmod.polynomials import GaussianPoly
-from essmod.rationals import ComplexRational, mat_shape
+from essmod.rationals import ComplexRational
 from essmod.sections import PiecewiseSection
 
 HERMITIAN_SHAPES = [
@@ -175,7 +175,7 @@ def _planted_defect_union(payload):
     acc = SymbolicSubset()
     for region, basis_doc in zip(regions, bases):
         basis = _basis_from_json(basis_doc, d)
-        if mat_shape(basis)[1] == 0 or projector_oracle.mat_rank(basis) < d:
+        if not basis or projector_oracle.mat_rank(projector_oracle.matrix_of(basis, d)) < d:
             acc = acc.union(region)
     return acc
 

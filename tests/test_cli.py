@@ -372,6 +372,38 @@ def test_string_boolean_in_field_input_exits_2(path, tmp_path, capsys):
         serialize.field_spec_from_json(bad["payload"])
 
 
+def every_d_true(doc):
+    """The d = 1 field document with its d, every generator's d and its seed set to true."""
+    out = edited(doc, ("d",), True)
+    for g in out["payload"]["generators"]:
+        g["d"] = True
+    out["seed"] = True
+    return out
+
+
+@pytest.mark.parametrize("make, key", [
+    pytest.param(lambda: every_d_true(gen_field(1, 4, 2, "none", 1)), "seed", id="field-all-true"),
+    pytest.param(lambda: edited(gen_field(1, 4, 2, "none", 1), ("d",), True), "d", id="field-d1"),
+    pytest.param(lambda: edited(gen_field(1, 4, 2, "none", 1), ("generators", 0, "d"), True), "section d",
+                 id="section-d"),
+    pytest.param(lambda: edited(gen_field(2, 4, 3, "interval", 1), ("d",), True), "d", id="field-d2"),
+    pytest.param(lambda: edited(gen_right_ideal((1,), 1), ("support_projection", "shape", "block_dims"), [True]),
+                 "block_dims entry", id="block-dims"),
+    pytest.param(lambda: edited(gen_module_submodule((1,), 1, 1), ("k",), True), "k", id="submodule-k"),
+    pytest.param(lambda: edited(gen_module_submodule((1,), 1, 1), ("generators", 0, "k"), True), "k",
+                 id="element-k"),
+])
+def test_boolean_integer_exits_2(make, key, tmp_path, capsys):
+    """JSON true is a Python int: a d = 1 field whose d, generator d's and
+    seed were all true was decided (exit 0), so was a right ideal with
+    block_dims [true], and a d = 2 field with d true failed on "expected
+    True". The error names the key now."""
+    bad = make()
+    assert_input_errors(tmp_path / "bad.json", [bad], capsys)
+    with pytest.raises(SchemaError, match=f"^{key} must be an integer, got bool$"):
+        runner.run_check(bad)
+
+
 def vanishing_field_doc(defect, vanish):
     """gen_field(2, 4, 3, defect, 1) flagged vanish_at_boundary; with
     `vanish` its generators are multiplied by x(1 − x), which moves no

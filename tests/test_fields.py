@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from poly_oracle import poly_divmod
-from projector_oracle import mat_conj_t, mat_mul, mat_rank
+from projector_oracle import CR_ZERO, clear_denominators, cleared_columns, mat, mat_conj_t, mat_mul, mat_rank
 
 from essmod.errors import DimensionMismatch, GeneratorsNotSpanning, IrrationalRoot
 from essmod.fields import (
@@ -23,14 +23,10 @@ from essmod.fields import (
 )
 from essmod.generate import gen_field
 from essmod.polynomials import GaussianPoly, RationalPoly, poly_gcd
-from essmod.rationals import CR_ZERO, annihilator, clear_denominators, cr, mat, mat_identity
+from essmod.rationals import annihilator, cr, identity_columns
 from essmod.serialize import field_spec_from_json
 from essmod.sections import PiecewiseSection
 from essmod.subsets import Interval, SymbolicSubset
-
-
-def zero_basis(d):
-    return tuple(() for _ in range(d))
 
 
 def x_poly():
@@ -42,15 +38,15 @@ def two_zone_field():
     return SubspaceField(
         1,
         (
-            FieldPiece(SymbolicSubset.interval(0, F(1, 2), True, True), zero_basis(1)),
-            FieldPiece(SymbolicSubset.interval(F(1, 2), 1, False, True), mat([[1]])),
+            FieldPiece(SymbolicSubset.interval(0, F(1, 2), True, True), ()),
+            FieldPiece(SymbolicSubset.interval(F(1, 2), 1, False, True), (((1, 0),),)),
         ),
     )
 
 
 def test_partition_must_cover_and_not_overlap():
     def field(*regions):
-        return SubspaceField(1, tuple(FieldPiece(r, mat([[1]])) for r in regions))
+        return SubspaceField(1, tuple(FieldPiece(r, (((1, 0),),)) for r in regions))
 
     half = F(1, 2)
     with pytest.raises(ValueError, match="cover"):
@@ -69,12 +65,18 @@ def test_partition_must_cover_and_not_overlap():
     assert len(field(point, SymbolicSubset.full() - point).pieces) == 2
 
 
+def test_basis_columns_must_have_the_fiber_dimension():
+    with pytest.raises(DimensionMismatch, match="fiber dimension"):
+        SubspaceField(2, (FieldPiece(SymbolicSubset.full(), (((1, 0),),)),))
+    assert SubspaceField(2, (FieldPiece(SymbolicSubset.full(), ()),)).annihilators == (identity_columns(2),)
+
+
 def test_projectors_are_exact_idempotents():
     field = SubspaceField(
         2,
         (
-            FieldPiece(SymbolicSubset.interval(0, F(1, 2), True, False), mat([[1], [1]])),
-            FieldPiece(SymbolicSubset.interval(F(1, 2), 1, True, True), mat_identity(2)),
+            FieldPiece(SymbolicSubset.interval(0, F(1, 2), True, False), (((1, 0), (1, 0)),)),
+            FieldPiece(SymbolicSubset.interval(F(1, 2), 1, True, True), identity_columns(2)),
         ),
     )
     p = projector_oracle.projector_at(field, F(1, 4))
@@ -97,7 +99,7 @@ def test_residual_set_half_line_example():
 
 def test_residual_set_isolated_root_example():
     # L = span(e1), m = (x, x - 1/2): defect everywhere except x = 1/2
-    field = SubspaceField(2, (FieldPiece(SymbolicSubset.full(), mat([[1], [0]])),))
+    field = SubspaceField(2, (FieldPiece(SymbolicSubset.full(), (((1, 0), (0, 0)),)),))
     m = PiecewiseSection(
         2,
         (F(0), F(1)),
@@ -117,7 +119,7 @@ def test_residual_set_irrational_boundary_rejected():
     field = SubspaceField(
         1,
         (
-            FieldPiece(SymbolicSubset.interval(0, 1, True, True), zero_basis(1)),
+            FieldPiece(SymbolicSubset.interval(0, 1, True, True), ()),
         ),
     )
     poly = GaussianPoly(RationalPoly((F(-1, 2), F(0), F(1))), RationalPoly.zero())
@@ -148,13 +150,13 @@ def test_total_defect_union_of_disjoint_defects():
     field = SubspaceField(
         2,
         (
-            FieldPiece(SymbolicSubset.interval(F(1, 8), F(1, 4), False, False), mat([[0], [1]])),
-            FieldPiece(SymbolicSubset.interval(F(5, 8), F(3, 4), False, False), mat([[1], [0]])),
+            FieldPiece(SymbolicSubset.interval(F(1, 8), F(1, 4), False, False), (((0, 0), (1, 0)),)),
+            FieldPiece(SymbolicSubset.interval(F(5, 8), F(3, 4), False, False), (((1, 0), (0, 0)),)),
             FieldPiece(
                 SymbolicSubset.full()
                 - SymbolicSubset.interval(F(1, 8), F(1, 4), False, False)
                 - SymbolicSubset.interval(F(5, 8), F(3, 4), False, False),
-                mat_identity(2),
+                identity_columns(2),
             ),
         ),
     )
@@ -172,11 +174,11 @@ def test_total_defect_union_of_disjoint_defects():
 
 def test_essential_field_point_defects():
     pts = [F(1, 4), F(1, 2), F(3, 4)]
-    pieces = [FieldPiece(SymbolicSubset.point(x), zero_basis(2)) for x in pts]
+    pieces = [FieldPiece(SymbolicSubset.point(x), ()) for x in pts]
     rest = SymbolicSubset.full()
     for x in pts:
         rest = rest - SymbolicSubset.point(x)
-    pieces.append(FieldPiece(rest, mat_identity(2)))
+    pieces.append(FieldPiece(rest, identity_columns(2)))
     spec = FieldModuleSpec(
         2,
         (PiecewiseSection.constant([1, 0]), PiecewiseSection.constant([0, 1])),
@@ -191,10 +193,10 @@ def test_non_essential_field_interval_defect():
     field = SubspaceField(
         2,
         (
-            FieldPiece(SymbolicSubset.interval(F(3, 10), F(2, 5), False, False), mat([[0], [1]])),
+            FieldPiece(SymbolicSubset.interval(F(3, 10), F(2, 5), False, False), (((0, 0), (1, 0)),)),
             FieldPiece(
                 SymbolicSubset.full() - SymbolicSubset.interval(F(3, 10), F(2, 5), False, False),
-                mat_identity(2),
+                identity_columns(2),
             ),
         ),
     )
@@ -218,8 +220,8 @@ def test_residual_with_breakpoint_on_point_defect():
     field = SubspaceField(
         1,
         (
-            FieldPiece(SymbolicSubset.point(F(1, 2)), zero_basis(1)),
-            FieldPiece(SymbolicSubset.full() - SymbolicSubset.point(F(1, 2)), mat([[1]])),
+            FieldPiece(SymbolicSubset.point(F(1, 2)), ()),
+            FieldPiece(SymbolicSubset.full() - SymbolicSubset.point(F(1, 2)), (((1, 0),),)),
         ),
     )
     # m kinks at 1/2: x on the left, 1 - x on the right; m(1/2) = 1/2 ≠ 0
@@ -331,7 +333,7 @@ def bases_and_vectors(draw):
 @example((2, mat([[1], [cr(0, 1)]]), (cr(1), cr(0))))
 def test_outside_agrees_with_projector_oracle(case):
     d, basis, v = case
-    ann = annihilator(basis, d)
+    ann = annihilator(cleared_columns(basis), d)
     assert len(ann) == d - mat_rank(basis)
     assert _outside(ann, clear_denominators(v)) == projector_oracle.outside(basis, d, v)
 
@@ -376,8 +378,8 @@ def test_rank_drop_inside_the_defect_set_is_allowed():
     field = SubspaceField(
         2,
         (
-            FieldPiece(QUARTER_TO_HALF, mat([[0], [1]])),
-            FieldPiece(SymbolicSubset.full() - QUARTER_TO_HALF, mat_identity(2)),
+            FieldPiece(QUARTER_TO_HALF, (((0, 0), (1, 0)),)),
+            FieldPiece(SymbolicSubset.full() - QUARTER_TO_HALF, identity_columns(2)),
         ),
     )
     decision = is_essential_field(FieldModuleSpec(2, DROP_AT_ROOT_EIGHTH, field))

@@ -5,15 +5,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from projector_oracle import clear_denominators, crat_from_json
 
 from essmod import runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape, ideal_from_projection
 from essmod.errors import SchemaError
 from essmod.fields import FieldModuleSpec, FieldPiece, SubspaceField
-from essmod.generate import SplitMix64, rand_algebra_element, rand_module_element
+from essmod.generate import SplitMix64, gen_field, rand_algebra_element, rand_module_element
 from essmod.modules import Submodule, module_basis
 from essmod.polynomials import GaussianPoly
-from essmod.rationals import cr, mat, mat_identity
+from essmod.rationals import ComplexRational, annihilator, cr, identity_columns
 from essmod.sections import PiecewiseSection, bump
 from essmod.subsets import SymbolicSubset
 
@@ -65,7 +66,7 @@ def test_fraction_digit_cap_and_short_errors():
 def fraction_path_poly(doc) -> GaussianPoly:
     """The loader's former path, kept as an oracle: every coefficient as a
     Fraction pair, through crat_from_json, into the public constructor."""
-    return GaussianPoly.from_coeffs([serialize.crat_from_json(c) for c in doc])
+    return GaussianPoly.from_coeffs([crat_from_json(c) for c in doc])
 
 
 def loaded_poly(doc) -> GaussianPoly:
@@ -113,6 +114,104 @@ def test_polynomial_parse_errors_match_fraction_path(bad):
             with pytest.raises(SchemaError) as got:
                 loaded_poly(cut)
             assert str(got.value) == str(expected.value)
+
+
+def test_scalar_parse_memo_never_keeps_a_failure():
+    """Scalar parses are memoized by string. A failure is raised again, with
+    the same message, on every call, and a non-string never reaches the
+    memo, so it gives a SchemaError, not an unhashable-type TypeError."""
+    for bad in [*NOT_RATIONAL, "1" * (serialize.MAX_DIGITS + 1), "1/0"]:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SchemaError) as err:
+                serialize.frac_from_json(bad)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    for bad in (["1/2"], {"p": "1/2"}, 1, None, True):
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="^expected rational string"):
+                serialize.frac_from_json(bad)
+    assert serialize.frac_from_json("-6/4") == serialize.frac_from_json("-6/4") == F(-3, 2)
+
+
+def loaded_field(basis_doc, d) -> SubspaceField:
+    """The one-piece field of a document with this basis, as the loader reads it."""
+    return serialize.field_spec_from_json({
+        "d": d,
+        "partition": [serialize.subset_to_json(SymbolicSubset.full())],
+        "subspace_bases": [basis_doc],
+        "generators": [serialize.section_to_json(PiecewiseSection.constant([1] * d))],
+    }).subfield
+
+
+entry_texts = st.one_of(
+    st.sampled_from(["0", "-0", "0/1", "0/7", "2/4", "-2/4", "10/6", "-12/4", "1", "-3"]),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 30)),
+)
+
+
+@st.composite
+def basis_documents(draw):
+    """d from 1 to 4 and up to d + 1 written columns, some of them zero."""
+    d = draw(st.integers(1, 4))
+    zero = st.sampled_from(["0", "0/1", "0/7", "-0/3"])
+    cols = [
+        [[draw(texts), draw(texts)] for _ in range(d)]
+        for texts in draw(st.lists(st.sampled_from([entry_texts, entry_texts, zero]), max_size=d + 1))
+    ]
+    return d, cols
+
+
+@settings(deadline=None, max_examples=300)
+@given(basis_documents())
+def test_basis_parse_matches_fraction_path(case):
+    """A column loads as its written entries times the lcm of their
+    denominators, as written, not reduced: a positive integer multiple of
+    the Fraction path's lowest-terms column, with the same annihilator."""
+    d, doc = case
+    field = loaded_field(doc, d)
+    cleared = tuple(clear_denominators([crat_from_json(e) for e in col]) for col in doc)
+    assert field.annihilators == (annihilator(cleared, d),)
+    for got, want in zip(field.pieces[0].basis, cleared, strict=True):
+        assert all(type(t) is int for z in got for t in z)
+        nonzero = [(g, w) for gz, wz in zip(got, want) for g, w in zip(gz, wz) if w]
+        k = F(*nonzero[0]) if nonzero else 1
+        assert k > 0 and k.denominator == 1 and got == tuple((k * x, k * y) for x, y in want)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("x", "basis must be a list, got str"),
+    (["x"], "basis column must be a list, got str"),
+    ([[["1", "0"]]], "basis column of length 1, expected 2"),
+    ([[["1", "0"]], [["x", "0"], ["1", "0"]]], "bad rational 'x': expected p/q with decimal integers p, q"),
+    ([[["1", "0"], ["0", "1/0"]]], "bad rational '1/0': zero denominator"),
+    ([[["1", "0"], [1, "0"]]], "expected rational string, got 1"),
+    ([[["1", "0", "0"], ["1", "0"]]], "expected [re, im] rational pair, got ['1', '0', '0']"),
+    ([[["1", "0"], ["1" * 1001, "0"]]],
+     "bad rational '" + "1" * 39 + "...: an integer has more than 1000 digits"),
+])
+def test_malformed_basis_keeps_its_message(doc, message):
+    """Every entry is read before any column length is checked, as before."""
+    with pytest.raises(SchemaError) as err:
+        loaded_field(doc, 2)
+    assert str(err.value) == message
+
+
+def test_field_loading_builds_no_complex_rational(monkeypatch):
+    """Bases load straight into Gaussian-integer columns and polynomials
+    into integer numerators: loading builds no ComplexRational."""
+    docs = [gen_field(d, pieces, max(gens, d), defect, 7)
+            for d in (1, 2, 3, 4) for defect in ("none", "points", "interval") for pieces, gens in ((2, 1), (16, 8))]
+
+    def refuse(self):
+        raise AssertionError("a ComplexRational was built")
+
+    monkeypatch.setattr(ComplexRational, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        cr(1)
+    for doc in docs:
+        spec = serialize.field_spec_from_json(doc["payload"])
+        assert len(spec.subfield.pieces) == len(doc["payload"]["partition"])
 
 
 def test_algebra_element_roundtrip():
@@ -183,8 +282,8 @@ def test_field_spec_roundtrip():
     field = SubspaceField(
         2,
         (
-            FieldPiece(SymbolicSubset.interval(F(0), F(1, 2), True, True), mat([[1], [1]])),
-            FieldPiece(SymbolicSubset.interval(F(1, 2), F(1), False, True), mat_identity(2)),
+            FieldPiece(SymbolicSubset.interval(F(0), F(1, 2), True, True), (((1, 0), (1, 0)),)),
+            FieldPiece(SymbolicSubset.interval(F(1, 2), F(1), False, True), identity_columns(2)),
         ),
     )
     spec = FieldModuleSpec(

@@ -20,15 +20,11 @@ from essmod.fields import (
 )
 from essmod.generate import gen_field
 from essmod.polynomials import GaussianPoly, RationalPoly
-from essmod.rationals import ComplexRational, cr, mat, mat_identity
+from essmod.rationals import ComplexRational, cr, identity_columns
 from essmod.runner import run_check, run_witness
 from essmod.sections import PiecewiseSection, unit_bump
 from essmod.serialize import field_spec_from_json
 from essmod.subsets import SymbolicSubset
-
-
-def zero_basis(d):
-    return tuple(() for _ in range(d))
 
 
 def field_with_regions(d, *pairs):
@@ -39,7 +35,7 @@ def field_with_regions(d, *pairs):
         pieces.append(FieldPiece(region, basis))
         rest = rest - region
     if not rest.is_empty():
-        pieces.append(FieldPiece(rest, mat_identity(d)))
+        pieces.append(FieldPiece(rest, identity_columns(d)))
     return SubspaceField(d, tuple(pieces))
 
 
@@ -54,7 +50,7 @@ def test_essential_witness_full_field():
 
 
 def test_essential_witness_avoids_point_defect():
-    field = field_with_regions(1, (SymbolicSubset.point(F(1, 2)), zero_basis(1)))
+    field = field_with_regions(1, (SymbolicSubset.point(F(1, 2)), ()))
     m = PiecewiseSection.constant([1])
     w = essential_witness(m, field, residual_set(m, field))
     assert w.verified
@@ -71,7 +67,7 @@ def test_essential_witness_support_follows_the_section_support():
     )
     m = PiecewiseSection(1, (F(0), F(1, 2), F(1)), ((GaussianPoly.zero(),), (rise,)))
     field = field_with_regions(
-        1, (SymbolicSubset.interval(F(0), F(1, 4), False, False), zero_basis(1))
+        1, (SymbolicSubset.interval(F(0), F(1, 4), False, False), ())
     )
     w = essential_witness(m, field, residual_set(m, field))
     assert w.verified
@@ -86,7 +82,7 @@ def test_essential_witness_rejects_zero_section():
 
 def test_essential_witness_precondition():
     field = field_with_regions(
-        1, (SymbolicSubset.interval(F(1, 4), F(1, 2), False, False), zero_basis(1))
+        1, (SymbolicSubset.interval(F(1, 4), F(1, 2), False, False), ())
     )
     m = PiecewiseSection.constant([1])
     with pytest.raises(PreconditionFailed):
@@ -102,7 +98,7 @@ def test_pick_interval_requires_an_interval():
 
 def test_non_essential_witness_interval_defect():
     field = field_with_regions(
-        2, (SymbolicSubset.interval(F(3, 10), F(2, 5), False, False), mat([[0], [1]]))
+        2, (SymbolicSubset.interval(F(3, 10), F(2, 5), False, False), (((0, 0), (1, 0)),))
     )
     m = PiecewiseSection.constant([1, 0])
     w = non_essential_witness(m, field, residual_set(m, field))
@@ -116,7 +112,7 @@ def test_non_essential_witness_interval_defect():
 
 def test_non_essential_witness_polynomial_defect():
     # m = (x, 0) against L = span(e2) on (0, 1): defect dense in the support
-    field = field_with_regions(2, (SymbolicSubset.interval(F(0), F(1), False, False), mat([[0], [1]])))
+    field = field_with_regions(2, (SymbolicSubset.interval(F(0), F(1), False, False), (((0, 0), (1, 0)),)))
     m = PiecewiseSection(
         2,
         (F(0), F(1)),
@@ -127,7 +123,7 @@ def test_non_essential_witness_polynomial_defect():
 
 
 def test_non_essential_witness_precondition_failure():
-    field = field_with_regions(1, (SymbolicSubset.point(F(1, 2)), zero_basis(1)))
+    field = field_with_regions(1, (SymbolicSubset.point(F(1, 2)), ()))
     m = PiecewiseSection.constant([1])
     with pytest.raises(PreconditionFailed):
         non_essential_witness(m, field, residual_set(m, field))
@@ -137,7 +133,7 @@ def test_non_essential_witness_precondition_failure():
 
 def planted_interval_spec():
     field = field_with_regions(
-        2, (SymbolicSubset.interval(F(3, 10), F(2, 5), False, False), mat([[0], [1]]))
+        2, (SymbolicSubset.interval(F(3, 10), F(2, 5), False, False), (((0, 0), (1, 0)),))
     )
     return FieldModuleSpec(
         2, (PiecewiseSection.constant([1, 0]), PiecewiseSection.constant([0, 1])), field
@@ -173,9 +169,9 @@ def adversarial_lambda_spec(gens=None):
     x1, x2, x3 = ADVERSARIAL_SAMPLES
     field = field_with_regions(
         2,
-        (SymbolicSubset.point(x1), mat([[1], [0]])),          # span(e1)
-        (SymbolicSubset.point(x2), mat([[1], [1]])),          # span(e1 + e2)
-        (SymbolicSubset.point(x3), mat([[1], [0]])),          # span(e1)
+        (SymbolicSubset.point(x1), (((1, 0), (0, 0)),)),          # span(e1)
+        (SymbolicSubset.point(x2), (((1, 0), (1, 0)),)),          # span(e1 + e2)
+        (SymbolicSubset.point(x3), (((1, 0), (0, 0)),)),          # span(e1)
     )
     g1 = PiecewiseSection.constant([1, 1])
     g2 = PiecewiseSection.constant([1, F(-2, 3)])
