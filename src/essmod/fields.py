@@ -18,7 +18,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import (
     DimensionMismatch,
@@ -29,9 +28,9 @@ from .errors import (
     SampleNotInDefect,
     ZeroInput,
 )
-from .polynomials import GaussianPoly, RationalPoly, _value, exact_zero_points, poly_gcd, real_root_count
+from .polynomials import GaussianPoly, RationalPoly, exact_zero_points, poly_gcd, real_root_count
 from .rationals import GaussianIntVector, annihilator, identity_columns, vec_is_zero
-from .sections import PiecewiseSection, bump, pointwise_inner
+from .sections import PiecewiseSection, _scaled_value, bump, pointwise_inner
 from .subsets import Interval, SymbolicSubset, _order, _sweep
 
 ZERO = Fraction(0)
@@ -119,16 +118,6 @@ def field_atoms(field: SubspaceField, breakpoints) -> list[Atom]:
                 owner[r] = i
     inner = [slot[b.as_integer_ratio()] for b in breakpoints[1:-1]]
     return [Atom(bounds[r // 2], bounds[(r + 1) // 2], i, bisect_right(inner, r), r % 2 == 0) for r, i in enumerate(owner)]
-
-
-def _scaled_value(piece: tuple[GaussianPoly, ...], x: Fraction) -> GaussianIntVector:
-    """D·v^n·(piece at x = u/v) in Gaussian integers, by one integer Horner
-    pass per part: n the largest degree, D the parts' common denominator."""
-    u, v = x.numerator, x.denominator
-    parts = [q for p in piece for q in (p.re, p.im)]
-    n, den = max(q.degree for q in parts), lcm(*(q.den for q in parts))
-    vals = [_value(q.nums, u, v) * v ** (n - q.degree) * (den // q.den) if q.nums else 0 for q in parts]
-    return tuple(zip(vals[::2], vals[1::2]))
 
 
 def _residual_polys(ann, piece: tuple[GaussianPoly, ...]) -> list[GaussianPoly]:

@@ -42,7 +42,7 @@ def op_norm(a) -> float:
         return 0.0
     if not np.isfinite(m).all():
         raise NonFinite("a matrix entry is inf or NaN: float input too large")
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _canonical_phases(u: np.ndarray, eigs: np.ndarray) -> np.ndarray:

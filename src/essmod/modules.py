@@ -74,7 +74,12 @@ class ModuleElement:
             raise ShapeMismatch("module elements of different shape or rank")
 
     def _with(self, blocks) -> "ModuleElement":
-        return ModuleElement(self.shape, self.k, tuple(blocks))
+        """An operation's result from fresh arrays: unchecked, uncopied, marked read-only."""
+        out = ModuleElement.__new__(ModuleElement)
+        out.__dict__.update(shape=self.shape, k=self.k, blocks=tuple(blocks))
+        for blk in out.blocks:
+            blk.setflags(write=False)
+        return out
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check_same(other)
@@ -111,7 +116,7 @@ def inner_product(x: ModuleElement, y: ModuleElement) -> AlgebraElement:
     """A-valued inner product Σ x_i* y_i = X_b* Y_b per block (linear in the
     second slot)."""
     x._check_same(y)
-    return AlgebraElement(x.shape, tuple(a.conj().T @ b for a, b in zip(x.blocks, y.blocks)))
+    return AlgebraElement._of(x.shape, tuple(a.conj().T @ b for a, b in zip(x.blocks, y.blocks)))
 
 
 def operator_shape(shape: AlgebraShape, k: int) -> AlgebraShape:
@@ -123,7 +128,7 @@ def theta(x: ModuleElement, y: ModuleElement) -> AlgebraElement:
     """Elementary operator z ↦ x ⟨y, z⟩ in M_k(A): X_b Y_b* per block."""
     x._check_same(y)
     amp = operator_shape(x.shape, x.k)
-    return AlgebraElement(amp, tuple(a @ b.conj().T for a, b in zip(x.blocks, y.blocks)))
+    return AlgebraElement._of(amp, tuple(a @ b.conj().T for a, b in zip(x.blocks, y.blocks)))
 
 
 def apply(t: AlgebraElement, z: ModuleElement) -> ModuleElement:

@@ -6,10 +6,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch
-from .polynomials import GaussianPoly, RationalPoly, exact_zero_points
-from .rationals import ComplexRational, cr
+from .polynomials import GaussianPoly, RationalPoly, _value, exact_zero_points
+from .rationals import ComplexRational, GaussianIntVector, cr
 from .subsets import Interval, SymbolicSubset
 
 ZERO = Fraction(0)
@@ -38,12 +39,10 @@ class PiecewiseSection:
         for piece in pieces:
             if len(piece) != self.d:
                 raise DimensionMismatch("piece has wrong fiber dimension")
-        for i in range(1, len(bps) - 1):
-            t = bps[i]
-            left, right = self.pieces[i - 1], self.pieces[i]
-            for pl, pr in zip(left, right):
-                if pl(t) != pr(t):
-                    raise ValueError(f"discontinuity at breakpoint {t}")
+        for t, left, right in zip(bps[1:-1], pieces, pieces[1:]):
+            values = _scaled_value(left + right, t)  # both pieces over one positive scale
+            if values[:self.d] != values[self.d:]:
+                raise ValueError(f"discontinuity at breakpoint {t}")
 
     # -- constructors --------------------------------------------------------
 
@@ -194,6 +193,16 @@ class PiecewiseSection:
             for x in candidates:
                 best = max(best, abs(q(x)))
         return best
+
+
+def _scaled_value(piece: tuple[GaussianPoly, ...], x: Fraction) -> GaussianIntVector:
+    """D·v^n·(piece at x = u/v) in Gaussian integers, by one integer Horner
+    pass per part: n the largest degree, D the parts' common denominator."""
+    u, v = x.numerator, x.denominator
+    parts = [q for p in piece for q in (p.re, p.im)]
+    n, den = max(q.degree for q in parts), lcm(*(q.den for q in parts))
+    vals = [_value(q.nums, u, v) * v ** (n - q.degree) * (den // q.den) if q.nums else 0 for q in parts]
+    return tuple(zip(vals[::2], vals[1::2]))
 
 
 def pointwise_inner(u: PiecewiseSection, v: PiecewiseSection) -> PiecewiseSection:

@@ -16,6 +16,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -110,8 +111,10 @@ def complex_from_json(v) -> complex:
     if not isinstance(v, list) or len(v) != 2:
         raise SchemaError(f"expected [re, im] pair, got {_excerpt(v)}")
     try:
+        if any(isinstance(x, (bool, str)) for x in v):  # float() would read true and "1" as 1.0
+            raise TypeError
         z = complex(float(v[0]), float(v[1]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"expected [re, im] pair of numbers, got {_excerpt(v)}") from exc
     if not cmath.isfinite(z):
         raise SchemaError(f"expected finite [re, im] pair, got {_excerpt(v)}")
@@ -146,21 +149,29 @@ def element_from_json(doc) -> AlgebraElement:
     if not isinstance(doc, dict) or "shape" not in doc or "blocks" not in doc:
         raise SchemaError("algebra element must have shape and blocks")
     shape = shape_from_json(doc["shape"])
-    blocks = []
     docs = _require(doc["blocks"], list, "element blocks")
     if len(docs) != shape.num_blocks:
         raise SchemaError("block count does not match shape")
-    for n, blk in zip(shape.block_dims, docs):
-        try:
-            m = np.array(
-                [[complex_from_json(z) for z in row] for row in blk], dtype=np.complex128
-            )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad block data: {exc}") from exc
-        if m.shape != (n, n):
-            raise SchemaError(f"block of shape {m.shape}, expected ({n}, {n})")
-        blocks.append(m)
-    return AlgebraElement(shape, tuple(blocks))
+    return AlgebraElement(shape, tuple(_block_from_json(blk, n) for n, blk in zip(shape.block_dims, docs)))
+
+
+def _block_from_json(blk, n: int) -> np.ndarray:
+    """An n×n block of [re, im] pairs: one float array if it is JSON numbers
+    of that shape, else read entry by entry, whose errors name the entry."""
+    try:
+        if set(map(type, chain.from_iterable(chain.from_iterable(blk)))) <= {float, int}:
+            m = np.array(blk, dtype=np.float64)
+            if m.shape == (n, n, 2) and np.isfinite(m).all():
+                return m.view(np.complex128).reshape(n, n)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    try:
+        m = np.array([[complex_from_json(z) for z in row] for row in blk], dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad block data: {exc}") from exc
+    if m.shape != (n, n):
+        raise SchemaError(f"block of shape {m.shape}, expected ({n}, {n})")
+    return m
 
 
 def ideal_to_json(J: RightIdeal) -> dict:

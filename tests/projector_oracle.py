@@ -7,7 +7,8 @@ tests check against it; `mat_rank` counts the same Gauss-Jordan pivots.
 Matrices here are tuples of row tuples of ComplexRational; a field's
 Gaussian-integer basis columns are converted by `matrix_of`. The Fraction
 path of the loader (`crat_from_json`, `clear_denominators`) lives here too,
-as an oracle for the integer loader.
+as an oracle for the integer loader, and so does `svd_is_projection`, the
+float projection predicate with every norm taken by SVD.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from math import lcm
 
 from essmod import serialize
 from essmod.fields import field_atoms
+from essmod.linalg import ACCEPT_TOL
 from essmod.polynomials import GaussianPoly, exact_zero_points
 from essmod.rationals import ComplexRational, cr, vec_is_zero
 from essmod.subsets import Interval, SymbolicSubset
@@ -179,3 +181,10 @@ def residual_set(m, field) -> SymbolicSubset:
         cuts = [atom.lo, *sorted(z for z in zeros if atom.lo < z < atom.hi), atom.hi]
         intervals.extend(Interval(a, b, False, False) for a, b in zip(cuts, cuts[1:]))
     return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
+
+
+def svd_is_projection(p) -> bool:
+    """p* = p = p² within ACCEPT_TOL·(1 + ‖p‖), each norm an SVD: the
+    reference for `algebra.is_projection`, which decides most inputs from
+    entry bounds without a norm."""
+    return p.is_hermitian(ACCEPT_TOL) and (p * p).distance(p) <= ACCEPT_TOL * (1.0 + p.norm())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from essmod import linalg
 from essmod.linalg import ACCEPT_TOL
@@ -14,17 +16,20 @@ from essmod.algebra import (
     ideal_from_projection,
     ideal_support_projection,
     is_essential_right_ideal,
+    is_projection,
     lower_approximants,
     spectral_projection,
 )
 from essmod.errors import (
     DomainError,
     EigenvalueAtThreshold,
+    EssmodError,
     NotHermitian,
     NotProjection,
     ZeroInput,
 )
 from essmod.generate import SplitMix64, rand_algebra_element, rand_hermitian, rand_projection
+from projector_oracle import svd_is_projection
 
 M2 = AlgebraShape((2,))
 M3 = AlgebraShape((3,))
@@ -192,6 +197,45 @@ def test_projection_acceptance_boundary(delta, accepted):
     else:
         with pytest.raises(NotProjection):
             ideal_from_projection(p)
+
+
+@st.composite
+def near_projections(draw):
+    """Random projections, some blocks zero, each block left exact,
+    perturbed by a hermitian, anti-hermitian or general matrix with largest
+    entry 1e-10 to 1e-6, or given one entry near 1e308."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for n in dims:
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        q = q[:, :draw(st.integers(0, n))]
+        b = q @ q.conj().T
+        kind = draw(st.sampled_from(["exact", "hermitian", "anti-hermitian", "general", "huge"]))
+        if kind == "huge":
+            b[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = (
+                draw(st.sampled_from([1e307, 1e308, -1e308, 1.7e308])) * draw(st.sampled_from([1, 1j, 1 + 1j])))
+        elif kind != "exact":
+            e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            e = {"hermitian": e + e.conj().T, "anti-hermitian": e - e.conj().T, "general": e}[kind]
+            b = b + 10 ** draw(st.floats(-10, -6)) * e / np.abs(e).max()
+        blocks.append(b)
+    return AlgebraShape(tuple(dims)), tuple(blocks)
+
+
+def projection_outcome(predicate, shape, blocks):
+    """The predicate's answer on a fresh element, or the type of the error it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            return predicate(AlgebraElement(shape, blocks))
+        except EssmodError as exc:
+            return type(exc)
+
+
+@given(near_projections())
+@settings(deadline=None, max_examples=300)
+def test_is_projection_matches_svd_oracle(case):
+    assert projection_outcome(is_projection, *case) == projection_outcome(svd_is_projection, *case)
 
 
 def test_support_projection_of_identity():

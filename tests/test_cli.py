@@ -468,6 +468,18 @@ def test_malformed_float_payload_exits_2(tmp_path, capsys):
     ], capsys)
 
 
+@pytest.mark.parametrize("entry", [[True, False], ["1", "0"], [1.0, "0"], [10 ** 400, 0.0]],
+                         ids=["bool", "str", "str-imag", "int-past-float"])
+def test_float_scalar_must_be_a_json_number(entry, tmp_path, capsys):
+    """float() read true and "1" as 1.0, so the right ideal with p = [[1]]
+    written [true, false] was decided, and an integer past float range
+    escaped as an OverflowError traceback. The error names the pair now."""
+    bad = edited(gen_right_ideal((1,), 1), ("support_projection", "blocks", 0, 0, 0), entry)
+    assert_input_errors(tmp_path / "bad.json", [bad], capsys)
+    with pytest.raises(SchemaError, match=r"^expected \[re, im\] pair of numbers, got \["):
+        runner.run_check(bad)
+
+
 # p = [[1]] ⊕ [[0, 1.5e-8], [0, 0]]: a projection at the element's scale, 1 + ‖p‖ = 2
 NEAR_PROJECTION = {
     "schema": "essmod/1",

@@ -254,6 +254,25 @@ def test_stacked_module_elements_match_coordinates():
             assert not ModuleElement.from_coords(one).is_zero()
 
 
+def test_operation_results_are_read_only():
+    """Sums, products, scalings and adjoints are built unchecked from the
+    arrays they compute: each block is read-only and owns its memory, so a
+    cached norm cannot go stale."""
+    rng = SplitMix64(35)
+    a, b = rand_algebra_element(rng, MIXED), rand_algebra_element(rng, MIXED)
+    x, y = rand_module_element(rng, MIXED, 2), rand_module_element(rng, MIXED, 2)
+    t = theta(x, y)
+    results = [a + b, a - b, -a, a * b, a * (2 - 1j), (2 - 1j) * a, a.adjoint(), inner_product(x, y), t,
+               x + y, x - y, x * a, x * (2 - 1j), (2 - 1j) * x, apply(t, y)]
+    for r in results:
+        assert all(not blk.flags.writeable and blk.base is None for blk in r.blocks)
+    adj = a.adjoint()
+    norm = adj.norm()
+    with pytest.raises(ValueError):
+        adj.blocks[1][0, 0] += 1.0
+    assert adj.norm() == norm == max(linalg.op_norm(blk) for blk in adj.blocks)
+
+
 def test_stacking_roundtrips_through_json_bytes():
     """JSON coordinates stacked by from_coords and split again on output
     give back the same bytes."""

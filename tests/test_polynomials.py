@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from poly_oracle import oracle_divmod, poly_divmod, trim
 
 from essmod.errors import IrrationalRoot
-from essmod.fields import _scaled_value
+from essmod.sections import _scaled_value
 from essmod.polynomials import (
     GaussianPoly,
     RationalPoly,

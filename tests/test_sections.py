@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from essmod.errors import DimensionMismatch
 from essmod.polynomials import GaussianPoly, RationalPoly
@@ -23,6 +25,28 @@ def test_continuity_enforced():
     one = GaussianPoly.const(cr(1))
     with pytest.raises(ValueError, match="discontinuity"):
         PiecewiseSection(1, (F(0), F(1, 2), F(1)), ((zero,), (one,)))
+
+
+GAUSSIAN = st.builds(lambda a, b, c, e: cr(F(a, b), F(c, e)),
+                     st.integers(-4, 4), st.integers(1, 6), st.integers(-4, 4), st.integers(1, 6))
+POLY = st.lists(GAUSSIAN, max_size=4).map(GaussianPoly.from_coeffs)
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.lists(POLY, min_size=d, max_size=d),
+                                                     st.lists(POLY, min_size=d, max_size=d),
+                                                     st.lists(st.booleans(), min_size=d, max_size=d))),
+       st.integers(1, 8).flatmap(lambda q: st.integers(1, 2 * q - 1).map(lambda p: F(p, 2 * q))))
+@settings(deadline=None, max_examples=200)
+def test_continuity_check_matches_exact_values(case, t):
+    """Pieces glued or not, coordinate by coordinate, at a breakpoint t: the
+    section is refused exactly when some coordinate's two values differ."""
+    left, right, glued = case
+    right = [pr + GaussianPoly.const(pl(t) - pr(t)) if glue else pr for pl, pr, glue in zip(left, right, glued)]
+    if any(pl(t) != pr(t) for pl, pr in zip(left, right)):
+        with pytest.raises(ValueError, match=f"^discontinuity at breakpoint {t}$"):
+            PiecewiseSection(len(left), (F(0), t, F(1)), (tuple(left), tuple(right)))
+    else:
+        PiecewiseSection(len(left), (F(0), t, F(1)), (tuple(left), tuple(right)))
 
 
 def test_breakpoint_validation():

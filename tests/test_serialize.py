@@ -198,10 +198,12 @@ def test_malformed_basis_keeps_its_message(doc, message):
 
 
 def test_field_loading_builds_no_complex_rational(monkeypatch):
-    """Bases load straight into Gaussian-integer columns and polynomials
-    into integer numerators: loading builds no ComplexRational."""
+    """Bases load straight into Gaussian-integer columns, polynomials into
+    integer numerators, and a section's continuity is checked on integers:
+    loading builds no ComplexRational."""
     docs = [gen_field(d, pieces, max(gens, d), defect, 7)
             for d in (1, 2, 3, 4) for defect in ("none", "points", "interval") for pieces, gens in ((2, 1), (16, 8))]
+    two_piece = serialize.section_to_json(bump(F(0), F(1, 2)).scale(cr(F(2, 3), F(1, 7))))
 
     def refuse(self):
         raise AssertionError("a ComplexRational was built")
@@ -212,6 +214,7 @@ def test_field_loading_builds_no_complex_rational(monkeypatch):
     for doc in docs:
         spec = serialize.field_spec_from_json(doc["payload"])
         assert len(spec.subfield.pieces) == len(doc["payload"]["partition"])
+    assert len(serialize.section_from_json(two_piece).pieces) == 2
 
 
 def test_algebra_element_roundtrip():
