@@ -81,8 +81,9 @@ class AlgebraElement:
 
     @classmethod
     def _of(cls, shape: AlgebraShape, blocks: tuple[np.ndarray, ...]) -> "AlgebraElement":
-        """An operation's result, fresh arrays of the right shape: built
-        unchecked and uncopied, only marked read-only."""
+        """Complex arrays of the right shape that no one writes to later
+        (an operation's result, checked loader input): built unchecked and
+        uncopied, only marked read-only."""
         for blk in blocks:
             blk.setflags(write=False)
         out = cls.__new__(cls)
@@ -183,7 +184,7 @@ def calculus(a: AlgebraElement, f: Callable[[float], float]) -> AlgebraElement:
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(f"function undefined on spectrum: {exc}") from exc
         out.append(u @ np.diag(vals) @ u.conj().T)
-    return AlgebraElement(a.shape, tuple(out))
+    return AlgebraElement._of(a.shape, tuple(out))
 
 
 def spectral_projection(a: AlgebraElement, eps: float) -> AlgebraElement:
@@ -280,7 +281,7 @@ def ideal_support_projection(generators: Sequence[AlgebraElement]) -> RightIdeal
     for b in range(shape.num_blocks):
         stacked = np.hstack([g.blocks[b] for g in gens])
         blocks.append(linalg.column_space_projector(stacked))
-    return RightIdeal(shape, AlgebraElement(shape, tuple(blocks)))
+    return RightIdeal(shape, AlgebraElement._of(shape, tuple(blocks)))
 
 
 def _interp_resolvent(eps: float) -> Callable[[float], float]:
@@ -417,7 +418,7 @@ def is_essential_right_ideal(J: RightIdeal) -> tuple[bool, IdealCertificate]:
     v = u[:, 0]  # eigenvalue ≈ 0: orthogonal complement of range(p)
     q_blocks = [np.zeros((m, m), dtype=np.complex128) for m in shape.block_dims]
     q_blocks[b] = np.outer(v, v.conj())
-    q = AlgebraElement(shape, tuple(q_blocks))
+    q = AlgebraElement._of(shape, tuple(q_blocks))
     inter = linalg.subspace_intersection_dim(p.blocks[b], q.blocks[b])
     return False, IdealCertificate(
         essential=False,

@@ -4,9 +4,10 @@ piecewise-constant subspace assignments, and exact essentiality analysis.
 The subspace field x ↦ L_x is primary data: a partition of [0, 1] into
 symbolic pieces, each carrying Gaussian-integer columns that span L_x.
 Membership m(x) ∈ L_x is decided by the piece's annihilator: Gaussian-integer
-rows a with a·B = 0, whose common kernel is exactly col B. Everything here runs in
-Gaussian-rational arithmetic; nowhere-density is a qualitative property
-that floating point would ruin.
+rows a with a·B = 0, whose common kernel is exactly col B. Everything here is
+exact: polynomials over Q in pairs, Gaussian integers in every membership
+test; nowhere-density is a qualitative property that floating point would
+ruin.
 
 `analyze_field` computes each generator's defect set once per spec; the
 decision, the witnesses and the CLI reports all read from that analysis.
@@ -29,7 +30,7 @@ from .errors import (
     ZeroInput,
 )
 from .polynomials import GaussianPoly, RationalPoly, exact_zero_points, poly_gcd, real_root_count
-from .rationals import GaussianIntVector, annihilator, identity_columns, vec_is_zero
+from .rationals import GaussianIntVector, annihilator, identity_columns
 from .sections import PiecewiseSection, _scaled_value, bump, pointwise_inner
 from .subsets import Interval, SymbolicSubset, _order, _sweep
 
@@ -174,7 +175,8 @@ class FieldModuleSpec:
             if g.is_zero():
                 raise ZeroInput("generators must be nonzero")
             if self.vanish_at_boundary:
-                if not vec_is_zero(g(ZERO)) or not vec_is_zero(g(ONE)):
+                ends = _scaled_value(g.pieces[0], ZERO) + _scaled_value(g.pieces[-1], ONE)
+                if any(z != (0, 0) for z in ends):
                     raise ValueError("generators must vanish at 0 and 1")
         if self.subfield.d != self.d:
             raise DimensionMismatch("subspace field of wrong fiber dimension")
@@ -203,7 +205,7 @@ def _minors(cols, d: int):
     """The d×d minors of the matrix with polynomial columns `cols`, one at a
     time, by Laplace expansion along the last row: every smaller minor of
     the leading rows is kept, and a vanishing one costs no products above."""
-    memo = {(): GaussianPoly(RationalPoly.const(1), RationalPoly.zero())}
+    memo = {(): GaussianPoly.const(1)}
 
     def minor(s: tuple[int, ...]) -> GaussianPoly:
         if s not in memo:

@@ -18,7 +18,7 @@ from .errors import IrrationalRoot, SizeCap
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField
 from .modules import ModuleElement, module_basis
 from .polynomials import GaussianPoly
-from .rationals import ComplexRational, identity_columns
+from .rationals import identity_columns
 from .sections import PiecewiseSection
 from .serialize import (
     element_to_json,
@@ -187,9 +187,7 @@ def _rand_poly_section(rng: SplitMix64, d: int) -> PiecewiseSection:
     """Random polynomial section of degree ≤ 2 with dyadic coefficients."""
     rows = []
     for _ in range(d):
-        coeffs = [
-            ComplexRational(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(3)
-        ]
+        coeffs = [(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(3)]
         rows.append(GaussianPoly.from_coeffs(coeffs))
     return PiecewiseSection(d, (Fraction(0), Fraction(1)), (tuple(rows),))
 

@@ -63,7 +63,7 @@ class ModuleElement:
         if any(c.shape != shape for c in coords):
             raise ShapeMismatch("coordinate over a different algebra shape")
         stacked = (np.vstack([c.blocks[b] for c in coords]) for b in range(shape.num_blocks))
-        return cls(shape, len(coords), tuple(stacked))
+        return cls._of(shape, len(coords), tuple(stacked))
 
     @classmethod
     def zeros(cls, shape: AlgebraShape, k: int) -> "ModuleElement":
@@ -73,13 +73,19 @@ class ModuleElement:
         if self.shape != other.shape or self.k != other.k:
             raise ShapeMismatch("module elements of different shape or rank")
 
-    def _with(self, blocks) -> "ModuleElement":
-        """An operation's result from fresh arrays: unchecked, uncopied, marked read-only."""
-        out = ModuleElement.__new__(ModuleElement)
-        out.__dict__.update(shape=self.shape, k=self.k, blocks=tuple(blocks))
+    @classmethod
+    def _of(cls, shape: AlgebraShape, k: int, blocks) -> "ModuleElement":
+        """Complex arrays of the right shape that no one writes to later:
+        built unchecked and uncopied, only marked read-only."""
+        out = cls.__new__(cls)
+        out.__dict__.update(shape=shape, k=k, blocks=tuple(blocks))
         for blk in out.blocks:
             blk.setflags(write=False)
         return out
+
+    def _with(self, blocks) -> "ModuleElement":
+        """An operation's result over this element's shape and rank."""
+        return ModuleElement._of(self.shape, self.k, blocks)
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check_same(other)
@@ -202,7 +208,7 @@ def ideal_of_submodule(N: Submodule) -> RightIdeal:
     lies in col M_b, i.e. iff P_b T_b = T_b.
     """
     amp = operator_shape(N.shape, N.k)
-    return RightIdeal(amp, AlgebraElement(amp, N.block_projectors))
+    return RightIdeal(amp, AlgebraElement._of(amp, N.block_projectors))
 
 
 def submodule_of_ideal(J: RightIdeal, shape: AlgebraShape, k: int) -> Submodule:
@@ -217,7 +223,7 @@ def submodule_of_ideal(J: RightIdeal, shape: AlgebraShape, k: int) -> Submodule:
         raise ShapeMismatch("ideal is not over the amplified shape")
     p = J.support_projection.blocks
     return Submodule(shape, k, tuple(
-        ModuleElement(shape, k, tuple(p_b[:, r * n:(r + 1) * n] for p_b, n in zip(p, shape.block_dims)))
+        ModuleElement._of(shape, k, (p_b[:, r * n:(r + 1) * n] for p_b, n in zip(p, shape.block_dims)))
         for r in range(k)
     ))
 
@@ -254,7 +260,7 @@ def reformulation_probe(m: ModuleElement, N: Submodule) -> ProbeResult:
         return ProbeResult(found=False, witness=None)
     blocks = [np.zeros((n, n), dtype=np.complex128) for n in m.shape.block_dims]
     blocks[best_block][:, 0] = best_col
-    return ProbeResult(found=True, witness=AlgebraElement(m.shape, tuple(blocks)))
+    return ProbeResult(found=True, witness=AlgebraElement._of(m.shape, tuple(blocks)))
 
 
 def _nullspace(a: np.ndarray) -> np.ndarray:
@@ -306,4 +312,4 @@ def _witness_from_ideal_certificate(cert: IdealCertificate, shape: AlgebraShape,
     certificate's orthogonal vector as a single column in its block."""
     blocks = [np.zeros((k * n, n), dtype=np.complex128) for n in shape.block_dims]
     blocks[cert.block][:, 0] = cert.vector  # length k·n_b
-    return ModuleElement(shape, k, tuple(blocks))
+    return ModuleElement._of(shape, k, blocks)

@@ -1,8 +1,8 @@
-"""Univariate polynomials with exact rational and Gaussian-rational
-coefficients, plus exact real-root location on intervals. A rational
-polynomial is its integer numerators over one positive denominator, in
-lowest terms (Knuth, TAOCP vol. 2 §4.6.1), so that arithmetic, evaluation
-and the root code below run in integers.
+"""Univariate polynomials with exact rational coefficients, Gaussian
+polynomials as pairs of them, and exact real-root location on intervals.
+A rational polynomial is its integer numerators over one positive
+denominator, in lowest terms (Knuth, TAOCP vol. 2 §4.6.1), so that
+arithmetic, evaluation and the root code below run in integers.
 
 Real roots are isolated, never enumerated: a Sturm chain of the primitive
 integer squarefree part s of p (primitive remainder sequences keep its
@@ -23,7 +23,6 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import IrrationalRoot
-from .rationals import ComplexRational
 
 
 @dataclass(init=False, unsafe_hash=True, slots=True)
@@ -280,17 +279,14 @@ class GaussianPoly:
         return cls(RationalPoly.zero(), RationalPoly.zero())
 
     @classmethod
-    def const(cls, c: ComplexRational) -> "GaussianPoly":
-        return cls(RationalPoly.const(c.re), RationalPoly.const(c.im))
+    def const(cls, re, im=0) -> "GaussianPoly":
+        return cls(RationalPoly.const(re), RationalPoly.const(im))
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "GaussianPoly":
+        """The polynomial with these ascending (re, im) coefficient pairs."""
         cs = list(coeffs)
-        return cls(RationalPoly(c.re for c in cs), RationalPoly(c.im for c in cs))
-
-    def coeff_list(self) -> list[ComplexRational]:
-        pairs = zip_longest(self.re.coeffs, self.im.coeffs, fillvalue=Fraction(0))
-        return [ComplexRational(re, im) for re, im in pairs]
+        return cls(RationalPoly(re for re, _ in cs), RationalPoly(im for _, im in cs))
 
     @property
     def degree(self) -> int:
@@ -302,9 +298,6 @@ class GaussianPoly:
     def is_real(self) -> bool:
         return self.im.is_zero()
 
-    def __call__(self, x: Fraction) -> ComplexRational:
-        return ComplexRational(self.re(x), self.im(x))
-
     def __add__(self, other: "GaussianPoly") -> "GaussianPoly":
         return GaussianPoly(self.re + other.re, self.im + other.im)
 
@@ -315,7 +308,7 @@ class GaussianPoly:
         return GaussianPoly(-self.re, -self.im)
 
     def __mul__(self, other):
-        if isinstance(other, (GaussianPoly, ComplexRational)):
+        if isinstance(other, GaussianPoly):
             return GaussianPoly(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
         return GaussianPoly(self.re * other, self.im * other)
 

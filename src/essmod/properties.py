@@ -19,7 +19,6 @@ from .errors import IrrationalRoot
 from .generate import SplitMix64
 from .modules import Submodule
 from .polynomials import GaussianPoly
-from .rationals import ComplexRational
 from .sections import PiecewiseSection
 from .subsets import SymbolicSubset
 
@@ -327,7 +326,7 @@ def prop_set_algebra(rng, trials):
         if s.complement().complement() != s:
             return False
         # the two nowhere-density routes agree
-        return s.is_nowhere_dense() == (not s.closure().has_interval())
+        return s.is_nowhere_dense() == s.closure().interior().is_empty()
     return _run("fields.set_algebra", rng, trials, body)
 
 
@@ -343,12 +342,15 @@ def _planted_spec(rng, defect: str):
     return serialize.field_spec_from_json(doc["payload"]), doc
 
 
+def _rand_linear(rng) -> GaussianPoly:
+    """A polynomial of degree ≤ 1 with dyadic (re, im) coefficients."""
+    return GaussianPoly.from_coeffs([(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(2)])
+
+
 def _rand_combination(rng, spec) -> PiecewiseSection:
     m = PiecewiseSection.zero(spec.d)
     for g in spec.generators:
-        coeffs = [ComplexRational(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(2)]
-        c = PiecewiseSection.scalar_poly(GaussianPoly.from_coeffs(coeffs))
-        m = m + g.mul_scalar_section(c)
+        m = m + g.mul_scalar_section(PiecewiseSection.scalar_poly(_rand_linear(rng)))
     return m
 
 
@@ -394,7 +396,7 @@ def prop_criterion_coherence(rng, trials):
         )
         direct_ok = False
         for g, defect in zip(spec.generators, decision.analysis.defects):
-            if not defect.closure().interior().is_empty():
+            if defect.intervals:
                 direct_ok = fields.non_essential_witness(g, spec.subfield, defect).verified
                 break
         return inductive_ok or direct_ok
@@ -433,9 +435,7 @@ def prop_term_norm_bound(rng, trials):
             x = w.samples[j - 1]
             dists = [abs(x - other) for other in w.samples[: j - 1]] + [x, 1 - x]
             radius = min(dists) / 2
-            term = g.mul_scalar_section(sections.unit_bump(x, radius)).scale(
-                ComplexRational(lam)
-            )
+            term = g.mul_scalar_section(sections.unit_bump(x, radius)).scale(lam)
             sup = Fraction(0)
             for i in range(term.d):
                 coord = term.coordinate(i)
@@ -451,18 +451,9 @@ def prop_term_norm_bound(rng, trials):
 def prop_commutative_identity(rng, trials):
     def body(rng):
         d = rng.randint(1, 3)
-        m_coeffs = [
-            GaussianPoly.from_coeffs(
-                [ComplexRational(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(2)]
-            )
-            for _ in range(d)
-        ]
+        m_coeffs = [_rand_linear(rng) for _ in range(d)]
         m = PiecewiseSection(d, (Fraction(0), Fraction(1)), (tuple(m_coeffs),))
-        c = PiecewiseSection.scalar_poly(
-            GaussianPoly.from_coeffs(
-                [ComplexRational(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(2)]
-            )
-        )
+        c = PiecewiseSection.scalar_poly(_rand_linear(rng))
         n = m.mul_scalar_section(c)
         return fields.commutative_limit_identity(m, n)
     return _run("fields.commutative_identity", rng, trials, body)

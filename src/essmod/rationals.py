@@ -1,90 +1,18 @@
-"""Exact Gaussian-rational scalars and the Gaussian-integer elimination kernel.
+"""The Gaussian-integer elimination kernel of the exact layer.
 
-The continuous-field layer never touches floating point: scalars are
-complex numbers with Fraction real and imaginary parts, and subspaces are
-spanned by Gaussian-integer columns, tuples of pairs (re, im) of ints.
-Sizes stay tiny (fiber dimension ≤ 4). The one elimination kernel,
-`annihilator`, works fraction-free on those columns and keeps its rows in
-Gaussian integers, so that membership tests against it need no Fraction
-arithmetic either.
+The continuous-field layer never touches floating point. An exact complex
+scalar is an (re, im) pair of rationals, and a subspace is spanned by
+Gaussian-integer columns, tuples of pairs (re, im) of ints. Sizes stay
+tiny (fiber dimension ≤ 4). The one elimination kernel, `annihilator`,
+works fraction-free on those columns and keeps its rows in Gaussian
+integers, so that membership tests against it need no Fraction arithmetic
+either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
-
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
-@dataclass(frozen=True)
-class ComplexRational:
-    """Gaussian rational re + im·i with exact Fraction parts."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
-
-    def __add__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexRational):
-            return ComplexRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        f = _frac(other)
-        return ComplexRational(self.re * f, self.im * f)
-
-    def __rmul__(self, other) -> "ComplexRational":
-        return self * other
-
-    def __truediv__(self, other: "ComplexRational") -> "ComplexRational":
-        d = other.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero ComplexRational")
-        num = self * other.conj()
-        return ComplexRational(num.re / d, num.im / d)
-
-    def conj(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """Squared modulus, an exact rational."""
-        return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __repr__(self) -> str:
-        return f"({self.re})+({self.im})i"
-
-
-def cr(re, im=0) -> ComplexRational:
-    """Shorthand constructor accepting ints, Fractions, or 'p/q' strings."""
-    return ComplexRational(_frac(re), _frac(im))
-
-
-# --- Gaussian-integer vectors --------------------------------------------------
 
 GaussianIntVector = tuple[tuple[int, int], ...]
 
@@ -139,6 +67,3 @@ def annihilator(columns: tuple[GaussianIntVector, ...], d: int) -> tuple[Gaussia
             out.append(tuple(_content_free(vec)))
     return tuple(out)
 
-
-def vec_is_zero(v: tuple[ComplexRational, ...]) -> bool:
-    return all(x.is_zero() for x in v)

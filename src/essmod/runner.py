@@ -95,7 +95,7 @@ def _ideal_certificate_json(cert: algebra.IdealCertificate) -> dict:
         doc["identity_error"] = cert.identity_error
     else:
         doc["block"] = cert.block
-        doc["vector"] = [serialize.complex_to_json(z) for z in cert.vector]
+        doc["vector"] = [[z.real, z.imag] for z in cert.vector]
         doc["rank_one"] = element_to_json(cert.rank_one)
         doc["intersection_dim"] = cert.intersection_dim
     return doc
@@ -189,7 +189,7 @@ def _non_essential_witnesses(spec, decision, samples: int) -> dict:
     direct = next(
         (fields.non_essential_witness(g, spec.subfield, defect)
          for g, defect in zip(spec.generators, analysis.defects)
-         if not defect.closure().interior().is_empty()),
+         if defect.intervals),
         None,
     )
     doc["direct"] = None if direct is None else {

@@ -1,5 +1,5 @@
-"""Piecewise-polynomial continuous sections [0, 1] → C^d over Gaussian
-rationals: exact evaluation, exact algebra, exact zero sets."""
+"""Piecewise-polynomial continuous sections [0, 1] → C^d with Gaussian-rational
+coefficients: exact algebra, exact zero sets."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from math import lcm
 
 from .errors import DimensionMismatch
 from .polynomials import GaussianPoly, RationalPoly, _value, exact_zero_points
-from .rationals import ComplexRational, GaussianIntVector, cr
+from .rationals import GaussianIntVector
 from .subsets import Interval, SymbolicSubset
 
 ZERO = Fraction(0)
@@ -55,9 +55,9 @@ class PiecewiseSection:
 
     @classmethod
     def constant(cls, values) -> "PiecewiseSection":
-        vals = [v if isinstance(v, ComplexRational) else cr(v) for v in values]
-        piece = tuple(GaussianPoly.const(v) for v in vals)
-        return cls(len(vals), (ZERO, ONE), (piece,))
+        """The constant section with these coordinates, each a rational or an (re, im) pair."""
+        piece = tuple(GaussianPoly.const(*v) if isinstance(v, tuple) else GaussianPoly.const(v) for v in values)
+        return cls(len(piece), (ZERO, ONE), (piece,))
 
     @classmethod
     def zero(cls, d: int) -> "PiecewiseSection":
@@ -66,19 +66,6 @@ class PiecewiseSection:
     @classmethod
     def scalar_poly(cls, poly: GaussianPoly) -> "PiecewiseSection":
         return cls(1, (ZERO, ONE), ((poly,),))
-
-    # -- evaluation ----------------------------------------------------------
-
-    def piece_index(self, x: Fraction) -> int:
-        x = Fraction(x)
-        if not ZERO <= x <= ONE:
-            raise ValueError(f"evaluation point {x} outside [0, 1]")
-        return self.piece_index_for_interval(x)
-
-    def __call__(self, x) -> tuple[ComplexRational, ...]:
-        x = Fraction(x)
-        piece = self.pieces[self.piece_index(x)]
-        return tuple(p(x) for p in piece)
 
     # -- algebra (everything goes through a common refinement) ---------------
 
@@ -118,7 +105,7 @@ class PiecewiseSection:
         return self._map(GaussianPoly.__neg__)
 
     def scale(self, c) -> "PiecewiseSection":
-        c = c if isinstance(c, ComplexRational) else cr(c)
+        """The section times the rational c."""
         return self._map(lambda p: p * c)
 
     def mul_scalar_section(self, s: "PiecewiseSection") -> "PiecewiseSection":
@@ -238,4 +225,4 @@ def unit_bump(center, radius) -> PiecewiseSection:
     if not ZERO <= lo < hi <= ONE:
         raise ValueError("bump support leaves [0, 1]")
     section = bump(lo, hi)
-    return section.scale(cr(Fraction(1) / (radius * radius)))
+    return section.scale(1 / (radius * radius))

@@ -16,8 +16,8 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import lcm
+from itertools import chain, zip_longest
+from math import gcd, lcm
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import SchemaError, SizeCap
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField
 from .modules import ModuleElement, Submodule
 from .polynomials import GaussianPoly, _over_lcm
-from .rationals import ComplexRational, GaussianIntVector
+from .rationals import GaussianIntVector
 from .sections import PiecewiseSection
 from .subsets import Interval, SymbolicSubset
 
@@ -37,8 +37,14 @@ KINDS = ("right_ideal", "module_submodule", "field")
 # --- scalars ----------------------------------------------------------------
 
 def frac_to_json(x: Fraction) -> str:
+    return _ratio_to_json(x.numerator, x.denominator)
+
+
+def _ratio_to_json(p: int, q: int) -> str:
+    """The text "p/q" of the rational p/q (q > 0), in lowest terms."""
+    g = gcd(p, q)
     try:
-        return f"{x.numerator}/{x.denominator}"
+        return f"{p // g}/{q // g}"
     except ValueError as exc:  # past Python's limit on int/str conversion
         raise SizeCap("a report integer is past Python's printing limit (4300 digits by default)") from exc
 
@@ -93,18 +99,10 @@ def frac_from_json(s) -> Fraction:
     return Fraction(*_ratio_from_json(s))
 
 
-def crat_to_json(z: ComplexRational) -> list:
-    return [frac_to_json(z.re), frac_to_json(z.im)]
-
-
 def _crat_parts(v) -> tuple[tuple[int, int], tuple[int, int]]:
     if not isinstance(v, list) or len(v) != 2:
         raise SchemaError(f"expected [re, im] rational pair, got {_excerpt(v)}")
     return _ratio_from_json(v[0]), _ratio_from_json(v[1])
-
-
-def complex_to_json(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
 
 
 def complex_from_json(v) -> complex:
@@ -137,12 +135,12 @@ def shape_from_json(doc) -> AlgebraShape:
 
 
 def element_to_json(a: AlgebraElement) -> dict:
-    return {
-        "shape": shape_to_json(a.shape),
-        "blocks": [
-            [[complex_to_json(z) for z in row] for row in blk.tolist()] for blk in a.blocks
-        ],
-    }
+    return _blocks_to_json(a.shape, a.blocks)
+
+
+def _blocks_to_json(shape: AlgebraShape, blocks) -> dict:
+    """An algebra element's document: each block an (n, n, 2) list of [re, im] pairs."""
+    return {"shape": shape_to_json(shape), "blocks": [np.stack((b.real, b.imag), -1).tolist() for b in blocks]}
 
 
 def element_from_json(doc) -> AlgebraElement:
@@ -152,7 +150,7 @@ def element_from_json(doc) -> AlgebraElement:
     docs = _require(doc["blocks"], list, "element blocks")
     if len(docs) != shape.num_blocks:
         raise SchemaError("block count does not match shape")
-    return AlgebraElement(shape, tuple(_block_from_json(blk, n) for n, blk in zip(shape.block_dims, docs)))
+    return AlgebraElement._of(shape, tuple(_block_from_json(blk, n) for n, blk in zip(shape.block_dims, docs)))
 
 
 def _block_from_json(blk, n: int) -> np.ndarray:
@@ -184,9 +182,9 @@ def ideal_to_json(J: RightIdeal) -> dict:
 def module_element_to_json(x: ModuleElement) -> dict:
     """{"shape", "k", "coords"}: the stacked blocks split into coordinates."""
     dims = x.shape.block_dims
-    coords = (AlgebraElement(x.shape, tuple(x_b[i * n:(i + 1) * n] for x_b, n in zip(x.blocks, dims)))
-              for i in range(x.k))
-    return {"shape": shape_to_json(x.shape), "k": x.k, "coords": [element_to_json(c) for c in coords]}
+    coords = [_blocks_to_json(x.shape, (x_b[i * n:(i + 1) * n] for x_b, n in zip(x.blocks, dims)))
+              for i in range(x.k)]
+    return {"shape": shape_to_json(x.shape), "k": x.k, "coords": coords}
 
 
 def module_element_from_json(doc) -> ModuleElement:
@@ -254,7 +252,10 @@ def subset_from_json(doc) -> SymbolicSubset:
 
 
 def _poly_to_json(p: GaussianPoly) -> list:
-    return [crat_to_json(c) for c in p.coeff_list()]
+    """Each coefficient as a pair: each part's integer numerators over its denominator."""
+    re, im = p.re, p.im
+    return [[_ratio_to_json(a, re.den), _ratio_to_json(b, im.den)]
+            for a, b in zip_longest(re.nums, im.nums, fillvalue=0)]
 
 
 def _poly_from_json(doc) -> GaussianPoly:

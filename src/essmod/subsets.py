@@ -97,10 +97,6 @@ class SymbolicSubset:
     def is_empty(self) -> bool:
         return not self.points and not self.intervals
 
-    def has_interval(self) -> bool:
-        """True iff the set contains an interval of positive length."""
-        return bool(self.intervals)
-
     # -- set algebra ---------------------------------------------------------
 
     def union(self, other: "SymbolicSubset") -> "SymbolicSubset":
@@ -137,8 +133,9 @@ class SymbolicSubset:
         return self.complement().closure().complement()
 
     def is_nowhere_dense(self) -> bool:
-        """True iff the closure has empty interior."""
-        return self.closure().interior().is_empty()
+        """True iff the closure has empty interior: in normal form every
+        interval has positive length, so iff there is no interval."""
+        return not self.intervals
 
     def __str__(self) -> str:
         if self.is_empty():

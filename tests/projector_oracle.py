@@ -9,17 +9,81 @@ Gaussian-integer basis columns are converted by `matrix_of`. The Fraction
 path of the loader (`crat_from_json`, `clear_denominators`) lives here too,
 as an oracle for the integer loader, and so does `svd_is_projection`, the
 float projection predicate with every norm taken by SVD.
+
+`ComplexRational` is the Gaussian-rational scalar these oracles compute
+with; the library itself keeps exact complex scalars as (re, im) pairs.
+`value_at` evaluates a section at a point as ComplexRationals, and
+`fraction_poly_json` is the per-coefficient Fraction printing that
+`serialize._poly_to_json` is checked against.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 
 from essmod import serialize
 from essmod.fields import field_atoms
 from essmod.linalg import ACCEPT_TOL
 from essmod.polynomials import GaussianPoly, exact_zero_points
-from essmod.rationals import ComplexRational, cr, vec_is_zero
 from essmod.subsets import Interval, SymbolicSubset
+
+
+@dataclass(frozen=True)
+class ComplexRational:
+    """Gaussian rational re + im·i with exact Fraction parts."""
+
+    re: Fraction
+    im: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "re", Fraction(self.re))
+        object.__setattr__(self, "im", Fraction(self.im))
+
+    def __add__(self, other: "ComplexRational") -> "ComplexRational":
+        return ComplexRational(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "ComplexRational") -> "ComplexRational":
+        return ComplexRational(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other) -> "ComplexRational":
+        o = other if isinstance(other, ComplexRational) else ComplexRational(other)
+        return ComplexRational(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "ComplexRational") -> "ComplexRational":
+        num, d = self * other.conj(), other.re * other.re + other.im * other.im
+        return ComplexRational(num.re / d, num.im / d)
+
+    def conj(self) -> "ComplexRational":
+        return ComplexRational(self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+
+cr = ComplexRational
+
+
+def vec_is_zero(v) -> bool:
+    return all(x.is_zero() for x in v)
+
+
+def poly_at(p: GaussianPoly, x) -> ComplexRational:
+    return ComplexRational(p.re(Fraction(x)), p.im(Fraction(x)))
+
+
+def value_at(m, x) -> tuple:
+    """m(x) as ComplexRationals, from the piece that holds x (the last one at 1)."""
+    return tuple(poly_at(p, x) for p in m.pieces[m.piece_index_for_interval(Fraction(x))])
+
+
+def fraction_poly_json(p: GaussianPoly) -> list:
+    """The coefficients of p printed one Fraction at a time."""
+    pairs = zip_longest(p.re.coeffs, p.im.coeffs, fillvalue=Fraction(0))
+    return [[serialize.frac_to_json(re), serialize.frac_to_json(im)] for re, im in pairs]
+
 
 CR_ZERO = cr(0)
 CR_ONE = cr(1)
@@ -165,7 +229,7 @@ def residual_set(m, field) -> SymbolicSubset:
     for atom in field_atoms(field, m.breakpoints):
         comp = comps[atom.piece_index]
         if atom.is_point:
-            if not vec_is_zero(mat_vec(comp, m(atom.lo))):
+            if not vec_is_zero(mat_vec(comp, value_at(m, atom.lo))):
                 points.append(atom.lo)
             continue
         piece = m.pieces[m.piece_index_for_interval(atom.lo)]
@@ -173,7 +237,7 @@ def residual_set(m, field) -> SymbolicSubset:
         for row in comp:
             acc = GaussianPoly.zero()
             for c, p in zip(row, piece):
-                acc = acc + p * c
+                acc = acc + p * GaussianPoly.const(c.re, c.im)
             resid.append(acc)
         if all(p.is_zero() for p in resid):
             continue

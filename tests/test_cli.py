@@ -9,11 +9,12 @@ from fractions import Fraction as F
 import pytest
 
 from essmod import cli, properties, runner, serialize
+from essmod.algebra import AlgebraElement, AlgebraShape
 from essmod.errors import PreconditionFailed, SchemaError
 from essmod.fields import FieldModuleSpec, SubspaceField
 from essmod.generate import gen_field, gen_module_submodule, gen_right_ideal
+from essmod.modules import ModuleElement
 from essmod.polynomials import GaussianPoly, RationalPoly
-from essmod.rationals import cr
 from essmod.sections import PiecewiseSection, bump
 
 
@@ -90,7 +91,6 @@ def test_witness_flow_fields(tmp_path):
 
 
 def test_check_zero_ideal_is_not_essential(tmp_path):
-    from essmod.algebra import AlgebraElement, AlgebraShape
     from essmod.serialize import element_to_json, shape_to_json
 
     shape = AlgebraShape((2, 3))
@@ -433,10 +433,48 @@ def test_flagged_generator_not_vanishing_exits_2(tmp_path, capsys):
     assert_input_errors(tmp_path / "bad.json", [vanishing_field_doc("interval", False)], capsys)
 
 
+def flagged_two_piece_doc(first, second):
+    """The full field C with one flagged generator: `first` (ascending real
+    coefficients) on [0, 1/2], `second` on [1/2, 1]."""
+    pieces = tuple((GaussianPoly(RationalPoly(cs), RationalPoly.zero()),) for cs in (first, second))
+    g = PiecewiseSection(1, (F(0), F(1, 2), F(1)), pieces)
+    payload = serialize.field_spec_to_json(FieldModuleSpec(1, (g,), SubspaceField.full(1)))
+    return serialize.instance_to_json("field", {**payload, "vanish_at_boundary": True}, 0)
+
+
+def test_flagged_generator_vanishing_only_at_0_exits_2(tmp_path, capsys):
+    """x(1 − x) on [0, 1/2], then 1/4: zero at 0, not at 1. Its first piece
+    vanishes at both ends, so a check that read it at 1 would pass it."""
+    assert_input_errors(tmp_path / "bad.json", [flagged_two_piece_doc((0, 1, -1), (F(1, 4),))], capsys)
+
+
+def test_two_piece_generator_vanishing_at_both_ends_is_decided(tmp_path, capsys):
+    """x on [0, 1/2], then 1 − x: zero at 0 and 1 only, so it spans C on (0, 1)."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(flagged_two_piece_doc((0, 1), (1, -1))))
+    out = tmp_path / "r.json"
+    assert cli.main(["check", "--in", str(path), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["decision"] is True
+    assert cli.main(["witness", "--in", str(path), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["checks_ok"] is True
+
+
+def test_float_reports_run_no_checking_constructor(monkeypatch):
+    """The loader has checked every block and internal results are fresh
+    arrays: with both checking constructors refusing, right-ideal and
+    module documents of either decision still give their reports."""
+    docs = [gen_right_ideal(blocks, seed) for blocks in ((2, 3), (3, 1, 2)) for seed in range(4)]
+    docs += [gen_module_submodule(b, k, seed) for b, k in (((2,), 1), ((1, 2), 2), ((2, 1, 1), 3)) for seed in range(4)]
+    for cls in (AlgebraElement, ModuleElement):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail("a checking constructor ran"))
+    reports = [runner.run_check(doc) for doc in docs]
+    assert {r["decision"] for r in reports} == {True, False} and all(r["checks_ok"] for r in reports)
+    assert all(runner.run_witness(doc)["checks_ok"] for doc in docs)
+
+
 def test_right_ideal_witness_refuses_a_zero_generator_once(tmp_path):
     """The runner refused x at norm 1e-12 and closed_subideal at
     DEFAULT_TOL, so a generator of norm 5e-11 escaped as ZeroInput."""
-    from essmod.algebra import AlgebraElement, AlgebraShape
     from essmod.serialize import element_to_json, shape_to_json
 
     shape = AlgebraShape((2,))
@@ -655,10 +693,10 @@ def test_irrational_rank_drop_is_not_spanning(tmp_path, capsys):
 def test_rank_one_generators_fail_fast(tmp_path, capsys):
     """Eight polynomial multiples of one vector in C^4: all 70 4×4 minors
     vanish, and the certificate must see it without expanding each one."""
-    v = [cr(1), cr(0, 1), cr(2, -1), cr(F(1, 3))]
+    v = [GaussianPoly.const(1), GaussianPoly.const(0, 1), GaussianPoly.const(2, -1), GaussianPoly.const(F(1, 3))]
     gens = []
     for k in range(8):
-        p = GaussianPoly.from_coeffs([cr(k + 1), cr(-1, k), cr(F(1, k + 2))])
+        p = GaussianPoly.from_coeffs([(k + 1, 0), (-1, k), (F(1, k + 2), 0)])
         gens.append(PiecewiseSection(4, (F(0), F(1, 2), F(1)), (tuple(p * c for c in v),) * 2))
     code, err, seconds = check_full_field(tmp_path, capsys, 4, gens)
     assert code == 2 and "GeneratorsNotSpanning" in err and err.count("\n") == 1, (code, err)

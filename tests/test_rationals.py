@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from projector_oracle import (
     cleared_columns,
     column_basis,
+    cr,
     mat,
     mat_identity,
     mat_inverse,
@@ -14,7 +17,8 @@ from projector_oracle import (
     orthogonal_projector,
 )
 
-from essmod.rationals import annihilator, cr
+import essmod
+from essmod.rationals import annihilator
 
 
 def test_inverse_is_exact():
@@ -106,3 +110,14 @@ def test_annihilator_is_a_basis_of_the_left_kernel(case):
         rows = mat([[cr(*z) for z in row] for row in ann])
         assert all(z.is_zero() for row in mat_mul(rows, b) for z in row)
         assert mat_rank(rows) == len(ann)
+
+
+def test_no_essmod_module_defines_or_imports_a_gaussian_rational_type():
+    """Exact complex scalars are (re, im) pairs in the library: no module
+    defines, binds or imports `ComplexRational` or `cr`."""
+    for path in sorted(Path(essmod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "name", None), getattr(node, "asname", None)}  # defs, classes, imports
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            assert not names & {"ComplexRational", "cr"}, f"{path.name}:{node.lineno}"

@@ -3,10 +3,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from projector_oracle import ComplexRational, poly_at, value_at
 
 from essmod.errors import DimensionMismatch
 from essmod.polynomials import GaussianPoly, RationalPoly
-from essmod.rationals import ComplexRational, cr
 from essmod.sections import PiecewiseSection, bump, pointwise_inner, unit_bump
 from essmod.subsets import SymbolicSubset
 
@@ -16,18 +16,18 @@ def x_section():
 
 
 def test_constant_section_evaluates():
-    m = PiecewiseSection.constant([1, cr(0, 1)])
-    assert m(F(1, 3)) == (ComplexRational(F(1)), ComplexRational(F(0), F(1)))
+    m = PiecewiseSection.constant([1, (0, 1)])
+    assert value_at(m, F(1, 3)) == (ComplexRational(F(1)), ComplexRational(F(0), F(1)))
 
 
 def test_continuity_enforced():
     zero = GaussianPoly.zero()
-    one = GaussianPoly.const(cr(1))
+    one = GaussianPoly.const(1)
     with pytest.raises(ValueError, match="discontinuity"):
         PiecewiseSection(1, (F(0), F(1, 2), F(1)), ((zero,), (one,)))
 
 
-GAUSSIAN = st.builds(lambda a, b, c, e: cr(F(a, b), F(c, e)),
+GAUSSIAN = st.builds(lambda a, b, c, e: (F(a, b), F(c, e)),
                      st.integers(-4, 4), st.integers(1, 6), st.integers(-4, 4), st.integers(1, 6))
 POLY = st.lists(GAUSSIAN, max_size=4).map(GaussianPoly.from_coeffs)
 
@@ -41,8 +41,9 @@ def test_continuity_check_matches_exact_values(case, t):
     """Pieces glued or not, coordinate by coordinate, at a breakpoint t: the
     section is refused exactly when some coordinate's two values differ."""
     left, right, glued = case
-    right = [pr + GaussianPoly.const(pl(t) - pr(t)) if glue else pr for pl, pr, glue in zip(left, right, glued)]
-    if any(pl(t) != pr(t) for pl, pr in zip(left, right)):
+    gaps = [poly_at(pl, t) - poly_at(pr, t) for pl, pr in zip(left, right)]
+    right = [pr + GaussianPoly.const(z.re, z.im) if glue else pr for pr, z, glue in zip(right, gaps, glued)]
+    if any(poly_at(pl, t) != poly_at(pr, t) for pl, pr in zip(left, right)):
         with pytest.raises(ValueError, match=f"^discontinuity at breakpoint {t}$"):
             PiecewiseSection(len(left), (F(0), t, F(1)), (tuple(left), tuple(right)))
     else:
@@ -50,7 +51,7 @@ def test_continuity_check_matches_exact_values(case, t):
 
 
 def test_breakpoint_validation():
-    one = GaussianPoly.const(cr(1))
+    one = GaussianPoly.const(1)
     with pytest.raises(ValueError):
         PiecewiseSection(1, (F(0), F(1, 2)), ((one,),))  # must end at 1
     with pytest.raises(ValueError):
@@ -61,7 +62,7 @@ def test_refine_preserves_values():
     m = bump(F(1, 4), F(3, 4))
     r = m.refine([F(1, 2), F(1, 8)])
     for x in (F(0), F(1, 8), F(1, 3), F(1, 2), F(9, 10)):
-        assert m(x) == r(x)
+        assert value_at(m, x) == value_at(r, x)
     assert F(1, 2) in r.breakpoints
 
 
@@ -70,26 +71,26 @@ def test_addition_merges_breakpoints():
     b = bump(F(1, 2), F(1))
     s = a + b
     for x in (F(1, 4), F(1, 2), F(3, 4)):
-        assert s(x)[0] == a(x)[0] + b(x)[0]
+        assert value_at(s, x)[0] == value_at(a, x)[0] + value_at(b, x)[0]
 
 
 def test_scalar_section_product():
     m = PiecewiseSection.constant([2, 3])
     c = x_section()
     prod = m.mul_scalar_section(c)
-    assert prod(F(1, 2)) == (ComplexRational(F(1)), ComplexRational(F(3, 2)))
+    assert value_at(prod, F(1, 2)) == (ComplexRational(F(1)), ComplexRational(F(3, 2)))
     with pytest.raises(DimensionMismatch):
         m.mul_scalar_section(PiecewiseSection.constant([1, 1]))
 
 
 def test_pointwise_inner_conjugates_first_slot():
-    u = PiecewiseSection.constant([cr(0, 1)])  # i
+    u = PiecewiseSection.constant([(0, 1)])  # i
     v = x_section()
     ip = pointwise_inner(u, v)
     # ⟨i, x⟩ = conj(i)·x = -i x
-    assert ip(F(1, 2))[0] == ComplexRational(F(0), F(-1, 2))
+    assert value_at(ip, F(1, 2))[0] == ComplexRational(F(0), F(-1, 2))
     # hermitian symmetry: ⟨u,v⟩ = conj(⟨v,u⟩)
-    assert pointwise_inner(v, u)(F(1, 2))[0] == ComplexRational(F(0), F(1, 2))
+    assert value_at(pointwise_inner(v, u), F(1, 2))[0] == ComplexRational(F(0), F(1, 2))
 
 
 def test_zero_and_support_sets():
@@ -103,17 +104,17 @@ def test_zero_and_support_sets():
 
 def test_bump_shape():
     a = bump(F(1, 4), F(1, 2))
-    assert a(F(1, 4))[0].is_zero() and a(F(1, 2))[0].is_zero()
-    assert a(F(3, 8))[0] == ComplexRational(F(1, 64))  # (1/8)^2
-    assert a(F(3, 4))[0].is_zero()
+    assert value_at(a, F(1, 4))[0].is_zero() and value_at(a, F(1, 2))[0].is_zero()
+    assert value_at(a, F(3, 8))[0] == ComplexRational(F(1, 64))  # (1/8)^2
+    assert value_at(a, F(3, 4))[0].is_zero()
     assert a.support_set() == SymbolicSubset.interval(F(1, 4), F(1, 2), False, False)
 
 
 def test_unit_bump_peaks_at_one():
     a = unit_bump(F(1, 2), F(1, 8))
-    assert a(F(1, 2))[0] == ComplexRational(F(1))
+    assert value_at(a, F(1, 2))[0] == ComplexRational(F(1))
     assert a.exact_sup_norm() == F(1)
-    assert a(F(3, 8))[0].is_zero()
+    assert value_at(a, F(3, 8))[0].is_zero()
 
 
 def test_exact_sup_norm_constraints():

@@ -5,16 +5,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from projector_oracle import clear_denominators, crat_from_json
+from projector_oracle import clear_denominators, crat_from_json, fraction_poly_json
 
 from essmod import runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape, ideal_from_projection
 from essmod.errors import SchemaError
 from essmod.fields import FieldModuleSpec, FieldPiece, SubspaceField
-from essmod.generate import SplitMix64, gen_field, rand_algebra_element, rand_module_element
+from essmod.generate import SplitMix64, rand_algebra_element, rand_module_element
 from essmod.modules import Submodule, module_basis
-from essmod.polynomials import GaussianPoly
-from essmod.rationals import ComplexRational, annihilator, cr, identity_columns
+from essmod.polynomials import GaussianPoly, RationalPoly
+from essmod.rationals import annihilator, identity_columns
 from essmod.sections import PiecewiseSection, bump
 from essmod.subsets import SymbolicSubset
 
@@ -66,7 +66,7 @@ def test_fraction_digit_cap_and_short_errors():
 def fraction_path_poly(doc) -> GaussianPoly:
     """The loader's former path, kept as an oracle: every coefficient as a
     Fraction pair, through crat_from_json, into the public constructor."""
-    return GaussianPoly.from_coeffs([crat_from_json(c) for c in doc])
+    return GaussianPoly.from_coeffs([(z.re, z.im) for z in map(crat_from_json, doc)])
 
 
 def loaded_poly(doc) -> GaussianPoly:
@@ -99,6 +99,23 @@ def test_polynomial_parse_matches_fraction_path(doc):
             values.pop()
         assert part.coeffs == tuple(values)
         assert part.den > 0 and gcd(part.den, *part.nums) == 1
+
+
+# parts of independent lengths, each possibly zero or with a huge entry
+part_coeffs = st.lists(st.one_of(st.fractions(max_denominator=10 ** 6), st.integers(-10 ** 40, 10 ** 40),
+                                 st.just(F(0))), max_size=5)
+
+
+@settings(deadline=None, max_examples=300)
+@given(part_coeffs, part_coeffs)
+def test_polynomial_print_matches_fraction_printing(re, im):
+    """Coefficients printed from each part's integer numerators over its
+    denominator match the per-Fraction printing, and read back as p."""
+    p = GaussianPoly(RationalPoly(re), RationalPoly(im))
+    doc = serialize._poly_to_json(p)
+    assert doc == fraction_poly_json(p)
+    assert len(doc) == p.degree + 1
+    assert loaded_poly(doc) == p
 
 
 @pytest.mark.parametrize("bad", NOT_RATIONAL + [1.5, None, ["1"], "1" * 1001, "1/0"])
@@ -197,26 +214,6 @@ def test_malformed_basis_keeps_its_message(doc, message):
     assert str(err.value) == message
 
 
-def test_field_loading_builds_no_complex_rational(monkeypatch):
-    """Bases load straight into Gaussian-integer columns, polynomials into
-    integer numerators, and a section's continuity is checked on integers:
-    loading builds no ComplexRational."""
-    docs = [gen_field(d, pieces, max(gens, d), defect, 7)
-            for d in (1, 2, 3, 4) for defect in ("none", "points", "interval") for pieces, gens in ((2, 1), (16, 8))]
-    two_piece = serialize.section_to_json(bump(F(0), F(1, 2)).scale(cr(F(2, 3), F(1, 7))))
-
-    def refuse(self):
-        raise AssertionError("a ComplexRational was built")
-
-    monkeypatch.setattr(ComplexRational, "__post_init__", refuse)
-    with pytest.raises(AssertionError):
-        cr(1)
-    for doc in docs:
-        spec = serialize.field_spec_from_json(doc["payload"])
-        assert len(spec.subfield.pieces) == len(doc["payload"]["partition"])
-    assert len(serialize.section_from_json(two_piece).pieces) == 2
-
-
 def test_algebra_element_roundtrip():
     rng = SplitMix64(71)
     a = rand_algebra_element(rng, MIXED)
@@ -266,7 +263,7 @@ def test_subset_roundtrip():
 
 
 def test_section_roundtrip_exact():
-    a = bump(F(1, 4), F(3, 4)).scale(cr(F(2, 3), F(1, 7)))
+    a = bump(F(1, 4), F(3, 4)).mul_scalar_section(PiecewiseSection.constant([(F(2, 3), F(1, 7))]))
     back = serialize.section_from_json(serialize.section_to_json(a))
     assert back.equals(a)
 

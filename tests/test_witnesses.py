@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import projector_oracle
 import pytest
+from projector_oracle import value_at
 
 from essmod.errors import NoRoom, PreconditionFailed, SampleNotInDefect, ZeroInput
 from essmod.fields import (
@@ -20,8 +21,7 @@ from essmod.fields import (
 )
 from essmod.generate import gen_field
 from essmod.polynomials import GaussianPoly, RationalPoly
-from essmod.rationals import ComplexRational, cr, identity_columns
-from essmod.runner import run_check, run_witness
+from essmod.rationals import identity_columns
 from essmod.sections import PiecewiseSection, unit_bump
 from essmod.serialize import field_spec_from_json
 from essmod.subsets import SymbolicSubset
@@ -146,8 +146,8 @@ def test_inductive_witness_base_case():
     assert w.sample_defects_verified
     assert w.lambdas == (F(1, 2),)
     # m = λ1 g_{k1} a1 exactly: value at the sample is λ1·g(x1)
-    val = w.m(F(1, 3))
-    g_val = spec.generators[w.picks[0]](F(1, 3))
+    val = value_at(w.m, F(1, 3))
+    g_val = value_at(spec.generators[w.picks[0]], F(1, 3))
     assert all(v == g * w.lambdas[0] for v, g in zip(val, g_val))
 
 
@@ -203,7 +203,7 @@ def test_inductive_witness_lambda_bounds_and_membership():
     assert not dataclasses.replace(w, sample_defects_verified=False).verified
     # exact postcondition: m(x_j) outside L at every sample
     for x in w.samples:
-        assert projector_oracle.outside_at(spec.subfield, x, w.m(x))
+        assert projector_oracle.outside_at(spec.subfield, x, value_at(w.m, x))
 
 
 def test_inductive_witness_defect_set_not_nowhere_dense():
@@ -241,13 +241,13 @@ def refine_and_add_sum(spec, xs, lambdas, picks):
     leaving L at x_j and λ_j = 2^-j unless that puts the partial sum in L."""
     field, total = spec.subfield, PiecewiseSection.zero(spec.d)
     for j, (x, lam, k) in enumerate(zip(xs, lambdas, picks), start=1):
-        outside = [projector_oracle.outside_at(field, x, g(x)) for g in spec.generators]
+        outside = [projector_oracle.outside_at(field, x, value_at(g, x)) for g in spec.generators]
         assert k == outside.index(True)
-        partial, g_x = total(x), spec.generators[k](x)
-        default = tuple(s + g * cr(F(1, 2**j)) for s, g in zip(partial, g_x))
+        partial, g_x = value_at(total, x), value_at(spec.generators[k], x)
+        default = tuple(s + g * F(1, 2**j) for s, g in zip(partial, g_x))
         assert lam == (F(1, 2**j) if projector_oracle.outside_at(field, x, default) else F(1, 2 ** (j + 1)))
         radius = min([abs(x - y) for y in xs[: j - 1]] + [x, 1 - x]) / 2
-        total = total + spec.generators[k].mul_scalar_section(unit_bump(x, radius)).scale(cr(lam))
+        total = total + spec.generators[k].mul_scalar_section(unit_bump(x, radius)).scale(lam)
     return total
 
 
@@ -295,22 +295,3 @@ def test_one_pass_inductive_sum_equals_refine_and_add(make):
     assert w.m.breakpoints == expected.breakpoints
     assert w.m.pieces == expected.pieces
     assert w.sample_defects_verified
-
-
-def test_field_membership_runs_without_gaussian_rational_arithmetic(monkeypatch):
-    """Checks and witnesses decide membership on the integer kernel
-    (`_scaled_value` and `_outside`): with ComplexRational arithmetic
-    disabled they still run, the λ fallback included."""
-    docs = [gen_field(d, 4, d + 1, "interval", d) for d in (1, 2, 3)]
-    spec = adversarial_lambda_spec()
-
-    def refuse(*_):
-        raise AssertionError("ComplexRational arithmetic")
-
-    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
-        monkeypatch.setattr(ComplexRational, name, refuse)
-    for doc in docs:
-        assert run_check(doc)["decision"] is False
-        assert run_witness(doc, samples=64)["checks_ok"] is True
-    w = inductive_witness_section(spec, (F(1, 16), F(3, 4)), ADVERSARIAL_SAMPLES, analyze_field(spec).total)
-    assert w.lambdas == (F(1, 2), F(1, 4), F(1, 16)) and w.sample_defects_verified
