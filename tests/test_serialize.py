@@ -5,13 +5,14 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import projector_oracle
 from projector_oracle import clear_denominators, crat_from_json, fraction_poly_json
 
-from essmod import runner, serialize
+from essmod import rationals, runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape, ideal_from_projection
 from essmod.errors import SchemaError
 from essmod.fields import FieldModuleSpec, FieldPiece, SubspaceField
-from essmod.generate import SplitMix64, rand_algebra_element, rand_module_element
+from essmod.generate import SplitMix64, gen_field, rand_algebra_element, rand_module_element
 from essmod.modules import Submodule, module_basis
 from essmod.polynomials import GaussianPoly, RationalPoly
 from essmod.rationals import annihilator, identity_columns
@@ -212,6 +213,29 @@ def test_malformed_basis_keeps_its_message(doc, message):
     with pytest.raises(SchemaError) as err:
         loaded_field(doc, 2)
     assert str(err.value) == message
+
+
+def test_field_loading_builds_no_complex_rational(monkeypatch):
+    """Bases load straight into Gaussian-integer columns, polynomials into
+    integer numerators, and a section's continuity is checked on integers:
+    the library has no Gaussian-rational type, and loading builds none of
+    the test oracle's either."""
+    assert not hasattr(rationals, "ComplexRational") and not hasattr(rationals, "cr")
+    docs = [gen_field(d, pieces, max(gens, d), defect, 7)
+            for d in (1, 2, 3, 4) for defect in ("none", "points", "interval") for pieces, gens in ((2, 1), (16, 8))]
+    two_piece = serialize.section_to_json(
+        bump(F(0), F(1, 2)).mul_scalar_section(PiecewiseSection.constant([(F(2, 3), F(1, 7))])))
+
+    def refuse(self):
+        raise AssertionError("a ComplexRational was built")
+
+    monkeypatch.setattr(projector_oracle.ComplexRational, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        projector_oracle.cr(1)
+    for doc in docs:
+        spec = serialize.field_spec_from_json(doc["payload"])
+        assert len(spec.subfield.pieces) == len(doc["payload"]["partition"])
+    assert len(serialize.section_from_json(two_piece).pieces) == 2
 
 
 def test_algebra_element_roundtrip():

@@ -6,6 +6,7 @@ import projector_oracle
 import pytest
 from projector_oracle import value_at
 
+from essmod import rationals
 from essmod.errors import NoRoom, PreconditionFailed, SampleNotInDefect, ZeroInput
 from essmod.fields import (
     FieldModuleSpec,
@@ -22,6 +23,7 @@ from essmod.fields import (
 from essmod.generate import gen_field
 from essmod.polynomials import GaussianPoly, RationalPoly
 from essmod.rationals import identity_columns
+from essmod.runner import run_check, run_witness
 from essmod.sections import PiecewiseSection, unit_bump
 from essmod.serialize import field_spec_from_json
 from essmod.subsets import SymbolicSubset
@@ -295,3 +297,26 @@ def test_one_pass_inductive_sum_equals_refine_and_add(make):
     assert w.m.breakpoints == expected.breakpoints
     assert w.m.pieces == expected.pieces
     assert w.sample_defects_verified
+
+
+def test_field_membership_runs_without_gaussian_rational_arithmetic(monkeypatch):
+    """Checks and witnesses decide membership on the integer kernel
+    (`_scaled_value` and `_outside`): the library has no Gaussian-rational
+    type, and with the test oracle's arithmetic disabled they still run, the
+    λ fallback included."""
+    assert not hasattr(rationals, "ComplexRational") and not hasattr(rationals, "cr")
+    docs = [gen_field(d, 4, d + 1, "interval", d) for d in (1, 2, 3)]
+    spec = adversarial_lambda_spec()
+
+    def refuse(*_):
+        raise AssertionError("ComplexRational arithmetic")
+
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(projector_oracle.ComplexRational, name, refuse)
+    with pytest.raises(AssertionError):
+        projector_oracle.cr(1) + projector_oracle.cr(1)
+    for doc in docs:
+        assert run_check(doc)["decision"] is False
+        assert run_witness(doc, samples=64)["checks_ok"] is True
+    w = inductive_witness_section(spec, (F(1, 16), F(3, 4)), ADVERSARIAL_SAMPLES, analyze_field(spec).total)
+    assert w.lambdas == (F(1, 2), F(1, 4), F(1, 16)) and w.sample_defects_verified
