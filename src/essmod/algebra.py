@@ -383,16 +383,16 @@ class IdealCertificate:
     """Decision evidence for essentiality of a right ideal pA.
 
     Essential: p is the identity (identity_error records ‖p − 1‖).
-    Not essential: a unit vector v orthogonal to range(p) in some block,
-    the rank-one ideal qA with q = vv*, and the verified fact
-    dim(pA ∩ qA) = 0, computed by intersecting column spaces.
+    Not essential: a unit vector v orthogonal to range(p) in block `block`,
+    and the verified fact dim(pA ∩ qA) = 0 for the rank-one ideal qA,
+    computed by intersecting column spaces. q = vv* in that block and zero
+    elsewhere, so `block` and `vector` determine it and it is not kept.
     """
 
     essential: bool
     identity_error: float | None = None
     block: int | None = None
     vector: tuple[complex, ...] | None = None
-    rank_one: AlgebraElement | None = None
     intersection_dim: int | None = None
 
 
@@ -416,14 +416,11 @@ def is_essential_right_ideal(J: RightIdeal) -> tuple[bool, IdealCertificate]:
     # test at the block's own scale could refuse the same p
     _, u = linalg.herm_eig(p.blocks[b], tol=np.inf)
     v = u[:, 0]  # eigenvalue ≈ 0: orthogonal complement of range(p)
-    q_blocks = [np.zeros((m, m), dtype=np.complex128) for m in shape.block_dims]
-    q_blocks[b] = np.outer(v, v.conj())
-    q = AlgebraElement._of(shape, tuple(q_blocks))
-    inter = linalg.subspace_intersection_dim(p.blocks[b], q.blocks[b])
+    q = np.outer(v, v.conj())  # block b of q; its other blocks are zero
+    inter = linalg.subspace_intersection_dim(p.blocks[b], q)
     return False, IdealCertificate(
         essential=False,
         block=b,
         vector=tuple(complex(z) for z in v),
-        rank_one=q,
         intersection_dim=int(inter),
     )

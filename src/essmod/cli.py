@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -16,14 +17,30 @@ from . import generate, properties, runner, serialize
 from .errors import EssmodError, SchemaError, SizeCap
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, refused if it names a key twice: json.load keeps the last."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise SchemaError(f"invalid JSON input: duplicate key {serialize._excerpt(key)}")
+    return doc
+
+
+def _constant(name: str):
+    raise SchemaError(f"invalid JSON input: {name} is not JSON")
+
+
 def _read_doc(path: str | None):
+    strict = {"object_pairs_hook": _object, "parse_constant": _constant}
     try:
         if path:
             with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        return json.load(sys.stdin)
+                return json.load(fh, **strict)
+        return json.load(sys.stdin, **strict)
     except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise SchemaError(f"invalid JSON input: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON input: nested too deeply") from exc
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
 

@@ -1,8 +1,9 @@
 """Instance checking and witness construction behind the CLI.
 
-Reports are plain JSON-able dicts. Every report carries the digest of the
-instance it was computed from plus a digest of its own canonical body
-(timing excluded), so reruns with the same seed are comparable bit for bit.
+Reports are read-only JSON-able dicts that carry their own canonical text.
+Every report carries the digest of the instance it was computed from plus a
+digest of its own canonical body (timing excluded), so reruns with the same
+seed are comparable bit for bit.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from . import algebra, fields, modules, serialize
 from .errors import PreconditionFailed, SchemaError, SizeCap
 from .serialize import (
     SCHEMA,
+    _encode,
     _require,
+    _text_digest,
     element_from_json,
     element_to_json,
     field_spec_from_json,
     frac_to_json,
-    ideal_to_json,
     module_element_to_json,
     section_to_json,
     submodule_from_json,
@@ -42,11 +44,25 @@ def _right_ideal_from_payload(payload: dict) -> tuple[algebra.RightIdeal, list]:
     return ideal, gens
 
 
-def _finish(report: dict, t0: float) -> dict:
-    body = dict(report)
-    report["digest"] = serialize.digest(body)
+def _finish(report: dict, t0: float) -> serialize.Report:
+    """The read-only report: `report` plus `digest`, the sha256 of its
+    canonical JSON, and `timing_ms`, which the digest leaves out.
+
+    Each top-level value is encoded once. The parts joined in key order are
+    the body the digest hashes; joined again with `digest` and `timing_ms`
+    they are the report's canonical text, which `serialize.dumps` returns.
+    """
+    parts = {key: f"{_encode(key)}:{_encode(value)}" for key, value in report.items()}
+    report["digest"] = _text_digest(_joined(parts))
     report["timing_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    return report
+    for key in ("digest", "timing_ms"):
+        parts[key] = f"{_encode(key)}:{_encode(report[key])}"
+    return serialize.Report(report, _joined(parts))
+
+
+def _joined(parts: dict) -> str:
+    """The JSON object whose member texts are `parts`, in key order."""
+    return "{" + ",".join(parts[key] for key in sorted(parts)) + "}"
 
 
 def run_check(doc) -> dict:
@@ -96,7 +112,6 @@ def _ideal_certificate_json(cert: algebra.IdealCertificate) -> dict:
     else:
         doc["block"] = cert.block
         doc["vector"] = [[z.real, z.imag] for z in cert.vector]
-        doc["rank_one"] = element_to_json(cert.rank_one)
         doc["intersection_dim"] = cert.intersection_dim
     return doc
 
@@ -128,7 +143,6 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> dict:
             "a": element_to_json(w.a),
             "p": element_to_json(w.p),
             "fa": element_to_json(w.fa),
-            "ideal": ideal_to_json(w.ideal),
             "rank": w.ideal.rank(),
             "fa_p_error": w.fa_p_error,
             "max_probe_error": max(w.probe_errors, default=0.0),

@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, RightIdeal
+from .algebra import AlgebraElement, AlgebraShape
 from .errors import SchemaError, SizeCap
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField
 from .modules import ModuleElement, Submodule
@@ -170,13 +170,6 @@ def _block_from_json(blk, n: int) -> np.ndarray:
     if m.shape != (n, n):
         raise SchemaError(f"block of shape {m.shape}, expected ({n}, {n})")
     return m
-
-
-def ideal_to_json(J: RightIdeal) -> dict:
-    return {
-        "shape": shape_to_json(J.shape),
-        "support_projection": element_to_json(J.support_projection),
-    }
 
 
 def module_element_to_json(x: ModuleElement) -> dict:
@@ -369,15 +362,56 @@ def validate_instance(doc) -> tuple[str, dict]:
     return kind, payload
 
 
+# The one canonical encoder: sorted keys, no spaces. Documents come from
+# json.load or from this package, so none holds itself.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    try:
+        return _encode(doc)
+    except RecursionError as exc:  # json.load reads a little deeper than this encodes
+        raise SchemaError("document nested too deeply to encode") from exc
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def digest(doc) -> str:
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    return _text_digest(canonical_json(doc))
+
+
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a finished report is read-only; dict(report) is an editable copy")
+
+
+class Report(dict):
+    """A finished check or witness report: a dict that carries `text`, its
+    canonical JSON, which `dumps` returns without encoding it again. Every
+    top-level mutation raises, so the text cannot go stale; nested values
+    are shared, not copied, and must be left as they are. `dict(report)`
+    is an editable copy, and copy, deepcopy and pickle give plain dicts."""
+
+    __slots__ = ("text",)
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __new__(cls, items: dict, text: str):
+        report = super().__new__(cls)
+        dict.update(report, items)
+        report.text = text
+        return report
+
+    def __init__(self, items: dict, text: str):
+        """__new__ built the report whole; calling this again changes nothing."""
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
 def dumps(doc, pretty: bool = False) -> str:
     if pretty:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if isinstance(doc, Report):
+        return doc.text + "\n"
     return canonical_json(doc) + "\n"

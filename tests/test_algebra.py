@@ -350,9 +350,11 @@ def test_e11_ideal_is_not_essential():
     # certificate vector is e2 up to phase
     assert abs(abs(v[1]) - 1.0) <= 1e-10 and abs(v[0]) <= 1e-10
     assert cert.intersection_dim == 0
-    # brute-force oracle: columns of pA lie in span(e1), of qA in span(e2)
-    q = cert.rank_one
-    assert linalg.subspace_intersection_dim(e11_m2().blocks[0], q.blocks[0]) == 0
+    # brute-force oracle: columns of pA lie in span(e1), of qA in span(e2);
+    # q = vv* in the certificate's block
+    assert cert.block == 0
+    q = np.outer(v, v.conj())
+    assert linalg.subspace_intersection_dim(e11_m2().blocks[0], q) == 0
 
 
 def test_zero_ideal_is_not_essential():

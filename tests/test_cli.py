@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -6,6 +9,7 @@ import time
 from pathlib import Path
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from essmod import cli, properties, runner, serialize
@@ -231,13 +235,56 @@ GOLDEN_FIELD_DIGESTS = [
 @pytest.mark.parametrize("d, defect, check_digest, witness_digest", GOLDEN_FIELD_DIGESTS)
 def test_field_report_digests_are_pinned(d, defect, check_digest, witness_digest):
     doc = gen_field(d, 4, d + 1, defect, 10 * d)
-    assert runner.run_check(doc)["digest"] == check_digest
-    assert runner.run_witness(doc)["digest"] == witness_digest
+    for call, digest in ((runner.run_check, check_digest), (runner.run_witness, witness_digest)):
+        report = call(doc)
+        assert_report_text(report)
+        assert report["digest"] == digest
+
+
+def assert_report_text(report):
+    """The report's compact text is the canonical JSON of its dict, and its
+    digest is the sha256 of the canonical body without digest and timing_ms."""
+    assert serialize.dumps(report) == serialize.canonical_json(dict(report)) + "\n"
+    body = {k: v for k, v in report.items() if k not in ("digest", "timing_ms")}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert report["digest"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def with_repeats(doc, report) -> dict:
+    """The report's body as float reports were written before they dropped
+    two payloads that repeat other fields: the certificate's rank_one, q = vv*
+    in block `block` and zero elsewhere, over the instance shape (each block
+    k·n_b for a module), and the right-ideal witness's ideal, which is
+    {shape, support_projection} with the witness's own p."""
+    body = json.loads(serialize.dumps(report))
+    del body["digest"], body["timing_ms"]
+    payload = doc["payload"]
+    dims = tuple(payload.get("k", 1) * n for n in payload["shape"]["block_dims"])
+    cert = body.get("certificate")
+    cert = cert and cert.get("ideal", cert)  # a module certificate nests the ideal's
+    if cert and not cert["essential"]:
+        v = np.array([complex(re, im) for re, im in cert["vector"]])
+        blocks = [np.zeros((n, n), dtype=np.complex128) for n in dims]
+        blocks[cert["block"]] = np.outer(v, v.conj())
+        cert["rank_one"] = serialize.element_to_json(AlgebraElement(AlgebraShape(dims), tuple(blocks)))
+    witness = body.get("witness")
+    if doc["kind"] == "right_ideal" and witness is not None:
+        witness["ideal"] = {"shape": witness["a"]["shape"], "support_projection": witness["p"]}
+    return body
+
+
+def assert_float_digests(doc, report, legacy, digest):
+    """`report` gives the legacy digest with its repeats restored, and
+    `digest` as written."""
+    assert_report_text(report)
+    assert serialize.digest(with_repeats(doc, report)) == legacy
+    assert report["digest"] == digest
 
 
 # run_check / run_witness digests of gen_right_ideal(blocks, seed), recorded
-# before the float layer was reworked: every right-ideal report must stay
-# byte-identical. None marks a witness refused for want of a nonzero generator.
+# before the float layer was reworked. Float reports have since dropped two
+# payloads that repeat other fields: every report with them restored must
+# still give these. None marks a witness refused for want of a nonzero generator.
 GOLDEN_RIGHT_IDEAL_DIGESTS = [
     ((2,), 1, "72aaaff6a453ce166c8d12761737b62df6eafe5a99cb847b00e9dd73fa56768d",
      "00d26e0aadbfb56cca42d7302435bff65228196c62b6c951563a5d208a61d93e"),
@@ -270,22 +317,56 @@ GOLDEN_RIGHT_IDEAL_DIGESTS = [
      "856e0172d12e19370b0a6253eb51828950877d57c189ec30a016b6ff7b5cc27e"),
 ]
 
+# The same reports as written now: (check, witness) digests.
+RIGHT_IDEAL_DIGESTS = {
+    ((2,), 1): ("d95ab8cb6f0b4700e828bfcb6224ff4cb4475ef430f54783740afdfb506bb83f",
+                "2fefad10276459404d89385bd6c5e9f9854780c5ee54f69e9b30a12c61062e49"),
+    ((2,), 2): ("007ab6bad367b1fecd32d4626e55ff609d2a4e1bf6fedc4c3154e26edd478b4e",
+                "1e3cc9c22504ca1e0d3a06dfd1dd75cf902df033cf9b92407536b2e1e78a6ea8"),
+    ((2,), 3): ("e0212df6a721213662b9bdd6169c5c87d003d1ac0dcf83aea7aa862797b7a5e6",
+                "2706ad76e217a24f64885b53af176701aa458d25144d51f354ebee709c157bea"),
+    ((2,), 4): ("95043ef9369118bea3afee2589aee252b20211a5f745e00d4cad988b91cd26bd",
+                "b7079348abc709a626684a90bc111253a4618907cfdc4b3de3e0244a559ee47d"),
+    ((1, 2), 1): ("98ccef7ab64ca8256d5d21844d77ee54fbe9b365ed18b7964b3e8d620706f56a",
+                  "e4f25d559ceb4cf0e6f3a8a0adba060d010d3b1dae0b6bb3e93a6767ad87fe9e"),
+    ((1, 2), 2): ("e94a504b33bd7b04b9a3516c8bd525fd045182d06e6b5b69289401e20a241e4b", None),
+    ((1, 2), 3): ("e72025a84a5996b5d7bf7a98af11e1033a7811402c06155cb99ab78e77afd3d5",
+                  "a0b63a329fd0abc19dc9c9d862675e2f40e450d3456adbe5c2d034bd46932a3e"),
+    ((1, 2), 4): ("e9c4cf12a1d0991806f395f6ef8e4053bad4bfd1c6746065e142bb3cfc06ca49", None),
+    ((2, 3), 1): ("91be609e8e674fb3b2ebc4a8b59439f02fdf4b0087b9099aee260acc40ef5296",
+                  "33c2bb3cf99524397afabd2c267c6e8e7c142e2082ac0147e7800fce42ce9102"),
+    ((2, 3), 2): ("387cf26d6b3b1cc7af0f04967f27adb8c34214a24a2f4c9714b03866cfa505a7",
+                  "470dbaa6bdec8b5dea13c2d61f08bd0628e239bbcde2fd476f81cc4d0210f50c"),
+    ((2, 3), 3): ("84973379b0ad68ca792872e32fe36e5c3823082508ab495159f1cafc682dfc55",
+                  "075f20888b8fe9dfb1daef128065fe712c786344bc7444e3fbfbde65d227c9c4"),
+    ((2, 3), 4): ("33983bd20a621d240c40196cb500bb33437a45788213a3b1eea43e63dc6d563e",
+                  "824a2c1c518761e89b62a4d099f8ebd722712632038a882ef274b611fd0f3910"),
+    ((1, 2, 3), 1): ("03ae4b3ead4ea0af4a621beae56771468ae15da30c3a3318a0b5b5b4dd14f041",
+                     "28933f1ab1e37eaa0a4a373f0a8d2139ec28193e43ea5b93bfc4eef8b16875f6"),
+    ((1, 2, 3), 2): ("b32a0c34c77c95207fb69ce1f740957f71ae5d39ec8b6281b683ed9c447f4f9d", None),
+    ((1, 2, 3), 3): ("69678e9df22ad581a72709bc95e85400feea6d48942c7be6ba5c5686733f3b51",
+                     "1c2363a96d5d38766536f38070c81801f1fac3b2eca63dd2b53f66c306f17275"),
+    ((1, 2, 3), 4): ("fbd8d9aac6e31ec2661e910e7932665aae21ae709fae0438459d4b1a6da5ce96",
+                     "2ed69af02591b8711eb353486ba0a95d498cf045257a0af12c6b19f0b5f1ce5f"),
+}
+
 
 @pytest.mark.parametrize("blocks, seed, check_digest, witness_digest", GOLDEN_RIGHT_IDEAL_DIGESTS)
 def test_right_ideal_report_digests_are_pinned(blocks, seed, check_digest, witness_digest):
     doc = gen_right_ideal(blocks, seed)
-    assert runner.run_check(doc)["digest"] == check_digest
+    now_check, now_witness = RIGHT_IDEAL_DIGESTS[blocks, seed]
+    assert_float_digests(doc, runner.run_check(doc), check_digest, now_check)
     if witness_digest is None:
         with pytest.raises(PreconditionFailed):
             runner.run_witness(doc)
     else:
-        assert runner.run_witness(doc)["digest"] == witness_digest
+        assert_float_digests(doc, runner.run_witness(doc), witness_digest, now_witness)
 
 
 # run_check / run_witness digests of gen_module_submodule(blocks, k, seed),
 # recorded while module elements were still k-tuples of algebra elements and
 # compact operators k×k grids over A: the stacked-block representation must
-# give byte-identical reports. Both decisions occur.
+# give them, with the certificate's rank_one restored. Both decisions occur.
 GOLDEN_MODULE_DIGESTS = [
     ((2,), 1, 1, "614f1fdd5b208995da665462a6ab1e6f05900c8392efea52ebb95376d7f9ef98",
      "f21eea3a7bb16a1b449db62b7827a5b14fe911288ab7439f73aa7e74885c9e69"),
@@ -305,19 +386,88 @@ GOLDEN_MODULE_DIGESTS = [
      "53bbd082e109f906d54a11fd76019118668b39fe6a1646be7c90e7e7350272b4"),
 ]
 
+# The same reports as written now: (check, witness) digests.
+MODULE_DIGESTS = {
+    ((2,), 1, 1): ("614f1fdd5b208995da665462a6ab1e6f05900c8392efea52ebb95376d7f9ef98",
+                   "f21eea3a7bb16a1b449db62b7827a5b14fe911288ab7439f73aa7e74885c9e69"),
+    ((2,), 2, 2): ("14fbcb800b39e9dcaa7572d95de1909930814565bec6bed01ef22dc81d073322",
+                   "e9d11a7030ac3e35feb00a97d0b591561383ee036a63fefda45eca358b181341"),
+    ((1, 2), 2, 1): ("cbaf88bed1ecbfdb295c9ae821089a124dba2e7c56b61956c6a2e8cea721923e",
+                     "0fbc2a307b94e9a5279b26cb33973e378e20d39515d093fcda4cc333456105a0"),
+    ((1, 2), 3, 3): ("31d2b26cb20c871438a1436698ffb2adb2365349eeb5a7e5755fcddf8c02d715",
+                     "750c9761b9f1693899658c441593ee4bd22f60da770ce0b6b11e2c570c851a99"),
+    ((2, 3), 3, 1): ("afb7bd02154bead3b24e2493b4257bea026087735aa7b257423a93f7b33c55d9",
+                     "6aefd703a21d0a9c8d80d3b0ca3d806ec24520b3ff9e6359f82d2f3dcc2d3572"),
+    ((2, 3), 2, 4): ("d4ede9d64b93b1b3a92148e9c1df66dbfbe2222274aa3af273a314c275bf8ebd",
+                     "77b9eff61e0ae5fe328e60736a3bc3da1c58d3d02604a1ab0c6795f22c9e53bc"),
+    ((1, 2, 3), 2, 5): ("4647922ae396414d08b2402509eadaea07acc076646ec40c9d85811e4e33e7dc",
+                        "3ff5da1616517c78d9281c50aa77bdc522a3ddd6796c3c032d8aee1e5110b4ac"),
+    ((3,), 4, 6): ("417164c8635645359a0b58d0ed171aef6cfda050b2acd9bf5db2ba838ba88f90",
+                   "53bbd082e109f906d54a11fd76019118668b39fe6a1646be7c90e7e7350272b4"),
+}
+
 
 @pytest.mark.parametrize("blocks, k, seed, check_digest, witness_digest", GOLDEN_MODULE_DIGESTS)
 def test_module_report_digests_are_pinned(blocks, k, seed, check_digest, witness_digest):
     doc = gen_module_submodule(blocks, k, seed)
-    assert runner.run_check(doc)["digest"] == check_digest
-    assert runner.run_witness(doc)["digest"] == witness_digest
+    now_check, now_witness = MODULE_DIGESTS[blocks, k, seed]
+    assert_float_digests(doc, runner.run_check(doc), check_digest, now_check)
+    assert_float_digests(doc, runner.run_witness(doc), witness_digest, now_witness)
+
+
+def test_reports_carry_their_canonical_text():
+    """Over a small corpus of both stacks, each report's compact text is its
+    canonical JSON and its digest hashes the body without digest and timing."""
+    docs = [gen_right_ideal(blocks, seed) for blocks in ((2,), (1, 2), (2, 3)) for seed in (1, 2)]
+    docs += [gen_module_submodule(blocks, k, seed) for blocks, k, seed in (((2,), 2, 2), ((1, 2), 2, 1), ((2, 1), 3, 4))]
+    docs += [gen_field(d, 3, d + 1, defect, seed) for d, seed in ((1, 5), (2, 6)) for defect in ("none", "points", "interval")]
+    kinds = set()
+    for doc in docs:
+        for call in (runner.run_check, runner.run_witness):
+            try:
+                report = call(doc)
+            except PreconditionFailed:  # a right ideal without a nonzero generator
+                continue
+            assert_report_text(report)
+            kinds.add((report["instance_kind"], report.get("decision")))
+    assert {("right_ideal", False), ("right_ideal", True), ("module_submodule", False),
+            ("module_submodule", True), ("field", False), ("field", True)} <= kinds
+
+
+REPORT_MUTATIONS = [
+    lambda r: r.__setitem__("decision", None),
+    lambda r: r.__delitem__("decision"),
+    lambda r: operator.ior(r, {"decision": None}),
+    lambda r: r.clear(),
+    lambda r: r.pop("decision"),
+    lambda r: r.popitem(),
+    lambda r: r.setdefault("note", 1),
+    lambda r: r.update(note=1),
+]
+
+
+def test_finished_reports_are_read_only():
+    """No top-level edit can leave a report's text stale: each mutating
+    method raises. dict(report) and copies are plain, editable dicts."""
+    report = runner.run_check(gen_right_ideal((1, 2), 1))
+    before, text = dict(report), serialize.dumps(report)
+    for mutate in REPORT_MUTATIONS:
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(report)
+    report.__init__({}, "")
+    assert dict(report) == before and serialize.dumps(report) == text
+    for plain in (dict(report), report.copy(), copy.copy(report), copy.deepcopy(report), report | {}):
+        assert type(plain) is dict and plain == before
+    edited = dict(report)
+    edited["decision"] = None
+    assert serialize.dumps(edited) == serialize.canonical_json(edited) + "\n" != text
 
 
 def assert_input_errors(path, docs, capsys):
-    """Each document is an input error for check and witness: exit 2 and
-    one line, not a traceback escaping with the check-failed code."""
+    """Each document (or raw text) is an input error for check and witness:
+    exit 2 and one line, not a traceback escaping with the check-failed code."""
     for bad in docs:
-        path.write_text(json.dumps(bad))
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
         for command in ("check", "witness"):
             capsys.readouterr()
             assert cli.main([command, "--in", str(path)]) == 2
@@ -333,6 +483,38 @@ def edited(doc, path, value):
         target = target[key]
     target[path[-1]] = value
     return out
+
+
+def test_deeply_nested_input_exits_2(tmp_path, capsys):
+    """1,000 nested `[` made json.load raise RecursionError: exit 1 and a
+    traceback. Nesting that json.load reads but the digest cannot encode
+    is refused too."""
+    ideal = json.dumps(gen_right_ideal((2,), 1))
+    assert_input_errors(tmp_path / "deep.json", [
+        "[" * 1000 + "]" * 1000,
+        ideal[:-1] + ', "note": ' + "[" * 1000 + "]" * 1000 + "}",
+    ], capsys)
+    doc = json.loads(ideal)
+    for _ in range(5000):
+        doc["note"] = [doc.get("note", [])]
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        runner.run_check(doc)
+
+
+def test_duplicate_keys_and_non_json_constants_exit_2(tmp_path, capsys):
+    """A key given twice was read as its last value, so a document naming
+    two kinds was decided as the second; NaN and Infinity, which are not
+    JSON, were read in keys the loader ignores and hashed into the
+    instance digest. Both are refused at parse, at any depth."""
+    ideal = json.dumps(gen_right_ideal((2,), 1))
+    texts = ['{"kind": "field", ' + ideal[1:], ideal.replace('"payload": {', '"payload": {"k": 1, "k": 2, ', 1)]
+    texts += [ideal[:-1] + f', "note": [{constant}]}}' for constant in ("NaN", "Infinity", "-Infinity")]
+    assert_input_errors(tmp_path / "bad.json", texts, capsys)
+    path = tmp_path / "bad.json"
+    for text, message in ((texts[0], "duplicate key 'kind'"), (texts[2], "NaN is not JSON")):
+        path.write_text(text)
+        cli.main(["check", "--in", str(path)])
+        assert capsys.readouterr().err == f"input error: invalid JSON input: {message}\n"
 
 
 def test_malformed_field_payload_exits_2(tmp_path, capsys):
@@ -545,7 +727,9 @@ def test_near_projection_is_checked_at_one_scale(tmp_path, capsys):
     assert report["certificate"]["block"] == 1 and report["certificate"]["intersection_dim"] == 0
     witness = runner.run_witness(NEAR_PROJECTION)
     assert witness["checks_ok"] is True
-    assert witness["digest"] == "30d022c4e3c2f91f3c1cd9e3845bff6f39d5a44ef8a57d3fadfe313a73afc59d"
+    assert_float_digests(NEAR_PROJECTION, witness,
+                         "30d022c4e3c2f91f3c1cd9e3845bff6f39d5a44ef8a57d3fadfe313a73afc59d",
+                         "0cad6462c8e4ffd102296bda481d0b4ad51f0836cbcb6b2958e9fb73cc54fafb")
 
 
 def run_console(command, doc, tmp_path):

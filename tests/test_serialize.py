@@ -257,13 +257,16 @@ def test_element_block_shape_mismatch_rejected():
 
 def test_right_ideal_roundtrip():
     ideal = ideal_from_projection(AlgebraElement.identity(MIXED))
-    back, gens = runner._right_ideal_from_payload(serialize.ideal_to_json(ideal))
+    payload = {
+        "shape": serialize.shape_to_json(ideal.shape),
+        "support_projection": serialize.element_to_json(ideal.support_projection),
+    }
+    back, gens = runner._right_ideal_from_payload(payload)
     assert back.support_projection.distance(ideal.support_projection) == 0.0
     assert gens == []
-    bad = serialize.ideal_to_json(ideal)
-    bad["support_projection"]["blocks"][0][0][0] = [0.5, 0.0]
+    payload["support_projection"]["blocks"][0][0][0] = [0.5, 0.0]
     with pytest.raises(SchemaError):
-        runner._right_ideal_from_payload(bad)
+        runner._right_ideal_from_payload(payload)
 
 
 def test_module_element_and_submodule_roundtrip():
