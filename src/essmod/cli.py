@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 
@@ -30,8 +31,17 @@ def _constant(name: str):
     raise SchemaError(f"invalid JSON input: {name} is not JSON")
 
 
+def _float(text: str) -> float:
+    """A JSON number with a fraction or exponent, refused past float range:
+    json.load reads 1e400 as inf, which the digest would write as Infinity."""
+    value = float(text)
+    if math.isinf(value):
+        raise SchemaError(f"invalid JSON input: number {serialize._excerpt(text)} is past float range")
+    return value
+
+
 def _read_doc(path: str | None):
-    strict = {"object_pairs_hook": _object, "parse_constant": _constant}
+    strict = {"object_pairs_hook": _object, "parse_constant": _constant, "parse_float": _float}
     try:
         if path:
             with open(path, "r", encoding="utf-8") as fh:
@@ -45,13 +55,19 @@ def _read_doc(path: str | None):
         raise SchemaError(f"cannot read input: {exc}") from exc
 
 
-def _write_doc(doc, path: str | None, pretty: bool):
-    text = serialize.dumps(doc, pretty=pretty)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+def _write_doc(doc, args):
+    text = serialize.dumps(doc, pretty=args.json_pretty)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report, args, ok_key: str) -> int:
+    """Write the report; exit 0 when its `ok_key` holds, else 1."""
+    _write_doc(report, args)
+    return 0 if report[ok_key] else 1
 
 
 def _parse_blocks(text: str) -> tuple[int, ...]:
@@ -65,38 +81,31 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
 
 
 def cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise SchemaError("--seed must be >= 0")
     if args.kind == "right_ideal":
         doc = generate.gen_right_ideal(_parse_blocks(args.blocks), args.seed)
     elif args.kind == "module_submodule":
         doc = generate.gen_module_submodule(_parse_blocks(args.blocks), args.k, args.seed)
-    elif args.kind == "field":
-        doc = generate.gen_field(args.d, args.pieces, args.generators, args.defect, args.seed)
     else:
-        raise SchemaError(f"unknown kind {args.kind!r}")
-    _write_doc(doc, args.out, args.json_pretty)
+        doc = generate.gen_field(args.d, args.pieces, args.generators, args.defect, args.seed)
+    _write_doc(doc, args)
     return 0
 
 
 def cmd_check(args) -> int:
-    doc = _read_doc(getattr(args, "in"))
-    report = runner.run_check(doc)
-    _write_doc(report, args.out, args.json_pretty)
-    return 0 if report["checks_ok"] else 1
+    return _emit(runner.run_check(_read_doc(getattr(args, "in"))), args, "checks_ok")
 
 
 def cmd_witness(args) -> int:
-    doc = _read_doc(getattr(args, "in"))
-    report = runner.run_witness(doc, samples=args.samples, section_index=args.section)
-    _write_doc(report, args.out, args.json_pretty)
-    return 0 if report["checks_ok"] else 1
+    report = runner.run_witness(_read_doc(getattr(args, "in")), samples=args.samples, section_index=args.section)
+    return _emit(report, args, "checks_ok")
 
 
 def cmd_suite(args) -> int:
     if args.trials < 1:
         raise SchemaError("--trials must be >= 1")
-    report = properties.run_suite(args.seed, args.trials)
-    _write_doc(report, args.out, args.json_pretty)
-    return 0 if report["passed"] else 1
+    return _emit(properties.run_suite(args.seed, args.trials), args, "passed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,8 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
         "ideals, module submodules, and continuous fields of Hilbert spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None)
+    output.add_argument("--json-pretty", action="store_true")
 
-    gen = sub.add_parser("gen", help="generate a seeded random instance")
+    gen = sub.add_parser("gen", parents=[output], help="generate a seeded random instance")
     gen.add_argument("--kind", required=True, choices=serialize.KINDS)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--blocks", default="2", help="comma-separated block dims")
@@ -116,29 +128,21 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--pieces", type=int, default=4, help="partition pieces")
     gen.add_argument("--generators", type=int, default=2, help="field generators")
     gen.add_argument("--defect", default="none", choices=("none", "points", "interval"))
-    gen.add_argument("--out", default=None)
-    gen.add_argument("--json-pretty", action="store_true")
     gen.set_defaults(fn=cmd_gen)
 
-    check = sub.add_parser("check", help="decide essentiality of an instance")
+    check = sub.add_parser("check", parents=[output], help="decide essentiality of an instance")
     check.add_argument("--in", default=None, help="instance path (default stdin)")
-    check.add_argument("--out", default=None)
-    check.add_argument("--json-pretty", action="store_true")
     check.set_defaults(fn=cmd_check)
 
-    witness = sub.add_parser("witness", help="construct and verify witness objects")
+    witness = sub.add_parser("witness", parents=[output], help="construct and verify witness objects")
     witness.add_argument("--in", default=None, help="instance path (default stdin)")
-    witness.add_argument("--out", default=None)
     witness.add_argument("--samples", type=int, default=8, help="defect samples (fields)")
     witness.add_argument("--section", type=int, default=0, help="generator index (fields)")
-    witness.add_argument("--json-pretty", action="store_true")
     witness.set_defaults(fn=cmd_witness)
 
-    suite = sub.add_parser("suite", help="run the seeded property suite")
+    suite = sub.add_parser("suite", parents=[output], help="run the seeded property suite")
     suite.add_argument("--seed", type=int, default=0)
     suite.add_argument("--trials", type=int, default=20)
-    suite.add_argument("--out", default=None)
-    suite.add_argument("--json-pretty", action="store_true")
     suite.set_defaults(fn=cmd_suite)
     return parser
 

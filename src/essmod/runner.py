@@ -1,9 +1,9 @@
 """Instance checking and witness construction behind the CLI.
 
-Reports are read-only JSON-able dicts that carry their own canonical text.
-Every report carries the digest of the instance it was computed from plus a
-digest of its own canonical body (timing excluded), so reruns with the same
-seed are comparable bit for bit.
+Reports are finished by `serialize.finish`: read-only JSON-able dicts that
+carry their own canonical text. Every report carries the digest of the
+instance it was computed from plus a digest of its own canonical body
+(timing excluded), so reruns with the same seed are comparable bit for bit.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from . import algebra, fields, modules, serialize
 from .errors import PreconditionFailed, SchemaError, SizeCap
 from .serialize import (
     SCHEMA,
-    _encode,
     _require,
-    _text_digest,
     element_from_json,
     element_to_json,
     field_spec_from_json,
@@ -44,37 +42,18 @@ def _right_ideal_from_payload(payload: dict) -> tuple[algebra.RightIdeal, list]:
     return ideal, gens
 
 
-def _finish(report: dict, t0: float) -> serialize.Report:
-    """The read-only report: `report` plus `digest`, the sha256 of its
-    canonical JSON, and `timing_ms`, which the digest leaves out.
-
-    Each top-level value is encoded once. The parts joined in key order are
-    the body the digest hashes; joined again with `digest` and `timing_ms`
-    they are the report's canonical text, which `serialize.dumps` returns.
-    """
-    parts = {key: f"{_encode(key)}:{_encode(value)}" for key, value in report.items()}
-    report["digest"] = _text_digest(_joined(parts))
-    report["timing_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    for key in ("digest", "timing_ms"):
-        parts[key] = f"{_encode(key)}:{_encode(report[key])}"
-    return serialize.Report(report, _joined(parts))
+def _opened(doc, kind: str) -> tuple[str, dict, dict]:
+    """The instance kind and payload of `doc`, and the envelope of a report of
+    kind `kind` on it: schema, kinds and the instance digest."""
+    instance_kind, payload = serialize.validate_instance(doc)
+    envelope = {"schema": SCHEMA, "kind": kind, "instance_kind": instance_kind, "instance_digest": serialize.digest(doc)}
+    return instance_kind, payload, envelope
 
 
-def _joined(parts: dict) -> str:
-    """The JSON object whose member texts are `parts`, in key order."""
-    return "{" + ",".join(parts[key] for key in sorted(parts)) + "}"
-
-
-def run_check(doc) -> dict:
+def run_check(doc) -> serialize.Report:
     """Decide essentiality of an instance document and report evidence."""
     t0 = time.perf_counter()
-    kind, payload = serialize.validate_instance(doc)
-    report = {
-        "schema": SCHEMA,
-        "kind": "check_report",
-        "instance_kind": kind,
-        "instance_digest": serialize.digest(doc),
-    }
+    kind, payload, report = _opened(doc, "check_report")
     if kind == "right_ideal":
         ideal, _ = _right_ideal_from_payload(payload)
         decision, cert = algebra.is_essential_right_ideal(ideal)
@@ -102,7 +81,7 @@ def run_check(doc) -> dict:
         report["defect_set"] = subset_to_json(decision.analysis.total)
         report["spanning_cells"] = decision.spanning_cells
         report["checks_ok"] = True  # a failed spanning certificate raises first
-    return _finish(report, t0)
+    return serialize.finish(report, t0)
 
 
 def _ideal_certificate_json(cert: algebra.IdealCertificate) -> dict:
@@ -120,18 +99,12 @@ def _ideal_certificate_json(cert: algebra.IdealCertificate) -> dict:
 MAX_SAMPLES = 64
 
 
-def run_witness(doc, samples: int = 8, section_index: int = 0) -> dict:
+def run_witness(doc, samples: int = 8, section_index: int = 0) -> serialize.Report:
     """Construct and verify the witness objects matching the instance kind."""
     t0 = time.perf_counter()
     if not 0 <= samples <= MAX_SAMPLES:
         raise SizeCap(f"samples must lie in 0..{MAX_SAMPLES}")
-    kind, payload = serialize.validate_instance(doc)
-    report = {
-        "schema": SCHEMA,
-        "kind": "witness_report",
-        "instance_kind": kind,
-        "instance_digest": serialize.digest(doc),
-    }
+    kind, payload, report = _opened(doc, "witness_report")
     if kind == "right_ideal":
         ideal, gens = _right_ideal_from_payload(payload)
         x = gens[0] if gens else ideal.support_projection
@@ -181,7 +154,7 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> dict:
         else:
             report["witness"] = _non_essential_witnesses(spec, decision, samples)
             report["checks_ok"] = report["witness"]["all_verified"]
-    return _finish(report, t0)
+    return serialize.finish(report, t0)
 
 
 def _non_essential_witnesses(spec, decision, samples: int) -> dict:

@@ -14,6 +14,7 @@ import cmath
 import hashlib
 import json
 import re
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
@@ -387,8 +388,8 @@ def _read_only(self, *args, **kwargs):
 
 
 class Report(dict):
-    """A finished check or witness report: a dict that carries `text`, its
-    canonical JSON, which `dumps` returns without encoding it again. Every
+    """A finished check, witness or suite report: a dict that carries `text`,
+    its canonical JSON, which `dumps` returns without encoding it again. Every
     top-level mutation raises, so the text cannot go stale; nested values
     are shared, not copied, and must be left as they are. `dict(report)`
     is an editable copy, and copy, deepcopy and pickle give plain dicts."""
@@ -407,6 +408,27 @@ class Report(dict):
 
     def __reduce__(self):
         return dict, (dict(self),)
+
+
+def finish(report: dict, t0: float, **outside) -> Report:
+    """The read-only report: `report` plus `digest`, the sha256 of its
+    canonical JSON, then `timing_ms`, the milliseconds since `t0`, and each
+    `outside` entry, none of which the digest covers.
+
+    Each top-level value is encoded once. The members joined in key order
+    are the body the digest hashes; joined again with the keys added here
+    they are the report's canonical text, which `dumps` returns.
+    """
+    members = {key: f"{_encode(key)}:{_encode(value)}" for key, value in report.items()}
+    added = {"digest": _text_digest(_joined(members)),
+             "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3), **outside}
+    members.update((key, f"{_encode(key)}:{_encode(value)}") for key, value in added.items())
+    return Report({**report, **added}, _joined(members))
+
+
+def _joined(members: dict) -> str:
+    """The JSON object whose member texts are `members`, in key order."""
+    return "{" + ",".join(members[key] for key in sorted(members)) + "}"
 
 
 def dumps(doc, pretty: bool = False) -> str:

@@ -151,6 +151,14 @@ def test_gen_size_cap_exits_2(capsys):
     assert cli.main(["gen", "--kind", "field", "--d", "9", "--seed", "0"]) == 2
 
 
+@pytest.mark.parametrize("kind", ["right_ideal", "module_submodule", "field"])
+def test_gen_refuses_a_negative_seed(kind, capsys):
+    """gen wrote "seed": -1 into documents that check and witness refuse."""
+    assert cli.main(["gen", "--kind", kind, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: --seed must be >= 0\n"
+
+
 def test_json_pretty_flag(tmp_path):
     plain = gen_to_file(tmp_path, "p1.json", ["--kind", "right_ideal", "--blocks", "2", "--seed", "1"])
     pretty = tmp_path / "p2.json"
@@ -243,9 +251,10 @@ def test_field_report_digests_are_pinned(d, defect, check_digest, witness_digest
 
 def assert_report_text(report):
     """The report's compact text is the canonical JSON of its dict, and its
-    digest is the sha256 of the canonical body without digest and timing_ms."""
+    digest is the sha256 of the canonical body without digest and the
+    timings, timing_ms and a suite's property_timing_ms."""
     assert serialize.dumps(report) == serialize.canonical_json(dict(report)) + "\n"
-    body = {k: v for k, v in report.items() if k not in ("digest", "timing_ms")}
+    body = {k: v for k, v in report.items() if k not in ("digest", "timing_ms", "property_timing_ms")}
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     assert report["digest"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -416,8 +425,9 @@ def test_module_report_digests_are_pinned(blocks, k, seed, check_digest, witness
 
 
 def test_reports_carry_their_canonical_text():
-    """Over a small corpus of both stacks, each report's compact text is its
-    canonical JSON and its digest hashes the body without digest and timing."""
+    """Over a small corpus of both stacks and a suite report, each report's
+    compact text is its canonical JSON and its digest hashes the body
+    without digest and timings."""
     docs = [gen_right_ideal(blocks, seed) for blocks in ((2,), (1, 2), (2, 3)) for seed in (1, 2)]
     docs += [gen_module_submodule(blocks, k, seed) for blocks, k, seed in (((2,), 2, 2), ((1, 2), 2, 1), ((2, 1), 3, 4))]
     docs += [gen_field(d, 3, d + 1, defect, seed) for d, seed in ((1, 5), (2, 6)) for defect in ("none", "points", "interval")]
@@ -432,6 +442,9 @@ def test_reports_carry_their_canonical_text():
             kinds.add((report["instance_kind"], report.get("decision")))
     assert {("right_ideal", False), ("right_ideal", True), ("module_submodule", False),
             ("module_submodule", True), ("field", False), ("field", True)} <= kinds
+    suite = properties.run_suite(5, 1)
+    assert_report_text(suite)
+    assert set(suite["property_timing_ms"]) == {p["name"] for p in suite["properties"]}
 
 
 REPORT_MUTATIONS = [
@@ -449,18 +462,18 @@ REPORT_MUTATIONS = [
 def test_finished_reports_are_read_only():
     """No top-level edit can leave a report's text stale: each mutating
     method raises. dict(report) and copies are plain, editable dicts."""
-    report = runner.run_check(gen_right_ideal((1, 2), 1))
-    before, text = dict(report), serialize.dumps(report)
-    for mutate in REPORT_MUTATIONS:
-        with pytest.raises(TypeError, match="read-only"):
-            mutate(report)
-    report.__init__({}, "")
-    assert dict(report) == before and serialize.dumps(report) == text
-    for plain in (dict(report), report.copy(), copy.copy(report), copy.deepcopy(report), report | {}):
-        assert type(plain) is dict and plain == before
-    edited = dict(report)
-    edited["decision"] = None
-    assert serialize.dumps(edited) == serialize.canonical_json(edited) + "\n" != text
+    for report in (runner.run_check(gen_right_ideal((1, 2), 1)), properties.run_suite(5, 1)):
+        before, text = dict(report), serialize.dumps(report)
+        for mutate in REPORT_MUTATIONS:
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(report)
+        report.__init__({}, "")
+        assert dict(report) == before and serialize.dumps(report) == text
+        for plain in (dict(report), report.copy(), copy.copy(report), copy.deepcopy(report), report | {}):
+            assert type(plain) is dict and plain == before
+        edited = dict(report)
+        edited["decision"] = None
+        assert serialize.dumps(edited) == serialize.canonical_json(edited) + "\n" != text
 
 
 def assert_input_errors(path, docs, capsys):
@@ -505,16 +518,29 @@ def test_duplicate_keys_and_non_json_constants_exit_2(tmp_path, capsys):
     """A key given twice was read as its last value, so a document naming
     two kinds was decided as the second; NaN and Infinity, which are not
     JSON, were read in keys the loader ignores and hashed into the
-    instance digest. Both are refused at parse, at any depth."""
+    instance digest, and so was a number past float range such as 1e400,
+    which reads as inf. All are refused at parse, at any depth."""
     ideal = json.dumps(gen_right_ideal((2,), 1))
     texts = ['{"kind": "field", ' + ideal[1:], ideal.replace('"payload": {', '"payload": {"k": 1, "k": 2, ', 1)]
     texts += [ideal[:-1] + f', "note": [{constant}]}}' for constant in ("NaN", "Infinity", "-Infinity")]
+    texts += [ideal[:-1] + f', "note": [{number}]}}' for number in ("1e400", "-1e400")]
     assert_input_errors(tmp_path / "bad.json", texts, capsys)
     path = tmp_path / "bad.json"
-    for text, message in ((texts[0], "duplicate key 'kind'"), (texts[2], "NaN is not JSON")):
+    for text, message in ((texts[0], "duplicate key 'kind'"), (texts[2], "NaN is not JSON"),
+                          (texts[5], "number '1e400' is past float range")):
         path.write_text(text)
         cli.main(["check", "--in", str(path)])
         assert capsys.readouterr().err == f"input error: invalid JSON input: {message}\n"
+
+
+def test_number_that_underflows_to_zero_is_read(tmp_path, capsys):
+    """1e-400 is a finite JSON number; it reads as 0.0 and is hashed as such."""
+    doc = gen_right_ideal((2,), 1)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc)[:-1] + ', "note": [1e-400]}')
+    assert cli.main(["check", "--in", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["instance_digest"] == serialize.digest({**doc, "note": [0.0]})
 
 
 def test_malformed_field_payload_exits_2(tmp_path, capsys):

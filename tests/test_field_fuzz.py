@@ -4,7 +4,8 @@ Each case is a generated field document with one mutation in its payload:
 a type swap, an exponent or decimal string where a rational belongs, an
 integer past the digit cap, an interval with lo > hi, a point outside
 [0, 1], unsorted or repeated breakpoints, a wrong number of pieces, or a
-fiber dimension that does not match. `check` and `witness` must each end
+fiber dimension that does not match. Or its text has one fault anywhere: a
+repeated key, deep nesting, or a NaN, Infinity or 1e400 literal. `check` and `witness` must each end
 in exit 0 or 2, never a raised exception or the check-failed code 1, with
 at most one stderr line, read at the file-descriptor level, and within a
 time bound.
@@ -13,7 +14,7 @@ time bound.
 import json
 import time
 
-from doc_paths import get, nodes, put
+from doc_paths import get, nodes, put, text_mutations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -62,7 +63,9 @@ def mutated_documents(draw):
                     draw(st.sampled_from(["none", "points", "interval"])), draw(st.integers(0, 5)))
     payload = doc["payload"]
     mutation = draw(st.sampled_from(["type", "not_rational", "past_cap", "lo_above_hi", "outside",
-                                     "breakpoints", "piece_count", "d"]))
+                                     "breakpoints", "piece_count", "d", "text"]))
+    if mutation == "text":
+        return draw(text_mutations(doc))
     if mutation == "type":
         path, _ = draw(st.sampled_from(nodes(payload)))
         put(payload, path, draw(st.sampled_from([5, -1, 0, 1.5, "x", None, True, [], {}, ["1/2", "0/1"], "1/2"])))
@@ -96,15 +99,15 @@ def mutated_documents(draw):
         where = draw(st.sampled_from(["payload", "generator"]))
         owner = payload if where == "payload" else draw(st.sampled_from(payload["generators"]))
         owner["d"] = draw(st.sampled_from([owner["d"] - 1, owner["d"] + 1, 0, -1]))
-    return mutation, doc
+    return mutation, json.dumps(doc)
 
 
 @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=mutated_documents())
 def test_mutated_field_documents_end_in_an_exit_code(case, tmp_path, capfd):
-    mutation, doc = case
+    mutation, text = case
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     for command in ("check", "witness"):
         capfd.readouterr()
         t0 = time.perf_counter()

@@ -3,7 +3,8 @@
 Each case is a generated right-ideal or module document with one mutation
 in its payload: a type swap, a huge finite float, NaN or inf, a block of the
 wrong shape, coordinates over different shapes, or a k that does not match
-the number of coordinates. `check` and `witness` must each end in an exit
+the number of coordinates. Or its text has one fault anywhere: a repeated
+key, deep nesting, or a NaN, Infinity or 1e400 literal. `check` and `witness` must each end in an exit
 code, never a raised exception, with at most one stderr line, read at the
 file-descriptor level so that lines LAPACK writes itself count, and within
 a time bound. A mutated document may still be valid, but none may exit 1:
@@ -13,7 +14,7 @@ that code means a check failed, and a malformed input is not a failed check.
 import json
 import time
 
-from doc_paths import get, nodes, put
+from doc_paths import get, nodes, put, text_mutations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -50,9 +51,11 @@ def mutated_documents(draw):
     payload = doc["payload"]
     module = "k" in payload
     mutation = draw(st.sampled_from(
-        ["type", "huge", "huge_block", "nonfinite", "block_shape", "shapes", "k"] if module
-        else ["type", "huge", "huge_block", "nonfinite", "block_shape", "shapes"]
+        ["type", "huge", "huge_block", "nonfinite", "block_shape", "shapes", "text", "k"] if module
+        else ["type", "huge", "huge_block", "nonfinite", "block_shape", "shapes", "text"]
     ))
+    if mutation == "text":
+        return draw(text_mutations(doc))
     if mutation == "type":
         path, _ = draw(st.sampled_from(nodes(payload)))
         put(payload, path, draw(st.sampled_from([5, -1, 0, 1.5, "x", None, True, [], {}, [[1.0, 0.0]]])))
@@ -96,15 +99,15 @@ def mutated_documents(draw):
             gen["coords"].pop()
         else:
             gen["coords"].append(gen["coords"][0])
-    return mutation, doc
+    return mutation, json.dumps(doc)
 
 
 @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=mutated_documents())
 def test_mutated_float_documents_end_in_an_exit_code(case, tmp_path, capfd):
-    mutation, doc = case
+    mutation, text = case
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     for command in ("check", "witness"):
         capfd.readouterr()
         t0 = time.perf_counter()

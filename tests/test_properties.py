@@ -23,6 +23,58 @@ def test_suite_hundred_trials_seed_42_passes():
     assert report["digest"] == "5e7c135253e4bd4445885629fe6b7375670cdaaf16c8bef106bf3ff7146c74ee"
 
 
+# Function name -> property name, in substream order. perfbench reads this
+# map (layers.property_names); a property's place in PROPERTIES picks its
+# substream, and its name feeds the suite digest.
+PROPERTY_NAMES = [
+    ("prop_eig_reconstruction", "numeric.eig_reconstruction"),
+    ("prop_op_norm", "numeric.op_norm"),
+    ("prop_psd_two_sided", "numeric.psd_two_sided"),
+    ("prop_calculus_homomorphism", "algebra.calculus_homomorphism"),
+    ("prop_monotone_convergence", "algebra.monotone_convergence"),
+    ("prop_subideal_pipeline", "algebra.subideal_pipeline"),
+    ("prop_ideal_roundtrip", "algebra.ideal_roundtrip"),
+    ("prop_essentiality_oracle", "algebra.essentiality_oracle"),
+    ("prop_theta_apply", "module.theta_apply"),
+    ("prop_theta_nondegenerate", "module.theta_nondegenerate"),
+    ("prop_theta_norm_bound", "module.theta_norm_bound"),
+    ("prop_correspondence", "module.correspondence"),
+    ("prop_intertwine", "module.intertwine"),
+    ("prop_left_module_identity", "module.left_module_identity"),
+    ("prop_set_algebra", "fields.set_algebra"),
+    ("prop_residual_subset_total", "fields.residual_subset_total"),
+    ("prop_criterion_coherence", "fields.criterion_coherence"),
+    ("prop_inductive_postcondition", "fields.inductive_postcondition"),
+    ("prop_term_norm_bound", "fields.term_norm_bound"),
+    ("prop_commutative_identity", "fields.commutative_identity"),
+    ("prop_gen_determinism", "cli.gen_determinism"),
+    ("prop_gen_check_roundtrip", "cli.gen_check_roundtrip"),
+]
+
+
+def test_properties_are_pinned_in_substream_order():
+    names = {p.__name__: p(SplitMix64(0), 0).name for p in properties.PROPERTIES}
+    assert list(names.items()) == PROPERTY_NAMES
+    assert all(getattr(properties, p.__name__) is p for p in properties.PROPERTIES)
+
+
+def test_each_property_draws_its_own_substream(monkeypatch):
+    """run_suite hands the i-th property SplitMix64(seed).spawn(i + 1). Every
+    property passes whichever substream it draws, so no suite digest shows
+    which one that was: this test and the one above pin it."""
+    seen = []
+
+    def probe(i):
+        def prop(rng, trials):
+            seen.append(rng.next_u64())
+            return properties.PropertyResult(f"probe.{i}", True, trials, 0)
+        return prop
+
+    monkeypatch.setattr(properties, "PROPERTIES", [probe(i) for i in range(3)])
+    properties.run_suite(11, 1)
+    assert seen == [SplitMix64(11).spawn(i + 1).next_u64() for i in range(3)]
+
+
 def test_every_property_reports_trials_and_name():
     report = properties.run_suite(5, 2)
     assert len(report["properties"]) == len(properties.PROPERTIES)
@@ -32,7 +84,7 @@ def test_every_property_reports_trials_and_name():
 
 
 def test_property_timings_stay_outside_the_digest():
-    report = properties.run_suite(5, 1)
+    report = dict(properties.run_suite(5, 1))
     timing = report.pop("property_timing_ms")
     assert list(timing) == [p["name"] for p in report["properties"]]
     assert all(ms >= 0.0 for ms in timing.values())
