@@ -8,7 +8,6 @@ from .algebra import (
     RightIdeal,
     calculus,
     closed_subideal,
-    ideal_from_projection,
     ideal_support_projection,
     is_essential_right_ideal,
     lower_approximants,
@@ -61,7 +60,6 @@ __all__ = [
     "closed_subideal",
     "commutative_limit_identity",
     "essential_witness",
-    "ideal_from_projection",
     "ideal_of_submodule",
     "ideal_support_projection",
     "inductive_witness_section",

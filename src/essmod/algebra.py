@@ -16,6 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    DomainError,
     EigenvalueAtThreshold,
     NotHermitian,
     NotProjection,
@@ -175,8 +176,6 @@ def calculus(a: AlgebraElement, f: Callable[[float], float]) -> AlgebraElement:
     Applies f to the spectrum blockwise: u diag(f(λ)) u*. callable errors
     (ValueError / ZeroDivisionError) are surfaced as DomainError.
     """
-    from .errors import DomainError
-
     out = []
     for eigs, u in _eig_blocks(a):
         try:
@@ -190,10 +189,11 @@ def calculus(a: AlgebraElement, f: Callable[[float], float]) -> AlgebraElement:
 def spectral_projection(a: AlgebraElement, eps: float) -> AlgebraElement:
     """χ_(eps, ∞)(a): the spectral projection onto eigenvalues above eps.
 
-    Raises EigenvalueAtThreshold when some eigenvalue lies within the scaled
-    tolerance of eps — the projection is discontinuous there.
+    Raises EigenvalueAtThreshold when some eigenvalue lies within
+    DEFAULT_TOL·‖a‖ of eps — the projection is discontinuous there. The cut
+    scales with a, as the projection of ca is that of a at c·eps.
     """
-    cut = DEFAULT_TOL * (1.0 + a.norm())
+    cut = DEFAULT_TOL * a.norm()
     if np.any(np.abs(all_eigenvalues(a) - eps) <= cut):
         raise EigenvalueAtThreshold(f"eigenvalue within {cut:.3g} of threshold {eps}")
     return calculus(a, lambda t: 1.0 if t > eps else 0.0)
@@ -232,16 +232,19 @@ def is_projection(p: AlgebraElement) -> bool:
 
 @dataclass(frozen=True)
 class RightIdeal:
-    """Closed right ideal pA, carried by its support projection p."""
+    """Closed right ideal pA, carried by its support projection p alone:
+    `RightIdeal(p)` raises NotProjection unless p is a projection, and the
+    ideal's shape is p's."""
 
-    shape: AlgebraShape
     support_projection: AlgebraElement
 
     def __post_init__(self):
-        if self.support_projection.shape != self.shape:
-            raise ShapeMismatch("projection over a different shape")
         if not is_projection(self.support_projection):
             raise NotProjection("support projection fails p*p = p = p^*")
+
+    @property
+    def shape(self) -> AlgebraShape:
+        return self.support_projection.shape
 
     def contains(self, b: AlgebraElement) -> bool:
         """Membership b ∈ pA  ⟺  p b = b."""
@@ -257,11 +260,6 @@ class RightIdeal:
     def rank(self) -> int:
         """Total rank of the support projection across blocks."""
         return int(round(sum(np.trace(b).real for b in self.support_projection.blocks)))
-
-
-def ideal_from_projection(p: AlgebraElement) -> RightIdeal:
-    """The right ideal pA; raises NotProjection unless p is a projection."""
-    return RightIdeal(p.shape, p)
 
 
 def ideal_support_projection(generators: Sequence[AlgebraElement]) -> RightIdeal:
@@ -281,7 +279,7 @@ def ideal_support_projection(generators: Sequence[AlgebraElement]) -> RightIdeal
     for b in range(shape.num_blocks):
         stacked = np.hstack([g.blocks[b] for g in gens])
         blocks.append(linalg.column_space_projector(stacked))
-    return RightIdeal(shape, AlgebraElement._of(shape, tuple(blocks)))
+    return RightIdeal(AlgebraElement._of(shape, tuple(blocks)))
 
 
 def _interp_resolvent(eps: float) -> Callable[[float], float]:
@@ -298,18 +296,19 @@ def _interp_resolvent(eps: float) -> Callable[[float], float]:
 
 
 def _choose_threshold(a: AlgebraElement) -> float:
-    """Half the smallest nonzero eigenvalue of the positive element a.
+    """Half the smallest nonzero eigenvalue of the positive element a ≠ 0.
 
     Any threshold in (0, ‖a‖) would make (a−eps)₊ nonzero; this choice
     additionally puts the whole nonzero spectrum above the cut, so the
     spectral projection has exactly the rank of a. It sits in the middle of
-    a spectral gap, far from every eigenvalue.
+    a spectral gap, far from every eigenvalue. An eigenvalue counts as
+    nonzero above ACCEPT_TOL·‖a‖, relative to a alone since xA = (cx)A for
+    every c ≠ 0. That puts eps at least 50 spectral cuts DEFAULT_TOL·‖a‖
+    from 0 and from the kept spectrum, and g(a), which is 1/a there,
+    amplifies rounding in the witness residuals by less than 1/ACCEPT_TOL.
     """
     eigs = all_eigenvalues(a)
-    nonzero = eigs[eigs > 1e-9 * (1.0 + a.norm())]
-    if nonzero.size == 0:
-        raise ZeroInput("element too small to pick a spectral threshold")
-    return float(nonzero[0]) / 2.0
+    return float(eigs[eigs > ACCEPT_TOL * a.norm()][0]) / 2.0  # a ≠ 0: ‖a‖ itself is kept
 
 
 @dataclass(frozen=True)
@@ -371,7 +370,7 @@ def closed_subideal(x: AlgebraElement) -> SubidealWitness:
         factored = x_i @ (xadj_i @ (ga_i @ (p_i @ b)))  # explicit factorization through x
         membership_errors.extend(np.linalg.svd(factored - b, compute_uv=False)[:, 0] / bscale)
     return SubidealWitness(
-        eps=eps, a=a, p=p, fa=fa, ga=ga, ideal=ideal_from_projection(p),
+        eps=eps, a=a, p=p, fa=fa, ga=ga, ideal=RightIdeal(p),
         fa_p_error=float(fa_p_error),
         probe_errors=tuple(float(e) for e in probe_errors),
         membership_errors=tuple(float(e) for e in membership_errors),
@@ -380,13 +379,17 @@ def closed_subideal(x: AlgebraElement) -> SubidealWitness:
 
 @dataclass(frozen=True)
 class IdealCertificate:
-    """Decision evidence for essentiality of a right ideal pA.
+    """Decision evidence for essentiality of a right ideal pA, read off the
+    cached eigendecomposition of each block of p.
 
-    Essential: p is the identity (identity_error records ‖p − 1‖).
-    Not essential: a unit vector v orthogonal to range(p) in block `block`,
-    and the verified fact dim(pA ∩ qA) = 0 for the rank-one ideal qA,
-    computed by intersecting column spaces. q = vv* in that block and zero
-    elsewhere, so `block` and `vector` determine it and it is not kept.
+    Essential: every block's least eigenvalue exceeds 1/2, so p is the
+    identity (identity_error records max_b ‖p_b − 1‖₂).
+    Not essential: block `block` has an eigenvalue at most 1/2 and `vector`
+    is its first eigenvector, a unit vector v orthogonal to range(p_b);
+    intersection_dim = dim(range(p_b) ∩ Cv), computed against the block's
+    eigenvectors above 1/2, is the verified fact dim(pA ∩ qA) = 0 for the
+    rank-one ideal qA. q = vv* in that block and zero elsewhere, so
+    `block` and `vector` determine it and it is not kept.
     """
 
     essential: bool
@@ -401,26 +404,21 @@ def is_essential_right_ideal(J: RightIdeal) -> tuple[bool, IdealCertificate]:
 
     pA meets every nonzero right ideal iff p is the identity in every block;
     otherwise a rank-one ideal qA built on a unit vector orthogonal to
-    range(p) intersects pA trivially.
+    range(p) intersects pA trivially. RightIdeal accepted p as a projection,
+    so every eigenvalue of a block lies within about 2·ACCEPT_TOL of 0 or 1,
+    and a block is the identity iff its least eigenvalue exceeds 1/2.
     """
     p = J.support_projection
-    shape = J.shape
-    cut = DEFAULT_TOL * (1.0 + p.norm())
-    errs = [linalg.op_norm(pb - np.eye(n)) for pb, n in zip(p.blocks, shape.block_dims)]
-    if max(errs) <= cut:
-        return True, IdealCertificate(essential=True, identity_error=max(errs))
+    b = next((b for b, (eigs, _) in enumerate(p._eig) if eigs[0] <= 0.5), None)
+    if b is None:
+        err = max(linalg.op_norm(pb - np.eye(len(pb))) for pb in p.blocks)
+        return True, IdealCertificate(essential=True, identity_error=err)
 
-    # a defective block and a unit vector missing from range(p)
-    b = next(b for b, err in enumerate(errs) if err > cut)
-    # RightIdeal accepted p as hermitian at the element's scale; a second
-    # test at the block's own scale could refuse the same p
-    _, u = linalg.herm_eig(p.blocks[b], tol=np.inf)
-    v = u[:, 0]  # eigenvalue ≈ 0: orthogonal complement of range(p)
-    q = np.outer(v, v.conj())  # block b of q; its other blocks are zero
-    inter = linalg.subspace_intersection_dim(p.blocks[b], q)
+    eigs, u = p._eig[b]
+    v = u[:, 0]  # eigenvalue ≈ 0: orthogonal complement of range(p_b)
     return False, IdealCertificate(
         essential=False,
         block=b,
         vector=tuple(complex(z) for z in v),
-        intersection_dim=int(inter),
+        intersection_dim=linalg.subspace_intersection_dim(u[:, eigs > 0.5], v[:, None]),
     )

@@ -15,7 +15,8 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import IrrationalRoot, SizeCap
-from .fields import FieldModuleSpec, FieldPiece, SubspaceField
+from .fields import FieldModuleSpec, FieldPiece, SubspaceField, analyze_field
+from .linalg import column_space_projector
 from .modules import ModuleElement, module_basis
 from .polynomials import GaussianPoly
 from .rationals import identity_columns
@@ -96,10 +97,7 @@ def rand_projection(rng: SplitMix64, shape: AlgebraShape) -> AlgebraElement:
         if r == 0:
             blocks.append(np.zeros((n, n), dtype=np.complex128))
             continue
-        cols = rand_matrix(rng, n, r)
-        from .linalg import column_space_projector
-
-        blocks.append(column_space_projector(cols))
+        blocks.append(column_space_projector(rand_matrix(rng, n, r)))
     return AlgebraElement(shape, tuple(blocks))
 
 
@@ -273,7 +271,5 @@ def _gen_field_attempt(
             generators.append(extra)
     spec = FieldModuleSpec(d, tuple(generators), field)
     # force IrrationalRoot rejection now rather than at check time
-    from .fields import analyze_field
-
     analyze_field(spec)
     return spec

@@ -45,17 +45,14 @@ def op_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _canonical_phases(u: np.ndarray, eigs: np.ndarray) -> np.ndarray:
-    """Fix each eigenvector's phase so the entry of largest modulus is
-    positive real. Eigendecompositions are then reproducible run to run."""
-    v = u.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        i = int(np.argmax(np.abs(col)))
-        piv = col[i]
-        if abs(piv) > 0:
-            v[:, j] = col * (piv.conjugate() / abs(piv))
-    return v
+def _canonical_phases(u: np.ndarray) -> np.ndarray:
+    """Fix each eigenvector's phase so the entry of largest modulus (the
+    first, on a tie) is positive real. Eigendecompositions are then
+    reproducible run to run."""
+    if not u.size:
+        return u
+    piv = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return u * np.array([z.conjugate() / abs(z) if abs(z) > 0 else 1.0 for z in piv], dtype=np.complex128)
 
 
 def herm_eig(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +73,7 @@ def herm_eig(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         eigs, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return eigs.real, _canonical_phases(u, eigs.real)
+    return eigs.real, _canonical_phases(u)
 
 
 def is_psd(a, tol: float = DEFAULT_TOL) -> bool:

@@ -208,7 +208,7 @@ def ideal_of_submodule(N: Submodule) -> RightIdeal:
     lies in col M_b, i.e. iff P_b T_b = T_b.
     """
     amp = operator_shape(N.shape, N.k)
-    return RightIdeal(amp, AlgebraElement._of(amp, N.block_projectors))
+    return RightIdeal(AlgebraElement._of(amp, N.block_projectors))
 
 
 def submodule_of_ideal(J: RightIdeal, shape: AlgebraShape, k: int) -> Submodule:
@@ -228,16 +228,8 @@ def submodule_of_ideal(J: RightIdeal, shape: AlgebraShape, k: int) -> Submodule:
     ))
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of the essentiality reformulation probe at a point m."""
-
-    found: bool
-    witness: AlgebraElement | None
-
-
-def reformulation_probe(m: ModuleElement, N: Submodule) -> ProbeResult:
-    """Search for a ∈ A with m·a ∈ N and m·a ≠ 0.
+def reformulation_probe(m: ModuleElement, N: Submodule) -> AlgebraElement | None:
+    """Search for a ∈ A with m·a ∈ N and m·a ≠ 0; return it, or None.
 
     Block b of m·a is X_b a_b, X_b the stacked block-b coordinates of m,
     and it lies in N iff every column of a_b lies in K_b = ker((1 − P_b)X_b).
@@ -257,10 +249,10 @@ def reformulation_probe(m: ModuleElement, N: Submodule) -> ProbeResult:
         if s[0] > best_norm:
             best_norm, best_block, best_col = float(s[0]), b, kernel @ vh[0].conj()
     if best_norm <= DEFAULT_TOL * (1.0 + m.norm()):
-        return ProbeResult(found=False, witness=None)
+        return None
     blocks = [np.zeros((n, n), dtype=np.complex128) for n in m.shape.block_dims]
     blocks[best_block][:, 0] = best_col
-    return ProbeResult(found=True, witness=AlgebraElement._of(m.shape, tuple(blocks)))
+    return AlgebraElement._of(m.shape, tuple(blocks))
 
 
 def _nullspace(a: np.ndarray) -> np.ndarray:
@@ -296,13 +288,12 @@ def is_essential_submodule(N: Submodule) -> tuple[bool, SubmoduleCertificate]:
         )
         return True, cert
     m = _witness_from_ideal_certificate(ideal_cert, N.shape, N.k)
-    probe = reformulation_probe(m, N)
     cert = SubmoduleCertificate(
         essential=False,
         topologically_essential=False,
         ideal_certificate=ideal_cert,
         witness=m,
-        witness_probe_found=probe.found,
+        witness_probe_found=reformulation_probe(m, N) is not None,
     )
     return False, cert
 

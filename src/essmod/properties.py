@@ -186,7 +186,7 @@ def prop_subideal_pipeline(rng):
 def prop_ideal_roundtrip(rng):
     shape = rng.choice(SHAPES)
     p = generate.rand_projection(rng, shape)
-    ideal = algebra.ideal_from_projection(p)
+    ideal = algebra.RightIdeal(p)
     back = algebra.ideal_support_projection(ideal.spanning_set())
     return back.support_projection.distance(p) <= 1e-8
 
@@ -195,7 +195,7 @@ def prop_ideal_roundtrip(rng):
 def prop_essentiality_oracle(rng):
     shape = rng.choice(SHAPES)
     p = AlgebraElement.identity(shape) if rng.randint(0, 3) == 0 else generate.rand_projection(rng, shape)
-    ideal = algebra.ideal_from_projection(p)
+    ideal = algebra.RightIdeal(p)
     decision, _ = algebra.is_essential_right_ideal(ideal)
     falsified = False
     for b, n in enumerate(shape.block_dims):
@@ -273,7 +273,7 @@ def prop_correspondence(rng):
             m = generate.rand_module_element(rng, shape, k)
             if m.is_zero(1e-9):
                 continue
-            if not modules.reformulation_probe(m, n).found:
+            if modules.reformulation_probe(m, n) is None:
                 return False
         return True
     return cert.witness_probe_found is False

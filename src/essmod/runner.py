@@ -12,34 +12,18 @@ import time
 from fractions import Fraction
 
 from . import algebra, fields, modules, serialize
-from .errors import PreconditionFailed, SchemaError, SizeCap
+from .errors import PreconditionFailed, SizeCap
 from .serialize import (
     SCHEMA,
-    _require,
-    element_from_json,
     element_to_json,
     field_spec_from_json,
     frac_to_json,
     module_element_to_json,
+    right_ideal_from_json,
     section_to_json,
     submodule_from_json,
     subset_to_json,
 )
-
-
-def _right_ideal_from_payload(payload: dict) -> tuple[algebra.RightIdeal, list]:
-    if "support_projection" not in payload:
-        raise SchemaError("right_ideal payload needs a support_projection")
-    p = element_from_json(payload["support_projection"])
-    try:
-        ideal = algebra.ideal_from_projection(p)
-    except Exception as exc:
-        raise SchemaError(f"bad support projection: {exc}") from exc
-    gens = [element_from_json(g) for g in _require(payload.get("generators", []), list, "generators")]
-    for g in gens:
-        if g.shape != ideal.shape:
-            raise SchemaError("generator over a different shape")
-    return ideal, gens
 
 
 def _opened(doc, kind: str) -> tuple[str, dict, dict]:
@@ -55,13 +39,11 @@ def run_check(doc) -> serialize.Report:
     t0 = time.perf_counter()
     kind, payload, report = _opened(doc, "check_report")
     if kind == "right_ideal":
-        ideal, _ = _right_ideal_from_payload(payload)
+        ideal, _ = right_ideal_from_json(payload)
         decision, cert = algebra.is_essential_right_ideal(ideal)
         report["decision"] = decision
         report["certificate"] = _ideal_certificate_json(cert)
-        report["checks_ok"] = (
-            cert.intersection_dim == 0 if not decision else True
-        )
+        report["checks_ok"] = decision or cert.intersection_dim == 0
     elif kind == "module_submodule":
         n = submodule_from_json(payload)
         decision, cert = modules.is_essential_submodule(n)
@@ -106,7 +88,7 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> serialize.Repo
         raise SizeCap(f"samples must lie in 0..{MAX_SAMPLES}")
     kind, payload, report = _opened(doc, "witness_report")
     if kind == "right_ideal":
-        ideal, gens = _right_ideal_from_payload(payload)
+        ideal, gens = right_ideal_from_json(payload)
         x = gens[0] if gens else ideal.support_projection
         if x.is_zero():
             raise PreconditionFailed("no nonzero generator to build a subideal from")

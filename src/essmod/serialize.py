@@ -22,8 +22,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape
-from .errors import SchemaError, SizeCap
+from .algebra import AlgebraElement, AlgebraShape, RightIdeal
+from .errors import NonFinite, NotProjection, SchemaError, SizeCap
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField
 from .modules import ModuleElement, Submodule
 from .polynomials import GaussianPoly, _over_lcm
@@ -171,6 +171,25 @@ def _block_from_json(blk, n: int) -> np.ndarray:
     if m.shape != (n, n):
         raise SchemaError(f"block of shape {m.shape}, expected ({n}, {n})")
     return m
+
+
+def right_ideal_from_json(doc) -> tuple[RightIdeal, list[AlgebraElement]]:
+    """The ideal pA of a right_ideal payload and its generators, each
+    over the payload's shape."""
+    if not isinstance(doc, dict) or "support_projection" not in doc:
+        raise SchemaError("right_ideal payload needs a support_projection")
+    shape = shape_from_json(doc.get("shape", {}))
+    p = element_from_json(doc["support_projection"])
+    if p.shape != shape:
+        raise SchemaError("support projection over a shape other than the payload's")
+    try:
+        ideal = RightIdeal(p)
+    except (NotProjection, NonFinite) as exc:
+        raise SchemaError(f"bad support projection: {exc}") from exc
+    gens = [element_from_json(g) for g in _require(doc.get("generators", []), list, "generators")]
+    if any(g.shape != shape for g in gens):
+        raise SchemaError("generator over a different shape")
+    return ideal, gens
 
 
 def module_element_to_json(x: ModuleElement) -> dict:

@@ -10,10 +10,10 @@ from essmod.linalg import ACCEPT_TOL
 from essmod.algebra import (
     AlgebraElement,
     AlgebraShape,
+    RightIdeal,
     all_eigenvalues,
     calculus,
     closed_subideal,
-    ideal_from_projection,
     ideal_support_projection,
     is_essential_right_ideal,
     is_projection,
@@ -28,7 +28,7 @@ from essmod.errors import (
     NotProjection,
     ZeroInput,
 )
-from essmod.generate import SplitMix64, rand_algebra_element, rand_hermitian, rand_projection
+from essmod.generate import SplitMix64, rand_algebra_element, rand_hermitian, rand_matrix, rand_projection
 from projector_oracle import svd_is_projection
 
 M2 = AlgebraShape((2,))
@@ -161,14 +161,14 @@ def test_lower_approximants_increase_in_psd_order():
 
 def test_ideal_from_identity_contains_everything():
     rng = SplitMix64(9)
-    ideal = ideal_from_projection(AlgebraElement.identity(MIXED))
+    ideal = RightIdeal(AlgebraElement.identity(MIXED))
     for _ in range(5):
         assert ideal.contains(rand_algebra_element(rng, MIXED))
 
 
 def test_ideal_from_zero_contains_only_zero():
     rng = SplitMix64(10)
-    ideal = ideal_from_projection(AlgebraElement.zeros(M2))
+    ideal = RightIdeal(AlgebraElement.zeros(M2))
     assert ideal.contains(AlgebraElement.zeros(M2))
     b = rand_algebra_element(rng, M2)
     if not b.is_zero(1e-6):
@@ -176,7 +176,7 @@ def test_ideal_from_zero_contains_only_zero():
 
 
 def test_ideal_membership_e11_means_second_row_zero():
-    ideal = ideal_from_projection(e11_m2())
+    ideal = RightIdeal(e11_m2())
     top_row = AlgebraElement(M2, (np.array([[2, 3j], [0, 0]], dtype=complex),))
     bottom = AlgebraElement(M2, (np.array([[2, 3j], [1, 0]], dtype=complex),))
     assert ideal.contains(top_row)
@@ -185,7 +185,7 @@ def test_ideal_membership_e11_means_second_row_zero():
 
 def test_ideal_from_projection_rejects_non_projection():
     with pytest.raises(NotProjection):
-        ideal_from_projection(diag_elem(0.5, 1.0))
+        RightIdeal(diag_elem(0.5, 1.0))
 
 
 @pytest.mark.parametrize("delta, accepted", [(0.1 * ACCEPT_TOL, True), (10 * ACCEPT_TOL, False)])
@@ -193,10 +193,10 @@ def test_projection_acceptance_boundary(delta, accepted):
     """e11 + δ·e22 misses p² = p by about δ, against a cut of ACCEPT_TOL·(1 + ‖p‖)."""
     p = e11_m2() + delta * AlgebraElement.matrix_unit(M2, 0, 1, 1)
     if accepted:
-        assert ideal_from_projection(p).support_projection is p
+        assert RightIdeal(p).support_projection is p
     else:
         with pytest.raises(NotProjection):
-            ideal_from_projection(p)
+            RightIdeal(p)
 
 
 @st.composite
@@ -265,7 +265,7 @@ def test_ideal_roundtrip_random_projections():
     rng = SplitMix64(12)
     for _ in range(20):
         p = rand_projection(rng, MIXED)
-        back = ideal_support_projection(ideal_from_projection(p).spanning_set())
+        back = ideal_support_projection(RightIdeal(p).spanning_set())
         assert back.support_projection.distance(p) <= 1e-8
 
 
@@ -305,6 +305,22 @@ def test_closed_subideal_rank_matches_svd_oracle():
         assert w.verified
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e3])
+@pytest.mark.parametrize("s", [1e-2, 1e-3, 3e-5, 1.2e-5, 1e-6])
+def test_closed_subideal_threshold_is_scale_free(c, s):
+    """x = c·u·diag(1, 1/2, s)·v: xA does not depend on c, and neither may
+    the subideal. The threshold counted an eigenvalue of x·x* as nonzero
+    above 1e-9·(1 + ‖x·x*‖), so every x with c = 1e-6 was refused as too
+    small. Cutting at DEFAULT_TOL·‖x·x*‖ instead lets s = 1.2e-5 put eps
+    within the spectral cut, and s = 1e-5 through with residuals past
+    ACCEPT_TOL. Above ACCEPT_TOL·‖x·x*‖, s² decides the rank alone."""
+    rng = SplitMix64(3)
+    u, v = (np.linalg.qr(rand_matrix(rng, 3, 3))[0] for _ in range(2))
+    w = closed_subideal(AlgebraElement(M3, (c * u @ np.diag([1.0, 0.5, s]) @ v,)))
+    assert w.verified
+    assert w.ideal.rank() == (3 if s * s > ACCEPT_TOL else 2)
+
+
 def closed_subideal_probe_oracle(x, w):
     """The per-unit probe loop: each probe p·E of the spanning set as an
     algebra element, checked by two element distances."""
@@ -338,13 +354,13 @@ def test_closed_subideal_rejects_zero():
 # --- essentiality ----------------------------------------------------------------------
 
 def test_whole_algebra_is_essential():
-    dec, cert = is_essential_right_ideal(ideal_from_projection(AlgebraElement.identity(MIXED)))
+    dec, cert = is_essential_right_ideal(RightIdeal(AlgebraElement.identity(MIXED)))
     assert dec and cert.essential
     assert cert.identity_error <= 1e-12
 
 
 def test_e11_ideal_is_not_essential():
-    dec, cert = is_essential_right_ideal(ideal_from_projection(e11_m2()))
+    dec, cert = is_essential_right_ideal(RightIdeal(e11_m2()))
     assert not dec
     v = np.array(cert.vector)
     # certificate vector is e2 up to phase
@@ -358,7 +374,7 @@ def test_e11_ideal_is_not_essential():
 
 
 def test_zero_ideal_is_not_essential():
-    dec, cert = is_essential_right_ideal(ideal_from_projection(AlgebraElement.zeros(MIXED)))
+    dec, cert = is_essential_right_ideal(RightIdeal(AlgebraElement.zeros(MIXED)))
     assert not dec
     assert cert.intersection_dim == 0
 
@@ -366,8 +382,6 @@ def test_zero_ideal_is_not_essential():
 def test_essentiality_matches_rank_one_falsification_oracle():
     """Random ideals against the randomized intersection oracle."""
     rng = SplitMix64(14)
-    from essmod.generate import rand_matrix
-
     for trial in range(1000):
         shape = (M2, M3, MIXED)[rng.randint(0, 2)]
         p = (
@@ -375,7 +389,7 @@ def test_essentiality_matches_rank_one_falsification_oracle():
             if rng.randint(0, 3) == 0
             else rand_projection(rng, shape)
         )
-        decision, _ = is_essential_right_ideal(ideal_from_projection(p))
+        decision, _ = is_essential_right_ideal(RightIdeal(p))
         falsified = False
         for b, n in enumerate(shape.block_dims):
             for _ in range(6):

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import report_oracle
 
 from essmod import cli, properties, runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape
@@ -756,6 +757,125 @@ def test_near_projection_is_checked_at_one_scale(tmp_path, capsys):
     assert_float_digests(NEAR_PROJECTION, witness,
                          "30d022c4e3c2f91f3c1cd9e3845bff6f39d5a44ef8a57d3fadfe313a73afc59d",
                          "0cad6462c8e4ffd102296bda481d0b4ad51f0836cbcb6b2958e9fb73cc54fafb")
+
+
+def diagonal_projection_doc(*diagonal):
+    """A right ideal of M_n whose support projection is diag(diagonal)."""
+    shape = AlgebraShape((len(diagonal),))
+    p = AlgebraElement(shape, (np.diag(diagonal),))
+    payload = {"shape": serialize.shape_to_json(shape), "support_projection": serialize.element_to_json(p)}
+    return serialize.instance_to_json("right_ideal", payload, None)
+
+
+def scaled_identity_doc(blocks, c):
+    """A right ideal with identity support and the one generator c·I."""
+    shape = AlgebraShape(blocks)
+    one = AlgebraElement.identity(shape)
+    payload = {"shape": serialize.shape_to_json(shape), "support_projection": serialize.element_to_json(one),
+               "generators": [serialize.element_to_json(c * one)]}
+    return serialize.instance_to_json("right_ideal", payload, None)
+
+
+def cli_report(command, doc, tmp_path):
+    """Exit code of `essmod command` on doc, and the report it wrote."""
+    path, out = tmp_path / "doc.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([command, "--in", str(path), "--out", str(out)])
+    return code, json.loads(out.read_text()) if out.exists() else None
+
+
+def test_projection_just_below_the_identity_is_essential(tmp_path):
+    """diag(0.999999995, 1) passes as a projection at ACCEPT_TOL, but the
+    decider cut ‖p − 1‖ at DEFAULT_TOL·(1 + ‖p‖): it took the eigenvalue
+    0.999999995 for a missing direction, and check exited 1 with
+    intersection_dim 1."""
+    code, report = cli_report("check", diagonal_projection_doc(0.999999995, 1.0), tmp_path)
+    assert code == 0 and report["decision"] is True and report["checks_ok"] is True
+
+
+def test_projection_with_a_tiny_eigenvalue_is_not_essential(tmp_path):
+    """diag(1, 1.5e-8) passes as a projection. The eigenvector of 1.5e-8
+    was intersected with range(p) at ACCEPT_TOL, which counts that
+    eigenvalue in the range, so check exited 1 with intersection_dim 1."""
+    code, report = cli_report("check", diagonal_projection_doc(1.0, 1.5e-8), tmp_path)
+    assert code == 0 and report["decision"] is False and report["checks_ok"] is True
+    assert report["certificate"]["intersection_dim"] == 0
+
+
+@pytest.mark.parametrize("blocks", [(2,), (1, 3)])
+@pytest.mark.parametrize("c", [1e-5, 1e-6, 1e-8, 2e-10])
+def test_tiny_generator_gets_its_subideal(blocks, c, tmp_path):
+    """xA = (cx)A, but the subideal threshold counted an eigenvalue of a =
+    x·x* (c² here) as nonzero only above 1e-9·(1 + ‖a‖): witness exited 2
+    with ZeroInput on generators that closed_subideal itself accepted."""
+    code, report = cli_report("witness", scaled_identity_doc(blocks, c), tmp_path)
+    assert code == 0 and report["checks_ok"] is True
+    assert report["witness"]["rank"] == sum(blocks)
+
+
+def test_right_ideal_shape_must_match_its_projection(tmp_path, capsys):
+    """The payload's shape was never read: a 2×2 projection under the shape
+    [5, 7] was decided with exit 0, and so was a payload with no shape."""
+    doc = diagonal_projection_doc(1.0, 0.0)
+    no_shape = copy.deepcopy(doc)
+    del no_shape["payload"]["shape"]
+    assert_input_errors(tmp_path / "bad.json", [edited(doc, ("shape", "block_dims"), [5, 7]), no_shape], capsys)
+
+
+# gen_right_ideal / gen_module_submodule block dims from 1 up to the gen cap of 6
+CAP_BLOCKS = [(1,), (6,), (2, 3), (6, 6, 6)]
+EDGE_DOCUMENTS = [
+    NEAR_PROJECTION,
+    diagonal_projection_doc(0.999999995, 1.0),
+    diagonal_projection_doc(1.0, 1.5e-8),
+    *(scaled_identity_doc(blocks, c) for blocks in ((2,), (1, 3)) for c in (1e-5, 2e-10)),
+]
+
+
+def test_float_check_reports_pass_the_report_oracle():
+    """The independent oracle of tests/report_oracle.py accepts every
+    right-ideal and module check report over the gen caps (k from 1 to
+    4), the float goldens and the edge documents, both decisions of each
+    kind among them. The 79 reports take about 0.1 s on a 2-vCPU VM."""
+    docs = [gen_right_ideal(blocks, seed) for blocks in CAP_BLOCKS for seed in range(4)]
+    docs += [gen_module_submodule(blocks, k, seed) for blocks in CAP_BLOCKS for k in (1, 4) for seed in range(4)]
+    docs += [gen_right_ideal(blocks, seed) for blocks, seed, *_ in GOLDEN_RIGHT_IDEAL_DIGESTS]
+    docs += [gen_module_submodule(blocks, k, seed) for blocks, k, seed, *_ in GOLDEN_MODULE_DIGESTS]
+    docs += EDGE_DOCUMENTS
+    t0 = time.perf_counter()
+    decisions = set()
+    for doc in docs:
+        report = json.loads(serialize.dumps(runner.run_check(doc)))
+        report_oracle.verify(doc, report)
+        decisions.add((doc["kind"], report["decision"]))
+    assert time.perf_counter() - t0 < 1.0
+    assert decisions == {(kind, d) for kind in ("right_ideal", "module_submodule") for d in (False, True)}
+
+
+def wrong_vector(report):
+    """e1, which lies in range(p), in place of the certificate's vector."""
+    cert = report["certificate"]
+    cert["vector"] = [[1.0, 0.0]] + [[0.0, 0.0]] * (len(cert["vector"]) - 1)
+
+
+@pytest.mark.parametrize("doc, mutate", [
+    pytest.param(diagonal_projection_doc(1.0, 1.0), lambda r: r.update(decision=False), id="decision"),
+    pytest.param(diagonal_projection_doc(1.0, 1.0), lambda r: r["certificate"].update(identity_error=1e-9),
+                 id="identity-error"),
+    pytest.param(diagonal_projection_doc(1.0, 0.0), lambda r: r["certificate"].update(intersection_dim=1),
+                 id="intersection-dim"),
+    pytest.param(diagonal_projection_doc(1.0, 0.0), wrong_vector, id="vector"),
+    pytest.param(diagonal_projection_doc(1.0, 0.0), lambda r: r["certificate"]["vector"][1].__setitem__(0, 0.5),
+                 id="vector-length"),
+    pytest.param(gen_module_submodule((2,), 1, 1), lambda r: r.update(decision=not r["decision"]),
+                 id="module-decision"),
+])
+def test_report_oracle_refuses_a_wrong_claim(doc, mutate):
+    report = json.loads(serialize.dumps(runner.run_check(doc)))
+    report_oracle.verify(doc, report)
+    mutate(report)
+    with pytest.raises(AssertionError):
+        report_oracle.verify(doc, report)
 
 
 def run_console(command, doc, tmp_path):

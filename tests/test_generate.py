@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from essmod import runner, serialize
+from essmod import serialize
 from essmod.errors import SizeCap
 from essmod.fields import analyze_field, is_essential_field
 from essmod.generate import (
@@ -46,7 +46,7 @@ def test_gen_right_ideal_validates():
     doc = gen_right_ideal((2, 3), 7)
     kind, payload = serialize.validate_instance(doc)
     assert kind == "right_ideal"
-    ideal, gens = runner._right_ideal_from_payload(payload)
+    ideal, gens = serialize.right_ideal_from_json(payload)
     assert len(gens) == len(payload["generators"])
     for g in gens:
         assert ideal.contains(g)

@@ -50,6 +50,36 @@ def test_herm_eig_deterministic_across_calls():
     assert np.array_equal(u1, u2)
 
 
+def column_loop_phases(u):
+    """The reference: each column scaled, one by one, so that its first
+    entry of largest modulus becomes positive real."""
+    v = u.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        piv = col[int(np.argmax(np.abs(col)))]
+        if abs(piv) > 0:
+            v[:, j] = col * (piv.conjugate() / abs(piv))
+    return v
+
+
+def test_canonical_phases_match_the_column_loop():
+    """Eigenvectors reach report bytes, so the vectorized phase fix must
+    equal the column loop bit for bit, on projectors and on random and
+    dyadic hermitian matrices up to the amplified cap 24."""
+    rng = np.random.default_rng(3)
+    for trial in range(600):
+        n = int(rng.integers(1, 25))
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if trial % 3 == 0:
+            m = np.round(m * 8) / 8
+        h = (m + m.conj().T) / 2
+        if trial % 3 == 1:
+            h = linalg.column_space_projector(m[:, : n // 2 + 1])
+        u = np.linalg.eigh(h)[1]
+        assert linalg._canonical_phases(u).tobytes() == column_loop_phases(u).tobytes(), trial
+    assert linalg._canonical_phases(np.zeros((0, 0), dtype=complex)).shape == (0, 0)
+
+
 def test_op_norm_identity_and_diag():
     assert linalg.op_norm(np.eye(4)) == pytest.approx(1.0)
     assert linalg.op_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)

@@ -380,12 +380,12 @@ def test_submodule_questions_match_flattened_oracles():
         for m in probes:
             if m.is_zero():
                 continue
-            probe = reformulation_probe(m, n)
-            assert probe.found == probe_found_oracle(m, n)
-            if probe.found:
-                assert contains_oracle(n, m * probe.witness)
-                assert not (m * probe.witness).is_zero(1e-8)
-            seen["found"].add(probe.found)
+            witness = reformulation_probe(m, n)
+            assert (witness is not None) == probe_found_oracle(m, n)
+            if witness is not None:
+                assert contains_oracle(n, m * witness)
+                assert not (m * witness).is_zero(1e-8)
+            seen["found"].add(witness is not None)
     assert all(outcomes == {True, False} for outcomes in seen.values()), seen
 
 
@@ -481,21 +481,21 @@ def test_correspondence_roundtrip_random():
 def test_probe_whole_module_found_with_unit():
     n = Submodule(C, 2, tuple(module_basis(C, 2)))
     m = scalar_module(1.0, 2.0)
-    probe = reformulation_probe(m, n)
-    assert probe.found
-    assert n.contains(m * probe.witness)
+    witness = reformulation_probe(m, n)
+    assert witness is not None
+    assert n.contains(m * witness)
 
 
 def test_probe_zero_submodule_not_found():
     n = Submodule(C, 2, ())
-    assert not reformulation_probe(scalar_module(1.0, 1.0), n).found
+    assert reformulation_probe(scalar_module(1.0, 1.0), n) is None
 
 
 def test_probe_diagonal_line_misses():
     # N = span{e1}, m = e1 + e2: m·a = (a, a) lands in N only when a = 0
     e1, _ = module_basis(C, 2)
     n = Submodule(C, 2, (e1,))
-    assert not reformulation_probe(scalar_module(1.0, 1.0), n).found
+    assert reformulation_probe(scalar_module(1.0, 1.0), n) is None
 
 
 def test_probe_rejects_zero_input():
@@ -545,6 +545,6 @@ def test_essentiality_agrees_with_randomized_probe_oracle():
                 m = rand_module_element(rng, shape, k)
                 if m.is_zero(1e-8):
                     continue
-                assert reformulation_probe(m, n).found
+                assert reformulation_probe(m, n) is not None
         else:
             assert cert.witness_probe_found is False

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import projector_oracle
 from projector_oracle import clear_denominators, crat_from_json, fraction_poly_json
 
-from essmod import rationals, runner, serialize
-from essmod.algebra import AlgebraElement, AlgebraShape, ideal_from_projection
+from essmod import rationals, serialize
+from essmod.algebra import AlgebraElement, AlgebraShape, RightIdeal
 from essmod.errors import SchemaError
 from essmod.fields import FieldModuleSpec, FieldPiece, SubspaceField
 from essmod.generate import SplitMix64, gen_field, rand_algebra_element, rand_module_element
@@ -256,17 +256,17 @@ def test_element_block_shape_mismatch_rejected():
 
 
 def test_right_ideal_roundtrip():
-    ideal = ideal_from_projection(AlgebraElement.identity(MIXED))
+    ideal = RightIdeal(AlgebraElement.identity(MIXED))
     payload = {
         "shape": serialize.shape_to_json(ideal.shape),
         "support_projection": serialize.element_to_json(ideal.support_projection),
     }
-    back, gens = runner._right_ideal_from_payload(payload)
+    back, gens = serialize.right_ideal_from_json(payload)
     assert back.support_projection.distance(ideal.support_projection) == 0.0
     assert gens == []
     payload["support_projection"]["blocks"][0][0][0] = [0.5, 0.0]
     with pytest.raises(SchemaError):
-        runner._right_ideal_from_payload(payload)
+        serialize.right_ideal_from_json(payload)
 
 
 def test_module_element_and_submodule_roundtrip():
