@@ -19,6 +19,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -31,8 +33,8 @@ from .errors import (
 )
 from .polynomials import GaussianPoly, RationalPoly, exact_zero_points, poly_gcd, real_root_count
 from .rationals import GaussianIntVector, annihilator, identity_columns
-from .sections import PiecewiseSection, _scaled_value, bump, pointwise_inner
-from .subsets import Interval, SymbolicSubset, _order, _sweep
+from .sections import PiecewiseSection, _columns, _from_columns, _scaled_value, bump, pointwise_inner
+from .subsets import Interval, SymbolicSubset, _order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,7 +51,10 @@ class FieldPiece:
 
 @dataclass(frozen=True)
 class SubspaceField:
-    """Piecewise-constant assignment x ↦ L_x ⊆ C^d on an exact partition."""
+    """Piecewise-constant assignment x ↦ L_x ⊆ C^d on an exact partition,
+    ordered once: the sorted `bounds` (0 and 1 among them) cut [0, 1] into
+    regions 2i (the point bounds[i]) and 2i + 1 (the gap after it), region r
+    lies in piece `owners[r]`, and overlap and gaps are read off that table."""
 
     d: int
     pieces: tuple[FieldPiece, ...]
@@ -57,13 +62,21 @@ class SubspaceField:
     def __post_init__(self):
         if any(len(col) != self.d for p in self.pieces for col in p.basis):
             raise DimensionMismatch("basis columns must have the fiber dimension")
-        coverage: set[int] = set()  # `keep` only records how many pieces cover each region
-        _sweep([([x for p in self.pieces for x in p.region.points],
-                 [iv for p in self.pieces for iv in p.region.intervals])], coverage.add)
-        if max(coverage) > 1:
-            raise ValueError("partition pieces overlap")
-        if 0 in coverage:
+        bounds, slot = _order([ZERO, ONE, *(x for p in self.pieces for x in p.region.points),
+                               *(x for p in self.pieces for iv in p.region.intervals for x in (iv.lo, iv.hi))])
+        owners = [None] * (2 * len(bounds) - 1)
+        for i, p in enumerate(self.pieces):
+            marks = [slot[x.as_integer_ratio()] for x in p.region.points]
+            for iv in p.region.intervals:
+                marks += range(slot[iv.lo.as_integer_ratio()] + (not iv.lo_closed), slot[iv.hi.as_integer_ratio()] + iv.hi_closed)
+            for r in marks:
+                if owners[r] is not None:
+                    raise ValueError("partition pieces overlap")
+                owners[r] = i
+        if None in owners:
             raise ValueError("partition pieces do not cover [0, 1]")
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "owners", owners)
         # annihilators[i]: the rows whose common kernel is L on piece i
         object.__setattr__(
             self, "annihilators", tuple(annihilator(p.basis, self.d) for p in self.pieces)
@@ -77,20 +90,21 @@ class SubspaceField:
         return next(a for p, a in zip(self.pieces, self.annihilators) if p.region.contains(x))
 
 
+def _dot(a: GaussianIntVector, w: GaussianIntVector) -> tuple[int, int]:
+    """The plain bilinear product a·w in Gaussian integers."""
+    return (sum(ar * x - ai * y for (ar, ai), (x, y) in zip(a, w)),
+            sum(ar * y + ai * x for (ar, ai), (x, y) in zip(a, w)))
+
+
 def _outside(ann: tuple[GaussianIntVector, ...], w: GaussianIntVector) -> bool:
     """True iff w ∉ L (w a positive multiple of the vector in question, in
     Gaussian integers), given the annihilator rows of L: some a·w ≠ 0."""
-    return any(
-        sum(ar * x - ai * y for (ar, ai), (x, y) in zip(a, w))
-        or sum(ar * y + ai * x for (ar, ai), (x, y) in zip(a, w))
-        for a in ann
-    )
+    return any(_dot(a, w) != (0, 0) for a in ann)
 
 
 # --- atoms: the common refinement of the partition and section pieces ------
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """Point (lo == hi) or open interval (lo, hi): field piece `piece_index`, section piece `section_index`."""
 
     lo: Fraction
@@ -101,58 +115,53 @@ class Atom:
 
 
 def field_atoms(field: SubspaceField, breakpoints) -> list[Atom]:
-    """Atoms in order, for a section with these breakpoints. The sorted bounds
-    cut [0, 1] into regions 2i (the point bounds[i]) and 2i + 1 (the gap
-    after it); one pass over the pieces marks each region's owner, and the
-    inner breakpoints at or before a region number the section's piece."""
-    ends = list(breakpoints)
-    for piece in field.pieces:
-        ends += piece.region.points
-        ends += (x for iv in piece.region.intervals for x in (iv.lo, iv.hi))
-    bounds, slot = _order(ends)
-    owner = [0] * (2 * len(bounds) - 1)
-    for i, piece in enumerate(field.pieces):
-        for x in piece.region.points:
-            owner[slot[x.as_integer_ratio()]] = i
-        for iv in piece.region.intervals:
-            for r in range(slot[iv.lo.as_integer_ratio()] + (not iv.lo_closed), slot[iv.hi.as_integer_ratio()] + iv.hi_closed):
-                owner[r] = i
-    inner = [slot[b.as_integer_ratio()] for b in breakpoints[1:-1]]
-    return [Atom(bounds[r // 2], bounds[(r + 1) // 2], i, bisect_right(inner, r), r % 2 == 0) for r, i in enumerate(owner)]
-
-
-def _residual_polys(ann, piece: tuple[GaussianPoly, ...]) -> list[GaussianPoly]:
-    """The annihilator rows applied to the polynomial vector of one section
-    piece: their common real zeros are where the piece lies in L."""
-    zero = GaussianPoly.zero()
-    return [sum((GaussianPoly(p.re * ar - p.im * ai, p.re * ai + p.im * ar)
-                 for (ar, ai), p in zip(row, piece) if ar or ai), zero) for row in ann]
+    """Atoms in order, for a section with these breakpoints: the field's
+    ordered partition with the section's inner breakpoints merged in. A
+    breakpoint inside a gap splits it around a point atom of the gap's
+    owner; the breakpoints at or before an atom number the section's piece."""
+    bounds, inner, k = field.bounds, breakpoints[1:-1], 0
+    atoms = []
+    for r, i in enumerate(field.owners):
+        lo = bounds[r // 2]
+        if r % 2 == 0:
+            if k < len(inner) and inner[k] == lo:
+                k += 1
+            atoms.append(Atom(lo, lo, i, k, True))
+            continue
+        hi = bounds[r // 2 + 1]
+        while k < len(inner) and inner[k] < hi:
+            atoms += (Atom(lo, inner[k], i, k, False), Atom(inner[k], inner[k], i, k + 1, True))
+            lo, k = inner[k], k + 1
+        atoms.append(Atom(lo, hi, i, k, False))
+    return atoms
 
 
 def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
-    """Exact defect set {x : m(x) ∉ L_x}.
+    """Exact defect set {x : m(x) ∉ L_x}, from each section piece's columns.
 
-    On each atom of the common refinement the membership failure set is
-    either empty, the whole open atom minus finitely many rational roots,
-    or a single point; irrational root boundaries are rejected. The pieces
-    are collected and normalized once.
+    Atoms of full-fiber pieces are skipped; a point atom tests the columns'
+    value there. On an interval atom the piece lies in L iff every column
+    does; else the annihilator rows dotted with the columns give the residual
+    polynomials, whose common roots (rational, or rejected) cut the atom.
     """
     if m.d != field.d:
         raise DimensionMismatch("section and field dimensions differ")
+    columns = [_columns(piece) for piece in m.pieces]
     points: list[Fraction] = []
     intervals: list[Interval] = []
     for atom in field_atoms(field, m.breakpoints):
         ann = field.annihilators[atom.piece_index]
+        if not ann:
+            continue
+        den, cols = columns[atom.section_index]
         if atom.is_point:
-            if ann and _outside(ann, _scaled_value(m.pieces[atom.section_index], atom.lo)):
+            if _outside(ann, _scaled_value(cols, atom.lo)):
                 points.append(atom.lo)
-            continue
-        resid = _residual_polys(ann, m.pieces[atom.section_index])
-        if all(p.is_zero() for p in resid):
-            continue
-        zeros = exact_zero_points(resid, atom.lo, atom.hi)
-        cuts = [atom.lo, *sorted(z for z in zeros if atom.lo < z < atom.hi), atom.hi]
-        intervals.extend(Interval._of(a, b, False, False) for a, b in zip(cuts, cuts[1:]))
+        elif any(_outside(ann, col) for col in cols):
+            resid = [_from_columns(den, [(_dot(a, col),) for col in cols], 1)[0] for a in ann]
+            zeros = exact_zero_points(resid, atom.lo, atom.hi)
+            cuts = [atom.lo, *sorted(z for z in zeros if atom.lo < z < atom.hi), atom.hi]
+            intervals.extend(Interval._of(a, b, False, False) for a, b in zip(cuts, cuts[1:]))
     return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
 
 
@@ -175,7 +184,7 @@ class FieldModuleSpec:
             if g.is_zero():
                 raise ZeroInput("generators must be nonzero")
             if self.vanish_at_boundary:
-                ends = _scaled_value(g.pieces[0], ZERO) + _scaled_value(g.pieces[-1], ONE)
+                ends = _scaled_value(_columns(g.pieces[0])[1], ZERO) + _scaled_value(_columns(g.pieces[-1])[1], ONE)
                 if any(z != (0, 0) for z in ends):
                     raise ValueError("generators must vanish at 0 and 1")
         if self.subfield.d != self.d:
@@ -419,18 +428,36 @@ class InductiveWitness:
         )
 
 
+def _add_times(cell: tuple[int, list], piece: tuple[int, list], coeffs) -> tuple[int, list]:
+    """cell + piece·Σ_l coeffs[l]·x^l for two pieces in column form (D, cols)
+    and rational coeffs: the columns over the lcm of the denominators."""
+    (dc, cc), (dp, pc), e = cell, piece, lcm(*(q.denominator for q in coeffs))
+    den = lcm(dc, dp * e)
+    out = [tuple((den // dc * x, den // dc * y) for x, y in col) for col in cc]
+    out += [((0, 0),) * len(pc[0])] * (len(pc) + len(coeffs) - 1 - len(out))
+    for l, q in enumerate(coeffs):
+        f = q.numerator * (den // (dp * q.denominator))
+        for k, col in enumerate(pc):
+            out[k + l] = tuple((a + f * x, b + f * y) for (a, b), (x, y) in zip(out[k + l], col))
+    return den, out
+
+
 def inductive_witness_section(
     spec: FieldModuleSpec, interval: tuple[Fraction, Fraction], samples, defect: SymbolicSubset
 ) -> InductiveWitness:
-    """Build m = Σ_{j≤J} λ_j g_{k_j} a_j with m(x_j) ∉ L_{x_j} for all j.
+    """Build m = Σ_{j≤J} λ_j g_{k_j} a_j, J ≥ 1, with m(x_j) ∉ L_{x_j} for all j.
 
     Each a_j peaks at 1 on its sample and vanishes at all earlier samples;
     λ_j = 2^{-j} unless that unique value drops the partial sum into the
     subspace, in which case 2^{-j-1} is taken (at most one λ can fail since
     g_{k_j}(x_j) leaves the subspace). `defect` is the total defect set,
-    analyze_field(spec).total.
+    analyze_field(spec).total. Each cell of the refinement sums its terms in
+    column form, generator columns times the integers of λ_j·a_j; membership
+    is tested on the cells' columns, which become polynomials once, at the end.
     """
     xs = [Fraction(x) for x in samples]
+    if not xs:
+        raise ValueError("need at least one sample point")
     if len(set(xs)) != len(xs):
         raise ValueError("sample points must be distinct")
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
@@ -444,11 +471,12 @@ def inductive_witness_section(
             raise SampleNotInDefect(f"sample {x} is not in the defect set")
 
     d, gens = spec.d, spec.generators
+    columns = [[_columns(piece) for piece in g.pieces] for g in gens]
     anns = [field.annihilator_at(x) for x in xs]
     picks = []
     for x, ann in zip(xs, anns):
         k_j = next((k for k, g in enumerate(gens)
-                    if _outside(ann, _scaled_value(g.pieces[g.piece_index_for_interval(x)], x))), None)
+                    if _outside(ann, _scaled_value(columns[k][g.piece_index_for_interval(x)][1], x))), None)
         if k_j is None:
             raise NoGeneratorDefect(
                 f"no generator leaves the subspace at sample {x}; "
@@ -459,31 +487,27 @@ def inductive_witness_section(
     radii = [min([abs(x - y) for y in xs[:i]] + [x, ONE - x]) / 2 for i, x in enumerate(xs)]
     # the common refinement: each cell sums the terms whose bump covers it
     cuts = sorted({ZERO, ONE, *(t for x, r, k in zip(xs, radii, picks) for t in (x - r, x + r, *gens[k].breakpoints))})
-    cells = [(GaussianPoly.zero(),) * d for _ in cuts[1:]]
+    cells = [(1, [])] * (len(cuts) - 1)
     lambdas: list[Fraction] = []
     for j, (x, r, k, ann) in enumerate(zip(xs, radii, picks, anns), start=1):
-        g, c = gens[k], bisect_right(cuts, x) - 1
+        g, cols, c = gens[k], columns[k], bisect_right(cuts, x) - 1
         # the cell holding x sums the earlier terms there, and a_j(x_j) = 1
-        g_piece = g.pieces[g.piece_index_for_interval(cuts[c])]
         lam = Fraction(1, 2 ** j)
-        if not _outside(ann, _scaled_value(tuple(acc + p * lam for acc, p in zip(cells[c], g_piece)), x)):
+        if not _outside(ann, _scaled_value(_add_times(cells[c], cols[g.piece_index_for_interval(x)], (lam,))[1], x)):
             lam = Fraction(1, 2 ** (j + 1))
         lambdas.append(lam)
         # λ_j·a_j = s·(t − a)(b − t) with (a, b) = x_j ∓ r_j, s = λ_j / r_j²
         a, b, s = x - r, x + r, lam / (r * r)
-        term = RationalPoly((-a * b * s, (a + b) * s, -s))
         for c in range(bisect_left(cuts, a), bisect_left(cuts, b)):
-            piece = g.pieces[g.piece_index_for_interval(cuts[c])]
-            cells[c] = tuple(acc + p * term for acc, p in zip(cells[c], piece))
-    total = PiecewiseSection._of(d, tuple(cuts), tuple(cells))
+            cells[c] = _add_times(cells[c], cols[g.piece_index_for_interval(cuts[c])], (-a * b * s, (a + b) * s, -s))
 
     return InductiveWitness(
-        m=total,
+        m=PiecewiseSection._of(d, tuple(cuts), tuple(_from_columns(den, cols, d) for den, cols in cells)),
         lambdas=tuple(lambdas),
         picks=tuple(picks),
         samples=tuple(xs),
         sample_defects_verified=all(
-            _outside(ann, _scaled_value(total.pieces[total.piece_index_for_interval(x)], x)) for x, ann in zip(xs, anns)
+            _outside(ann, _scaled_value(cells[bisect_right(cuts, x) - 1][1], x)) for x, ann in zip(xs, anns)
         ),
     )
 

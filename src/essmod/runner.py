@@ -84,8 +84,8 @@ MAX_SAMPLES = 64
 def run_witness(doc, samples: int = 8, section_index: int = 0) -> serialize.Report:
     """Construct and verify the witness objects matching the instance kind."""
     t0 = time.perf_counter()
-    if not 0 <= samples <= MAX_SAMPLES:
-        raise SizeCap(f"samples must lie in 0..{MAX_SAMPLES}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise SizeCap(f"samples must lie in 1..{MAX_SAMPLES}")
     kind, payload, report = _opened(doc, "witness_report")
     if kind == "right_ideal":
         ideal, gens = right_ideal_from_json(payload)

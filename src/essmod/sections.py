@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch
-from .polynomials import GaussianPoly, RationalPoly, _value, exact_zero_points
+from .polynomials import GaussianPoly, RationalPoly, _norm, exact_zero_points
 from .rationals import GaussianIntVector
 from .subsets import Interval, SymbolicSubset
 
@@ -26,7 +26,7 @@ class PiecewiseSection:
     pieces: tuple[tuple[GaussianPoly, ...], ...]
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
+        bps = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
         if len(bps) < 2 or bps[0] != ZERO or bps[-1] != ONE:
             raise ValueError("breakpoints must run from 0 to 1")
@@ -40,7 +40,7 @@ class PiecewiseSection:
             if len(piece) != self.d:
                 raise DimensionMismatch("piece has wrong fiber dimension")
         for t, left, right in zip(bps[1:-1], pieces, pieces[1:]):
-            values = _scaled_value(left + right, t)  # both pieces over one positive scale
+            values = _scaled_value(_columns(left + right)[1], t)  # both pieces over one positive scale
             if values[:self.d] != values[self.d:]:
                 raise ValueError(f"discontinuity at breakpoint {t}")
 
@@ -70,7 +70,7 @@ class PiecewiseSection:
     # -- algebra (everything goes through a common refinement) ---------------
 
     def refine(self, extra_breakpoints) -> "PiecewiseSection":
-        bps = sorted({*self.breakpoints, *(Fraction(b) for b in extra_breakpoints)})
+        bps = sorted({*self.breakpoints, *(b if isinstance(b, Fraction) else Fraction(b) for b in extra_breakpoints)})
         if any(b < ZERO or b > ONE for b in bps):
             raise ValueError("refinement breakpoints outside [0, 1]")
         pieces = tuple(self.pieces[self.piece_index_for_interval(lo)] for lo in bps[:-1])
@@ -182,14 +182,30 @@ class PiecewiseSection:
         return best
 
 
-def _scaled_value(piece: tuple[GaussianPoly, ...], x: Fraction) -> GaussianIntVector:
-    """D·v^n·(piece at x = u/v) in Gaussian integers, by one integer Horner
-    pass per part: n the largest degree, D the parts' common denominator."""
-    u, v = x.numerator, x.denominator
+def _columns(piece: tuple[GaussianPoly, ...]) -> tuple[int, list[GaussianIntVector]]:
+    """(D, cols): D > 0 the parts' common denominator, cols[k] the Gaussian-integer
+    column of x^k in D·piece up to the largest degree (one column at least)."""
     parts = [q for p in piece for q in (p.re, p.im)]
-    n, den = max(q.degree for q in parts), lcm(*(q.den for q in parts))
-    vals = [_value(q.nums, u, v) * v ** (n - q.degree) * (den // q.den) if q.nums else 0 for q in parts]
-    return tuple(zip(vals[::2], vals[1::2]))
+    den, n = lcm(*(q.den for q in parts)), max(1, *(len(q.nums) for q in parts))
+    rows = [[c * (den // q.den) for c in q.nums] + [0] * (n - len(q.nums)) for q in parts]
+    return den, [tuple(zip(col[::2], col[1::2])) for col in zip(*rows)]
+
+
+def _from_columns(den: int, cols: list[GaussianIntVector], d: int) -> tuple[GaussianPoly, ...]:
+    """The d-coordinate piece Σ_k cols[k]·x^k / den, each part in lowest terms."""
+    return tuple(GaussianPoly(_norm([col[i][0] for col in cols], den), _norm([col[i][1] for col in cols], den))
+                 for i in range(d))
+
+
+def _scaled_value(cols: list[GaussianIntVector], x: Fraction) -> GaussianIntVector:
+    """v^n·Σ_k cols[k]·x^k at x = u/v, n = len(cols) − 1, by integer Horner: for
+    (D, cols) = _columns(piece) that is D·v^n·piece(x), n the piece's degree."""
+    u, v, w = x.numerator, x.denominator, 1
+    acc = cols[-1]
+    for col in reversed(cols[:-1]):
+        w *= v
+        acc = tuple((a * u + c * w, b * u + e * w) for (a, b), (c, e) in zip(acc, col))
+    return acc
 
 
 def pointwise_inner(u: PiecewiseSection, v: PiecewiseSection) -> PiecewiseSection:

@@ -37,8 +37,8 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", self.lo if isinstance(self.lo, Fraction) else Fraction(self.lo))
+        object.__setattr__(self, "hi", self.hi if isinstance(self.hi, Fraction) else Fraction(self.hi))
 
     @classmethod
     def _of(cls, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> "Interval":
@@ -152,7 +152,7 @@ def _check_range(*xs: Fraction):
 
 
 def _normalize(points, intervals) -> tuple[tuple[Fraction, ...], tuple[Interval, ...]]:
-    pts = [Fraction(p) for p in points]
+    pts = [p if isinstance(p, Fraction) else Fraction(p) for p in points]
     _check_range(*pts)
     ivs = []
     for iv in intervals:

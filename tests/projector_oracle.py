@@ -19,11 +19,11 @@ with; the library itself keeps exact complex scalars as (re, im) pairs.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import lcm
 
 from essmod import serialize
-from essmod.fields import field_atoms
 from essmod.linalg import ACCEPT_TOL
 from essmod.polynomials import GaussianPoly, exact_zero_points
 from essmod.subsets import Interval, SymbolicSubset
@@ -222,17 +222,47 @@ def outside_at(field, x, v) -> bool:
     return outside(basis_at(field, x), field.d, v)
 
 
+def partition_bounds(field) -> list:
+    """0, 1 and every boundary of the field's partition, sorted as Fractions."""
+    ends = {Fraction(0), Fraction(1)}
+    for p in field.pieces:
+        ends |= {*p.region.points, *(x for iv in p.region.intervals for x in (iv.lo, iv.hi))}
+    return sorted(ends)
+
+
+def owner(field, x) -> int:
+    """The index of the partition piece that contains x."""
+    return next(i for i, p in enumerate(field.pieces) if p.region.contains(x))
+
+
+def atoms(field, breakpoints) -> list:
+    """(lo, hi, owner) for every point (lo == hi) and open gap in order, cut
+    at the partition's and the section's boundaries: a point's owner is read
+    at the point, a gap's at its midpoint."""
+    bounds = sorted({*partition_bounds(field), *breakpoints})
+    out = []
+    for x, y in zip(bounds, bounds[1:]):
+        out += [(x, x, owner(field, x)), (x, y, owner(field, (x + y) / 2))]
+    return out + [(bounds[-1], bounds[-1], owner(field, bounds[-1]))]
+
+
+@cache
+def complements(field) -> tuple:
+    """I − P for every piece of the field, each computed once per field."""
+    return tuple(complement(matrix_of(p.basis, field.d), field.d) for p in field.pieces)
+
+
 def residual_set(m, field) -> SymbolicSubset:
     """{x : m(x) ∉ L_x} with I − P applied on every atom."""
-    comps = [complement(matrix_of(p.basis, field.d), field.d) for p in field.pieces]
+    comps = complements(field)
     points, intervals = [], []
-    for atom in field_atoms(field, m.breakpoints):
-        comp = comps[atom.piece_index]
-        if atom.is_point:
-            if not vec_is_zero(mat_vec(comp, value_at(m, atom.lo))):
-                points.append(atom.lo)
+    for lo, hi, i in atoms(field, m.breakpoints):
+        comp = comps[i]
+        if lo == hi:
+            if not vec_is_zero(mat_vec(comp, value_at(m, lo))):
+                points.append(lo)
             continue
-        piece = m.pieces[m.piece_index_for_interval(atom.lo)]
+        piece = m.pieces[m.piece_index_for_interval(lo)]
         resid = []
         for row in comp:
             acc = GaussianPoly.zero()
@@ -241,8 +271,8 @@ def residual_set(m, field) -> SymbolicSubset:
             resid.append(acc)
         if all(p.is_zero() for p in resid):
             continue
-        zeros = exact_zero_points(resid, atom.lo, atom.hi)
-        cuts = [atom.lo, *sorted(z for z in zeros if atom.lo < z < atom.hi), atom.hi]
+        zeros = exact_zero_points(resid, lo, hi)
+        cuts = [lo, *sorted(z for z in zeros if lo < z < hi), hi]
         intervals.extend(Interval(a, b, False, False) for a, b in zip(cuts, cuts[1:]))
     return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
 

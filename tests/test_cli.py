@@ -990,7 +990,7 @@ def test_long_values_give_one_short_error_line(tmp_path, capsys):
 
 def test_witness_samples_cap_exits_2(tmp_path, capsys):
     inst = gen_to_file(tmp_path, "f.json", ["--kind", "field", "--d", "2", "--defect", "interval", "--seed", "5"])
-    for samples in (str(runner.MAX_SAMPLES + 1), str(1 << 24), "-1"):
+    for samples in (str(runner.MAX_SAMPLES + 1), str(1 << 24), "-1", "0"):
         capsys.readouterr()
         assert cli.main(["witness", "--in", str(inst), "--samples", samples]) == 2
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction as F
 from itertools import combinations, permutations
@@ -25,7 +26,7 @@ from essmod.generate import gen_field
 from essmod.polynomials import GaussianPoly, RationalPoly, poly_gcd
 from essmod.rationals import annihilator, identity_columns
 from essmod.serialize import field_spec_from_json
-from essmod.sections import PiecewiseSection
+from essmod.sections import PiecewiseSection, bump
 from essmod.subsets import Interval, SymbolicSubset
 
 
@@ -338,13 +339,32 @@ def test_outside_agrees_with_projector_oracle(case):
     assert _outside(ann, clear_denominators(v)) == projector_oracle.outside(basis, d, v)
 
 
+def multi_piece_sections(g: PiecewiseSection, field: SubspaceField, rng: random.Random):
+    """g refined at points inside partition gaps and at partition bounds, and
+    g times bumps (as the witnesses build m·a) whose ends sit at partition
+    bounds or inside gaps: sections whose breakpoints the field's atoms must
+    merge."""
+    bounds = projector_oracle.partition_bounds(field)
+    mids = [a + (b - a) * F(rng.randint(1, 7), 8) for a, b in zip(bounds, bounds[1:])]
+    cuts = mids + bounds[1:-1]
+    out = [g.refine(rng.sample(cuts, min(4, len(cuts))))]
+    for ends in (bounds, mids, bounds + mids):
+        lo, hi = sorted(rng.sample(ends, 2))
+        out.append(g.mul_scalar_section(bump(lo, hi)))
+    return out
+
+
 @pytest.mark.parametrize("defect", ["none", "points", "interval"])
 @settings(deadline=None, max_examples=12)
 @given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_residual_sets_agree_with_projector_oracle(defect, d, seed):
+    """One-piece generators, and multi-piece sections made from them, against
+    the oracle's own atoms and orthogonal projectors."""
     spec = field_spec_from_json(gen_field(d, 6, d + 2, defect, seed)["payload"])
+    rng = random.Random(seed)
     for g in spec.generators:
-        assert residual_set(g, spec.subfield) == projector_oracle.residual_set(g, spec.subfield)
+        for m in (g, *multi_piece_sections(g, spec.subfield, rng)):
+            assert residual_set(m, spec.subfield) == projector_oracle.residual_set(m, spec.subfield)
 
 
 def test_spanning_certificate_sees_isolated_rank_drop():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from poly_oracle import oracle_divmod, poly_divmod, trim
 
 from essmod.errors import IrrationalRoot
-from essmod.sections import _scaled_value
+from essmod.sections import _columns, _scaled_value
 from essmod.polynomials import (
     GaussianPoly,
     RationalPoly,
@@ -417,7 +417,7 @@ def test_integer_piece_value_is_a_positive_multiple(parts, x):
     """`_scaled_value` gives a Gaussian-integer vector w = λ·piece(x) with
     one rational λ > 0 for every coordinate and part."""
     piece = tuple(GaussianPoly(RationalPoly(re), RationalPoly(im)) for re, im in parts)
-    w = _scaled_value(piece, x)
+    w = _scaled_value(_columns(piece)[1], x)
     v = [(p.re(x), p.im(x)) for p in piece]
     assert len(w) == len(v) and all(type(t) is int for pair in w for t in pair)
     flat_w, flat_v = [t for pair in w for t in pair], [t for pair in v for t in pair]

@@ -1,13 +1,15 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from poly_oracle import per_part_scaled_value
 from projector_oracle import ComplexRational, poly_at, value_at
 
 from essmod.errors import DimensionMismatch
 from essmod.polynomials import GaussianPoly, RationalPoly
-from essmod.sections import PiecewiseSection, bump, pointwise_inner, unit_bump
+from essmod.sections import PiecewiseSection, _columns, _from_columns, _scaled_value, bump, pointwise_inner, unit_bump
 from essmod.subsets import SymbolicSubset
 
 
@@ -48,6 +50,44 @@ def test_continuity_check_matches_exact_values(case, t):
             PiecewiseSection(len(left), (F(0), t, F(1)), (tuple(left), tuple(right)))
     else:
         PiecewiseSection(len(left), (F(0), t, F(1)), (tuple(left), tuple(right)))
+
+
+# one rational part: numerators over a denominator that may pass 2⁶⁴, possibly zero
+PART = st.builds(lambda nums, den: RationalPoly(tuple(F(c, den) for c in nums)),
+                 st.lists(st.integers(-2**70, 2**70), max_size=5),
+                 st.one_of(st.integers(1, 9), st.integers(2**64, 2**80)))
+PIECE = st.lists(st.builds(GaussianPoly, PART, PART), min_size=1, max_size=4).map(tuple)
+POINT = st.fractions(min_value=0, max_value=1, max_denominator=2**70)
+ZERO_PIECE = (GaussianPoly.zero(), GaussianPoly.zero())
+BIG = F(1, 2**64 + 1)
+
+
+@given(PIECE, POINT)
+@example(ZERO_PIECE, F(1, 3))
+@example((GaussianPoly(RationalPoly((BIG, 0, BIG)), RationalPoly.zero()), GaussianPoly.const(0, F(3, 2**65))), F(2, 7))
+@example((GaussianPoly.zero(), GaussianPoly(RationalPoly.zero(), RationalPoly((1, 2, 3, 4)))), F(0))
+@settings(deadline=None, max_examples=300)
+def test_column_value_equals_per_part_value(piece, x):
+    """Horner over the piece's columns gives the same Gaussian integers as one
+    Horner pass per part: zero parts, the zero piece, mixed degrees, and
+    denominators past 2⁶⁴ included."""
+    assert _scaled_value(_columns(piece)[1], x) == per_part_scaled_value(piece, x)
+
+
+@given(PIECE)
+@example(ZERO_PIECE)
+@settings(deadline=None, max_examples=200)
+def test_columns_are_the_piece_over_its_common_denominator(piece):
+    """cols[k] is the column of x^k in D·piece, D > 0 the lcm of the parts'
+    denominators, up to the largest degree; `_from_columns` gives the piece back."""
+    den, cols = _columns(piece)
+    parts = [q for p in piece for q in (p.re, p.im)]
+    assert den == math.lcm(*(q.den for q in parts))
+    assert len(cols) == max(1, *(q.degree + 1 for q in parts))
+    for i, p in enumerate(piece):
+        for t, q in enumerate((p.re, p.im)):
+            assert RationalPoly(tuple(F(col[i][t], den) for col in cols)) == q
+    assert _from_columns(den, cols, len(piece)) == piece
 
 
 def test_breakpoint_validation():

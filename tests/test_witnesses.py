@@ -194,6 +194,14 @@ def test_inductive_witness_rejects_sample_outside_defect():
         inductive_witness_section(spec, (F(1, 10), F(2, 5)), [F(1, 10)], analyze_field(spec).total)
 
 
+def test_inductive_witness_refuses_no_samples():
+    """With no samples m would be the zero section, which lies in every
+    submodule: a certificate that proves nothing."""
+    spec = planted_interval_spec()
+    with pytest.raises(ValueError, match="at least one sample"):
+        inductive_witness_section(spec, (F(3, 10), F(2, 5)), [], analyze_field(spec).total)
+
+
 def test_inductive_witness_lambda_bounds_and_membership():
     spec = planted_interval_spec()
     xs = [F(3, 10) + F(i, 50) for i in range(1, 5)]
