@@ -33,8 +33,8 @@ from .errors import (
 )
 from .polynomials import GaussianPoly, RationalPoly, exact_zero_points, poly_gcd, real_root_count
 from .rationals import GaussianIntVector, annihilator, identity_columns
-from .sections import PiecewiseSection, _columns, _from_columns, _scaled_value, bump, pointwise_inner
-from .subsets import Interval, SymbolicSubset, _order
+from .sections import PiecewiseSection, _add_times, _cell_pieces, _from_columns, _scaled_value, bump, pointwise_inner
+from .subsets import SymbolicSubset, _check_range, _order, _runs
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -87,7 +87,11 @@ class SubspaceField:
         return cls(d, (FieldPiece(SymbolicSubset.full(), identity_columns(d)),))
 
     def annihilator_at(self, x: Fraction) -> tuple[GaussianIntVector, ...]:
-        return next(a for p, a in zip(self.pieces, self.annihilators) if p.region.contains(x))
+        """The annihilator rows of L_x, from the owner table: x is bounds[i] or
+        lies in the gap before it. OutOfRange for x outside [0, 1]."""
+        _check_range(x)
+        i = bisect_left(self.bounds, x)
+        return self.annihilators[self.owners[2 * i - (self.bounds[i] != x)]]
 
 
 def _dot(a: GaussianIntVector, w: GaussianIntVector) -> tuple[int, int]:
@@ -137,32 +141,32 @@ def field_atoms(field: SubspaceField, breakpoints) -> list[Atom]:
 
 
 def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
-    """Exact defect set {x : m(x) ∉ L_x}, from each section piece's columns.
+    """Exact defect set {x : m(x) ∉ L_x}, from each section piece's columns,
+    in normal form straight from the ordered atoms (`subsets._runs`).
 
-    Atoms of full-fiber pieces are skipped; a point atom tests the columns'
+    Atoms of full-fiber pieces are outside; a point atom tests the columns'
     value there. On an interval atom the piece lies in L iff every column
     does; else the annihilator rows dotted with the columns give the residual
-    polynomials, whose common roots (rational, or rejected) cut the atom.
+    polynomials, whose common roots (rational, or rejected) split the atom
+    in place into gaps inside the set and points outside it.
     """
     if m.d != field.d:
         raise DimensionMismatch("section and field dimensions differ")
-    columns = [_columns(piece) for piece in m.pieces]
-    points: list[Fraction] = []
-    intervals: list[Interval] = []
+    bounds, inside = [], []
     for atom in field_atoms(field, m.breakpoints):
         ann = field.annihilators[atom.piece_index]
-        if not ann:
-            continue
-        den, cols = columns[atom.section_index]
+        den, cols = m.columns[atom.section_index]
         if atom.is_point:
-            if _outside(ann, _scaled_value(cols, atom.lo)):
-                points.append(atom.lo)
-        elif any(_outside(ann, col) for col in cols):
+            bounds.append(atom.lo)
+            inside.append(bool(ann) and _outside(ann, _scaled_value(cols, atom.lo)))
+        elif ann and any(_outside(ann, col) for col in cols):
             resid = [_from_columns(den, [(_dot(a, col),) for col in cols], 1)[0] for a in ann]
-            zeros = exact_zero_points(resid, atom.lo, atom.hi)
-            cuts = [atom.lo, *sorted(z for z in zeros if atom.lo < z < atom.hi), atom.hi]
-            intervals.extend(Interval._of(a, b, False, False) for a, b in zip(cuts, cuts[1:]))
-    return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
+            zeros = [z for z in exact_zero_points(resid, atom.lo, atom.hi) if atom.lo < z < atom.hi]
+            bounds += zeros
+            inside += [True, False] * len(zeros) + [True]
+        else:
+            inside.append(False)
+    return _runs(bounds, inside)
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,7 @@ class FieldModuleSpec:
             if g.is_zero():
                 raise ZeroInput("generators must be nonzero")
             if self.vanish_at_boundary:
-                ends = _scaled_value(_columns(g.pieces[0])[1], ZERO) + _scaled_value(_columns(g.pieces[-1])[1], ONE)
+                ends = _scaled_value(g.columns[0][1], ZERO) + _scaled_value(g.columns[-1][1], ONE)
                 if any(z != (0, 0) for z in ends):
                     raise ValueError("generators must vanish at 0 and 1")
         if self.subfield.d != self.d:
@@ -428,18 +432,10 @@ class InductiveWitness:
         )
 
 
-def _add_times(cell: tuple[int, list], piece: tuple[int, list], coeffs) -> tuple[int, list]:
-    """cell + piece·Σ_l coeffs[l]·x^l for two pieces in column form (D, cols)
-    and rational coeffs: the columns over the lcm of the denominators."""
-    (dc, cc), (dp, pc), e = cell, piece, lcm(*(q.denominator for q in coeffs))
-    den = lcm(dc, dp * e)
-    out = [tuple((den // dc * x, den // dc * y) for x, y in col) for col in cc]
-    out += [((0, 0),) * len(pc[0])] * (len(pc) + len(coeffs) - 1 - len(out))
-    for l, q in enumerate(coeffs):
-        f = q.numerator * (den // (dp * q.denominator))
-        for k, col in enumerate(pc):
-            out[k + l] = tuple((a + f * x, b + f * y) for (a, b), (x, y) in zip(out[k + l], col))
-    return den, out
+def _real_column(coeffs) -> tuple[int, list]:
+    """The scalar piece Σ_l coeffs[l]·x^l, rational coeffs, in column form (D, cols)."""
+    den = lcm(*(q.denominator for q in coeffs))
+    return den, [((q.numerator * (den // q.denominator), 0),) for q in coeffs]
 
 
 def inductive_witness_section(
@@ -451,9 +447,12 @@ def inductive_witness_section(
     λ_j = 2^{-j} unless that unique value drops the partial sum into the
     subspace, in which case 2^{-j-1} is taken (at most one λ can fail since
     g_{k_j}(x_j) leaves the subspace). `defect` is the total defect set,
-    analyze_field(spec).total. Each cell of the refinement sums its terms in
-    column form, generator columns times the integers of λ_j·a_j; membership
-    is tested on the cells' columns, which become polynomials once, at the end.
+    analyze_field(spec).total. The cuts are ordered once (`_order`): each
+    term's cells are a slot range, each picked generator's piece per cell
+    comes from one pass over its breakpoints, and the cell holding x_j is
+    found once. Each cell sums its terms in column form, generator columns
+    times the integers of λ_j·a_j; membership is tested on the cells'
+    columns, which become polynomials once, at the end.
     """
     xs = [Fraction(x) for x in samples]
     if not xs:
@@ -471,12 +470,11 @@ def inductive_witness_section(
             raise SampleNotInDefect(f"sample {x} is not in the defect set")
 
     d, gens = spec.d, spec.generators
-    columns = [[_columns(piece) for piece in g.pieces] for g in gens]
     anns = [field.annihilator_at(x) for x in xs]
     picks = []
     for x, ann in zip(xs, anns):
         k_j = next((k for k, g in enumerate(gens)
-                    if _outside(ann, _scaled_value(columns[k][g.piece_index_for_interval(x)][1], x))), None)
+                    if _outside(ann, _scaled_value(g.columns[g.piece_index_for_interval(x)][1], x))), None)
         if k_j is None:
             raise NoGeneratorDefect(
                 f"no generator leaves the subspace at sample {x}; "
@@ -484,31 +482,36 @@ def inductive_witness_section(
             )
         picks.append(k_j)
     # a_j is the unit bump on (x_j − r_j, x_j + r_j): r_j is half the distance to the nearest earlier sample or end
-    radii = [min([abs(x - y) for y in xs[:i]] + [x, ONE - x]) / 2 for i, x in enumerate(xs)]
+    radii, earlier = [], []
+    for x in xs:
+        i = bisect_left(earlier, x)
+        radii.append(min(x, ONE - x, *(abs(x - y) for y in earlier[max(i - 1, 0):i + 1])) / 2)
+        earlier.insert(i, x)
+    ends = [(x - r, x + r) for x, r in zip(xs, radii)]
     # the common refinement: each cell sums the terms whose bump covers it
-    cuts = sorted({ZERO, ONE, *(t for x, r, k in zip(xs, radii, picks) for t in (x - r, x + r, *gens[k].breakpoints))})
+    cuts, slot = _order([ZERO, ONE, *(t for e in ends for t in e), *(b for k in set(picks) for b in gens[k].breakpoints)])
+    piece_on = {k: _cell_pieces(gens[k].breakpoints, slot) for k in set(picks)}
+    here = [bisect_right(cuts, x) - 1 for x in xs]  # the cell holding each sample
     cells = [(1, [])] * (len(cuts) - 1)
     lambdas: list[Fraction] = []
-    for j, (x, r, k, ann) in enumerate(zip(xs, radii, picks, anns), start=1):
-        g, cols, c = gens[k], columns[k], bisect_right(cuts, x) - 1
+    for j, (x, r, (a, b), k, ann, c) in enumerate(zip(xs, radii, ends, picks, anns, here), start=1):
+        cols, on = gens[k].columns, piece_on[k]
         # the cell holding x sums the earlier terms there, and a_j(x_j) = 1
         lam = Fraction(1, 2 ** j)
-        if not _outside(ann, _scaled_value(_add_times(cells[c], cols[g.piece_index_for_interval(x)], (lam,))[1], x)):
+        if not _outside(ann, _scaled_value(_add_times(cells[c], cols[on[c]], _real_column((lam,)))[1], x)):
             lam = Fraction(1, 2 ** (j + 1))
         lambdas.append(lam)
         # λ_j·a_j = s·(t − a)(b − t) with (a, b) = x_j ∓ r_j, s = λ_j / r_j²
-        a, b, s = x - r, x + r, lam / (r * r)
-        for c in range(bisect_left(cuts, a), bisect_left(cuts, b)):
-            cells[c] = _add_times(cells[c], cols[g.piece_index_for_interval(cuts[c])], (-a * b * s, (a + b) * s, -s))
+        s = lam / (r * r)
+        for c in range(slot[a.as_integer_ratio()] // 2, slot[b.as_integer_ratio()] // 2):
+            cells[c] = _add_times(cells[c], cols[on[c]], _real_column((-a * b * s, (a + b) * s, -s)))
 
     return InductiveWitness(
         m=PiecewiseSection._of(d, tuple(cuts), tuple(_from_columns(den, cols, d) for den, cols in cells)),
         lambdas=tuple(lambdas),
         picks=tuple(picks),
         samples=tuple(xs),
-        sample_defects_verified=all(
-            _outside(ann, _scaled_value(cells[bisect_right(cuts, x) - 1][1], x)) for x, ann in zip(xs, anns)
-        ),
+        sample_defects_verified=all(_outside(ann, _scaled_value(cells[c][1], x)) for x, ann, c in zip(xs, anns, here)),
     )
 
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch
 from .polynomials import GaussianPoly, RationalPoly, _norm, exact_zero_points
 from .rationals import GaussianIntVector
-from .subsets import Interval, SymbolicSubset
+from .subsets import Interval, SymbolicSubset, _order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,30 +70,29 @@ class PiecewiseSection:
 
     # -- algebra (everything goes through a common refinement) ---------------
 
-    def refine(self, extra_breakpoints) -> "PiecewiseSection":
-        bps = sorted({*self.breakpoints, *(b if isinstance(b, Fraction) else Fraction(b) for b in extra_breakpoints)})
-        if any(b < ZERO or b > ONE for b in bps):
-            raise ValueError("refinement breakpoints outside [0, 1]")
-        pieces = tuple(self.pieces[self.piece_index_for_interval(lo)] for lo in bps[:-1])
-        return PiecewiseSection._of(self.d, tuple(bps), pieces)
+    @cached_property
+    def columns(self) -> tuple[tuple[int, list[GaussianIntVector]], ...]:
+        """(D, cols) of every piece, computed once: D > 0 and cols[k] the column
+        of x^k in D·piece. A product keeps those of its column product, whose
+        D need not be least and whose top columns may be zero."""
+        return tuple(map(_columns, self.pieces))
 
     def piece_index_for_interval(self, lo: Fraction) -> int:
         i = bisect_right(self.breakpoints, lo) - 1
         return min(i, len(self.pieces) - 1)
 
-    def _aligned(self, other: "PiecewiseSection"):
-        a = self.refine(other.breakpoints)
-        b = other.refine(self.breakpoints)
-        return a, b
+    def _aligned(self, other: "PiecewiseSection") -> tuple[tuple[Fraction, ...], list[int], list[int]]:
+        """The common refinement of two sections, ordered once by `_order`:
+        its breakpoints, and the piece of each section on each of its cells."""
+        bps, slot = _order(self.breakpoints + other.breakpoints)
+        return tuple(bps), _cell_pieces(self.breakpoints, slot), _cell_pieces(other.breakpoints, slot)
 
     def __add__(self, other: "PiecewiseSection") -> "PiecewiseSection":
         if other.d != self.d:
             raise DimensionMismatch("section dimensions differ")
-        a, b = self._aligned(other)
-        pieces = tuple(
-            tuple(pa + pb for pa, pb in zip(ra, rb)) for ra, rb in zip(a.pieces, b.pieces)
-        )
-        return PiecewiseSection._of(self.d, a.breakpoints, pieces)
+        bps, ia, ib = self._aligned(other)
+        pieces = tuple(tuple(pa + pb for pa, pb in zip(self.pieces[i], other.pieces[j])) for i, j in zip(ia, ib))
+        return PiecewiseSection._of(self.d, bps, pieces)
 
     def __sub__(self, other: "PiecewiseSection") -> "PiecewiseSection":
         return self + (-other)
@@ -109,14 +109,15 @@ class PiecewiseSection:
         return self._map(lambda p: p * c)
 
     def mul_scalar_section(self, s: "PiecewiseSection") -> "PiecewiseSection":
-        """Pointwise product with a scalar (d = 1) section."""
+        """Pointwise product with a scalar (d = 1) section, on the pieces'
+        columns cell by cell; the product keeps its columns."""
         if s.d != 1:
             raise DimensionMismatch("scalar section must have d = 1")
-        a, b = self._aligned(s)
-        pieces = tuple(
-            tuple(p * rb[0] for p in ra) for ra, rb in zip(a.pieces, b.pieces)
-        )
-        return PiecewiseSection._of(self.d, a.breakpoints, pieces)
+        bps, ia, ib = self._aligned(s)
+        columns = tuple(_add_times((1, []), self.columns[i], s.columns[j]) for i, j in zip(ia, ib))
+        product = PiecewiseSection._of(self.d, bps, tuple(_from_columns(den, cols, self.d) for den, cols in columns))
+        product.__dict__["columns"] = columns
+        return product
 
     def conj(self) -> "PiecewiseSection":
         return self._map(GaussianPoly.conj)
@@ -130,8 +131,8 @@ class PiecewiseSection:
     def equals(self, other: "PiecewiseSection") -> bool:
         if self.d != other.d:
             return False
-        a, b = self._aligned(other)
-        return a.pieces == b.pieces
+        _, ia, ib = self._aligned(other)
+        return all(self.pieces[i] == other.pieces[j] for i, j in zip(ia, ib))
 
     # -- exact sets -----------------------------------------------------------
 
@@ -208,18 +209,40 @@ def _scaled_value(cols: list[GaussianIntVector], x: Fraction) -> GaussianIntVect
     return acc
 
 
+def _add_times(cell: tuple[int, list], piece: tuple[int, list], scalar: tuple[int, list]) -> tuple[int, list]:
+    """cell + piece·scalar for pieces in column form (D, cols), the scalar
+    piece's columns one high: the columns over lcm(D_cell, D_piece·D_scalar)."""
+    (dc, cc), (dp, pc), (ds, sc) = cell, piece, scalar
+    den = lcm(dc, dp * ds)
+    f, g = den // dc, den // (dp * ds)
+    out = [tuple((f * x, f * y) for x, y in col) for col in cc]
+    out += [((0, 0),) * len(pc[0])] * (len(pc) + len(sc) - 1 - len(out))
+    for l, ((u, v),) in enumerate(sc):
+        u, v = g * u, g * v
+        for k, col in enumerate(pc if u or v else ()):
+            out[k + l] = tuple((a + x * u - y * v, b + x * v + y * u) for (a, b), (x, y) in zip(out[k + l], col))
+    return den, out
+
+
+def _cell_pieces(breakpoints, slot: dict[tuple[int, int], int]) -> list[int]:
+    """The piece of a section with these breakpoints on each cell of a
+    refinement whose `_order` slots are `slot`: one pass over its breakpoints."""
+    starts = [slot[b.as_integer_ratio()] // 2 for b in breakpoints]
+    return [i for i, (lo, hi) in enumerate(zip(starts, starts[1:])) for _ in range(lo, hi)]
+
+
 def pointwise_inner(u: PiecewiseSection, v: PiecewiseSection) -> PiecewiseSection:
     """⟨u, v⟩(x) = Σ_i conj(u_i(x)) v_i(x) as an exact scalar section."""
     if u.d != v.d:
         raise DimensionMismatch("sections of different fiber dimension")
-    a, b = u._aligned(v)
+    bps, ia, ib = u._aligned(v)
     pieces = []
-    for ra, rb in zip(a.pieces, b.pieces):
+    for i, j in zip(ia, ib):
         acc = GaussianPoly.zero()
-        for pa, pb in zip(ra, rb):
+        for pa, pb in zip(u.pieces[i], v.pieces[j]):
             acc = acc + pa.conj() * pb
         pieces.append((acc,))
-    return PiecewiseSection._of(1, a.breakpoints, tuple(pieces))
+    return PiecewiseSection._of(1, bps, tuple(pieces))
 
 
 def bump(lo, hi) -> PiecewiseSection:
@@ -228,9 +251,8 @@ def bump(lo, hi) -> PiecewiseSection:
     if not ZERO <= lo < hi <= ONE:
         raise ValueError("bump needs 0 ≤ lo < hi ≤ 1")
     poly = GaussianPoly(RationalPoly((-lo * hi, lo + hi, -1)), RationalPoly.zero())
-    bps = sorted({ZERO, lo, hi, ONE})
-    pieces = tuple((poly,) if lo <= a and b <= hi else (GaussianPoly.zero(),) for a, b in zip(bps, bps[1:]))
-    return PiecewiseSection(1, tuple(bps), pieces)
+    bps = tuple(dict.fromkeys((ZERO, lo, hi, ONE)))  # increasing already
+    return PiecewiseSection._of(1, bps, tuple((poly if a == lo else GaussianPoly.zero(),) for a in bps[:-1]))
 
 
 def unit_bump(center, radius) -> PiecewiseSection:

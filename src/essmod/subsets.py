@@ -7,7 +7,9 @@ and for every set operation (union, intersection, difference, complement;
 closure and interior build on them). It sorts the endpoints of all
 operands once, which cuts [0, 1] into elementary regions, and reads each
 operand's coverage of every region off a running count of its interval
-openings and closings: linear after the sort.
+openings and closings: linear after the sort. Its last step, `_runs`,
+reads the normal form off any ordered walk of regions, and a caller that
+walks [0, 1] in order already (`fields.residual_set`) calls it directly.
 
 One kernel, `_order`, orders boundaries without comparing or hashing
 Fractions: n/d is deduped and found by its pair (n, d) and sorted by the
@@ -70,9 +72,14 @@ class SymbolicSubset:
     intervals: tuple[Interval, ...] = ()
 
     def __post_init__(self):
-        pts, ivs = _normalize(self.points, self.intervals)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "intervals", ivs)
+        self.__dict__.update(vars(_normalize(self.points, self.intervals)))
+
+    @classmethod
+    def _of(cls, points: tuple[Fraction, ...], intervals: tuple[Interval, ...]) -> "SymbolicSubset":
+        """A set whose parts are in normal form already: built unchecked."""
+        out = cls.__new__(cls)
+        out.__dict__.update(points=points, intervals=intervals)
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -151,7 +158,7 @@ def _check_range(*xs: Fraction):
             raise OutOfRange(f"value {x} outside [0, 1]")
 
 
-def _normalize(points, intervals) -> tuple[tuple[Fraction, ...], tuple[Interval, ...]]:
+def _normalize(points, intervals) -> "SymbolicSubset":
     pts = [p if isinstance(p, Fraction) else Fraction(p) for p in points]
     _check_range(*pts)
     ivs = []
@@ -169,13 +176,8 @@ def _normalize(points, intervals) -> tuple[tuple[Fraction, ...], tuple[Interval,
 
 
 def _rebuild(sets, keep: Callable[..., bool]) -> "SymbolicSubset":
-    """Set operation on normalized operands: the result is normal already,
-    so the constructor's normalization is skipped."""
-    pts, ivs = _sweep([(s.points, s.intervals) for s in sets], keep)
-    out = SymbolicSubset.__new__(SymbolicSubset)
-    object.__setattr__(out, "points", pts)
-    object.__setattr__(out, "intervals", ivs)
-    return out
+    """Set operation on normalized operands: the result is normal already."""
+    return _sweep([(s.points, s.intervals) for s in sets], keep)
 
 
 def _order(xs) -> tuple[list[Fraction], dict[tuple[int, int], int]]:
@@ -189,7 +191,7 @@ def _order(xs) -> tuple[list[Fraction], dict[tuple[int, int], int]]:
     return [by_pair[p] for p in pairs], {p: 2 * i for i, p in enumerate(pairs)}
 
 
-def _sweep(operands, keep: Callable[..., bool]):
+def _sweep(operands, keep: Callable[..., bool]) -> "SymbolicSubset":
     """Normal form of the set that holds a region iff `keep` holds for the
     coverage counts of the operands there.
 
@@ -198,7 +200,8 @@ def _sweep(operands, keep: Callable[..., bool]):
     [0, 1] into regions 0..n-1, alternately a boundary point (even) and the
     open gap to the next boundary (odd); every operand is constant on each.
     An operand adds +1 where each of its pieces starts and -1 after it
-    ends; a running sum then gives its coverage of every region.
+    ends; a running sum then gives its coverage of every region, and
+    `_runs` reads the kept regions off in order.
     """
     ends = [ZERO, ONE]
     for pts, ivs in operands:
@@ -217,8 +220,15 @@ def _sweep(operands, keep: Callable[..., bool]):
             delta[slot[iv.lo.as_integer_ratio()] + (not iv.lo_closed)] += 1
             delta[slot[iv.hi.as_integer_ratio()] + iv.hi_closed] -= 1
         counts.append(accumulate(delta[:n]))
-    inside = [keep(*c) for c in zip(*counts)]
+    return _runs(bounds, [keep(*c) for c in zip(*counts)])
 
+
+def _runs(bounds, inside: list[bool]) -> "SymbolicSubset":
+    """Normal form of the set made of the regions r with inside[r], for the
+    increasing `bounds` (0 and 1 among them): region 2i is the point
+    bounds[i] and region 2i + 1 the open gap after it. Each maximal run of
+    kept regions is one interval, or an isolated point."""
+    n = len(inside)
     points: list[Fraction] = []
     intervals: list[Interval] = []
     k = 0
@@ -234,4 +244,4 @@ def _sweep(operands, keep: Callable[..., bool]):
         else:
             intervals.append(Interval._of(bounds[start // 2], bounds[(k + 1) // 2], start % 2 == 0, k % 2 == 0))
         k += 1
-    return tuple(points), tuple(intervals)
+    return SymbolicSubset._of(tuple(points), tuple(intervals))

@@ -12,7 +12,8 @@ float projection predicate with every norm taken by SVD.
 
 `ComplexRational` is the Gaussian-rational scalar these oracles compute
 with; the library itself keeps exact complex scalars as (re, im) pairs.
-`value_at` evaluates a section at a point as ComplexRationals, and
+`value_at` evaluates a section at a point as ComplexRationals,
+`zero_section` refines a section by addition, and
 `fraction_poly_json` is the per-coefficient Fraction printing that
 `serialize._poly_to_json` is checked against.
 """
@@ -26,6 +27,7 @@ from math import lcm
 from essmod import serialize
 from essmod.linalg import ACCEPT_TOL
 from essmod.polynomials import GaussianPoly, exact_zero_points
+from essmod.sections import PiecewiseSection
 from essmod.subsets import Interval, SymbolicSubset
 
 
@@ -77,6 +79,13 @@ def poly_at(p: GaussianPoly, x) -> ComplexRational:
 def value_at(m, x) -> tuple:
     """m(x) as ComplexRationals, from the piece that holds x (the last one at 1)."""
     return tuple(poly_at(p, x) for p in m.pieces[m.piece_index_for_interval(Fraction(x))])
+
+
+def zero_section(d: int, inner) -> PiecewiseSection:
+    """The zero section with the increasing inner breakpoints `inner`: m plus
+    it is m refined there."""
+    zero = (GaussianPoly.zero(),) * d
+    return PiecewiseSection(d, (Fraction(0), *inner, Fraction(1)), (zero,) * (len(inner) + 1))
 
 
 def fraction_poly_json(p: GaussianPoly) -> list:

@@ -14,9 +14,21 @@ its certificate cannot hide behind the same fault here.
   of the generators' stacked block-b coordinates is k·n_b. A non-essential
   report's `vector` is a unit vector that the projector onto their column
   space nearly kills.
+- Field: once the generators span C^d off the defect set (a passing
+  report says so), the defect set {x : some generator leaves L_x} is
+  exactly where L_x is a proper subspace: the union of the partition
+  regions whose basis has rank < d, by a Fraction elimination, less 0 and
+  1 for sections that vanish there. A check report's `defect_set` must be
+  that union in normal form, merged here by testing every boundary and
+  every gap's midpoint; `decision` (essential) must hold exactly when the
+  union holds no interval. A witness report must agree on `decision`, and
+  its inductive samples must lie in the union.
 
-Witness reports and field reports are not covered yet.
+Float witness reports are not covered yet.
 """
+
+from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -25,7 +37,10 @@ ACCEPT_TOL = 1e-8
 
 
 def verify(doc: dict, report: dict):
-    """Raise AssertionError unless `report` is a correct check report on `doc`."""
+    """Raise AssertionError unless `report` is a correct check report on `doc`
+    (or, for a field, a correct witness report)."""
+    if doc["kind"] == "field":
+        return _verify_field(doc["payload"], report)
     if report["kind"] != "check_report":
         raise NotImplementedError(f"no oracle for {report['kind']} yet")
     payload = doc["payload"]
@@ -79,3 +94,73 @@ def _range_projector(m: np.ndarray, rank: int) -> np.ndarray:
     """The orthogonal projector onto the column space of m, of the given rank."""
     u = np.linalg.svd(m)[0][:, :rank]
     return u @ u.conj().T
+
+
+def _verify_field(payload: dict, report: dict):
+    defect = _field_defect(payload)
+    assert report["decision"] is (not defect["intervals"]) and report["checks_ok"] is True
+    if report["kind"] == "check_report":
+        assert _subset(report["defect_set"]) == defect, (report["defect_set"], defect)
+    elif not report["decision"]:
+        inside = _member(defect)
+        assert all(inside(Fraction(x)) for x in report["witness"]["samples"])
+
+
+def _field_defect(payload: dict) -> dict:
+    """{x : rank L_x < d} in normal form, as Fractions: sorted points, and
+    sorted maximal (lo, hi, lo_closed, hi_closed) intervals."""
+    d = payload["d"]
+    regions = [_subset(r) for r, basis in zip(payload["partition"], payload["subspace_bases"]) if _rank(basis) < d]
+    inside = [_member(r) for r in regions]
+    ends = set() if payload.get("vanish_at_boundary") else {Fraction(0), Fraction(1)}
+    bounds = sorted({Fraction(0), Fraction(1), *(x for r in regions for x in _ends(r))})
+    # region 2i: the point bounds[i]; region 2i + 1: the open gap after it, tested at its midpoint
+    probes = [x for a, b in zip(bounds, bounds[1:]) for x in (a, (a + b) / 2)] + [bounds[-1]]
+    flags = [any(f(x) for f in inside) and (x in ends or 0 < x < 1) for x in probes]
+    points, intervals, r = [], [], 0
+    for kept, run in groupby(flags):
+        n = len(list(run))
+        if kept and n == 1 and r % 2 == 0:
+            points.append(bounds[r // 2])
+        elif kept:
+            intervals.append((bounds[r // 2], bounds[(r + n) // 2], r % 2 == 0, (r + n - 1) % 2 == 0))
+        r += n
+    return {"points": points, "intervals": intervals}
+
+
+def _subset(doc: dict) -> dict:
+    return {"points": [Fraction(x) for x in doc["points"]],
+            "intervals": [(Fraction(iv["lo"]), Fraction(iv["hi"]), iv["lo_closed"], iv["hi_closed"])
+                          for iv in doc["intervals"]]}
+
+
+def _ends(s: dict) -> list:
+    return s["points"] + [x for iv in s["intervals"] for x in iv[:2]]
+
+
+def _member(s: dict):
+    def contains(x) -> bool:
+        return x in s["points"] or any(lo < x < hi or (x == lo and lc) or (x == hi and hc)
+                                       for lo, hi, lc, hc in s["intervals"])
+    return contains
+
+
+def _rank(basis: list) -> int:
+    """Rank over Q(i) of the basis columns, each a list of [re, im] pairs:
+    half the rank of their realification, where a column v gives the real
+    rows (Re v, Im v) and (−Im v, Re v), by Gauss-Jordan on Fractions."""
+    cols = [[(Fraction(re), Fraction(im)) for re, im in col] for col in basis]
+    rows = [[z[0] for z in col] + [z[1] for z in col] for col in cols]
+    rows += [[-z[1] for z in col] + [z[0] for z in col] for col in cols]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank // 2

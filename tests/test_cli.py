@@ -852,6 +852,26 @@ def test_float_check_reports_pass_the_report_oracle():
     assert decisions == {(kind, d) for kind in ("right_ideal", "module_submodule") for d in (False, True)}
 
 
+FIELD_DEFECTS = ("none", "points", "interval")
+
+
+def test_field_reports_pass_the_report_oracle():
+    """The oracle's defect set, the rank-deficient partition regions merged
+    by its own code, and its decision hold for the check and witness reports
+    of the 9 golden field documents and of generated ones for d from 1 to 4
+    and every defect kind, both decisions among them."""
+    docs = [gen_field(d, 4, d + 1, defect, 10 * d) for d, defect, *_ in GOLDEN_FIELD_DIGESTS]
+    docs += [gen_field(d, pieces, d + 2, defect, seed)
+             for d in range(1, 5) for defect in FIELD_DEFECTS for pieces, seed in ((2, 1), (9, 2))]
+    decisions = set()
+    for doc in docs:
+        for call in (runner.run_check, runner.run_witness):
+            report = json.loads(serialize.dumps(call(doc)))
+            report_oracle.verify(doc, report)
+            decisions.add(report["decision"])
+    assert decisions == {False, True}
+
+
 def wrong_vector(report):
     """e1, which lies in range(p), in place of the certificate's vector."""
     cert = report["certificate"]
@@ -869,6 +889,12 @@ def wrong_vector(report):
                  id="vector-length"),
     pytest.param(gen_module_submodule((2,), 1, 1), lambda r: r.update(decision=not r["decision"]),
                  id="module-decision"),
+    pytest.param(gen_field(2, 4, 3, "points", 20), lambda r: r["defect_set"]["points"].pop(1),
+                 id="field-defect-point"),
+    pytest.param(gen_field(2, 4, 3, "interval", 20), lambda r: r.update(decision=not r["decision"]),
+                 id="field-decision"),
+    pytest.param(gen_field(2, 4, 3, "points", 20), lambda r: r.update(decision=not r["decision"]),
+                 id="field-decision-essential"),
 ])
 def test_report_oracle_refuses_a_wrong_claim(doc, mutate):
     report = json.loads(serialize.dumps(runner.run_check(doc)))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from poly_oracle import poly_divmod
 from projector_oracle import CR_ZERO, clear_denominators, cleared_columns, cr, mat, mat_conj_t, mat_mul, mat_rank
 
-from essmod.errors import DimensionMismatch, GeneratorsNotSpanning, IrrationalRoot
+from essmod.errors import DimensionMismatch, GeneratorsNotSpanning, IrrationalRoot, OutOfRange
 from essmod.fields import (
     FieldModuleSpec,
     FieldPiece,
@@ -70,6 +70,26 @@ def test_basis_columns_must_have_the_fiber_dimension():
     with pytest.raises(DimensionMismatch, match="fiber dimension"):
         SubspaceField(2, (FieldPiece(SymbolicSubset.full(), (((1, 0),),)),))
     assert SubspaceField(2, (FieldPiece(SymbolicSubset.full(), ()),)).annihilators == (identity_columns(2),)
+
+
+def test_annihilator_at_refuses_points_outside_the_unit_interval():
+    """A point off [0, 1] let a bare StopIteration escape the scan of the
+    partition regions; a lookup in the owner table would give some piece."""
+    field = SubspaceField.full(2)
+    for x in (F(3, 2), F(-1, 2), 2):
+        with pytest.raises(OutOfRange):
+            field.annihilator_at(x)
+    assert field.annihilator_at(F(1)) == field.annihilator_at(0) == ()  # the full fiber: no rows
+
+
+@pytest.mark.parametrize("defect", ["points", "interval"])
+def test_annihilator_at_reads_the_owning_piece(defect):
+    """At every partition bound and inside every gap, the owner table gives
+    the annihilator of the piece whose region holds the point."""
+    field = field_spec_from_json(gen_field(3, 12, 4, defect, 7)["payload"]).subfield
+    bounds = projector_oracle.partition_bounds(field)
+    for x in bounds + [a + (b - a) * F(k, 5) for a, b in zip(bounds, bounds[1:]) for k in (1, 4)]:
+        assert field.annihilator_at(x) == field.annihilators[projector_oracle.owner(field, x)]
 
 
 def test_projectors_are_exact_idempotents():
@@ -347,7 +367,7 @@ def multi_piece_sections(g: PiecewiseSection, field: SubspaceField, rng: random.
     bounds = projector_oracle.partition_bounds(field)
     mids = [a + (b - a) * F(rng.randint(1, 7), 8) for a, b in zip(bounds, bounds[1:])]
     cuts = mids + bounds[1:-1]
-    out = [g.refine(rng.sample(cuts, min(4, len(cuts))))]
+    out = [g + projector_oracle.zero_section(g.d, sorted(rng.sample(cuts, min(4, len(cuts)))))]
     for ends in (bounds, mids, bounds + mids):
         lo, hi = sorted(rng.sample(ends, 2))
         out.append(g.mul_scalar_section(bump(lo, hi)))
@@ -364,7 +384,10 @@ def test_residual_sets_agree_with_projector_oracle(defect, d, seed):
     rng = random.Random(seed)
     for g in spec.generators:
         for m in (g, *multi_piece_sections(g, spec.subfield, rng)):
-            assert residual_set(m, spec.subfield) == projector_oracle.residual_set(m, spec.subfield)
+            got = residual_set(m, spec.subfield)
+            assert got == projector_oracle.residual_set(m, spec.subfield)
+            # built in normal form: normalizing it again changes nothing
+            assert SymbolicSubset(points=got.points, intervals=got.intervals) == got
 
 
 def test_spanning_certificate_sees_isolated_rank_drop():

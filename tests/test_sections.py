@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from poly_oracle import per_part_scaled_value
-from projector_oracle import ComplexRational, poly_at, value_at
+from projector_oracle import ComplexRational, poly_at, value_at, zero_section
 
 from essmod.errors import DimensionMismatch
 from essmod.polynomials import GaussianPoly, RationalPoly
@@ -90,6 +90,60 @@ def test_columns_are_the_piece_over_its_common_denominator(piece):
     assert _from_columns(den, cols, len(piece)) == piece
 
 
+def hinge_sections(d: int, grid: list):
+    """Continuous sections with inner breakpoints from `grid`: from one end,
+    each piece is its neighbour plus (x − t)·R, t the breakpoint between
+    them and R random, so the two agree at t. The first pieces from that
+    end may be zero, and R = 0 repeats a piece; coefficients are complex."""
+    hinge = {t: GaussianPoly(RationalPoly((-t, 1)), RationalPoly.zero()) for t in grid}
+    zero = (GaussianPoly.zero(),) * d
+    row = st.lists(POLY, min_size=d, max_size=d).map(tuple)
+
+    @st.composite
+    def draw_section(draw):
+        inner = sorted(draw(st.sets(st.sampled_from(grid), max_size=4)))
+        zeros, from_right = draw(st.integers(0, len(inner) + 1)), draw(st.booleans())
+        piece = zero if zeros else draw(row)
+        pieces = [piece]
+        for j, t in enumerate(inner[::-1] if from_right else inner, start=1):
+            r = zero if j < zeros else draw(row)
+            piece = tuple(p + hinge[t] * q for p, q in zip(piece, r))
+            pieces.append(piece)
+        return PiecewiseSection(d, (F(0), *inner, F(1)), pieces[::-1] if from_right else pieces)
+
+    return draw_section()
+
+
+# inner breakpoints at multiples of 1/12 and of 1/8: shared at 1/4, 1/2, 3/4, interleaved elsewhere
+TWELFTHS, EIGHTHS = [F(k, 12) for k in range(1, 12)], [F(k, 8) for k in range(1, 8)]
+
+
+def probe_points(*sections) -> list:
+    """Seven points on every cell of the sections' common refinement, its
+    ends among them: enough to tell apart two pieces of degree ≤ 6."""
+    bps = sorted({b for m in sections for b in m.breakpoints})
+    return sorted({a + (b - a) * F(k, 6) for a, b in zip(bps, bps[1:]) for k in range(7)})
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(hinge_sections(d, TWELFTHS), hinge_sections(d, EIGHTHS),
+                                                     hinge_sections(1, EIGHTHS))))
+@settings(deadline=None, max_examples=80)
+def test_products_sums_and_equality_agree_with_pointwise_values(case):
+    """mul_scalar_section, + and equals on one alignment of two sets of
+    breakpoints agree with values taken piece by piece (projector_oracle.value_at);
+    the columns a product keeps give its pieces back."""
+    m, n, s = case
+    prod, total = m.mul_scalar_section(s), m + n
+    assert prod.breakpoints == tuple(sorted({*m.breakpoints, *s.breakpoints}))
+    for x in probe_points(m, n, s):
+        (c,) = value_at(s, x)
+        assert value_at(prod, x) == tuple(v * c for v in value_at(m, x))
+        assert value_at(total, x) == tuple(a + b for a, b in zip(value_at(m, x), value_at(n, x)))
+    assert all(_from_columns(den, cols, m.d) == piece for (den, cols), piece in zip(prod.columns, prod.pieces))
+    assert m.equals(n) == all(value_at(m, x) == value_at(n, x) for x in probe_points(m, n))
+    assert m.equals(m + n.scale(0)) and total.equals(n + m)
+
+
 def test_breakpoint_validation():
     one = GaussianPoly.const(1)
     with pytest.raises(ValueError):
@@ -100,7 +154,7 @@ def test_breakpoint_validation():
 
 def test_refine_preserves_values():
     m = bump(F(1, 4), F(3, 4))
-    r = m.refine([F(1, 2), F(1, 8)])
+    r = m + zero_section(1, [F(1, 8), F(1, 2)])
     for x in (F(0), F(1, 8), F(1, 3), F(1, 2), F(9, 10)):
         assert value_at(m, x) == value_at(r, x)
     assert F(1, 2) in r.breakpoints
@@ -170,6 +224,6 @@ def test_exact_sup_norm_constraints():
 
 def test_equality_across_refinements():
     a = bump(F(1, 4), F(1, 2))
-    b = a.refine([F(1, 3), F(2, 5)])
+    b = a + zero_section(1, [F(1, 3), F(2, 5)])
     assert a.equals(b) and b.equals(a)
     assert not a.equals(bump(F(1, 4), F(3, 4)))
