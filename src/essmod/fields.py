@@ -5,9 +5,10 @@ The subspace field x ↦ L_x is primary data: a partition of [0, 1] into
 symbolic pieces, each carrying Gaussian-integer columns that span L_x.
 Membership m(x) ∈ L_x is decided by the piece's annihilator: Gaussian-integer
 rows a with a·B = 0, whose common kernel is exactly col B. Everything here is
-exact: polynomials over Q in pairs, Gaussian integers in every membership
-test; nowhere-density is a qualitative property that floating point would
-ruin.
+exact: a section piece is Gaussian-integer columns over one denominator
+(`sections`), its residuals and minors are integer polynomials, and every
+membership test is in Gaussian integers; nowhere-density is a qualitative
+property that floating point would ruin.
 
 `analyze_field` computes each generator's defect set once per spec; the
 decision, the witnesses and the CLI reports all read from that analysis.
@@ -19,7 +20,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -31,9 +31,9 @@ from .errors import (
     SampleNotInDefect,
     ZeroInput,
 )
-from .polynomials import GaussianPoly, RationalPoly, exact_zero_points, poly_gcd, real_root_count
+from .polynomials import _value, exact_zero_points, poly_gcd, real_root_count
 from .rationals import GaussianIntVector, annihilator, identity_columns
-from .sections import PiecewiseSection, _add_times, _cell_pieces, _from_columns, _scaled_value, bump, pointwise_inner
+from .sections import PiecewiseSection, _add_times, _cell_pieces, _reduced, _scaled_value, _zero_piece, bump, from_coeffs, pointwise_inner
 from .subsets import SymbolicSubset, _check_range, _order, _runs
 
 ZERO = Fraction(0)
@@ -145,22 +145,24 @@ def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
     in normal form straight from the ordered atoms (`subsets._runs`).
 
     Atoms of full-fiber pieces are outside; a point atom tests the columns'
-    value there. On an interval atom the piece lies in L iff every column
-    does; else the annihilator rows dotted with the columns give the residual
-    polynomials, whose common roots (rational, or rejected) split the atom
-    in place into gaps inside the set and points outside it.
+    value there. On an interval atom the annihilator rows dotted with the
+    columns give the residual polynomials' integer parts: the piece lies in
+    L iff they all vanish, and else their common roots (rational, or
+    rejected) split the atom in place into gaps inside the set and points
+    outside it.
     """
     if m.d != field.d:
         raise DimensionMismatch("section and field dimensions differ")
     bounds, inside = [], []
     for atom in field_atoms(field, m.breakpoints):
         ann = field.annihilators[atom.piece_index]
-        den, cols = m.columns[atom.section_index]
+        cols = m.pieces[atom.section_index][1]
         if atom.is_point:
             bounds.append(atom.lo)
             inside.append(bool(ann) and _outside(ann, _scaled_value(cols, atom.lo)))
-        elif ann and any(_outside(ann, col) for col in cols):
-            resid = [_from_columns(den, [(_dot(a, col),) for col in cols], 1)[0] for a in ann]
+            continue
+        resid = [part for a in ann for part in zip(*(_dot(a, col) for col in cols))]
+        if any(any(part) for part in resid):
             zeros = [z for z in exact_zero_points(resid, atom.lo, atom.hi) if atom.lo < z < atom.hi]
             bounds += zeros
             inside += [True, False] * len(zeros) + [True]
@@ -188,7 +190,7 @@ class FieldModuleSpec:
             if g.is_zero():
                 raise ZeroInput("generators must be nonzero")
             if self.vanish_at_boundary:
-                ends = _scaled_value(g.columns[0][1], ZERO) + _scaled_value(g.columns[-1][1], ONE)
+                ends = _scaled_value(g.pieces[0][1], ZERO) + _scaled_value(g.pieces[-1][1], ONE)
                 if any(z != (0, 0) for z in ends):
                     raise ValueError("generators must vanish at 0 and 1")
         if self.subfield.d != self.d:
@@ -214,24 +216,32 @@ def analyze_field(spec: FieldModuleSpec) -> FieldAnalysis:
     return FieldAnalysis(defects, total)
 
 
-def _minors(cols, d: int):
-    """The d×d minors of the matrix with polynomial columns `cols`, one at a
-    time, by Laplace expansion along the last row: every smaller minor of
-    the leading rows is kept, and a vanishing one costs no products above."""
-    memo = {(): GaussianPoly.const(1)}
+def _minors(gens, d: int):
+    """The d×d minors of the polynomial matrix G whose column j is the
+    integer columns `gens[j]` of a generator piece, its denominator cleared
+    (a positive scale on a column of G scales its minors and leaves the rank
+    alone), one at a time, as scalar column pieces (1, cols), by Laplace
+    expansion along the last row: every smaller minor of the leading rows is
+    kept, and a vanishing one (no columns) costs no products above."""
+    entries = [[tuple((col[k],) for col in cols) for k in range(d)] for cols in gens]
+    memo = {(): [((1, 0),)]}
 
-    def minor(s: tuple[int, ...]) -> GaussianPoly:
+    def minor(s: tuple[int, ...]) -> list:
         if s not in memo:
-            k, acc = len(s) - 1, GaussianPoly.zero()
+            k, acc = len(s) - 1, (1, [])
             for t, j in enumerate(s):
-                if cols[j][k].is_zero() or (sub := minor(s[:t] + s[t + 1 :])).is_zero():
+                e = entries[j][k]
+                if not any(x or y for ((x, y),) in e) or not (sub := minor(s[:t] + s[t + 1 :])):
                     continue
-                term = cols[j][k] * sub
-                acc = acc - term if (k + t) % 2 else acc + term
-            memo[s] = acc
+                sign = -1 if (k + t) % 2 else 1
+                acc = _add_times(acc, (1, sub), (1, e if sign == 1 else tuple(((-x, -y),) for ((x, y),) in e)))
+            cols = acc[1]
+            while cols and cols[-1] == ((0, 0),):
+                cols.pop()
+            memo[s] = cols
         return memo[s]
 
-    return (minor(s) for s in combinations(range(len(cols)), d))
+    return (minor(s) for s in combinations(range(len(gens)), d))
 
 
 def _rank_drop(minors, a: Fraction, b: Fraction, rest: SymbolicSubset) -> str | None:
@@ -239,24 +249,24 @@ def _rank_drop(minors, a: Fraction, b: Fraction, rest: SymbolicSubset) -> str | 
     G: nowhere for a constant h, everywhere for h = 0, else at a root of h
     in `rest`. Each partial gcd is a multiple of h: the scan stops once one
     is constant, or is left unchanged by a minor and has no root in `rest`."""
-    h = checked = RationalPoly.zero()
-    for part in (q for m in minors for q in (m.re, m.im) if not q.is_zero()):
+    h = checked = []
+    for part in (q for m in minors for q in zip(*(z for (z,) in m)) if any(q)):
         g = poly_gcd(h, part)
-        if g.degree == 0:
+        if len(g) == 1:
             return None
         if g == h != checked:
             if _root_in(h, rest) is None:
                 return None
             checked = h
         h = g
-    return f"on all of [{a}, {b}]" if h.is_zero() else _root_in(h, rest)
+    return f"on all of [{a}, {b}]" if not h else _root_in(h, rest)
 
 
-def _root_in(h: RationalPoly, rest: SymbolicSubset) -> str | None:
-    """Where the nonconstant h has a root in `rest`, rational or not
-    (points exactly, intervals by Sturm count)."""
+def _root_in(h: list[int], rest: SymbolicSubset) -> str | None:
+    """Where the nonconstant integer polynomial h has a root in `rest`,
+    rational or not (points exactly, intervals by Sturm count)."""
     for x in rest.points:
-        if h(x) == 0:
+        if _value(h, x.numerator, x.denominator) == 0:
             return f"at x = {x}"
     for iv in rest.intervals:
         if real_root_count(h, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed):
@@ -277,8 +287,8 @@ def check_generator_spanning(spec: FieldModuleSpec, defect: SymbolicSubset) -> i
     cells = [(a, b, rest) for a, b in zip(cuts, cuts[1:])
              if not (rest := SymbolicSubset.interval(a, b).difference(defect)).is_empty()]
     for a, b, rest in cells:
-        cols = [g.pieces[g.piece_index_for_interval(a)] for g in spec.generators]
-        where = _rank_drop(_minors(cols, spec.d), a, b, rest)
+        gens = [g.pieces[g.piece_index_for_interval(a)][1] for g in spec.generators]
+        where = _rank_drop(_minors(gens, spec.d), a, b, rest)
         if where:
             raise GeneratorsNotSpanning(f"generators span a proper subspace of C^{spec.d} {where}")
     return len(cells)
@@ -432,12 +442,6 @@ class InductiveWitness:
         )
 
 
-def _real_column(coeffs) -> tuple[int, list]:
-    """The scalar piece Σ_l coeffs[l]·x^l, rational coeffs, in column form (D, cols)."""
-    den = lcm(*(q.denominator for q in coeffs))
-    return den, [((q.numerator * (den // q.denominator), 0),) for q in coeffs]
-
-
 def inductive_witness_section(
     spec: FieldModuleSpec, interval: tuple[Fraction, Fraction], samples, defect: SymbolicSubset
 ) -> InductiveWitness:
@@ -452,7 +456,7 @@ def inductive_witness_section(
     comes from one pass over its breakpoints, and the cell holding x_j is
     found once. Each cell sums its terms in column form, generator columns
     times the integers of λ_j·a_j; membership is tested on the cells'
-    columns, which become polynomials once, at the end.
+    columns, which are reduced once, at the end.
     """
     xs = [Fraction(x) for x in samples]
     if not xs:
@@ -474,7 +478,7 @@ def inductive_witness_section(
     picks = []
     for x, ann in zip(xs, anns):
         k_j = next((k for k, g in enumerate(gens)
-                    if _outside(ann, _scaled_value(g.columns[g.piece_index_for_interval(x)][1], x))), None)
+                    if _outside(ann, _scaled_value(g.pieces[g.piece_index_for_interval(x)][1], x))), None)
         if k_j is None:
             raise NoGeneratorDefect(
                 f"no generator leaves the subspace at sample {x}; "
@@ -492,22 +496,22 @@ def inductive_witness_section(
     cuts, slot = _order([ZERO, ONE, *(t for e in ends for t in e), *(b for k in set(picks) for b in gens[k].breakpoints)])
     piece_on = {k: _cell_pieces(gens[k].breakpoints, slot) for k in set(picks)}
     here = [bisect_right(cuts, x) - 1 for x in xs]  # the cell holding each sample
-    cells = [(1, [])] * (len(cuts) - 1)
+    cells = [_zero_piece(d)] * (len(cuts) - 1)
     lambdas: list[Fraction] = []
     for j, (x, r, (a, b), k, ann, c) in enumerate(zip(xs, radii, ends, picks, anns, here), start=1):
-        cols, on = gens[k].columns, piece_on[k]
+        pieces, on = gens[k].pieces, piece_on[k]
         # the cell holding x sums the earlier terms there, and a_j(x_j) = 1
         lam = Fraction(1, 2 ** j)
-        if not _outside(ann, _scaled_value(_add_times(cells[c], cols[on[c]], _real_column((lam,)))[1], x)):
+        if not _outside(ann, _scaled_value(_add_times(cells[c], pieces[on[c]], from_coeffs([[lam]]))[1], x)):
             lam = Fraction(1, 2 ** (j + 1))
         lambdas.append(lam)
         # λ_j·a_j = s·(t − a)(b − t) with (a, b) = x_j ∓ r_j, s = λ_j / r_j²
         s = lam / (r * r)
         for c in range(slot[a.as_integer_ratio()] // 2, slot[b.as_integer_ratio()] // 2):
-            cells[c] = _add_times(cells[c], cols[on[c]], _real_column((-a * b * s, (a + b) * s, -s)))
+            cells[c] = _add_times(cells[c], pieces[on[c]], from_coeffs([[-a * b * s, (a + b) * s, -s]]))
 
     return InductiveWitness(
-        m=PiecewiseSection._of(d, tuple(cuts), tuple(_from_columns(den, cols, d) for den, cols in cells)),
+        m=PiecewiseSection._of(d, tuple(cuts), tuple(_reduced(den, cols) for den, cols in cells)),
         lambdas=tuple(lambdas),
         picks=tuple(picks),
         samples=tuple(xs),

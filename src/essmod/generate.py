@@ -18,7 +18,6 @@ from .errors import IrrationalRoot, SizeCap
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField, analyze_field
 from .linalg import column_space_projector
 from .modules import ModuleElement, module_basis
-from .polynomials import GaussianPoly
 from .rationals import identity_columns
 from .sections import PiecewiseSection
 from .serialize import (
@@ -183,11 +182,7 @@ def _rand_proper_basis(rng: SplitMix64, d: int):
 
 def _rand_poly_section(rng: SplitMix64, d: int) -> PiecewiseSection:
     """Random polynomial section of degree ≤ 2 with dyadic coefficients."""
-    rows = []
-    for _ in range(d):
-        coeffs = [(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(3)]
-        rows.append(GaussianPoly.from_coeffs(coeffs))
-    return PiecewiseSection(d, (Fraction(0), Fraction(1)), (tuple(rows),))
+    return PiecewiseSection.polynomial([[(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(3)] for _ in range(d)])
 
 
 def gen_field(

@@ -1,8 +1,8 @@
-"""Univariate polynomials with exact rational coefficients, Gaussian
-polynomials as pairs of them, and exact real-root location on intervals.
-A rational polynomial is its integer numerators over one positive
-denominator, in lowest terms (Knuth, TAOCP vol. 2 §4.6.1), so that
-arithmetic, evaluation and the root code below run in integers.
+"""Exact real-root location for univariate polynomials with integer
+coefficients. A polynomial is a list of integers, ascending; trailing zeros
+are allowed and [] is the zero polynomial. A Gaussian-rational polynomial
+reaches these kernels as the integer lists of its real and imaginary parts
+over one positive denominator (`sections`), which moves none of its roots.
 
 Real roots are isolated, never enumerated: a Sturm chain of the primitive
 integer squarefree part s of p (primitive remainder sequences keep its
@@ -17,110 +17,22 @@ bit length, never with magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 
 from .errors import IrrationalRoot
 
 
-@dataclass(init=False, unsafe_hash=True, slots=True)
-class RationalPoly:
-    """Dense polynomial over Q: `nums` ascending, no trailing zero, over `den` > 0, in lowest terms."""
+# --- integer kernels: coefficient lists over Z, ascending (the private ones
+# take them without trailing zeros; the public ones trim first)
 
-    nums: tuple[int, ...]
-    den: int
+def _trim(cs) -> list[int]:
+    """The list cs without its trailing zeros."""
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
-    def __init__(self, coeffs=()):
-        p = _over_lcm([Fraction(c).as_integer_ratio() for c in coeffs])
-        self.nums, self.den = p.nums, p.den
-
-    @classmethod
-    def _of(cls, nums: tuple[int, ...], den: int) -> "RationalPoly":
-        """An operation's result, already in lowest terms: built unchecked."""
-        out = object.__new__(cls)
-        out.nums, out.den = nums, den
-        return out
-
-    @classmethod
-    def zero(cls) -> "RationalPoly":
-        return cls._of((), 1)
-
-    @classmethod
-    def const(cls, c) -> "RationalPoly":
-        c = Fraction(c)
-        return cls._of((c.numerator,) if c else (), c.denominator)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients, ascending, as Fractions (a read-only view)."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.nums) - 1
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __call__(self, x: Fraction) -> Fraction:
-        """p(u/v) from the integer den·v^deg·p(u/v): integer Horner, one division."""
-        if not self.nums:
-            return Fraction(0)
-        return Fraction(_value(self.nums, x.numerator, x.denominator), self.den * x.denominator ** self.degree)
-
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        den = lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        return _norm([a * sa + b * sb for a, b in zip_longest(self.nums, other.nums, fillvalue=0)], den)
-
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly._of(tuple(-c for c in self.nums), self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalPoly):
-            if not self.nums or not other.nums:
-                return RationalPoly.zero()
-            out = [0] * (len(self.nums) + len(other.nums) - 1)
-            for i, a in enumerate(self.nums):
-                if a:
-                    for j, b in enumerate(other.nums):
-                        out[i + j] += a * b
-            return _norm(out, self.den * other.den)
-        c = Fraction(other)
-        return _norm([a * c.numerator for a in self.nums], self.den * c.denominator)
-
-    def __rmul__(self, other) -> "RationalPoly":
-        return self * other
-
-    def monic(self) -> "RationalPoly":
-        if not self.nums:
-            return self
-        g, lead = gcd(*self.nums), self.nums[-1]
-        s = g if lead > 0 else -g
-        return RationalPoly._of(tuple(c // s for c in self.nums), abs(lead) // g)
-
-
-def _over_lcm(ratios: list[tuple[int, int]]) -> RationalPoly:
-    """Σ (p_i/q_i)·x^i, q_i > 0: the numerators over the lcm of the q_i, reduced once."""
-    den = lcm(*(q for _, q in ratios))
-    return _norm([p * (den // q) for p, q in ratios], den)
-
-
-def _norm(nums: list[int], den: int) -> RationalPoly:
-    """nums/den (den > 0) in lowest terms, trailing zeros dropped."""
-    while nums and not nums[-1]:
-        nums.pop()
-    g = gcd(den, *nums)
-    return RationalPoly._of(tuple(c // g for c in nums), den // g)
-
-
-# --- integer kernels: coefficient lists over Z, ascending, no trailing zeros
 
 def _primitive(cs) -> list[int]:
     """The integer list cs over its content (a list of zeros unchanged)."""
@@ -194,23 +106,26 @@ def _signs(chain: list[list[int]], x: Fraction) -> tuple[int, list[int]]:
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b), signs
 
 
-def real_root_count(p: RationalPoly, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> int:
+def real_root_count(p: list[int], lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> int:
     """Distinct real roots of the nonzero p between lo < hi, each end counted
     if closed: V(lo) − V(hi) on the Sturm chain of p counts (lo, hi]."""
-    chain = _sturm_chain(_primitive(p.nums))
+    chain = _sturm_chain(_primitive(_trim(p)))
     (va, sa), (vb, sb) = _signs(chain, lo), _signs(chain, hi)
     return va - vb + (lo_closed and sa[0] == 0) - (not hi_closed and sb[0] == 0)
 
 
-def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Monic gcd over Q[x]."""
-    if a.is_zero() or b.is_zero():
-        return (a + b).monic()
-    a, b = sorted((_primitive(a.nums), _primitive(b.nums)), key=len, reverse=True)
-    return RationalPoly._of(tuple(_remainder_sequence(a, b)[-1]), 1).monic()
+def poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd over Q[x], primitive with a positive leading coefficient; []
+    when both are zero."""
+    a, b = _primitive(_trim(a)), _primitive(_trim(b))
+    if a and b:
+        a, b = sorted((a, b), key=len, reverse=True)
+        a = _remainder_sequence(a, b)[-1]
+    g = a or b
+    return [-c for c in g] if g and g[-1] < 0 else g
 
 
-def certify_only_rational_roots(p: RationalPoly, lo: Fraction, hi: Fraction) -> list[Fraction]:
+def certify_only_rational_roots(p: list[int], lo: Fraction, hi: Fraction) -> list[Fraction]:
     """Rational roots of p in the closed interval [lo, hi] (lo ≤ hi), with a
     proof that no other real root lies there; raises IrrationalRoot otherwise.
 
@@ -218,9 +133,10 @@ def certify_only_rational_roots(p: RationalPoly, lo: Fraction, hi: Fraction) -> 
     (a, b) holds one root; `inner` is the sign of s just right of a. A root
     at a split point or an end counts in neither neighbouring piece (with
     zeros dropped, the chain's variations there equal those just right)."""
-    if p.is_zero():
+    p = _trim(p)
+    if not p:
         raise ValueError("zero polynomial vanishes everywhere")
-    chain = _sturm_chain(_primitive(p.nums))
+    chain = _sturm_chain(_primitive(p))
     (va, sa), (vb, sb) = _signs(chain, lo), _signs(chain, hi)
     roots = sorted({x for x, sx in ((lo, sa), (hi, sb)) if sx[0] == 0})
     stack = [(lo, hi, va, vb + (sb[0] == 0), sa[0] or sa[1])] if lo < hi else []
@@ -266,81 +182,27 @@ def _rational_root_in(s: list[int], a: Fraction, b: Fraction, inner: int) -> Fra
             return None
 
 
-@dataclass(frozen=True)
-class GaussianPoly:
-    """Polynomial with Gaussian-rational coefficients, kept as a real and an
-    imaginary rational polynomial (the variable is real)."""
-
-    re: RationalPoly
-    im: RationalPoly
-
-    @classmethod
-    def zero(cls) -> "GaussianPoly":
-        return cls(RationalPoly.zero(), RationalPoly.zero())
-
-    @classmethod
-    def const(cls, re, im=0) -> "GaussianPoly":
-        return cls(RationalPoly.const(re), RationalPoly.const(im))
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "GaussianPoly":
-        """The polynomial with these ascending (re, im) coefficient pairs."""
-        cs = list(coeffs)
-        return cls(RationalPoly(re for re, _ in cs), RationalPoly(im for _, im in cs))
-
-    @property
-    def degree(self) -> int:
-        return max(self.re.degree, self.im.degree)
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def is_real(self) -> bool:
-        return self.im.is_zero()
-
-    def __add__(self, other: "GaussianPoly") -> "GaussianPoly":
-        return GaussianPoly(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianPoly") -> "GaussianPoly":
-        return GaussianPoly(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianPoly":
-        return GaussianPoly(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, GaussianPoly):
-            return GaussianPoly(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
-        return GaussianPoly(self.re * other, self.im * other)
-
-    def __rmul__(self, other) -> "GaussianPoly":
-        return self * other
-
-    def conj(self) -> "GaussianPoly":
-        """Coefficientwise conjugate; evaluates to conj(p(x)) for real x."""
-        return GaussianPoly(self.re, -self.im)
-
-
-def common_real_zero_gcd(polys) -> RationalPoly:
-    """Monic gcd whose real roots are exactly the common real zeros of all
-    given Gaussian polynomials; the zero polynomial means they all vanish
-    identically."""
-    g = RationalPoly.zero()
-    for part in (q for p in polys for q in (p.re, p.im)):
-        if (g := poly_gcd(g, part)).degree == 0:
+def common_real_zero_gcd(parts) -> list[int]:
+    """The gcd of these integer polynomials, such as the real and imaginary
+    parts of Gaussian ones: its real roots are exactly their common real
+    zeros, and [] means they all vanish identically."""
+    g: list[int] = []
+    for part in parts:
+        if len(g := poly_gcd(g, part)) == 1:
             break
     return g
 
 
-def exact_zero_points(polys, lo: Fraction, hi: Fraction):
-    """Common zero set of the Gaussian polynomials on [lo, hi].
+def exact_zero_points(parts, lo: Fraction, hi: Fraction):
+    """Common zero set of the integer polynomials `parts` on [lo, hi].
 
-    Returns None when all polynomials vanish identically (the zero set is
-    the whole interval); otherwise the finite sorted list of rational zeros,
+    Returns None when all of them vanish identically (the zero set is the
+    whole interval); otherwise the finite sorted list of rational zeros,
     raising IrrationalRoot if an irrational common zero exists there.
     """
-    g = common_real_zero_gcd(polys)
-    if g.is_zero():
+    g = common_real_zero_gcd(parts)
+    if not g:
         return None
-    if g.degree == 0:
+    if len(g) == 1:
         return []
     return certify_only_rational_roots(g, lo, hi)

@@ -20,7 +20,6 @@ from .algebra import AlgebraElement, AlgebraShape
 from .errors import IrrationalRoot
 from .generate import SplitMix64
 from .modules import Submodule
-from .polynomials import GaussianPoly
 from .sections import PiecewiseSection
 from .subsets import SymbolicSubset
 
@@ -346,15 +345,15 @@ def _planted_spec(rng, defect: str):
     return serialize.field_spec_from_json(doc["payload"]), doc
 
 
-def _rand_linear(rng) -> GaussianPoly:
-    """A polynomial of degree ≤ 1 with dyadic (re, im) coefficients."""
-    return GaussianPoly.from_coeffs([(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(2)])
+def _rand_linear(rng) -> list:
+    """The dyadic (re, im) coefficients of a polynomial of degree ≤ 1."""
+    return [(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(2)]
 
 
 def _rand_combination(rng, spec) -> PiecewiseSection:
     m = PiecewiseSection.zero(spec.d)
     for g in spec.generators:
-        m = m + g.mul_scalar_section(PiecewiseSection.scalar_poly(_rand_linear(rng)))
+        m = m + g.mul_scalar_section(PiecewiseSection.polynomial([_rand_linear(rng)]))
     return m
 
 
@@ -423,7 +422,7 @@ def prop_term_norm_bound(rng):
     # restrict to the sup-normalized constant generators
     consts = tuple(
         g for g in spec.generators
-        if all(p.degree <= 0 for row in g.pieces for p in row)
+        if all(len(cols) == 1 for _, cols in g.pieces)
     )
     spec = fields.FieldModuleSpec(spec.d, consts, spec.subfield)
     w = _widest_witness(spec, fields.is_essential_field(spec).analysis.total, 5, 3)
@@ -447,9 +446,8 @@ def prop_term_norm_bound(rng):
 @_property("fields.commutative_identity")
 def prop_commutative_identity(rng):
     d = rng.randint(1, 3)
-    m_coeffs = [_rand_linear(rng) for _ in range(d)]
-    m = PiecewiseSection(d, (Fraction(0), Fraction(1)), (tuple(m_coeffs),))
-    c = PiecewiseSection.scalar_poly(_rand_linear(rng))
+    m = PiecewiseSection.polynomial([_rand_linear(rng) for _ in range(d)])
+    c = PiecewiseSection.polynomial([_rand_linear(rng)])
     n = m.mul_scalar_section(c)
     return fields.commutative_limit_identity(m, n)
 

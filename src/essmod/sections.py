@@ -1,21 +1,27 @@
 """Piecewise-polynomial continuous sections [0, 1] → C^d with Gaussian-rational
-coefficients: exact algebra, exact zero sets."""
+coefficients, held in one exact form: a piece is (D, cols), D > 0 and
+cols[k] the Gaussian-integer column of x^k in D·piece. Pieces are kept in
+lowest terms (D and the integers share no factor, and no zero column
+follows the first), so equal pieces are equal tuples. The algebra and the
+exact zero sets read those integers."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
-from .polynomials import GaussianPoly, RationalPoly, _norm, exact_zero_points
+from .polynomials import exact_zero_points
 from .rationals import GaussianIntVector
 from .subsets import Interval, SymbolicSubset, _order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+Piece = tuple[int, tuple[GaussianIntVector, ...]]
 
 
 @dataclass(frozen=True)
@@ -24,7 +30,7 @@ class PiecewiseSection:
 
     d: int
     breakpoints: tuple[Fraction, ...]
-    pieces: tuple[tuple[GaussianPoly, ...], ...]
+    pieces: tuple[Piece, ...]
 
     def __post_init__(self):
         bps = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in self.breakpoints)
@@ -33,49 +39,43 @@ class PiecewiseSection:
             raise ValueError("breakpoints must run from 0 to 1")
         if any(a >= b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        pieces = tuple(tuple(row) for row in self.pieces)
-        object.__setattr__(self, "pieces", pieces)
-        if len(pieces) != len(bps) - 1:
+        if len(self.pieces) != len(bps) - 1:
             raise ValueError("need one piece per breakpoint interval")
-        for piece in pieces:
-            if len(piece) != self.d:
+        for den, cols in self.pieces:
+            if not cols or any(len(col) != self.d for col in cols):
                 raise DimensionMismatch("piece has wrong fiber dimension")
+            if den < 1:
+                raise ValueError("a piece's denominator must be positive")
+        pieces = tuple(_reduced(den, tuple(map(tuple, cols))) for den, cols in self.pieces)
+        object.__setattr__(self, "pieces", pieces)
         for t, left, right in zip(bps[1:-1], pieces, pieces[1:]):
-            values = _scaled_value(_columns(left + right)[1], t)  # both pieces over one positive scale
-            if values[:self.d] != values[self.d:]:
+            if not _same_value(left, right, t):
                 raise ValueError(f"discontinuity at breakpoint {t}")
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def _of(cls, d: int, breakpoints: tuple, pieces: tuple) -> "PiecewiseSection":
-        """An operation's result, continuous as its operands are: built unchecked."""
+        """An operation's result, continuous and in lowest terms as its operands are: built unchecked."""
         out = cls.__new__(cls)
         out.__dict__.update(d=d, breakpoints=breakpoints, pieces=pieces)
         return out
 
     @classmethod
+    def polynomial(cls, coords) -> "PiecewiseSection":
+        """The one-piece section whose coordinate i has the ascending coefficients coords[i] (see `from_coeffs`)."""
+        return cls(len(coords), (ZERO, ONE), (from_coeffs(coords),))
+
+    @classmethod
     def constant(cls, values) -> "PiecewiseSection":
         """The constant section with these coordinates, each a rational or an (re, im) pair."""
-        piece = tuple(GaussianPoly.const(*v) if isinstance(v, tuple) else GaussianPoly.const(v) for v in values)
-        return cls(len(piece), (ZERO, ONE), (piece,))
+        return cls.polynomial([[v] for v in values])
 
     @classmethod
     def zero(cls, d: int) -> "PiecewiseSection":
-        return cls(d, (ZERO, ONE), (tuple(GaussianPoly.zero() for _ in range(d)),))
-
-    @classmethod
-    def scalar_poly(cls, poly: GaussianPoly) -> "PiecewiseSection":
-        return cls(1, (ZERO, ONE), ((poly,),))
+        return cls._of(d, (ZERO, ONE), (_zero_piece(d),))
 
     # -- algebra (everything goes through a common refinement) ---------------
-
-    @cached_property
-    def columns(self) -> tuple[tuple[int, list[GaussianIntVector]], ...]:
-        """(D, cols) of every piece, computed once: D > 0 and cols[k] the column
-        of x^k in D·piece. A product keeps those of its column product, whose
-        D need not be least and whose top columns may be zero."""
-        return tuple(map(_columns, self.pieces))
 
     def piece_index_for_interval(self, lo: Fraction) -> int:
         i = bisect_right(self.breakpoints, lo) - 1
@@ -91,42 +91,41 @@ class PiecewiseSection:
         if other.d != self.d:
             raise DimensionMismatch("section dimensions differ")
         bps, ia, ib = self._aligned(other)
-        pieces = tuple(tuple(pa + pb for pa, pb in zip(self.pieces[i], other.pieces[j])) for i, j in zip(ia, ib))
-        return PiecewiseSection._of(self.d, bps, pieces)
+        return PiecewiseSection._of(self.d, bps, tuple(_sum(self.pieces[i], other.pieces[j]) for i, j in zip(ia, ib)))
 
     def __sub__(self, other: "PiecewiseSection") -> "PiecewiseSection":
         return self + (-other)
 
-    def _map(self, f) -> "PiecewiseSection":
-        """f applied to every coordinate polynomial of every piece."""
-        return PiecewiseSection._of(self.d, self.breakpoints, tuple(tuple(map(f, row)) for row in self.pieces))
-
     def __neg__(self) -> "PiecewiseSection":
-        return self._map(GaussianPoly.__neg__)
+        pieces = tuple((den, tuple(tuple((-x, -y) for x, y in col) for col in cols)) for den, cols in self.pieces)
+        return PiecewiseSection._of(self.d, self.breakpoints, pieces)
 
     def scale(self, c) -> "PiecewiseSection":
         """The section times the rational c."""
-        return self._map(lambda p: p * c)
+        p, q = Fraction(c).as_integer_ratio()
+        pieces = tuple(_reduced(den * q, tuple(tuple((p * x, p * y) for x, y in col) for col in cols))
+                       for den, cols in self.pieces)
+        return PiecewiseSection._of(self.d, self.breakpoints, pieces)
 
     def mul_scalar_section(self, s: "PiecewiseSection") -> "PiecewiseSection":
-        """Pointwise product with a scalar (d = 1) section, on the pieces'
-        columns cell by cell; the product keeps its columns."""
+        """Pointwise product with a scalar (d = 1) section, cell by cell on
+        the pieces' integer columns."""
         if s.d != 1:
             raise DimensionMismatch("scalar section must have d = 1")
         bps, ia, ib = self._aligned(s)
-        columns = tuple(_add_times((1, []), self.columns[i], s.columns[j]) for i, j in zip(ia, ib))
-        product = PiecewiseSection._of(self.d, bps, tuple(_from_columns(den, cols, self.d) for den, cols in columns))
-        product.__dict__["columns"] = columns
-        return product
+        pieces = tuple(_reduced(*_add_times((1, []), self.pieces[i], s.pieces[j])) for i, j in zip(ia, ib))
+        return PiecewiseSection._of(self.d, bps, pieces)
 
     def conj(self) -> "PiecewiseSection":
-        return self._map(GaussianPoly.conj)
+        pieces = tuple((den, tuple(tuple((x, -y) for x, y in col) for col in cols)) for den, cols in self.pieces)
+        return PiecewiseSection._of(self.d, self.breakpoints, pieces)
 
     def coordinate(self, i: int) -> "PiecewiseSection":
-        return PiecewiseSection._of(1, self.breakpoints, tuple((row[i],) for row in self.pieces))
+        pieces = tuple(_reduced(den, tuple((col[i],) for col in cols)) for den, cols in self.pieces)
+        return PiecewiseSection._of(1, self.breakpoints, pieces)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.pieces for p in row)
+        return not any(x or y for _, cols in self.pieces for col in cols for x, y in col)
 
     def equals(self, other: "PiecewiseSection") -> bool:
         if self.d != other.d:
@@ -141,8 +140,8 @@ class PiecewiseSection:
         The pieces' zero sets are collected and normalized once."""
         points: list[Fraction] = []
         intervals: list[Interval] = []
-        for piece, lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
-            zeros = exact_zero_points(piece, lo, hi)
+        for (_, cols), lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
+            zeros = exact_zero_points(([col[i][t] for col in cols] for i in range(self.d) for t in (0, 1)), lo, hi)
             if zeros is None:
                 intervals.append(Interval(lo, hi, True, True))
             else:
@@ -165,42 +164,73 @@ class PiecewiseSection:
         if self.d != 1:
             raise ValueError("exact sup norm only for scalar sections")
         best = Fraction(0)
-        for i, row in enumerate(self.pieces):
-            p = row[0]
-            if not p.is_real():
+        for (den, cols), lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
+            if any(y for ((_, y),) in cols):
                 raise ValueError("exact sup norm needs real coefficients")
-            q = p.re
-            if q.degree > 2:
+            if len(cols) > 3:
                 raise ValueError("exact sup norm needs degree ≤ 2 pieces")
-            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
+            q = [Fraction(x, den) for ((x, _),) in cols]
             candidates = [lo, hi]
-            if q.degree == 2:
-                vertex = -q.coeffs[1] / (2 * q.coeffs[2])
+            if len(q) == 3:
+                vertex = -q[1] / (2 * q[2])
                 if lo < vertex < hi:
                     candidates.append(vertex)
             for x in candidates:
-                best = max(best, abs(q(x)))
+                best = max(best, abs(sum(c * x**k for k, c in enumerate(q))))
         return best
 
 
-def _columns(piece: tuple[GaussianPoly, ...]) -> tuple[int, list[GaussianIntVector]]:
-    """(D, cols): D > 0 the parts' common denominator, cols[k] the Gaussian-integer
-    column of x^k in D·piece up to the largest degree (one column at least)."""
-    parts = [q for p in piece for q in (p.re, p.im)]
-    den, n = lcm(*(q.den for q in parts)), max(1, *(len(q.nums) for q in parts))
-    rows = [[c * (den // q.den) for c in q.nums] + [0] * (n - len(q.nums)) for q in parts]
-    return den, [tuple(zip(col[::2], col[1::2])) for col in zip(*rows)]
+def from_coeffs(coords) -> Piece:
+    """The piece (D, cols) whose coordinate i has the ascending coefficients
+    coords[i], each a rational or an (re, im) pair of rationals."""
+    return from_ratios([[(_ratio(c[0]), _ratio(c[1])) if isinstance(c, tuple) else (_ratio(c), (0, 1)) for c in coord]
+                        for coord in coords])
 
 
-def _from_columns(den: int, cols: list[GaussianIntVector], d: int) -> tuple[GaussianPoly, ...]:
-    """The d-coordinate piece Σ_k cols[k]·x^k / den, each part in lowest terms."""
-    return tuple(GaussianPoly(_norm([col[i][0] for col in cols], den), _norm([col[i][1] for col in cols], den))
-                 for i in range(d))
+def from_ratios(coords) -> Piece:
+    """The piece (D, cols) whose coordinate i has the ascending coefficients
+    coords[i], each a pair ((p, q), (r, t)) of integers for p/q + (r/t)·i,
+    q and t positive: every part over the lcm D of the denominators, reduced."""
+    den = lcm(*(q for coord in coords for z in coord for _, q in z))
+    n = max([1, *map(len, coords)])
+    rows = [[(p * (den // q), r * (den // t)) for (p, q), (r, t) in coord] + [(0, 0)] * (n - len(coord))
+            for coord in coords]
+    return _reduced(den, tuple(zip(*rows)))
 
 
-def _scaled_value(cols: list[GaussianIntVector], x: Fraction) -> GaussianIntVector:
-    """v^n·Σ_k cols[k]·x^k at x = u/v, n = len(cols) − 1, by integer Horner: for
-    (D, cols) = _columns(piece) that is D·v^n·piece(x), n the piece's degree."""
+def _ratio(c) -> tuple[int, int]:
+    return c.as_integer_ratio() if isinstance(c, (int, Fraction)) else Fraction(c).as_integer_ratio()
+
+
+def _zero_piece(d: int) -> Piece:
+    return 1, (((0, 0),) * d,)
+
+
+def _reduced(den: int, cols: tuple[GaussianIntVector, ...]) -> Piece:
+    """(D, cols) in lowest terms: the zero columns past the first dropped
+    from the end, then D and every integer over their gcd."""
+    n = len(cols)
+    while n > 1 and not any(x or y for x, y in cols[n - 1]):
+        n -= 1
+    g = gcd(den, *(t for col in cols[:n] for z in col for t in z))
+    if g == 1:
+        return den, tuple(cols[:n])
+    return den // g, tuple(tuple((x // g, y // g) for x, y in col) for col in cols[:n])
+
+
+def _sum(a: Piece, b: Piece) -> Piece:
+    """a + b over lcm(D_a, D_b), reduced."""
+    (da, ca), (db, cb) = a, b
+    den = lcm(da, db)
+    f, g = den // da, den // db
+    zero = ((0, 0),) * len(ca[0])
+    return _reduced(den, tuple(tuple((f * x + g * u, f * y + g * w) for (x, y), (u, w) in zip(p, q))
+                               for p, q in zip_longest(ca, cb, fillvalue=zero)))
+
+
+def _scaled_value(cols, x: Fraction) -> GaussianIntVector:
+    """v^n·Σ_k cols[k]·x^k at x = u/v, n = len(cols) − 1, by integer Horner:
+    for a piece (D, cols) that is D·v^n·piece(x)."""
     u, v, w = x.numerator, x.denominator, 1
     acc = cols[-1]
     for col in reversed(cols[:-1]):
@@ -209,9 +239,19 @@ def _scaled_value(cols: list[GaussianIntVector], x: Fraction) -> GaussianIntVect
     return acc
 
 
-def _add_times(cell: tuple[int, list], piece: tuple[int, list], scalar: tuple[int, list]) -> tuple[int, list]:
+def _same_value(a: Piece, b: Piece, x: Fraction) -> bool:
+    """a(x) == b(x): each scaled value times the other's scale D·v^n."""
+    (da, ca), (db, cb) = a, b
+    v = x.denominator
+    fa, fb = db * v ** (len(cb) - 1), da * v ** (len(ca) - 1)
+    return all(p * fa == u * fb and q * fa == w * fb
+               for (p, q), (u, w) in zip(_scaled_value(ca, x), _scaled_value(cb, x)))
+
+
+def _add_times(cell: tuple[int, list], piece: Piece, scalar: Piece) -> tuple[int, list]:
     """cell + piece·scalar for pieces in column form (D, cols), the scalar
-    piece's columns one high: the columns over lcm(D_cell, D_piece·D_scalar)."""
+    piece's columns one high: the columns over lcm(D_cell, D_piece·D_scalar),
+    not reduced."""
     (dc, cc), (dp, pc), (ds, sc) = cell, piece, scalar
     den = lcm(dc, dp * ds)
     f, g = den // dc, den // (dp * ds)
@@ -238,10 +278,12 @@ def pointwise_inner(u: PiecewiseSection, v: PiecewiseSection) -> PiecewiseSectio
     bps, ia, ib = u._aligned(v)
     pieces = []
     for i, j in zip(ia, ib):
-        acc = GaussianPoly.zero()
-        for pa, pb in zip(u.pieces[i], v.pieces[j]):
-            acc = acc + pa.conj() * pb
-        pieces.append((acc,))
+        (du, cu), (dv, cv) = u.pieces[i], v.pieces[j]
+        cell = (1, [])
+        for k in range(u.d):
+            conj_u = (du, tuple(((x, -y),) for x, y in (col[k] for col in cu)))
+            cell = _add_times(cell, (dv, tuple((col[k],) for col in cv)), conj_u)
+        pieces.append(_reduced(*cell))
     return PiecewiseSection._of(1, bps, tuple(pieces))
 
 
@@ -250,9 +292,9 @@ def bump(lo, hi) -> PiecewiseSection:
     lo, hi = Fraction(lo), Fraction(hi)
     if not ZERO <= lo < hi <= ONE:
         raise ValueError("bump needs 0 ≤ lo < hi ≤ 1")
-    poly = GaussianPoly(RationalPoly((-lo * hi, lo + hi, -1)), RationalPoly.zero())
+    piece, zero = from_coeffs([[-lo * hi, lo + hi, -1]]), _zero_piece(1)
     bps = tuple(dict.fromkeys((ZERO, lo, hi, ONE)))  # increasing already
-    return PiecewiseSection._of(1, bps, tuple((poly if a == lo else GaussianPoly.zero(),) for a in bps[:-1]))
+    return PiecewiseSection._of(1, bps, tuple(piece if a == lo else zero for a in bps[:-1]))
 
 
 def unit_bump(center, radius) -> PiecewiseSection:

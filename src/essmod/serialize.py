@@ -17,7 +17,7 @@ import re
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, zip_longest
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -26,9 +26,8 @@ from .algebra import AlgebraElement, AlgebraShape, RightIdeal
 from .errors import NonFinite, NotProjection, SchemaError, SizeCap
 from .fields import FieldModuleSpec, FieldPiece, SubspaceField
 from .modules import ModuleElement, Submodule
-from .polynomials import GaussianPoly, _over_lcm
 from .rationals import GaussianIntVector
-from .sections import PiecewiseSection
+from .sections import PiecewiseSection, from_ratios
 from .subsets import Interval, SymbolicSubset
 
 SCHEMA = "essmod/1"
@@ -264,24 +263,29 @@ def subset_from_json(doc) -> SymbolicSubset:
     return SymbolicSubset(points=tuple(pts), intervals=tuple(ivs))
 
 
-def _poly_to_json(p: GaussianPoly) -> list:
-    """Each coefficient as a pair: each part's integer numerators over its denominator."""
-    re, im = p.re, p.im
-    return [[_ratio_to_json(a, re.den), _ratio_to_json(b, im.den)]
-            for a, b in zip_longest(re.nums, im.nums, fillvalue=0)]
+def _piece_to_json(piece) -> list:
+    """Each coordinate's coefficients up to its last nonzero one, each real
+    and imaginary part in lowest terms."""
+    den, cols = piece
+    out = []
+    for i in range(len(cols[0])):
+        coeffs = [col[i] for col in cols]
+        while coeffs and coeffs[-1] == (0, 0):
+            coeffs.pop()
+        out.append([[_ratio_to_json(x, den), _ratio_to_json(y, den)] for x, y in coeffs])
+    return out
 
 
-def _poly_from_json(doc) -> GaussianPoly:
-    """Each part's integer numerators over the lcm of its denominators."""
-    parts = [_crat_parts(c) for c in _require(doc, list, "polynomial")]
-    return GaussianPoly(*(_over_lcm([c[k] for c in parts]) for k in (0, 1)))
+def _piece_from_json(row) -> tuple[int, tuple]:
+    return from_ratios([[_crat_parts(c) for c in _require(p, list, "polynomial")]
+                        for p in _require(row, list, "section piece")])
 
 
 def section_to_json(m: PiecewiseSection) -> dict:
     return {
         "d": m.d,
         "breakpoints": [frac_to_json(b) for b in m.breakpoints],
-        "pieces": [[_poly_to_json(p) for p in row] for row in m.pieces],
+        "pieces": [_piece_to_json(piece) for piece in m.pieces],
     }
 
 
@@ -292,10 +296,7 @@ def section_from_json(doc) -> PiecewiseSection:
     if _require(d, int, "section d") < 1:
         raise SchemaError("section needs a positive fiber dimension d")
     bps = tuple(frac_from_json(b) for b in _require(doc["breakpoints"], list, "breakpoints"))
-    pieces = tuple(
-        tuple(_poly_from_json(p) for p in _require(row, list, "section piece"))
-        for row in _require(doc["pieces"], list, "section pieces")
-    )
+    pieces = tuple(_piece_from_json(row) for row in _require(doc["pieces"], list, "section pieces"))
     try:
         return PiecewiseSection(d, bps, pieces)
     except ValueError as exc:

@@ -1,0 +1,122 @@
+"""Known mutations of the program, each with the tests that must catch it.
+
+A record names a file, an exact text in it, the text that replaces it, and
+the tests expected to fail on the mutant. The script copies `src/`,
+`tests/` and `pyproject.toml` into a temporary directory, checks that the
+named tests pass there unmutated and that the copy is the package they
+import, then applies one record at a time and runs its tests. A mutant
+whose tests all pass survives; the script prints every survivor and exits
+1 if there is one, or if a record's old text is not found exactly once.
+Hypothesis runs with a fixed seed, so a run is repeatable.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+The file is not named test_*.py, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "interior-zero-inside",
+        "src/essmod/fields.py",
+        "inside += [True, False] * len(zeros) + [True]",
+        "inside += [True, True] * len(zeros) + [True]",
+        ("tests/test_fields.py::test_planted_residual_zeros_agree_with_projector_oracle",),
+    ),
+    Mutant(
+        "product-drops-imaginary-cross-term",
+        "src/essmod/sections.py",
+        "b + x * v + y * u)",
+        "b + x * v)",
+        ("tests/test_polynomials.py::test_gaussian_poly_arithmetic_and_conj",),
+    ),
+    Mutant(
+        "print-unreduced-parts",
+        "src/essmod/serialize.py",
+        "[[_ratio_to_json(x, den), _ratio_to_json(y, den)] for x, y in coeffs]",
+        '[[f"{x}/{den}", f"{y}/{den}"] for x, y in coeffs]',
+        ("tests/test_serialize.py::test_polynomial_print_matches_fraction_printing",),
+    ),
+    # A sign that depends on the row only, not the column, is no mutant to
+    # catch: it multiplies every s×s minor by (−1)^s and leaves their gcd alone.
+    Mutant(
+        "laplace-sign-without-column",
+        "src/essmod/fields.py",
+        "sign = -1 if (k + t) % 2 else 1",
+        "sign = -1 if k % 2 else 1",
+        ("tests/test_fields.py::test_spanning_certificate_matches_all_minors_oracle",),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(copy: Path, tests) -> int:
+    # no bytecode cache: a restored file may share its size and mtime with the mutant
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def _imports_copy(copy: Path) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    out = subprocess.run([sys.executable, "-c", "import essmod; print(essmod.__file__)"], cwd=copy, env=env,
+                         capture_output=True, text=True).stdout.strip()
+    return Path(out).resolve().is_relative_to(copy.resolve())
+
+
+def main() -> int:
+    problems = [f"{m.name}: old text not found exactly once in {m.path}"
+                for m in MUTANTS if (ROOT / m.path).read_text().count(m.old) != 1]
+    with tempfile.TemporaryDirectory(prefix="essmod-mutants-") as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        if not _imports_copy(copy):
+            problems.append("the copy's tests do not import the copy's src/essmod")
+        elif _pytest(copy, sorted({t for m in MUTANTS for t in m.tests})) != 0:
+            problems.append("the named tests fail before any mutation")
+        for m in MUTANTS if not problems else ():
+            target = copy / m.path
+            original = target.read_text()
+            target.write_text(original.replace(m.old, m.new))
+            code = _pytest(copy, m.tests)
+            target.write_text(original)
+            status = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+            print(f"{status:11} {m.name}")
+            if code != 1:
+                problems.append(f"{m.name}: {status}")
+    for p in problems:
+        print(f"problem: {p}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,8 @@ with; the library itself keeps exact complex scalars as (re, im) pairs.
 `value_at` evaluates a section at a point as ComplexRationals,
 `zero_section` refines a section by addition, and
 `fraction_poly_json` is the per-coefficient Fraction printing that
-`serialize._poly_to_json` is checked against.
+`serialize._piece_to_json` is checked against. Polynomials here are the
+Fraction references of `poly_oracle`.
 """
 
 from dataclasses import dataclass
@@ -26,8 +27,9 @@ from math import lcm
 
 from essmod import serialize
 from essmod.linalg import ACCEPT_TOL
-from essmod.polynomials import GaussianPoly, exact_zero_points
+from essmod.polynomials import exact_zero_points
 from essmod.sections import PiecewiseSection
+from poly_oracle import GaussianPoly, int_parts, polys
 from essmod.subsets import Interval, SymbolicSubset
 
 
@@ -78,14 +80,13 @@ def poly_at(p: GaussianPoly, x) -> ComplexRational:
 
 def value_at(m, x) -> tuple:
     """m(x) as ComplexRationals, from the piece that holds x (the last one at 1)."""
-    return tuple(poly_at(p, x) for p in m.pieces[m.piece_index_for_interval(Fraction(x))])
+    return tuple(poly_at(p, x) for p in polys(m.pieces[m.piece_index_for_interval(Fraction(x))]))
 
 
 def zero_section(d: int, inner) -> PiecewiseSection:
     """The zero section with the increasing inner breakpoints `inner`: m plus
     it is m refined there."""
-    zero = (GaussianPoly.zero(),) * d
-    return PiecewiseSection(d, (Fraction(0), *inner, Fraction(1)), (zero,) * (len(inner) + 1))
+    return PiecewiseSection(d, (Fraction(0), *inner, Fraction(1)), PiecewiseSection.zero(d).pieces * (len(inner) + 1))
 
 
 def fraction_poly_json(p: GaussianPoly) -> list:
@@ -271,7 +272,7 @@ def residual_set(m, field) -> SymbolicSubset:
             if not vec_is_zero(mat_vec(comp, value_at(m, lo))):
                 points.append(lo)
             continue
-        piece = m.pieces[m.piece_index_for_interval(lo)]
+        piece = polys(m.pieces[m.piece_index_for_interval(lo)])
         resid = []
         for row in comp:
             acc = GaussianPoly.zero()
@@ -280,7 +281,7 @@ def residual_set(m, field) -> SymbolicSubset:
             resid.append(acc)
         if all(p.is_zero() for p in resid):
             continue
-        zeros = exact_zero_points(resid, lo, hi)
+        zeros = exact_zero_points(int_parts(resid), lo, hi)
         cuts = [lo, *sorted(z for z in zeros if lo < z < hi), hi]
         intervals.extend(Interval(a, b, False, False) for a, b in zip(cuts, cuts[1:]))
     return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))

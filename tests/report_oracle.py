@@ -21,8 +21,14 @@ its certificate cannot hide behind the same fault here.
   1 for sections that vanish there. A check report's `defect_set` must be
   that union in normal form, merged here by testing every boundary and
   every gap's midpoint; `decision` (essential) must hold exactly when the
-  union holds no interval. A witness report must agree on `decision`, and
-  its inductive samples must lie in the union.
+  union holds no interval. A witness report must agree on `decision`; a
+  non-essential one's inductive samples must lie in the union, and an
+  essential one's `a`, `ma` and `support` are checked whole: a is
+  (x − α)(β − x) on `support` = (α, β) and 0 elsewhere, ma equals g·a
+  exactly on the common refinement (g the generator `section_index`
+  picks), ma is nonzero, and ma(x) ∈ L_x everywhere: every coefficient
+  column of ma on each region's intervals, and its value at each point.
+  Section arithmetic here is Fraction pairs.
 
 Float witness reports are not covered yet.
 """
@@ -36,11 +42,12 @@ import numpy as np
 ACCEPT_TOL = 1e-8
 
 
-def verify(doc: dict, report: dict):
+def verify(doc: dict, report: dict, section_index: int = 0):
     """Raise AssertionError unless `report` is a correct check report on `doc`
-    (or, for a field, a correct witness report)."""
+    (or, for a field, a correct witness report, built on the generator that
+    `section_index` picks)."""
     if doc["kind"] == "field":
-        return _verify_field(doc["payload"], report)
+        return _verify_field(doc["payload"], report, section_index)
     if report["kind"] != "check_report":
         raise NotImplementedError(f"no oracle for {report['kind']} yet")
     payload = doc["payload"]
@@ -96,7 +103,7 @@ def _range_projector(m: np.ndarray, rank: int) -> np.ndarray:
     return u @ u.conj().T
 
 
-def _verify_field(payload: dict, report: dict):
+def _verify_field(payload: dict, report: dict, section_index: int):
     defect = _field_defect(payload)
     assert report["decision"] is (not defect["intervals"]) and report["checks_ok"] is True
     if report["kind"] == "check_report":
@@ -104,6 +111,78 @@ def _verify_field(payload: dict, report: dict):
     elif not report["decision"]:
         inside = _member(defect)
         assert all(inside(Fraction(x)) for x in report["witness"]["samples"])
+    else:
+        generators = payload["generators"]
+        _verify_essential_witness(payload, generators[section_index % len(generators)], report["witness"])
+
+
+def _verify_essential_witness(payload: dict, g: dict, w: dict):
+    assert w["kind"] == "essential" and w["residual_empty"] is True and w["ma_nonzero"] is True
+    alpha, beta = (Fraction(x) for x in w["support"])
+    a, ma, gen = (_section(s) for s in (w["a"], w["ma"], g))
+    assert 0 <= alpha < beta <= 1 and a["d"] == 1 and ma["d"] == gen["d"] == payload["d"]
+    bump = [(-alpha * beta, ZERO), (alpha + beta, ZERO), (-ONE, ZERO)]
+    for lo, hi, (p,) in _cells(a):
+        assert p == (bump if alpha <= lo and hi <= beta else [] if hi <= alpha or beta <= lo else None), (lo, hi, p)
+    for lo, hi, row in _cells(ma, a, gen):
+        (s,), q = _piece_on(a, lo), _piece_on(gen, lo)
+        assert row == [_mul(s, c) for c in q], (lo, hi)
+    assert any(p for _, _, row in _cells(ma) for p in row)
+    for region, basis in zip(payload["partition"], payload["subspace_bases"]):
+        region, rank = _subset(region), _rank(basis)
+        for x in region["points"]:
+            value = [_value(p, x) for p in _piece_on(ma, x)]
+            assert _rank(basis + [value]) == rank, ("ma leaves L at", x)
+        for lo, hi, *_ in region["intervals"]:
+            for c_lo, c_hi, row in _cells(ma):
+                if c_lo < hi and lo < c_hi:
+                    for k in range(max(map(len, row))):
+                        column = [p[k] if k < len(p) else (ZERO, ZERO) for p in row]
+                        assert _rank(basis + [column]) == rank, ("ma leaves L on", lo, hi)
+
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def _section(doc: dict) -> dict:
+    """A section document as Fractions: its breakpoints, and per piece one
+    ascending (re, im) coefficient list per coordinate, trailing zeros dropped."""
+    pieces = [[_trimmed([(Fraction(re), Fraction(im)) for re, im in p]) for p in row] for row in doc["pieces"]]
+    return {"d": doc["d"], "breakpoints": [Fraction(b) for b in doc["breakpoints"]], "pieces": pieces}
+
+
+def _trimmed(p: list) -> list:
+    while p and p[-1] == (ZERO, ZERO):
+        p = p[:-1]
+    return p
+
+
+def _piece_on(m: dict, x: Fraction) -> list:
+    """The piece of m on the breakpoint interval [b_i, b_{i+1}) holding x (the last one at 1)."""
+    i = max(i for i, b in enumerate(m["breakpoints"][:-1]) if b <= x)
+    return m["pieces"][i]
+
+
+def _cells(m: dict, *others: dict) -> list:
+    """(lo, hi, piece of m) on every cell of the common refinement of m and others."""
+    cuts = sorted({b for s in (m, *others) for b in s["breakpoints"]})
+    return [(lo, hi, _piece_on(m, lo)) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _mul(p: list, q: list) -> list:
+    out = [(ZERO, ZERO)] * max(0, len(p) + len(q) - 1)
+    for i, (a, b) in enumerate(p):
+        for j, (c, e) in enumerate(q):
+            re, im = out[i + j]
+            out[i + j] = (re + a * c - b * e, im + a * e + b * c)
+    return _trimmed(out)
+
+
+def _value(p: list, x: Fraction) -> tuple:
+    re = im = ZERO
+    for a, b in reversed(p):
+        re, im = re * x + a, im * x + b
+    return re, im
 
 
 def _field_defect(payload: dict) -> dict:
@@ -146,7 +225,8 @@ def _member(s: dict):
 
 
 def _rank(basis: list) -> int:
-    """Rank over Q(i) of the basis columns, each a list of [re, im] pairs:
+    """Rank over Q(i) of the basis columns, each a list of [re, im] pairs of
+    rational strings or Fractions:
     half the rank of their realification, where a column v gives the real
     rows (Re v, Im v) and (−Im v, Re v), by Gauss-Jordan on Fractions."""
     cols = [[(Fraction(re), Fraction(im)) for re, im in col] for col in basis]

@@ -38,7 +38,6 @@ from essmod.modules import (
     submodule_of_ideal,
     theta,
 )
-from essmod.polynomials import GaussianPoly
 from essmod.sections import PiecewiseSection
 
 HERMITIAN_SHAPES = [
@@ -223,13 +222,8 @@ def test_criterion_7_commutative_identity():
     t0 = time.perf_counter()
     for _ in range(100):
         d = rng.randint(1, 3)
-        rows = tuple(
-            GaussianPoly.from_coeffs([(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(3)]) for _ in range(d)
-        )
-        m = PiecewiseSection(d, (F(0), F(1)), (rows,))
-        c = PiecewiseSection.scalar_poly(
-            GaussianPoly.from_coeffs([(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(2)])
-        )
+        m = PiecewiseSection.polynomial([[(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(3)] for _ in range(d)])
+        c = PiecewiseSection.polynomial([[(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(2)]])
         n = m.mul_scalar_section(c)
         assert commutative_limit_identity(m, n)
     report(7, "commutative-identity", t0, "100 instances, exact")

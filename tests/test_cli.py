@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import report_oracle
+from poly_oracle import GaussianPoly, RationalPoly, piece, scalar
 
 from essmod import cli, properties, runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape
@@ -19,7 +20,6 @@ from essmod.errors import PreconditionFailed, SchemaError
 from essmod.fields import FieldModuleSpec, SubspaceField
 from essmod.generate import gen_field, gen_module_submodule, gen_right_ideal
 from essmod.modules import ModuleElement
-from essmod.polynomials import GaussianPoly, RationalPoly
 from essmod.sections import PiecewiseSection, bump
 
 
@@ -645,7 +645,7 @@ def test_flagged_generator_not_vanishing_exits_2(tmp_path, capsys):
 def flagged_two_piece_doc(first, second):
     """The full field C with one flagged generator: `first` (ascending real
     coefficients) on [0, 1/2], `second` on [1/2, 1]."""
-    pieces = tuple((GaussianPoly(RationalPoly(cs), RationalPoly.zero()),) for cs in (first, second))
+    pieces = tuple(piece((GaussianPoly(RationalPoly(cs), RationalPoly.zero()),)) for cs in (first, second))
     g = PiecewiseSection(1, (F(0), F(1, 2), F(1)), pieces)
     payload = serialize.field_spec_to_json(FieldModuleSpec(1, (g,), SubspaceField.full(1)))
     return serialize.instance_to_json("field", {**payload, "vanish_at_boundary": True}, 0)
@@ -872,6 +872,29 @@ def test_field_reports_pass_the_report_oracle():
     assert decisions == {False, True}
 
 
+# (pieces, generators) of the byte-identity grid: the pieces cycle reaches the
+# gen cap 16, and generators d + i % (9 − d) run from d to the cap 8 for every d
+GRID_PIECES = (2, 16, 5, 9, 12, 16, 3, 7, 14)
+GRID_DIGEST = "3d0a923864497862515d592e09a171dbbd5891478f74e23a5ad2f52d793a5c44"
+
+
+def test_field_grid_reports_are_byte_identical_and_pass_the_report_oracle():
+    """108 generated field documents across the gen caps (d 1–4, pieces 2–16,
+    generators d–8, every defect kind): the sha256 over their check and
+    witness reports, `timing_ms` dropped, is pinned, and every report passes
+    the independent oracle. About 1 s on a 2-vCPU VM."""
+    docs = [gen_field(d, pieces, d + i % (9 - d), defect, 100 * d + 10 * i + k)
+            for d in range(1, 5) for k, defect in enumerate(FIELD_DEFECTS) for i, pieces in enumerate(GRID_PIECES)]
+    h = hashlib.sha256()
+    for doc in docs:
+        for call in (runner.run_check, runner.run_witness):
+            report = json.loads(serialize.dumps(call(doc)))
+            report_oracle.verify(doc, report)
+            del report["timing_ms"]
+            h.update(json.dumps(report, sort_keys=True).encode())
+    assert h.hexdigest() == GRID_DIGEST
+
+
 def wrong_vector(report):
     """e1, which lies in range(p), in place of the certificate's vector."""
     cert = report["certificate"]
@@ -902,6 +925,53 @@ def test_report_oracle_refuses_a_wrong_claim(doc, mutate):
     mutate(report)
     with pytest.raises(AssertionError):
         report_oracle.verify(doc, report)
+
+
+def bump_cell(w) -> int:
+    """The index of the piece of the witness's `a` that starts at its support."""
+    return w["a"]["breakpoints"].index(w["support"][0])
+
+
+def shift_ma_coefficient(w):
+    p = w["ma"]["pieces"][w["ma"]["breakpoints"].index(w["support"][0])][0]
+    p[0] = [str(F(p[0][0]) + 1), p[0][1]]
+
+
+def move_a_off_support(w):
+    pieces, i = w["a"]["pieces"], bump_cell(w)
+    pieces[i], pieces[i - 1] = pieces[i - 1], pieces[i]
+
+
+def zero_ma(w):
+    w["ma"]["pieces"] = [[[] for _ in row] for row in w["ma"]["pieces"]]
+
+
+def shift_support(w):
+    lo, hi = (F(x) for x in w["support"])
+    w["support"] = [str(lo + (hi - lo) / 8), str(hi + (hi - lo) / 8)]
+
+
+ESSENTIAL_DOC = gen_field(2, 4, 3, "points", 20)
+
+
+@pytest.mark.parametrize("mutate", [shift_ma_coefficient, move_a_off_support, zero_ma, shift_support])
+def test_report_oracle_refuses_a_wrong_essential_witness(mutate):
+    """Each claim of an essential field witness is checked from the JSON:
+    a is the bump on `support`, ma = g·a exactly, ma ≠ 0 and ma(x) ∈ L_x."""
+    report = json.loads(serialize.dumps(runner.run_witness(ESSENTIAL_DOC)))
+    assert report["decision"] is True and bump_cell(report["witness"]) > 0
+    report_oracle.verify(ESSENTIAL_DOC, report)
+    mutate(report["witness"])
+    with pytest.raises(AssertionError):
+        report_oracle.verify(ESSENTIAL_DOC, report)
+
+
+def test_report_oracle_reads_the_witness_generator_index():
+    """A witness built on generator 1 passes with index 1, not with index 0."""
+    report = json.loads(serialize.dumps(runner.run_witness(ESSENTIAL_DOC, section_index=1)))
+    report_oracle.verify(ESSENTIAL_DOC, report, 1)
+    with pytest.raises(AssertionError):
+        report_oracle.verify(ESSENTIAL_DOC, report)
 
 
 def run_console(command, doc, tmp_path):
@@ -1041,7 +1111,7 @@ def check_full_field(tmp_path, capsys, d, generators):
 def test_irrational_rank_drop_is_not_spanning(tmp_path, capsys):
     """g = x² − 1/2 spans C except at 1/√2, which no rational probe point
     can hit; off the (empty) defect set that is a spanning failure."""
-    g = PiecewiseSection.scalar_poly(GaussianPoly(RationalPoly((-F(1, 2), 0, 1)), RationalPoly.zero()))
+    g = scalar(GaussianPoly(RationalPoly((-F(1, 2), 0, 1)), RationalPoly.zero()))
     code, err, _ = check_full_field(tmp_path, capsys, 1, [g])
     assert code == 2 and err.startswith("error: GeneratorsNotSpanning: ") and err.count("\n") == 1, (code, err)
 
@@ -1053,7 +1123,7 @@ def test_rank_one_generators_fail_fast(tmp_path, capsys):
     gens = []
     for k in range(8):
         p = GaussianPoly.from_coeffs([(k + 1, 0), (-1, k), (F(1, k + 2), 0)])
-        gens.append(PiecewiseSection(4, (F(0), F(1, 2), F(1)), (tuple(p * c for c in v),) * 2))
+        gens.append(PiecewiseSection(4, (F(0), F(1, 2), F(1)), (piece(tuple(p * c for c in v)),) * 2))
     code, err, seconds = check_full_field(tmp_path, capsys, 4, gens)
     assert code == 2 and "GeneratorsNotSpanning" in err and err.count("\n") == 1, (code, err)
     assert seconds < 1.0

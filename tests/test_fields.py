@@ -7,7 +7,7 @@ import projector_oracle
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from poly_oracle import poly_divmod
+from poly_oracle import GaussianPoly, RationalPoly, oracle_gcd, piece, poly_divmod, polys, scalar
 from projector_oracle import CR_ZERO, clear_denominators, cleared_columns, cr, mat, mat_conj_t, mat_mul, mat_rank
 
 from essmod.errors import DimensionMismatch, GeneratorsNotSpanning, IrrationalRoot, OutOfRange
@@ -23,7 +23,6 @@ from essmod.fields import (
     residual_set,
 )
 from essmod.generate import gen_field
-from essmod.polynomials import GaussianPoly, RationalPoly, poly_gcd
 from essmod.rationals import annihilator, identity_columns
 from essmod.serialize import field_spec_from_json
 from essmod.sections import PiecewiseSection, bump
@@ -108,12 +107,12 @@ def test_projectors_are_exact_idempotents():
 
 
 def test_residual_set_full_fiber_is_empty():
-    m = PiecewiseSection.scalar_poly(x_poly())
+    m = scalar(x_poly())
     assert residual_set(m, SubspaceField.full(1)).is_empty()
 
 
 def test_residual_set_half_line_example():
-    m = PiecewiseSection.scalar_poly(x_poly())
+    m = scalar(x_poly())
     y = residual_set(m, two_zone_field())
     assert y == SymbolicSubset.interval(0, F(1, 2), False, True)
 
@@ -124,7 +123,7 @@ def test_residual_set_isolated_root_example():
     m = PiecewiseSection(
         2,
         (F(0), F(1)),
-        ((x_poly(), GaussianPoly(RationalPoly((F(-1, 2), F(1))), RationalPoly.zero())),),
+        (piece((x_poly(), GaussianPoly(RationalPoly((F(-1, 2), F(1))), RationalPoly.zero()))),),
     )
     y = residual_set(m, field)
     assert y == SymbolicSubset.full() - SymbolicSubset.point(F(1, 2))
@@ -144,7 +143,7 @@ def test_residual_set_irrational_boundary_rejected():
         ),
     )
     poly = GaussianPoly(RationalPoly((F(-1, 2), F(0), F(1))), RationalPoly.zero())
-    m = PiecewiseSection.scalar_poly(poly)
+    m = scalar(poly)
     with pytest.raises(IrrationalRoot):
         residual_set(m, field)
 
@@ -161,7 +160,7 @@ def test_total_defect_standard_basis_full_field():
 
 def test_total_defect_single_generator_half_line():
     spec = FieldModuleSpec(
-        1, (PiecewiseSection.scalar_poly(x_poly()),), two_zone_field()
+        1, (scalar(x_poly()),), two_zone_field()
     )
     assert analyze_field(spec).total == SymbolicSubset.interval(0, F(1, 2), False, True)
 
@@ -248,12 +247,12 @@ def test_residual_with_breakpoint_on_point_defect():
     # m kinks at 1/2: x on the left, 1 - x on the right; m(1/2) = 1/2 ≠ 0
     left = GaussianPoly(RationalPoly((0, 1)), RationalPoly.zero())
     right = GaussianPoly(RationalPoly((F(1), F(-1))), RationalPoly.zero())
-    m = PiecewiseSection(1, (F(0), F(1, 2), F(1)), ((left,), (right,)))
+    m = PiecewiseSection(1, (F(0), F(1, 2), F(1)), (piece((left,)), piece((right,))))
     assert residual_set(m, field) == SymbolicSubset.point(F(1, 2))
     # a kink that vanishes exactly at the defective point is never defective
     left2 = GaussianPoly(RationalPoly((F(-1, 2), F(1))), RationalPoly.zero())
     right2 = GaussianPoly(RationalPoly((F(1, 2), F(-1))), RationalPoly.zero())
-    m2 = PiecewiseSection(1, (F(0), F(1, 2), F(1)), ((left2,), (right2,)))
+    m2 = PiecewiseSection(1, (F(0), F(1, 2), F(1)), (piece((left2,)), piece((right2,))))
     assert residual_set(m2, field).is_empty()
 
 
@@ -275,7 +274,7 @@ def test_combination_defects_stay_inside_total_defect():
         m = PiecewiseSection.zero(spec.d)
         for g in spec.generators:
             coeffs = [(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(2)]
-            c = PiecewiseSection.scalar_poly(GaussianPoly.from_coeffs(coeffs))
+            c = PiecewiseSection.polynomial([coeffs])
             m = m + g.mul_scalar_section(c)
         if m.is_zero():
             continue
@@ -296,7 +295,7 @@ def test_identity_with_n_equal_m():
 
 def test_identity_with_scalar_multiple():
     m = PiecewiseSection.constant([1, (0, 1)])
-    c = PiecewiseSection.scalar_poly(GaussianPoly(RationalPoly((0, 1)), RationalPoly((F(1, 3),))))
+    c = scalar(GaussianPoly(RationalPoly((0, 1)), RationalPoly((F(1, 3),))))
     n = m.mul_scalar_section(c)
     assert commutative_limit_identity(m, n)
 
@@ -390,10 +389,57 @@ def test_residual_sets_agree_with_projector_oracle(defect, d, seed):
             assert SymbolicSubset(points=got.points, intervals=got.intervals) == got
 
 
+@st.composite
+def planted_zeros(draw, irrational=False):
+    """A field with a proper subspace L on one interval J of the partition,
+    full elsewhere, and a generator q·v with v ∉ L, cut at a breakpoint t
+    inside J: q·v on [0, t], q·(1 + k·(x − t))·v on [t, 1]. The rational
+    roots of q are drawn from a point strictly inside each atom of J, J's
+    ends and t; with `irrational`, q also gets the root s·√2 strictly
+    inside the atom before t."""
+    d = draw(st.integers(1, 3))
+    lo, z1, t, z2, hi = (F(k, 24) for k in sorted(draw(st.lists(st.integers(1, 23), min_size=5, max_size=5,
+                                                                     unique=True))))
+    j = SymbolicSubset.interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+    kept = sorted(draw(st.sets(st.integers(0, d - 1), max_size=d - 1)))
+    field = SubspaceField(d, (FieldPiece(j, tuple(identity_columns(d)[i] for i in kept)),
+                              FieldPiece(SymbolicSubset.full() - j, identity_columns(d))))
+    v = [GaussianPoly.const(*draw(small_pair)) for _ in range(d)]
+    assume(any(not v[i].is_zero() for i in range(d) if i not in kept))
+    q = real_poly(draw(st.sampled_from([1, -2, F(1, 3)])))
+    for r in draw(st.sets(st.sampled_from([z1, lo, t, z2, hi]), min_size=1)):
+        q = q * real_poly(-r, 1)
+    if irrational:
+        s = F((z1 + t) / 2 / F(1.4142135623730951)).limit_denominator(64)
+        assume(z1 * z1 < 2 * s * s < t * t)
+        q = q * real_poly(-2 * s * s, 0, 1)
+    k = draw(st.sampled_from([0, 1, -3, 12]))
+    right = q * real_poly(1 - k * t, k)
+    m = PiecewiseSection(d, (F(0), t, F(1)), (piece(tuple(q * c for c in v)), piece(tuple(right * c for c in v))))
+    return m, field
+
+
+@settings(deadline=None, max_examples=60)
+@given(planted_zeros())
+def test_planted_residual_zeros_agree_with_projector_oracle(case):
+    """Zeros of the residual strictly inside an atom, at its ends and at a
+    generator breakpoint are points outside the defect set."""
+    m, field = case
+    assert residual_set(m, field) == projector_oracle.residual_set(m, field)
+
+
+@settings(deadline=None, max_examples=20)
+@given(planted_zeros(irrational=True))
+def test_planted_irrational_residual_zero_is_refused(case):
+    m, field = case
+    with pytest.raises(IrrationalRoot):
+        residual_set(m, field)
+
+
 def test_spanning_certificate_sees_isolated_rank_drop():
     """g(x) = x − 1/3 spans C off {1/3} only: the certificate must show the
     rank drop at 1/3, in the defect set or by refusing."""
-    g = PiecewiseSection.scalar_poly(GaussianPoly(RationalPoly((F(-1, 3), F(1))), RationalPoly.zero()))
+    g = scalar(GaussianPoly(RationalPoly((F(-1, 3), F(1))), RationalPoly.zero()))
     assert projector_oracle.value_at(g, F(1, 3)) == (CR_ZERO,)
     spec = FieldModuleSpec(1, (g,), SubspaceField.full(1))
     try:
@@ -410,7 +456,7 @@ def real_poly(*cs):
 # (1, 0) and (0, x² − 1/8) drop rank at 1/√8 only, inside QUARTER_TO_HALF
 DROP_AT_ROOT_EIGHTH = (
     PiecewiseSection.constant([1, 0]),
-    PiecewiseSection(2, (F(0), F(1)), ((GaussianPoly.zero(), real_poly(F(-1, 8), 0, 1)),)),
+    PiecewiseSection(2, (F(0), F(1)), (piece((GaussianPoly.zero(), real_poly(F(-1, 8), 0, 1))),)),
 )
 QUARTER_TO_HALF = SymbolicSubset.interval(F(1, 4), F(1, 2), False, False)
 
@@ -436,7 +482,7 @@ def test_shared_minor_factor_in_the_defect_set_stops_early():
     scan ends once a second minor leaves the gcd unchanged, instead of
     building all C(16, 4) = 1820 minors."""
     rows = [(real_poly(-F(j + 1, 2), j + 1), real_poly(j), real_poly(j**2), real_poly(j**3)) for j in range(16)]
-    gens = tuple(PiecewiseSection(4, (F(0), F(1)), (row,)) for row in rows)
+    gens = tuple(PiecewiseSection(4, (F(0), F(1)), (piece(row),)) for row in rows)
     spec = FieldModuleSpec(4, gens, SubspaceField.full(4))
     t0 = time.perf_counter()
     assert check_generator_spanning(spec, SymbolicSubset.point(F(1, 2))) == 1
@@ -467,7 +513,7 @@ def roots_in_open(h, lo, hi):
     """Distinct roots of h in (lo, hi): classical Sturm chain of the
     squarefree part by Euclidean remainders over Q; a root at hi counts in
     V(lo) − V(hi), hence the correction."""
-    p = poly_divmod(h, poly_gcd(h, derivative(h)))[0]
+    p = poly_divmod(h, oracle_gcd(h, derivative(h)))[0]
     chain = [p, derivative(p)]
     while not chain[-1].is_zero():
         chain.append(-poly_divmod(chain[-2], chain[-1])[1])
@@ -487,11 +533,11 @@ def spans_off_defect_oracle(gens, d, defect):
         rest = SymbolicSubset.interval(a, b) - defect
         if rest.is_empty():
             continue
-        cols = [g.pieces[g.piece_index_for_interval(a)] for g in gens]
+        cols = [polys(g.pieces[g.piece_index_for_interval(a)]) for g in gens]
         h = RationalPoly.zero()
         for s in combinations(range(len(gens)), d):
             minor = leibniz_det([[cols[j][i] for j in s] for i in range(d)])
-            h = poly_gcd(poly_gcd(h, minor.re), minor.im)
+            h = oracle_gcd(oracle_gcd(h, minor.re), minor.im)
         if h.is_zero():
             return False
         ends = [iv.lo for iv in rest.intervals if iv.lo_closed] + [iv.hi for iv in rest.intervals if iv.hi_closed]
@@ -513,10 +559,10 @@ def section(d, cut, first, bend):
     """Polynomial vector `first` on [0, cut] and first + (x − cut)·bend on
     [cut, 1] (continuous at the cut), or `first` on [0, 1] without one."""
     if cut is None:
-        return PiecewiseSection(d, (F(0), F(1)), (tuple(first),))
+        return PiecewiseSection(d, (F(0), F(1)), (piece(first),))
     kink = real_poly(-cut, 1)
     second = tuple(p + kink * c for p, c in zip(first, bend))
-    return PiecewiseSection(d, (F(0), cut, F(1)), (tuple(first), second))
+    return PiecewiseSection(d, (F(0), cut, F(1)), (piece(first), piece(second)))
 
 
 @st.composite
@@ -551,7 +597,7 @@ def spanning_cases(draw):
 
 
 def scalar_case(poly, defect=SymbolicSubset()):
-    return 1, (PiecewiseSection(1, (F(0), F(1)), ((real_poly(*poly),),)),), defect
+    return 1, (scalar(real_poly(*poly)),), defect
 
 
 @settings(deadline=None, max_examples=200)
@@ -561,6 +607,8 @@ def scalar_case(poly, defect=SymbolicSubset()):
 @example(scalar_case((F(-1, 2), 0, 1)))  # an irrational drop
 @example((2, (PiecewiseSection.constant([1, 0]), PiecewiseSection.constant([2, 0])), SymbolicSubset()))  # h = 0
 @example((2, DROP_AT_ROOT_EIGHTH, QUARTER_TO_HALF))  # an irrational drop inside the defect set
+# det = 1 − x² drops rank at 1, where the permanent 1 + x² has no real root
+@example((2, (PiecewiseSection.polynomial([[1], [0, 1]]), PiecewiseSection.polynomial([[0, 1], [1]])), SymbolicSubset()))
 def test_spanning_certificate_matches_all_minors_oracle(case):
     d, gens, defect = case
     spec = FieldModuleSpec(d, gens, SubspaceField.full(d))

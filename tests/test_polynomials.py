@@ -5,21 +5,23 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from poly_oracle import oracle_divmod, poly_divmod, trim
+from poly_oracle import GaussianPoly, RationalPoly, int_parts, oracle_divmod, oracle_gcd, piece, poly_divmod, trim
+
+from projector_oracle import cr, value_at
 
 from essmod.errors import IrrationalRoot
-from essmod.sections import _columns, _scaled_value
+from essmod.sections import PiecewiseSection, _scaled_value, pointwise_inner
 from essmod.polynomials import (
-    GaussianPoly,
-    RationalPoly,
     _exact_quotient,
     _primitive,
     _signs,
     _sturm_chain,
+    _value,
     certify_only_rational_roots,
     common_real_zero_gcd,
     exact_zero_points,
     poly_gcd,
+    real_root_count,
 )
 
 
@@ -27,15 +29,25 @@ def p(*coeffs):
     return RationalPoly(tuple(F(c) for c in coeffs))
 
 
+def certify(q: RationalPoly, lo: F, hi: F) -> list[F]:
+    """The kernel's certified roots of q, from its integer coefficients."""
+    return certify_only_rational_roots(q.ints, lo, hi)
+
+
+def gcd_of(a: RationalPoly, b: RationalPoly) -> RationalPoly:
+    """The kernel's gcd of a and b, made monic."""
+    return RationalPoly(poly_gcd(a.ints, b.ints)).monic()
+
+
 def squarefree_part(q: RationalPoly) -> RationalPoly:
     """The first member of the kernel's Sturm chain, made monic."""
-    return RationalPoly(tuple(_sturm_chain(_primitive(q.nums))[0])).monic()
+    return RationalPoly(tuple(_sturm_chain(_primitive(q.ints))[0])).monic()
 
 
 def count_distinct_real_roots(q: RationalPoly, lo: F, hi: F) -> int:
     """Distinct real roots in (lo, hi], for q(lo) ≠ 0, from the kernel's
     Sturm chain."""
-    chain = _sturm_chain(_primitive(q.nums))
+    chain = _sturm_chain(_primitive(q.ints))
     return _signs(chain, lo)[0] - _signs(chain, hi)[0]
 
 
@@ -74,12 +86,6 @@ def oracle_rational_roots(q: RationalPoly) -> list[F]:
     return sorted(roots)
 
 
-def oracle_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
-    return a.monic()
-
-
 def oracle_sturm_count(q: RationalPoly, lo: F, hi: F) -> int:
     """Distinct real roots of q in (lo, hi], for q(lo) ≠ 0."""
     g = oracle_gcd(q, RationalPoly(tuple(c * i for i, c in enumerate(q.coeffs) if i > 0)))
@@ -113,17 +119,22 @@ def oracle_certify(q: RationalPoly, lo: F, hi: F) -> list[F]:
 
 
 def test_eval_and_degree():
-    q = p(1, -2, 1)  # (x-1)^2
-    assert q(F(1)) == 0 and q(F(3)) == 4
-    assert q.degree == 2
-    assert RationalPoly.zero().degree == -1
+    """The integer kernels read a list with trailing zeros as its trimmed self."""
+    q = [1, -2, 1, 0, 0]  # (x-1)^2
+    assert _value(q[:3], 1, 1) == 0 and _value(q[:3], 3, 1) == 4
+    assert real_root_count(q, F(0), F(2), True, True) == 1
+    assert poly_gcd(q, [0]) == [1, -2, 1] and poly_gcd([], [0, 0]) == []
+    assert poly_gcd([-2, 4], [3, -6, 0]) == [-1, 2]  # primitive, positive leading coefficient
+    assert certify_only_rational_roots(q, F(0), F(2)) == [F(1)]
+    with pytest.raises(ValueError):
+        certify_only_rational_roots([0, 0], F(0), F(1))
 
 
 def test_gcd_of_shared_factor():
     shared = p(-1, 2)  # 2x - 1
     a = shared * p(3, 1)
     b = shared * p(-5, 0, 7)
-    g = poly_gcd(a, b)
+    g = gcd_of(a, b)
     assert g == shared.monic()
 
 
@@ -136,14 +147,14 @@ def test_squarefree_part_strips_multiplicity():
 def test_rational_roots_complete():
     # roots 0, 1/2, -3
     q = p(0, 1) * p(-1, 2) * p(3, 1)
-    assert certify_only_rational_roots(q, F(-4), F(4)) == [F(-3), F(0), F(1, 2)]
+    assert certify(q, F(-4), F(4)) == [F(-3), F(0), F(1, 2)]
 
 
 def test_rational_roots_ignores_irrational():
     q = p(-2, 0, 1)  # x^2 - 2
-    assert certify_only_rational_roots(q, F(0), F(1)) == []
+    assert certify(q, F(0), F(1)) == []
     with pytest.raises(IrrationalRoot):
-        certify_only_rational_roots(q, F(0), F(2))
+        certify(q, F(0), F(2))
 
 
 def test_sturm_counts_distinct_roots():
@@ -161,57 +172,60 @@ def test_sturm_count_across_a_degree_gap():
     # leading coefficient, where the pseudo-remainder's sign must be undone
     assert count_distinct_real_roots(p(-1, 1, 0, 0, 1), F(-3), F(3)) == 2
     assert count_distinct_real_roots(p(1, 1, 0, 0, 1), F(-3), F(3)) == 0
-    assert certify_only_rational_roots(p(1, 1, 0, 0, 1), F(-3), F(3)) == []
+    assert certify(p(1, 1, 0, 0, 1), F(-3), F(3)) == []
     with pytest.raises(IrrationalRoot):
-        certify_only_rational_roots(p(-1, 1, 0, 0, 1), F(0), F(1))
+        certify(p(-1, 1, 0, 0, 1), F(0), F(1))
 
 
 def test_certify_returns_rational_roots_in_range():
     q = p(0, 1) * p(-1, 2)
-    assert certify_only_rational_roots(q, F(0), F(1)) == [F(0), F(1, 2)]
+    assert certify(q, F(0), F(1)) == [F(0), F(1, 2)]
 
 
 def test_certify_raises_on_irrational_root():
     half = p(F(-1, 2), 0, 1)  # x^2 - 1/2, root 1/√2 ≈ 0.707
     with pytest.raises(IrrationalRoot):
-        certify_only_rational_roots(half, F(0), F(1))
+        certify(half, F(0), F(1))
     # a rational root alongside an irrational one still raises
     with pytest.raises(IrrationalRoot):
-        certify_only_rational_roots(half * p(-1, 2), F(0), F(1))
+        certify(half * p(-1, 2), F(0), F(1))
     # but outside the interval the irrational root is invisible
-    assert certify_only_rational_roots(half, F(0), F(1, 2)) == []
+    assert certify(half, F(0), F(1, 2)) == []
 
 
 def test_gaussian_poly_arithmetic_and_conj():
-    # (1 + i x) * conj = 1 + x^2
+    """(1 + i x)·conj(1 + i x) = 1 + x², on the column pieces of sections."""
     g = GaussianPoly(p(1), p(0, 1))
-    prod = g * g.conj()
-    assert prod.re == p(1, 0, 1)
-    assert prod.im.is_zero()
-    assert (g.re(F(1, 2)), g.im(F(1, 2))) == (F(1), F(1, 2))
+    m = PiecewiseSection.polynomial([[(1, 0), (0, 1)]])
+    assert m.pieces == (piece((g,)),)
+    assert m.mul_scalar_section(m.conj()).pieces == (piece((g * g.conj(),)),) == ((1, (((1, 0),), ((0, 0),), ((1, 0),))),)
+    assert pointwise_inner(m, m).equals(m.conj().mul_scalar_section(m))
+    assert _scaled_value(m.pieces[0][1], F(1, 2)) == ((2, 1),)  # 2·(1 + i/2)
 
 
 def test_common_real_zero_gcd():
     g1 = GaussianPoly(p(0, 1) * p(-1, 1), p(0))  # x(x-1)
     g2 = GaussianPoly(p(0, 1) * p(-2, 1), p(0))  # x(x-2)
-    g = common_real_zero_gcd([g1, g2])
+    g = common_real_zero_gcd(int_parts([g1, g2]))
+    assert g == [0, 1]
     assert certify_only_rational_roots(g, F(-3), F(3)) == [F(0)]
 
 
 def test_exact_zero_points_modes():
     # identically zero
-    assert exact_zero_points([GaussianPoly.zero()], F(0), F(1)) is None
+    assert exact_zero_points(int_parts([GaussianPoly.zero()]), F(0), F(1)) is None
+    assert exact_zero_points([[0, 0], []], F(0), F(1)) is None
     # no zeros: nonzero constant
-    assert exact_zero_points([GaussianPoly(p(3), p(0))], F(0), F(1)) == []
+    assert exact_zero_points(int_parts([GaussianPoly(p(3), p(0))]), F(0), F(1)) == []
     # imaginary and real parts constrain jointly: re has roots {0, 1/2}, im has {1/2}
     g = GaussianPoly(p(0, 1) * p(-1, 2), p(-1, 2))
-    assert exact_zero_points([g], F(0), F(1)) == [F(1, 2)]
+    assert exact_zero_points(int_parts([g]), F(0), F(1)) == [F(1, 2)]
 
 
 def test_exact_zero_points_irrational_rejected():
     g = GaussianPoly(p(F(-1, 2), 0, 1), p(0))  # x^2 - 1/2
     with pytest.raises(IrrationalRoot):
-        exact_zero_points([g], F(0), F(1))
+        exact_zero_points(int_parts([g]), F(0), F(1))
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=8)
@@ -221,14 +235,16 @@ polys = st.lists(small_fracs, min_size=0, max_size=4).map(lambda cs: RationalPol
 @settings(deadline=None, max_examples=200)
 @given(polys, polys, small_fracs)
 def test_product_evaluates_pointwise(a, b, x):
-    assert (a * b)(x) == a(x) * b(x)
-    assert (a + b)(x) == a(x) + b(x)
+    """Products and sums of real scalar sections evaluate pointwise."""
+    sa, sb = (PiecewiseSection.polynomial([q.coeffs]) for q in (a, b))
+    assert value_at(sa.mul_scalar_section(sb), x) == (cr(a(x) * b(x)),)
+    assert value_at(sa + sb, x) == (cr(a(x) + b(x)),)
 
 
 @settings(deadline=None, max_examples=200)
 @given(polys, polys)
 def test_gcd_divides_both(a, b):
-    g = poly_gcd(a, b)
+    g = gcd_of(a, b)
     if g.is_zero():
         assert a.is_zero() and b.is_zero()
         return
@@ -245,7 +261,7 @@ def test_rational_roots_are_roots(a):
     # every real root lies within Cauchy's bound
     bound = 1 + max(abs(c / a.coeffs[-1]) for c in a.coeffs)
     try:
-        roots = certify_only_rational_roots(a, -bound, bound)
+        roots = certify(a, -bound, bound)
     except IrrationalRoot:
         with pytest.raises(IrrationalRoot):
             oracle_certify(a, -bound, bound)
@@ -285,9 +301,9 @@ def test_certify_matches_divisor_enumeration(case):
         expected = oracle_certify(q, lo, hi)
     except IrrationalRoot:
         with pytest.raises(IrrationalRoot):
-            certify_only_rational_roots(q, lo, hi)
+            certify(q, lo, hi)
         return
-    assert certify_only_rational_roots(q, lo, hi) == expected
+    assert certify(q, lo, hi) == expected
 
 
 @pytest.mark.parametrize("bits", [60, 90, 120])
@@ -304,12 +320,12 @@ def test_certify_large_denominators(bits):
     for r in roots:
         linear = linear * p(-r.numerator, r.denominator)
     # x^2 + 2 has no real root: all six roots are certified
-    assert certify_only_rational_roots(linear * p(2, 0, 1), F(0), F(1)) == sorted(roots)
+    assert certify(linear * p(2, 0, 1), F(0), F(1)) == sorted(roots)
     # 3x^2 - 1 has the irrational root 1/√3 ≈ 0.577, beyond every planted one
     with pytest.raises(IrrationalRoot):
-        certify_only_rational_roots(linear * p(-1, 0, 3), F(0), F(1))
-    assert certify_only_rational_roots(linear * p(-1, 0, 3), F(0), F(1, 2)) == sorted(roots)
-    assert certify_only_rational_roots(linear * p(-1, 0, 3), roots[0], roots[0]) == [roots[0]]
+        certify(linear * p(-1, 0, 3), F(0), F(1))
+    assert certify(linear * p(-1, 0, 3), F(0), F(1, 2)) == sorted(roots)
+    assert certify(linear * p(-1, 0, 3), roots[0], roots[0]) == [roots[0]]
 
 
 def fraction_horner(q: RationalPoly, x: F) -> F:
@@ -327,21 +343,29 @@ wide_points = st.one_of(
 )
 
 
+def kernel_value(q: RationalPoly, x: F) -> F:
+    """q(x) from the integer Horner kernel: v^n·L·q(u/v) over L·v^n, L the
+    coefficients' common denominator and n the degree."""
+    if q.is_zero():
+        return F(_value([0], x.numerator, x.denominator))
+    den = math.lcm(*(c.denominator for c in q.coeffs))
+    return F(_value(q.ints, x.numerator, x.denominator), den * x.denominator ** q.degree)
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.lists(wide_fracs, max_size=8).map(lambda cs: RationalPoly(tuple(cs))), wide_points)
 def test_integer_horner_matches_fraction_horner(q, x):
     """Coefficients with 200-bit denominators, the zero and constant
     polynomials among them (trailing zeros are dropped)."""
-    assert q(x) == fraction_horner(q, x)
+    assert kernel_value(q, x) == fraction_horner(q, x)
 
 
 def test_integer_horner_edge_cases():
-    assert RationalPoly.zero()(F(5, 3)) == 0
-    assert RationalPoly.const(F(-2, 7))(F(10**30, 3)) == F(-2, 7)
+    assert kernel_value(RationalPoly.zero(), F(5, 3)) == 0
+    assert kernel_value(RationalPoly.const(F(-2, 7)), F(10**30, 3)) == F(-2, 7)
     q = p(F(1, 2**200), F(-3, 5), 0, F(7, 2**199 + 1))
-    for x in (F(0), F(1), F(-1), F(-5, 2), F(3, 2**200 + 1)):
-        assert q(x) == fraction_horner(q, x)
-    assert q(0) == q(F(0)) and q(-2) == fraction_horner(q, F(-2))
+    for x in (F(0), F(1), F(-1), F(-5, 2), F(3, 2**200 + 1), F(-2)):
+        assert kernel_value(q, x) == fraction_horner(q, x)
 
 
 # --- the integer representation against a Fraction-list oracle ----------------------
@@ -359,14 +383,16 @@ def oracle_mul(a, b):
     return trim(out)
 
 
-def assert_canonical(q: RationalPoly, cs) -> None:
-    """q holds the Fraction list cs as integer numerators over one positive
-    denominator, in lowest terms, with no trailing zero."""
-    assert all(type(n) is int for n in q.nums) and type(q.den) is int
-    assert q.den > 0 and math.gcd(q.den, *q.nums) == 1
-    assert not q.nums or q.nums[-1] != 0
-    assert q.coeffs == trim(cs)
-    assert q.degree == len(trim(cs)) - 1
+def assert_canonical(m: PiecewiseSection, cs) -> None:
+    """The real scalar section m holds the Fraction list cs as one piece of
+    integer numerators over one positive denominator, in lowest terms, with
+    no zero column past the first."""
+    ((den, cols),) = m.pieces
+    nums = [x for ((x, y),) in cols]
+    assert all(type(n) is int for n in nums) and type(den) is int and not any(y for ((_, y),) in cols)
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert len(nums) == 1 or nums[-1] != 0
+    assert trim(F(n, den) for n in nums) == trim(cs)
 
 
 fraction_lists = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=5)
@@ -375,21 +401,21 @@ fraction_lists = st.lists(st.fractions(min_value=-9, max_value=9, max_denominato
 @settings(deadline=None, max_examples=150)
 @given(fraction_lists, fraction_lists, st.fractions(min_value=-4, max_value=4, max_denominator=9), small_fracs)
 def test_integer_poly_matches_fraction_list_oracle(a_cs, b_cs, c, x):
-    a, b = RationalPoly(a_cs), RationalPoly(b_cs)
+    """The section algebra on scalar column pieces, against Fraction lists."""
+    a, b = (PiecewiseSection.polynomial([cs]) for cs in (a_cs, b_cs))
     ta, tb = trim(a_cs), trim(b_cs)
     assert_canonical(a, ta)
     assert_canonical(b, tb)
     assert_canonical(a + b, oracle_add(ta, tb))
     assert_canonical(a - b, oracle_add(ta, [-y for y in tb]))
     assert_canonical(-a, [-y for y in ta])
-    assert_canonical(a * b, oracle_mul(ta, tb))
-    assert_canonical(a * c, [y * c for y in ta])
-    assert_canonical(c * a, [y * c for y in ta])
-    assert_canonical(a.monic(), [y / ta[-1] for y in ta] if ta else ())
-    assert a(x) == sum((y * x**i for i, y in enumerate(ta)), F(0))
+    assert_canonical(a.mul_scalar_section(b), oracle_mul(ta, tb))
+    assert_canonical(a.scale(c), [y * c for y in ta])
+    assert_canonical(a.coordinate(0), ta)
+    assert value_at(a, x) == (cr(sum((y * x**i for i, y in enumerate(ta)), F(0))),)
     # equality and hashing follow the coefficients, not how they were written
-    assert (a == b) == (ta == tb)
-    twin = RationalPoly([F(y.numerator * 3, y.denominator * 3) for y in ta] + [0, F(0, 7)])
+    assert (a == b) == (ta == tb) == a.equals(b)
+    twin = PiecewiseSection.polynomial([[F(y.numerator * 3, y.denominator * 3) for y in ta] + [0, F(0, 7)]])
     assert twin == a and hash(twin) == hash(a)
 
 
@@ -416,9 +442,9 @@ def test_exact_quotient_matches_long_division(a, b):
 def test_integer_piece_value_is_a_positive_multiple(parts, x):
     """`_scaled_value` gives a Gaussian-integer vector w = λ·piece(x) with
     one rational λ > 0 for every coordinate and part."""
-    piece = tuple(GaussianPoly(RationalPoly(re), RationalPoly(im)) for re, im in parts)
-    w = _scaled_value(_columns(piece)[1], x)
-    v = [(p.re(x), p.im(x)) for p in piece]
+    row = tuple(GaussianPoly(RationalPoly(re), RationalPoly(im)) for re, im in parts)
+    w = _scaled_value(piece(row)[1], x)
+    v = [(p.re(x), p.im(x)) for p in row]
     assert len(w) == len(v) and all(type(t) is int for pair in w for t in pair)
     flat_w, flat_v = [t for pair in w for t in pair], [t for pair in v for t in pair]
     nonzero = [i for i, t in enumerate(flat_v) if t != 0]

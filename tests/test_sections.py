@@ -4,17 +4,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from poly_oracle import per_part_scaled_value
+from poly_oracle import GaussianPoly, RationalPoly, per_part_scaled_value, piece, polys, scalar, section
 from projector_oracle import ComplexRational, poly_at, value_at, zero_section
 
 from essmod.errors import DimensionMismatch
-from essmod.polynomials import GaussianPoly, RationalPoly
-from essmod.sections import PiecewiseSection, _columns, _from_columns, _scaled_value, bump, pointwise_inner, unit_bump
+from essmod.sections import PiecewiseSection, _scaled_value, bump, pointwise_inner, unit_bump
 from essmod.subsets import SymbolicSubset
 
 
 def x_section():
-    return PiecewiseSection.scalar_poly(GaussianPoly(RationalPoly((0, 1)), RationalPoly.zero()))
+    return scalar(GaussianPoly(RationalPoly((0, 1)), RationalPoly.zero()))
 
 
 def test_constant_section_evaluates():
@@ -26,7 +25,7 @@ def test_continuity_enforced():
     zero = GaussianPoly.zero()
     one = GaussianPoly.const(1)
     with pytest.raises(ValueError, match="discontinuity"):
-        PiecewiseSection(1, (F(0), F(1, 2), F(1)), ((zero,), (one,)))
+        section(1, (F(0), F(1, 2), F(1)), ((zero,), (one,)))
 
 
 GAUSSIAN = st.builds(lambda a, b, c, e: (F(a, b), F(c, e)),
@@ -47,9 +46,9 @@ def test_continuity_check_matches_exact_values(case, t):
     right = [pr + GaussianPoly.const(z.re, z.im) if glue else pr for pr, z, glue in zip(right, gaps, glued)]
     if any(poly_at(pl, t) != poly_at(pr, t) for pl, pr in zip(left, right)):
         with pytest.raises(ValueError, match=f"^discontinuity at breakpoint {t}$"):
-            PiecewiseSection(len(left), (F(0), t, F(1)), (tuple(left), tuple(right)))
+            section(len(left), (F(0), t, F(1)), (tuple(left), tuple(right)))
     else:
-        PiecewiseSection(len(left), (F(0), t, F(1)), (tuple(left), tuple(right)))
+        section(len(left), (F(0), t, F(1)), (tuple(left), tuple(right)))
 
 
 # one rational part: numerators over a denominator that may pass 2⁶⁴, possibly zero
@@ -67,27 +66,30 @@ BIG = F(1, 2**64 + 1)
 @example((GaussianPoly(RationalPoly((BIG, 0, BIG)), RationalPoly.zero()), GaussianPoly.const(0, F(3, 2**65))), F(2, 7))
 @example((GaussianPoly.zero(), GaussianPoly(RationalPoly.zero(), RationalPoly((1, 2, 3, 4)))), F(0))
 @settings(deadline=None, max_examples=300)
-def test_column_value_equals_per_part_value(piece, x):
+def test_column_value_equals_per_part_value(row, x):
     """Horner over the piece's columns gives the same Gaussian integers as one
     Horner pass per part: zero parts, the zero piece, mixed degrees, and
     denominators past 2⁶⁴ included."""
-    assert _scaled_value(_columns(piece)[1], x) == per_part_scaled_value(piece, x)
+    assert _scaled_value(piece(row)[1], x) == per_part_scaled_value(row, x)
 
 
 @given(PIECE)
 @example(ZERO_PIECE)
 @settings(deadline=None, max_examples=200)
-def test_columns_are_the_piece_over_its_common_denominator(piece):
+def test_columns_are_the_piece_over_its_common_denominator(row):
     """cols[k] is the column of x^k in D·piece, D > 0 the lcm of the parts'
-    denominators, up to the largest degree; `_from_columns` gives the piece back."""
-    den, cols = _columns(piece)
-    parts = [q for p in piece for q in (p.re, p.im)]
-    assert den == math.lcm(*(q.den for q in parts))
+    lowest-terms denominators, up to the largest degree, in integers; the
+    section constructor brings any positive multiple of it to that form."""
+    den, cols = piece(row)
+    parts = [q for p in row for q in (p.re, p.im)]
+    assert den == math.lcm(*(c.denominator for q in parts for c in q.coeffs))
     assert len(cols) == max(1, *(q.degree + 1 for q in parts))
-    for i, p in enumerate(piece):
-        for t, q in enumerate((p.re, p.im)):
-            assert RationalPoly(tuple(F(col[i][t], den) for col in cols)) == q
-    assert _from_columns(den, cols, len(piece)) == piece
+    assert all(type(t) is int for col in cols for z in col for t in z)
+    assert polys((den, cols)) == row
+    # any positive multiple, with zero columns appended, is reduced to the same tuples
+    wide = (3 * den, tuple(tuple((3 * x, 3 * y) for x, y in col) for col in cols) + (((0, 0),) * len(row),) * 2)
+    m = PiecewiseSection(len(row), (0, 1), (wide,))
+    assert m.pieces == ((den, cols),) and hash(m) == hash(PiecewiseSection(len(row), (0, 1), ((den, cols),)))
 
 
 def hinge_sections(d: int, grid: list):
@@ -109,7 +111,7 @@ def hinge_sections(d: int, grid: list):
             r = zero if j < zeros else draw(row)
             piece = tuple(p + hinge[t] * q for p, q in zip(piece, r))
             pieces.append(piece)
-        return PiecewiseSection(d, (F(0), *inner, F(1)), pieces[::-1] if from_right else pieces)
+        return section(d, (F(0), *inner, F(1)), pieces[::-1] if from_right else pieces)
 
     return draw_section()
 
@@ -131,7 +133,7 @@ def probe_points(*sections) -> list:
 def test_products_sums_and_equality_agree_with_pointwise_values(case):
     """mul_scalar_section, + and equals on one alignment of two sets of
     breakpoints agree with values taken piece by piece (projector_oracle.value_at);
-    the columns a product keeps give its pieces back."""
+    their pieces are in lowest terms, as the reference polynomials rebuild them."""
     m, n, s = case
     prod, total = m.mul_scalar_section(s), m + n
     assert prod.breakpoints == tuple(sorted({*m.breakpoints, *s.breakpoints}))
@@ -139,7 +141,7 @@ def test_products_sums_and_equality_agree_with_pointwise_values(case):
         (c,) = value_at(s, x)
         assert value_at(prod, x) == tuple(v * c for v in value_at(m, x))
         assert value_at(total, x) == tuple(a + b for a, b in zip(value_at(m, x), value_at(n, x)))
-    assert all(_from_columns(den, cols, m.d) == piece for (den, cols), piece in zip(prod.columns, prod.pieces))
+    assert all(piece(polys(pc)) == pc for pc in prod.pieces + total.pieces)
     assert m.equals(n) == all(value_at(m, x) == value_at(n, x) for x in probe_points(m, n))
     assert m.equals(m + n.scale(0)) and total.equals(n + m)
 
@@ -147,9 +149,9 @@ def test_products_sums_and_equality_agree_with_pointwise_values(case):
 def test_breakpoint_validation():
     one = GaussianPoly.const(1)
     with pytest.raises(ValueError):
-        PiecewiseSection(1, (F(0), F(1, 2)), ((one,),))  # must end at 1
+        section(1, (F(0), F(1, 2)), ((one,),))  # must end at 1
     with pytest.raises(ValueError):
-        PiecewiseSection(1, (F(0), F(1, 2), F(1, 4), F(1)), ((one,), (one,), (one,)))
+        section(1, (F(0), F(1, 2), F(1, 4), F(1)), ((one,), (one,), (one,)))
 
 
 def test_refine_preserves_values():
@@ -215,9 +217,7 @@ def test_exact_sup_norm_constraints():
     assert unit_bump(F(1, 4), F(1, 8)).exact_sup_norm() == F(1)
     with pytest.raises(ValueError):
         PiecewiseSection.constant([1, 1]).exact_sup_norm()  # not scalar
-    cubic = PiecewiseSection.scalar_poly(
-        GaussianPoly(RationalPoly((F(0), F(0), F(0), F(1))), RationalPoly.zero())
-    )
+    cubic = scalar(GaussianPoly(RationalPoly((F(0), F(0), F(0), F(1))), RationalPoly.zero()))
     with pytest.raises(ValueError):
         cubic.exact_sup_norm()
 

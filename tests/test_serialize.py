@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import projector_oracle
+from poly_oracle import GaussianPoly, RationalPoly, piece, polys
 from projector_oracle import clear_denominators, crat_from_json, fraction_poly_json
 
 from essmod import rationals, serialize
@@ -14,7 +15,6 @@ from essmod.errors import SchemaError
 from essmod.fields import FieldModuleSpec, FieldPiece, SubspaceField
 from essmod.generate import SplitMix64, gen_field, rand_algebra_element, rand_module_element
 from essmod.modules import Submodule, module_basis
-from essmod.polynomials import GaussianPoly, RationalPoly
 from essmod.rationals import annihilator, identity_columns
 from essmod.sections import PiecewiseSection, bump
 from essmod.subsets import SymbolicSubset
@@ -70,9 +70,14 @@ def fraction_path_poly(doc) -> GaussianPoly:
     return GaussianPoly.from_coeffs([(z.re, z.im) for z in map(crat_from_json, doc)])
 
 
+def loaded_piece(doc) -> tuple:
+    """The polynomial doc as the loader reads it: one piece (D, cols) of a section."""
+    return serialize.section_from_json({"d": 1, "breakpoints": ["0", "1"], "pieces": [[doc]]}).pieces[0]
+
+
 def loaded_poly(doc) -> GaussianPoly:
-    """The polynomial doc as the loader reads it: one piece of a section."""
-    return serialize.section_from_json({"d": 1, "breakpoints": ["0", "1"], "pieces": [[doc]]}).pieces[0][0]
+    """The polynomial doc as the loader reads it, as a reference polynomial."""
+    return polys(loaded_piece(doc))[0]
 
 
 rational_texts = st.one_of(
@@ -91,15 +96,16 @@ coefficient_lists = st.builds(
 @given(coefficient_lists)
 def test_polynomial_parse_matches_fraction_path(doc):
     """Numerators over the lcm of the written denominators, reduced once,
-    give the lowest-terms polynomial the Fraction path gives."""
-    poly = loaded_poly(doc)
-    assert poly == fraction_path_poly(doc)
-    for k, part in enumerate((poly.re, poly.im)):
+    give the lowest-terms piece the Fraction path gives."""
+    den, cols = loaded_piece(doc)
+    assert (den, cols) == piece((fraction_path_poly(doc),))
+    assert den > 0 and gcd(den, *(t for ((x, y),) in cols for t in (x, y))) == 1
+    assert len(cols) == 1 or cols[-1] != ((0, 0),)
+    for k, part in enumerate((loaded_poly(doc).re, loaded_poly(doc).im)):
         values = [F(c[k]) for c in doc]
         while values and not values[-1]:
             values.pop()
         assert part.coeffs == tuple(values)
-        assert part.den > 0 and gcd(part.den, *part.nums) == 1
 
 
 # parts of independent lengths, each possibly zero or with a huge entry
@@ -110,10 +116,11 @@ part_coeffs = st.lists(st.one_of(st.fractions(max_denominator=10 ** 6), st.integ
 @settings(deadline=None, max_examples=300)
 @given(part_coeffs, part_coeffs)
 def test_polynomial_print_matches_fraction_printing(re, im):
-    """Coefficients printed from each part's integer numerators over its
-    denominator match the per-Fraction printing, and read back as p."""
+    """Coefficients printed from the piece's integer columns over its
+    denominator, each part in lowest terms, match the per-Fraction printing,
+    and read back as p."""
     p = GaussianPoly(RationalPoly(re), RationalPoly(im))
-    doc = serialize._poly_to_json(p)
+    (doc,) = serialize._piece_to_json(piece((p,)))
     assert doc == fraction_poly_json(p)
     assert len(doc) == p.degree + 1
     assert loaded_poly(doc) == p

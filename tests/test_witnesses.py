@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import projector_oracle
 import pytest
 from projector_oracle import value_at
+from poly_oracle import GaussianPoly, RationalPoly, piece
 
 from essmod import rationals
 from essmod.errors import NoRoom, PreconditionFailed, SampleNotInDefect, ZeroInput
@@ -21,7 +22,6 @@ from essmod.fields import (
     residual_set,
 )
 from essmod.generate import gen_field
-from essmod.polynomials import GaussianPoly, RationalPoly
 from essmod.rationals import identity_columns
 from essmod.runner import run_check, run_witness
 from essmod.sections import PiecewiseSection, unit_bump
@@ -67,7 +67,7 @@ def test_essential_witness_support_follows_the_section_support():
         (RationalPoly((0, 1)) - RationalPoly.const(F(1, 2))) * (RationalPoly((0, 1)) - RationalPoly.const(F(1, 2))),
         RationalPoly.zero(),
     )
-    m = PiecewiseSection(1, (F(0), F(1, 2), F(1)), ((GaussianPoly.zero(),), (rise,)))
+    m = PiecewiseSection(1, (F(0), F(1, 2), F(1)), (piece((GaussianPoly.zero(),)), piece((rise,))))
     field = field_with_regions(
         1, (SymbolicSubset.interval(F(0), F(1, 4), False, False), ())
     )
@@ -118,7 +118,7 @@ def test_non_essential_witness_polynomial_defect():
     m = PiecewiseSection(
         2,
         (F(0), F(1)),
-        ((GaussianPoly(RationalPoly((0, 1)), RationalPoly.zero()), GaussianPoly.zero()),),
+        (piece((GaussianPoly(RationalPoly((0, 1)), RationalPoly.zero()), GaussianPoly.zero())),),
     )
     w = non_essential_witness(m, field, residual_set(m, field))
     assert w.closure_equal and w.ma_nonzero
@@ -240,7 +240,7 @@ def positive_tent(rng, cuts):
     pieces = []
     for a, b, va, vb in zip(bps, bps[1:], vals, vals[1:]):
         slope = (vb - va) / (b - a)
-        pieces.append((GaussianPoly(RationalPoly((va - slope * a, slope)), RationalPoly.zero()),))
+        pieces.append(piece((GaussianPoly(RationalPoly((va - slope * a, slope)), RationalPoly.zero()),)))
     return PiecewiseSection(1, bps, tuple(pieces))
 
 
