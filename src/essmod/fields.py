@@ -34,7 +34,7 @@ from .errors import (
 from .polynomials import _value, exact_zero_points, poly_gcd, real_root_count
 from .rationals import GaussianIntVector, annihilator, identity_columns
 from .sections import PiecewiseSection, _add_times, _cell_pieces, _reduced, _scaled_value, _zero_piece, bump, from_coeffs, pointwise_inner
-from .subsets import SymbolicSubset, _check_range, _order, _runs
+from .subsets import SymbolicSubset, _check_range, _label_runs, _of_runs, _order, _runs
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -52,9 +52,13 @@ class FieldPiece:
 @dataclass(frozen=True)
 class SubspaceField:
     """Piecewise-constant assignment x ↦ L_x ⊆ C^d on an exact partition,
-    ordered once: the sorted `bounds` (0 and 1 among them) cut [0, 1] into
-    regions 2i (the point bounds[i]) and 2i + 1 (the gap after it), region r
-    lies in piece `owners[r]`, and overlap and gaps are read off that table."""
+    ordered once: one `_order` over the parts of all regions gives the
+    sorted `bounds` (0 and 1 among them), which cut [0, 1] into regions 2i
+    (the point bounds[i]) and 2i + 1 (the gap after it), and `owners[r]`,
+    the piece of region r. Overlaps between pieces and gaps are read off
+    that table, a bound inside one piece is dropped, and each region comes
+    out in normal form, so it may be given as any checked parts
+    (`subsets._parts`). Pieces with the same columns share one elimination."""
 
     d: int
     pieces: tuple[FieldPiece, ...]
@@ -70,17 +74,22 @@ class SubspaceField:
             for iv in p.region.intervals:
                 marks += range(slot[iv.lo.as_integer_ratio()] + (not iv.lo_closed), slot[iv.hi.as_integer_ratio()] + iv.hi_closed)
             for r in marks:
-                if owners[r] is not None:
+                if owners[r] not in (None, i):
                     raise ValueError("partition pieces overlap")
                 owners[r] = i
         if None in owners:
             raise ValueError("partition pieces do not cover [0, 1]")
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "owners", owners)
+        # the bounds where the owner changes are kept, each with the gap before it
+        last = len(bounds) - 1
+        kept = [k for k in range(last + 1) if k in (0, last) or not owners[2 * k - 1] == owners[2 * k] == owners[2 * k + 1]]
+        owners = [owners[r] for k in kept for r in (2 * k - 1, 2 * k)][1:]
+        bounds = [bounds[k] for k in kept]
+        runs = _label_runs(owners)  # each maximal run of one owner is one part of its region
+        eliminated = {b: annihilator(b, self.d) for b in dict.fromkeys(p.basis for p in self.pieces)}
+        self.__dict__.update(pieces=tuple(FieldPiece(_of_runs(bounds, runs.get(i, ())), p.basis) for i, p in enumerate(self.pieces)),
+                             bounds=bounds, owners=owners)
         # annihilators[i]: the rows whose common kernel is L on piece i
-        object.__setattr__(
-            self, "annihilators", tuple(annihilator(p.basis, self.d) for p in self.pieces)
-        )
+        self.__dict__["annihilators"] = tuple(eliminated[p.basis] for p in self.pieces)
 
     @classmethod
     def full(cls, d: int) -> "SubspaceField":

@@ -35,7 +35,7 @@ class PiecewiseSection:
     def __post_init__(self):
         bps = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
-        if len(bps) < 2 or bps[0] != ZERO or bps[-1] != ONE:
+        if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
             raise ValueError("breakpoints must run from 0 to 1")
         if any(a >= b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
@@ -181,21 +181,21 @@ class PiecewiseSection:
 
 
 def from_coeffs(coords) -> Piece:
-    """The piece (D, cols) whose coordinate i has the ascending coefficients
-    coords[i], each a rational or an (re, im) pair of rationals."""
-    return from_ratios([[(_ratio(c[0]), _ratio(c[1])) if isinstance(c, tuple) else (_ratio(c), (0, 1)) for c in coord]
-                        for coord in coords])
+    """The piece (D, cols), reduced, whose coordinate i has the ascending
+    coefficients coords[i], each a rational or an (re, im) pair of rationals."""
+    return _reduced(*from_ratios([[(_ratio(c[0]), _ratio(c[1])) if isinstance(c, tuple) else (_ratio(c), (0, 1))
+                                   for c in coord] for coord in coords]))
 
 
 def from_ratios(coords) -> Piece:
     """The piece (D, cols) whose coordinate i has the ascending coefficients
     coords[i], each a pair ((p, q), (r, t)) of integers for p/q + (r/t)·i,
-    q and t positive: every part over the lcm D of the denominators, reduced."""
-    den = lcm(*(q for coord in coords for z in coord for _, q in z))
+    q and t positive: every part over the lcm D of the denominators, not reduced."""
+    den = lcm(*[q for coord in coords for z in coord for _, q in z])
     n = max([1, *map(len, coords)])
     rows = [[(p * (den // q), r * (den // t)) for (p, q), (r, t) in coord] + [(0, 0)] * (n - len(coord))
             for coord in coords]
-    return _reduced(den, tuple(zip(*rows)))
+    return den, tuple(zip(*rows))
 
 
 def _ratio(c) -> tuple[int, int]:

@@ -28,7 +28,7 @@ from .fields import FieldModuleSpec, FieldPiece, SubspaceField
 from .modules import ModuleElement, Submodule
 from .rationals import GaussianIntVector
 from .sections import PiecewiseSection, from_ratios
-from .subsets import Interval, SymbolicSubset
+from .subsets import Interval, SymbolicSubset, _parts
 
 SCHEMA = "essmod/1"
 KINDS = ("right_ideal", "module_submodule", "field")
@@ -54,8 +54,8 @@ def _ratio_to_json(p: int, q: int) -> str:
 # written back, and parsing cost grows with the text, never with a magnitude.
 MAX_DIGITS = 1000
 _RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
-# Distinct scalar strings whose parse is kept: documents repeat a few
-# ("0/1" above all), and a bad string is never kept, since it raises.
+# Distinct scalar strings whose parse, and a location's Fraction, are kept:
+# documents repeat a few ("0/1" above all); a bad string raises, so is never kept.
 _PARSE_CACHE_SIZE = 1024
 
 
@@ -96,7 +96,13 @@ def _parse_ratio(s: str) -> tuple[int, int]:
 
 
 def frac_from_json(s) -> Fraction:
-    return Fraction(*_ratio_from_json(s))
+    return _location(s) if isinstance(s, str) else Fraction(*_ratio_from_json(s))  # a non-string raises
+
+
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _location(s: str) -> Fraction:
+    """A location's Fraction: a document repeats its breakpoints and region ends."""
+    return Fraction(*_parse_ratio(s))
 
 
 def _crat_parts(v) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -244,23 +250,22 @@ def subset_to_json(s: SymbolicSubset) -> dict:
 
 
 def subset_from_json(doc) -> SymbolicSubset:
+    return SymbolicSubset(*_subset_parts(doc))
+
+
+def _subset_parts(doc) -> tuple[list[Fraction], list[Interval]]:
+    """The points and intervals a subset document lists, not yet checked."""
     _require(doc, dict, "subset")
     pts = [frac_from_json(p) for p in _require(doc.get("points", []), list, "subset points")]
     ivs = []
     for iv in _require(doc.get("intervals", []), list, "subset intervals"):
         _require(iv, dict, "interval")
         try:
-            ivs.append(
-                Interval._of(
-                    frac_from_json(iv["lo"]),
-                    frac_from_json(iv["hi"]),
-                    _require(iv["lo_closed"], bool, "lo_closed"),
-                    _require(iv["hi_closed"], bool, "hi_closed"),
-                )
-            )
+            ivs.append(Interval._of(frac_from_json(iv["lo"]), frac_from_json(iv["hi"]),
+                                    _require(iv["lo_closed"], bool, "lo_closed"), _require(iv["hi_closed"], bool, "hi_closed")))
         except KeyError as exc:
             raise SchemaError(f"interval missing field {exc}") from exc
-    return SymbolicSubset(points=tuple(pts), intervals=tuple(ivs))
+    return pts, ivs
 
 
 def _piece_to_json(piece) -> list:
@@ -316,8 +321,8 @@ def _basis_from_json(doc, d: int) -> tuple[GaussianIntVector, ...]:
             raise SchemaError(f"basis column of length {len(col)}, expected {d}")
     out = []
     for col in cols:
-        den = lcm(*(q for z in col for _, q in z))
-        out.append(tuple((p * (den // q), r * (den // t)) for (p, q), (r, t) in col))
+        den = lcm(*[q for z in col for _, q in z])
+        out.append(tuple([(p * (den // q), r * (den // t)) for (p, q), (r, t) in col]))
     return tuple(out)
 
 
@@ -340,18 +345,15 @@ def field_spec_from_json(doc) -> FieldModuleSpec:
     if _require(d, int, "d") < 1:
         raise SchemaError("field spec needs a positive fiber dimension d")
     try:  # a constructor's ValueError, such as an interval with lo > hi, is an input error
-        regions = [subset_from_json(p) for p in _require(doc["partition"], list, "partition")]
+        # each region's parts are only checked here: the field orders and normalizes all of them at once
+        regions = [SymbolicSubset._of(*map(tuple, _parts(*_subset_parts(p))))
+                   for p in _require(doc["partition"], list, "partition")]
         bases = _require(doc["subspace_bases"], list, "subspace_bases")
         if len(bases) != len(regions):
             raise SchemaError("partition and subspace_bases lengths differ")
-        pieces = tuple(FieldPiece(region, _basis_from_json(basis, d)) for region, basis in zip(regions, bases))
-        field = SubspaceField(d, pieces)
-        return FieldModuleSpec(
-            d,
-            tuple(section_from_json(g) for g in _require(doc["generators"], list, "generators")),
-            field,
-            _require(doc.get("vanish_at_boundary", False), bool, "vanish_at_boundary"),
-        )
+        field = SubspaceField(d, tuple(FieldPiece(region, _basis_from_json(basis, d)) for region, basis in zip(regions, bases)))
+        generators = tuple(section_from_json(g) for g in _require(doc["generators"], list, "generators"))
+        return FieldModuleSpec(d, generators, field, _require(doc.get("vanish_at_boundary", False), bool, "vanish_at_boundary"))
     except (ValueError, SchemaError) as exc:
         raise SchemaError(str(exc)) from exc
 

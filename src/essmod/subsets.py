@@ -10,6 +10,8 @@ operand's coverage of every region off a running count of its interval
 openings and closings: linear after the sort. Its last step, `_runs`,
 reads the normal form off any ordered walk of regions, and a caller that
 walks [0, 1] in order already (`fields.residual_set`) calls it directly.
+A field's loaded regions pass no sweep: `_parts` checks them as the
+constructor does, and `fields.SubspaceField` normalizes them all at once.
 
 One kernel, `_order`, orders boundaries without comparing or hashing
 Fractions: n/d is deduped and found by its pair (n, d) and sorted by the
@@ -72,11 +74,11 @@ class SymbolicSubset:
     intervals: tuple[Interval, ...] = ()
 
     def __post_init__(self):
-        self.__dict__.update(vars(_normalize(self.points, self.intervals)))
+        self.__dict__.update(vars(_sweep((_parts(self.points, self.intervals),), bool)))
 
     @classmethod
     def _of(cls, points: tuple[Fraction, ...], intervals: tuple[Interval, ...]) -> "SymbolicSubset":
-        """A set whose parts are in normal form already: built unchecked."""
+        """A set whose parts are in normal form already (or a field region's checked parts): built unchecked."""
         out = cls.__new__(cls)
         out.__dict__.update(points=points, intervals=intervals)
         return out
@@ -158,7 +160,10 @@ def _check_range(*xs: Fraction):
             raise OutOfRange(f"value {x} outside [0, 1]")
 
 
-def _normalize(points, intervals) -> "SymbolicSubset":
+def _parts(points, intervals) -> tuple[list[Fraction], list[Interval]]:
+    """The checked parts of a union of these points and intervals, in any
+    order and possibly overlapping: every value in [0, 1], lo ≤ hi, a closed
+    [a, a] kept as the point a and an empty (a, a), (a, a] or [a, a) dropped."""
     pts = [p if isinstance(p, Fraction) else Fraction(p) for p in points]
     _check_range(*pts)
     ivs = []
@@ -172,7 +177,7 @@ def _normalize(points, intervals) -> "SymbolicSubset":
             ivs.append(iv)
         elif iv.lo_closed and iv.hi_closed:
             pts.append(iv.lo)
-    return _sweep(((pts, ivs),), bool)
+    return pts, ivs
 
 
 def _rebuild(sets, keep: Callable[..., bool]) -> "SymbolicSubset":
@@ -226,22 +231,29 @@ def _sweep(operands, keep: Callable[..., bool]) -> "SymbolicSubset":
 def _runs(bounds, inside: list[bool]) -> "SymbolicSubset":
     """Normal form of the set made of the regions r with inside[r], for the
     increasing `bounds` (0 and 1 among them): region 2i is the point
-    bounds[i] and region 2i + 1 the open gap after it. Each maximal run of
-    kept regions is one interval, or an isolated point."""
-    n = len(inside)
-    points: list[Fraction] = []
-    intervals: list[Interval] = []
-    k = 0
-    while k < n:
-        if not inside[k]:
-            k += 1
-            continue
-        start = k
-        while k + 1 < n and inside[k + 1]:
-            k += 1
-        if start == k and k % 2 == 0:
-            points.append(bounds[k // 2])
+    bounds[i] and region 2i + 1 the open gap after it."""
+    return _of_runs(bounds, _label_runs(inside).get(True, ()))
+
+
+def _label_runs(labels) -> dict:
+    """Each label's maximal runs of equal labels in the nonempty `labels`,
+    as increasing pairs (first, last)."""
+    runs, start = {}, 0
+    for r, label in enumerate(labels):
+        if label != labels[start]:
+            runs.setdefault(labels[start], []).append((start, r - 1))
+            start = r
+    runs.setdefault(labels[start], []).append((start, len(labels) - 1))
+    return runs
+
+
+def _of_runs(bounds, runs) -> "SymbolicSubset":
+    """The set whose maximal runs of regions (as in `_runs`) are `runs`,
+    increasing pairs (first, last): each one interval, or an isolated point."""
+    points, intervals = [], []
+    for start, end in runs:
+        if start == end and start % 2 == 0:
+            points.append(bounds[start // 2])
         else:
-            intervals.append(Interval._of(bounds[start // 2], bounds[(k + 1) // 2], start % 2 == 0, k % 2 == 0))
-        k += 1
+            intervals.append(Interval._of(bounds[start // 2], bounds[(end + 1) // 2], start % 2 == 0, end % 2 == 0))
     return SymbolicSubset._of(tuple(points), tuple(intervals))

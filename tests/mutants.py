@@ -7,7 +7,10 @@ named tests pass there unmutated and that the copy is the package they
 import, then applies one record at a time and runs its tests. A mutant
 whose tests all pass survives; the script prints every survivor and exits
 1 if there is one, or if a record's old text is not found exactly once.
-Hypothesis runs with a fixed seed, so a run is repeatable.
+Hypothesis runs with a fixed seed, so a run is repeatable, and with the
+`mutants` profile of tests/conftest.py, which reports a failing example
+without shrinking it. Each record's tests catch it deterministically or by
+an explicit `@example`.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -69,6 +72,41 @@ MUTANTS = (
         "sign = -1 if k % 2 else 1",
         ("tests/test_fields.py::test_spanning_certificate_matches_all_minors_oracle",),
     ),
+    Mutant(
+        "piece-repeating-its-own-region-refused",
+        "src/essmod/fields.py",
+        "if owners[r] not in (None, i):",
+        "if owners[r] is not None:",
+        ("tests/test_fields.py::test_written_partition_loads_as_its_normal_form",),
+    ),
+    Mutant(
+        "closed-point-interval-dropped",
+        "src/essmod/subsets.py",
+        "pts.append(iv.lo)",
+        "pass",
+        ("tests/test_fields.py::test_written_partition_loads_as_its_normal_form",),
+    ),
+    Mutant(
+        "annihilators-keyed-by-column-count",
+        "src/essmod/fields.py",
+        "tuple(eliminated[p.basis] for p in self.pieces)",
+        "tuple(eliminated[next(b for b in eliminated if len(b) == len(p.basis))] for p in self.pieces)",
+        ("tests/test_fields.py::test_loading_sweeps_nothing_and_eliminates_each_basis_once",),
+    ),
+    Mutant(
+        "basis-cleared-by-real-denominators-only",
+        "src/essmod/serialize.py",
+        "den = lcm(*[q for z in col for _, q in z])",
+        "den = lcm(*[z[0][1] for z in col])",
+        ("tests/test_serialize.py::test_basis_parse_matches_fraction_path",),
+    ),
+    Mutant(
+        "continuity-compares-real-parts-only",
+        "src/essmod/sections.py",
+        "p * fa == u * fb and q * fa == w * fb",
+        "p * fa == u * fb",
+        ("tests/test_sections.py::test_continuity_check_matches_exact_values",),
+    ),
 )
 
 
@@ -82,7 +120,8 @@ def _copy(dest: Path) -> None:
 def _pytest(copy: Path, tests) -> int:
     # no bytecode cache: a restored file may share its size and mtime with the mutant
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+           "--hypothesis-profile=mutants", *tests]
     return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 

@@ -29,8 +29,16 @@ its certificate cannot hide behind the same fault here.
   picks), ma is nonzero, and ma(x) ∈ L_x everywhere: every coefficient
   column of ma on each region's intervals, and its value at each point.
   Section arithmetic here is Fraction pairs.
+- Right-ideal witness: from the document's x (its first generator, or
+  the support projection when there is none), `a` must be x·x*, `p` a
+  Hermitian idempotent of numpy rank `rank`, and `fa_p_error`,
+  `max_probe_error` and `max_membership_error`, recomputed on the probes
+  p·E_rc, must each lie within ACCEPT_TOL of the reported value;
+  `checks_ok` must say whether all three are within ACCEPT_TOL. The
+  membership error factors through g(a) = a⁺·f(a), the pseudo-inverse cut
+  at eps/2, which is g(a) since f(t) = t·g(t) and g vanishes below eps/2.
 
-Float witness reports are not covered yet.
+Module witness reports are not covered yet.
 """
 
 from fractions import Fraction
@@ -44,13 +52,15 @@ ACCEPT_TOL = 1e-8
 
 def verify(doc: dict, report: dict, section_index: int = 0):
     """Raise AssertionError unless `report` is a correct check report on `doc`
-    (or, for a field, a correct witness report, built on the generator that
-    `section_index` picks)."""
+    (or a correct right-ideal witness report, or, for a field, a correct
+    witness report, built on the generator that `section_index` picks)."""
     if doc["kind"] == "field":
         return _verify_field(doc["payload"], report, section_index)
+    payload = doc["payload"]
+    if doc["kind"] == "right_ideal" and report["kind"] == "witness_report":
+        return _verify_subideal_witness(payload, report)
     if report["kind"] != "check_report":
         raise NotImplementedError(f"no oracle for {report['kind']} yet")
-    payload = doc["payload"]
     if doc["kind"] == "right_ideal":
         p = _blocks(payload["support_projection"])
         essential = all(np.linalg.eigvalsh((b + b.conj().T) / 2)[0] > 0.5 for b in p)
@@ -77,6 +87,42 @@ def verify(doc: dict, report: dict, section_index: int = 0):
     scale = 1.0 + max(np.linalg.norm(pb, 2) for pb in p)
     assert np.linalg.norm(p[b] @ v) <= ACCEPT_TOL * scale, np.linalg.norm(p[b] @ v)
     assert cert["intersection_dim"] == 0
+
+
+def subideal_generator(payload: dict) -> list:
+    """The blocks of the x a right-ideal witness builds on: the first generator, or else the support projection."""
+    return _blocks((payload.get("generators") or [payload["support_projection"]])[0])
+
+
+def _verify_subideal_witness(payload: dict, report: dict):
+    w = report["witness"]
+    x = subideal_generator(payload)
+    a, p, fa = (_blocks(w[key]) for key in ("a", "p", "fa"))
+    xx = [x_b @ x_b.conj().T for x_b in x]
+    assert _norm(u - v for u, v in zip(a, xx)) <= 1e-12 * _norm(xx), "a is not x·x*"
+    assert _norm(q - q.conj().T for q in p) <= ACCEPT_TOL and _norm(q @ q - q for q in p) <= ACCEPT_TOL
+    assert sum(int(np.linalg.matrix_rank(q)) for q in p) == w["rank"], w["rank"]
+    errors = {"fa_p_error": _norm(f @ q - q for f, q in zip(fa, p)) / (1.0 + _norm(a)),
+              "max_probe_error": 0.0, "max_membership_error": 0.0}
+    for x_b, a_b, p_b, fa_b in zip(x, a, p, fa):
+        # g(a) = a⁺·f(a), the pseudo-inverse cut at eps/2: f(t) = t·g(t), and g vanishes below eps/2
+        eigs, u = np.linalg.eigh(a_b)
+        inverse = np.divide(1.0, eigs, out=np.zeros_like(eigs), where=eigs >= w["eps"] / 2.0)
+        g_b = (u * inverse) @ u.conj().T @ fa_b
+        n = len(x_b)
+        b = p_b @ np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # the probes p·E_rc
+        scale = 1.0 + np.linalg.norm(b, 2, axis=(1, 2))
+        images = {"max_probe_error": fa_b @ (p_b @ b), "max_membership_error": x_b @ (x_b.conj().T @ (g_b @ (p_b @ b)))}
+        for key, image in images.items():
+            errors[key] = max(errors[key], float(np.max(np.linalg.norm(image - b, 2, axis=(1, 2)) / scale)))
+    for key, value in errors.items():
+        assert abs(w[key] - value) <= ACCEPT_TOL, (key, w[key], value)
+    assert report["checks_ok"] is (max(w[key] for key in errors) <= ACCEPT_TOL)
+
+
+def _norm(blocks) -> float:
+    """The C*-norm of blocks: their largest operator norm."""
+    return max(np.linalg.norm(b, 2) for b in blocks)
 
 
 def _blocks(element: dict) -> list:

@@ -852,6 +852,80 @@ def test_float_check_reports_pass_the_report_oracle():
     assert decisions == {(kind, d) for kind in ("right_ideal", "module_submodule") for d in (False, True)}
 
 
+def test_right_ideal_witness_reports_pass_the_report_oracle():
+    """The oracle recomputes each right-ideal witness from the document's x
+    (a = x·x*, p a Hermitian idempotent of the reported rank, and the three
+    reported errors) over the right-ideal documents whose check reports it
+    verifies; a document whose x is zero has no witness."""
+    docs = [gen_right_ideal(blocks, seed) for blocks in CAP_BLOCKS for seed in range(4)]
+    docs += [gen_right_ideal(blocks, seed) for blocks, seed, *_ in GOLDEN_RIGHT_IDEAL_DIGESTS]
+    docs += EDGE_DOCUMENTS
+    witnessed = 0
+    for doc in docs:
+        try:
+            report = json.loads(serialize.dumps(runner.run_witness(doc)))
+        except PreconditionFailed:
+            assert not any(b.any() for b in report_oracle.subideal_generator(doc["payload"]))
+            continue
+        report_oracle.verify(doc, report)
+        witnessed += 1
+    assert witnessed > len(docs) / 2
+
+
+def near_threshold_witness() -> tuple[dict, dict]:
+    """A document and its witness report whose membership error passes
+    ACCEPT_TOL: x = U·diag(1, √1.05e-8, √0.55e-8)·V (U, V random unitaries)
+    keeps an eigenvalue of x·x* just past its threshold cut and one just past
+    eps, so g(a) amplifies rounding by about 2·10⁸, the most the threshold
+    allows. The residual is rounding, and its value varies with the
+    platform's BLAS: the oracle's recomputation differs from the report's by
+    more than ACCEPT_TOL for about 1 such x in 19 (ROADMAP item 8), and for
+    1 of the 12 seeded x here, a count that must not grow. The first one
+    past ACCEPT_TOL whose report the oracle accepts is taken."""
+    rng = np.random.default_rng(0)
+    shape = AlgebraShape((3,))
+    accepted, rejected = [], 0
+    for _ in range(12):
+        u, v = (np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0] for _ in range(2))
+        x = AlgebraElement(shape, (u @ np.diag(np.sqrt([1.0, 1.05e-8, 0.55e-8])) @ v,))
+        payload = {"shape": serialize.shape_to_json(shape), "generators": [serialize.element_to_json(x)],
+                   "support_projection": serialize.element_to_json(AlgebraElement.identity(shape))}
+        doc = serialize.instance_to_json("right_ideal", payload, None)
+        report = json.loads(serialize.dumps(runner.run_witness(doc)))
+        try:
+            report_oracle.verify(doc, report)
+        except AssertionError:
+            rejected += 1
+            continue
+        if report["witness"]["max_membership_error"] > report_oracle.ACCEPT_TOL:
+            accepted.append((doc, report))
+    assert rejected <= 1, f"the oracle rejects {rejected} of 12 near-threshold witness reports"
+    assert accepted, "no seeded x has a membership error past ACCEPT_TOL"
+    return accepted[0]
+
+
+def generated_witness() -> tuple[dict, dict]:
+    doc = gen_right_ideal((2, 3), 1)
+    return doc, json.loads(serialize.dumps(runner.run_witness(doc)))
+
+
+def scale_a(w):
+    w["a"]["blocks"] = [(2 * np.array(block)).tolist() for block in w["a"]["blocks"]]
+
+
+@pytest.mark.parametrize("witness, mutate", [
+    pytest.param(generated_witness, lambda w: w.update(rank=w["rank"] + 1), id="rank-off-by-one"),
+    pytest.param(generated_witness, scale_a, id="a-scaled"),
+    pytest.param(near_threshold_witness, lambda w: w.update(max_membership_error=0.0), id="membership-error-zeroed"),
+])
+def test_report_oracle_refuses_a_wrong_right_ideal_witness(witness, mutate):
+    doc, report = witness()
+    report_oracle.verify(doc, report)
+    mutate(report["witness"])
+    with pytest.raises(AssertionError):
+        report_oracle.verify(doc, report)
+
+
 FIELD_DEFECTS = ("none", "points", "interval")
 
 

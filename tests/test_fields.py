@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from poly_oracle import GaussianPoly, RationalPoly, oracle_gcd, piece, poly_divmod, polys, scalar
 from projector_oracle import CR_ZERO, clear_denominators, cleared_columns, cr, mat, mat_conj_t, mat_mul, mat_rank
 
-from essmod.errors import DimensionMismatch, GeneratorsNotSpanning, IrrationalRoot, OutOfRange
+from essmod import fields, sections, subsets
+from essmod.errors import DimensionMismatch, GeneratorsNotSpanning, IrrationalRoot, OutOfRange, SchemaError
 from essmod.fields import (
     FieldModuleSpec,
     FieldPiece,
@@ -24,7 +25,7 @@ from essmod.fields import (
 )
 from essmod.generate import gen_field
 from essmod.rationals import annihilator, identity_columns
-from essmod.serialize import field_spec_from_json
+from essmod.serialize import field_spec_from_json, section_to_json, subset_to_json
 from essmod.sections import PiecewiseSection, bump
 from essmod.subsets import Interval, SymbolicSubset
 
@@ -618,3 +619,155 @@ def test_spanning_certificate_matches_all_minors_oracle(case):
         assert not spans_off_defect_oracle(gens, d, defect)
     else:
         assert spans_off_defect_oracle(gens, d, defect)
+
+
+# --- the loader orders a written partition once -----------------------------
+
+def written_interval(lo, hi, lo_closed, hi_closed) -> dict:
+    return {"lo": str(lo), "hi": str(hi), "lo_closed": lo_closed, "hi_closed": hi_closed}
+
+
+def field_payload(d, partition, bases) -> dict:
+    """A field document with these written regions and bases, generated by the constant unit sections."""
+    return {"d": d, "partition": partition, "subspace_bases": bases,
+            "generators": [section_to_json(PiecewiseSection.constant([int(i == j) for i in range(d)])) for j in range(d)]}
+
+
+# written bases per fiber dimension: none, unit columns, a complex column, texts not in lowest terms
+WRITTEN_BASES = {
+    1: [[], [[["1", "0"]]], [[["2/4", "-3/6"]]]],
+    2: [[], [[["1", "0"], ["0", "0"]]], [[["0", "0"], ["2/2", "0"]]], [[["1", "0"], ["1/2", "1"]]],
+        [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]],
+}
+
+
+@st.composite
+def written_partitions(draw):
+    """(d, partition, bases): a partition of [0, 1] by grid bounds k/12, each
+    region owned by one of up to 4 pieces and written un-normalized: a point
+    as itself, twice, or as a closed [a, a]; a gap whole, as two halves
+    overlapping or abutting at its midpoint, or twice; an empty (a, a] or
+    [a, a) added; each piece's parts shuffled."""
+    d = draw(st.sampled_from(sorted(WRITTEN_BASES)))
+    bounds = [F(0), *sorted(draw(st.sets(st.integers(1, 11).map(lambda k: F(k, 12)), max_size=4))), F(1)]
+    n = draw(st.integers(1, 4))
+    parts = [([], []) for _ in range(n)]
+    for r, i in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=2 * len(bounds) - 1, max_size=2 * len(bounds) - 1))):
+        points, intervals = parts[i]
+        if r % 2 == 0:
+            b = bounds[r // 2]
+            how = draw(st.sampled_from(["point", "twice", "closed"]))
+            points += [b] * {"point": 1, "twice": 2, "closed": 0}[how]
+            intervals += [(b, b, True, True)] if how == "closed" else []
+        else:
+            a, b = bounds[r // 2], bounds[r // 2 + 1]
+            m = (a + b) / 2
+            intervals += draw(st.sampled_from([[(a, b, False, False)], [(a, m, False, True), (m, b, True, False)],
+                                               [(a, m, False, False), (m, m, True, True), (m, b, False, False)],
+                                               [(a, b, False, False), (a, m, False, True)]]))
+    for points, intervals in parts:
+        if draw(st.booleans()):
+            x = draw(st.sampled_from(bounds[:-1])) + F(1, 24)
+            intervals.append((x, x, draw(st.booleans()), False) if draw(st.booleans()) else (x, x, False, True))
+    partition = [{"points": [str(x) for x in draw(st.permutations(points))],
+                  "intervals": [written_interval(*iv) for iv in draw(st.permutations(intervals))]}
+                 for points, intervals in parts]
+    return d, partition, [draw(st.sampled_from(WRITTEN_BASES[d])) for _ in range(n)]
+
+
+def region_of(doc) -> SymbolicSubset:
+    """The written region through the public constructor, which normalizes."""
+    return SymbolicSubset(points=tuple(F(x) for x in doc["points"]),
+                          intervals=tuple(Interval(F(iv["lo"]), F(iv["hi"]), iv["lo_closed"], iv["hi_closed"])
+                                          for iv in doc["intervals"]))
+
+
+def loading_error(payload):
+    with pytest.raises((SchemaError, OutOfRange)) as err:
+        field_spec_from_json(payload)
+    return type(err.value), str(err.value)
+
+
+X, O = True, False  # closed and open interval ends in the examples below
+
+
+@settings(deadline=None, max_examples=150)
+@given(written_partitions())
+@example((1, [{"points": ["1/2", "1/2"], "intervals": [written_interval("3/4", "1", O, X), written_interval("0", "1/2", X, O)]},
+              {"points": [], "intervals": [written_interval("3/4", "3/4", X, X), written_interval("1/2", "3/4", O, O)]}],
+          [WRITTEN_BASES[1][1], []]))  # parts out of order, a point written twice, a point written as [a, a]
+@example((1, [{"points": [], "intervals": [written_interval("0", "1/3", X, X), written_interval("1/4", "1/2", X, O),
+                                           written_interval("1/2", "2/3", X, O), written_interval("1/5", "1/5", O, X)]},
+              {"points": [], "intervals": [written_interval("2/3", "1", X, X)]}],
+          [[], WRITTEN_BASES[1][2]]))  # a piece's own intervals overlapping and abutting, an empty (a, a]
+@example((2, [{"points": ["1/3"], "intervals": [written_interval("0", "1/3", X, O)]},
+              {"points": [], "intervals": [written_interval("1/3", "2/3", O, X), written_interval("1/2", "2/3", O, O)]},
+              {"points": ["1"], "intervals": [written_interval("2/3", "1", O, O)]}],
+          [WRITTEN_BASES[2][1], WRITTEN_BASES[2][2], WRITTEN_BASES[2][1]]))  # a gap covered twice by its piece
+def test_written_partition_loads_as_its_normal_form(case):
+    """A partition written un-normalized loads to the owner table, regions
+    and annihilators of its normal form: bounds where the owner changes,
+    each piece's region what the set constructor makes of its parts, one
+    annihilator per piece from its columns. A fault gives the message of
+    per-region normalization: an overlap between pieces, a gap, lo > hi, a
+    value outside [0, 1]."""
+    d, partition, bases = case
+    field = field_spec_from_json(field_payload(d, partition, bases)).subfield
+    regions = [region_of(doc) for doc in partition]
+    assert tuple(p.region for p in field.pieces) == tuple(regions)
+    ends = {x for s in regions for x in (*s.points, *(e for iv in s.intervals for e in (iv.lo, iv.hi)))}
+    assert field.bounds == sorted(ends | {F(0), F(1)})
+    probes = [x for a, b in zip(field.bounds, field.bounds[1:]) for x in (a, (a + b) / 2)] + [F(1)]
+    assert field.owners == [next(i for i, s in enumerate(regions) if s.contains(x)) for x in probes]
+    normal = field_spec_from_json(field_payload(d, [subset_to_json(s) for s in regions], bases)).subfield
+    assert (normal.bounds, normal.owners, normal.annihilators) == (field.bounds, field.owners, field.annihilators)
+    assert field.annihilators == tuple(annihilator(p.basis, d) for p in field.pieces)
+
+    owner, doc = next((i, doc) for i, doc in enumerate(partition) if not regions[i].is_empty())
+    faults = [
+        ([{"points": [], "intervals": []} if i == owner else r for i, r in enumerate(partition)],
+         (SchemaError, "partition pieces do not cover [0, 1]")),
+        ([{**r, "intervals": [*r["intervals"], written_interval("1/2", "1/3", X, O)]} if i == owner else r
+          for i, r in enumerate(partition)], (SchemaError, "interval with lo > hi: [1/2, 1/3)")),
+        ([{**r, "points": [*r["points"], "13/12"]} if i == owner else r for i, r in enumerate(partition)],
+         (OutOfRange, "value 13/12 outside [0, 1]")),
+    ]
+    if len(partition) > 1:  # the owning piece's parts written into a second piece too
+        faults.append(([*partition, doc], (SchemaError, "partition pieces overlap")))
+    for written, error in faults:
+        assert loading_error(field_payload(d, written, [*bases, []][:len(written)])) == error
+
+
+# the 24 generated documents the loader tests share: every fiber dimension and defect, small and at the gen caps
+LOADED_DOCUMENTS = [gen_field(d, pieces, max(gens, d), defect, 7)
+                    for d in (1, 2, 3, 4) for defect in ("none", "points", "interval") for pieces, gens in ((2, 1), (16, 8))]
+
+
+def test_loading_sweeps_nothing_and_eliminates_each_basis_once(monkeypatch):
+    """Loading a document normalizes no region by itself (no `_sweep`), runs
+    one elimination per distinct basis, which every piece with that basis
+    reads, and reduces each section piece once, in the section constructor."""
+    counts = {"_sweep": 0, "annihilator": 0, "_reduced": 0}
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(subsets, "_sweep")
+    counted(fields, "annihilator")
+    counted(sections, "_reduced")
+    shared = 0
+    for doc in LOADED_DOCUMENTS:
+        counts.update(dict.fromkeys(counts, 0))
+        payload = doc["payload"]
+        field = field_spec_from_json(payload).subfield
+        distinct = len({p.basis for p in field.pieces})
+        assert counts == {"_sweep": 0, "annihilator": distinct,
+                          "_reduced": sum(len(g["pieces"]) for g in payload["generators"])}
+        assert field.annihilators == tuple(annihilator(p.basis, field.d) for p in field.pieces)
+        shared += len(field.pieces) - distinct
+    assert shared > 0  # some documents repeat a basis, so the count tells sharing from none

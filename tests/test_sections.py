@@ -38,6 +38,7 @@ POLY = st.lists(GAUSSIAN, max_size=4).map(GaussianPoly.from_coeffs)
                                                      st.lists(st.booleans(), min_size=d, max_size=d))),
        st.integers(1, 8).flatmap(lambda q: st.integers(1, 2 * q - 1).map(lambda p: F(p, 2 * q))))
 @settings(deadline=None, max_examples=200)
+@example(([GaussianPoly.const(0, 1)], [GaussianPoly.zero()], [False]), F(1, 2))  # values differing in the imaginary part alone
 def test_continuity_check_matches_exact_values(case, t):
     """Pieces glued or not, coordinate by coordinate, at a breakpoint t: the
     section is refused exactly when some coordinate's two values differ."""

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import projector_oracle
 from poly_oracle import GaussianPoly, RationalPoly, piece, polys
@@ -189,6 +189,7 @@ def basis_documents(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(basis_documents())
+@example((1, [[["1", "1/2"]]]))  # only an imaginary part has a denominator
 def test_basis_parse_matches_fraction_path(case):
     """A column loads as its written entries times the lcm of their
     denominators, as written, not reduced: a positive integer multiple of
