@@ -8,7 +8,7 @@ right ideal is of the form pA for a projection p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -282,35 +282,6 @@ def ideal_support_projection(generators: Sequence[AlgebraElement]) -> RightIdeal
     return RightIdeal(AlgebraElement._of(shape, tuple(blocks)))
 
 
-def _interp_resolvent(eps: float) -> Callable[[float], float]:
-    """g with g = 0 below eps/2, g(t) = 1/t above eps, linear in between."""
-
-    def g(t: float) -> float:
-        if t < eps / 2.0:
-            return 0.0
-        if t < eps:
-            return (t - eps / 2.0) / (eps / 2.0) * (1.0 / eps)
-        return 1.0 / t
-
-    return g
-
-
-def _choose_threshold(a: AlgebraElement) -> float:
-    """Half the smallest nonzero eigenvalue of the positive element a ≠ 0.
-
-    Any threshold in (0, ‖a‖) would make (a−eps)₊ nonzero; this choice
-    additionally puts the whole nonzero spectrum above the cut, so the
-    spectral projection has exactly the rank of a. It sits in the middle of
-    a spectral gap, far from every eigenvalue. An eigenvalue counts as
-    nonzero above ACCEPT_TOL·‖a‖, relative to a alone since xA = (cx)A for
-    every c ≠ 0. That puts eps at least 50 spectral cuts DEFAULT_TOL·‖a‖
-    from 0 and from the kept spectrum, and g(a), which is 1/a there,
-    amplifies rounding in the witness residuals by less than 1/ACCEPT_TOL.
-    """
-    eigs = all_eigenvalues(a)
-    return float(eigs[eigs > ACCEPT_TOL * a.norm()][0]) / 2.0  # a ≠ 0: ‖a‖ itself is kept
-
-
 @dataclass(frozen=True)
 class SubidealWitness:
     """Constructive output of the closed-subideal pipeline for nonzero x.
@@ -318,18 +289,18 @@ class SubidealWitness:
     Carries a = x x*, the threshold eps, the nonzero spectral projection
     p = χ_(eps,∞)(a), f(a) = a·g(a), and the closed right ideal K = pA,
     together with the residuals of the verified contracts f(a)p = p and
-    b = f(a)p b over a spanning probe set of K (which certifies K ⊆ xA).
+    b = x·(V_r Σ_r⁻¹ U_r* b) over a spanning probe set of K (which
+    certifies K ⊆ xA).
     """
 
     eps: float
     a: AlgebraElement
     p: AlgebraElement
     fa: AlgebraElement
-    ga: AlgebraElement
     ideal: RightIdeal
     fa_p_error: float
     probe_errors: tuple[float, ...]
-    membership_errors: tuple[float, ...] = field(default=())
+    membership_errors: tuple[float, ...]
 
     @property
     def verified(self) -> bool:
@@ -343,35 +314,46 @@ def closed_subideal(x: AlgebraElement) -> SubidealWitness:
     """Produce a closed right ideal K = pA inside the right ideal generated
     by a nonzero x, with verified membership certificates.
 
-    a = x x* is positive and nonzero, eps is half its smallest nonzero
-    eigenvalue, p = χ_(eps,∞)(a) ≠ 0 has the rank of x, and f(t) = t·g(t)
-    with g vanishing below eps/2 and equal to 1/t from eps on. Then
-    f(a)p = p, so every b ∈ K factors as b = f(a) p b = x (x* g(a) p b),
-    an element of x A.
+    Everything is read off one SVD x_i = U Σ V* per block: a = x x* has
+    eigenvectors U and eigenvalues σ². eps is half the least σ² counted as
+    nonzero, above ACCEPT_TOL·‖a‖ (relative to a alone, as xA = (cx)A for
+    every c ≠ 0), so it lies at least 50 spectral cuts DEFAULT_TOL·‖a‖
+    from 0 and from the kept spectrum, and p = χ_(eps,∞)(a) = U_r U_r*,
+    r = {σ² > eps}, has the rank of x. f(t) = t·g(t), with g vanishing
+    below eps/2 and 1/t from eps on, so f(a)p = p and every b ∈ K factors
+    as b = x·(x* g(a) p b) = x·(V_r Σ_r⁻¹ U_r* b), an element of xA. That
+    factor amplifies rounding by κ(x) ≤ 1/√ACCEPT_TOL, where x*·g(a) would
+    by κ(x)². A probe p·E_rc has one nonzero column, p·e_r, so its norm and
+    its residuals' are column 2-norms, shared by the n probes of row r.
     """
     if x.is_zero():
         raise ZeroInput("closed_subideal requires x ≠ 0")
     a = x * x.adjoint()
-    eps = _choose_threshold(a)
-    p = spectral_projection(a, eps)
-    g = _interp_resolvent(eps)
-    ga = calculus(a, g)
-    fa = calculus(a, lambda t: t * g(t))
-
-    scale = 1.0 + a.norm()
-    fa_p_error = (fa * p).distance(p) / scale
-    probe_errors, membership_errors = [], []
-    xadj = x.adjoint()
-    # block i's n² probes b = p·E_rc, stacked; their other blocks are zero
-    for n, p_i, fa_i, ga_i, x_i, xadj_i in zip(x.shape.block_dims, *(e.blocks for e in (p, fa, ga, x, xadj))):
-        b = p_i @ np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
-        bscale = 1.0 + np.linalg.svd(b, compute_uv=False)[:, 0]  # each probe's largest singular value
-        probe_errors.extend(np.linalg.svd(fa_i @ (p_i @ b) - b, compute_uv=False)[:, 0] / bscale)
-        factored = x_i @ (xadj_i @ (ga_i @ (p_i @ b)))  # explicit factorization through x
-        membership_errors.extend(np.linalg.svd(factored - b, compute_uv=False)[:, 0] / bscale)
+    norm = a.norm()  # an overflowed x·x* is refused here, as NonFinite
+    svds = [np.linalg.svd(b) for b in x.blocks]
+    sigma2 = np.concatenate([s * s for _, s, _ in svds])
+    eps = float(np.min(sigma2[sigma2 > ACCEPT_TOL * norm])) / 2.0  # a ≠ 0: ‖a‖ itself is kept
+    cut = DEFAULT_TOL * norm
+    if np.any(np.abs(sigma2 - eps) <= cut):
+        raise EigenvalueAtThreshold(f"eigenvalue within {cut:.3g} of threshold {eps}")
+    p_blocks, fa_blocks, probe_errors, membership_errors = [], [], [], []
+    for x_i, (u, s, vh) in zip(x.blocks, svds):
+        t = s * s
+        r = t > eps
+        u_r = u[:, r]
+        p_i = u_r @ u_r.conj().T
+        f = np.where(r, 1.0, t * np.maximum(t - eps / 2.0, 0.0) / (eps / 2.0) / eps)
+        fa_i = (u * f) @ u.conj().T
+        factor = vh[r].conj().T @ (u_r.conj().T / s[r, None])  # V_r Σ_r⁻¹ U_r*
+        bscale = 1.0 + np.linalg.norm(p_i, axis=0)
+        for errors, image in ((probe_errors, fa_i @ (p_i @ p_i)), (membership_errors, x_i @ (factor @ p_i))):
+            errors.extend(np.repeat(np.linalg.norm(image - p_i, axis=0) / bscale, len(s)))
+        p_blocks.append(p_i)
+        fa_blocks.append(fa_i)
+    p, fa = (AlgebraElement._of(x.shape, tuple(blocks)) for blocks in (p_blocks, fa_blocks))
     return SubidealWitness(
-        eps=eps, a=a, p=p, fa=fa, ga=ga, ideal=RightIdeal(p),
-        fa_p_error=float(fa_p_error),
+        eps=eps, a=a, p=p, fa=fa, ideal=RightIdeal(p),
+        fa_p_error=float((fa * p).distance(p) / (1.0 + norm)),
         probe_errors=tuple(float(e) for e in probe_errors),
         membership_errors=tuple(float(e) for e in membership_errors),
     )

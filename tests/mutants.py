@@ -107,6 +107,22 @@ MUTANTS = (
         "p * fa == u * fb",
         ("tests/test_sections.py::test_continuity_check_matches_exact_values",),
     ),
+    # x*·g(a)·p with g(a) the pseudo-inverse of x·x* by its eigendecomposition,
+    # cut at eps: the old route, which amplifies rounding by κ(x)².
+    Mutant(
+        "membership-through-x-xstar-g",
+        "src/essmod/algebra.py",
+        "factor = vh[r].conj().T @ (u_r.conj().T / s[r, None])",
+        "factor = x_i.conj().T @ np.linalg.pinv(x_i @ x_i.conj().T, rtol=eps / norm, hermitian=True)",
+        ("tests/test_cli.py::test_ill_conditioned_generators_give_verified_witnesses",),
+    ),
+    Mutant(
+        "probe-norms-over-rows",
+        "src/essmod/algebra.py",
+        "np.linalg.norm(image - p_i, axis=0)",
+        "np.linalg.norm(image - p_i, axis=1)",
+        ("tests/test_algebra.py::test_closed_subideal_probes_match_per_unit_oracle",),
+    ),
 )
 
 

@@ -35,8 +35,9 @@ its certificate cannot hide behind the same fault here.
   `max_probe_error` and `max_membership_error`, recomputed on the probes
   p·E_rc, must each lie within ACCEPT_TOL of the reported value;
   `checks_ok` must say whether all three are within ACCEPT_TOL. The
-  membership error factors through g(a) = a⁺·f(a), the pseudo-inverse cut
-  at eps/2, which is g(a) since f(t) = t·g(t) and g vanishes below eps/2.
+  membership error factors each probe b as x·(V_r Σ_r⁻¹ U_r* b), from
+  x's own SVD x_b = U Σ V* with r = {σ² > eps}: that factor is
+  x*·g(a)·p for g = 1/t on the kept spectrum.
 
 Module witness reports are not covered yet.
 """
@@ -104,15 +105,14 @@ def _verify_subideal_witness(payload: dict, report: dict):
     assert sum(int(np.linalg.matrix_rank(q)) for q in p) == w["rank"], w["rank"]
     errors = {"fa_p_error": _norm(f @ q - q for f, q in zip(fa, p)) / (1.0 + _norm(a)),
               "max_probe_error": 0.0, "max_membership_error": 0.0}
-    for x_b, a_b, p_b, fa_b in zip(x, a, p, fa):
-        # g(a) = a⁺·f(a), the pseudo-inverse cut at eps/2: f(t) = t·g(t), and g vanishes below eps/2
-        eigs, u = np.linalg.eigh(a_b)
-        inverse = np.divide(1.0, eigs, out=np.zeros_like(eigs), where=eigs >= w["eps"] / 2.0)
-        g_b = (u * inverse) @ u.conj().T @ fa_b
+    for x_b, p_b, fa_b in zip(x, p, fa):
+        u, s, vh = np.linalg.svd(x_b)
+        r = s * s > w["eps"]
+        factor = vh[r].conj().T @ np.diag(1.0 / s[r]) @ u[:, r].conj().T  # V_r Σ_r⁻¹ U_r*
         n = len(x_b)
         b = p_b @ np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # the probes p·E_rc
         scale = 1.0 + np.linalg.norm(b, 2, axis=(1, 2))
-        images = {"max_probe_error": fa_b @ (p_b @ b), "max_membership_error": x_b @ (x_b.conj().T @ (g_b @ (p_b @ b)))}
+        images = {"max_probe_error": fa_b @ (p_b @ b), "max_membership_error": x_b @ (factor @ b)}
         for key, image in images.items():
             errors[key] = max(errors[key], float(np.max(np.linalg.norm(image - b, 2, axis=(1, 2)) / scale)))
     for key, value in errors.items():

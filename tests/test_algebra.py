@@ -322,28 +322,45 @@ def test_closed_subideal_threshold_is_scale_free(c, s):
 
 
 def closed_subideal_probe_oracle(x, w):
-    """The per-unit probe loop: each probe p·E of the spanning set as an
-    algebra element, checked by two element distances."""
-    p, fa, ga, xadj = w.p, w.fa, w.ga, x.adjoint()
+    """The per-unit probe loop: each probe b = p·E of the spanning set as an
+    algebra element, checked by two element distances: f(a)p·b against b,
+    and x·(y·b) against b for x's own SVD factor y = V_r Σ_r⁻¹ U_r*, r = {σ² > eps}."""
+    factor = []
+    for x_b in x.blocks:
+        u, s, vh = np.linalg.svd(x_b)
+        r = s * s > w.eps
+        factor.append(vh[r].conj().T @ (u[:, r].conj().T / s[r, None]))
+    y = AlgebraElement(x.shape, tuple(factor))
     probe_errors, membership_errors = [], []
     for b in w.ideal.spanning_set():
         bscale = 1.0 + b.norm()
-        probe_errors.append((fa * (p * b)).distance(b) / bscale)
-        membership_errors.append((x * (xadj * (ga * (p * b)))).distance(b) / bscale)
-    return tuple(probe_errors), tuple(membership_errors)
+        probe_errors.append((w.fa * (w.p * b)).distance(b) / bscale)
+        membership_errors.append((x * (y * b)).distance(b) / bscale)
+    return probe_errors, membership_errors
 
 
 def test_closed_subideal_probes_match_per_unit_oracle():
+    """The witness takes each probe's norms as column 2-norms, the oracle as
+    largest singular values: they agree to the last ulps, within 1e-14.
+    Besides random x, x = u·diag(1, 1e-2, 10^−3.5)·v, whose membership
+    residual, at about κ(x) = 10^3.5 ulps, tells columns from rows."""
     rng = SplitMix64(14)
+    xs = []
     for shape in (M2, M3, MIXED, AlgebraShape((1, 2, 3))):
         for _ in range(5):
             x = rand_algebra_element(rng, shape)
             if rng.randint(0, 1):
                 x = rand_projection(rng, shape) * x
-            if x.is_zero(1e-8):
-                continue
-            w = closed_subideal(x)
-            assert (w.probe_errors, w.membership_errors) == closed_subideal_probe_oracle(x, w)
+            xs.append(x)
+    for _ in range(3):
+        u, v = (np.linalg.qr(rand_matrix(rng, 3, 3))[0] for _ in range(2))
+        xs.append(AlgebraElement(M3, (u @ np.diag([1.0, 1e-2, 10 ** -3.5]) @ v,)))
+    for x in xs:
+        if x.is_zero(1e-8):
+            continue
+        w = closed_subideal(x)
+        expected = closed_subideal_probe_oracle(x, w)
+        assert np.allclose((w.probe_errors, w.membership_errors), expected, rtol=0.0, atol=1e-14)
 
 
 def test_closed_subideal_rejects_zero():

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import operator
 import os
@@ -295,69 +296,71 @@ def assert_float_digests(doc, report, legacy, digest):
 # before the float layer was reworked. Float reports have since dropped two
 # payloads that repeat other fields: every report with them restored must
 # still give these. None marks a witness refused for want of a nonzero generator.
+# The witness digests were re-pinned when the witness came to be read off one
+# SVD of x per block: eps, p, fa and the errors moved in their last digits.
 GOLDEN_RIGHT_IDEAL_DIGESTS = [
     ((2,), 1, "72aaaff6a453ce166c8d12761737b62df6eafe5a99cb847b00e9dd73fa56768d",
-     "00d26e0aadbfb56cca42d7302435bff65228196c62b6c951563a5d208a61d93e"),
+     "f302a32506ea99c9c25506b41c74a1c200f2ff4006f6e16deb94e91ca099d715"),
     ((2,), 2, "007ab6bad367b1fecd32d4626e55ff609d2a4e1bf6fedc4c3154e26edd478b4e",
-     "fbbe30364655ff689eb45ace3dbd3bd73537fc0655653d2a81232d1e3dbf2121"),
+     "07bb8c27170ae9c3e4941808c8ef61e7d2ff2f88a67ec8f6904ed72994505991"),
     ((2,), 3, "e0212df6a721213662b9bdd6169c5c87d003d1ac0dcf83aea7aa862797b7a5e6",
-     "f383d480c0a93e3308ebaa5ddf8d1a80b21fe4b8c1932ebf315b063bccc23077"),
+     "27e6b506c71fde3b7f4961d08d4b21d12134f4f41098d5f170610fa939ad5627"),
     ((2,), 4, "567eb5383ba62df7252fb945e7a20c4832f0e2f94e4b8ed57147f0c2410da0f6",
-     "decb83e62f536d6599e13055cd3829c7405c54b40038dfc5bfbc4eb9756899e9"),
+     "e2da2c02e4d0486893e57187a322e7aceb068d732ceed7188eab71165e837936"),
     ((1, 2), 1, "85fa2a8a4bb9a61436d0588d7b496073d88781604cbc7e341f20e4b1cd2133b1",
-     "86ca4feb78c24c8dbd888ab1d04f6f4432fa454dd99aeabbe523f89340bf56dc"),
+     "2c763e2d4ebb89b3202bdeaa9f842ca129f00e34216a856c463967f77149b3a9"),
     ((1, 2), 2, "1b65bf1004a8cc2831891333e62fe1c19645fab040ccb3acf0d7972f95a89e02", None),
     ((1, 2), 3, "e72025a84a5996b5d7bf7a98af11e1033a7811402c06155cb99ab78e77afd3d5",
-     "e76a258221747dd9dbdf29e2f0e0febe35ed148b33d90ea92bf69ba1a72eef7d"),
+     "41356c9f4c3939a2fba1b3a652ce8c26b04677f2d3b39d21fee8aeee49dc3c93"),
     ((1, 2), 4, "f306d88b31e54c53a67ed0b9f356220a0192a6124e80119d6ea3178151cbe2c6", None),
     ((2, 3), 1, "e64018ee1504dbe3ab15b4806692e56328b3cee65cf6d10ec13068cc17851363",
-     "b2248dc2ddc3502d56c132c68c51e7722ba5b4a0c75f7619d961d5591711eb7f"),
+     "f4789bbbae26fac052a6a1bb7b5d5cde65683ba442cd60ca904ff31df8937d05"),
     ((2, 3), 2, "c83ceb290b927b9b2cd331324b1d2b70f47e8f6a16f69133078230eee8b1e0a1",
-     "96e07a2bc893ee54c998203d99da7afa3e8de324d89930801492a3f7297d312e"),
+     "a7d0ffff7c1ced79f8b2c07c74b5800ca399bc8fb48e434abf5d59ce4db70b15"),
     ((2, 3), 3, "84973379b0ad68ca792872e32fe36e5c3823082508ab495159f1cafc682dfc55",
-     "d5ba61069bd54e3022c226c0eb8055798df4212407d8a9e21e0cf0a91a506025"),
+     "f84e97e177b428c4ba6a26f2b9a4109c534a2d8107d5f51a4af030f3d6c9a153"),
     ((2, 3), 4, "5cb655ab947726a1000444ddea24b7ffeadf519722a32b02b5a3572956d885d4",
-     "5428af762319f7756902ae469cb1bdb475f9e1a519d1a1db52ca25251321ed37"),
+     "6435d1a6ed0b25c318018c55fab37ffd11ffdb9a8b01b329976511e54766daf9"),
     ((1, 2, 3), 1, "84f6a7937d556da72c52f05f72b956a7a3d4a03777eba00c342d57fdabd486e4",
-     "e1b0579ff702e47ce9d206bdb7039bba2c938ba69b04712d5ec237c7a3871406"),
+     "46860ebab73d22d7094df1417479f7ab31eb488bb3ef1d6e142795d863d3bf3e"),
     ((1, 2, 3), 2, "61b1fe44dbb9f781e6126fefd810c7565ec6bb166da662d0bca093adb53f2ff6", None),
     ((1, 2, 3), 3, "69678e9df22ad581a72709bc95e85400feea6d48942c7be6ba5c5686733f3b51",
-     "f05415c897d399df44822c76522c447efda8d4fa9f4ae6e795fa78e506b530bf"),
+     "3c8293fbacde77e4cbffd8baf0a18af48110bf3f2f2c25a2f402aac27a60756e"),
     ((1, 2, 3), 4, "1ae6788dd8ca11471041fda1aea7078cd931f3f33dad78c73fff5efc30ff96be",
-     "856e0172d12e19370b0a6253eb51828950877d57c189ec30a016b6ff7b5cc27e"),
+     "de7c6680cd595d157df55c75483c226e0031f1457472bb41b64583711296dbde"),
 ]
 
 # The same reports as written now: (check, witness) digests.
 RIGHT_IDEAL_DIGESTS = {
     ((2,), 1): ("d95ab8cb6f0b4700e828bfcb6224ff4cb4475ef430f54783740afdfb506bb83f",
-                "2fefad10276459404d89385bd6c5e9f9854780c5ee54f69e9b30a12c61062e49"),
+                "2da6d4259f9a984e00a38e1931fbc119f7d44af5f2485275a43c54a53b2b8296"),
     ((2,), 2): ("007ab6bad367b1fecd32d4626e55ff609d2a4e1bf6fedc4c3154e26edd478b4e",
-                "1e3cc9c22504ca1e0d3a06dfd1dd75cf902df033cf9b92407536b2e1e78a6ea8"),
+                "74997d6102cffd016128c16475c0f3531f014f3d3aa90dffc01bc369b449e170"),
     ((2,), 3): ("e0212df6a721213662b9bdd6169c5c87d003d1ac0dcf83aea7aa862797b7a5e6",
-                "2706ad76e217a24f64885b53af176701aa458d25144d51f354ebee709c157bea"),
+                "6bb99b0e8217309b01bfb3f417b1202516d49d241eb8eedbe6c097eb111bd4c5"),
     ((2,), 4): ("95043ef9369118bea3afee2589aee252b20211a5f745e00d4cad988b91cd26bd",
-                "b7079348abc709a626684a90bc111253a4618907cfdc4b3de3e0244a559ee47d"),
+                "2d3a2b0769d5178447a9bd6679b8990deb32650da4e2043d592ad1191bb17c62"),
     ((1, 2), 1): ("98ccef7ab64ca8256d5d21844d77ee54fbe9b365ed18b7964b3e8d620706f56a",
-                  "e4f25d559ceb4cf0e6f3a8a0adba060d010d3b1dae0b6bb3e93a6767ad87fe9e"),
+                  "00e7ed3c36d010191f8acdd956764115e7a53608862b12a74cf95e075d92d53c"),
     ((1, 2), 2): ("e94a504b33bd7b04b9a3516c8bd525fd045182d06e6b5b69289401e20a241e4b", None),
     ((1, 2), 3): ("e72025a84a5996b5d7bf7a98af11e1033a7811402c06155cb99ab78e77afd3d5",
-                  "a0b63a329fd0abc19dc9c9d862675e2f40e450d3456adbe5c2d034bd46932a3e"),
+                  "10fc134502686836241333cfeba8820229ea3b9e567dcbb36bcd7a075eea7876"),
     ((1, 2), 4): ("e9c4cf12a1d0991806f395f6ef8e4053bad4bfd1c6746065e142bb3cfc06ca49", None),
     ((2, 3), 1): ("91be609e8e674fb3b2ebc4a8b59439f02fdf4b0087b9099aee260acc40ef5296",
-                  "33c2bb3cf99524397afabd2c267c6e8e7c142e2082ac0147e7800fce42ce9102"),
+                  "3ccf9b369027157dc216ad6a85b7525afcc88b3b98f7c11711d0d3d6aedae252"),
     ((2, 3), 2): ("387cf26d6b3b1cc7af0f04967f27adb8c34214a24a2f4c9714b03866cfa505a7",
-                  "470dbaa6bdec8b5dea13c2d61f08bd0628e239bbcde2fd476f81cc4d0210f50c"),
+                  "9d5af246c440d7a0d2b3f4eada69f0e2d91c6175611157f732c43939c7d8abfc"),
     ((2, 3), 3): ("84973379b0ad68ca792872e32fe36e5c3823082508ab495159f1cafc682dfc55",
-                  "075f20888b8fe9dfb1daef128065fe712c786344bc7444e3fbfbde65d227c9c4"),
+                  "c3114e2af542b2e65ef119f4ad19a6748ec1d09abdcfd5054f89024cdd93c478"),
     ((2, 3), 4): ("33983bd20a621d240c40196cb500bb33437a45788213a3b1eea43e63dc6d563e",
-                  "824a2c1c518761e89b62a4d099f8ebd722712632038a882ef274b611fd0f3910"),
+                  "56d5c2062154b600e157132e374d6f285d3ccab2067874876d22990e22ad934b"),
     ((1, 2, 3), 1): ("03ae4b3ead4ea0af4a621beae56771468ae15da30c3a3318a0b5b5b4dd14f041",
-                     "28933f1ab1e37eaa0a4a373f0a8d2139ec28193e43ea5b93bfc4eef8b16875f6"),
+                     "21ad0ca6df240f3f293853193fd9baaebb6dbe1b5d4db962f4b63643571a40d8"),
     ((1, 2, 3), 2): ("b32a0c34c77c95207fb69ce1f740957f71ae5d39ec8b6281b683ed9c447f4f9d", None),
     ((1, 2, 3), 3): ("69678e9df22ad581a72709bc95e85400feea6d48942c7be6ba5c5686733f3b51",
-                     "1c2363a96d5d38766536f38070c81801f1fac3b2eca63dd2b53f66c306f17275"),
+                     "cf6cbaf5462e53761ea90a987da76756fa3be9b866b62134620ad47cc91e2f80"),
     ((1, 2, 3), 4): ("fbd8d9aac6e31ec2661e910e7932665aae21ae709fae0438459d4b1a6da5ce96",
-                     "2ed69af02591b8711eb353486ba0a95d498cf045257a0af12c6b19f0b5f1ce5f"),
+                     "9b3ba1b0ef7916d500773149b15fe81bf9d5d13a05ba8a51965bafd1b1aa440c"),
 }
 
 
@@ -872,36 +875,62 @@ def test_right_ideal_witness_reports_pass_the_report_oracle():
     assert witnessed > len(docs) / 2
 
 
+def right_ideal_document(x: AlgebraElement) -> dict:
+    """A right-ideal document over the whole algebra whose generator is x."""
+    payload = {"shape": serialize.shape_to_json(x.shape), "generators": [serialize.element_to_json(x)],
+               "support_projection": serialize.element_to_json(AlgebraElement.identity(x.shape))}
+    return serialize.instance_to_json("right_ideal", payload, None)
+
+
 def near_threshold_witness() -> tuple[dict, dict]:
-    """A document and its witness report whose membership error passes
-    ACCEPT_TOL: x = U·diag(1, √1.05e-8, √0.55e-8)·V (U, V random unitaries)
-    keeps an eigenvalue of x·x* just past its threshold cut and one just past
-    eps, so g(a) amplifies rounding by about 2·10⁸, the most the threshold
-    allows. The residual is rounding, and its value varies with the
-    platform's BLAS: the oracle's recomputation differs from the report's by
-    more than ACCEPT_TOL for about 1 such x in 19 (ROADMAP item 8), and for
-    1 of the 12 seeded x here, a count that must not grow. The first one
-    past ACCEPT_TOL whose report the oracle accepts is taken."""
+    """The first of 12 seeded documents whose x = U·diag(1, √1.05e-8,
+    √0.55e-8)·V (U, V random unitaries) keeps an eigenvalue of x·x* just
+    past its threshold cut and one just past eps: κ(x) ≈ 1.35·10⁴, the most
+    the threshold allows. The oracle accepts every one of the 12 reports,
+    and each has `checks_ok` true."""
     rng = np.random.default_rng(0)
     shape = AlgebraShape((3,))
-    accepted, rejected = [], 0
+    witnessed = []
     for _ in range(12):
         u, v = (np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0] for _ in range(2))
-        x = AlgebraElement(shape, (u @ np.diag(np.sqrt([1.0, 1.05e-8, 0.55e-8])) @ v,))
-        payload = {"shape": serialize.shape_to_json(shape), "generators": [serialize.element_to_json(x)],
-                   "support_projection": serialize.element_to_json(AlgebraElement.identity(shape))}
-        doc = serialize.instance_to_json("right_ideal", payload, None)
+        doc = right_ideal_document(AlgebraElement(shape, (u @ np.diag(np.sqrt([1.0, 1.05e-8, 0.55e-8])) @ v,)))
         report = json.loads(serialize.dumps(runner.run_witness(doc)))
-        try:
-            report_oracle.verify(doc, report)
-        except AssertionError:
-            rejected += 1
-            continue
-        if report["witness"]["max_membership_error"] > report_oracle.ACCEPT_TOL:
-            accepted.append((doc, report))
-    assert rejected <= 1, f"the oracle rejects {rejected} of 12 near-threshold witness reports"
-    assert accepted, "no seeded x has a membership error past ACCEPT_TOL"
-    return accepted[0]
+        report_oracle.verify(doc, report)
+        assert report["checks_ok"] is True
+        witnessed.append((doc, report))
+    return witnessed[0]
+
+
+# Draws of `ill_conditioned_generators` whose witness factored membership
+# through x·x*·g(a) and came out unverified: errors 1.04e-8 to 1.55e-8.
+UNVERIFIED_THROUGH_X_XSTAR = (636, 2080, 2401, 2763)
+
+
+def ill_conditioned_generators():
+    """x = c·U·diag(s)·V from numpy's default_rng(5): n from 2 to 4, U and V
+    random unitaries, s = 10^−U(0, 7) and c = 10^U(−6, 3)."""
+    rng = np.random.default_rng(5)
+    while True:
+        n = int(rng.integers(2, 5))
+        u, v = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0] for _ in range(2))
+        s = 10.0 ** -rng.uniform(0, 7, n)
+        yield AlgebraElement(AlgebraShape((n,)), (10.0 ** rng.uniform(-6, 3) * u @ np.diag(s) @ v,))
+
+
+def test_ill_conditioned_generators_give_verified_witnesses(tmp_path):
+    """x*·g(a), with g(a) = 1/a on the kept spectrum, amplifies rounding by
+    κ(x)², and these x of the first 3,000 draws had `checks_ok` false, so
+    `essmod witness` exited 1 on a valid input. The factor V_r Σ_r⁻¹ U_r*
+    amplifies it by κ(x) alone: each witness is verified, its report passes
+    the oracle, and the CLI exits 0."""
+    draws = list(itertools.islice(ill_conditioned_generators(), UNVERIFIED_THROUGH_X_XSTAR[-1] + 1))
+    for i in UNVERIFIED_THROUGH_X_XSTAR:
+        doc = right_ideal_document(draws[i])
+        report = json.loads(serialize.dumps(runner.run_witness(doc)))
+        assert report["checks_ok"] is True, (i, report["witness"]["max_membership_error"])
+        report_oracle.verify(doc, report)
+    code, err = run_console("witness", doc, tmp_path)
+    assert code == 0, (code, err[:500])
 
 
 def generated_witness() -> tuple[dict, dict]:
@@ -916,7 +945,8 @@ def scale_a(w):
 @pytest.mark.parametrize("witness, mutate", [
     pytest.param(generated_witness, lambda w: w.update(rank=w["rank"] + 1), id="rank-off-by-one"),
     pytest.param(generated_witness, scale_a, id="a-scaled"),
-    pytest.param(near_threshold_witness, lambda w: w.update(max_membership_error=0.0), id="membership-error-zeroed"),
+    pytest.param(near_threshold_witness, lambda w: w.update(max_membership_error=2 * report_oracle.ACCEPT_TOL),
+                 id="membership-error-past-tolerance"),
 ])
 def test_report_oracle_refuses_a_wrong_right_ideal_witness(witness, mutate):
     doc, report = witness()
