@@ -62,8 +62,8 @@ class AlgebraElement:
 
     The blocks are read-only arrays, so an element never changes: its
     C*-norm and the eigendecomposition of each block are computed once, on
-    first use, and every later norm, hermiticity check and functional
-    calculus reads them.
+    first use, and later norms, hermiticity checks and functional calculus
+    read them. The ideal decider reads a projection's traces instead.
     """
 
     shape: AlgebraShape
@@ -319,18 +319,19 @@ def closed_subideal(x: AlgebraElement) -> SubidealWitness:
     nonzero, above ACCEPT_TOL·‖a‖ (relative to a alone, as xA = (cx)A for
     every c ≠ 0), so it lies at least 50 spectral cuts DEFAULT_TOL·‖a‖
     from 0 and from the kept spectrum, and p = χ_(eps,∞)(a) = U_r U_r*,
-    r = {σ² > eps}, has the rank of x. f(t) = t·g(t), with g vanishing
-    below eps/2 and 1/t from eps on, so f(a)p = p and every b ∈ K factors
-    as b = x·(x* g(a) p b) = x·(V_r Σ_r⁻¹ U_r* b), an element of xA. That
-    factor amplifies rounding by κ(x) ≤ 1/√ACCEPT_TOL, where x*·g(a) would
-    by κ(x)². A probe p·E_rc has one nonzero column, p·e_r, so its norm and
-    its residuals' are column 2-norms, shared by the n probes of row r.
+    r = {σ² > eps}, has the rank of x. x is zero (ZeroInput) when its
+    largest σ is at most DEFAULT_TOL. f(t) = t·g(t), with g vanishing below
+    eps/2 and 1/t from eps on, so f(a)p = p and every b ∈ K factors as
+    b = x·(x* g(a) p b) = x·(V_r Σ_r⁻¹ U_r* b), an element of xA. That factor
+    amplifies rounding by κ(x) ≤ 1/√ACCEPT_TOL, where x*·g(a) would by
+    κ(x)². A probe p·E_rc has one nonzero column, p·e_r, so its norm and its
+    residuals' are column 2-norms, shared by the n probes of row r.
     """
-    if x.is_zero():
+    svds = [linalg.svd(b) for b in x.blocks]  # inf or NaN in x: NonFinite, before LAPACK
+    if max(s[0] for _, s, _ in svds) <= DEFAULT_TOL:
         raise ZeroInput("closed_subideal requires x ≠ 0")
     a = x * x.adjoint()
     norm = a.norm()  # an overflowed x·x* is refused here, as NonFinite
-    svds = [np.linalg.svd(b) for b in x.blocks]
     sigma2 = np.concatenate([s * s for _, s, _ in svds])
     eps = float(np.min(sigma2[sigma2 > ACCEPT_TOL * norm])) / 2.0  # a ≠ 0: ‖a‖ itself is kept
     cut = DEFAULT_TOL * norm
@@ -362,14 +363,14 @@ def closed_subideal(x: AlgebraElement) -> SubidealWitness:
 @dataclass(frozen=True)
 class IdealCertificate:
     """Decision evidence for essentiality of a right ideal pA, read off the
-    cached eigendecomposition of each block of p.
+    traces of p's blocks and one block's eigendecomposition.
 
-    Essential: every block's least eigenvalue exceeds 1/2, so p is the
-    identity (identity_error records max_b ‖p_b − 1‖₂).
-    Not essential: block `block` has an eigenvalue at most 1/2 and `vector`
-    is its first eigenvector, a unit vector v orthogonal to range(p_b);
-    intersection_dim = dim(range(p_b) ∩ Cv), computed against the block's
-    eigenvectors above 1/2, is the verified fact dim(pA ∩ qA) = 0 for the
+    Essential: every block's trace exceeds n_b − 1/2, so p is the identity
+    (identity_error records max_b ‖p_b − 1‖₂).
+    Not essential: block `block` is the first with trace at most n_b − 1/2,
+    and `vector` is its first eigenvector, a unit v orthogonal to range(p_b);
+    intersection_dim = dim(range(p_b) ∩ Cv) = #U_> + 1 − rank [U_>, v], U_>
+    its eigenvectors above 1/2, is the verified fact dim(pA ∩ qA) = 0 for the
     rank-one ideal qA. q = vv* in that block and zero elsewhere, so
     `block` and `vector` determine it and it is not kept.
     """
@@ -388,19 +389,21 @@ def is_essential_right_ideal(J: RightIdeal) -> tuple[bool, IdealCertificate]:
     otherwise a rank-one ideal qA built on a unit vector orthogonal to
     range(p) intersects pA trivially. RightIdeal accepted p as a projection,
     so every eigenvalue of a block lies within about 2·ACCEPT_TOL of 0 or 1,
-    and a block is the identity iff its least eigenvalue exceeds 1/2.
+    and a block is the identity iff its trace exceeds n_b − 1/2 (its least
+    eigenvalue exceeds 1/2). Only the first other block is eigendecomposed.
     """
     p = J.support_projection
-    b = next((b for b, (eigs, _) in enumerate(p._eig) if eigs[0] <= 0.5), None)
+    b = next((b for b, pb in enumerate(p.blocks) if np.trace(pb).real <= len(pb) - 0.5), None)
     if b is None:
         err = max(linalg.op_norm(pb - np.eye(len(pb))) for pb in p.blocks)
         return True, IdealCertificate(essential=True, identity_error=err)
 
-    eigs, u = p._eig[b]
+    eigs, u = linalg.herm_eig(p.blocks[b], tol=np.inf)  # p passed is_projection's hermiticity test
     v = u[:, 0]  # eigenvalue ≈ 0: orthogonal complement of range(p_b)
+    kept = u[:, eigs > 0.5]  # orthonormal, as is v: one rank gives the intersection
     return False, IdealCertificate(
         essential=False,
         block=b,
         vector=tuple(complex(z) for z in v),
-        intersection_dim=linalg.subspace_intersection_dim(u[:, eigs > 0.5], v[:, None]),
+        intersection_dim=kept.shape[1] + 1 - linalg.matrix_rank(np.hstack([kept, v[:, None]])),
     )

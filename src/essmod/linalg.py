@@ -33,16 +33,25 @@ def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T), initial=0.0) <= tol)
 
 
-def op_norm(a) -> float:
-    """Largest singular value. Every float check reads a norm first, so
-    this is where an overflowed (inf or NaN) matrix is stopped, before
-    LAPACK sees it."""
+def svd(a, compute_uv: bool = True):
+    """np.linalg.svd of a finite matrix; an inf or NaN entry raises NonFinite.
+    An all-zero matrix gets LAPACK's own answer, σ = 0 and U = I = V*,
+    without LAPACK."""
     m = as_matrix(a)
-    if m.size == 0:
-        return 0.0
     if not np.isfinite(m).all():
         raise NonFinite("a matrix entry is inf or NaN: float input too large")
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    if m.any():
+        return np.linalg.svd(m, compute_uv=compute_uv)
+    s = np.zeros(min(m.shape))
+    return (np.eye(len(m), dtype=np.complex128), s, np.eye(m.shape[1], dtype=np.complex128)) if compute_uv else s
+
+
+def op_norm(a) -> float:
+    """Largest singular value, 0.0 for an empty or zero matrix. Every float
+    check reads a norm first, so this is where an overflowed (inf or NaN)
+    matrix is stopped, before LAPACK sees it."""
+    s = svd(a, compute_uv=False)
+    return float(s[0]) if s.size else 0.0
 
 
 def _canonical_phases(u: np.ndarray) -> np.ndarray:
@@ -69,6 +78,8 @@ def herm_eig(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     if asym > tol and asym > tol * (1.0 + op_norm(m)):  # scale ≥ 1: no SVD when asym ≤ tol
         raise NotHermitian(f"matrix is not hermitian within tol={tol}")
     h = (m + m.conj().T) / 2.0
+    if not h.any():  # LAPACK's own answer for the zero matrix, without LAPACK
+        return np.zeros(len(h)), np.eye(len(h), dtype=np.complex128)
     try:
         eigs, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -98,9 +109,9 @@ def matrix_rank(a) -> int:
 
 
 def orthonormal_column_basis(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space, as matrix columns."""
+    """Orthonormal basis of the column space, as matrix columns (none for a zero matrix)."""
     m = as_matrix(a)
-    if m.size == 0:
+    if not m.any():
         return np.zeros((m.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     return u[:, :_numerical_rank(s, tol)]

@@ -236,16 +236,20 @@ def reformulation_probe(m: ModuleElement, N: Submodule) -> AlgebraElement | None
     So S_m = {a : m·a ∈ N} is ⊕_b K_b^{n_b}, and the probe succeeds iff some
     X_b K_b is nonzero. The witness is a single column in the block where
     X_b K_b has the largest norm: its top right singular vector, mapped
-    back through K_b.
+    back through K_b. A zero X_b, or a zero X_b K_b, is skipped unasked.
     """
     if m.is_zero():
         raise ZeroInput("reformulation probe requires m ≠ 0")
     best_norm, best_block, best_col = 0.0, None, None
     for b, (p, x_b) in enumerate(zip(N.block_projectors, m.blocks)):
-        kernel = _nullspace(x_b - p @ x_b)
-        if kernel.shape[1] == 0:
+        if not x_b.any():
             continue
-        _, s, vh = np.linalg.svd(x_b @ kernel)
+        _, s, vh = linalg.svd(x_b - p @ x_b)
+        kernel = vh[linalg._numerical_rank(s, DEFAULT_TOL):].conj().T
+        image = x_b @ kernel
+        if not image.any():  # no kernel, or norm 0: it beats no best_norm
+            continue
+        _, s, vh = np.linalg.svd(image)
         if s[0] > best_norm:
             best_norm, best_block, best_col = float(s[0]), b, kernel @ vh[0].conj()
     if best_norm <= DEFAULT_TOL * (1.0 + m.norm()):
@@ -253,11 +257,6 @@ def reformulation_probe(m: ModuleElement, N: Submodule) -> AlgebraElement | None
     blocks = [np.zeros((n, n), dtype=np.complex128) for n in m.shape.block_dims]
     blocks[best_block][:, 0] = best_col
     return AlgebraElement._of(m.shape, tuple(blocks))
-
-
-def _nullspace(a: np.ndarray) -> np.ndarray:
-    _, s, vh = np.linalg.svd(a)
-    return vh[linalg._numerical_rank(s, DEFAULT_TOL):].conj().T
 
 
 @dataclass(frozen=True)

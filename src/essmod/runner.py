@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from . import algebra, fields, modules, serialize
-from .errors import PreconditionFailed, SizeCap
+from .errors import PreconditionFailed, SizeCap, ZeroInput
 from .serialize import (
     SCHEMA,
     element_to_json,
@@ -90,9 +90,10 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> serialize.Repo
     if kind == "right_ideal":
         ideal, gens = right_ideal_from_json(payload)
         x = gens[0] if gens else ideal.support_projection
-        if x.is_zero():
-            raise PreconditionFailed("no nonzero generator to build a subideal from")
-        w = algebra.closed_subideal(x)
+        try:
+            w = algebra.closed_subideal(x)
+        except ZeroInput as exc:
+            raise PreconditionFailed("no nonzero generator to build a subideal from") from exc
         report["witness"] = {
             "eps": w.eps,
             "a": element_to_json(w.a),

@@ -123,6 +123,29 @@ MUTANTS = (
         "np.linalg.norm(image - p_i, axis=1)",
         ("tests/test_algebra.py::test_closed_subideal_probes_match_per_unit_oracle",),
     ),
+    # A block of rank n − 1 has trace about n − 1: a cut at n − 3/2 calls it the identity.
+    Mutant(
+        "trace-cut-one-below",
+        "src/essmod/algebra.py",
+        "np.trace(pb).real <= len(pb) - 0.5",
+        "np.trace(pb).real <= len(pb) - 1.5",
+        ("tests/test_algebra.py::test_trace_rule_matches_the_all_blocks_eigh_rule",),
+    ),
+    Mutant(
+        "probe-skips-nonzero-blocks",
+        "src/essmod/modules.py",
+        "if not x_b.any():",
+        "if x_b.any():",
+        ("tests/test_modules.py::test_probe_whole_module_found_with_unit",),
+    ),
+    Mutant(
+        "subideal-zero-threshold-dropped",
+        "src/essmod/algebra.py",
+        "if max(s[0] for _, s, _ in svds) <= DEFAULT_TOL:",
+        "if max(s[0] for _, s, _ in svds) <= 0:",
+        ("tests/test_cli.py::test_right_ideal_witness_refuses_a_zero_generator_once",
+         "tests/test_algebra.py::test_closed_subideal_reads_zero_off_its_own_svd"),
+    ),
 )
 
 

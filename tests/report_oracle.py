@@ -38,8 +38,13 @@ its certificate cannot hide behind the same fault here.
   membership error factors each probe b as x·(V_r Σ_r⁻¹ U_r* b), from
   x's own SVD x_b = U Σ V* with r = {σ² > eps}: that factor is
   x*·g(a)·p for g = 1/t on the kept spectrum.
-
-Module witness reports are not covered yet.
+- Module witness: `decision` must match the rank oracle above. An
+  essential report has no witness and `checks_ok` true. A non-essential
+  one's `m` must be nonzero, and `probe_found` must say whether some
+  block has ‖X_b K_b‖ > DEFAULT_TOL·(1 + ‖m‖), with X_b m's stacked
+  block-b coordinates, P_b the projector onto col M_b and
+  K_b = ker((1 − P_b)X_b) by numpy's rank; `checks_ok` must say whether
+  the probe failed, as a certificate's m must.
 """
 
 from fractions import Fraction
@@ -47,19 +52,23 @@ from itertools import groupby
 
 import numpy as np
 
-# The acceptance tolerance a float certificate is held to (README, "Tolerances").
+# The acceptance tolerance a float certificate is held to, and the absolute
+# tolerance scaled by (1 + norm) (README, "Tolerances").
 ACCEPT_TOL = 1e-8
+DEFAULT_TOL = 1e-10
 
 
 def verify(doc: dict, report: dict, section_index: int = 0):
     """Raise AssertionError unless `report` is a correct check report on `doc`
-    (or a correct right-ideal witness report, or, for a field, a correct
-    witness report, built on the generator that `section_index` picks)."""
+    (or a correct right-ideal or module witness report, or, for a field, a
+    correct witness report, built on the generator that `section_index` picks)."""
     if doc["kind"] == "field":
         return _verify_field(doc["payload"], report, section_index)
     payload = doc["payload"]
     if doc["kind"] == "right_ideal" and report["kind"] == "witness_report":
         return _verify_subideal_witness(payload, report)
+    if doc["kind"] == "module_submodule" and report["kind"] == "witness_report":
+        return _verify_module_witness(payload, report)
     if report["kind"] != "check_report":
         raise NotImplementedError(f"no oracle for {report['kind']} yet")
     if doc["kind"] == "right_ideal":
@@ -118,6 +127,28 @@ def _verify_subideal_witness(payload: dict, report: dict):
     for key, value in errors.items():
         assert abs(w[key] - value) <= ACCEPT_TOL, (key, w[key], value)
     assert report["checks_ok"] is (max(w[key] for key in errors) <= ACCEPT_TOL)
+
+
+def _verify_module_witness(payload: dict, report: dict):
+    k, dims = payload["k"], payload["shape"]["block_dims"]
+    stacked = _stacked_coordinates(payload)
+    ranks = [np.linalg.matrix_rank(m_b) for m_b in stacked]
+    assert report["decision"] is all(r == k * n for r, n in zip(ranks, dims))
+    if report["decision"]:
+        assert report["witness"] is None and report["checks_ok"] is True
+        return
+    w = report["witness"]
+    x = [np.vstack(coords) for coords in zip(*(_blocks(c) for c in w["m"]["coords"]))]  # X_b
+    assert any(x_b.any() for x_b in x), "m is zero"
+    scale = 1.0 + _norm(x)  # ‖m‖ = ‖⟨m, m⟩‖^½ = max_b ‖X_b‖
+    found = False
+    for m_b, r, x_b in zip(stacked, ranks, x):
+        residual = x_b - _range_projector(m_b, r) @ x_b
+        kernel = np.linalg.svd(residual)[2][np.linalg.matrix_rank(residual):].conj().T
+        if kernel.size and np.linalg.norm(x_b @ kernel, 2) > DEFAULT_TOL * scale:
+            found = True
+    assert w["probe_found"] is found, (w["probe_found"], found)
+    assert report["checks_ok"] is (not found)
 
 
 def _norm(blocks) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from essmod import linalg
@@ -24,6 +24,7 @@ from essmod.errors import (
     DomainError,
     EigenvalueAtThreshold,
     EssmodError,
+    NonFinite,
     NotHermitian,
     NotProjection,
     ZeroInput,
@@ -368,6 +369,22 @@ def test_closed_subideal_rejects_zero():
         closed_subideal(AlgebraElement.zeros(M2))
 
 
+def test_closed_subideal_reads_zero_off_its_own_svd():
+    """x is zero when its largest singular value is at most DEFAULT_TOL."""
+    with pytest.raises(ZeroInput):
+        closed_subideal(AlgebraElement(MIXED, (5e-11 * np.eye(2), np.zeros((3, 3)))))
+    assert closed_subideal(AlgebraElement(MIXED, (2e-10 * np.eye(2), np.zeros((3, 3))))).ideal.rank() == 2
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_closed_subideal_refuses_a_non_finite_x(bad):
+    """The finiteness test runs before LAPACK: NonFinite, not LinAlgError."""
+    x = np.eye(2, dtype=complex)
+    x[0, 1] = bad
+    with pytest.raises(NonFinite):
+        closed_subideal(AlgebraElement(M2, (x,)))
+
+
 # --- essentiality ----------------------------------------------------------------------
 
 def test_whole_algebra_is_essential():
@@ -394,6 +411,54 @@ def test_zero_ideal_is_not_essential():
     dec, cert = is_essential_right_ideal(RightIdeal(AlgebraElement.zeros(MIXED)))
     assert not dec
     assert cert.intersection_dim == 0
+
+
+def all_blocks_eigh_rule(J: RightIdeal) -> tuple:
+    """The decider as it was before it read traces: every block of p
+    eigendecomposed, the first whose least eigenvalue is at most 1/2 taken,
+    and the intersection through bases re-orthonormalised by SVD."""
+    p = J.support_projection
+    eig = [linalg.herm_eig(pb, tol=np.inf) for pb in p.blocks]
+    b = next((b for b, (eigs, _) in enumerate(eig) if eigs[0] <= 0.5), None)
+    if b is None:
+        return True, max(linalg.op_norm(pb - np.eye(len(pb))) for pb in p.blocks), None, None, None
+    eigs, u = eig[b]
+    v = u[:, 0]
+    return False, None, b, tuple(complex(z) for z in v), linalg.subspace_intersection_dim(u[:, eigs > 0.5], v[:, None])
+
+
+@st.composite
+def near_projections(draw) -> list:
+    """1 to 3 blocks of size 1 to 4: per block, the projector onto the first
+    r columns of a random unitary, r from 0 to n, plus a Hermitian
+    perturbation of operator norm up to 5e-9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for n in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0][:, :draw(st.integers(0, n))]
+        e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        e = e + e.conj().T
+        blocks.append(q @ q.conj().T + draw(st.floats(0.0, 5e-9)) / np.linalg.norm(e, 2) * e)
+    return blocks
+
+
+@given(near_projections())
+@example([np.diag([0.999999995, 1.0])])
+@example([np.diag([1.0, 1.5e-8])])
+@example([np.eye(1), np.array([[0.0, 1.5e-8], [0.0, 0.0]])])
+@settings(deadline=None)
+def test_trace_rule_matches_the_all_blocks_eigh_rule(blocks):
+    """The first block with trace at most n_b − 1/2 is the first whose least
+    eigenvalue is at most 1/2, for every projection RightIdeal accepts, and
+    one rank SVD gives the intersection: decision, identity error, block,
+    vector and intersection_dim all agree, bit for bit."""
+    try:
+        J = RightIdeal(AlgebraElement(AlgebraShape(tuple(len(b) for b in blocks)), tuple(blocks)))
+    except NotProjection:
+        assume(False)
+    decision, cert = is_essential_right_ideal(J)
+    got = (decision, cert.identity_error, cert.block, cert.vector, cert.intersection_dim)
+    assert got == all_blocks_eigh_rule(J)
 
 
 def test_essentiality_matches_rank_one_falsification_oracle():

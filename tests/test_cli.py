@@ -686,7 +686,8 @@ def test_float_reports_run_no_checking_constructor(monkeypatch):
 
 def test_right_ideal_witness_refuses_a_zero_generator_once(tmp_path):
     """The runner refused x at norm 1e-12 and closed_subideal at
-    DEFAULT_TOL, so a generator of norm 5e-11 escaped as ZeroInput."""
+    DEFAULT_TOL, so a generator of norm 5e-11 escaped as ZeroInput. Now
+    closed_subideal's own SVDs decide it, and the runner keeps the message."""
     from essmod.serialize import element_to_json, shape_to_json
 
     shape = AlgebraShape((2,))
@@ -696,7 +697,7 @@ def test_right_ideal_witness_refuses_a_zero_generator_once(tmp_path):
         "support_projection": element_to_json(one),
         "generators": [element_to_json(one * 5e-11)],
     }, None)
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(PreconditionFailed, match="^no nonzero generator to build a subideal from$"):
         runner.run_witness(doc)
 
 
@@ -873,6 +874,40 @@ def test_right_ideal_witness_reports_pass_the_report_oracle():
         report_oracle.verify(doc, report)
         witnessed += 1
     assert witnessed > len(docs) / 2
+
+
+def test_module_witness_reports_pass_the_report_oracle():
+    """The oracle re-derives each module witness report from the document:
+    the decision by numpy ranks, a nonzero m, and `probe_found` from its own
+    kernels K_b = ker((1 − P_b)X_b), over the module documents whose check
+    reports it verifies, both decisions among them."""
+    docs = [gen_module_submodule(blocks, k, seed) for blocks in CAP_BLOCKS for k in (1, 4) for seed in range(4)]
+    docs += [gen_module_submodule(blocks, k, seed) for blocks, k, seed, *_ in GOLDEN_MODULE_DIGESTS]
+    decisions = set()
+    for doc in docs:
+        report = json.loads(serialize.dumps(runner.run_witness(doc)))
+        report_oracle.verify(doc, report)
+        decisions.add(report["decision"])
+    assert decisions == {False, True}
+
+
+def zero_m(w):
+    for c in w["m"]["coords"]:
+        c["blocks"] = [(0 * np.array(b)).tolist() for b in c["blocks"]]
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(zero_m, id="m-zeroed"),
+    pytest.param(lambda w: w.update(probe_found=not w["probe_found"]), id="probe-found-flipped"),
+])
+def test_report_oracle_refuses_a_wrong_module_witness(mutate):
+    doc = gen_module_submodule((2, 3), 2, 4)
+    report = json.loads(serialize.dumps(runner.run_witness(doc)))
+    report_oracle.verify(doc, report)
+    assert report["decision"] is False
+    mutate(report["witness"])
+    with pytest.raises(AssertionError):
+        report_oracle.verify(doc, report)
 
 
 def right_ideal_document(x: AlgebraElement) -> dict:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from essmod import linalg
-from essmod.errors import NotHermitian
+from essmod.errors import NonFinite, NotHermitian
 from essmod.generate import SplitMix64, rand_matrix
 
 
@@ -22,6 +22,36 @@ def test_herm_eig_zero_matrix():
     eigs, u = linalg.herm_eig(np.zeros((3, 3)))
     assert np.allclose(eigs, 0.0)
     assert np.allclose(u @ u.conj().T, np.eye(3))
+
+
+def test_zero_matrix_norm_and_basis_take_no_lapack(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("an SVD of a zero matrix"))
+    assert linalg.op_norm(np.zeros((3, 2))) == 0.0
+    assert linalg.op_norm(np.zeros((0, 2))) == 0.0
+    assert linalg.orthonormal_column_basis(np.zeros((3, 2))).shape == (3, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_zero_matrix_with_one_non_finite_entry_is_refused(bad):
+    m = np.zeros((3, 3), dtype=complex)
+    m[1, 2] = bad
+    for call in (linalg.op_norm, linalg.svd):
+        with pytest.raises(NonFinite):
+            call(m)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 2), (2, 4)])
+def test_zero_matrix_gets_lapacks_own_decompositions(shape):
+    """The kernel's answer for a zero matrix is LAPACK's, bit for bit."""
+    z = np.zeros(shape, dtype=complex)
+    got = (*linalg.svd(z), linalg.svd(z, compute_uv=False))
+    want = (*np.linalg.svd(z), np.linalg.svd(z, compute_uv=False))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    if shape[0] == shape[1]:
+        eigs, u = linalg.herm_eig(z)
+        want_eigs, want_u = np.linalg.eigh(z)
+        assert np.array_equal(eigs, want_eigs) and np.array_equal(u, want_u)
 
 
 def test_herm_eig_reconstruction_random():
