@@ -1,7 +1,8 @@
 """Finite-dimensional C*-algebras A = ⊕_i M_{n_i}.
 
 An algebra element is a tuple of complex blocks, one square matrix per
-summand. The algebra acts on ⊕_i C^{n_i} in its defining representation,
+summand: the case k = 1 of the free module A^k, whose elements share its
+block container. The algebra acts on ⊕_i C^{n_i} in its defining representation,
 where its bicommutant is itself: every projection is open and every closed
 right ideal is of the form pA for a projection p.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -50,46 +51,98 @@ class AlgebraShape:
                     yield b, r, c
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Element of ⊕ M_{n_i}, stored blockwise.
-
-    The blocks are read-only arrays, so an element never changes: its
-    C*-norm and the eigendecomposition of each block are computed once, on
-    first use, and later norms, hermiticity checks and functional calculus
-    read them. The ideal decider reads a projection's traces instead.
+class _Blocks:
+    """An element of the free module A^k, carried by its stacked blocks:
+    blocks[b] is the k·n_b × n_b matrix of its block-b coordinates stacked
+    k high. A is a Hilbert module over itself, A = A^1, so algebra and
+    module elements share construction, arithmetic, the right action (on A,
+    the product), the norm and the zero test. The blocks are read-only, so
+    an element never changes and its norm is computed once, on first use.
     """
 
-    shape: AlgebraShape
-    blocks: tuple[np.ndarray, ...]
-
     def __post_init__(self):
+        if self.k < 1:
+            raise ShapeMismatch("module rank must be positive")
         if len(self.blocks) != self.shape.num_blocks:
             raise ShapeMismatch("block count does not match shape")
         frozen = []
         for n, blk in zip(self.shape.block_dims, self.blocks):
             m = linalg.as_matrix(blk)
-            if m.shape != (n, n):
-                raise ShapeMismatch(f"block of shape {m.shape}, expected ({n}, {n})")
-            frozen.append(_frozen(m))
+            if m.shape != (self.k * n, n):
+                raise ShapeMismatch(f"block of shape {m.shape}, expected ({self.k * n}, {n})")
+            frozen.append(np.array(m, dtype=np.complex128))
+            frozen[-1].setflags(write=False)
         object.__setattr__(self, "blocks", tuple(frozen))
 
     @classmethod
-    def _of(cls, shape: AlgebraShape, blocks: tuple[np.ndarray, ...]) -> "AlgebraElement":
-        """Complex arrays of the right shape that no one writes to later
-        (an operation's result, checked loader input): built unchecked and
-        uncopied, only marked read-only."""
-        for blk in blocks:
-            blk.setflags(write=False)
+    def _of(cls, *fields):
+        """The fields in declaration order, blocks last as complex arrays of
+        the right shape that no one writes to later (an operation's result,
+        checked loader input): built unchecked and uncopied, only frozen."""
         out = cls.__new__(cls)
-        out.__dict__.update(shape=shape, blocks=blocks)
+        out.__dict__.update(zip(cls.__match_args__, fields), blocks=tuple(fields[-1]))
+        for blk in out.blocks:
+            blk.setflags(write=False)
         return out
+
+    def _with(self, blocks):
+        """An operation's result over this element's shape and rank."""
+        return self._of(*[getattr(self, f) for f in self.__match_args__[:-1]], blocks)
+
+    def _check_same(self, other):
+        if self.shape != other.shape or self.k != other.k:
+            raise ShapeMismatch("elements of different shape or rank")
+
+    def __add__(self, other):
+        self._check_same(other)
+        return self._with(x + y for x, y in zip(self.blocks, other.blocks))
+
+    def __sub__(self, other):
+        self._check_same(other)
+        return self._with(x - y for x, y in zip(self.blocks, other.blocks))
+
+    def __neg__(self):
+        return self._with(-x for x in self.blocks)
+
+    def __mul__(self, a):
+        """Right action x·a by an algebra element (on A, the product), or
+        complex scaling."""
+        if isinstance(a, AlgebraElement):
+            if a.shape != self.shape:
+                raise ShapeMismatch("elements of different shape or rank")
+            return self._with(x @ a_b for x, a_b in zip(self.blocks, a.blocks))
+        return self._with(x * complex(a) for x in self.blocks)
+
+    def __rmul__(self, z):
+        return self._with(complex(z) * x for x in self.blocks)
+
+    @cached_property
+    def _norm(self) -> float:
+        return max(linalg.op_norm(x) for x in self.blocks)
+
+    def norm(self) -> float:
+        """C*-norm max_b ‖X_b‖, which is ‖⟨x, x⟩‖^½ on A^k."""
+        return self._norm
+
+    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
+        return self.norm() <= tol
+
+    def distance(self, other) -> float:
+        return (self - other).norm()
+
+
+@dataclass(frozen=True)
+class AlgebraElement(_Blocks):
+    """Element of ⊕ M_{n_i}, stored blockwise: the module A^1.
+
+    Beside the norm, the eigendecomposition of each block is computed
+    once, on first use, and later hermiticity checks and functional
+    calculus read it. The ideal decider reads a projection's traces instead.
+    """
+
+    shape: AlgebraShape
+    blocks: tuple[np.ndarray, ...]
+    k: ClassVar[int] = 1
 
     @classmethod
     def zeros(cls, shape: AlgebraShape) -> "AlgebraElement":
@@ -105,37 +158,8 @@ class AlgebraElement:
         blocks[block][row, col] = 1.0
         return cls(shape, tuple(blocks))
 
-    def _check_same(self, other: "AlgebraElement"):
-        if self.shape != other.shape:
-            raise ShapeMismatch("algebra elements over different shapes")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same(other)
-        return AlgebraElement._of(self.shape, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same(other)
-        return AlgebraElement._of(self.shape, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._of(self.shape, tuple(-a for a in self.blocks))
-
-    def __mul__(self, other):
-        """Algebra product, or scaling by a complex number."""
-        if isinstance(other, AlgebraElement):
-            self._check_same(other)
-            return AlgebraElement._of(self.shape, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
-        return AlgebraElement._of(self.shape, tuple(a * complex(other) for a in self.blocks))
-
-    def __rmul__(self, other) -> "AlgebraElement":
-        return AlgebraElement._of(self.shape, tuple(complex(other) * a for a in self.blocks))
-
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement._of(self.shape, tuple(a.T.conj() for a in self.blocks))
-
-    @cached_property
-    def _norm(self) -> float:
-        return max(linalg.op_norm(b) for b in self.blocks)
+        return self._with(a.T.conj() for a in self.blocks)
 
     @cached_property
     def _eig(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -143,19 +167,9 @@ class AlgebraElement:
         # scale (1 + ‖a‖), so herm_eig's per-block test is skipped.
         return tuple(linalg.herm_eig(b, tol=np.inf) for b in self.blocks)
 
-    def norm(self) -> float:
-        """C*-norm: max of block operator norms."""
-        return self._norm
-
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         scale = 1.0 + self.norm()
         return all(linalg.is_hermitian(b, tol=tol * scale) for b in self.blocks)
-
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.norm() <= tol
-
-    def distance(self, other: "AlgebraElement") -> float:
-        return (self - other).norm()
 
 
 def _eig_blocks(a: AlgebraElement) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -193,10 +207,16 @@ def spectral_projection(a: AlgebraElement, eps: float) -> AlgebraElement:
     DEFAULT_TOL·‖a‖ of eps — the projection is discontinuous there. The cut
     scales with a, as the projection of ca is that of a at c·eps.
     """
-    cut = DEFAULT_TOL * a.norm()
-    if np.any(np.abs(all_eigenvalues(a) - eps) <= cut):
-        raise EigenvalueAtThreshold(f"eigenvalue within {cut:.3g} of threshold {eps}")
+    _refuse_threshold_near(all_eigenvalues(a), eps, a.norm())
     return calculus(a, lambda t: 1.0 if t > eps else 0.0)
+
+
+def _refuse_threshold_near(spectrum: np.ndarray, eps: float, norm: float):
+    """The spectral cut: EigenvalueAtThreshold when an eigenvalue of a, of
+    norm ‖a‖, lies within DEFAULT_TOL·‖a‖ of eps."""
+    cut = DEFAULT_TOL * norm
+    if np.any(np.abs(spectrum - eps) <= cut):
+        raise EigenvalueAtThreshold(f"eigenvalue within {cut:.3g} of threshold {eps}")
 
 
 def lower_approximants(a: AlgebraElement, eps: float, n: int) -> AlgebraElement:
@@ -262,24 +282,29 @@ class RightIdeal:
         return int(round(sum(np.trace(b).real for b in self.support_projection.blocks)))
 
 
-def ideal_support_projection(generators: Sequence[AlgebraElement]) -> RightIdeal:
-    """Support projection of the right ideal generated by the given elements.
+def support_projectors(shape: AlgebraShape, k: int, generators: Sequence[_Blocks]) -> tuple[np.ndarray, ...]:
+    """P_b, the read-only orthogonal projector onto the joint column space of
+    the generators' stacked block-b matrices, per block: the support of the
+    submodule they generate in A^k, and so of the right ideal they generate
+    in A = A^1. No generators give P_b = 0."""
+    out = []
+    for b, n in enumerate(shape.block_dims):
+        m_b = np.hstack([np.zeros((k * n, 0), dtype=np.complex128), *(g.blocks[b] for g in generators)])
+        p = linalg.column_space_projector(m_b)
+        p.setflags(write=False)
+        out.append(p)
+    return tuple(out)
 
-    Blockwise this is the orthogonal projection onto the joint column space
-    of the generators; it is the smallest projection p with p g = g for all g.
-    """
+
+def ideal_support_projection(generators: Sequence[AlgebraElement]) -> RightIdeal:
+    """Support projection of the right ideal generated by the given elements:
+    the smallest projection p with p g = g for all g."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    shape = gens[0].shape
     for g in gens[1:]:
-        if g.shape != shape:
-            raise ShapeMismatch("generators over different shapes")
-    blocks = []
-    for b in range(shape.num_blocks):
-        stacked = np.hstack([g.blocks[b] for g in gens])
-        blocks.append(linalg.column_space_projector(stacked))
-    return RightIdeal(AlgebraElement._of(shape, tuple(blocks)))
+        gens[0]._check_same(g)
+    return RightIdeal(AlgebraElement._of(gens[0].shape, support_projectors(gens[0].shape, 1, gens)))
 
 
 @dataclass(frozen=True)
@@ -334,9 +359,7 @@ def closed_subideal(x: AlgebraElement) -> SubidealWitness:
     norm = a.norm()  # an overflowed x·x* is refused here, as NonFinite
     sigma2 = np.concatenate([s * s for _, s, _ in svds])
     eps = float(np.min(sigma2[sigma2 > ACCEPT_TOL * norm])) / 2.0  # a ≠ 0: ‖a‖ itself is kept
-    cut = DEFAULT_TOL * norm
-    if np.any(np.abs(sigma2 - eps) <= cut):
-        raise EigenvalueAtThreshold(f"eigenvalue within {cut:.3g} of threshold {eps}")
+    _refuse_threshold_near(sigma2, eps, norm)
     p_blocks, fa_blocks, probe_errors, membership_errors = [], [], [], []
     for x_i, (u, s, vh) in zip(x.blocks, svds):
         t = s * s

@@ -1,8 +1,9 @@
 """Free Hilbert modules A^k, their compact operators, and the
 submodule ↔ right-ideal correspondence.
 
-A module element is carried by its stacked blocks: block b holds the
-block-b coordinates x_1, ..., x_k stacked k high, a k·n_b × n_b matrix X_b.
+A module element is carried by its stacked blocks, in the container it
+shares with the algebra A = A^1: block b holds the block-b coordinates
+x_1, ..., x_k stacked k high, a k·n_b × n_b matrix X_b.
 The A-valued inner product ⟨x, y⟩ = Σ x_i* y_i is then X_b* Y_b per block.
 At finite rank the compact operators form M_k(A), which is the algebra over
 the amplified shape (k·n_1, ..., k·n_r): an operator T is an
@@ -25,34 +26,23 @@ from .algebra import (
     AlgebraShape,
     RightIdeal,
     IdealCertificate,
-    _frozen,
+    _Blocks,
     is_essential_right_ideal,
+    support_projectors,
 )
 from .errors import ShapeMismatch, ZeroInput
 from .linalg import ACCEPT_TOL, DEFAULT_TOL
 
 
 @dataclass(frozen=True)
-class ModuleElement:
-    """Element of the free module A^k: blocks[b] is the k·n_b × n_b matrix
-    of its block-b coordinates stacked k high. The blocks are read-only."""
+class ModuleElement(_Blocks):
+    """Element of the free module A^k: blocks[b] is the k·n_b × n_b matrix of
+    its block-b coordinates stacked k high. Only k and its constructors are
+    its own."""
 
     shape: AlgebraShape
     k: int
     blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ShapeMismatch("module rank must be positive")
-        if len(self.blocks) != self.shape.num_blocks:
-            raise ShapeMismatch("block count does not match shape")
-        frozen = []
-        for n, blk in zip(self.shape.block_dims, self.blocks):
-            m = linalg.as_matrix(blk)
-            if m.shape != (self.k * n, n):
-                raise ShapeMismatch(f"stacked block of shape {m.shape}, expected ({self.k * n}, {n})")
-            frozen.append(_frozen(m))
-        object.__setattr__(self, "blocks", tuple(frozen))
 
     @classmethod
     def from_coords(cls, coords: Sequence[AlgebraElement]) -> "ModuleElement":
@@ -63,59 +53,11 @@ class ModuleElement:
         if any(c.shape != shape for c in coords):
             raise ShapeMismatch("coordinate over a different algebra shape")
         stacked = (np.vstack([c.blocks[b] for c in coords]) for b in range(shape.num_blocks))
-        return cls._of(shape, len(coords), tuple(stacked))
+        return cls._of(shape, len(coords), stacked)
 
     @classmethod
     def zeros(cls, shape: AlgebraShape, k: int) -> "ModuleElement":
         return cls(shape, k, tuple(np.zeros((k * n, n)) for n in shape.block_dims))
-
-    def _check_same(self, other: "ModuleElement"):
-        if self.shape != other.shape or self.k != other.k:
-            raise ShapeMismatch("module elements of different shape or rank")
-
-    @classmethod
-    def _of(cls, shape: AlgebraShape, k: int, blocks) -> "ModuleElement":
-        """Complex arrays of the right shape that no one writes to later:
-        built unchecked and uncopied, only marked read-only."""
-        out = cls.__new__(cls)
-        out.__dict__.update(shape=shape, k=k, blocks=tuple(blocks))
-        for blk in out.blocks:
-            blk.setflags(write=False)
-        return out
-
-    def _with(self, blocks) -> "ModuleElement":
-        """An operation's result over this element's shape and rank."""
-        return ModuleElement._of(self.shape, self.k, blocks)
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        self._check_same(other)
-        return self._with(x + y for x, y in zip(self.blocks, other.blocks))
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        self._check_same(other)
-        return self._with(x - y for x, y in zip(self.blocks, other.blocks))
-
-    def __mul__(self, a) -> "ModuleElement":
-        """Right action x·a by an algebra element, or complex scaling."""
-        if isinstance(a, AlgebraElement):
-            if a.shape != self.shape:
-                raise ShapeMismatch("algebra elements over different shapes")
-            return self._with(x @ a_b for x, a_b in zip(self.blocks, a.blocks))
-        return self._with(x * complex(a) for x in self.blocks)
-
-    def __rmul__(self, z) -> "ModuleElement":
-        return self._with(complex(z) * x for x in self.blocks)
-
-    def norm(self) -> float:
-        return float(np.sqrt(inner_product(self, self).norm()))
-
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        """Every coordinate is zero: each n_b-row slice of each block."""
-        return all(
-            linalg.op_norm(x[i * n:(i + 1) * n]) <= tol
-            for x, n in zip(self.blocks, self.shape.block_dims)
-            for i in range(self.k)
-        )
 
 
 def inner_product(x: ModuleElement, y: ModuleElement) -> AlgebraElement:
@@ -173,16 +115,8 @@ class Submodule:
 
     @cached_property
     def block_projectors(self) -> tuple[np.ndarray, ...]:
-        """P_b, the projector onto col M_b, per block; computed once, since
-        the generators never change."""
-        out = []
-        for b, n in enumerate(self.shape.block_dims):
-            cols = [g.blocks[b] for g in self.generators]
-            m_b = np.hstack(cols) if cols else np.zeros((self.k * n, 0), dtype=np.complex128)
-            p = linalg.column_space_projector(m_b)
-            p.setflags(write=False)
-            out.append(p)
-        return tuple(out)
+        """P_b, the projector onto col M_b, per block, computed once."""
+        return support_projectors(self.shape, self.k, self.generators)
 
     def contains(self, x: ModuleElement) -> bool:
         """x ∈ N iff every column of each stacked block X_b lies in col M_b."""
@@ -238,7 +172,7 @@ def reformulation_probe(m: ModuleElement, N: Submodule) -> AlgebraElement | None
     X_b K_b has the largest norm: its top right singular vector, mapped
     back through K_b. A zero X_b, or a zero X_b K_b, is skipped unasked.
     """
-    if m.is_zero():
+    if m.is_zero():  # reads m's one cached norm, as the threshold below does
         raise ZeroInput("reformulation probe requires m ≠ 0")
     best_norm, best_block, best_col = 0.0, None, None
     for b, (p, x_b) in enumerate(zip(N.block_projectors, m.blocks)):

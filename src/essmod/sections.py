@@ -10,7 +10,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import DimensionMismatch
@@ -22,6 +21,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Piece = tuple[int, tuple[GaussianIntVector, ...]]
+
+UNIT: Piece = (1, (((1, 0),),))  # the scalar piece 1: a + b is `_add_times(a, b, UNIT)`
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,8 @@ class PiecewiseSection:
         if other.d != self.d:
             raise DimensionMismatch("section dimensions differ")
         bps, ia, ib = self._aligned(other)
-        return PiecewiseSection._of(self.d, bps, tuple(_sum(self.pieces[i], other.pieces[j]) for i, j in zip(ia, ib)))
+        pieces = tuple(_reduced(*_add_times(self.pieces[i], other.pieces[j], UNIT)) for i, j in zip(ia, ib))
+        return PiecewiseSection._of(self.d, bps, pieces)
 
     def __sub__(self, other: "PiecewiseSection") -> "PiecewiseSection":
         return self + (-other)
@@ -216,16 +218,6 @@ def _reduced(den: int, cols: tuple[GaussianIntVector, ...]) -> Piece:
     if g == 1:
         return den, tuple(cols[:n])
     return den // g, tuple(tuple((x // g, y // g) for x, y in col) for col in cols[:n])
-
-
-def _sum(a: Piece, b: Piece) -> Piece:
-    """a + b over lcm(D_a, D_b), reduced."""
-    (da, ca), (db, cb) = a, b
-    den = lcm(da, db)
-    f, g = den // da, den // db
-    zero = ((0, 0),) * len(ca[0])
-    return _reduced(den, tuple(tuple((f * x + g * u, f * y + g * w) for (x, y), (u, w) in zip(p, q))
-                               for p, q in zip_longest(ca, cb, fillvalue=zero)))
 
 
 def _scaled_value(cols, x: Fraction) -> GaussianIntVector:

@@ -95,9 +95,9 @@ MUTANTS = (
     ),
     Mutant(
         "basis-cleared-by-real-denominators-only",
-        "src/essmod/serialize.py",
-        "den = lcm(*[q for z in col for _, q in z])",
-        "den = lcm(*[z[0][1] for z in col])",
+        "src/essmod/sections.py",
+        "den = lcm(*[q for coord in coords for z in coord for _, q in z])",
+        "den = lcm(*[z[0][1] for coord in coords for z in coord])",
         ("tests/test_serialize.py::test_basis_parse_matches_fraction_path",),
     ),
     Mutant(
@@ -145,6 +145,21 @@ MUTANTS = (
         "if max(s[0] for _, s, _ in svds) <= 0:",
         ("tests/test_cli.py::test_right_ideal_witness_refuses_a_zero_generator_once",
          "tests/test_algebra.py::test_closed_subideal_reads_zero_off_its_own_svd"),
+    ),
+    # A and A^k share one block kernel: its shape check must compare ranks too.
+    Mutant(
+        "shape-check-ignores-rank",
+        "src/essmod/algebra.py",
+        "if self.shape != other.shape or self.k != other.k:",
+        "if self.shape != other.shape:",
+        ("tests/test_modules.py::test_inner_product_shape_mismatch",),
+    ),
+    Mutant(
+        "norm-reads-first-block-only",
+        "src/essmod/algebra.py",
+        "return max(linalg.op_norm(x) for x in self.blocks)",
+        "return linalg.op_norm(self.blocks[0])",
+        ("tests/test_modules.py::test_operation_results_are_read_only",),
     ),
 )
 

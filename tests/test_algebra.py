@@ -369,6 +369,20 @@ def test_closed_subideal_rejects_zero():
         closed_subideal(AlgebraElement.zeros(M2))
 
 
+def test_closed_subideal_refuses_a_threshold_by_the_spectral_cut():
+    """closed_subideal and spectral_projection refuse by one cut: an
+    eigenvalue of a within DEFAULT_TOL·‖a‖ of eps. Here a = x·x* has the
+    eigenvalues 1 and 2.002e-8, which are kept, so eps = 1.001e-8, and
+    0.9999e-8, which is not kept and lies 1.1e-11 from eps."""
+    x = diag_elem(*np.sqrt([1.0, 2.002e-8, 0.9999e-8]))
+    refusals = []
+    for refuse in (lambda: closed_subideal(x), lambda: spectral_projection(x * x.adjoint(), 1.001e-8)):
+        with pytest.raises(EigenvalueAtThreshold, match="^eigenvalue within 1e-10 of threshold ") as info:
+            refuse()
+        refusals.append(float(str(info.value).rsplit(" ", 1)[1]))
+    assert refusals[0] == pytest.approx(refusals[1], rel=1e-12)
+
+
 def test_closed_subideal_reads_zero_off_its_own_svd():
     """x is zero when its largest singular value is at most DEFAULT_TOL."""
     with pytest.raises(ZeroInput):

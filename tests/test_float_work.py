@@ -23,8 +23,10 @@ MODULES = [gen_module_submodule(blocks, k, seed) for blocks in CAP_BLOCKS for k 
 
 # LAPACK calls of one check and one witness of every document above. The
 # grid took 665 while zero matrices reached LAPACK, every block of an ideal
-# was eigendecomposed and the certificate re-orthonormalised eigenvectors.
-MAX_CALLS = 343
+# was eigendecomposed and the certificate re-orthonormalised eigenvectors,
+# and 343 while a module element took its norm through the Gram matrix and
+# its zero test per coordinate slice.
+MAX_CALLS = 319
 
 
 @pytest.fixture
@@ -103,3 +105,36 @@ def test_right_ideal_witness_takes_one_svd_per_block_and_two_norms(lapack):
         assert calls == [("svd", False)] * expected, (doc["seed"], calls, expected)
         witnessed += 1
     assert witnessed > len(RIGHT_IDEALS) / 2
+
+
+def test_module_witness_norm_takes_one_svd_per_nonzero_block(monkeypatch):
+    """The certificate's witness m is an element of A^k with one cached norm,
+    max_b ‖X_b‖: each module check and witness takes one norm SVD per
+    nonzero block X_b of m, none per coordinate slice of X_b and none of
+    its Gram matrix X_b*·X_b."""
+    norm_inputs = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            norm_inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    ranks = set()
+    for doc in MODULES:
+        k = doc["payload"]["k"]
+        for run, keys in ((runner.run_check, ("certificate", "witness")), (runner.run_witness, ("witness", "m"))):
+            norm_inputs.clear()
+            report = json.loads(serialize.dumps(run(doc)))
+            if report["decision"]:
+                continue
+            m = report[keys[0]][keys[1]]
+            x = [np.vstack(coords) for coords in zip(*(report_oracle._blocks(c) for c in m["coords"]))]
+            blocks = [x_b for x_b in x if x_b.any()]
+            parts = [y for x_b in x for y in (x_b.conj().T @ x_b, *np.split(x_b, k))]
+            about_m = [a for a in norm_inputs if any(np.array_equal(a, y) for y in blocks + parts)]
+            assert len(about_m) == len(blocks), (doc["seed"], k, len(about_m), len(blocks))
+            assert all(any(np.array_equal(a, y) for y in blocks) for a in about_m)
+            ranks.add(k)
+    assert ranks == {4}  # the grid's k = 1 documents are all essential

@@ -134,6 +134,21 @@ def test_inner_product_shape_mismatch():
         inner_product(scalar_module(1.0), scalar_module(1.0, 2.0))
 
 
+def test_one_checking_constructor_for_both_kinds():
+    """Algebra and module elements share one checking constructor: it
+    freezes a copy of each block and refuses a wrong block count, a block
+    that is not k·n_b × n_b and a rank below 1."""
+    a = AlgebraElement(MIXED, (np.eye(1), np.eye(2)))
+    x = ModuleElement(MIXED, 2, (np.ones((2, 1)), np.ones((4, 2))))
+    assert all(not blk.flags.writeable and blk.dtype == np.complex128 for blk in a.blocks + x.blocks)
+    for build in (lambda: AlgebraElement(MIXED, (np.eye(1),)),
+                  lambda: AlgebraElement(MIXED, (np.eye(1), np.ones((4, 2)))),
+                  lambda: ModuleElement(MIXED, 2, (np.eye(1), np.eye(2))),
+                  lambda: ModuleElement(MIXED, 0, (np.zeros((0, 1)), np.zeros((0, 2))))):
+        with pytest.raises(ShapeMismatch):
+            build()
+
+
 # --- theta operators ----------------------------------------------------------
 
 def test_theta_scalar_example():
