@@ -340,10 +340,12 @@ def closed_subideal(x: AlgebraElement) -> SubidealWitness:
     by a nonzero x, with verified membership certificates.
 
     Everything is read off one SVD x_i = U Σ V* per block: a = x x* has
-    eigenvectors U and eigenvalues σ². eps is half the least σ² counted as
-    nonzero, above ACCEPT_TOL·‖a‖ (relative to a alone, as xA = (cx)A for
-    every c ≠ 0), so it lies at least 50 spectral cuts DEFAULT_TOL·‖a‖
-    from 0 and from the kept spectrum, and p = χ_(eps,∞)(a) = U_r U_r*,
+    eigenvectors U and eigenvalues σ². A σ² counts as nonzero above the keep
+    line ACCEPT_TOL·‖a‖ (relative to a alone, as xA = (cx)A for every
+    c ≠ 0). eps is the middle of the gap from s₋, the largest σ² at or below
+    the line (0 if none), to s₊, the least above it: at least 50 spectral
+    cuts DEFAULT_TOL·‖a‖ from 0, and refused (EigenvalueAtThreshold) exactly
+    when the gap is at most two cuts wide. p = χ_(eps,∞)(a) = U_r U_r*,
     r = {σ² > eps}, has the rank of x. x is zero (ZeroInput) when its
     largest σ is at most DEFAULT_TOL. f(t) = t·g(t), with g vanishing below
     eps/2 and 1/t from eps on, so f(a)p = p and every b ∈ K factors as
@@ -358,7 +360,8 @@ def closed_subideal(x: AlgebraElement) -> SubidealWitness:
     a = x * x.adjoint()
     norm = a.norm()  # an overflowed x·x* is refused here, as NonFinite
     sigma2 = np.concatenate([s * s for _, s, _ in svds])
-    eps = float(np.min(sigma2[sigma2 > ACCEPT_TOL * norm])) / 2.0  # a ≠ 0: ‖a‖ itself is kept
+    kept = sigma2 > ACCEPT_TOL * norm  # a ≠ 0: ‖a‖ itself is kept
+    eps = (float(np.max(sigma2[~kept], initial=0.0)) + float(np.min(sigma2[kept]))) / 2.0
     _refuse_threshold_near(sigma2, eps, norm)
     p_blocks, fa_blocks, probe_errors, membership_errors = [], [], [], []
     for x_i, (u, s, vh) in zip(x.blocks, svds):

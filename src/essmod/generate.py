@@ -3,8 +3,13 @@
 Randomness comes from SplitMix64, a counter-based 64-bit generator small
 enough to restate in any language: state advances by the golden-gamma
 constant and each output is a three-stage mix of the state (see README).
-All generated scalars are dyadic rationals, so float serialization is
-exact and re-running a seed is byte-identical.
+Output i of a stream is mix(seed + i·γ), so a block of n draws is one
+vectorised uint64 computation equal to n sequential draws: a matrix is
+drawn in one batch, its entries k/16 + (k'/16)i with k, k' in [−32, 32],
+row-major, real part first; a field's polynomial generator in another,
+its coefficients k/8 + (k'/8)i with k, k' in [−8, 8], by coordinate, then
+ascending power, real part first. Every generated scalar is dyadic, so
+float serialization is exact and re-running a seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import IrrationalRoot, SizeCap
-from .fields import FieldModuleSpec, FieldPiece, SubspaceField, analyze_field
+from .fields import FieldModuleSpec, FieldPiece, SubspaceField, residual_set
 from .linalg import column_space_projector
 from .modules import ModuleElement, module_basis
 from .rationals import identity_columns
-from .sections import PiecewiseSection
+from .sections import ONE, ZERO, PiecewiseSection, _reduced
 from .serialize import (
     element_to_json,
     field_spec_to_json,
@@ -31,6 +36,8 @@ from .subsets import SymbolicSubset
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+# numpy 1 promotes a uint64 mixed with a Python int to float64: every operand is an np.uint64
+_U64 = tuple(map(np.uint64, (GOLDEN_GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31)))
 
 
 class SplitMix64:
@@ -52,6 +59,18 @@ class SplitMix64:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
 
+    def randints(self, lo: int, hi: int, n: int) -> np.ndarray:
+        """The next n `randint(lo, hi)` draws as one int64 array: output i is
+        the mix of state + i·GOLDEN_GAMMA, and the state moves on by n·GOLDEN_GAMMA."""
+        if hi < lo:
+            raise ValueError("empty range")
+        gamma, m1, m2, s30, s27, s31 = _U64
+        z = np.uint64(self.state) + np.arange(1, n + 1, dtype=np.uint64) * gamma
+        self.state = (self.state + n * GOLDEN_GAMMA) & MASK64
+        z = (z ^ (z >> s30)) * m1
+        z = (z ^ (z >> s27)) * m2
+        return lo + ((z ^ (z >> s31)) % np.uint64(hi - lo + 1)).astype(np.int64)
+
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
 
@@ -69,12 +88,9 @@ class SplitMix64:
 
 # --- float-layer randomness ---------------------------------------------------
 
-def rand_complex(rng: SplitMix64) -> complex:
-    return complex(float(rng.dyadic()), float(rng.dyadic()))
-
-
 def rand_matrix(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
-    return np.array([[rand_complex(rng) for _ in range(cols)] for _ in range(rows)])
+    """Entries k/16 + (k'/16)i, k and k' drawn in [−32, 32] in one batch: row-major, real part first."""
+    return (rng.randints(-32, 32, 2 * rows * cols) / 16.0).view(np.complex128).reshape(rows, cols)
 
 
 def rand_algebra_element(rng: SplitMix64, shape: AlgebraShape) -> AlgebraElement:
@@ -181,8 +197,12 @@ def _rand_proper_basis(rng: SplitMix64, d: int):
 
 
 def _rand_poly_section(rng: SplitMix64, d: int) -> PiecewiseSection:
-    """Random polynomial section of degree ≤ 2 with dyadic coefficients."""
-    return PiecewiseSection.polynomial([[(rng.dyadic(3, 1), rng.dyadic(3, 1)) for _ in range(3)] for _ in range(d)])
+    """Random polynomial section of degree ≤ 2, coefficients k/8 + (k'/8)i with
+    k and k' drawn in [−8, 8] in one batch: by coordinate, then ascending power,
+    real part first. Built unchecked, as its one piece over 8 is continuous."""
+    k = rng.randints(-8, 8, 6 * d).tolist()
+    cols = tuple(tuple((k[6 * i + 2 * p], k[6 * i + 2 * p + 1]) for i in range(d)) for p in range(3))
+    return PiecewiseSection._of(d, (ZERO, ONE), (_reduced(8, cols),))
 
 
 def gen_field(
@@ -256,15 +276,13 @@ def _gen_field_attempt(
             field_pieces.append(FieldPiece(part, full_basis))
 
     field = SubspaceField(d, tuple(field_pieces))
-    generators = [
-        PiecewiseSection.constant([1 if i == j else 0 for i in range(d)])
-        for j in range(d)
-    ]
+    generators = [PiecewiseSection._of(d, (ZERO, ONE), ((1, (col,)),)) for col in full_basis]
     while len(generators) < n_generators:
         extra = _rand_poly_section(rng, d)
         if not extra.is_zero():
             generators.append(extra)
-    spec = FieldModuleSpec(d, tuple(generators), field)
-    # force IrrationalRoot rejection now rather than at check time
-    analyze_field(spec)
-    return spec
+    # force IrrationalRoot rejection now rather than at check time; the unit
+    # generators are constant, so their residuals have no roots
+    for g in generators[d:]:
+        residual_set(g, field)
+    return FieldModuleSpec(d, tuple(generators), field)

@@ -36,9 +36,10 @@ class PiecewiseSection:
     def __post_init__(self):
         bps = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
-        if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
+        ratios = [b.as_integer_ratio() for b in bps]  # a/q < c/t iff a·t < c·q, as q, t > 0
+        if len(ratios) < 2 or ratios[0] != (0, 1) or ratios[-1] != (1, 1):
             raise ValueError("breakpoints must run from 0 to 1")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
+        if any(a * t >= c * q for (a, q), (c, t) in zip(ratios, ratios[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if len(self.pieces) != len(bps) - 1:
             raise ValueError("need one piece per breakpoint interval")

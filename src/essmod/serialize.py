@@ -145,8 +145,10 @@ def element_to_json(a: AlgebraElement) -> dict:
 
 
 def _blocks_to_json(shape: AlgebraShape, blocks) -> dict:
-    """An algebra element's document: each block an (n, n, 2) list of [re, im] pairs."""
-    return {"shape": shape_to_json(shape), "blocks": [np.stack((b.real, b.imag), -1).tolist() for b in blocks]}
+    """An algebra element's document: each block an (n, n, 2) list of [re, im]
+    pairs, read as a float view of the block made C-contiguous."""
+    return {"shape": shape_to_json(shape),
+            "blocks": [np.ascontiguousarray(b).view(np.float64).reshape(*b.shape, 2).tolist() for b in blocks]}
 
 
 def element_from_json(doc) -> AlgebraElement:

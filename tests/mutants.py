@@ -161,6 +161,37 @@ MUTANTS = (
         "return linalg.op_norm(self.blocks[0])",
         ("tests/test_modules.py::test_operation_results_are_read_only",),
     ),
+    Mutant(
+        "batch-draws-leave-the-state",
+        "src/essmod/generate.py",
+        "self.state = (self.state + n * GOLDEN_GAMMA) & MASK64",
+        "pass",
+        ("tests/test_generate.py::test_batch_draws_equal_sequential_draws",),
+    ),
+    Mutant(
+        "matrix-draws-imaginary-part-first",
+        "src/essmod/generate.py",
+        "/ 16.0).view(np.complex128)",
+        "/ 16.0).reshape(-1, 2)[:, ::-1].copy().view(np.complex128)",
+        ("tests/test_generate.py::test_rand_matrix_matches_the_per_entry_draws",
+         "tests/test_generate.py::test_generation_grid_is_pinned"),
+    ),
+    Mutant(
+        "block-json-views-without-a-contiguous-copy",
+        "src/essmod/serialize.py",
+        "np.ascontiguousarray(b).view(np.float64)",
+        "b.view(np.float64)",
+        ("tests/test_generate.py::test_element_json_reads_a_non_contiguous_block",),
+    ),
+    # eps at half the least kept σ² can lie within the cut of a σ² just below the keep line.
+    Mutant(
+        "subideal-eps-at-half-the-least-kept",
+        "src/essmod/algebra.py",
+        "eps = (float(np.max(sigma2[~kept], initial=0.0)) + float(np.min(sigma2[kept]))) / 2.0",
+        "eps = float(np.min(sigma2[kept])) / 2.0",
+        ("tests/test_cli.py::test_witness_clears_a_sigma_squared_just_below_the_keep_line",
+         "tests/test_algebra.py::test_closed_subideal_refuses_a_threshold_by_the_spectral_cut"),
+    ),
 )
 
 

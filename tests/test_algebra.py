@@ -371,12 +371,14 @@ def test_closed_subideal_rejects_zero():
 
 def test_closed_subideal_refuses_a_threshold_by_the_spectral_cut():
     """closed_subideal and spectral_projection refuse by one cut: an
-    eigenvalue of a within DEFAULT_TOL·‖a‖ of eps. Here a = x·x* has the
-    eigenvalues 1 and 2.002e-8, which are kept, so eps = 1.001e-8, and
-    0.9999e-8, which is not kept and lies 1.1e-11 from eps."""
-    x = diag_elem(*np.sqrt([1.0, 2.002e-8, 0.9999e-8]))
+    eigenvalue of a within DEFAULT_TOL·‖a‖ of eps. eps is the middle of the
+    gap around the keep line ACCEPT_TOL·‖a‖, so closed_subideal refuses
+    exactly when that gap is at most two cuts wide. Here a = x·x* has the
+    eigenvalues 1 and 1.00005e-8, which are kept, and 0.99995e-8, which is
+    not: a gap of 1e-12, so eps = 1e-8 lies 5e-13 from both."""
+    x = diag_elem(*np.sqrt([1.0, 1.00005e-8, 0.99995e-8]))
     refusals = []
-    for refuse in (lambda: closed_subideal(x), lambda: spectral_projection(x * x.adjoint(), 1.001e-8)):
+    for refuse in (lambda: closed_subideal(x), lambda: spectral_projection(x * x.adjoint(), 1e-8)):
         with pytest.raises(EigenvalueAtThreshold, match="^eigenvalue within 1e-10 of threshold ") as info:
             refuse()
         refusals.append(float(str(info.value).rsplit(" ", 1)[1]))

@@ -17,7 +17,7 @@ from poly_oracle import GaussianPoly, RationalPoly, piece, scalar
 
 from essmod import cli, properties, runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape
-from essmod.errors import PreconditionFailed, SchemaError
+from essmod.errors import EigenvalueAtThreshold, PreconditionFailed, SchemaError
 from essmod.fields import FieldModuleSpec, SubspaceField
 from essmod.generate import gen_field, gen_module_submodule, gen_right_ideal
 from essmod.modules import ModuleElement
@@ -758,9 +758,11 @@ def test_near_projection_is_checked_at_one_scale(tmp_path, capsys):
     assert report["certificate"]["block"] == 1 and report["certificate"]["intersection_dim"] == 0
     witness = runner.run_witness(NEAR_PROJECTION)
     assert witness["checks_ok"] is True
+    # re-pinned when eps moved to the middle of the spectral gap: the dropped
+    # σ² = 2.25e-16 puts it at 0.5000000000000001, not 0.5
     assert_float_digests(NEAR_PROJECTION, witness,
-                         "30d022c4e3c2f91f3c1cd9e3845bff6f39d5a44ef8a57d3fadfe313a73afc59d",
-                         "0cad6462c8e4ffd102296bda481d0b4ad51f0836cbcb6b2958e9fb73cc54fafb")
+                         "ebe831be9ec96e07e832f6cb95a89060cd5aab039604042f9881255c2e72e293",
+                         "bf4e8d8a06e4085525838ce740a8257757b186353dd09a92458e37bbc8019f42")
 
 
 def diagonal_projection_doc(*diagonal):
@@ -919,10 +921,11 @@ def right_ideal_document(x: AlgebraElement) -> dict:
 
 def near_threshold_witness() -> tuple[dict, dict]:
     """The first of 12 seeded documents whose x = U·diag(1, √1.05e-8,
-    √0.55e-8)·V (U, V random unitaries) keeps an eigenvalue of x·x* just
-    past its threshold cut and one just past eps: κ(x) ≈ 1.35·10⁴, the most
-    the threshold allows. The oracle accepts every one of the 12 reports,
-    and each has `checks_ok` true."""
+    √0.55e-8)·V (U, V random unitaries) keeps the eigenvalue 1.05e-8 of x·x*,
+    just past the keep line 1e-8, and drops 0.55e-8: eps = 0.8e-8, p has
+    rank 2 and the kept part of x has κ ≈ 0.98·10⁴, near the most the keep
+    line allows, 10⁴. The oracle accepts every one of the 12 reports, and
+    each has `checks_ok` true."""
     rng = np.random.default_rng(0)
     shape = AlgebraShape((3,))
     witnessed = []
@@ -966,6 +969,56 @@ def test_ill_conditioned_generators_give_verified_witnesses(tmp_path):
         report_oracle.verify(doc, report)
     code, err = run_console("witness", doc, tmp_path)
     assert code == 0, (code, err[:500])
+
+
+def test_witness_clears_a_sigma_squared_just_below_the_keep_line(tmp_path):
+    """x = diag(1, √2.002e-8, √0.9999e-8): a = x·x* keeps 2.002e-8, above the
+    keep line 1e-8, and drops 0.9999e-8 just below it. eps at half the least
+    kept σ², 1.001e-8, lay 1.1e-11 from the dropped one, inside the spectral
+    cut, and `essmod witness` exited 2 on this valid generator. eps in the
+    middle of the gap, 1.50095e-8, clears both: the witness has rank 2 and
+    passes the report oracle, and the CLI exits 0."""
+    doc = right_ideal_document(AlgebraElement(AlgebraShape((3,)), (np.diag(np.sqrt([1.0, 2.002e-8, 0.9999e-8])),)))
+    report = json.loads(serialize.dumps(runner.run_witness(doc)))
+    assert report["witness"]["eps"] == pytest.approx(1.50095e-8, rel=1e-9)
+    assert report["witness"]["rank"] == 2 and report["checks_ok"] is True
+    report_oracle.verify(doc, report)
+    code, err = run_console("witness", doc, tmp_path)
+    assert code == 0, (code, err[:500])
+
+
+def keep_line_straddlers():
+    """x = U·diag(1, √s₊, √s₋)·V from numpy's default_rng(7), U and V random
+    unitaries: s₊ = 1e-8·(1 + u₊) above the keep line 1e-8 and
+    s₋ = 1e-8·(1 − u₋) below it, u± = 10^−U(0.5, 3.5), so each lies within a
+    factor of 2 of the line and their gap runs from 6e-12 to 6e-9, on both
+    sides of two spectral cuts, 2e-10."""
+    rng = np.random.default_rng(7)
+    while True:
+        u, v = (np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0] for _ in range(2))
+        up, um = 10.0 ** -rng.uniform(0.5, 3.5, 2)
+        s = np.sqrt([1.0, 1e-8 * (1 + up), 1e-8 * (1 - um)])
+        yield AlgebraElement(AlgebraShape((3,)), (u @ np.diag(s) @ v,))
+
+
+def test_keep_line_straddlers_are_refused_by_the_gap_rule_alone():
+    """Of 150 straddlers, the witness refuses exactly those whose gap
+    s₊ − s₋, read off numpy's SVD of x, is at most 2·DEFAULT_TOL·‖a‖ (‖a‖ =
+    σ₁² = 1 here); every other gets a rank-2 witness that the report oracle
+    accepts, with `checks_ok` true."""
+    refused = 0
+    for x in itertools.islice(keep_line_straddlers(), 150):
+        s2 = np.linalg.svd(x.blocks[0], compute_uv=False) ** 2
+        doc = right_ideal_document(x)
+        if s2[1] - s2[2] <= 2 * report_oracle.DEFAULT_TOL * s2[0]:
+            refused += 1
+            with pytest.raises(EigenvalueAtThreshold):
+                runner.run_witness(doc)
+            continue
+        report = json.loads(serialize.dumps(runner.run_witness(doc)))
+        assert report["witness"]["rank"] == 2 and report["checks_ok"] is True, report["witness"]
+        report_oracle.verify(doc, report)
+    assert 0 < refused < 150
 
 
 def generated_witness() -> tuple[dict, dict]:

@@ -1,8 +1,13 @@
+import hashlib
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from essmod import serialize
+from essmod.algebra import AlgebraShape
 from essmod.errors import SizeCap
 from essmod.fields import analyze_field, is_essential_field
 from essmod.generate import (
@@ -10,6 +15,8 @@ from essmod.generate import (
     gen_field,
     gen_module_submodule,
     gen_right_ideal,
+    rand_algebra_element,
+    rand_matrix,
 )
 
 
@@ -97,3 +104,79 @@ def test_size_caps():
         gen_field(2, 4, 9, "none", 0)
     with pytest.raises(SizeCap):
         gen_field(2, 4, 1, "none", 0)  # fewer generators than the fiber needs
+
+
+@given(seed=st.sampled_from([0, 1, 2**64 - 1]), n=st.sampled_from([0, 1, 2, 37, 500]),
+       bounds=st.sampled_from([(-32, 32), (-8, 8), (0, 0), (1, 63)]))
+@example(seed=0, n=2, bounds=(-32, 32))
+def test_batch_draws_equal_sequential_draws(seed, n, bounds):
+    """Output i of a stream is mix(seed + i·γ): n draws in one batch are the
+    next n `randint` draws, and leave the stream where they would."""
+    batch, one_by_one = SplitMix64(seed), SplitMix64(seed)
+    drawn = batch.randints(*bounds, n)
+    assert drawn.tolist() == [one_by_one.randint(*bounds) for _ in range(n)]
+    assert batch.state == one_by_one.state
+
+
+def test_rand_matrix_matches_the_per_entry_draws():
+    """A matrix is drawn row-major, each entry's real part and then its
+    imaginary part a dyadic k/16: byte for byte the per-entry complex of two
+    `dyadic` draws, and the stream left where those draws leave it."""
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            batch, one_by_one = SplitMix64(rows * 10 + cols), SplitMix64(rows * 10 + cols)
+            m = rand_matrix(batch, rows, cols)
+            oracle = np.array([[complex(float(one_by_one.dyadic()), float(one_by_one.dyadic())) for _ in range(cols)]
+                               for _ in range(rows)])
+            assert m.shape == (rows, cols) and m.tobytes() == oracle.tobytes()
+            assert batch.state == one_by_one.state
+
+
+# sha256 of the canonical JSON of every document of `generation_grid`,
+# recorded when every scalar was drawn one at a time through a Fraction
+GRID_DIGEST = "5403e9cc0bce73192bf48c37c8934b15a59d13eed9826975ea7aaf878d0ed899"
+
+
+def generation_grid():
+    shapes = [(1,), (6,), (2, 3), (1, 3, 6)]
+    for seed in range(3):
+        for blocks in shapes:
+            yield gen_right_ideal(blocks, seed)
+            yield from (gen_module_submodule(blocks, k, seed) for k in range(1, 5))
+        for d in range(1, 5):
+            yield from (gen_field(d, 5, d + 2, defect, seed) for defect in ("none", "points", "interval"))
+
+
+def test_generation_grid_is_pinned():
+    text = "\n".join(serialize.canonical_json(doc) for doc in generation_grid())
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGEST
+
+
+def test_generated_matrices_take_no_per_scalar_draws(monkeypatch):
+    """Matrices are drawn in batches: at the cap shape (6, 6, 6), only a
+    document's scalar draws (its mode, ranks and generator count) go through
+    `next_u64`, at most 10 per document, and no Fraction is built. One draw
+    per real or imaginary part took 433 to 1,730 on the documents that draw
+    a matrix, each through a Fraction."""
+    calls, fractions = [], []
+    original, new_fraction = SplitMix64.next_u64, F.__new__
+    monkeypatch.setattr(SplitMix64, "next_u64", lambda self: calls.append(1) or original(self))
+    monkeypatch.setattr(F, "__new__", lambda cls, *args, **kw: fractions.append(1) or new_fraction(cls, *args, **kw))
+    for seed in range(4):
+        for generate in (lambda: gen_right_ideal((6, 6, 6), seed), lambda: gen_module_submodule((6, 6, 6), 4, seed)):
+            calls.clear()
+            generate()
+            assert len(calls) <= 10, (seed, len(calls))
+    assert not fractions
+
+
+def test_element_json_reads_a_non_contiguous_block():
+    """x* has Fortran-ordered blocks: the float view is taken of a C-ordered
+    copy, and gives the [re, im] pairs of the (re, im) stack, zeros' signs
+    included."""
+    x = rand_algebra_element(SplitMix64(3), AlgebraShape((2, 3))).adjoint()
+    assert not x.blocks[1].flags.c_contiguous
+    expected = [np.stack((b.real, b.imag), -1).tolist() for b in x.blocks]
+    doc = serialize.element_to_json(x)
+    assert doc["blocks"] == expected
+    assert [np.signbit(b).tolist() for b in doc["blocks"]] == [np.signbit(b).tolist() for b in expected]
