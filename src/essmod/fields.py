@@ -20,6 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .polynomials import _value, exact_zero_points, poly_gcd, real_root_count
 from .rationals import GaussianIntVector, annihilator, identity_columns
-from .sections import PiecewiseSection, _add_times, _cell_pieces, _reduced, _scaled_value, _zero_piece, bump, from_coeffs, pointwise_inner
+from .sections import PiecewiseSection, _add_times, _cell_pieces, _reduced, _scaled_value, _zero_piece, bump, pointwise_inner
 from .subsets import SymbolicSubset, _check_range, _label_runs, _of_runs, _order, _runs
 
 ZERO = Fraction(0)
@@ -463,9 +464,10 @@ def inductive_witness_section(
     analyze_field(spec).total. The cuts are ordered once (`_order`): each
     term's cells are a slot range, each picked generator's piece per cell
     comes from one pass over its breakpoints, and the cell holding x_j is
-    found once. Each cell sums its terms in column form, generator columns
-    times the integers of λ_j·a_j; membership is tested on the cells'
-    columns, which are reduced once, at the end.
+    found once. The samples share one denominator, so each term λ_j·a_j is
+    one integer piece, with no Fraction arithmetic; each cell sums its terms
+    in column form, generator columns times those integers, and membership
+    is tested on the cells' columns, which are reduced once, at the end.
     """
     xs = [Fraction(x) for x in samples]
     if not xs:
@@ -494,30 +496,30 @@ def inductive_witness_section(
                 "the defect set is inconsistent with the generators"
             )
         picks.append(k_j)
-    # a_j is the unit bump on (x_j − r_j, x_j + r_j): r_j is half the distance to the nearest earlier sample or end
-    radii, earlier = [], []
-    for x in xs:
-        i = bisect_left(earlier, x)
-        radii.append(min(x, ONE - x, *(abs(x - y) for y in earlier[max(i - 1, 0):i + 1])) / 2)
-        earlier.insert(i, x)
-    ends = [(x - r, x + r) for x, r in zip(xs, radii)]
+    # a_j is the unit bump on (x_j − r_j, x_j + r_j), r_j half the distance to the nearest earlier sample or end:
+    # over one denominator, x_j = X_j/D and r_j = R_j/(2D) with R_j = min(X_j, D − X_j, |X_j − X_i|)
+    den = lcm(*(x.denominator for x in xs))
+    nums, widths, earlier = [x.numerator * (den // x.denominator) for x in xs], [], []
+    for n in nums:
+        i = bisect_left(earlier, n)
+        widths.append(min(n, den - n, *(abs(n - y) for y in earlier[max(i - 1, 0):i + 1])))
+        earlier.insert(i, n)
+    ends = [(Fraction(2 * n - w, 2 * den), Fraction(2 * n + w, 2 * den)) for n, w in zip(nums, widths)]
     # the common refinement: each cell sums the terms whose bump covers it
     cuts, slot = _order([ZERO, ONE, *(t for e in ends for t in e), *(b for k in set(picks) for b in gens[k].breakpoints)])
     piece_on = {k: _cell_pieces(gens[k].breakpoints, slot) for k in set(picks)}
     here = [bisect_right(cuts, x) - 1 for x in xs]  # the cell holding each sample
     cells = [_zero_piece(d)] * (len(cuts) - 1)
     lambdas: list[Fraction] = []
-    for j, (x, r, (a, b), k, ann, c) in enumerate(zip(xs, radii, ends, picks, anns, here), start=1):
+    for j, (x, n, w, (a, b), k, ann, c) in enumerate(zip(xs, nums, widths, ends, picks, anns, here), start=1):
         pieces, on = gens[k].pieces, piece_on[k]
-        # the cell holding x sums the earlier terms there, and a_j(x_j) = 1
-        lam = Fraction(1, 2 ** j)
-        if not _outside(ann, _scaled_value(_add_times(cells[c], pieces[on[c]], from_coeffs([[lam]]))[1], x)):
-            lam = Fraction(1, 2 ** (j + 1))
-        lambdas.append(lam)
-        # λ_j·a_j = s·(t − a)(b − t) with (a, b) = x_j ∓ r_j, s = λ_j / r_j²
-        s = lam / (r * r)
+        # λ_j = 2^-e: the cell holding x sums the earlier terms there, and a_j(x_j) = 1
+        e = j if _outside(ann, _scaled_value(_add_times(cells[c], pieces[on[c]], (1 << j, (((1, 0),),)))[1], x)) else j + 1
+        lambdas.append(Fraction(1, 1 << e))
+        # λ_j·a_j(t) = 2^-e·(1 − (t − x_j)²/r_j²) = (R_j² − 4X_j² + 8D·X_j·t − 4D²·t²) / (R_j²·2^e)
+        term = _reduced(w * w << e, (((w * w - 4 * n * n, 0),), ((8 * den * n, 0),), ((-4 * den * den, 0),)))
         for c in range(slot[a.as_integer_ratio()] // 2, slot[b.as_integer_ratio()] // 2):
-            cells[c] = _add_times(cells[c], pieces[on[c]], from_coeffs([[-a * b * s, (a + b) * s, -s]]))
+            cells[c] = _add_times(cells[c], pieces[on[c]], term)
 
     return InductiveWitness(
         m=PiecewiseSection._of(d, tuple(cuts), tuple(_reduced(den, cols) for den, cols in cells)),

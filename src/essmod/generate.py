@@ -88,13 +88,21 @@ class SplitMix64:
 
 # --- float-layer randomness ---------------------------------------------------
 
+def _rand_entries(rng: SplitMix64, n: int) -> np.ndarray:
+    """n entries k/16 + (k'/16)i, k and k' drawn in [−32, 32] in one batch, real part first."""
+    return (rng.randints(-32, 32, 2 * n) / 16.0).view(np.complex128)
+
+
 def rand_matrix(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
-    """Entries k/16 + (k'/16)i, k and k' drawn in [−32, 32] in one batch: row-major, real part first."""
-    return (rng.randints(-32, 32, 2 * rows * cols) / 16.0).view(np.complex128).reshape(rows, cols)
+    """Entries as `_rand_entries` draws them, row-major."""
+    return _rand_entries(rng, rows * cols).reshape(rows, cols)
 
 
 def rand_algebra_element(rng: SplitMix64, shape: AlgebraShape) -> AlgebraElement:
-    return AlgebraElement(shape, tuple(rand_matrix(rng, n, n) for n in shape.block_dims))
+    """Its blocks as `rand_matrix` draws them one after another, in one batch split by block."""
+    sizes = [n * n for n in shape.block_dims]
+    parts = np.split(_rand_entries(rng, sum(sizes)), np.cumsum(sizes[:-1]))
+    return AlgebraElement(shape, tuple(part.reshape(n, n) for part, n in zip(parts, shape.block_dims)))
 
 
 def rand_hermitian(rng: SplitMix64, shape: AlgebraShape) -> AlgebraElement:

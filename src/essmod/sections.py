@@ -15,7 +15,7 @@ from math import gcd, lcm
 from .errors import DimensionMismatch
 from .polynomials import exact_zero_points
 from .rationals import GaussianIntVector
-from .subsets import Interval, SymbolicSubset, _order
+from .subsets import SymbolicSubset, _order, _runs
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -139,21 +139,37 @@ class PiecewiseSection:
     # -- exact sets -----------------------------------------------------------
 
     def zero_set(self) -> SymbolicSubset:
-        """{x : all coordinates vanish}, exactly (may raise IrrationalRoot).
-        The pieces' zero sets are collected and normalized once."""
-        points: list[Fraction] = []
-        intervals: list[Interval] = []
-        for (_, cols), lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
-            zeros = exact_zero_points(([col[i][t] for col in cols] for i in range(self.d) for t in (0, 1)), lo, hi)
-            if zeros is None:
-                intervals.append(Interval(lo, hi, True, True))
-            else:
-                points.extend(zeros)
-        return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
+        """{x : all coordinates vanish}, exactly (may raise IrrationalRoot)."""
+        bounds, zero = self._zero_walk()
+        return _runs(bounds, zero)
 
     def support_set(self) -> SymbolicSubset:
         """{x : section(x) ≠ 0}, the complement of the exact zero set."""
-        return self.zero_set().complement()
+        bounds, zero = self._zero_walk()
+        return _runs(bounds, [not z for z in zero])
+
+    def _zero_walk(self) -> tuple[list[Fraction], list[bool]]:
+        """The regions of [0, 1] in order, as `subsets._runs` reads them, and
+        whether the section vanishes on each: one pass over the pieces. A
+        piece that is not identically zero vanishes at its rational zeros
+        only, which split its open interval; a breakpoint takes the value of
+        the piece that starts there (the last piece's at 1), equal to the
+        one before by continuity."""
+        bounds, zero = [], []
+        for (_, cols), lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
+            zeros = exact_zero_points(([col[i][t] for col in cols] for i in range(self.d) for t in (0, 1)), lo, hi)
+            if zeros is None:  # the piece vanishes identically
+                bounds.append(lo)
+                zero += (True, True)
+                at_hi = True
+                continue
+            at_lo, at_hi = bool(zeros) and zeros[0] == lo, bool(zeros) and zeros[-1] == hi
+            inner = zeros[at_lo:len(zeros) - at_hi]
+            bounds += (lo, *inner)
+            zero += (at_lo, False, *(True, False) * len(inner))
+        bounds.append(self.breakpoints[-1])
+        zero.append(at_hi)
+        return bounds, zero
 
     # -- norms ---------------------------------------------------------------
 
@@ -281,13 +297,19 @@ def pointwise_inner(u: PiecewiseSection, v: PiecewiseSection) -> PiecewiseSectio
 
 
 def bump(lo, hi) -> PiecewiseSection:
-    """The quadratic bump (x − lo)(hi − x) on (lo, hi), zero elsewhere."""
+    """The quadratic bump (x − lo)(hi − x) on (lo, hi), zero elsewhere: for
+    lo = a/b and hi = c/e, the piece (b·e, (−a·c, a·e + b·c, −b·e)) reduced."""
     lo, hi = Fraction(lo), Fraction(hi)
-    if not ZERO <= lo < hi <= ONE:
+    (a, b), (c, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if not (0 <= a and a * e < b * c and c <= e):
         raise ValueError("bump needs 0 ≤ lo < hi ≤ 1")
-    piece, zero = from_coeffs([[-lo * hi, lo + hi, -1]]), _zero_piece(1)
-    bps = tuple(dict.fromkeys((ZERO, lo, hi, ONE)))  # increasing already
-    return PiecewiseSection._of(1, bps, tuple(piece if a == lo else zero for a in bps[:-1]))
+    piece = _reduced(b * e, (((-a * c, 0),), ((a * e + b * c, 0),), ((-b * e, 0),)))
+    bps, pieces = [ZERO, lo, hi, ONE], [_zero_piece(1), piece, _zero_piece(1)]
+    if c == e:  # hi = 1: no zero piece after it
+        del bps[3], pieces[2]
+    if a == 0:  # lo = 0: none before it
+        del bps[0], pieces[0]
+    return PiecewiseSection._of(1, tuple(bps), tuple(pieces))
 
 
 def unit_bump(center, radius) -> PiecewiseSection:

@@ -251,10 +251,6 @@ def subset_to_json(s: SymbolicSubset) -> dict:
     }
 
 
-def subset_from_json(doc) -> SymbolicSubset:
-    return SymbolicSubset(*_subset_parts(doc))
-
-
 def _subset_parts(doc) -> tuple[list[Fraction], list[Interval]]:
     """The points and intervals a subset document lists, not yet checked."""
     _require(doc, dict, "subset")

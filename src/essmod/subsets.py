@@ -3,13 +3,15 @@
 Every subset is kept in a normalized form: disjoint sorted intervals that
 cannot be merged or extended, and isolated points lying in no interval.
 One merge-sweep kernel, `_sweep`, computes that form for the constructor
-and for every set operation (union, intersection, difference, complement;
-closure and interior build on them). It sorts the endpoints of all
-operands once, which cuts [0, 1] into elementary regions, and reads each
-operand's coverage of every region off a running count of its interval
-openings and closings: linear after the sort. Its last step, `_runs`,
-reads the normal form off any ordered walk of regions, and a caller that
-walks [0, 1] in order already (`fields.residual_set`) calls it directly.
+and for every set operation (union, intersection, difference, complement).
+It sorts the endpoints of all operands once, which cuts [0, 1] into
+elementary regions, and reads each operand's coverage of every region off
+a running count of its interval openings and closings: linear after the
+sort. Its last step, `_runs`, reads the normal form off any ordered walk of
+regions, and a caller that walks [0, 1] in order already
+(`fields.residual_set`, a section's zero and support sets) calls it
+directly. Closure and interior need no sweep: each is read straight off
+the normal form in one pass.
 A field's loaded regions pass no sweep: `_parts` checks them as the
 constructor does, and `fields.SubspaceField` normalizes them all at once.
 
@@ -135,11 +137,22 @@ class SymbolicSubset:
     # -- topology (relative to [0, 1]) ---------------------------------------
 
     def closure(self) -> "SymbolicSubset":
-        closed = tuple(Interval(iv.lo, iv.hi, True, True) for iv in self.intervals)
-        return SymbolicSubset(points=self.points, intervals=closed)
+        """Read off the normal form: each interval closed, and intervals that
+        touch merged. A point lies off every interval's closure already."""
+        intervals: list[Interval] = []
+        for iv in self.intervals:
+            if intervals and intervals[-1].hi == iv.lo:
+                intervals[-1] = Interval._of(intervals[-1].lo, iv.hi, True, True)
+            else:
+                intervals.append(Interval._of(iv.lo, iv.hi, True, True))
+        return SymbolicSubset._of(self.points, tuple(intervals))
 
     def interior(self) -> "SymbolicSubset":
-        return self.complement().closure().complement()
+        """Read off the normal form, relative to [0, 1]: the points dropped,
+        and each interval's ends opened except at 0 and 1."""
+        return SymbolicSubset._of((), tuple(
+            Interval._of(iv.lo, iv.hi, iv.lo_closed and not iv.lo, iv.hi_closed and iv.hi == ONE)
+            for iv in self.intervals))
 
     def is_nowhere_dense(self) -> bool:
         """True iff the closure has empty interior: in normal form every

@@ -183,6 +183,30 @@ MUTANTS = (
         "b.view(np.float64)",
         ("tests/test_generate.py::test_element_json_reads_a_non_contiguous_block",),
     ),
+    # Closure and interior are read off the normal form in one pass each.
+    Mutant(
+        "interior-keeps-an-inner-closed-end",
+        "src/essmod/subsets.py",
+        "iv.lo_closed and not iv.lo,",
+        "iv.lo_closed,",
+        ("tests/test_subsets.py::test_closure_and_interior_equal_the_sweep_formulas",),
+    ),
+    Mutant(
+        "closure-leaves-touching-intervals-unmerged",
+        "src/essmod/subsets.py",
+        "if intervals and intervals[-1].hi == iv.lo:",
+        "if False:",
+        ("tests/test_subsets.py::test_closure_and_interior_equal_the_sweep_formulas",),
+    ),
+    # The term λ_j·a_j over 2^j whatever λ_j the membership test chose.
+    Mutant(
+        "inductive-term-ignores-the-lambda-fallback",
+        "src/essmod/fields.py",
+        "term = _reduced(w * w << e,",
+        "term = _reduced(w * w << j,",
+        ("tests/test_witnesses.py::test_inductive_witness_adversarial_lambda_adjustment",
+         "tests/test_witnesses.py::test_one_pass_inductive_sum_equals_refine_and_add"),
+    ),
     # eps at half the least kept σ² can lie within the cut of a σ² just below the keep line.
     Mutant(
         "subideal-eps-at-half-the-least-kept",

@@ -21,9 +21,16 @@ its certificate cannot hide behind the same fault here.
   1 for sections that vanish there. A check report's `defect_set` must be
   that union in normal form, merged here by testing every boundary and
   every gap's midpoint; `decision` (essential) must hold exactly when the
-  union holds no interval. A witness report must agree on `decision`; a
-  non-essential one's inductive samples must lie in the union, and an
-  essential one's `a`, `ma` and `support` are checked whole: a is
+  union holds no interval. A witness report must agree on `decision`. A
+  non-essential one's inductive samples must lie in the union and in its
+  `interval`, and its `m` is rebuilt by the bump rule and compared
+  exactly: r_j is half the distance from x_j to the nearest earlier sample
+  or end, a_j = (t − x_j + r_j)(x_j + r_j − t)/r_j² on (x_j ∓ r_j) and 0
+  elsewhere, and m = Σ λ_j g_{k_j} a_j. g_{k_j} and m must leave L at
+  x_j, and λ_j is 2^-j, or 2^-(j+1) only where 2^-j puts the partial sum
+  at x_j (the earlier terms plus 2^-j·g_{k_j}(x_j)) in L. The `direct`
+  block is not checked. An essential one's `a`, `ma` and `support` are
+  checked whole: a is
   (x − α)(β − x) on `support` = (α, β) and 0 elsewhere, ma equals g·a
   exactly on the common refinement (g the generator `section_index`
   picks), ma is nonzero, and ma(x) ∈ L_x everywhere: every coefficient
@@ -186,8 +193,7 @@ def _verify_field(payload: dict, report: dict, section_index: int):
     if report["kind"] == "check_report":
         assert _subset(report["defect_set"]) == defect, (report["defect_set"], defect)
     elif not report["decision"]:
-        inside = _member(defect)
-        assert all(inside(Fraction(x)) for x in report["witness"]["samples"])
+        _verify_inductive_witness(payload, report["witness"], defect)
     else:
         generators = payload["generators"]
         _verify_essential_witness(payload, generators[section_index % len(generators)], report["witness"])
@@ -216,6 +222,70 @@ def _verify_essential_witness(payload: dict, g: dict, w: dict):
                     for k in range(max(map(len, row))):
                         column = [p[k] if k < len(p) else (ZERO, ZERO) for p in row]
                         assert _rank(basis + [column]) == rank, ("ma leaves L on", lo, hi)
+
+
+def _verify_inductive_witness(payload: dict, w: dict, defect: dict):
+    """m = Σ_j λ_j g_{k_j} a_j, rebuilt from `samples`, `picks` and
+    `lambdas` by the bump rule, must equal the reported m exactly; each
+    g_{k_j} and m must leave L at x_j, and λ_j must be 2^-j unless that
+    value puts the partial sum at x_j in L, when it is 2^-(j+1)."""
+    ind = w["inductive"]
+    xs, lambdas, picks = [Fraction(x) for x in w["samples"]], [Fraction(x) for x in ind["lambdas"]], ind["picks"]
+    lo, hi = (Fraction(x) for x in w["interval"])
+    gens, m, inside = [_section(g) for g in payload["generators"]], _section(ind["m"]), _member(defect)
+    assert w["kind"] == "non_essential" and m["d"] == payload["d"] and ind["sample_defects_verified"] is True
+    assert 0 < len(xs) == len(set(xs)) == len(lambdas) == len(picks)
+    assert all(0 < x < 1 and lo <= x <= hi and inside(x) for x in xs), "a sample outside the defect interval"
+    terms = []  # (a, b, s, g): the term s·(t − a)(b − t)·g(t) on (a, b)
+    for j, (x, lam, k) in enumerate(zip(xs, lambdas, picks), start=1):
+        g = gens[k]
+        step = _value_of(g, x)
+        assert not _in_subspace(payload, x, step), ("the picked generator stays in L at", x)
+        partial = _add_all([_scaled(_bump_at(a, b, s, x), _value_of(h, x)) for a, b, s, h in terms], len(step))
+        first = Fraction(1, 2 ** j)
+        assert lam in (first, first / 2), ("λ out of range", j, lam)
+        if lam != first:
+            assert _in_subspace(payload, x, _add_all([partial, _scaled(first, step)], len(step))), ("needless λ fallback", j)
+        r = min([x, 1 - x] + [abs(x - y) for y in xs[:j - 1]]) / 2  # half the distance to the nearest earlier sample or end
+        terms.append((x - r, x + r, lam / (r * r), g))
+    cuts = sorted({*m["breakpoints"], *(t for a, b, *_ in terms for t in (a, b)), *(t for g in gens for t in g["breakpoints"])})
+    for c_lo, c_hi in zip(cuts, cuts[1:]):
+        expected = [[] for _ in range(m["d"])]
+        for a, b, s, g in terms:
+            if a <= c_lo and c_hi <= b:
+                bump = [(-a * b * s, ZERO), ((a + b) * s, ZERO), (-s, ZERO)]
+                expected = [_add(e, _mul(bump, p)) for e, p in zip(expected, _piece_on(g, c_lo))]
+        assert _piece_on(m, c_lo) == expected, ("m differs from Σ λ_j g_{k_j} a_j on", c_lo, c_hi)
+    assert all(not _in_subspace(payload, x, _value_of(m, x)) for x in xs), "m stays in L at a sample"
+
+
+def _bump_at(a: Fraction, b: Fraction, s: Fraction, x: Fraction) -> Fraction:
+    return s * (x - a) * (b - x) if a < x < b else ZERO
+
+
+def _value_of(m: dict, x: Fraction) -> list:
+    return [_value(p, x) for p in _piece_on(m, x)]
+
+
+def _scaled(c: Fraction, v: list) -> list:
+    return [(c * re, c * im) for re, im in v]
+
+
+def _add_all(vectors: list, d: int) -> list:
+    return [(sum((v[i][0] for v in vectors), ZERO), sum((v[i][1] for v in vectors), ZERO)) for i in range(d)]
+
+
+def _add(p: list, q: list) -> list:
+    p, q = (r + [(ZERO, ZERO)] * (max(len(p), len(q)) - len(r)) for r in (p, q))
+    return _trimmed([(a + c, b + e) for (a, b), (c, e) in zip(p, q)])
+
+
+def _in_subspace(payload: dict, x: Fraction, v: list) -> bool:
+    """v ∈ L_x, for the partition region that holds x."""
+    for region, basis in zip(payload["partition"], payload["subspace_bases"]):
+        if _member(_subset(region))(x):
+            return _rank(basis + [v]) == _rank(basis)
+    raise AssertionError(f"no partition region holds {x}")
 
 
 ZERO, ONE = Fraction(0), Fraction(1)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import projector_oracle
+from field_docs import subset_from_json
 
 from essmod import linalg, properties, runner, serialize
 from essmod.algebra import (
@@ -164,7 +165,7 @@ def _planted_field_docs():
 
 
 def _planted_defect_union(payload):
-    regions = [serialize.subset_from_json(p) for p in payload["partition"]]
+    regions = [subset_from_json(p) for p in payload["partition"]]
     bases = payload["subspace_bases"]
     d = payload["d"]
     from essmod.serialize import _basis_from_json
@@ -186,7 +187,7 @@ def test_criterion_5_field_criterion():
         rep = runner.run_check(doc)
         assert rep["decision"] == expected, f"seed {doc['seed']}"
         planted = _planted_defect_union(doc["payload"])
-        assert serialize.subset_from_json(rep["defect_set"]) == planted
+        assert subset_from_json(rep["defect_set"]) == planted
     dt = report(5, "field-criterion", t0, "50 planted instances, Y exact")
     assert dt < 60.0
 

@@ -13,15 +13,17 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import report_oracle
+from field_docs import corpus_fields
 from poly_oracle import GaussianPoly, RationalPoly, piece, scalar
 
-from essmod import cli, properties, runner, serialize
+from essmod import cli, fields, properties, runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape
 from essmod.errors import EigenvalueAtThreshold, PreconditionFailed, SchemaError
 from essmod.fields import FieldModuleSpec, SubspaceField
 from essmod.generate import gen_field, gen_module_submodule, gen_right_ideal
 from essmod.modules import ModuleElement
-from essmod.sections import PiecewiseSection, bump
+from essmod.sections import PiecewiseSection, bump, unit_bump
+from test_witnesses import ADVERSARIAL_SAMPLES, adversarial_lambda_spec
 
 
 def run_cli(args, tmp_path, stdin_doc=None, monkeypatch=None, capsys=None):
@@ -1164,6 +1166,95 @@ def test_report_oracle_reads_the_witness_generator_index():
     report_oracle.verify(ESSENTIAL_DOC, report, 1)
     with pytest.raises(AssertionError):
         report_oracle.verify(ESSENTIAL_DOC, report)
+
+
+INTERVAL_DOCS = corpus_fields(1, "interval")
+
+
+def test_field_corpus_interval_witnesses_pass_the_report_oracle():
+    """The 72 non-essential witness reports of the seed-1 `field_corpus`
+    interval documents pass the oracle, which rebuilds each inductive m
+    from its samples, picks and λs: about 1 s on a 2-vCPU VM."""
+    t0 = time.perf_counter()
+    for doc in INTERVAL_DOCS:
+        report = json.loads(serialize.dumps(runner.run_witness(doc)))
+        assert report["decision"] is False
+        report_oracle.verify(doc, report)
+    assert len(INTERVAL_DOCS) == 72
+    assert time.perf_counter() - t0 < 30.0
+
+
+def shift_inductive_coefficient(w):
+    m, lo = w["inductive"]["m"], F(w["samples"][0])
+    row = m["pieces"][max(i for i, b in enumerate(m["breakpoints"][:-1]) if F(b) <= lo)]
+    p = next(p for p in row if p)
+    p[0] = [str(F(p[0][0]) + 1), p[0][1]]
+
+
+def other_pick(w):
+    picks = w["inductive"]["picks"]
+    picks[0] = 1 if picks[0] == 0 else 0
+
+
+@pytest.mark.parametrize("mutate", [
+    shift_inductive_coefficient,
+    other_pick,
+    lambda w: w["inductive"]["lambdas"].__setitem__(0, "1/8"),
+    lambda w: w["samples"].__setitem__(0, str((F(w["samples"][0]) + F(w["samples"][1])) / 2)),
+    lambda w: w["inductive"].update(sample_defects_verified=False),
+], ids=["m-coefficient", "pick", "lambda-range", "sample", "sample-defects-verified"])
+def test_report_oracle_refuses_a_wrong_inductive_witness(mutate):
+    doc = INTERVAL_DOCS[0]
+    report = json.loads(serialize.dumps(runner.run_witness(doc)))
+    report_oracle.verify(doc, report)
+    mutate(report["witness"])
+    with pytest.raises(AssertionError):
+        report_oracle.verify(doc, report)
+
+
+def inductive_block(spec, interval, xs) -> dict:
+    """The witness block that run_witness writes for an inductive witness on these samples."""
+    w = fields.inductive_witness_section(spec, interval, xs, fields.analyze_field(spec).total)
+    return {"kind": "non_essential", "interval": [str(x) for x in interval], "samples": [str(x) for x in xs],
+            "inductive": {"m": serialize.section_to_json(w.m), "lambdas": [str(lam) for lam in w.lambdas],
+                          "picks": list(w.picks), "sample_defects_verified": w.sample_defects_verified}}
+
+
+def move_lambda(spec, block, j: int, lam: F):
+    """λ_j set to lam, and m moved by (lam − λ_j)·g_{k_j}·a_j to match it."""
+    ind, xs = block["inductive"], [F(x) for x in block["samples"]]
+    x = xs[j - 1]
+    r = min([x, 1 - x] + [abs(x - y) for y in xs[:j - 1]]) / 2
+    step = spec.generators[ind["picks"][j - 1]].mul_scalar_section(unit_bump(x, r)).scale(lam - F(ind["lambdas"][j - 1]))
+    ind["m"] = serialize.section_to_json(serialize.section_from_json(ind["m"]) + step)
+    ind["lambdas"][j - 1] = str(lam)
+
+
+def test_report_oracle_checks_the_lambda_fallback():
+    """The adversarial samples force the fallback λ3 = 1/16, which the
+    oracle accepts. It refuses λ3 = 1/8 with m unchanged, and with m moved
+    to match, since m then lies in L at x3; and it refuses a fallback that
+    2^-j did not need (λ1 = 1/4 on a corpus witness, m moved to match)."""
+    spec = adversarial_lambda_spec()
+    payload = serialize.field_spec_to_json(spec)
+    defect = report_oracle._field_defect(payload)
+    block = inductive_block(spec, (F(1, 16), F(3, 4)), ADVERSARIAL_SAMPLES)
+    assert block["inductive"]["lambdas"] == ["1/2", "1/4", "1/16"]
+    report_oracle._verify_inductive_witness(payload, block, defect)
+    unchanged = copy.deepcopy(block)
+    unchanged["inductive"]["lambdas"][2] = "1/8"
+    with pytest.raises(AssertionError, match="differs"):
+        report_oracle._verify_inductive_witness(payload, unchanged, defect)
+    move_lambda(spec, block, 3, F(1, 8))
+    with pytest.raises(AssertionError, match="stays in L"):
+        report_oracle._verify_inductive_witness(payload, block, defect)
+
+    doc = INTERVAL_DOCS[0]
+    w = json.loads(serialize.dumps(runner.run_witness(doc)))["witness"]
+    assert w["inductive"]["lambdas"][0] == "1/2"
+    move_lambda(serialize.field_spec_from_json(doc["payload"]), w, 1, F(1, 4))
+    with pytest.raises(AssertionError, match="needless"):
+        report_oracle._verify_inductive_witness(doc["payload"], w, report_oracle._field_defect(doc["payload"]))
 
 
 def run_console(command, doc, tmp_path):

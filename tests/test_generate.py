@@ -132,6 +132,22 @@ def test_rand_matrix_matches_the_per_entry_draws():
             assert batch.state == one_by_one.state
 
 
+def test_algebra_element_draws_its_blocks_in_one_batch(monkeypatch):
+    """An element's blocks are one batch split by block: byte for byte the
+    blocks that `rand_matrix` draws one after another, with the stream left
+    where they leave it, from one `randints` call."""
+    calls = []
+    randints = SplitMix64.randints
+    monkeypatch.setattr(SplitMix64, "randints", lambda self, *args: calls.append(args) or randints(self, *args))
+    for dims in [(1,), (6,), (2, 3), (1, 3, 6), (6, 6, 6)]:
+        batch, per_block = SplitMix64(sum(dims)), SplitMix64(sum(dims))
+        calls.clear()
+        x = rand_algebra_element(batch, AlgebraShape(dims))
+        assert calls == [(-32, 32, 2 * sum(n * n for n in dims))]
+        assert [b.tobytes() for b in x.blocks] == [rand_matrix(per_block, n, n).tobytes() for n in dims]
+        assert batch.state == per_block.state
+
+
 # sha256 of the canonical JSON of every document of `generation_grid`,
 # recorded when every scalar was drawn one at a time through a Fraction
 GRID_DIGEST = "5403e9cc0bce73192bf48c37c8934b15a59d13eed9826975ea7aaf878d0ed899"

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from poly_oracle import GaussianPoly, RationalPoly, per_part_scaled_value, piece, polys, scalar, section
 from projector_oracle import ComplexRational, poly_at, value_at, zero_section
 
-from essmod.errors import DimensionMismatch
+from essmod.errors import DimensionMismatch, IrrationalRoot
+from essmod.polynomials import exact_zero_points
 from essmod.sections import PiecewiseSection, _scaled_value, bump, pointwise_inner, unit_bump
-from essmod.subsets import SymbolicSubset
+from essmod.subsets import Interval, SymbolicSubset
 
 
 def x_section():
@@ -197,6 +198,59 @@ def test_zero_and_support_sets():
     z = PiecewiseSection.zero(2)
     assert z.zero_set() == SymbolicSubset.full()
     assert z.support_set().is_empty()
+
+
+def collected_zero_set(m):
+    """The zero set as the pieces' zero sets collected, then normalized by the constructor's sweep."""
+    points, intervals = [], []
+    for (_, cols), lo, hi in zip(m.pieces, m.breakpoints, m.breakpoints[1:]):
+        zeros = exact_zero_points(([col[i][t] for col in cols] for i in range(m.d) for t in (0, 1)), lo, hi)
+        if zeros is None:
+            intervals.append(Interval(lo, hi, True, True))
+        else:
+            points.extend(zeros)
+    return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
+
+
+LINEAR = {t: GaussianPoly(RationalPoly((-t, 1)), RationalPoly.zero()) for t in TWELFTHS + [F(0), F(1)]}
+ZERO_ROW = (GaussianPoly.zero(),)
+# x(x − 1/4) on [0, 1/4], zero on [1/4, 1/2], then (x − 1/2)(x − 3/4): zeros at every breakpoint, inside a piece and at 0
+ROOTED = section(1, (F(0), F(1, 4), F(1, 2), F(1)),
+                 ((LINEAR[F(0)] * LINEAR[F(3, 12)],), ZERO_ROW, (LINEAR[F(6, 12)] * LINEAR[F(9, 12)],)))
+
+
+# products of up to three linear factors with roots on the twelfths (0 and 1 among them) or the fifths
+ROOTS = st.lists(st.sampled_from(sorted(LINEAR) + [F(k, 5) for k in range(1, 5)]), max_size=3)
+
+
+def with_roots(m, roots):
+    """m times the scalar Π (x − s) over the roots s: it vanishes at each of them too."""
+    factor = GaussianPoly.const(1)
+    for t in roots:
+        factor = factor * GaussianPoly(RationalPoly((-t, 1)), RationalPoly.zero())
+    return m.mul_scalar_section(scalar(factor))
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.builds(with_roots, hinge_sections(d, TWELFTHS), ROOTS)))
+@settings(deadline=None, max_examples=150)
+@example(ROOTED)
+@example(section(2, (F(0), F(1, 3), F(1)), (ZERO_ROW * 2, (LINEAR[F(4, 12)], GaussianPoly.zero()))))
+@example(PiecewiseSection.zero(2))
+def test_zero_and_support_sets_equal_the_collected_construction(m):
+    """zero_set and support_set, one ordered walk over the pieces, equal the
+    pieces' zero sets collected and normalized, and its complement; zero
+    pieces and roots at breakpoints are common in the hinge sections, and
+    the factor adds zeros inside pieces and at breakpoints. An irrational
+    zero is refused by both routes."""
+    try:
+        expected = collected_zero_set(m)
+    except IrrationalRoot:
+        for method in (m.zero_set, m.support_set):
+            with pytest.raises(IrrationalRoot):
+                method()
+        return
+    assert m.zero_set() == expected
+    assert m.support_set() == expected.complement()
 
 
 def test_bump_shape():

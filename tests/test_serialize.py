@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import projector_oracle
+from field_docs import subset_from_json
 from poly_oracle import GaussianPoly, RationalPoly, piece, polys
 from projector_oracle import clear_denominators, crat_from_json, fraction_poly_json
 
@@ -294,7 +295,7 @@ def test_module_element_and_submodule_roundtrip():
 
 def test_subset_roundtrip():
     s = SymbolicSubset.interval(F(1, 3), F(2, 3), False, True) | SymbolicSubset.point(F(1, 8))
-    assert serialize.subset_from_json(serialize.subset_to_json(s)) == s
+    assert subset_from_json(serialize.subset_to_json(s)) == s
 
 
 def test_section_roundtrip_exact():

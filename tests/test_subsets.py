@@ -3,7 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from essmod.errors import OutOfRange
@@ -151,6 +151,32 @@ def test_interior_subset_closure(s):
     assert s.interior().interior() == s.interior()
     # normal form: every interval has positive length
     assert all(iv.lo < iv.hi for t in (s, s.closure(), s.interior()) for iv in t.intervals)
+
+
+EIGHTHS = st.integers(0, 8).map(lambda k: F(k, 8))
+
+
+def swept_closure(s):
+    """The closure through the constructor's sweep: the points, and every interval closed."""
+    return SymbolicSubset(points=s.points, intervals=tuple(Interval(iv.lo, iv.hi, True, True) for iv in s.intervals))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(EIGHTHS, EIGHTHS, st.booleans(), st.booleans()), max_size=5), st.lists(EIGHTHS, max_size=3))
+@example([(F(0), F(1, 2), True, False), (F(1, 2), F(1), False, True)], [])  # touching at 1/2, closed at 0 and 1
+@example([(F(0), F(1, 4), False, True), (F(1, 4), F(1, 2), False, False), (F(1, 2), F(1), False, False)], [F(1, 8)])
+@example([(F(1, 4), F(3, 4), True, True)], [F(0), F(1)])
+def test_closure_and_interior_equal_the_sweep_formulas(ends, points):
+    """closure() and interior(), read off the normal form, equal the sweep
+    formulas: the points with every interval closed, and the complement of
+    that closure of the complement. Ends on the eighths make touching
+    intervals and ends at 0 and 1 common; both results are in normal form."""
+    s = SymbolicSubset(points=tuple(points), intervals=tuple(Interval(min(a, b), max(a, b), lc, hc) for a, b, lc, hc in ends))
+    closure, interior = s.closure(), s.interior()
+    assert closure == swept_closure(s)
+    assert interior == swept_closure(s.complement()).complement()
+    for t in (closure, interior):
+        assert SymbolicSubset(points=t.points, intervals=t.intervals) == t
 
 
 @settings(deadline=None, max_examples=200)
