@@ -14,6 +14,7 @@ float serialization is exact and re-running a seed is byte-identical.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from .serialize import (
     module_element_to_json,
     shape_to_json,
 )
-from .subsets import SymbolicSubset
+from .subsets import _label_runs, _of_runs, _order
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -251,39 +252,29 @@ def gen_field(
 def _gen_field_attempt(
     rng: SplitMix64, d: int, pieces: int, n_generators: int, defect: str
 ) -> FieldModuleSpec:
+    """One draw of a field: the planted pieces, each owning its point or the
+    open gap between its interval ends, then the full-fiber cells [0, c₁),
+    …, [c_m, 1] cut at up to 3 dyadic points, each owning the rest of its
+    span. Every bound is ordered once (`_order`), each region gets its
+    owner, and each piece's runs of regions are its normal form: no sweep."""
     full_basis = identity_columns(d)
-    remainder = SymbolicSubset.full()
-    field_pieces = []
-
+    planted = []  # (ends, basis): a point (x,) or an open interval (lo, hi)
     if defect == "points":
-        n_pts = max(1, min(pieces - 1, 4))
-        for x in _distinct_dyadics(rng, n_pts):
-            region = SymbolicSubset.point(x)
-            field_pieces.append(FieldPiece(region, _rand_proper_basis(rng, d)))
-            remainder = remainder.difference(region)
+        planted = [((x,), _rand_proper_basis(rng, d)) for x in _distinct_dyadics(rng, max(1, min(pieces - 1, 4)))]
     elif defect == "interval":
-        q = 1 << 4
-        lo = Fraction(rng.randint(1, q - 4), q)
-        hi = lo + Fraction(rng.randint(1, 2), q)
-        region = SymbolicSubset.interval(lo, hi, False, False)
-        field_pieces.append(FieldPiece(region, _rand_proper_basis(rng, d)))
-        remainder = remainder.difference(region)
-
-    # split the full-fiber remainder at extra dyadic cuts so the partition
-    # genuinely exercises the refinement machinery
-    n_cuts = max(0, pieces - len(field_pieces) - 1)
-    cuts = _distinct_dyadics(rng, min(n_cuts, 3), denom_power=5)
-    cut_sets = []
-    prev = Fraction(0)
-    for c in cuts + [Fraction(1)]:
-        cut_sets.append(SymbolicSubset.interval(prev, c, True, c == Fraction(1)))
-        prev = c
-    for cs in cut_sets:
-        part = remainder.intersection(cs)
-        if not part.is_empty():
-            field_pieces.append(FieldPiece(part, full_basis))
-
-    field = SubspaceField(d, tuple(field_pieces))
+        lo = Fraction(rng.randint(1, 12), 16)
+        planted = [((lo, lo + Fraction(rng.randint(1, 2), 16)), _rand_proper_basis(rng, d))]
+    cuts = _distinct_dyadics(rng, min(max(0, pieces - len(planted) - 1), 3), denom_power=5)
+    bounds, slot = _order([ZERO, ONE, *(x for ends, _ in planted for x in ends), *cuts])
+    cut_slots = [slot[c.as_integer_ratio()] for c in cuts]
+    owners = [len(planted) + bisect_right(cut_slots, r) for r in range(2 * len(bounds) - 1)]
+    for i, (ends, _) in enumerate(planted):
+        inner = len(ends) - 1  # an interval owns the gaps between its ends, not the ends
+        first, last = slot[ends[0].as_integer_ratio()] + inner, slot[ends[-1].as_integer_ratio()] - inner
+        owners[first:last + 1] = [i] * (last + 1 - first)
+    runs = _label_runs(owners)
+    bases = [basis for _, basis in planted] + [full_basis] * (len(cuts) + 1)
+    field = SubspaceField(d, tuple(FieldPiece(_of_runs(bounds, runs[i]), b) for i, b in enumerate(bases) if i in runs))
     generators = [PiecewiseSection._of(d, (ZERO, ONE), ((1, (col,)),)) for col in full_basis]
     while len(generators) < n_generators:
         extra = _rand_poly_section(rng, d)

@@ -12,8 +12,11 @@ regions, and a caller that walks [0, 1] in order already
 (`fields.residual_set`, a section's zero and support sets) calls it
 directly. Closure and interior need no sweep: each is read straight off
 the normal form in one pass.
-A field's loaded regions pass no sweep: `_parts` checks them as the
-constructor does, and `fields.SubspaceField` normalizes them all at once.
+A field's regions pass no sweep, loaded or generated: `_parts` checks a
+loaded region as the constructor does, generation gives each region of
+its planted partition one owner, and `_label_runs` and `_of_runs` read
+every piece's normal form off such a table of owners
+(`fields.SubspaceField` normalizes all its regions at once this way).
 
 One kernel, `_order`, orders boundaries without comparing or hashing
 Fractions: n/d is deduped and found by its pair (n, d) and sorted by the

@@ -207,6 +207,22 @@ MUTANTS = (
         ("tests/test_witnesses.py::test_inductive_witness_adversarial_lambda_adjustment",
          "tests/test_witnesses.py::test_one_pass_inductive_sum_equals_refine_and_add"),
     ),
+    # A generated partition gives each region one owner: the planted interval
+    # owns the open gaps between its ends, and a cut point starts its cell.
+    Mutant(
+        "planted-interval-owns-its-ends",
+        "src/essmod/generate.py",
+        "inner = len(ends) - 1",
+        "inner = 0",
+        ("tests/test_generate.py::test_field_generation_grid_is_pinned",),
+    ),
+    Mutant(
+        "cut-point-goes-to-the-cell-before-it",
+        "src/essmod/generate.py",
+        "bisect_right(cut_slots, r)",
+        "bisect_right(cut_slots, r - 1)",
+        ("tests/test_generate.py::test_field_generation_grid_is_pinned",),
+    ),
     # eps at half the least kept σ² can lie within the cut of a σ² just below the keep line.
     Mutant(
         "subideal-eps-at-half-the-least-kept",

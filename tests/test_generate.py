@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from field_docs import corpus_fields
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from essmod import serialize
+from essmod import serialize, subsets
 from essmod.algebra import AlgebraShape
 from essmod.errors import SizeCap
 from essmod.fields import analyze_field, is_essential_field
@@ -166,6 +167,43 @@ def generation_grid():
 def test_generation_grid_is_pinned():
     text = "\n".join(serialize.canonical_json(doc) for doc in generation_grid())
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGEST
+
+
+# sha256 of the canonical JSON of every document of `field_grid`, recorded
+# when the partition was the full set less the planted part, cut by set
+# algebra. Of its 120 interval documents, 52 have a cut inside the planted
+# interval and 6 a cut at one of its ends; 4 of its points documents have a
+# cut on a planted point.
+FIELD_GRID_DIGEST = "6d2ed780a98a2146634cbe578b89bfd3ac19d16bf3b945e6a8cbc8e8f76e2c9b"
+
+
+def field_grid():
+    for seed in range(3):
+        for d in range(1, 5):
+            for pieces in (2, 3, 4, 8, 16):
+                for g in (d, 8):
+                    yield from (gen_field(d, pieces, g, defect, seed) for defect in ("none", "points", "interval"))
+
+
+def test_field_generation_grid_is_pinned():
+    text = "\n".join(serialize.canonical_json(doc) for doc in field_grid())
+    assert hashlib.sha256(text.encode()).hexdigest() == FIELD_GRID_DIGEST
+
+
+# Sweeps per generated field. Each took 10.7 on these documents (2,320 over
+# 216) while the partition was the full set less the planted part, cut by
+# `difference` and `intersection` sweeps.
+MAX_GENERATION_SWEEPS = 0
+
+
+def test_field_generation_takes_no_sweep(monkeypatch):
+    """The partition is ordered once and read off one owner per region: the
+    seed-1 `field_corpus` documents are generated without a subset sweep."""
+    calls, sweep = [], subsets._sweep
+    monkeypatch.setattr(subsets, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+    docs = [doc for defect in ("none", "points", "interval") for doc in corpus_fields(1, defect)]
+    assert len(docs) == 216
+    assert len(calls) <= MAX_GENERATION_SWEEPS * len(docs), len(calls)
 
 
 def test_generated_matrices_take_no_per_scalar_draws(monkeypatch):
