@@ -6,12 +6,9 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     RightIdeal,
-    calculus,
     closed_subideal,
     ideal_support_projection,
     is_essential_right_ideal,
-    lower_approximants,
-    spectral_projection,
 )
 from .fields import (
     FieldAnalysis,
@@ -56,7 +53,6 @@ __all__ = [
     "SymbolicSubset",
     "analyze_field",
     "bump",
-    "calculus",
     "closed_subideal",
     "commutative_limit_identity",
     "essential_witness",
@@ -67,12 +63,10 @@ __all__ = [
     "is_essential_field",
     "is_essential_right_ideal",
     "is_essential_submodule",
-    "lower_approximants",
     "non_essential_witness",
     "pointwise_inner",
     "reformulation_probe",
     "residual_set",
-    "spectral_projection",
     "submodule_of_ideal",
     "theta",
     "unit_bump",

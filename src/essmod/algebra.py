@@ -11,19 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DomainError,
-    EigenvalueAtThreshold,
-    NotHermitian,
-    NotProjection,
-    ShapeMismatch,
-    ZeroInput,
-)
+from .errors import EigenvalueAtThreshold, NotProjection, ShapeMismatch, ZeroInput
 from .linalg import ACCEPT_TOL, DEFAULT_TOL
 
 
@@ -42,13 +35,6 @@ class AlgebraShape:
     @property
     def num_blocks(self) -> int:
         return len(self.block_dims)
-
-    def matrix_units(self) -> Iterable[tuple[int, int, int]]:
-        """All (block, row, col) index triples of the matrix-unit basis."""
-        for b, n in enumerate(self.block_dims):
-            for r in range(n):
-                for c in range(n):
-                    yield b, r, c
 
 
 class _Blocks:
@@ -133,11 +119,10 @@ class _Blocks:
 
 @dataclass(frozen=True)
 class AlgebraElement(_Blocks):
-    """Element of ⊕ M_{n_i}, stored blockwise: the module A^1.
-
-    Beside the norm, the eigendecomposition of each block is computed
-    once, on first use, and later hermiticity checks and functional
-    calculus read it. The ideal decider reads a projection's traces instead.
+    """Element of ⊕ M_{n_i}, stored blockwise: the module A^1. Its spectral
+    questions are asked of its own blocks where they arise: the subideal
+    witness reads one SVD of x per block, and the ideal decider a
+    projection's traces.
     """
 
     shape: AlgebraShape
@@ -152,91 +137,13 @@ class AlgebraElement(_Blocks):
     def identity(cls, shape: AlgebraShape) -> "AlgebraElement":
         return cls(shape, tuple(np.eye(n) for n in shape.block_dims))
 
-    @classmethod
-    def matrix_unit(cls, shape: AlgebraShape, block: int, row: int, col: int) -> "AlgebraElement":
-        blocks = [np.zeros((n, n), dtype=np.complex128) for n in shape.block_dims]
-        blocks[block][row, col] = 1.0
-        return cls(shape, tuple(blocks))
-
     def adjoint(self) -> "AlgebraElement":
         return self._with(a.T.conj() for a in self.blocks)
 
-    @cached_property
-    def _eig(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        # Read only after the element passed a hermiticity test at its own
-        # scale (1 + ‖a‖), so herm_eig's per-block test is skipped.
-        return tuple(linalg.herm_eig(b, tol=np.inf) for b in self.blocks)
-
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_hermitian(self) -> bool:
+        """Every block b has b = b* entrywise within ACCEPT_TOL·(1 + ‖self‖)."""
         scale = 1.0 + self.norm()
-        return all(linalg.is_hermitian(b, tol=tol * scale) for b in self.blocks)
-
-
-def _eig_blocks(a: AlgebraElement) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    if not a.is_hermitian():
-        raise NotHermitian("algebra element is not hermitian within tolerance")
-    return a._eig
-
-
-def all_eigenvalues(a: AlgebraElement) -> np.ndarray:
-    """Sorted spectrum of a hermitian element across all blocks."""
-    eigs = np.concatenate([e for e, _ in _eig_blocks(a)])
-    return np.sort(eigs)
-
-
-def calculus(a: AlgebraElement, f: Callable[[float], float]) -> AlgebraElement:
-    """Continuous functional calculus f(a) for hermitian a.
-
-    Applies f to the spectrum blockwise: u diag(f(λ)) u*. callable errors
-    (ValueError / ZeroDivisionError) are surfaced as DomainError.
-    """
-    out = []
-    for eigs, u in _eig_blocks(a):
-        try:
-            vals = np.array([float(f(float(t))) for t in eigs])
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"function undefined on spectrum: {exc}") from exc
-        out.append(u @ np.diag(vals) @ u.conj().T)
-    return AlgebraElement._of(a.shape, tuple(out))
-
-
-def spectral_projection(a: AlgebraElement, eps: float) -> AlgebraElement:
-    """χ_(eps, ∞)(a): the spectral projection onto eigenvalues above eps.
-
-    Raises EigenvalueAtThreshold when some eigenvalue lies within
-    DEFAULT_TOL·‖a‖ of eps — the projection is discontinuous there. The cut
-    scales with a, as the projection of ca is that of a at c·eps.
-    """
-    _refuse_threshold_near(all_eigenvalues(a), eps, a.norm())
-    return calculus(a, lambda t: 1.0 if t > eps else 0.0)
-
-
-def _refuse_threshold_near(spectrum: np.ndarray, eps: float, norm: float):
-    """The spectral cut: EigenvalueAtThreshold when an eigenvalue of a, of
-    norm ‖a‖, lies within DEFAULT_TOL·‖a‖ of eps."""
-    cut = DEFAULT_TOL * norm
-    if np.any(np.abs(spectrum - eps) <= cut):
-        raise EigenvalueAtThreshold(f"eigenvalue within {cut:.3g} of threshold {eps}")
-
-
-def lower_approximants(a: AlgebraElement, eps: float, n: int) -> AlgebraElement:
-    """g_n(a) for the piecewise-linear lower approximants of χ_(eps, ∞):
-
-        g_n(t) = 0 for t ≤ eps, n(t - eps) on (eps, eps + 1/n), 1 beyond.
-
-    The sequence increases to the spectral projection as n grows.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-    def g(t: float) -> float:
-        if t <= eps:
-            return 0.0
-        if t < eps + 1.0 / n:
-            return n * (t - eps)
-        return 1.0
-
-    return calculus(a, g)
+        return all(linalg.is_hermitian(b, tol=ACCEPT_TOL * scale) for b in self.blocks)
 
 
 def is_projection(p: AlgebraElement) -> bool:
@@ -247,7 +154,7 @@ def is_projection(p: AlgebraElement) -> bool:
     if all(np.max(np.abs(b - b.conj().T)) <= ACCEPT_TOL and np.linalg.norm(b @ b - b) <= ACCEPT_TOL
            for b in p.blocks):
         return True
-    return p.is_hermitian(ACCEPT_TOL) and (p * p).distance(p) <= ACCEPT_TOL * (1.0 + p.norm())
+    return p.is_hermitian() and (p * p).distance(p) <= ACCEPT_TOL * (1.0 + p.norm())
 
 
 @dataclass(frozen=True)
@@ -270,12 +177,6 @@ class RightIdeal:
         """Membership b ∈ pA  ⟺  p b = b."""
         p = self.support_projection
         return (p * b).distance(b) <= DEFAULT_TOL * (1.0 + b.norm())
-
-    def spanning_set(self) -> list[AlgebraElement]:
-        """Complex spanning set {p E} over the matrix-unit basis."""
-        p = self.support_projection
-        return [p * AlgebraElement.matrix_unit(self.shape, b, r, c)
-                for b, r, c in self.shape.matrix_units()]
 
     def rank(self) -> int:
         """Total rank of the support projection across blocks."""
@@ -362,7 +263,9 @@ def closed_subideal(x: AlgebraElement) -> SubidealWitness:
     sigma2 = np.concatenate([s * s for _, s, _ in svds])
     kept = sigma2 > ACCEPT_TOL * norm  # a ≠ 0: ‖a‖ itself is kept
     eps = (float(np.max(sigma2[~kept], initial=0.0)) + float(np.min(sigma2[kept]))) / 2.0
-    _refuse_threshold_near(sigma2, eps, norm)
+    cut = DEFAULT_TOL * norm
+    if np.any(np.abs(sigma2 - eps) <= cut):
+        raise EigenvalueAtThreshold(f"eigenvalue within {cut:.3g} of threshold {eps}")
     p_blocks, fa_blocks, probe_errors, membership_errors = [], [], [], []
     for x_i, (u, s, vh) in zip(x.blocks, svds):
         t = s * s

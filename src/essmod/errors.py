@@ -29,10 +29,6 @@ class NonFinite(EssmodError):
     """A float matrix holds inf or NaN, as when a product of huge entries overflows."""
 
 
-class DomainError(EssmodError):
-    """A spectral value lies outside the domain of the supplied function."""
-
-
 class EigenvalueAtThreshold(EssmodError):
     """A spectral cut was requested within tolerance of an eigenvalue."""
 

@@ -106,13 +106,6 @@ def rand_algebra_element(rng: SplitMix64, shape: AlgebraShape) -> AlgebraElement
     return AlgebraElement(shape, tuple(part.reshape(n, n) for part, n in zip(parts, shape.block_dims)))
 
 
-def rand_hermitian(rng: SplitMix64, shape: AlgebraShape) -> AlgebraElement:
-    a = rand_algebra_element(rng, shape)
-    return AlgebraElement(
-        a.shape, tuple((b + b.conj().T) / 2.0 for b in a.blocks)
-    )
-
-
 def rand_projection(rng: SplitMix64, shape: AlgebraShape) -> AlgebraElement:
     """Random orthogonal projection with seeded ranks per block."""
     blocks = []

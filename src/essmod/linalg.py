@@ -87,14 +87,6 @@ def herm_eig(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     return eigs.real, _canonical_phases(u)
 
 
-def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the hermitian input has min eigenvalue >= -tol."""
-    eigs, _ = herm_eig(a, tol=max(tol, DEFAULT_TOL))
-    if eigs.size == 0:
-        return True
-    return bool(eigs[0] >= -tol)
-
-
 def _numerical_rank(s: np.ndarray, tol: float) -> int:
     """The one rank rule: singular values above tol·max(1, s[0])."""
     return int(np.sum(s > tol * max(1.0, s[0])))
@@ -108,13 +100,14 @@ def matrix_rank(a) -> int:
     return _numerical_rank(np.linalg.svd(m, compute_uv=False), ACCEPT_TOL)
 
 
-def orthonormal_column_basis(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space, as matrix columns (none for a zero matrix)."""
+def orthonormal_column_basis(a) -> np.ndarray:
+    """Orthonormal basis of the column space at DEFAULT_TOL, as matrix
+    columns (none for a zero matrix)."""
     m = as_matrix(a)
     if not m.any():
         return np.zeros((m.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :_numerical_rank(s, tol)]
+    return u[:, :_numerical_rank(s, DEFAULT_TOL)]
 
 
 def column_space_projector(a) -> np.ndarray:
@@ -122,11 +115,3 @@ def column_space_projector(a) -> np.ndarray:
     q = orthonormal_column_basis(a)
     return q @ q.conj().T
 
-
-def subspace_intersection_dim(u, v) -> int:
-    """dim(col(u) ∩ col(v)) via the rank formula, at the acceptance tolerance."""
-    bu = orthonormal_column_basis(u, tol=ACCEPT_TOL)
-    bv = orthonormal_column_basis(v, tol=ACCEPT_TOL)
-    if bu.shape[1] == 0 or bv.shape[1] == 0:
-        return 0
-    return bu.shape[1] + bv.shape[1] - matrix_rank(np.hstack([bu, bv]))

@@ -31,7 +31,7 @@ from .algebra import (
     support_projectors,
 )
 from .errors import ShapeMismatch, ZeroInput
-from .linalg import ACCEPT_TOL, DEFAULT_TOL
+from .linalg import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class Submodule:
     k·n_b × n_b matrix with columns in col M_b, where M_b puts the stacked
     block-b coordinates of the generators side by side. The submodule is
     therefore carried by its block projectors P_b onto col M_b, and
-    membership, equality and zeroness are decided block by block on them.
+    membership and zeroness are decided block by block on them.
     """
 
     shape: AlgebraShape
@@ -123,11 +123,6 @@ class Submodule:
         resid = sum(np.linalg.norm(x_b - p @ x_b) ** 2 for p, x_b in zip(self.block_projectors, x.blocks))
         norm = sum(np.linalg.norm(x_b) ** 2 for x_b in x.blocks)
         return bool(np.sqrt(resid) <= DEFAULT_TOL * (1.0 + np.sqrt(norm)))
-
-    def same_span(self, other: "Submodule") -> bool:
-        return max(
-            linalg.op_norm(p - q) for p, q in zip(self.block_projectors, other.block_projectors)
-        ) <= ACCEPT_TOL
 
     def is_zero(self) -> bool:
         return not any(p.any() for p in self.block_projectors)

@@ -129,7 +129,8 @@ MUTANTS = (
         "src/essmod/algebra.py",
         "np.trace(pb).real <= len(pb) - 0.5",
         "np.trace(pb).real <= len(pb) - 1.5",
-        ("tests/test_algebra.py::test_trace_rule_matches_the_all_blocks_eigh_rule",),
+        ("tests/test_algebra.py::test_trace_rule_matches_the_all_blocks_eigh_rule",
+         "tests/test_properties.py::test_property_passes_alone[algebra.essentiality_oracle]"),
     ),
     Mutant(
         "probe-skips-nonzero-blocks",
@@ -231,6 +232,30 @@ MUTANTS = (
         "eps = float(np.min(sigma2[kept])) / 2.0",
         ("tests/test_cli.py::test_witness_clears_a_sigma_squared_just_below_the_keep_line",
          "tests/test_algebra.py::test_closed_subideal_refuses_a_threshold_by_the_spectral_cut"),
+    ),
+    # The suite's re-pointed properties each fail, by name, on a fault in
+    # the kernel they check.
+    Mutant(
+        "subideal-p-cut-above-eps",
+        "src/essmod/algebra.py",
+        "        r = t > eps",
+        "        r = t > 4 * eps",
+        ("tests/test_properties.py::test_property_passes_alone[algebra.monotone_convergence]",),
+    ),
+    # Each generator p·E_rr has a smaller range than p: two generators p·x would not tell.
+    Mutant(
+        "support-projector-first-generator-only",
+        "src/essmod/algebra.py",
+        "*(g.blocks[b] for g in generators)])",
+        "*(g.blocks[b] for g in generators[:1])])",
+        ("tests/test_properties.py::test_property_passes_alone[algebra.ideal_roundtrip]",),
+    ),
+    Mutant(
+        "submodule-of-ideal-first-columns",
+        "src/essmod/modules.py",
+        "p_b[:, r * n:(r + 1) * n]",
+        "p_b[:, 0:n]",
+        ("tests/test_properties.py::test_property_passes_alone[module.correspondence]",),
     ),
 )
 

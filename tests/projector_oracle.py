@@ -25,6 +25,8 @@ from functools import cache
 from itertools import zip_longest
 from math import lcm
 
+import numpy as np
+
 from essmod import serialize
 from essmod.linalg import ACCEPT_TOL
 from essmod.polynomials import exact_zero_points
@@ -288,7 +290,9 @@ def residual_set(m, field) -> SymbolicSubset:
 
 
 def svd_is_projection(p) -> bool:
-    """p* = p = p² within ACCEPT_TOL·(1 + ‖p‖), each norm an SVD: the
-    reference for `algebra.is_projection`, which decides most inputs from
-    entry bounds without a norm."""
-    return p.is_hermitian(ACCEPT_TOL) and (p * p).distance(p) <= ACCEPT_TOL * (1.0 + p.norm())
+    """p* = p entrywise and p² = p in norm, within ACCEPT_TOL·(1 + ‖p‖),
+    each norm an SVD: the reference for `algebra.is_projection`, which
+    decides most inputs from entry bounds without a norm."""
+    scale = ACCEPT_TOL * (1.0 + p.norm())
+    hermitian = all(np.max(np.abs(b - b.conj().T), initial=0.0) <= scale for b in p.blocks)
+    return hermitian and (p * p).distance(p) <= scale

@@ -11,25 +11,14 @@ from essmod.algebra import (
     AlgebraElement,
     AlgebraShape,
     RightIdeal,
-    all_eigenvalues,
-    calculus,
     closed_subideal,
     ideal_support_projection,
     is_essential_right_ideal,
     is_projection,
-    lower_approximants,
-    spectral_projection,
 )
-from essmod.errors import (
-    DomainError,
-    EigenvalueAtThreshold,
-    EssmodError,
-    NonFinite,
-    NotHermitian,
-    NotProjection,
-    ZeroInput,
-)
-from essmod.generate import SplitMix64, rand_algebra_element, rand_hermitian, rand_matrix, rand_projection
+from essmod.errors import EigenvalueAtThreshold, EssmodError, NonFinite, NotProjection, ZeroInput
+from essmod.generate import SplitMix64, rand_algebra_element, rand_matrix, rand_projection
+from float_oracle import calculus, intersection_dim, lower_approximants, matrix_units, rand_hermitian
 from projector_oracle import svd_is_projection
 
 M2 = AlgebraShape((2,))
@@ -45,7 +34,10 @@ def e11_m2():
     return AlgebraElement(M2, (np.array([[1, 0], [0, 0]], dtype=complex),))
 
 
-# --- functional calculus ------------------------------------------------------
+# --- the tests' eigh functional calculus ------------------------------------------
+#
+# The oracle that the spectral tests below, and acceptance criterion 1, hold
+# the witness's p against.
 
 def test_calculus_sqrt_on_diagonal():
     a = diag_elem(0, 1, 4)
@@ -74,63 +66,43 @@ def test_calculus_cube_matches_matrix_power():
         assert cubed.distance(a * a * a) <= 1e-9 * (1 + a.norm() ** 3)
 
 
-def test_calculus_requires_hermitian():
-    a = AlgebraElement(M2, (np.array([[0, 1], [0, 0]], dtype=complex),))
-    with pytest.raises(NotHermitian):
-        calculus(a, lambda t: t)
-
-
-def test_calculus_domain_error():
-    a = diag_elem(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        calculus(a, math.sqrt)
-
-
 # --- spectral projections ------------------------------------------------------
+#
+# closed_subideal's p = χ_(eps,∞)(a) for a = x·x*, at the eps it chooses.
 
 def test_spectral_projection_diagonal():
-    a = diag_elem(0.5, 2.0)
-    p = spectral_projection(a, 1.0)
-    assert p.distance(diag_elem(0, 1)) <= 1e-10
-
-
-def test_spectral_projection_of_zero():
-    a = AlgebraElement.zeros(M3)
-    assert spectral_projection(a, 1.0).is_zero()
-
-
-def test_spectral_projection_threshold_error():
-    with pytest.raises(EigenvalueAtThreshold):
-        spectral_projection(diag_elem(1.0, 2.0), 1.0)
+    """a = diag(1e-10, 2): the σ² below the keep line 2e-8 is cut, eps ≈ 1."""
+    w = closed_subideal(diag_elem(1e-5, np.sqrt(2.0)))
+    assert w.eps == pytest.approx(1.0)
+    assert w.p.distance(diag_elem(0, 1)) <= 1e-10
 
 
 def test_spectral_projection_commutes_and_cuts():
     rng = SplitMix64(4)
     for _ in range(10):
-        a = rand_hermitian(rng, MIXED)
-        eps = a.norm() / 2
-        eigs = all_eigenvalues(a)
-        if a.norm() < 1e-3 or np.min(np.abs(eigs - eps)) < 1e-6:
-            continue
-        p = spectral_projection(a, eps)
+        x = rand_algebra_element(rng, MIXED)
+        if rng.randint(0, 1):
+            x = rand_projection(rng, MIXED) * x
+        w = closed_subideal(x)
+        a, p = w.a, w.p
         assert (p * a).distance(a * p) <= 1e-9 * (1 + a.norm())
-        cut = all_eigenvalues(a * p)
-        assert all(lam <= 1e-8 or lam > eps for lam in cut)
+        cut = np.concatenate([np.linalg.eigvalsh(b) for b in (p * a * p).blocks])
+        assert all(lam <= 1e-8 or lam > w.eps for lam in cut)
 
 
 def test_spectral_projection_is_limit_of_lower_approximants():
     rng = SplitMix64(5)
     for _ in range(5):
-        a = rand_hermitian(rng, M3)
-        eps = a.norm() / 2
-        if a.norm() < 1e-3 or np.min(np.abs(all_eigenvalues(a) - eps)) < 1e-6:
+        w = closed_subideal(rand_algebra_element(rng, M3))
+        if np.min(np.abs(np.linalg.eigvalsh(w.a.blocks[0]) - w.eps)) < 1e-6:
             continue
-        p = spectral_projection(a, eps)
-        g = lower_approximants(a, eps, 10 ** 6)
-        assert (p - g).norm() <= 1e-8
+        g = lower_approximants(w.a, w.eps, 10 ** 6)
+        assert (w.p - g).norm() <= 1e-8
 
 
 # --- lower approximants -----------------------------------------------------------
+#
+# The oracle's g_n, as criterion 1 and the limit test above read them.
 
 def test_lower_approximant_above_knee_is_one():
     # eigenvalue 2 >= eps + 1/n with eps = 1, n = 1
@@ -154,7 +126,7 @@ def test_lower_approximants_increase_in_psd_order():
     for n in range(2, 51):
         cur = lower_approximants(a, eps, n)
         diff = cur - prev
-        assert all(linalg.is_psd(b, 1e-12) for b in diff.blocks)
+        assert all(np.linalg.eigvalsh(b)[0] >= -1e-12 for b in diff.blocks)
         prev = cur
 
 
@@ -192,7 +164,7 @@ def test_ideal_from_projection_rejects_non_projection():
 @pytest.mark.parametrize("delta, accepted", [(0.1 * ACCEPT_TOL, True), (10 * ACCEPT_TOL, False)])
 def test_projection_acceptance_boundary(delta, accepted):
     """e11 + δ·e22 misses p² = p by about δ, against a cut of ACCEPT_TOL·(1 + ‖p‖)."""
-    p = e11_m2() + delta * AlgebraElement.matrix_unit(M2, 0, 1, 1)
+    p = e11_m2() + delta * diag_elem(0, 1)
     if accepted:
         assert RightIdeal(p).support_projection is p
     else:
@@ -266,7 +238,7 @@ def test_ideal_roundtrip_random_projections():
     rng = SplitMix64(12)
     for _ in range(20):
         p = rand_projection(rng, MIXED)
-        back = ideal_support_projection(RightIdeal(p).spanning_set())
+        back = ideal_support_projection([p * e for e in matrix_units(MIXED)])
         assert back.support_projection.distance(p) <= 1e-8
 
 
@@ -323,7 +295,7 @@ def test_closed_subideal_threshold_is_scale_free(c, s):
 
 
 def closed_subideal_probe_oracle(x, w):
-    """The per-unit probe loop: each probe b = p·E of the spanning set as an
+    """The per-unit probe loop: each probe b = p·E over the matrix units as an
     algebra element, checked by two element distances: f(a)p·b against b,
     and x·(y·b) against b for x's own SVD factor y = V_r Σ_r⁻¹ U_r*, r = {σ² > eps}."""
     factor = []
@@ -333,7 +305,7 @@ def closed_subideal_probe_oracle(x, w):
         factor.append(vh[r].conj().T @ (u[:, r].conj().T / s[r, None]))
     y = AlgebraElement(x.shape, tuple(factor))
     probe_errors, membership_errors = [], []
-    for b in w.ideal.spanning_set():
+    for b in (w.p * e for e in matrix_units(x.shape)):
         bscale = 1.0 + b.norm()
         probe_errors.append((w.fa * (w.p * b)).distance(b) / bscale)
         membership_errors.append((x * (y * b)).distance(b) / bscale)
@@ -370,19 +342,16 @@ def test_closed_subideal_rejects_zero():
 
 
 def test_closed_subideal_refuses_a_threshold_by_the_spectral_cut():
-    """closed_subideal and spectral_projection refuse by one cut: an
-    eigenvalue of a within DEFAULT_TOL·‖a‖ of eps. eps is the middle of the
-    gap around the keep line ACCEPT_TOL·‖a‖, so closed_subideal refuses
-    exactly when that gap is at most two cuts wide. Here a = x·x* has the
-    eigenvalues 1 and 1.00005e-8, which are kept, and 0.99995e-8, which is
-    not: a gap of 1e-12, so eps = 1e-8 lies 5e-13 from both."""
+    """closed_subideal refuses an eigenvalue of a within the spectral cut
+    DEFAULT_TOL·‖a‖ of eps. eps is the middle of the gap around the keep
+    line ACCEPT_TOL·‖a‖, so it refuses exactly when that gap is at most two
+    cuts wide. Here a = x·x* has the eigenvalues 1 and 1.00005e-8, which are
+    kept, and 0.99995e-8, which is not: a gap of 1e-12, so eps = 1e-8 lies
+    5e-13 from both."""
     x = diag_elem(*np.sqrt([1.0, 1.00005e-8, 0.99995e-8]))
-    refusals = []
-    for refuse in (lambda: closed_subideal(x), lambda: spectral_projection(x * x.adjoint(), 1e-8)):
-        with pytest.raises(EigenvalueAtThreshold, match="^eigenvalue within 1e-10 of threshold ") as info:
-            refuse()
-        refusals.append(float(str(info.value).rsplit(" ", 1)[1]))
-    assert refusals[0] == pytest.approx(refusals[1], rel=1e-12)
+    with pytest.raises(EigenvalueAtThreshold, match="^eigenvalue within 1e-10 of threshold ") as info:
+        closed_subideal(x)
+    assert float(str(info.value).rsplit(" ", 1)[1]) == pytest.approx(1e-8, rel=1e-12)
 
 
 def test_closed_subideal_reads_zero_off_its_own_svd():
@@ -420,7 +389,7 @@ def test_e11_ideal_is_not_essential():
     # q = vv* in the certificate's block
     assert cert.block == 0
     q = np.outer(v, v.conj())
-    assert linalg.subspace_intersection_dim(e11_m2().blocks[0], q) == 0
+    assert intersection_dim(e11_m2().blocks[0], q) == 0
 
 
 def test_zero_ideal_is_not_essential():
@@ -440,7 +409,7 @@ def all_blocks_eigh_rule(J: RightIdeal) -> tuple:
         return True, max(linalg.op_norm(pb - np.eye(len(pb))) for pb in p.blocks), None, None, None
     eigs, u = eig[b]
     v = u[:, 0]
-    return False, None, b, tuple(complex(z) for z in v), linalg.subspace_intersection_dim(u[:, eigs > 0.5], v[:, None])
+    return False, None, b, tuple(complex(z) for z in v), intersection_dim(u[:, eigs > 0.5], v[:, None])
 
 
 @st.composite
@@ -494,6 +463,6 @@ def test_essentiality_matches_rank_one_falsification_oracle():
                 v = rand_matrix(rng, n, 1)
                 if linalg.op_norm(v) < 1e-6:
                     continue
-                if linalg.subspace_intersection_dim(p.blocks[b], v) == 0:
+                if intersection_dim(p.blocks[b], v) == 0:
                     falsified = True
         assert decision == (not falsified), f"trial {trial}"

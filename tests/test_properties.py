@@ -52,6 +52,16 @@ PROPERTY_NAMES = [
 ]
 
 
+@pytest.mark.parametrize("i, function, name", [(i, f, n) for i, (f, n) in enumerate(PROPERTY_NAMES)],
+                         ids=[n for _, n in PROPERTY_NAMES])
+def test_property_passes_alone(i, function, name):
+    """One property by name, 20 trials on the substream run_suite gives it:
+    a fault in the kernel it checks fails it here, under its own name."""
+    result = getattr(properties, function)(SplitMix64(42).spawn(i + 1), 20)
+    assert result.name == name
+    assert result.passed, result.detail
+
+
 def test_properties_are_pinned_in_substream_order():
     names = {p.__name__: p(SplitMix64(0), 0).name for p in properties.PROPERTIES}
     assert list(names.items()) == PROPERTY_NAMES
