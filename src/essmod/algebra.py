@@ -173,11 +173,6 @@ class RightIdeal:
     def shape(self) -> AlgebraShape:
         return self.support_projection.shape
 
-    def contains(self, b: AlgebraElement) -> bool:
-        """Membership b ∈ pA  ⟺  p b = b."""
-        p = self.support_projection
-        return (p * b).distance(b) <= DEFAULT_TOL * (1.0 + b.norm())
-
     def rank(self) -> int:
         """Total rank of the support projection across blocks."""
         return int(round(sum(np.trace(b).real for b in self.support_projection.blocks)))

@@ -79,13 +79,6 @@ def theta(x: ModuleElement, y: ModuleElement) -> AlgebraElement:
     return AlgebraElement._of(amp, tuple(a @ b.conj().T for a, b in zip(x.blocks, y.blocks)))
 
 
-def apply(t: AlgebraElement, z: ModuleElement) -> ModuleElement:
-    """The compact operator t ∈ M_k(A) applied to z: T_b Z_b per block."""
-    if t.shape != operator_shape(z.shape, z.k):
-        raise ShapeMismatch("operator and argument disagree")
-    return z._with(t_b @ z_b for t_b, z_b in zip(t.blocks, z.blocks))
-
-
 def module_basis(shape: AlgebraShape, k: int) -> list[ModuleElement]:
     """A-module basis: e_r with the identity algebra element, r = 1..k."""
     dims = shape.block_dims
@@ -100,8 +93,9 @@ class Submodule:
     columns, so the block-b part of the generated submodule is every
     k·n_b × n_b matrix with columns in col M_b, where M_b puts the stacked
     block-b coordinates of the generators side by side. The submodule is
-    therefore carried by its block projectors P_b onto col M_b, and
-    membership and zeroness are decided block by block on them.
+    therefore carried by its block projectors P_b onto col M_b, and its
+    zero test, its ideal J_N and the reformulation probe read them block
+    by block.
     """
 
     shape: AlgebraShape
@@ -117,12 +111,6 @@ class Submodule:
     def block_projectors(self) -> tuple[np.ndarray, ...]:
         """P_b, the projector onto col M_b, per block, computed once."""
         return support_projectors(self.shape, self.k, self.generators)
-
-    def contains(self, x: ModuleElement) -> bool:
-        """x ∈ N iff every column of each stacked block X_b lies in col M_b."""
-        resid = sum(np.linalg.norm(x_b - p @ x_b) ** 2 for p, x_b in zip(self.block_projectors, x.blocks))
-        norm = sum(np.linalg.norm(x_b) ** 2 for x_b in x.blocks)
-        return bool(np.sqrt(resid) <= DEFAULT_TOL * (1.0 + np.sqrt(norm)))
 
     def is_zero(self) -> bool:
         return not any(p.any() for p in self.block_projectors)

@@ -19,7 +19,7 @@ from . import algebra, fields, generate, linalg, modules, runner, sections, seri
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import EigenvalueAtThreshold, IrrationalRoot, ZeroInput
 from .generate import SplitMix64
-from .modules import Submodule
+from .modules import ModuleElement, Submodule
 from .sections import PiecewiseSection
 from .subsets import SymbolicSubset
 
@@ -238,11 +238,15 @@ def _rand_module_setup(rng):
 
 @_property("module.theta_apply")
 def prop_theta_apply(rng):
+    """θ_{x,y}(z) = x·⟨y, z⟩, read off the algebra product: θ_{x,y}·θ_{z,e₁}
+    is θ_{θ_{x,y}(z),e₁}, whose first block columns are the stacked blocks
+    of θ_{x,y}(z), as θ_{w,e₁} = W_b·E_b* puts W_b there."""
     shape, k = _rand_module_setup(rng)
     x = generate.rand_module_element(rng, shape, k)
     y = generate.rand_module_element(rng, shape, k)
     z = generate.rand_module_element(rng, shape, k)
-    lhs = modules.apply(modules.theta(x, y), z)
+    prod = modules.theta(x, y) * modules.theta(z, modules.module_basis(shape, k)[0])
+    lhs = ModuleElement(shape, k, tuple(t_b[:, :n] for t_b, n in zip(prod.blocks, shape.block_dims)))
     rhs = x * modules.inner_product(y, z)
     return (lhs - rhs).norm() <= 1e-10 * (1 + x.norm() * y.norm() * z.norm())
 
@@ -305,6 +309,7 @@ def prop_correspondence(rng):
 
 @_property("module.intertwine")
 def prop_intertwine(rng):
+    """T·θ_{u,Tu} = θ_{Tu,Tu} in the algebra product, for Tu = T_b·U_b per block."""
     shape, k = _rand_module_setup(rng)
     m = generate.rand_module_element(rng, shape, k)
     a = generate.rand_algebra_element(rng, shape)
@@ -313,7 +318,7 @@ def prop_intertwine(rng):
         np.block([[e.blocks[b] for e in row] for row in rows]) for b in range(shape.num_blocks)
     ))
     u = m * a
-    tu = modules.apply(T, u)
+    tu = ModuleElement(shape, k, tuple(t_b @ u_b for t_b, u_b in zip(T.blocks, u.blocks)))
     lhs = T * modules.theta(u, tu)
     rhs = modules.theta(tu, tu)
     return (lhs - rhs).norm() <= 1e-8 * (1 + lhs.norm() + rhs.norm())
@@ -331,8 +336,7 @@ def prop_left_module_identity(rng):
 # --- continuous fields ---------------------------------------------------------------
 
 def _rand_subset(rng) -> SymbolicSubset:
-    pts = [rng.dyadic(5, 0) + Fraction(1, 2) for _ in range(rng.randint(0, 2))]
-    pts = [p for p in pts if 0 <= p <= 1]
+    pts = [Fraction(rng.randint(0, 32), 32) for _ in range(rng.randint(0, 2))]
     ivs = []
     for _ in range(rng.randint(0, 2)):
         a = Fraction(rng.randint(0, 31), 32)
@@ -346,7 +350,7 @@ def _rand_subset(rng) -> SymbolicSubset:
 @_property("fields.set_algebra")
 def prop_set_algebra(rng):
     s = _rand_subset(rng)
-    if not s.interior().is_subset_of(s) or not s.is_subset_of(s.closure()):
+    if not s.interior().difference(s).is_empty() or not s.difference(s.closure()).is_empty():
         return False
     if s.closure().closure() != s.closure():
         return False
@@ -390,15 +394,19 @@ def prop_residual_subset_total(rng):
     m = _rand_combination(rng, spec)
     if m.is_zero():
         return True
-    return fields.residual_set(m, spec.subfield).is_subset_of(total)
+    return fields.residual_set(m, spec.subfield).difference(total).is_empty()
+
+
+def _widest_samples(total: SymbolicSubset, den: int, count: int):
+    """The widest interval (lo, hi) of the interior of `total`'s closure, and
+    its samples lo + (hi - lo)·i/den for i = 1..count, in order."""
+    iv = max(total.closure().interior().intervals, key=lambda i: i.hi - i.lo)
+    return (iv.lo, iv.hi), sorted({iv.lo + (iv.hi - iv.lo) * Fraction(i, den) for i in range(1, count + 1)})
 
 
 def _widest_witness(spec, total: SymbolicSubset, den: int, count: int):
-    """The inductive witness on the widest interval (lo, hi) of the interior
-    of `total`'s closure, sampled at lo + (hi - lo)·i/den for i = 1..count."""
-    iv = max(total.closure().interior().intervals, key=lambda i: i.hi - i.lo)
-    xs = sorted({iv.lo + (iv.hi - iv.lo) * Fraction(i, den) for i in range(1, count + 1)})
-    return fields.inductive_witness_section(spec, (iv.lo, iv.hi), xs, total)
+    """The inductive witness on `_widest_samples(total, den, count)`."""
+    return fields.inductive_witness_section(spec, *_widest_samples(total, den, count), total)
 
 
 @_property("fields.criterion_coherence")
@@ -443,27 +451,30 @@ def prop_inductive_postcondition(rng):
 
 @_property("fields.term_norm_bound")
 def prop_term_norm_bound(rng):
+    """Over the sup-normalized constant generators, the inductive witness's
+    term j, λ_j·g·a_j = m_j − m_{j−1} for the witnesses on the first j and
+    j − 1 samples, has sup norm at most 2^-j: it vanishes off
+    (x_j − r_j, x_j + r_j), r_j half the distance from x_j to the nearest
+    earlier sample or end, and at x_j, where a_j peaks, each coordinate has
+    modulus at most 2^-j."""
     spec, _ = _planted_spec(rng.spawn(4), "interval")
-    # restrict to the sup-normalized constant generators
     consts = tuple(
         g for g in spec.generators
         if all(len(cols) == 1 for _, cols in g.pieces)
     )
     spec = fields.FieldModuleSpec(spec.d, consts, spec.subfield)
-    w = _widest_witness(spec, fields.is_essential_field(spec).analysis.total, 5, 3)
-    for j, (lam, k) in enumerate(zip(w.lambdas, w.picks), start=1):
-        g = spec.generators[k]
-        x = w.samples[j - 1]
-        dists = [abs(x - other) for other in w.samples[: j - 1]] + [x, 1 - x]
-        radius = min(dists) / 2
-        term = g.mul_scalar_section(sections.unit_bump(x, radius)).scale(lam)
-        sup = Fraction(0)
-        for i in range(term.d):
-            coord = term.coordinate(i)
-            if coord.is_zero():
-                continue
-            sup = max(sup, coord.exact_sup_norm())
-        if sup > Fraction(1, 2 ** j):
+    total = fields.is_essential_field(spec).analysis.total
+    interval, xs = _widest_samples(total, 5, 3)
+    prev = PiecewiseSection.zero(spec.d)
+    for j, x in enumerate(xs, start=1):
+        m = fields.inductive_witness_section(spec, interval, xs[:j], total).m
+        term, prev = m - prev, m
+        r = min([abs(x - y) for y in xs[:j - 1]] + [x, 1 - x]) / 2
+        if not term.support_set().difference(SymbolicSubset.interval(x - r, x + r, False, False)).is_empty():
+            return False
+        den, cols = term.pieces[term.piece_index_for_interval(x)]
+        scale = den * x.denominator ** (len(cols) - 1)  # _scaled_value(cols, x) is scale·term(x)
+        if any((p * p + q * q) << (2 * j) > scale * scale for p, q in sections._scaled_value(cols, x)):
             return False
     return True
 

@@ -119,14 +119,6 @@ class PiecewiseSection:
         pieces = tuple(_reduced(*_add_times((1, []), self.pieces[i], s.pieces[j])) for i, j in zip(ia, ib))
         return PiecewiseSection._of(self.d, bps, pieces)
 
-    def conj(self) -> "PiecewiseSection":
-        pieces = tuple((den, tuple(tuple((x, -y) for x, y in col) for col in cols)) for den, cols in self.pieces)
-        return PiecewiseSection._of(self.d, self.breakpoints, pieces)
-
-    def coordinate(self, i: int) -> "PiecewiseSection":
-        pieces = tuple(_reduced(den, tuple((col[i],) for col in cols)) for den, cols in self.pieces)
-        return PiecewiseSection._of(1, self.breakpoints, pieces)
-
     def is_zero(self) -> bool:
         return not any(x or y for _, cols in self.pieces for col in cols for x, y in col)
 
@@ -138,65 +130,28 @@ class PiecewiseSection:
 
     # -- exact sets -----------------------------------------------------------
 
-    def zero_set(self) -> SymbolicSubset:
-        """{x : all coordinates vanish}, exactly (may raise IrrationalRoot)."""
-        bounds, zero = self._zero_walk()
-        return _runs(bounds, zero)
-
     def support_set(self) -> SymbolicSubset:
-        """{x : section(x) ≠ 0}, the complement of the exact zero set."""
-        bounds, zero = self._zero_walk()
-        return _runs(bounds, [not z for z in zero])
-
-    def _zero_walk(self) -> tuple[list[Fraction], list[bool]]:
-        """The regions of [0, 1] in order, as `subsets._runs` reads them, and
-        whether the section vanishes on each: one pass over the pieces. A
-        piece that is not identically zero vanishes at its rational zeros
-        only, which split its open interval; a breakpoint takes the value of
-        the piece that starts there (the last piece's at 1), equal to the
-        one before by continuity."""
-        bounds, zero = [], []
+        """{x : section(x) ≠ 0}, exactly (may raise IrrationalRoot): the
+        regions of [0, 1] in order, as `subsets._runs` reads them, from one
+        pass over the pieces. A piece that is not identically zero vanishes
+        at its rational zeros only, which split its open interval; a
+        breakpoint takes the value of the piece that starts there (the last
+        piece's at 1), equal to the one before by continuity."""
+        bounds, inside = [], []
         for (_, cols), lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
             zeros = exact_zero_points(([col[i][t] for col in cols] for i in range(self.d) for t in (0, 1)), lo, hi)
             if zeros is None:  # the piece vanishes identically
                 bounds.append(lo)
-                zero += (True, True)
+                inside += (False, False)
                 at_hi = True
                 continue
             at_lo, at_hi = bool(zeros) and zeros[0] == lo, bool(zeros) and zeros[-1] == hi
             inner = zeros[at_lo:len(zeros) - at_hi]
             bounds += (lo, *inner)
-            zero += (at_lo, False, *(True, False) * len(inner))
+            inside += (not at_lo, True, *(False, True) * len(inner))
         bounds.append(self.breakpoints[-1])
-        zero.append(at_hi)
-        return bounds, zero
-
-    # -- norms ---------------------------------------------------------------
-
-    def exact_sup_norm(self) -> Fraction:
-        """Exact sup of |value| for real scalar sections of piece degree ≤ 2.
-
-        Candidate extrema of a quadratic on an interval are its endpoints and
-        vertex, all rational here; higher degrees or complex values have no
-        rational sup in general and raise ValueError.
-        """
-        if self.d != 1:
-            raise ValueError("exact sup norm only for scalar sections")
-        best = Fraction(0)
-        for (den, cols), lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
-            if any(y for ((_, y),) in cols):
-                raise ValueError("exact sup norm needs real coefficients")
-            if len(cols) > 3:
-                raise ValueError("exact sup norm needs degree ≤ 2 pieces")
-            q = [Fraction(x, den) for ((x, _),) in cols]
-            candidates = [lo, hi]
-            if len(q) == 3:
-                vertex = -q[1] / (2 * q[2])
-                if lo < vertex < hi:
-                    candidates.append(vertex)
-            for x in candidates:
-                best = max(best, abs(sum(c * x**k for k, c in enumerate(q))))
-        return best
+        inside.append(not at_hi)
+        return _runs(bounds, inside)
 
 
 def from_coeffs(coords) -> Piece:

@@ -9,7 +9,7 @@ elementary regions, and reads each operand's coverage of every region off
 a running count of its interval openings and closings: linear after the
 sort. Its last step, `_runs`, reads the normal form off any ordered walk of
 regions, and a caller that walks [0, 1] in order already
-(`fields.residual_set`, a section's zero and support sets) calls it
+(`fields.residual_set`, a section's support set) calls it
 directly. Closure and interior need no sweep: each is read straight off
 the normal form in one pass.
 A field's regions pass no sweep, loaded or generated: `_parts` checks a
@@ -133,9 +133,6 @@ class SymbolicSubset:
 
     def __sub__(self, other):
         return self.difference(other)
-
-    def is_subset_of(self, other: "SymbolicSubset") -> bool:
-        return self.difference(other).is_empty()
 
     # -- topology (relative to [0, 1]) ---------------------------------------
 

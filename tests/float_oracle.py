@@ -1,6 +1,7 @@
-"""Float-stack oracles that the library does not carry: matrix units, spans
-compared by their projectors, subspace intersections by the rank formula,
-and an eigh functional calculus for the spectral tests.
+"""Float-stack oracles that the library does not carry: matrix units,
+membership in a right ideal, spans compared by their projectors, subspace
+intersections by the rank formula, and an eigh functional calculus for the
+spectral tests.
 
 The calculus decomposes each block with its own `np.linalg.eigh`, apart
 from the SVD of x that `closed_subideal` reads, so a test can hold the
@@ -12,7 +13,7 @@ import numpy as np
 from essmod import linalg
 from essmod.algebra import AlgebraElement
 from essmod.generate import rand_algebra_element
-from essmod.linalg import ACCEPT_TOL
+from essmod.linalg import ACCEPT_TOL, DEFAULT_TOL
 
 
 def matrix_unit(shape, block, row, col) -> AlgebraElement:
@@ -24,6 +25,11 @@ def matrix_unit(shape, block, row, col) -> AlgebraElement:
 def matrix_units(shape) -> list:
     """The matrix-unit basis E_rc of every block."""
     return [matrix_unit(shape, b, r, c) for b, n in enumerate(shape.block_dims) for r in range(n) for c in range(n)]
+
+
+def in_ideal(ideal, b) -> bool:
+    """b ∈ pA ⟺ p·b = b, within DEFAULT_TOL·(1 + ‖b‖)."""
+    return (ideal.support_projection * b).distance(b) <= DEFAULT_TOL * (1.0 + b.norm())
 
 
 def same_span(n, other) -> bool:

@@ -257,6 +257,45 @@ MUTANTS = (
         "p_b[:, 0:n]",
         ("tests/test_properties.py::test_property_passes_alone[module.correspondence]",),
     ),
+    # θ_{x,y} = X_b·Y_b^T: the first block columns of θ_{x,y}·θ_{z,e₁} are then X·Y^T·Z, not x·⟨y, z⟩.
+    Mutant(
+        "theta-drops-the-conjugate",
+        "src/essmod/modules.py",
+        "a @ b.conj().T for a, b in zip(x.blocks, y.blocks)",
+        "a @ b.T for a, b in zip(x.blocks, y.blocks)",
+        ("tests/test_properties.py::test_property_passes_alone[module.theta_apply]",),
+    ),
+    # T·θ_{u,Tu} = θ_{Tu,Tu} holds for any theta of the form X_b·f(Y_b), so the product is what it checks.
+    Mutant(
+        "product-transposes-its-right-factor",
+        "src/essmod/algebra.py",
+        "return self._with(x @ a_b for x, a_b in zip(self.blocks, a.blocks))",
+        "return self._with(x @ a_b.T for x, a_b in zip(self.blocks, a.blocks))",
+        ("tests/test_properties.py::test_property_passes_alone[module.intertwine]",),
+    ),
+    # Each bump reaches the nearest earlier sample or end: the term leaves (x_j − r_j, x_j + r_j).
+    Mutant(
+        "inductive-bump-twice-as-wide",
+        "src/essmod/fields.py",
+        "widths.append(min(n, den - n,",
+        "widths.append(2 * min(n, den - n,",
+        ("tests/test_properties.py::test_property_passes_alone[fields.term_norm_bound]",),
+    ),
+    Mutant(
+        "difference-is-symmetric",
+        "src/essmod/subsets.py",
+        "lambda a, b: a and not b)",
+        "lambda a, b: a != b)",
+        ("tests/test_properties.py::test_property_passes_alone[fields.set_algebra]",),
+    ),
+    # Inclusion read as an empty difference: with the mutant, residual − total is the residual set itself.
+    Mutant(
+        "difference-keeps-the-first-operand",
+        "src/essmod/subsets.py",
+        "lambda a, b: a and not b)",
+        "lambda a, b: a)",
+        ("tests/test_properties.py::test_property_passes_alone[fields.residual_subset_total]",),
+    ),
 )
 
 

@@ -23,6 +23,14 @@ def test_suite_hundred_trials_seed_42_passes():
     assert report["digest"] == "5e7c135253e4bd4445885629fe6b7375670cdaaf16c8bef106bf3ff7146c74ee"
 
 
+def test_suite_twenty_trials_seed_42_digest():
+    """The run the `suite` benchmark workload repeats: a re-pointed property
+    that fails or skips one trial changes this digest."""
+    report = properties.run_suite(42, 20)
+    assert report["passed"]
+    assert report["digest"] == "c10c24b65b6644476904e52eff1fe9081fbda0dbe255edb972a837278cbe9b93"
+
+
 # Function name -> property name, in substream order. perfbench reads this
 # map (layers.property_names); a property's place in PROPERTIES picks its
 # substream, and its name feeds the suite digest.

@@ -193,10 +193,8 @@ def test_pointwise_inner_conjugates_first_slot():
 
 def test_zero_and_support_sets():
     m = x_section()
-    assert m.zero_set() == SymbolicSubset.point(F(0))
     assert m.support_set() == SymbolicSubset.interval(F(0), F(1), False, True)
     z = PiecewiseSection.zero(2)
-    assert z.zero_set() == SymbolicSubset.full()
     assert z.support_set().is_empty()
 
 
@@ -237,19 +235,17 @@ def with_roots(m, roots):
 @example(section(2, (F(0), F(1, 3), F(1)), (ZERO_ROW * 2, (LINEAR[F(4, 12)], GaussianPoly.zero()))))
 @example(PiecewiseSection.zero(2))
 def test_zero_and_support_sets_equal_the_collected_construction(m):
-    """zero_set and support_set, one ordered walk over the pieces, equal the
-    pieces' zero sets collected and normalized, and its complement; zero
-    pieces and roots at breakpoints are common in the hinge sections, and
-    the factor adds zeros inside pieces and at breakpoints. An irrational
-    zero is refused by both routes."""
+    """support_set, one ordered walk over the pieces, equals the complement
+    of the pieces' zero sets collected and normalized; zero pieces and roots
+    at breakpoints are common in the hinge sections, and the factor adds
+    zeros inside pieces and at breakpoints. An irrational zero is refused
+    by both routes."""
     try:
         expected = collected_zero_set(m)
     except IrrationalRoot:
-        for method in (m.zero_set, m.support_set):
-            with pytest.raises(IrrationalRoot):
-                method()
+        with pytest.raises(IrrationalRoot):
+            m.support_set()
         return
-    assert m.zero_set() == expected
     assert m.support_set() == expected.complement()
 
 
@@ -264,17 +260,8 @@ def test_bump_shape():
 def test_unit_bump_peaks_at_one():
     a = unit_bump(F(1, 2), F(1, 8))
     assert value_at(a, F(1, 2))[0] == ComplexRational(F(1))
-    assert a.exact_sup_norm() == F(1)
     assert value_at(a, F(3, 8))[0].is_zero()
-
-
-def test_exact_sup_norm_constraints():
-    assert unit_bump(F(1, 4), F(1, 8)).exact_sup_norm() == F(1)
-    with pytest.raises(ValueError):
-        PiecewiseSection.constant([1, 1]).exact_sup_norm()  # not scalar
-    cubic = scalar(GaussianPoly(RationalPoly((F(0), F(0), F(0), F(1))), RationalPoly.zero()))
-    with pytest.raises(ValueError):
-        cubic.exact_sup_norm()
+    assert a.support_set() == SymbolicSubset.interval(F(3, 8), F(5, 8), False, False)
 
 
 def test_equality_across_refinements():
