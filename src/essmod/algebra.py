@@ -322,7 +322,7 @@ def is_essential_right_ideal(J: RightIdeal) -> tuple[bool, IdealCertificate]:
         err = max(linalg.op_norm(pb - np.eye(len(pb))) for pb in p.blocks)
         return True, IdealCertificate(essential=True, identity_error=err)
 
-    eigs, u = linalg.herm_eig(p.blocks[b], tol=np.inf)  # p passed is_projection's hermiticity test
+    eigs, u = linalg.herm_eig(p.blocks[b])
     v = u[:, 0]  # eigenvalue ≈ 0: orthogonal complement of range(p_b)
     kept = u[:, eigs > 0.5]  # orthonormal, as is v: one rank gives the intersection
     return False, IdealCertificate(

@@ -5,10 +5,6 @@ class EssmodError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotHermitian(EssmodError):
-    """Input matrix or algebra element is not hermitian within tolerance."""
-
-
 class NoConvergence(EssmodError):
     """An eigenvalue iteration failed to converge."""
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 from typing import NamedTuple
@@ -179,6 +180,18 @@ def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
         else:
             inside.append(False)
     return _runs(bounds, inside)
+
+
+@cache
+def _zero_field(d: int) -> SubspaceField:
+    """L ≡ 0 on C^d: one piece with no columns, so its annihilator is the identity rows."""
+    return SubspaceField(d, (FieldPiece(SymbolicSubset.full(), ()),))
+
+
+def support_set(m: PiecewiseSection) -> SymbolicSubset:
+    """Z_m = {x : m(x) ≠ 0}, exactly (may raise IrrationalRoot): the
+    residual set of m over the zero field."""
+    return residual_set(m, _zero_field(m.d))
 
 
 @dataclass(frozen=True)
@@ -352,7 +365,7 @@ def essential_witness(
         raise ZeroInput("witness requires m ≠ 0")
     if not defect.is_nowhere_dense():
         raise PreconditionFailed("the defect set of m is not nowhere dense")
-    support = m.support_set()
+    support = support_set(m)
     room = support.difference(defect.closure())
     alpha, beta = _pick_interval(room)  # NoRoom if empty of intervals
     a = bump(alpha, beta)
@@ -407,7 +420,7 @@ def non_essential_witness(
     alpha, beta = _pick_interval(v)
     a = bump(alpha, beta)
     ma = m.mul_scalar_section(a)
-    z_ma = ma.support_set()
+    z_ma = support_set(ma)
     y_ma = residual_set(ma, field)
     closure_equal = z_ma.closure() == y_ma.closure()
     probes = []
@@ -537,4 +550,4 @@ def commutative_limit_identity(m: PiecewiseSection, n: PiecewiseSection) -> bool
         raise DimensionMismatch("sections of different fiber dimension")
     lhs = m.mul_scalar_section(pointwise_inner(n, n))
     rhs = n.mul_scalar_section(pointwise_inner(n, m))
-    return lhs.equals(rhs)
+    return (lhs - rhs).is_zero()

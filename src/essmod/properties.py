@@ -388,13 +388,16 @@ def _rand_combination(rng, spec) -> PiecewiseSection:
 
 @_property("fields.residual_subset_total")
 def prop_residual_subset_total(rng):
+    """Residual sets lie inside the total defect set. A random combination
+    of the generators mostly has the whole total as its residual set; the
+    first generator times the bump on (1/4, 3/4) vanishes on part of the
+    total, so there the inclusion is strict and its direction shows."""
     defect_kind = ("none", "points", "interval")[rng.randint(0, 2)]
     spec, _ = _planted_spec(rng.spawn(1), defect_kind)
     total = fields.analyze_field(spec).total
     m = _rand_combination(rng, spec)
-    if m.is_zero():
-        return True
-    return fields.residual_set(m, spec.subfield).difference(total).is_empty()
+    bumped = spec.generators[0].mul_scalar_section(sections.bump(Fraction(1, 4), Fraction(3, 4)))
+    return all(fields.residual_set(s, spec.subfield).difference(total).is_empty() for s in (m, bumped))
 
 
 def _widest_samples(total: SymbolicSubset, den: int, count: int):
@@ -470,7 +473,7 @@ def prop_term_norm_bound(rng):
         m = fields.inductive_witness_section(spec, interval, xs[:j], total).m
         term, prev = m - prev, m
         r = min([abs(x - y) for y in xs[:j - 1]] + [x, 1 - x]) / 2
-        if not term.support_set().difference(SymbolicSubset.interval(x - r, x + r, False, False)).is_empty():
+        if not fields.support_set(term).difference(SymbolicSubset.interval(x - r, x + r, False, False)).is_empty():
             return False
         den, cols = term.pieces[term.piece_index_for_interval(x)]
         scale = den * x.denominator ** (len(cols) - 1)  # _scaled_value(cols, x) is scale·term(x)

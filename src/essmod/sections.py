@@ -2,8 +2,9 @@
 coefficients, held in one exact form: a piece is (D, cols), D > 0 and
 cols[k] the Gaussian-integer column of x^k in D·piece. Pieces are kept in
 lowest terms (D and the integers share no factor, and no zero column
-follows the first), so equal pieces are equal tuples. The algebra and the
-exact zero sets read those integers."""
+follows the first), so equal pieces are equal tuples, and two sections are
+equal exactly when their difference `is_zero`. The algebra works on those
+integers; a section's exact sets are read off them by `fields.residual_set`."""
 
 from __future__ import annotations
 
@@ -13,9 +14,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch
-from .polynomials import exact_zero_points
 from .rationals import GaussianIntVector
-from .subsets import SymbolicSubset, _order, _runs
+from .subsets import _order
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -121,37 +121,6 @@ class PiecewiseSection:
 
     def is_zero(self) -> bool:
         return not any(x or y for _, cols in self.pieces for col in cols for x, y in col)
-
-    def equals(self, other: "PiecewiseSection") -> bool:
-        if self.d != other.d:
-            return False
-        _, ia, ib = self._aligned(other)
-        return all(self.pieces[i] == other.pieces[j] for i, j in zip(ia, ib))
-
-    # -- exact sets -----------------------------------------------------------
-
-    def support_set(self) -> SymbolicSubset:
-        """{x : section(x) ≠ 0}, exactly (may raise IrrationalRoot): the
-        regions of [0, 1] in order, as `subsets._runs` reads them, from one
-        pass over the pieces. A piece that is not identically zero vanishes
-        at its rational zeros only, which split its open interval; a
-        breakpoint takes the value of the piece that starts there (the last
-        piece's at 1), equal to the one before by continuity."""
-        bounds, inside = [], []
-        for (_, cols), lo, hi in zip(self.pieces, self.breakpoints, self.breakpoints[1:]):
-            zeros = exact_zero_points(([col[i][t] for col in cols] for i in range(self.d) for t in (0, 1)), lo, hi)
-            if zeros is None:  # the piece vanishes identically
-                bounds.append(lo)
-                inside += (False, False)
-                at_hi = True
-                continue
-            at_lo, at_hi = bool(zeros) and zeros[0] == lo, bool(zeros) and zeros[-1] == hi
-            inner = zeros[at_lo:len(zeros) - at_hi]
-            bounds += (lo, *inner)
-            inside += (not at_lo, True, *(False, True) * len(inner))
-        bounds.append(self.breakpoints[-1])
-        inside.append(not at_hi)
-        return _runs(bounds, inside)
 
 
 def from_coeffs(coords) -> Piece:

@@ -9,9 +9,8 @@ elementary regions, and reads each operand's coverage of every region off
 a running count of its interval openings and closings: linear after the
 sort. Its last step, `_runs`, reads the normal form off any ordered walk of
 regions, and a caller that walks [0, 1] in order already
-(`fields.residual_set`, a section's support set) calls it
-directly. Closure and interior need no sweep: each is read straight off
-the normal form in one pass.
+(`fields.residual_set`) calls it directly. Closure and interior need no
+sweep: each is read straight off the normal form in one pass.
 A field's regions pass no sweep, loaded or generated: `_parts` checks a
 loaded region as the constructor does, generation gives each region of
 its planted partition one owner, and `_label_runs` and `_of_runs` read

@@ -17,13 +17,14 @@ STRATA = [(defect, d) for d in (1, 2, 3, 4) for defect in ("none", "points", "in
 ROUNDS = 18
 
 
-def corpus_fields(seed: int, defect: str) -> list[dict]:
-    """The `field_corpus` documents of this seed with this planted defect, in corpus order."""
+def corpus_fields(seed: int, defect: str | None = None) -> list[dict]:
+    """The `field_corpus` documents of this seed with this planted defect (all
+    of them for None), in corpus order."""
     rng, docs = random.Random(f"field_corpus:{seed}"), []
     for r in range(ROUNDS):
         for kind, d in STRATA:
             inst_seed = rng.randrange(1 << 32)
-            if kind == defect:
+            if defect in (None, kind):
                 docs.append(gen_field(d, 2 + (4 * r) % 15, d + (r + d) % (9 - d), kind, inst_seed))
     return docs
 

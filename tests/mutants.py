@@ -296,6 +296,23 @@ MUTANTS = (
         "lambda a, b: a)",
         ("tests/test_properties.py::test_property_passes_alone[fields.residual_subset_total]",),
     ),
+    # A bumped generator vanishes on part of the total: total − residual is then not empty.
+    Mutant(
+        "rebuild-reverses-its-operands",
+        "src/essmod/subsets.py",
+        "for s in sets], keep)",
+        "for s in reversed(sets)], keep)",
+        ("tests/test_properties.py::test_property_passes_alone[fields.residual_subset_total]",),
+    ),
+    # A section's support set is its residual set over the zero field: over the full fiber it is empty.
+    Mutant(
+        "zero-field-spans-the-fiber",
+        "src/essmod/fields.py",
+        "FieldPiece(SymbolicSubset.full(), ()),",
+        "FieldPiece(SymbolicSubset.full(), identity_columns(d)),",
+        ("tests/test_sections.py::test_zero_and_support_sets",
+         "tests/test_properties.py::test_property_passes_alone[fields.criterion_coherence]"),
+    ),
 )
 
 

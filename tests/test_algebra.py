@@ -380,7 +380,7 @@ def all_blocks_eigh_rule(J: RightIdeal) -> tuple:
     eigendecomposed, the first whose least eigenvalue is at most 1/2 taken,
     and the intersection through bases re-orthonormalised by SVD."""
     p = J.support_projection
-    eig = [linalg.herm_eig(pb, tol=np.inf) for pb in p.blocks]
+    eig = [linalg.herm_eig(pb) for pb in p.blocks]
     b = next((b for b, (eigs, _) in enumerate(eig) if eigs[0] <= 0.5), None)
     if b is None:
         return True, max(linalg.op_norm(pb - np.eye(len(pb))) for pb in p.blocks), None, None, None

@@ -749,7 +749,7 @@ NEAR_PROJECTION = {
 
 def test_near_projection_is_checked_at_one_scale(tmp_path, capsys):
     """check tested the defective block's hermiticity again at the block's
-    own scale, ‖p_b‖ ≈ 1.5e-8, and exited 2 with NotHermitian on a support
+    own scale, ‖p_b‖ ≈ 1.5e-8, and exited 2 as not hermitian on a support
     projection that RightIdeal and witness accept."""
     path = tmp_path / "near.json"
     path.write_text(json.dumps(NEAR_PROJECTION))

@@ -69,7 +69,7 @@ def test_ideal_check_eigendecomposes_one_block_only_when_not_essential(lapack, m
     LAPACK's eigh only if it is nonzero."""
     blocks = []
     herm_eig = linalg.herm_eig
-    monkeypatch.setattr(linalg, "herm_eig", lambda a, tol: blocks.append(a) or herm_eig(a, tol))
+    monkeypatch.setattr(linalg, "herm_eig", lambda a: blocks.append(a) or herm_eig(a))
     decisions = set()
     for doc in RIGHT_IDEALS + MODULES:
         lapack.clear()
