@@ -55,12 +55,14 @@ class FieldPiece:
 class SubspaceField:
     """Piecewise-constant assignment x ↦ L_x ⊆ C^d on an exact partition,
     ordered once: one `_order` over the parts of all regions gives the
-    sorted `bounds` (0 and 1 among them), which cut [0, 1] into regions 2i
-    (the point bounds[i]) and 2i + 1 (the gap after it), and `owners[r]`,
-    the piece of region r. Overlaps between pieces and gaps are read off
-    that table, a bound inside one piece is dropped, and each region comes
-    out in normal form, so it may be given as any checked parts
-    (`subsets._parts`). Pieces with the same columns share one elimination."""
+    sorted bounds (0 and 1 among them), which cut [0, 1] into regions 2i
+    (the point bounds[i]) and 2i + 1 (the gap after it), and the owner of
+    each region, the piece that holds it. Overlaps between pieces and gaps
+    are read off that table, and each region comes out in normal form, so
+    it may be given as any checked parts (`subsets._parts`). The field
+    keeps the runs of one L, `cuts` and `rows`, where neighbouring pieces
+    with equal annihilator rows merge: `annihilator_at` and the atoms read
+    them."""
 
     d: int
     pieces: tuple[FieldPiece, ...]
@@ -81,34 +83,52 @@ class SubspaceField:
                 owners[r] = i
         if None in owners:
             raise ValueError("partition pieces do not cover [0, 1]")
-        # the bounds where the owner changes are kept, each with the gap before it
+        self._normalize(tuple(p.basis for p in self.pieces), bounds, owners)
+
+    @classmethod
+    def _of(cls, d: int, bases: tuple, bounds: list[Fraction], owners: list[int]) -> "SubspaceField":
+        """The field whose piece i has the columns bases[i] and owns region r
+        of the increasing `bounds` (0 and 1 among them) iff owners[r] == i,
+        each piece owning some region: built unchecked and normalized as the
+        constructor normalizes a loaded partition's table."""
+        out = cls.__new__(cls)
+        out.__dict__["d"] = d
+        out._normalize(bases, bounds, owners)
+        return out
+
+    def _normalize(self, bases: tuple, bounds: list[Fraction], owners: list) -> None:
+        """Set the pieces and the runs of one L from a table of owners. Each
+        maximal run of one owner is one part of its region. `cuts` keeps the
+        bounds where L changes, each with the gap before it, and rows[r]
+        holds the annihilator rows, whose common kernel is L, on region r of
+        the cuts. Pieces with the same columns share one elimination."""
+        runs = _label_runs(owners)
+        eliminated = {b: annihilator(b, self.d) for b in dict.fromkeys(bases)}
+        rows = [eliminated[bases[i]] for i in owners]
         last = len(bounds) - 1
-        kept = [k for k in range(last + 1) if k in (0, last) or not owners[2 * k - 1] == owners[2 * k] == owners[2 * k + 1]]
-        owners = [owners[r] for k in kept for r in (2 * k - 1, 2 * k)][1:]
-        bounds = [bounds[k] for k in kept]
-        runs = _label_runs(owners)  # each maximal run of one owner is one part of its region
-        eliminated = {b: annihilator(b, self.d) for b in dict.fromkeys(p.basis for p in self.pieces)}
-        self.__dict__.update(pieces=tuple(FieldPiece(_of_runs(bounds, runs.get(i, ())), p.basis) for i, p in enumerate(self.pieces)),
-                             bounds=bounds, owners=owners)
-        # annihilators[i]: the rows whose common kernel is L on piece i
-        self.__dict__["annihilators"] = tuple(eliminated[p.basis] for p in self.pieces)
+        kept = [k for k in range(last + 1) if k in (0, last) or not rows[2 * k - 1] == rows[2 * k] == rows[2 * k + 1]]
+        self.__dict__.update(pieces=tuple(FieldPiece(_of_runs(bounds, runs.get(i, ())), b) for i, b in enumerate(bases)),
+                             cuts=[bounds[k] for k in kept], rows=[rows[r] for k in kept for r in (2 * k - 1, 2 * k)][1:])
 
     @classmethod
     def full(cls, d: int) -> "SubspaceField":
         return cls(d, (FieldPiece(SymbolicSubset.full(), identity_columns(d)),))
 
     def annihilator_at(self, x: Fraction) -> tuple[GaussianIntVector, ...]:
-        """The annihilator rows of L_x, from the owner table: x is bounds[i] or
+        """The annihilator rows of L_x, from the runs of one L: x is cuts[i] or
         lies in the gap before it. OutOfRange for x outside [0, 1]."""
         _check_range(x)
-        i = bisect_left(self.bounds, x)
-        return self.annihilators[self.owners[2 * i - (self.bounds[i] != x)]]
+        i = bisect_left(self.cuts, x)
+        return self.rows[2 * i - (self.cuts[i] != x)]
 
 
 def _dot(a: GaussianIntVector, w: GaussianIntVector) -> tuple[int, int]:
     """The plain bilinear product a·w in Gaussian integers."""
-    return (sum(ar * x - ai * y for (ar, ai), (x, y) in zip(a, w)),
-            sum(ar * y + ai * x for (ar, ai), (x, y) in zip(a, w)))
+    re = im = 0
+    for (ar, ai), (x, y) in zip(a, w):
+        re += ar * x - ai * y
+        im += ar * y + ai * x
+    return re, im
 
 
 def _outside(ann: tuple[GaussianIntVector, ...], w: GaussianIntVector) -> bool:
@@ -120,60 +140,76 @@ def _outside(ann: tuple[GaussianIntVector, ...], w: GaussianIntVector) -> bool:
 # --- atoms: the common refinement of the partition and section pieces ------
 
 class Atom(NamedTuple):
-    """Point (lo == hi) or open interval (lo, hi): field piece `piece_index`, section piece `section_index`."""
+    """Point (lo == hi) or open interval (lo, hi): the annihilator rows `ann`
+    of L there, and section piece `section_index`."""
 
     lo: Fraction
     hi: Fraction
-    piece_index: int
+    ann: tuple[GaussianIntVector, ...]
     section_index: int
     is_point: bool
 
 
 def field_atoms(field: SubspaceField, breakpoints) -> list[Atom]:
     """Atoms in order, for a section with these breakpoints: the field's
-    ordered partition with the section's inner breakpoints merged in. A
-    breakpoint inside a gap splits it around a point atom of the gap's
-    owner; the breakpoints at or before an atom number the section's piece."""
-    bounds, inner, k = field.bounds, breakpoints[1:-1], 0
+    runs of one L (`cuts` and `rows`) with the section's inner breakpoints
+    merged in. A breakpoint inside a gap splits it around a point atom with
+    the gap's rows; the breakpoints at or before an atom number the
+    section's piece."""
+    bounds, inner, k = field.cuts, breakpoints[1:-1], 0
     atoms = []
-    for r, i in enumerate(field.owners):
+    for r, ann in enumerate(field.rows):
         lo = bounds[r // 2]
         if r % 2 == 0:
             if k < len(inner) and inner[k] == lo:
                 k += 1
-            atoms.append(Atom(lo, lo, i, k, True))
+            atoms.append(Atom(lo, lo, ann, k, True))
             continue
         hi = bounds[r // 2 + 1]
         while k < len(inner) and inner[k] < hi:
-            atoms += (Atom(lo, inner[k], i, k, False), Atom(inner[k], inner[k], i, k + 1, True))
+            atoms += (Atom(lo, inner[k], ann, k, False), Atom(inner[k], inner[k], ann, k + 1, True))
             lo, k = inner[k], k + 1
-        atoms.append(Atom(lo, hi, i, k, False))
+        atoms.append(Atom(lo, hi, ann, k, False))
     return atoms
+
+
+def _walk(m: PiecewiseSection, atoms):
+    """The one per-atom kernel: each atom of `atoms` (`field_atoms` of m's
+    breakpoints), with what m's piece does there. At a point atom that is
+    whether its value leaves L (never, for a full-fiber piece). On an
+    interval atom it is the integer parts of the residual polynomials, the
+    annihilator rows dotted with the piece's columns, if any part is
+    nonzero, else (): the piece then lies in L on the whole atom."""
+    for atom in atoms:
+        ann, cols = atom.ann, m.pieces[atom.section_index][1]
+        if not ann:  # the full fiber
+            yield atom, False if atom.is_point else ()
+        elif atom.is_point:
+            yield atom, _outside(ann, _scaled_value(cols, atom.lo))
+        else:
+            resid = [part for a in ann for part in zip(*(_dot(a, col) for col in cols))]
+            yield atom, resid if any(map(any, resid)) else ()
 
 
 def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
     """Exact defect set {x : m(x) ∉ L_x}, from each section piece's columns,
-    in normal form straight from the ordered atoms (`subsets._runs`).
-
-    Atoms of full-fiber pieces are outside; a point atom tests the columns'
-    value there. On an interval atom the annihilator rows dotted with the
-    columns give the residual polynomials' integer parts: the piece lies in
-    L iff they all vanish, and else their common roots (rational, or
-    rejected) split the atom in place into gaps inside the set and points
-    outside it.
-    """
+    in normal form straight from the ordered atoms (`subsets._runs`)."""
     if m.d != field.d:
         raise DimensionMismatch("section and field dimensions differ")
+    return _residual_set(m, field_atoms(field, m.breakpoints))
+
+
+def _residual_set(m: PiecewiseSection, atoms) -> SymbolicSubset:
+    """The residual set of m from its atoms: a point atom is in the set iff
+    m leaves L there. On an interval atom with nonzero residuals their
+    common roots (rational, or rejected) split the atom in place into gaps
+    inside the set and points outside it."""
     bounds, inside = [], []
-    for atom in field_atoms(field, m.breakpoints):
-        ann = field.annihilators[atom.piece_index]
-        cols = m.pieces[atom.section_index][1]
+    for atom, resid in _walk(m, atoms):
         if atom.is_point:
             bounds.append(atom.lo)
-            inside.append(bool(ann) and _outside(ann, _scaled_value(cols, atom.lo)))
-            continue
-        resid = [part for a in ann for part in zip(*(_dot(a, col) for col in cols))]
-        if any(any(part) for part in resid):
+            inside.append(resid)
+        elif resid:
             zeros = [z for z in exact_zero_points(resid, atom.lo, atom.hi) if atom.lo < z < atom.hi]
             bounds += zeros
             inside += [True, False] * len(zeros) + [True]
@@ -182,10 +218,19 @@ def residual_set(m: PiecewiseSection, field: SubspaceField) -> SymbolicSubset:
     return _runs(bounds, inside)
 
 
+def _residual_empty(m: PiecewiseSection, field: SubspaceField) -> bool:
+    """residual_set(m, field).is_empty(), with no root found: the walk stops
+    at the first point atom outside L or interval atom with a nonzero
+    residual, since an open interval minus finitely many roots is never
+    empty."""
+    return not any(resid for _, resid in _walk(m, field_atoms(field, m.breakpoints)))
+
+
 @cache
 def _zero_field(d: int) -> SubspaceField:
-    """L ≡ 0 on C^d: one piece with no columns, so its annihilator is the identity rows."""
-    return SubspaceField(d, (FieldPiece(SymbolicSubset.full(), ()),))
+    """L ≡ 0 on C^d: one piece with no columns, so its annihilator is the
+    identity rows, owning all three regions of the bounds 0 and 1."""
+    return SubspaceField._of(d, ((),), [ZERO, ONE], [0, 0, 0])
 
 
 def support_set(m: PiecewiseSection) -> SymbolicSubset:
@@ -231,7 +276,12 @@ class FieldAnalysis:
 
 
 def analyze_field(spec: FieldModuleSpec) -> FieldAnalysis:
-    defects = tuple(residual_set(g, spec.subfield) for g in spec.generators)
+    """Each generator's residual set, over one atom list per distinct
+    breakpoint tuple."""
+    # keyed by the inner breakpoints, as a one-piece generator has none to hash
+    by_inner = {g.breakpoints[1:-1]: g.breakpoints for g in spec.generators}
+    atoms = {inner: field_atoms(spec.subfield, bps) for inner, bps in by_inner.items()}
+    defects = tuple(_residual_set(g, atoms[g.breakpoints[1:-1]]) for g in spec.generators)
     total = SymbolicSubset(
         points=tuple(p for s in defects for p in s.points),
         intervals=tuple(iv for s in defects for iv in s.intervals),
@@ -267,27 +317,30 @@ def _minors(gens, d: int):
     return (minor(s) for s in combinations(range(len(gens)), d))
 
 
-def _rank_drop(minors, a: Fraction, b: Fraction, rest: SymbolicSubset) -> str | None:
-    """Where rank G < d on `rest` ⊆ [a, b], from the gcd h of the minors of
-    G: nowhere for a constant h, everywhere for h = 0, else at a root of h
-    in `rest`. Each partial gcd is a multiple of h: the scan stops once one
-    is constant, or is left unchanged by a minor and has no root in `rest`."""
+def _rank_drop(minors, a: Fraction, b: Fraction, defect: SymbolicSubset) -> str | None:
+    """Where rank G < d on rest = [a, b] \\ defect, from the gcd h of the
+    minors of G: nowhere for a constant h, everywhere for h = 0, else at a
+    root of h in rest. Each partial gcd is a multiple of h: the scan stops
+    once one is constant, or is left unchanged by a minor and has no root in
+    rest."""
     h = checked = []
     for part in (q for m in minors for q in zip(*(z for (z,) in m)) if any(q)):
         g = poly_gcd(h, part)
         if len(g) == 1:
             return None
         if g == h != checked:
-            if _root_in(h, rest) is None:
+            if _root_in(h, a, b, defect) is None:
                 return None
             checked = h
         h = g
-    return f"on all of [{a}, {b}]" if not h else _root_in(h, rest)
+    return f"on all of [{a}, {b}]" if not h else _root_in(h, a, b, defect)
 
 
-def _root_in(h: list[int], rest: SymbolicSubset) -> str | None:
-    """Where the nonconstant integer polynomial h has a root in `rest`,
-    rational or not (points exactly, intervals by Sturm count)."""
+def _root_in(h: list[int], a: Fraction, b: Fraction, defect: SymbolicSubset) -> str | None:
+    """Where the nonconstant integer polynomial h has a root in the rest
+    [a, b] \\ defect, built here, rational or not (points exactly,
+    intervals by Sturm count)."""
+    rest = SymbolicSubset.interval(a, b).difference(defect)
     for x in rest.points:
         if _value(h, x.numerator, x.denominator) == 0:
             return f"at x = {x}"
@@ -297,21 +350,32 @@ def _root_in(h: list[int], rest: SymbolicSubset) -> str | None:
     return None
 
 
+def _covers(defect: SymbolicSubset, a: Fraction, b: Fraction) -> bool:
+    """[a, b] ⊆ defect, for a < b and defect in normal form: its parts are
+    pairwise apart (none meets the closure of another), so the connected
+    [a, b] lies in the set iff one interval covers it, each end closed where
+    it meets a or b."""
+    return any((iv.lo < a or iv.lo == a and iv.lo_closed) and (b < iv.hi or b == iv.hi and iv.hi_closed)
+               for iv in defect.intervals)
+
+
 def check_generator_spanning(spec: FieldModuleSpec, defect: SymbolicSubset) -> int:
     """Certify that the generators span the full fiber C^d off the defect
     set, as taking the subspace field as primary data needs; return the
     number of cells certified, or raise GeneratorsNotSpanning. On a cell
     [a, b] between generator breakpoints the generators are one polynomial
     matrix G; its minors come lazily, and their gcd stops once constant.
+    A cell that one interval of the defect set covers is skipped, and the
+    rest of a cell is built only to look for a root of a nonconstant gcd.
     Sections that vanish at 0 and 1 live over the open interval (0, 1)."""
     if spec.vanish_at_boundary:
         defect = defect | SymbolicSubset(points=(ZERO, ONE))
-    cuts = sorted({b for g in spec.generators for b in g.breakpoints})
-    cells = [(a, b, rest) for a, b in zip(cuts, cuts[1:])
-             if not (rest := SymbolicSubset.interval(a, b).difference(defect)).is_empty()]
-    for a, b, rest in cells:
-        gens = [g.pieces[g.piece_index_for_interval(a)][1] for g in spec.generators]
-        where = _rank_drop(_minors(gens, spec.d), a, b, rest)
+    cuts, slot = _order([b for g in spec.generators for b in g.breakpoints])
+    on = [_cell_pieces(g.breakpoints, slot) for g in spec.generators]  # each generator's piece on each cell
+    cells = [(c, a, b) for c, (a, b) in enumerate(zip(cuts, cuts[1:])) if not _covers(defect, a, b)]
+    for c, a, b in cells:
+        gens = [g.pieces[i[c]][1] for g, i in zip(spec.generators, on)]
+        where = _rank_drop(_minors(gens, spec.d), a, b, defect)
         if where:
             raise GeneratorsNotSpanning(f"generators span a proper subspace of C^{spec.d} {where}")
     return len(cells)
@@ -374,7 +438,7 @@ def essential_witness(
         a=a,
         ma=ma,
         support=(alpha, beta),
-        residual_empty=residual_set(ma, field).is_empty(),
+        residual_empty=_residual_empty(ma, field),
         ma_nonzero=not ma.is_zero(),
     )
 
@@ -432,7 +496,7 @@ def non_essential_witness(
         probes.append(
             ProbeReport(
                 interval=(u, w),
-                residual_empty=residual_set(mab, field).is_empty(),
+                residual_empty=_residual_empty(mab, field),
                 product_zero=mab.is_zero(),
             )
         )

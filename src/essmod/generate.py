@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import IrrationalRoot, SizeCap
-from .fields import FieldModuleSpec, FieldPiece, SubspaceField, residual_set
+from .fields import FieldModuleSpec, SubspaceField, residual_set
 from .linalg import column_space_projector
 from .modules import ModuleElement, module_basis
 from .rationals import identity_columns
@@ -33,7 +33,7 @@ from .serialize import (
     module_element_to_json,
     shape_to_json,
 )
-from .subsets import _label_runs, _of_runs, _order
+from .subsets import _order
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -249,7 +249,8 @@ def _gen_field_attempt(
     open gap between its interval ends, then the full-fiber cells [0, c₁),
     …, [c_m, 1] cut at up to 3 dyadic points, each owning the rest of its
     span. Every bound is ordered once (`_order`), each region gets its
-    owner, and each piece's runs of regions are its normal form: no sweep."""
+    owner, and the field is built from that table (`SubspaceField._of`),
+    normalized as a loaded one is, with no sweep and no second ordering."""
     full_basis = identity_columns(d)
     planted = []  # (ends, basis): a point (x,) or an open interval (lo, hi)
     if defect == "points":
@@ -265,9 +266,10 @@ def _gen_field_attempt(
         inner = len(ends) - 1  # an interval owns the gaps between its ends, not the ends
         first, last = slot[ends[0].as_integer_ratio()] + inner, slot[ends[-1].as_integer_ratio()] - inner
         owners[first:last + 1] = [i] * (last + 1 - first)
-    runs = _label_runs(owners)
     bases = [basis for _, basis in planted] + [full_basis] * (len(cuts) + 1)
-    field = SubspaceField(d, tuple(FieldPiece(_of_runs(bounds, runs[i]), b) for i, b in enumerate(bases) if i in runs))
+    used = sorted(set(owners))  # a cell inside the planted interval owns nothing and is no piece
+    index = {i: n for n, i in enumerate(used)}
+    field = SubspaceField._of(d, tuple(bases[i] for i in used), bounds, [index[i] for i in owners])
     generators = [PiecewiseSection._of(d, (ZERO, ONE), ((1, (col,)),)) for col in full_basis]
     while len(generators) < n_generators:
         extra = _rand_poly_section(rng, d)

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -311,14 +311,16 @@ def _basis_to_json(basis: tuple[GaussianIntVector, ...]) -> list:
 
 
 def _basis_from_json(doc, d: int) -> tuple[GaussianIntVector, ...]:
-    """Each written column times the lcm of its entries' denominators: the
-    one column of the constant piece `from_ratios` makes of it (d ≥ 1)."""
+    """Each written column times the lcm of its entries' denominators, as
+    Gaussian integers (d ≥ 1). Every entry is read before any length is
+    checked."""
     columns = _require(doc, list, "basis")
     cols = [[_crat_parts(e) for e in _require(col, list, "basis column")] for col in columns]
     for col in cols:
         if len(col) != d:
             raise SchemaError(f"basis column of length {len(col)}, expected {d}")
-    return tuple(from_ratios([[z] for z in col])[1][0] for col in cols)
+    dens = [lcm(*(q for z in col for _, q in z)) for col in cols]
+    return tuple(tuple((p * (den // q), r * (den // t)) for (p, q), (r, t) in col) for den, col in zip(dens, cols))
 
 
 def field_spec_to_json(spec: FieldModuleSpec) -> dict:

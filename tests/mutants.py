@@ -89,15 +89,15 @@ MUTANTS = (
     Mutant(
         "annihilators-keyed-by-column-count",
         "src/essmod/fields.py",
-        "tuple(eliminated[p.basis] for p in self.pieces)",
-        "tuple(eliminated[next(b for b in eliminated if len(b) == len(p.basis))] for p in self.pieces)",
+        "rows = [eliminated[bases[i]] for i in owners]",
+        "rows = [eliminated[next(c for c in eliminated if len(c) == len(bases[i]))] for i in owners]",
         ("tests/test_fields.py::test_loading_sweeps_nothing_and_eliminates_each_basis_once",),
     ),
     Mutant(
         "basis-cleared-by-real-denominators-only",
-        "src/essmod/sections.py",
-        "den = lcm(*[q for coord in coords for z in coord for _, q in z])",
-        "den = lcm(*[z[0][1] for coord in coords for z in coord])",
+        "src/essmod/serialize.py",
+        "dens = [lcm(*(q for z in col for _, q in z)) for col in cols]",
+        "dens = [lcm(*(z[0][1] for z in col)) for col in cols]",
         ("tests/test_serialize.py::test_basis_parse_matches_fraction_path",),
     ),
     Mutant(
@@ -308,10 +308,50 @@ MUTANTS = (
     Mutant(
         "zero-field-spans-the-fiber",
         "src/essmod/fields.py",
-        "FieldPiece(SymbolicSubset.full(), ()),",
-        "FieldPiece(SymbolicSubset.full(), identity_columns(d)),",
+        "return SubspaceField._of(d, ((),), [ZERO, ONE], [0, 0, 0])",
+        "return SubspaceField._of(d, (identity_columns(d),), [ZERO, ONE], [0, 0, 0])",
         ("tests/test_sections.py::test_zero_and_support_sets",
          "tests/test_properties.py::test_property_passes_alone[fields.criterion_coherence]"),
+    ),
+    # A sesquilinear form conjugate-linear in the wrong argument: ⟨mc, m⟩ then carries c where it carried c̄.
+    Mutant(
+        "inner-product-conjugates-the-right-factor",
+        "src/essmod/sections.py",
+        "(du, cu), (dv, cv) = u.pieces[i], v.pieces[j]",
+        "(du, cu), (dv, cv) = v.pieces[j], u.pieces[i]",
+        ("tests/test_properties.py::test_property_passes_alone[fields.commutative_identity]",),
+    ),
+    # Samples numbered from 0: the first λ is 2^0 = 1, above its bound 1/2.
+    Mutant(
+        "inductive-samples-counted-from-zero",
+        "src/essmod/fields.py",
+        "enumerate(zip(xs, nums, widths, ends, picks, anns, here), start=1)",
+        "enumerate(zip(xs, nums, widths, ends, picks, anns, here), start=0)",
+        ("tests/test_properties.py::test_property_passes_alone[fields.inductive_postcondition]",),
+    ),
+    # A defect interval open at the cell's end a leaves the point a of the cell uncovered.
+    Mutant(
+        "cover-scan-ignores-an-open-end",
+        "src/essmod/fields.py",
+        "iv.lo < a or iv.lo == a and iv.lo_closed",
+        "iv.lo <= a",
+        ("tests/test_fields.py::test_cover_scan_matches_the_rest_of_the_cell",),
+    ),
+    # A unit generator leaves a `points` field only at planted point atoms.
+    Mutant(
+        "emptiness-walk-skips-point-atoms",
+        "src/essmod/fields.py",
+        "not any(resid for _, resid in _walk(m, field_atoms(field, m.breakpoints)))",
+        "not any(resid for atom, resid in _walk(m, field_atoms(field, m.breakpoints)) if not atom.is_point)",
+        ("tests/test_fields.py::test_emptiness_walk_matches_the_residual_set",),
+    ),
+    # A rank cut 1000 times too high moves the float decision's flip from e = 33 to e = 23.
+    Mutant(
+        "rank-cut-a-thousand-times-the-tolerance",
+        "src/essmod/linalg.py",
+        "return int(np.sum(s > tol * max(1.0, s[0])))",
+        "return int(np.sum(s > 1e3 * tol * max(1.0, s[0])))",
+        ("tests/test_modules.py::test_float_decision_flips_at_the_tolerance_band",),
     ),
 )
 

@@ -1,10 +1,12 @@
-"""The work of the non-essential field witness, counted call by call.
+"""The work of the field decision and witnesses, counted call by call.
 
 Over the seed-1 `field_corpus` documents with a planted interval defect
 (tests/field_docs.py), every `subsets._sweep` and `sections.from_coeffs`
 call made while `runner._non_essential_witnesses` runs is counted; the
-decision it starts from is taken before counting. The counts are
-deterministic: they depend on the documents, not on timing.
+decision it starts from is taken before counting. Over the first 24
+documents, the atom lists, spanning sweeps and residual roots of `check`
+and `witness` are counted. The counts are deterministic: they depend on
+the documents, not on timing.
 """
 
 import pytest
@@ -51,3 +53,66 @@ def test_non_essential_witness_takes_no_sweep_and_no_fraction_piece(decided, mon
         runner._non_essential_witnesses(spec, decision, 8)
     assert calls["_sweep"] <= MAX_SWEEPS * len(decided), calls
     assert calls["from_coeffs"] <= MAX_FROM_COEFFS * len(decided), calls
+
+
+# The field decision and the field witnesses over the first 24 seed-1
+# `field_corpus` documents, each through `run_check` and `run_witness`.
+# Before atoms were shared, each analysis built one atom list per generator:
+# 234 lists, where the generators have 48 distinct breakpoint tuples. Each
+# spanning cell built its rest by a constructor and a difference sweep: 96
+# sweeps. The witnesses' emptiness tests found residual roots: 8
+# `exact_zero_points` calls beyond those of the sets the witnesses report.
+FIELD_ATOM_LISTS = 48
+SPANNING_SWEEPS = 0
+EMPTINESS_ZERO_POINTS = 0
+
+
+def test_field_decisions_build_only_what_they_report(monkeypatch):
+    """An analysis builds one atom list per distinct generator breakpoint
+    tuple, the spanning certificate builds no subset for a cell, and a
+    witness finds no root beyond those of the sets it reports."""
+    docs = corpus_fields(1)[:24]
+    counts, active, witnesses = {}, [], []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            for key in (name, *((outer, name) for outer in active)):
+                counts[key] = counts.get(key, 0) + 1
+            active.append(name)
+            try:
+                result = original(*args, **kwargs)
+            finally:
+                active.pop()
+            if name.endswith("_witness"):
+                witnesses.append((name, args, result))
+            return result
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in ((fields, "analyze_field"), (fields, "field_atoms"), (fields, "check_generator_spanning"),
+                         (essmod.subsets, "_sweep"), (fields, "exact_zero_points"),
+                         (fields, "essential_witness"), (fields, "non_essential_witness")):
+        counted(module, name)
+    distinct = 0
+    for doc in docs:
+        spec = serialize.field_spec_from_json(doc["payload"])
+        distinct += 2 * len({g.breakpoints for g in spec.generators})  # one analysis in check, one in witness
+        runner.run_check(doc)
+        runner.run_witness(doc)
+    assert counts["analyze_field"] == 48
+    assert counts[("analyze_field", "field_atoms")] == distinct == FIELD_ATOM_LISTS
+    assert counts.get(("check_generator_spanning", "_sweep"), 0) == SPANNING_SWEEPS
+    in_witnesses = sum(counts.get((w, "exact_zero_points"), 0) for w in ("essential_witness", "non_essential_witness"))
+
+    # the roots of the sets the witnesses report: the support of m (essential),
+    # or the support and the residual set of m·a (non-essential)
+    before = counts.get("exact_zero_points", 0)
+    for name, (m, field, _), w in witnesses:
+        if name == "essential_witness":
+            fields.support_set(m)
+        else:
+            fields.support_set(w.ma)
+            fields.residual_set(w.ma, field)
+    assert len(witnesses) == 24
+    assert in_witnesses - (counts["exact_zero_points"] - before) == EMPTINESS_ZERO_POINTS

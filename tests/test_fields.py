@@ -69,7 +69,7 @@ def test_partition_must_cover_and_not_overlap():
 def test_basis_columns_must_have_the_fiber_dimension():
     with pytest.raises(DimensionMismatch, match="fiber dimension"):
         SubspaceField(2, (FieldPiece(SymbolicSubset.full(), (((1, 0),),)),))
-    assert SubspaceField(2, (FieldPiece(SymbolicSubset.full(), ()),)).annihilators == (identity_columns(2),)
+    assert SubspaceField(2, (FieldPiece(SymbolicSubset.full(), ()),)).rows == [identity_columns(2)] * 3
 
 
 def test_annihilator_at_refuses_points_outside_the_unit_interval():
@@ -84,12 +84,12 @@ def test_annihilator_at_refuses_points_outside_the_unit_interval():
 
 @pytest.mark.parametrize("defect", ["points", "interval"])
 def test_annihilator_at_reads_the_owning_piece(defect):
-    """At every partition bound and inside every gap, the owner table gives
+    """At every partition bound and inside every gap, the runs of one L give
     the annihilator of the piece whose region holds the point."""
     field = field_spec_from_json(gen_field(3, 12, 4, defect, 7)["payload"]).subfield
     bounds = projector_oracle.partition_bounds(field)
     for x in bounds + [a + (b - a) * F(k, 5) for a, b in zip(bounds, bounds[1:]) for k in (1, 4)]:
-        assert field.annihilator_at(x) == field.annihilators[projector_oracle.owner(field, x)]
+        assert field.annihilator_at(x) == annihilator(field.pieces[projector_oracle.owner(field, x)].basis, 3)
 
 
 def test_projectors_are_exact_idempotents():
@@ -621,6 +621,63 @@ def test_spanning_certificate_matches_all_minors_oracle(case):
         assert spans_off_defect_oracle(gens, d, defect)
 
 
+# a cell [1/4, 3/4] and one defect interval on it, each end open or closed
+QUARTERS = (F(1, 4), F(3, 4))
+
+
+@st.composite
+def cells_and_defects(draw):
+    """A cell [a, b] and a defect set whose points and interval ends lie on
+    the grid of eighths, so that they often meet a or b exactly."""
+    grid = [F(k, 8) for k in range(9)]
+    a, b = sorted(draw(st.lists(st.sampled_from(grid), min_size=2, max_size=2, unique=True)))
+    points = draw(st.lists(st.sampled_from(grid), max_size=3))
+    intervals = []
+    for _ in range(draw(st.integers(0, 3))):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(grid), min_size=2, max_size=2)))
+        intervals.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return a, b, SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
+
+
+@settings(deadline=None, max_examples=300)
+@given(cells_and_defects())
+@example((*QUARTERS, SymbolicSubset.interval(*QUARTERS, True, True)))
+@example((*QUARTERS, SymbolicSubset.interval(*QUARTERS, False, True)))
+@example((*QUARTERS, SymbolicSubset.interval(*QUARTERS, True, False)))
+@example((*QUARTERS, SymbolicSubset.interval(*QUARTERS, False, False)))
+@example((*QUARTERS, SymbolicSubset(points=QUARTERS, intervals=(Interval(*QUARTERS, False, False),))))
+@example((*QUARTERS, SymbolicSubset.interval(0, F(3, 4), True, False)))
+@example((*QUARTERS, SymbolicSubset.interval(F(1, 4), 1, False, True)))
+def test_cover_scan_matches_the_rest_of_the_cell(case):
+    """A cell is skipped iff the rest [a, b] minus the defect set is empty:
+    one covering interval of the normal form decides it, ends included."""
+    a, b, defect = case
+    assert fields._covers(defect, a, b) == SymbolicSubset.interval(a, b).difference(defect).is_empty()
+
+
+@pytest.mark.parametrize("defect", ["none", "points", "interval"])
+@settings(deadline=None, max_examples=10)
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_emptiness_walk_matches_the_residual_set(defect, d, seed):
+    """The witnesses' emptiness test, against the residual set it stands for,
+    on generated fields: the generators, sections refined and bumped at the
+    partition's bounds, and a multiple of each generator or the zero
+    section. A unit generator leaves a `points` field only at planted
+    points."""
+    spec = field_spec_from_json(gen_field(d, 6, d + 2, defect, seed)["payload"])
+    rng = random.Random(seed)
+    found_points_only = False
+    for g in spec.generators:
+        for m in (g, *multi_piece_sections(g, spec.subfield, rng), g.scale(rng.randint(1, 3)) - g.scale(2)):
+            try:
+                want = residual_set(m, spec.subfield)
+            except IrrationalRoot:
+                continue
+            assert fields._residual_empty(m, spec.subfield) == want.is_empty()
+            found_points_only |= bool(want.points) and not want.intervals
+    assert found_points_only or defect != "points"
+
+
 # --- the loader orders a written partition once -----------------------------
 
 def written_interval(lo, hi, lo_closed, hi_closed) -> dict:
@@ -705,23 +762,26 @@ X, O = True, False  # closed and open interval ends in the examples below
               {"points": ["1"], "intervals": [written_interval("2/3", "1", O, O)]}],
           [WRITTEN_BASES[2][1], WRITTEN_BASES[2][2], WRITTEN_BASES[2][1]]))  # a gap covered twice by its piece
 def test_written_partition_loads_as_its_normal_form(case):
-    """A partition written un-normalized loads to the owner table, regions
-    and annihilators of its normal form: bounds where the owner changes,
-    each piece's region what the set constructor makes of its parts, one
-    annihilator per piece from its columns. A fault gives the message of
-    per-region normalization: an overlap between pieces, a gap, lo > hi, a
-    value outside [0, 1]."""
+    """A partition written un-normalized loads to the regions and runs of
+    one L of its normal form: each piece's region what the set constructor
+    makes of its parts, and the annihilator of the owning piece's columns
+    at every bound and in every gap, with a cut exactly where it changes.
+    A fault gives the message of per-region normalization: an overlap
+    between pieces, a gap, lo > hi, a value outside [0, 1]."""
     d, partition, bases = case
     field = field_spec_from_json(field_payload(d, partition, bases)).subfield
     regions = [region_of(doc) for doc in partition]
     assert tuple(p.region for p in field.pieces) == tuple(regions)
-    ends = {x for s in regions for x in (*s.points, *(e for iv in s.intervals for e in (iv.lo, iv.hi)))}
-    assert field.bounds == sorted(ends | {F(0), F(1)})
-    probes = [x for a, b in zip(field.bounds, field.bounds[1:]) for x in (a, (a + b) / 2)] + [F(1)]
-    assert field.owners == [next(i for i, s in enumerate(regions) if s.contains(x)) for x in probes]
+    ends = sorted({x for s in regions for x in (*s.points, *(e for iv in s.intervals for e in (iv.lo, iv.hi)))}
+                  | {F(0), F(1)})
+    probes = [x for a, b in zip(ends, ends[1:]) for x in (a, (a + b) / 2)] + [F(1)]
+    owned = [annihilator(field.pieces[next(i for i, s in enumerate(regions) if s.contains(x))].basis, d) for x in probes]
+    assert [field.annihilator_at(x) for x in probes] == owned
+    assert set(field.cuts) <= set(ends)
+    rows = field.rows
+    assert all(not rows[2 * k - 1] == rows[2 * k] == rows[2 * k + 1] for k in range(1, len(field.cuts) - 1))
     normal = field_spec_from_json(field_payload(d, [subset_to_json(s) for s in regions], bases)).subfield
-    assert (normal.bounds, normal.owners, normal.annihilators) == (field.bounds, field.owners, field.annihilators)
-    assert field.annihilators == tuple(annihilator(p.basis, d) for p in field.pieces)
+    assert (normal.cuts, normal.rows) == (field.cuts, field.rows)
 
     owner, doc = next((i, doc) for i, doc in enumerate(partition) if not regions[i].is_empty())
     faults = [
@@ -768,6 +828,8 @@ def test_loading_sweeps_nothing_and_eliminates_each_basis_once(monkeypatch):
         distinct = len({p.basis for p in field.pieces})
         assert counts == {"_sweep": 0, "annihilator": distinct,
                           "_reduced": sum(len(g["pieces"]) for g in payload["generators"])}
-        assert field.annihilators == tuple(annihilator(p.basis, field.d) for p in field.pieces)
+        bounds = projector_oracle.partition_bounds(field)
+        for x in bounds + [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]:
+            assert field.annihilator_at(x) == annihilator(field.pieces[projector_oracle.owner(field, x)].basis, field.d)
         shared += len(field.pieces) - distinct
     assert shared > 0  # some documents repeat a basis, so the count tells sharing from none

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from essmod import linalg, serialize
+from essmod import linalg, runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape, is_essential_right_ideal
 from essmod.errors import ShapeMismatch, ZeroInput
 from essmod.generate import (
@@ -533,6 +533,28 @@ def test_rank_one_coordinate_submodule_not_essential():
     for e in matrix_units(M2):
         prod = cert.witness * e
         assert prod.is_zero(1e-8) or not contains_oracle(n, prod)
+
+
+# The column gap where the float decision stops seeing two independent columns.
+TOLERANCE_FLIP = 33
+
+
+def test_float_decision_flips_at_the_tolerance_band():
+    """Columns e1 and e1 + 2^-e·e2 of C^2 (block_dims [1], k = 2) span C^2
+    exactly for every e. Their stacked matrix has σ_max ≈ √2 and
+    σ_min ≈ 2^-e/√2, and a rank counts σ above DEFAULT_TOL·σ_max, so the
+    `check` document reads essential up to e = 32 and not from e = 33 on:
+    the band where the float stack disagrees with exact rank."""
+    decisions = {}
+    for e in range(20, 61):
+        gens = (scalar_module(1, 0), scalar_module(1, 2.0 ** -e))
+        payload = {"shape": serialize.shape_to_json(C), "k": 2,
+                   "generators": [serialize.module_element_to_json(g) for g in gens]}
+        report = runner.run_check(serialize.instance_to_json("module_submodule", payload, None))
+        assert report["checks_ok"]
+        decisions[e] = report["decision"]
+    assert [e for e in decisions if not decisions[e]] == list(range(TOLERANCE_FLIP, 61))
+    assert 2.0 ** -(TOLERANCE_FLIP - 1) / 2 > DEFAULT_TOL > 2.0 ** -TOLERANCE_FLIP / 2
 
 
 def test_essentiality_agrees_with_randomized_probe_oracle():
