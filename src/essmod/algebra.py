@@ -140,21 +140,18 @@ class AlgebraElement(_Blocks):
     def adjoint(self) -> "AlgebraElement":
         return self._with(a.T.conj() for a in self.blocks)
 
-    def is_hermitian(self) -> bool:
-        """Every block b has b = b* entrywise within ACCEPT_TOL·(1 + ‖self‖)."""
-        scale = 1.0 + self.norm()
-        return all(linalg.is_hermitian(b, tol=ACCEPT_TOL * scale) for b in self.blocks)
-
 
 def is_projection(p: AlgebraElement) -> bool:
-    """p* = p = p² within the acceptance tolerance, scaled by 1 + ‖p‖ ≥ 1.
-    As ‖·‖₂ ≤ ‖·‖_F, p passes without a norm when every block b has each
-    entry of b − b* and ‖b² − b‖_F within the bare tolerance. A NaN fails
-    these bounds and reaches the norms, which refuse it."""
-    if all(np.max(np.abs(b - b.conj().T)) <= ACCEPT_TOL and np.linalg.norm(b @ b - b) <= ACCEPT_TOL
-           for b in p.blocks):
+    """p* = p = p² within the acceptance tolerance, scaled by 1 + ‖p‖ ≥ 1,
+    reading each block's residual max |b − b*| once. As ‖·‖₂ ≤ ‖·‖_F, p
+    passes without a norm when every block b has it and ‖b² − b‖_F within
+    the bare tolerance. A NaN fails these bounds and reaches the norms,
+    which refuse it."""
+    herm = [np.abs(b - b.conj().T).max() for b in p.blocks]
+    if all(h <= ACCEPT_TOL and np.linalg.norm(b @ b - b) <= ACCEPT_TOL for h, b in zip(herm, p.blocks)):
         return True
-    return p.is_hermitian() and (p * p).distance(p) <= ACCEPT_TOL * (1.0 + p.norm())
+    tol = ACCEPT_TOL * (1.0 + p.norm())
+    return all(h <= tol for h in herm) and (p * p).distance(p) <= tol
 
 
 @dataclass(frozen=True)

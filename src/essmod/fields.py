@@ -396,13 +396,18 @@ def is_essential_field(spec: FieldModuleSpec) -> FieldDecision:
     return FieldDecision(analysis.total.is_nowhere_dense(), analysis, cells)
 
 
+def _middle_half(iv) -> tuple[Fraction, Fraction]:
+    """The middle half of the interval iv, whose closure sits strictly inside it."""
+    quarter = (iv.hi - iv.lo) / 4
+    return iv.lo + quarter, iv.hi - quarter
+
+
 def _pick_interval(s: SymbolicSubset) -> tuple[Fraction, Fraction]:
-    """Largest interval component, shrunk so its closure sits strictly inside."""
+    """The middle half of the widest interval component of s (the first, on a tie)."""
     best = max(s.intervals, key=lambda iv: iv.hi - iv.lo, default=None)
     if best is None:
         raise NoRoom("the set contains no interval of positive length")
-    quarter = (best.hi - best.lo) / 4
-    return best.lo + quarter, best.hi - quarter
+    return _middle_half(best)
 
 
 @dataclass(frozen=True)
@@ -489,8 +494,7 @@ def non_essential_witness(
     closure_equal = z_ma.closure() == y_ma.closure()
     probes = []
     for iv in z_ma.intervals[:4]:
-        quarter = (iv.hi - iv.lo) / 4
-        u, w = iv.lo + quarter, iv.hi - quarter
+        u, w = _middle_half(iv)
         b = bump(u, w)
         mab = ma.mul_scalar_section(b)
         probes.append(
@@ -508,6 +512,36 @@ def non_essential_witness(
         ma_nonzero=not ma.is_zero(),
         probes=tuple(probes),
     )
+
+
+def direct_witness(spec: FieldModuleSpec, analysis: FieldAnalysis) -> NonEssentialWitness | None:
+    """The non-essential witness of the first generator whose defect set
+    (`analysis.defects`) holds an interval, or None if none does."""
+    return next((non_essential_witness(g, spec.subfield, defect)
+                 for g, defect in zip(spec.generators, analysis.defects) if defect.intervals), None)
+
+
+def witness_samples(total: SymbolicSubset, count: int) -> tuple[tuple[Fraction, Fraction], list[Fraction]]:
+    """Where the inductive witness goes: the middle half (lo, hi) of the
+    widest interval of closure(total)'s interior, and `count` distinct points
+    of the total defect set in it, in increasing order, taken from ever finer
+    dyadic grids of (lo, hi)."""
+    lo, hi = _pick_interval(total.closure().interior())
+    out: list[Fraction] = []
+    depth = 3
+    while len(out) < count and depth < 24:
+        step = (hi - lo) / (1 << depth)
+        # past the first grid only odd multiples are new: a coarser grid saw the rest
+        for i in range(1, 1 << depth, 1 if depth == 3 else 2):
+            x = lo + i * step
+            if total.contains(x):
+                out.append(x)
+                if len(out) == count:
+                    break
+        depth += 1
+    if len(out) < count:
+        raise PreconditionFailed("could not find enough defect samples in the interval")
+    return (lo, hi), sorted(out)
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - m.conj().T), initial=0.0) <= tol)
-
-
 def svd(a, compute_uv: bool = True):
     """np.linalg.svd of a finite matrix; an inf or NaN entry raises NonFinite.
     An all-zero matrix gets LAPACK's own answer, σ = 0 and U = I = V*,

@@ -55,10 +55,6 @@ class ModuleElement(_Blocks):
         stacked = (np.vstack([c.blocks[b] for c in coords]) for b in range(shape.num_blocks))
         return cls._of(shape, len(coords), stacked)
 
-    @classmethod
-    def zeros(cls, shape: AlgebraShape, k: int) -> "ModuleElement":
-        return cls(shape, k, tuple(np.zeros((k * n, n)) for n in shape.block_dims))
-
 
 def inner_product(x: ModuleElement, y: ModuleElement) -> AlgebraElement:
     """A-valued inner product Σ x_i* y_i = X_b* Y_b per block (linear in the
@@ -94,8 +90,7 @@ class Submodule:
     k·n_b × n_b matrix with columns in col M_b, where M_b puts the stacked
     block-b coordinates of the generators side by side. The submodule is
     therefore carried by its block projectors P_b onto col M_b, and its
-    zero test, its ideal J_N and the reformulation probe read them block
-    by block.
+    ideal J_N and the reformulation probe read them block by block.
     """
 
     shape: AlgebraShape
@@ -111,9 +106,6 @@ class Submodule:
     def block_projectors(self) -> tuple[np.ndarray, ...]:
         """P_b, the projector onto col M_b, per block, computed once."""
         return support_projectors(self.shape, self.k, self.generators)
-
-    def is_zero(self) -> bool:
-        return not any(p.any() for p in self.block_projectors)
 
 
 def ideal_of_submodule(N: Submodule) -> RightIdeal:

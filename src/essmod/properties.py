@@ -400,20 +400,10 @@ def prop_residual_subset_total(rng):
     return all(fields.residual_set(s, spec.subfield).difference(total).is_empty() for s in (m, bumped))
 
 
-def _widest_samples(total: SymbolicSubset, den: int, count: int):
-    """The widest interval (lo, hi) of the interior of `total`'s closure, and
-    its samples lo + (hi - lo)·i/den for i = 1..count, in order."""
-    iv = max(total.closure().interior().intervals, key=lambda i: i.hi - i.lo)
-    return (iv.lo, iv.hi), sorted({iv.lo + (iv.hi - iv.lo) * Fraction(i, den) for i in range(1, count + 1)})
-
-
-def _widest_witness(spec, total: SymbolicSubset, den: int, count: int):
-    """The inductive witness on `_widest_samples(total, den, count)`."""
-    return fields.inductive_witness_section(spec, *_widest_samples(total, den, count), total)
-
-
 @_property("fields.criterion_coherence")
 def prop_criterion_coherence(rng):
+    """The planted defect decides. A non-essential spec gets the witnesses
+    `essmod witness` reports, held to the report's rule."""
     planted = ("none", "points", "interval")[rng.randint(0, 2)]
     spec, _ = _planted_spec(rng.spawn(2), planted)
     decision = fields.is_essential_field(spec)
@@ -431,17 +421,14 @@ def prop_criterion_coherence(rng):
             if not w.verified:
                 return False
         return True
-    witness = _widest_witness(spec, decision.analysis.total, 8, 4)
-    inductive_ok = (
-        witness.sample_defects_verified
-        and not fields.residual_set(witness.m, spec.subfield).is_nowhere_dense()
+    total = decision.analysis.total
+    inductive = fields.inductive_witness_section(spec, *fields.witness_samples(total, 4), total)
+    direct = fields.direct_witness(spec, decision.analysis)
+    return (
+        inductive.verified
+        and (direct is None or direct.verified)
+        and not fields.residual_set(inductive.m, spec.subfield).is_nowhere_dense()
     )
-    direct_ok = False
-    for g, defect in zip(spec.generators, decision.analysis.defects):
-        if defect.intervals:
-            direct_ok = fields.non_essential_witness(g, spec.subfield, defect).verified
-            break
-    return inductive_ok or direct_ok
 
 
 @_property("fields.inductive_postcondition")
@@ -449,7 +436,7 @@ def prop_inductive_postcondition(rng):
     spec, _ = _planted_spec(rng.spawn(3), "interval")
     total = fields.is_essential_field(spec).analysis.total
     count = rng.randint(2, 6)
-    return _widest_witness(spec, total, count + 1, count).verified
+    return fields.inductive_witness_section(spec, *fields.witness_samples(total, count), total).verified
 
 
 @_property("fields.term_norm_bound")
@@ -467,7 +454,7 @@ def prop_term_norm_bound(rng):
     )
     spec = fields.FieldModuleSpec(spec.d, consts, spec.subfield)
     total = fields.is_essential_field(spec).analysis.total
-    interval, xs = _widest_samples(total, 5, 3)
+    interval, xs = fields.witness_samples(total, 3)
     prev = PiecewiseSection.zero(spec.d)
     for j, x in enumerate(xs, start=1):
         m = fields.inductive_witness_section(spec, interval, xs[:j], total).m

@@ -9,7 +9,6 @@ instance it was computed from plus a digest of its own canonical body
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
 from . import algebra, fields, modules, serialize
 from .errors import PreconditionFailed, SizeCap, ZeroInput
@@ -142,10 +141,10 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> serialize.Repo
 
 def _non_essential_witnesses(spec, decision, samples: int) -> dict:
     analysis = decision.analysis
-    lo, hi = fields._pick_interval(analysis.total.closure().interior())
-    xs = _dyadic_samples(lo, hi, samples, analysis.total)
+    (lo, hi), xs = fields.witness_samples(analysis.total, samples)
     inductive = fields.inductive_witness_section(spec, (lo, hi), xs, analysis.total)
-    doc = {
+    direct = fields.direct_witness(spec, analysis)
+    return {
         "kind": "non_essential",
         "interval": [frac_to_json(lo), frac_to_json(hi)],
         "samples": [frac_to_json(x) for x in xs],
@@ -155,37 +154,11 @@ def _non_essential_witnesses(spec, decision, samples: int) -> dict:
             "picks": list(inductive.picks),
             "sample_defects_verified": inductive.sample_defects_verified,
         },
+        "direct": None if direct is None else {
+            "support": [frac_to_json(direct.support[0]), frac_to_json(direct.support[1])],
+            "closure_equal": direct.closure_equal,
+            "ma_nonzero": direct.ma_nonzero,
+            "probes_ok": all(p.implication_holds for p in direct.probes),
+        },
+        "all_verified": inductive.verified and (direct is None or direct.verified),
     }
-    direct = next(
-        (fields.non_essential_witness(g, spec.subfield, defect)
-         for g, defect in zip(spec.generators, analysis.defects)
-         if defect.intervals),
-        None,
-    )
-    doc["direct"] = None if direct is None else {
-        "support": [frac_to_json(direct.support[0]), frac_to_json(direct.support[1])],
-        "closure_equal": direct.closure_equal,
-        "ma_nonzero": direct.ma_nonzero,
-        "probes_ok": all(p.implication_holds for p in direct.probes),
-    }
-    doc["all_verified"] = inductive.verified and (direct is None or direct.verified)
-    return doc
-
-
-def _dyadic_samples(lo: Fraction, hi: Fraction, count: int, defect) -> list[Fraction]:
-    """Distinct dyadic-grid points of (lo, hi) that lie in the defect set."""
-    out: list[Fraction] = []
-    depth = 3
-    while len(out) < count and depth < 24:
-        step = (hi - lo) / (1 << depth)
-        # past the first grid only odd multiples are new: a coarser grid saw the rest
-        for i in range(1, 1 << depth, 1 if depth == 3 else 2):
-            x = lo + i * step
-            if defect.contains(x):
-                out.append(x)
-                if len(out) == count:
-                    break
-        depth += 1
-    if len(out) < count:
-        raise PreconditionFailed("could not find enough defect samples in the interval")
-    return sorted(out)

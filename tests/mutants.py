@@ -313,6 +313,14 @@ MUTANTS = (
         ("tests/test_sections.py::test_zero_and_support_sets",
          "tests/test_properties.py::test_property_passes_alone[fields.criterion_coherence]"),
     ),
+    # A probe that holds only where m·a·b leaves L: the report's rule reads it, an OR with the inductive witness hid it.
+    Mutant(
+        "probe-implication-reads-residual-empty",
+        "src/essmod/fields.py",
+        "return (not self.residual_empty) or self.product_zero",
+        "return self.residual_empty or self.product_zero",
+        ("tests/test_properties.py::test_property_passes_alone[fields.criterion_coherence]",),
+    ),
     # A sesquilinear form conjugate-linear in the wrong argument: ⟨mc, m⟩ then carries c where it carried c̄.
     Mutant(
         "inner-product-conjugates-the-right-factor",

@@ -119,7 +119,7 @@ def test_inner_product_scalars():
 
 
 def test_inner_product_of_zero():
-    z = ModuleElement.zeros(MIXED, 3)
+    z = ModuleElement.from_coords([AlgebraElement.zeros(MIXED)] * 3)
     assert inner_product(z, z).is_zero()
 
 
@@ -164,7 +164,7 @@ def test_theta_scalar_example():
 
 
 def test_theta_of_zero_is_zero_operator():
-    z = ModuleElement.zeros(M2, 2)
+    z = ModuleElement.from_coords([AlgebraElement.zeros(M2)] * 2)
     rng = SplitMix64(22)
     y = rand_module_element(rng, M2, 2)
     assert theta(z, y).norm() <= 1e-12
@@ -270,7 +270,7 @@ def test_stacked_module_elements_match_coordinates():
             assert x.norm() == pytest.approx(np.sqrt(grid_sum([p.adjoint() * p for p in xs]).norm()), rel=1e-12)
             one = [AlgebraElement.zeros(shape) for _ in range(k)]
             one[k - 1] = matrix_unit(shape, shape.num_blocks - 1, 0, 0)
-            assert ModuleElement.zeros(shape, k).is_zero()
+            assert ModuleElement.from_coords([AlgebraElement.zeros(shape)] * k).is_zero()
             assert not ModuleElement.from_coords(one).is_zero()
 
 
@@ -362,11 +362,11 @@ def rand_generators(rng, shape, k):
 
 
 def test_submodule_questions_match_flattened_oracles():
-    """Equality by the block projectors (float_oracle.same_span), is_zero and
-    the reformulation probe, decided on the block projectors, agree with the
+    """Equality by the block projectors (float_oracle.same_span) and the
+    reformulation probe, decided on the block projectors, agree with the
     flattened span of all g·E."""
     rng = SplitMix64(32)
-    seen = {"same_span": set(), "is_zero": set(), "found": set()}
+    seen = {"same_span": set(), "found": set()}
     for _ in range(120):
         shape = (C, M2, MIXED)[rng.randint(0, 2)]
         k = rng.randint(1, 3)
@@ -379,9 +379,6 @@ def test_submodule_questions_match_flattened_oracles():
             other = Submodule(shape, k, rand_generators(rng, shape, k))
         assert same_span(n, other) == same_span_oracle(n, other)
         seen["same_span"].add(same_span(n, other))
-
-        assert n.is_zero() == (span_basis_oracle(n).shape[1] == 0)
-        seen["is_zero"].add(n.is_zero())
 
         dec, cert = is_essential_submodule(n)
         probes = [] if dec else [cert.witness]
@@ -445,7 +442,7 @@ def test_ideal_of_submodule_matches_range_definition_random():
         ideal = ideal_of_submodule(n)
         columns = []
         for _ in range(k):
-            col = ModuleElement.zeros(shape, k)
+            col = ModuleElement.from_coords([AlgebraElement.zeros(shape)] * k)
             for g in gens:
                 col = col + g * rand_algebra_element(rng, shape)
             columns.append(col)
@@ -468,7 +465,7 @@ def test_submodule_of_ideal_extremes():
     )
     assert all(linalg.op_norm(p - np.eye(len(p))) <= 1e-10 for p in full.block_projectors)
     zero = submodule_of_ideal(ideal_of_submodule(Submodule(C, 2, ())), C, 2)
-    assert zero.is_zero()
+    assert not any(p.any() for p in zero.block_projectors)
 
 
 def test_correspondence_roundtrip_random():
@@ -510,7 +507,7 @@ def test_probe_diagonal_line_misses():
 def test_probe_rejects_zero_input():
     n = Submodule(C, 2, ())
     with pytest.raises(ZeroInput):
-        reformulation_probe(ModuleElement.zeros(C, 2), n)
+        reformulation_probe(ModuleElement.from_coords([AlgebraElement.zeros(C)] * 2), n)
 
 
 # --- essentiality ---------------------------------------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import projector_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from projector_oracle import value_at
 from poly_oracle import GaussianPoly, RationalPoly, piece
 
@@ -20,6 +22,7 @@ from essmod.fields import (
     is_essential_field,
     non_essential_witness,
     residual_set,
+    witness_samples,
 )
 from essmod.generate import gen_field
 from essmod.rationals import identity_columns
@@ -129,6 +132,28 @@ def test_non_essential_witness_precondition_failure():
     m = PiecewiseSection.constant([1])
     with pytest.raises(PreconditionFailed):
         non_essential_witness(m, field, residual_set(m, field))
+
+
+# --- where the non-essential witnesses go -------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), pieces=st.integers(2, 16), extra=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1), count=st.integers(1, 64))
+def test_witness_samples_are_defect_points_of_the_middle_half(d, pieces, extra, seed, count):
+    """The policy `essmod witness` and the suite share: `count` increasing
+    points, each outside L for some generator (the projector oracle), inside
+    the middle half of the widest interval of closure(total)'s interior, and
+    the inductive witness on them verifies."""
+    spec = field_spec_from_json(gen_field(d, pieces, d + extra, "interval", seed)["payload"])
+    total = analyze_field(spec).total
+    (lo, hi), xs = witness_samples(total, count)
+    widest = max(total.closure().interior().intervals, key=lambda iv: iv.hi - iv.lo)
+    width = widest.hi - widest.lo
+    assert (lo, hi) == (widest.lo + width / 4, widest.hi - width / 4)
+    assert len(xs) == count and all(a < b for a, b in zip(xs, xs[1:]))
+    assert lo < xs[0] and xs[-1] < hi
+    assert all(any(projector_oracle.outside_at(spec.subfield, x, value_at(g, x)) for g in spec.generators) for x in xs)
+    assert inductive_witness_section(spec, (lo, hi), xs, total).verified
 
 
 # --- inductive witness section --------------------------------------------------------
