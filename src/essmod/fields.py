@@ -34,7 +34,7 @@ from .errors import (
     ZeroInput,
 )
 from .polynomials import _value, exact_zero_points, poly_gcd, real_root_count
-from .rationals import GaussianIntVector, annihilator, identity_columns
+from .rationals import GaussianIntVector, annihilator
 from .sections import PiecewiseSection, _add_times, _cell_pieces, _reduced, _scaled_value, _zero_piece, bump, pointwise_inner
 from .subsets import SymbolicSubset, _check_range, _label_runs, _of_runs, _order, _runs
 
@@ -109,10 +109,6 @@ class SubspaceField:
         kept = [k for k in range(last + 1) if k in (0, last) or not rows[2 * k - 1] == rows[2 * k] == rows[2 * k + 1]]
         self.__dict__.update(pieces=tuple(FieldPiece(_of_runs(bounds, runs.get(i, ())), b) for i, b in enumerate(bases)),
                              cuts=[bounds[k] for k in kept], rows=[rows[r] for k in kept for r in (2 * k - 1, 2 * k)][1:])
-
-    @classmethod
-    def full(cls, d: int) -> "SubspaceField":
-        return cls(d, (FieldPiece(SymbolicSubset.full(), identity_columns(d)),))
 
     def annihilator_at(self, x: Fraction) -> tuple[GaussianIntVector, ...]:
         """The annihilator rows of L_x, from the runs of one L: x is cuts[i] or
@@ -369,7 +365,7 @@ def check_generator_spanning(spec: FieldModuleSpec, defect: SymbolicSubset) -> i
     rest of a cell is built only to look for a root of a nonconstant gcd.
     Sections that vanish at 0 and 1 live over the open interval (0, 1)."""
     if spec.vanish_at_boundary:
-        defect = defect | SymbolicSubset(points=(ZERO, ONE))
+        defect = defect.union(SymbolicSubset(points=(ZERO, ONE)))
     cuts, slot = _order([b for g in spec.generators for b in g.breakpoints])
     on = [_cell_pieces(g.breakpoints, slot) for g in spec.generators]  # each generator's piece on each cell
     cells = [(c, a, b) for c, (a, b) in enumerate(zip(cuts, cuts[1:])) if not _covers(defect, a, b)]

@@ -69,11 +69,6 @@ class PiecewiseSection:
         return cls(len(coords), (ZERO, ONE), (from_coeffs(coords),))
 
     @classmethod
-    def constant(cls, values) -> "PiecewiseSection":
-        """The constant section with these coordinates, each a rational or an (re, im) pair."""
-        return cls.polynomial([[v] for v in values])
-
-    @classmethod
     def zero(cls, d: int) -> "PiecewiseSection":
         return cls._of(d, (ZERO, ONE), (_zero_piece(d),))
 

@@ -3,7 +3,8 @@
 Every subset is kept in a normalized form: disjoint sorted intervals that
 cannot be merged or extended, and isolated points lying in no interval.
 One merge-sweep kernel, `_sweep`, computes that form for the constructor
-and for every set operation (union, intersection, difference, complement).
+and for the two set operations, union and difference; a ∩ b is
+a.difference(a.difference(b)) and a complement [0, 1] minus the set.
 It sorts the endpoints of all operands once, which cuts [0, 1] into
 elementary regions, and reads each operand's coverage of every region off
 a running count of its interval openings and closings: linear after the
@@ -90,14 +91,6 @@ class SymbolicSubset:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def full(cls) -> "SymbolicSubset":
-        return cls(intervals=(Interval(ZERO, ONE, True, True),))
-
-    @classmethod
-    def point(cls, x) -> "SymbolicSubset":
-        return cls(points=(Fraction(x),))
-
-    @classmethod
     def interval(cls, lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> "SymbolicSubset":
         return cls(intervals=(Interval(Fraction(lo), Fraction(hi), lo_closed, hi_closed),))
 
@@ -115,23 +108,8 @@ class SymbolicSubset:
     def union(self, other: "SymbolicSubset") -> "SymbolicSubset":
         return _rebuild((self, other), lambda a, b: a or b)
 
-    def intersection(self, other: "SymbolicSubset") -> "SymbolicSubset":
-        return _rebuild((self, other), lambda a, b: a and b)
-
     def difference(self, other: "SymbolicSubset") -> "SymbolicSubset":
         return _rebuild((self, other), lambda a, b: a and not b)
-
-    def complement(self) -> "SymbolicSubset":
-        return _rebuild((self,), lambda a: not a)
-
-    def __or__(self, other):
-        return self.union(other)
-
-    def __and__(self, other):
-        return self.intersection(other)
-
-    def __sub__(self, other):
-        return self.difference(other)
 
     # -- topology (relative to [0, 1]) ---------------------------------------
 
@@ -157,12 +135,6 @@ class SymbolicSubset:
         """True iff the closure has empty interior: in normal form every
         interval has positive length, so iff there is no interval."""
         return not self.intervals
-
-    def __str__(self) -> str:
-        if self.is_empty():
-            return "∅"
-        parts = [str(iv) for iv in self.intervals] + [f"{{{p}}}" for p in self.points]
-        return " ∪ ".join(parts)
 
 
 def _check_range(*xs: Fraction):

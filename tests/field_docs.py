@@ -5,11 +5,14 @@ benchmark's `field_corpus` workload (perfbench/corpus.py): 18 rounds over
 the strata (defect, d) for d = 1..4, pieces and generators from fixed
 cycles, and each document's generator seed drawn in turn from
 random.Random(f"field_corpus:{seed}"). `subset_from_json` reads a subset
-document as the normal form of the union it lists."""
+document as the normal form of the union it lists, and `full_field(d)` is
+the field whose fiber is C^d everywhere."""
 
 import random
 
+from essmod.fields import FieldPiece, SubspaceField
 from essmod.generate import gen_field
+from essmod.rationals import identity_columns
 from essmod.serialize import _subset_parts
 from essmod.subsets import SymbolicSubset
 
@@ -31,3 +34,7 @@ def corpus_fields(seed: int, defect: str | None = None) -> list[dict]:
 
 def subset_from_json(doc) -> SymbolicSubset:
     return SymbolicSubset(*_subset_parts(doc))
+
+
+def full_field(d: int) -> SubspaceField:
+    return SubspaceField(d, (FieldPiece(SymbolicSubset.interval(0, 1), identity_columns(d)),))

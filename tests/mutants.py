@@ -309,7 +309,7 @@ MUTANTS = (
         "zero-field-spans-the-fiber",
         "src/essmod/fields.py",
         "return SubspaceField._of(d, ((),), [ZERO, ONE], [0, 0, 0])",
-        "return SubspaceField._of(d, (identity_columns(d),), [ZERO, ONE], [0, 0, 0])",
+        "return SubspaceField._of(d, (tuple(tuple((int(i == j), 0) for i in range(d)) for j in range(d)),), [ZERO, ONE], [0, 0, 0])",
         ("tests/test_sections.py::test_zero_and_support_sets",
          "tests/test_properties.py::test_property_passes_alone[fields.criterion_coherence]"),
     ),
@@ -360,6 +360,40 @@ MUTANTS = (
         "return int(np.sum(s > tol * max(1.0, s[0])))",
         "return int(np.sum(s > 1e3 * tol * max(1.0, s[0])))",
         ("tests/test_modules.py::test_float_decision_flips_at_the_tolerance_band",),
+    ),
+    # Union's only caller adds the ends 0 and 1 to a flagged generator's defect set.
+    Mutant(
+        "union-drops-its-second-operand",
+        "src/essmod/subsets.py",
+        "lambda a, b: a or b)",
+        "lambda a, b: a)",
+        ("tests/test_cli.py::test_vanishing_generators_are_decided[points]",
+         "tests/test_cli.py::test_vanishing_generators_are_decided[interval]",
+         "tests/test_cli.py::test_two_piece_generator_vanishing_at_both_ends_is_decided"),
+    ),
+    # Every trial still passes on the other draws, so no digest shows them.
+    Mutant(
+        "set-algebra-draws-up-to-three-points",
+        "src/essmod/properties.py",
+        "pts = [Fraction(rng.randint(0, 32), 32) for _ in range(rng.randint(0, 2))]",
+        "pts = [Fraction(rng.randint(0, 32), 32) for _ in range(rng.randint(0, 3))]",
+        ("tests/test_properties.py::test_property_substream_states_are_pinned",),
+    ),
+    # The least singular value: a product can then outgrow the product of norms, and ‖a*a‖ = 0 for a wide a.
+    Mutant(
+        "op-norm-reads-the-least-singular-value",
+        "src/essmod/linalg.py",
+        "return float(s[0]) if s.size else 0.0",
+        "return float(s[-1]) if s.size else 0.0",
+        ("tests/test_properties.py::test_property_passes_alone[numeric.op_norm]",),
+    ),
+    # Eigenvalues out of step with their eigenvectors: u·diag(eigs)·u* is then another matrix.
+    Mutant(
+        "herm-eig-reverses-eigenvalues-not-vectors",
+        "src/essmod/linalg.py",
+        "return eigs.real, _canonical_phases(u)",
+        "return eigs.real[::-1], _canonical_phases(u)",
+        ("tests/test_properties.py::test_property_passes_alone[numeric.eig_reconstruction]",),
     ),
 )
 

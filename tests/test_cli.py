@@ -13,13 +13,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import report_oracle
-from field_docs import corpus_fields
+from field_docs import corpus_fields, full_field
 from poly_oracle import GaussianPoly, RationalPoly, piece, scalar
 
 from essmod import cli, fields, properties, runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape
 from essmod.errors import EigenvalueAtThreshold, PreconditionFailed, SchemaError
-from essmod.fields import FieldModuleSpec, SubspaceField
+from essmod.fields import FieldModuleSpec
 from essmod.generate import gen_field, gen_module_submodule, gen_right_ideal
 from essmod.modules import ModuleElement
 from essmod.sections import PiecewiseSection, bump, unit_bump
@@ -652,7 +652,7 @@ def flagged_two_piece_doc(first, second):
     coefficients) on [0, 1/2], `second` on [1/2, 1]."""
     pieces = tuple(piece((GaussianPoly(RationalPoly(cs), RationalPoly.zero()),)) for cs in (first, second))
     g = PiecewiseSection(1, (F(0), F(1, 2), F(1)), pieces)
-    payload = serialize.field_spec_to_json(FieldModuleSpec(1, (g,), SubspaceField.full(1)))
+    payload = serialize.field_spec_to_json(FieldModuleSpec(1, (g,), full_field(1)))
     return serialize.instance_to_json("field", {**payload, "vanish_at_boundary": True}, 0)
 
 
@@ -1382,7 +1382,7 @@ def test_witness_samples_cap_exits_2(tmp_path, capsys):
 def check_full_field(tmp_path, capsys, d, generators):
     """Exit code, stderr and seconds of `essmod check` on the full field C^d
     with the given generators."""
-    spec = FieldModuleSpec(d, tuple(generators), SubspaceField.full(d))
+    spec = FieldModuleSpec(d, tuple(generators), full_field(d))
     path = tmp_path / "f.json"
     path.write_text(serialize.dumps(serialize.instance_to_json("field", serialize.field_spec_to_json(spec), 0)))
     capsys.readouterr()

@@ -5,15 +5,18 @@ Over the seed-1 `field_corpus` documents with a planted interval defect
 call made while `runner._non_essential_witnesses` runs is counted; the
 decision it starts from is taken before counting. Over the first 24
 documents, the atom lists, spanning sweeps and residual roots of `check`
-and `witness` are counted. The counts are deterministic: they depend on
-the documents, not on timing.
+and `witness` are counted, and the gcd work of the spanning certificate
+over those documents and the coefficient-size series (tests/series_docs.py).
+The counts are deterministic: they depend on the documents, not on timing.
 """
 
 import pytest
 from field_docs import corpus_fields
+from series_docs import row_doc
 
 import essmod
-from essmod import fields, runner, serialize
+from essmod import fields, polynomials, runner, serialize
+from essmod.errors import GeneratorsNotSpanning
 
 # Calls per witness. Each witness took 12 sweeps and 27 `from_coeffs` calls
 # while a closure took one constructor sweep and an interior three (a
@@ -116,3 +119,76 @@ def test_field_decisions_build_only_what_they_report(monkeypatch):
             fields.residual_set(w.ma, field)
     assert len(witnesses) == 24
     assert in_witnesses - (counts["exact_zero_points"] - before) == EMPTINESS_ZERO_POINTS
+
+
+# The series rows whose `check` took under 1 s (in-process, on a shared
+# 2-vCPU VM) when these counts were pinned, as (degree, bits, kind), kind
+# the denominator shape A or B, "shared" for a common factor x − 1/2 of all
+# minors at 1/2 in the defect set, or "illegal" for its twin with that drop
+# off the defect set. Each is d = 4 with 8 generators.
+SERIES_ROWS = [
+    (2, 64, "A"), (2, 256, "A"), (2, 1024, "A"), (4, 64, "A"),
+    (1, 64, "B"), (1, 256, "B"), (2, 64, "B"),
+    (2, 64, "shared"), (4, 64, "shared"), (4, 64, "illegal"),
+]
+
+# The spanning certificate's gcd work, per set of documents: `fields.poly_gcd`
+# calls, how many of them ran an exact remainder sequence, the `_prem` steps
+# inside them, and the minors `fields._minors` yielded. Pinned while every
+# gcd of two nonzero operands ran the exact remainder sequence: a cell's
+# first gcd, of [] and one minor coefficient, runs none, so each corpus cell
+# stops after one minor, and 150 of the 160 series gcd calls run one.
+SPANNING_GCD_WORK = {
+    "corpus": {"poly_gcd": 24, "remainder_sequences": 0, "prem": 0, "minors": 24},
+    "series": {"poly_gcd": 160, "remainder_sequences": 150, "prem": 246, "minors": 81},
+}
+
+
+def test_spanning_gcd_work_is_pinned(monkeypatch):
+    """`check` over the first 24 seed-1 field documents and over the
+    sub-second series rows: the illegal twin is refused, every other
+    document decided, and the spanning gcd work equals the pin."""
+    work, inside = {}, []
+
+    def gcd(a, b):
+        work["poly_gcd"] += 1
+        inside.append(False)
+        try:
+            return original_gcd(a, b)
+        finally:
+            work["remainder_sequences"] += inside.pop()
+
+    def remainder_sequence(a, b):
+        if inside:
+            inside[-1] = True
+        return original_sequence(a, b)
+
+    def prem(a, b):
+        if inside:
+            work["prem"] += 1
+        return original_prem(a, b)
+
+    def minors(gens, d):
+        for minor in original_minors(gens, d):
+            work["minors"] += 1
+            yield minor
+
+    documents = {"corpus": [(doc, False) for doc in corpus_fields(1)[:24]],
+                 "series": [(row_doc(*row), row[2] == "illegal") for row in SERIES_ROWS]}
+    original_gcd, original_sequence = fields.poly_gcd, polynomials._remainder_sequence
+    original_prem, original_minors = polynomials._prem, fields._minors
+    monkeypatch.setattr(fields, "poly_gcd", gcd)
+    monkeypatch.setattr(polynomials, "_remainder_sequence", remainder_sequence)
+    monkeypatch.setattr(polynomials, "_prem", prem)
+    monkeypatch.setattr(fields, "_minors", minors)
+    counted = {}
+    for label, docs in documents.items():
+        work.update(poly_gcd=0, remainder_sequences=0, prem=0, minors=0)
+        for doc, refused in docs:
+            if refused:
+                with pytest.raises(GeneratorsNotSpanning):
+                    runner.run_check(doc)
+            else:
+                runner.run_check(doc)
+        counted[label] = dict(work)
+    assert counted == SPANNING_GCD_WORK

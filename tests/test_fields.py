@@ -7,6 +7,7 @@ import projector_oracle
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from field_docs import full_field
 from poly_oracle import GaussianPoly, RationalPoly, oracle_gcd, piece, poly_divmod, polys, scalar
 from projector_oracle import CR_ZERO, clear_denominators, cleared_columns, cr, mat, mat_conj_t, mat_mul, mat_rank
 
@@ -61,21 +62,21 @@ def test_partition_must_cover_and_not_overlap():
     with pytest.raises(ValueError, match="overlap"):  # only the point 1/2 is shared
         field(SymbolicSubset.interval(0, half), SymbolicSubset.interval(half, 1))
     with pytest.raises(ValueError, match="overlap"):  # overlap wins over a gap
-        field(SymbolicSubset.point(0), SymbolicSubset.point(0))
-    point = SymbolicSubset.point(half)
-    assert len(field(point, SymbolicSubset.full() - point).pieces) == 2
+        field(SymbolicSubset(points=(0,)), SymbolicSubset(points=(0,)))
+    point = SymbolicSubset(points=(half,))
+    assert len(field(point, SymbolicSubset.interval(0, 1).difference(point)).pieces) == 2
 
 
 def test_basis_columns_must_have_the_fiber_dimension():
     with pytest.raises(DimensionMismatch, match="fiber dimension"):
-        SubspaceField(2, (FieldPiece(SymbolicSubset.full(), (((1, 0),),)),))
-    assert SubspaceField(2, (FieldPiece(SymbolicSubset.full(), ()),)).rows == [identity_columns(2)] * 3
+        SubspaceField(2, (FieldPiece(SymbolicSubset.interval(0, 1), (((1, 0),),)),))
+    assert SubspaceField(2, (FieldPiece(SymbolicSubset.interval(0, 1), ()),)).rows == [identity_columns(2)] * 3
 
 
 def test_annihilator_at_refuses_points_outside_the_unit_interval():
     """A point off [0, 1] let a bare StopIteration escape the scan of the
     partition regions; a lookup in the owner table would give some piece."""
-    field = SubspaceField.full(2)
+    field = full_field(2)
     for x in (F(3, 2), F(-1, 2), 2):
         with pytest.raises(OutOfRange):
             field.annihilator_at(x)
@@ -109,7 +110,7 @@ def test_projectors_are_exact_idempotents():
 
 def test_residual_set_full_fiber_is_empty():
     m = scalar(x_poly())
-    assert residual_set(m, SubspaceField.full(1)).is_empty()
+    assert residual_set(m, full_field(1)).is_empty()
 
 
 def test_residual_set_half_line_example():
@@ -120,19 +121,19 @@ def test_residual_set_half_line_example():
 
 def test_residual_set_isolated_root_example():
     # L = span(e1), m = (x, x - 1/2): defect everywhere except x = 1/2
-    field = SubspaceField(2, (FieldPiece(SymbolicSubset.full(), (((1, 0), (0, 0)),)),))
+    field = SubspaceField(2, (FieldPiece(SymbolicSubset.interval(0, 1), (((1, 0), (0, 0)),)),))
     m = PiecewiseSection(
         2,
         (F(0), F(1)),
         (piece((x_poly(), GaussianPoly(RationalPoly((F(-1, 2), F(1))), RationalPoly.zero()))),),
     )
     y = residual_set(m, field)
-    assert y == SymbolicSubset.full() - SymbolicSubset.point(F(1, 2))
+    assert y == SymbolicSubset.interval(0, 1).difference(SymbolicSubset(points=(F(1, 2),)))
 
 
 def test_residual_set_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        residual_set(PiecewiseSection.constant([1, 0]), SubspaceField.full(1))
+        residual_set(PiecewiseSection.polynomial([[1], [0]]), full_field(1))
 
 
 def test_residual_set_irrational_boundary_rejected():
@@ -152,8 +153,8 @@ def test_residual_set_irrational_boundary_rejected():
 def test_total_defect_standard_basis_full_field():
     spec = FieldModuleSpec(
         2,
-        (PiecewiseSection.constant([1, 0]), PiecewiseSection.constant([0, 1])),
-        SubspaceField.full(2),
+        (PiecewiseSection.polynomial([[1], [0]]), PiecewiseSection.polynomial([[0], [1]])),
+        full_field(2),
     )
     assert analyze_field(spec).total.is_empty()
     assert is_essential_field(spec).essential
@@ -174,18 +175,18 @@ def test_total_defect_union_of_disjoint_defects():
             FieldPiece(SymbolicSubset.interval(F(1, 8), F(1, 4), False, False), (((0, 0), (1, 0)),)),
             FieldPiece(SymbolicSubset.interval(F(5, 8), F(3, 4), False, False), (((1, 0), (0, 0)),)),
             FieldPiece(
-                SymbolicSubset.full()
-                - SymbolicSubset.interval(F(1, 8), F(1, 4), False, False)
-                - SymbolicSubset.interval(F(5, 8), F(3, 4), False, False),
+                SymbolicSubset.interval(0, 1)
+                .difference(SymbolicSubset.interval(F(1, 8), F(1, 4), False, False))
+                .difference(SymbolicSubset.interval(F(5, 8), F(3, 4), False, False)),
                 identity_columns(2),
             ),
         ),
     )
-    e1 = PiecewiseSection.constant([1, 0])
-    e2 = PiecewiseSection.constant([0, 1])
+    e1 = PiecewiseSection.polynomial([[1], [0]])
+    e2 = PiecewiseSection.polynomial([[0], [1]])
     spec = FieldModuleSpec(2, (e1, e2), field)
-    expected = SymbolicSubset.interval(F(1, 8), F(1, 4), False, False) | SymbolicSubset.interval(
-        F(5, 8), F(3, 4), False, False
+    expected = SymbolicSubset.interval(F(1, 8), F(1, 4), False, False).union(
+        SymbolicSubset.interval(F(5, 8), F(3, 4), False, False)
     )
     analysis = analyze_field(spec)
     assert analysis.total == expected
@@ -195,14 +196,14 @@ def test_total_defect_union_of_disjoint_defects():
 
 def test_essential_field_point_defects():
     pts = [F(1, 4), F(1, 2), F(3, 4)]
-    pieces = [FieldPiece(SymbolicSubset.point(x), ()) for x in pts]
-    rest = SymbolicSubset.full()
+    pieces = [FieldPiece(SymbolicSubset(points=(x,)), ()) for x in pts]
+    rest = SymbolicSubset.interval(0, 1)
     for x in pts:
-        rest = rest - SymbolicSubset.point(x)
+        rest = rest.difference(SymbolicSubset(points=(x,)))
     pieces.append(FieldPiece(rest, identity_columns(2)))
     spec = FieldModuleSpec(
         2,
-        (PiecewiseSection.constant([1, 0]), PiecewiseSection.constant([0, 1])),
+        (PiecewiseSection.polynomial([[1], [0]]), PiecewiseSection.polynomial([[0], [1]])),
         SubspaceField(2, tuple(pieces)),
     )
     decision = is_essential_field(spec)
@@ -216,13 +217,13 @@ def test_non_essential_field_interval_defect():
         (
             FieldPiece(SymbolicSubset.interval(F(3, 10), F(2, 5), False, False), (((0, 0), (1, 0)),)),
             FieldPiece(
-                SymbolicSubset.full() - SymbolicSubset.interval(F(3, 10), F(2, 5), False, False),
+                SymbolicSubset.interval(0, 1).difference(SymbolicSubset.interval(F(3, 10), F(2, 5), False, False)),
                 identity_columns(2),
             ),
         ),
     )
     spec = FieldModuleSpec(
-        2, (PiecewiseSection.constant([1, 0]), PiecewiseSection.constant([0, 1])), field
+        2, (PiecewiseSection.polynomial([[1], [0]]), PiecewiseSection.polynomial([[0], [1]])), field
     )
     decision = is_essential_field(spec)
     assert not decision.essential
@@ -231,7 +232,7 @@ def test_non_essential_field_interval_defect():
 
 def test_generators_not_spanning_raises():
     # single generator e1 cannot span C^2 off the (empty) defect set
-    spec = FieldModuleSpec(2, (PiecewiseSection.constant([1, 0]),), SubspaceField.full(2))
+    spec = FieldModuleSpec(2, (PiecewiseSection.polynomial([[1], [0]]),), full_field(2))
     with pytest.raises(GeneratorsNotSpanning):
         is_essential_field(spec)
 
@@ -241,15 +242,15 @@ def test_residual_with_breakpoint_on_point_defect():
     field = SubspaceField(
         1,
         (
-            FieldPiece(SymbolicSubset.point(F(1, 2)), ()),
-            FieldPiece(SymbolicSubset.full() - SymbolicSubset.point(F(1, 2)), (((1, 0),),)),
+            FieldPiece(SymbolicSubset(points=(F(1, 2),)), ()),
+            FieldPiece(SymbolicSubset.interval(0, 1).difference(SymbolicSubset(points=(F(1, 2),))), (((1, 0),),)),
         ),
     )
     # m kinks at 1/2: x on the left, 1 - x on the right; m(1/2) = 1/2 ≠ 0
     left = GaussianPoly(RationalPoly((0, 1)), RationalPoly.zero())
     right = GaussianPoly(RationalPoly((F(1), F(-1))), RationalPoly.zero())
     m = PiecewiseSection(1, (F(0), F(1, 2), F(1)), (piece((left,)), piece((right,))))
-    assert residual_set(m, field) == SymbolicSubset.point(F(1, 2))
+    assert residual_set(m, field) == SymbolicSubset(points=(F(1, 2),))
     # a kink that vanishes exactly at the defective point is never defective
     left2 = GaussianPoly(RationalPoly((F(-1, 2), F(1))), RationalPoly.zero())
     right2 = GaussianPoly(RationalPoly((F(1, 2), F(-1))), RationalPoly.zero())
@@ -283,19 +284,19 @@ def test_combination_defects_stay_inside_total_defect():
             y_m = residual_set(m, spec.subfield)
         except IrrationalRoot:
             continue
-        assert (y_m - total).is_empty()
+        assert y_m.difference(total).is_empty()
         checked += 1
 
 
 # --- commutative limit identity ---------------------------------------------------
 
 def test_identity_with_n_equal_m():
-    m = PiecewiseSection.constant([1, (2, 1)])
+    m = PiecewiseSection.polynomial([[1], [(2, 1)]])
     assert commutative_limit_identity(m, m)
 
 
 def test_identity_with_scalar_multiple():
-    m = PiecewiseSection.constant([1, (0, 1)])
+    m = PiecewiseSection.polynomial([[1], [(0, 1)]])
     c = scalar(GaussianPoly(RationalPoly((0, 1)), RationalPoly((F(1, 3),))))
     n = m.mul_scalar_section(c)
     assert commutative_limit_identity(m, n)
@@ -303,15 +304,15 @@ def test_identity_with_scalar_multiple():
 
 def test_identity_fails_for_orthogonal_sections():
     # n ⊥ m pointwise and n outside the closure of m·A: precondition necessary
-    m = PiecewiseSection.constant([1, 0])
-    n = PiecewiseSection.constant([0, 1])
+    m = PiecewiseSection.polynomial([[1], [0]])
+    n = PiecewiseSection.polynomial([[0], [1]])
     assert not commutative_limit_identity(m, n)
 
 
 def test_identity_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         commutative_limit_identity(
-            PiecewiseSection.constant([1]), PiecewiseSection.constant([1, 0])
+            PiecewiseSection.polynomial([[1]]), PiecewiseSection.polynomial([[1], [0]])
         )
 
 
@@ -404,7 +405,7 @@ def planted_zeros(draw, irrational=False):
     j = SymbolicSubset.interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
     kept = sorted(draw(st.sets(st.integers(0, d - 1), max_size=d - 1)))
     field = SubspaceField(d, (FieldPiece(j, tuple(identity_columns(d)[i] for i in kept)),
-                              FieldPiece(SymbolicSubset.full() - j, identity_columns(d))))
+                              FieldPiece(SymbolicSubset.interval(0, 1).difference(j), identity_columns(d))))
     v = [GaussianPoly.const(*draw(small_pair)) for _ in range(d)]
     assume(any(not v[i].is_zero() for i in range(d) if i not in kept))
     q = real_poly(draw(st.sampled_from([1, -2, F(1, 3)])))
@@ -442,7 +443,7 @@ def test_spanning_certificate_sees_isolated_rank_drop():
     rank drop at 1/3, in the defect set or by refusing."""
     g = scalar(GaussianPoly(RationalPoly((F(-1, 3), F(1))), RationalPoly.zero()))
     assert projector_oracle.value_at(g, F(1, 3)) == (CR_ZERO,)
-    spec = FieldModuleSpec(1, (g,), SubspaceField.full(1))
+    spec = FieldModuleSpec(1, (g,), full_field(1))
     try:
         decision = is_essential_field(spec)
     except GeneratorsNotSpanning:
@@ -456,7 +457,7 @@ def real_poly(*cs):
 
 # (1, 0) and (0, x² − 1/8) drop rank at 1/√8 only, inside QUARTER_TO_HALF
 DROP_AT_ROOT_EIGHTH = (
-    PiecewiseSection.constant([1, 0]),
+    PiecewiseSection.polynomial([[1], [0]]),
     PiecewiseSection(2, (F(0), F(1)), (piece((GaussianPoly.zero(), real_poly(F(-1, 8), 0, 1))),)),
 )
 QUARTER_TO_HALF = SymbolicSubset.interval(F(1, 4), F(1, 2), False, False)
@@ -469,7 +470,7 @@ def test_rank_drop_inside_the_defect_set_is_allowed():
         2,
         (
             FieldPiece(QUARTER_TO_HALF, (((0, 0), (1, 0)),)),
-            FieldPiece(SymbolicSubset.full() - QUARTER_TO_HALF, identity_columns(2)),
+            FieldPiece(SymbolicSubset.interval(0, 1).difference(QUARTER_TO_HALF), identity_columns(2)),
         ),
     )
     decision = is_essential_field(FieldModuleSpec(2, DROP_AT_ROOT_EIGHTH, field))
@@ -484,9 +485,9 @@ def test_shared_minor_factor_in_the_defect_set_stops_early():
     building all C(16, 4) = 1820 minors."""
     rows = [(real_poly(-F(j + 1, 2), j + 1), real_poly(j), real_poly(j**2), real_poly(j**3)) for j in range(16)]
     gens = tuple(PiecewiseSection(4, (F(0), F(1)), (piece(row),)) for row in rows)
-    spec = FieldModuleSpec(4, gens, SubspaceField.full(4))
+    spec = FieldModuleSpec(4, gens, full_field(4))
     t0 = time.perf_counter()
-    assert check_generator_spanning(spec, SymbolicSubset.point(F(1, 2))) == 1
+    assert check_generator_spanning(spec, SymbolicSubset(points=(F(1, 2),))) == 1
     assert time.perf_counter() - t0 < 0.3
     with pytest.raises(GeneratorsNotSpanning):  # off the defect set the drop at 1/2 fails
         check_generator_spanning(spec, SymbolicSubset())
@@ -531,7 +532,7 @@ def spans_off_defect_oracle(gens, d, defect):
     of h in the part of the cell outside the defect set."""
     cuts = sorted({b for g in gens for b in g.breakpoints})
     for a, b in zip(cuts, cuts[1:]):
-        rest = SymbolicSubset.interval(a, b) - defect
+        rest = SymbolicSubset.interval(a, b).difference(defect)
         if rest.is_empty():
             continue
         cols = [polys(g.pieces[g.piece_index_for_interval(a)]) for g in gens]
@@ -603,16 +604,16 @@ def scalar_case(poly, defect=SymbolicSubset()):
 
 @settings(deadline=None, max_examples=200)
 @given(spanning_cases())
-@example(scalar_case((F(-1, 3), 1), SymbolicSubset.point(F(1, 3))))  # the drop is a defect point
+@example(scalar_case((F(-1, 3), 1), SymbolicSubset(points=(F(1, 3),))))  # the drop is a defect point
 @example(scalar_case((0, 1)))  # a drop at the cell end 0
 @example(scalar_case((F(-1, 2), 0, 1)))  # an irrational drop
-@example((2, (PiecewiseSection.constant([1, 0]), PiecewiseSection.constant([2, 0])), SymbolicSubset()))  # h = 0
+@example((2, (PiecewiseSection.polynomial([[1], [0]]), PiecewiseSection.polynomial([[2], [0]])), SymbolicSubset()))  # h = 0
 @example((2, DROP_AT_ROOT_EIGHTH, QUARTER_TO_HALF))  # an irrational drop inside the defect set
 # det = 1 − x² drops rank at 1, where the permanent 1 + x² has no real root
 @example((2, (PiecewiseSection.polynomial([[1], [0, 1]]), PiecewiseSection.polynomial([[0, 1], [1]])), SymbolicSubset()))
 def test_spanning_certificate_matches_all_minors_oracle(case):
     d, gens, defect = case
-    spec = FieldModuleSpec(d, gens, SubspaceField.full(d))
+    spec = FieldModuleSpec(d, gens, full_field(d))
     try:
         check_generator_spanning(spec, defect)
     except GeneratorsNotSpanning:
@@ -687,7 +688,7 @@ def written_interval(lo, hi, lo_closed, hi_closed) -> dict:
 def field_payload(d, partition, bases) -> dict:
     """A field document with these written regions and bases, generated by the constant unit sections."""
     return {"d": d, "partition": partition, "subspace_bases": bases,
-            "generators": [section_to_json(PiecewiseSection.constant([int(i == j) for i in range(d)])) for j in range(d)]}
+            "generators": [section_to_json(PiecewiseSection.polynomial([[int(i == j)] for i in range(d)])) for j in range(d)]}
 
 
 # written bases per fiber dimension: none, unit columns, a complex column, texts not in lowest terms

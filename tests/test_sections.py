@@ -19,7 +19,7 @@ def x_section():
 
 
 def test_constant_section_evaluates():
-    m = PiecewiseSection.constant([1, (0, 1)])
+    m = PiecewiseSection.polynomial([[1], [(0, 1)]])
     assert value_at(m, F(1, 3)) == (ComplexRational(F(1)), ComplexRational(F(0), F(1)))
 
 
@@ -175,16 +175,16 @@ def test_addition_merges_breakpoints():
 
 
 def test_scalar_section_product():
-    m = PiecewiseSection.constant([2, 3])
+    m = PiecewiseSection.polynomial([[2], [3]])
     c = x_section()
     prod = m.mul_scalar_section(c)
     assert value_at(prod, F(1, 2)) == (ComplexRational(F(1)), ComplexRational(F(3, 2)))
     with pytest.raises(DimensionMismatch):
-        m.mul_scalar_section(PiecewiseSection.constant([1, 1]))
+        m.mul_scalar_section(PiecewiseSection.polynomial([[1], [1]]))
 
 
 def test_pointwise_inner_conjugates_first_slot():
-    u = PiecewiseSection.constant([(0, 1)])  # i
+    u = PiecewiseSection.polynomial([[(0, 1)]])  # i
     v = x_section()
     ip = pointwise_inner(u, v)
     # ⟨i, x⟩ = conj(i)·x = -i x
@@ -248,7 +248,7 @@ def test_zero_and_support_sets_equal_the_collected_construction(m):
         with pytest.raises(IrrationalRoot):
             support_set(m)
         return
-    assert support_set(m) == expected.complement()
+    assert support_set(m) == SymbolicSubset.interval(0, 1).difference(expected)
 
 
 def test_bump_shape():

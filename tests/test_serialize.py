@@ -165,9 +165,9 @@ def loaded_field(basis_doc, d) -> SubspaceField:
     """The one-piece field of a document with this basis, as the loader reads it."""
     return serialize.field_spec_from_json({
         "d": d,
-        "partition": [serialize.subset_to_json(SymbolicSubset.full())],
+        "partition": [serialize.subset_to_json(SymbolicSubset.interval(0, 1))],
         "subspace_bases": [basis_doc],
-        "generators": [serialize.section_to_json(PiecewiseSection.constant([1] * d))],
+        "generators": [serialize.section_to_json(PiecewiseSection.polynomial([[1]] * d))],
     }).subfield
 
 
@@ -234,7 +234,7 @@ def test_field_loading_builds_no_complex_rational(monkeypatch):
     docs = [gen_field(d, pieces, max(gens, d), defect, 7)
             for d in (1, 2, 3, 4) for defect in ("none", "points", "interval") for pieces, gens in ((2, 1), (16, 8))]
     two_piece = serialize.section_to_json(
-        bump(F(0), F(1, 2)).mul_scalar_section(PiecewiseSection.constant([(F(2, 3), F(1, 7))])))
+        bump(F(0), F(1, 2)).mul_scalar_section(PiecewiseSection.polynomial([[(F(2, 3), F(1, 7))]])))
 
     def refuse(self):
         raise AssertionError("a ComplexRational was built")
@@ -295,12 +295,12 @@ def test_module_element_and_submodule_roundtrip():
 
 
 def test_subset_roundtrip():
-    s = SymbolicSubset.interval(F(1, 3), F(2, 3), False, True) | SymbolicSubset.point(F(1, 8))
+    s = SymbolicSubset.interval(F(1, 3), F(2, 3), False, True).union(SymbolicSubset(points=(F(1, 8),)))
     assert subset_from_json(serialize.subset_to_json(s)) == s
 
 
 def test_section_roundtrip_exact():
-    a = bump(F(1, 4), F(3, 4)).mul_scalar_section(PiecewiseSection.constant([(F(2, 3), F(1, 7))]))
+    a = bump(F(1, 4), F(3, 4)).mul_scalar_section(PiecewiseSection.polynomial([[(F(2, 3), F(1, 7))]]))
     back = serialize.section_from_json(serialize.section_to_json(a))
     assert (back - a).is_zero()
 
@@ -325,7 +325,7 @@ def test_field_spec_roundtrip():
     )
     spec = FieldModuleSpec(
         2,
-        (PiecewiseSection.constant([1, 0]), PiecewiseSection.constant([0, 1])),
+        (PiecewiseSection.polynomial([[1], [0]]), PiecewiseSection.polynomial([[0], [1]])),
         field,
     )
     doc = serialize.field_spec_to_json(spec)
@@ -340,7 +340,7 @@ def test_field_spec_partition_errors_surface_as_schema_errors():
         "d": 1,
         "partition": [serialize.subset_to_json(SymbolicSubset.interval(F(0), F(1, 2)))],
         "subspace_bases": [[[["1/1", "0/1"]]]],
-        "generators": [serialize.section_to_json(PiecewiseSection.constant([1]))],
+        "generators": [serialize.section_to_json(PiecewiseSection.polynomial([[1]]))],
     }
     with pytest.raises(SchemaError, match="cover"):
         serialize.field_spec_from_json(doc)

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from essmod.errors import OutOfRange
 from essmod.subsets import Interval, SymbolicSubset, _order
 
+# [0, 1]: a set's complement is FULL.difference(s).
+FULL = SymbolicSubset.interval(0, 1)
+
 
 def iv(lo, hi, lc=True, hc=True):
     return SymbolicSubset.interval(F(lo), F(hi), lc, hc)
@@ -38,7 +41,7 @@ def test_adjacent_intervals_merge_across_shared_endpoint():
     s = SymbolicSubset(
         intervals=(Interval(F(0), F(1, 2), True, True), Interval(F(1, 2), F(1), False, True))
     )
-    assert s == SymbolicSubset.full()
+    assert s == FULL
 
 
 def test_open_adjacent_intervals_stay_separate():
@@ -50,13 +53,13 @@ def test_open_adjacent_intervals_stay_separate():
 
 
 def test_degenerate_intervals():
-    assert SymbolicSubset(intervals=(Interval(F(1, 3), F(1, 3), True, True),)) == SymbolicSubset.point(F(1, 3))
+    assert SymbolicSubset(intervals=(Interval(F(1, 3), F(1, 3), True, True),)) == SymbolicSubset(points=(F(1, 3),))
     assert SymbolicSubset(intervals=(Interval(F(1, 3), F(1, 3), True, False),)).is_empty()
 
 
 def test_out_of_range_rejected():
     with pytest.raises(OutOfRange):
-        SymbolicSubset.point(F(3, 2))
+        SymbolicSubset.interval(F(1, 2), F(3, 2))
     with pytest.raises(OutOfRange):
         SymbolicSubset.interval(F(-1, 2), F(1, 2))
     with pytest.raises(OutOfRange):
@@ -75,26 +78,27 @@ def test_subset_constructor_normalizes_raw_tuples():
 # --- set operations --------------------------------------------------------------
 
 def test_complement_of_open_interval():
-    s = iv(F(1, 3), F(2, 3), False, False).complement()
-    assert s == iv(0, F(1, 3)) | iv(F(2, 3), 1)
+    s = FULL.difference(iv(F(1, 3), F(2, 3), False, False))
+    assert s == iv(0, F(1, 3)).union(iv(F(2, 3), 1))
 
 
 def test_complement_involution_and_demorgan():
-    a = iv(0, F(1, 4)) | SymbolicSubset.point(F(1, 2))
+    a = iv(0, F(1, 4)).union(SymbolicSubset(points=(F(1, 2),)))
     b = iv(F(1, 8), F(3, 4), False, False)
-    assert a.complement().complement() == a
-    assert (a | b).complement() == a.complement() & b.complement()
+    assert FULL.difference(FULL.difference(a)) == a
+    # the complement of a ∪ b is the complement of a, less b
+    assert FULL.difference(a.union(b)) == FULL.difference(a).difference(b)
 
 
 def test_difference_and_membership():
-    s = SymbolicSubset.full() - SymbolicSubset.point(F(1, 2))
+    s = FULL.difference(SymbolicSubset(points=(F(1, 2),)))
     assert not s.contains(F(1, 2))
     assert s.contains(F(1, 3))
     assert len(s.intervals) == 2
 
 
 def test_interval_minus_points_splits():
-    s = iv(0, 1) - SymbolicSubset(points=(F(1, 4), F(1, 2)))
+    s = iv(0, 1).difference(SymbolicSubset(points=(F(1, 4), F(1, 2))))
     assert len(s.intervals) == 3
     assert not s.contains(F(1, 4)) and s.contains(F(3, 8))
 
@@ -123,7 +127,7 @@ def test_nowhere_dense_examples():
     assert SymbolicSubset().is_nowhere_dense()
     assert SymbolicSubset(points=(F(1, 4), F(1, 2), F(3, 4))).is_nowhere_dense()
     assert not iv(F(3, 10), F(2, 5)).is_nowhere_dense()
-    assert not (SymbolicSubset.point(F(1, 8)) | iv(F(1, 2), F(5, 8), False, False)).is_nowhere_dense()
+    assert not SymbolicSubset(points=(F(1, 8),)).union(iv(F(1, 2), F(5, 8), False, False)).is_nowhere_dense()
 
 
 # --- randomized laws ----------------------------------------------------------------
@@ -145,8 +149,8 @@ def subsets(draw):
 @settings(deadline=None, max_examples=200)
 @given(subsets())
 def test_interior_subset_closure(s):
-    assert (s.interior() - s).is_empty()
-    assert (s - s.closure()).is_empty()
+    assert s.interior().difference(s).is_empty()
+    assert s.difference(s.closure()).is_empty()
     assert s.closure().closure() == s.closure()
     assert s.interior().interior() == s.interior()
     # normal form: every interval has positive length
@@ -174,7 +178,7 @@ def test_closure_and_interior_equal_the_sweep_formulas(ends, points):
     s = SymbolicSubset(points=tuple(points), intervals=tuple(Interval(min(a, b), max(a, b), lc, hc) for a, b, lc, hc in ends))
     closure, interior = s.closure(), s.interior()
     assert closure == swept_closure(s)
-    assert interior == swept_closure(s.complement()).complement()
+    assert interior == FULL.difference(swept_closure(FULL.difference(s)))
     for t in (closure, interior):
         assert SymbolicSubset(points=t.points, intervals=t.intervals) == t
 
@@ -188,17 +192,19 @@ def test_nowhere_dense_two_routes_agree(s):
 @settings(deadline=None, max_examples=100)
 @given(subsets(), subsets())
 def test_union_intersection_laws(a, b):
-    assert (a | b) == (b | a)
-    assert ((a & b) - a).is_empty()
-    assert (a - (a | b)).is_empty()
-    assert (a - b) & b == SymbolicSubset()
-    assert ((a - b) | (a & b)) == a
+    meet = a.difference(a.difference(b))  # a ∩ b
+    assert a.union(b) == b.union(a)
+    assert meet == b.difference(b.difference(a))
+    assert meet.difference(a).is_empty()
+    assert a.difference(a.union(b)).is_empty()
+    assert meet.difference(b).is_empty()
+    assert a.difference(b).union(meet) == a
 
 
 @settings(deadline=None, max_examples=100)
 @given(subsets(), frac01)
 def test_membership_consistency(s, x):
-    assert s.contains(x) == (not s.complement().contains(x))
+    assert s.contains(x) == (not FULL.difference(s).contains(x))
 
 
 @st.composite
@@ -222,8 +228,9 @@ def raw_member(parts, x):
 @settings(deadline=None, max_examples=100)
 @given(raw_parts(), raw_parts())
 def test_sweep_matches_pointwise_membership(pa, pb):
-    """Every set operation agrees with membership of the raw operands at each
-    boundary and each gap midpoint, and returns the normal form."""
+    """Union, difference, a ∩ b as a minus (a minus b) and the complement
+    as [0, 1] minus a agree with membership of the raw operands at each
+    boundary and each gap midpoint, and return the normal form."""
     assert_sweep_matches_membership(pa, pb)
 
 
@@ -233,14 +240,15 @@ def assert_sweep_matches_membership(pa, pb):
     ends = sorted(
         {F(0), F(1), *pa[0], *pb[0], *(e for i in pa[1] + pb[1] for e in (i.lo, i.hi))}
     )
+    union, meet, minus, complement = a.union(b), a.difference(a.difference(b)), a.difference(b), FULL.difference(a)
     for x in ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])]:
         in_a, in_b = raw_member(pa, x), raw_member(pb, x)
         assert a.contains(x) == in_a
-        assert (a | b).contains(x) == (in_a or in_b)
-        assert (a & b).contains(x) == (in_a and in_b)
-        assert (a - b).contains(x) == (in_a and not in_b)
-        assert a.complement().contains(x) == (not in_a)
-    for s in (a, a | b, a & b, a - b, a.complement()):
+        assert union.contains(x) == (in_a or in_b)
+        assert meet.contains(x) == (in_a and in_b)
+        assert minus.contains(x) == (in_a and not in_b)
+        assert complement.contains(x) == (not in_a)
+    for s in (a, union, meet, minus, complement):
         assert list(s.points) == sorted(set(s.points))
         for i, j in zip(s.intervals, s.intervals[1:]):
             assert i.hi < j.lo or (i.hi == j.lo and not i.hi_closed and not j.lo_closed)

@@ -6,6 +6,7 @@ import projector_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from field_docs import full_field
 from projector_oracle import value_at
 from poly_oracle import GaussianPoly, RationalPoly, piece
 
@@ -35,10 +36,10 @@ from essmod.subsets import SymbolicSubset
 def field_with_regions(d, *pairs):
     """Build a field from (region, basis) pairs plus a full-fiber remainder."""
     pieces = []
-    rest = SymbolicSubset.full()
+    rest = SymbolicSubset.interval(0, 1)
     for region, basis in pairs:
         pieces.append(FieldPiece(region, basis))
-        rest = rest - region
+        rest = rest.difference(region)
     if not rest.is_empty():
         pieces.append(FieldPiece(rest, identity_columns(d)))
     return SubspaceField(d, tuple(pieces))
@@ -47,16 +48,16 @@ def field_with_regions(d, *pairs):
 # --- essential witness ------------------------------------------------------------
 
 def test_essential_witness_full_field():
-    m = PiecewiseSection.constant([1, 0])
-    field = SubspaceField.full(2)
+    m = PiecewiseSection.polynomial([[1], [0]])
+    field = full_field(2)
     w = essential_witness(m, field, residual_set(m, field))
     assert w.verified
     assert not w.ma.is_zero()
 
 
 def test_essential_witness_avoids_point_defect():
-    field = field_with_regions(1, (SymbolicSubset.point(F(1, 2)), ()))
-    m = PiecewiseSection.constant([1])
+    field = field_with_regions(1, (SymbolicSubset(points=(F(1, 2),)), ()))
+    m = PiecewiseSection.polynomial([[1]])
     w = essential_witness(m, field, residual_set(m, field))
     assert w.verified
     lo, hi = w.support
@@ -82,14 +83,14 @@ def test_essential_witness_support_follows_the_section_support():
 
 def test_essential_witness_rejects_zero_section():
     with pytest.raises(ZeroInput):
-        essential_witness(PiecewiseSection.zero(1), SubspaceField.full(1), SymbolicSubset())
+        essential_witness(PiecewiseSection.zero(1), full_field(1), SymbolicSubset())
 
 
 def test_essential_witness_precondition():
     field = field_with_regions(
         1, (SymbolicSubset.interval(F(1, 4), F(1, 2), False, False), ())
     )
-    m = PiecewiseSection.constant([1])
+    m = PiecewiseSection.polynomial([[1]])
     with pytest.raises(PreconditionFailed):
         essential_witness(m, field, residual_set(m, field))
 
@@ -105,7 +106,7 @@ def test_non_essential_witness_interval_defect():
     field = field_with_regions(
         2, (SymbolicSubset.interval(F(3, 10), F(2, 5), False, False), (((0, 0), (1, 0)),))
     )
-    m = PiecewiseSection.constant([1, 0])
+    m = PiecewiseSection.polynomial([[1], [0]])
     w = non_essential_witness(m, field, residual_set(m, field))
     assert w.closure_equal and w.ma_nonzero and w.verified
     lo, hi = w.support
@@ -128,8 +129,8 @@ def test_non_essential_witness_polynomial_defect():
 
 
 def test_non_essential_witness_precondition_failure():
-    field = field_with_regions(1, (SymbolicSubset.point(F(1, 2)), ()))
-    m = PiecewiseSection.constant([1])
+    field = field_with_regions(1, (SymbolicSubset(points=(F(1, 2),)), ()))
+    m = PiecewiseSection.polynomial([[1]])
     with pytest.raises(PreconditionFailed):
         non_essential_witness(m, field, residual_set(m, field))
 
@@ -163,7 +164,7 @@ def planted_interval_spec():
         2, (SymbolicSubset.interval(F(3, 10), F(2, 5), False, False), (((0, 0), (1, 0)),))
     )
     return FieldModuleSpec(
-        2, (PiecewiseSection.constant([1, 0]), PiecewiseSection.constant([0, 1])), field
+        2, (PiecewiseSection.polynomial([[1], [0]]), PiecewiseSection.polynomial([[0], [1]])), field
     )
 
 
@@ -196,12 +197,12 @@ def adversarial_lambda_spec(gens=None):
     x1, x2, x3 = ADVERSARIAL_SAMPLES
     field = field_with_regions(
         2,
-        (SymbolicSubset.point(x1), (((1, 0), (0, 0)),)),          # span(e1)
-        (SymbolicSubset.point(x2), (((1, 0), (1, 0)),)),          # span(e1 + e2)
-        (SymbolicSubset.point(x3), (((1, 0), (0, 0)),)),          # span(e1)
+        (SymbolicSubset(points=(x1,)), (((1, 0), (0, 0)),)),          # span(e1)
+        (SymbolicSubset(points=(x2,)), (((1, 0), (1, 0)),)),          # span(e1 + e2)
+        (SymbolicSubset(points=(x3,)), (((1, 0), (0, 0)),)),          # span(e1)
     )
-    g1 = PiecewiseSection.constant([1, 1])
-    g2 = PiecewiseSection.constant([1, F(-2, 3)])
+    g1 = PiecewiseSection.polynomial([[1], [1]])
+    g2 = PiecewiseSection.polynomial([[1], [F(-2, 3)]])
     return FieldModuleSpec(2, gens or (g1, g2), field)
 
 
