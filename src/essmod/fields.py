@@ -27,13 +27,14 @@ from typing import NamedTuple
 from .errors import (
     DimensionMismatch,
     GeneratorsNotSpanning,
+    IrrationalRoot,
     NoGeneratorDefect,
     NoRoom,
     PreconditionFailed,
     SampleNotInDefect,
     ZeroInput,
 )
-from .polynomials import _value, exact_zero_points, poly_gcd, real_root_count
+from .polynomials import _value, exact_zero_points, poly_gcd
 from .rationals import GaussianIntVector, annihilator
 from .sections import PiecewiseSection, _add_times, _cell_pieces, _reduced, _scaled_value, _zero_piece, bump, pointwise_inner
 from .subsets import SymbolicSubset, _check_range, _label_runs, _of_runs, _order, _runs
@@ -334,15 +335,21 @@ def _rank_drop(minors, a: Fraction, b: Fraction, defect: SymbolicSubset) -> str 
 
 def _root_in(h: list[int], a: Fraction, b: Fraction, defect: SymbolicSubset) -> str | None:
     """Where the nonconstant integer polynomial h has a root in the rest
-    [a, b] \\ defect, built here, rational or not (points exactly,
-    intervals by Sturm count)."""
+    [a, b] \\ defect, built here: a point of the rest by exact evaluation,
+    an interval by `exact_zero_points`, which names a rational root and
+    raises IrrationalRoot for an irrational one, inside the open interval
+    since its ends are rational."""
     rest = SymbolicSubset.interval(a, b).difference(defect)
     for x in rest.points:
         if _value(h, x.numerator, x.denominator) == 0:
             return f"at x = {x}"
     for iv in rest.intervals:
-        if real_root_count(h, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed):
+        try:
+            zeros = [z for z in exact_zero_points([h], iv.lo, iv.hi) if iv.contains(z)]
+        except IrrationalRoot:
             return f"in {iv}"
+        if zeros:
+            return f"at x = {zeros[0]}"
     return None
 
 

@@ -3,6 +3,8 @@ coefficients. A polynomial is a list of integers, ascending; trailing zeros
 are allowed and [] is the zero polynomial. A Gaussian-rational polynomial
 reaches these kernels as the integer lists of its real and imaginary parts
 over one positive denominator (`sections`), which moves none of its roots.
+The root API is `poly_gcd`, `certify_only_rational_roots` and
+`exact_zero_points`, which every root question of the exact stack asks.
 
 Real roots are isolated, never enumerated: a Sturm chain of the primitive
 integer squarefree part s of p (primitive remainder sequences keep its
@@ -106,14 +108,6 @@ def _signs(chain: list[list[int]], x: Fraction) -> tuple[int, list[int]]:
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b), signs
 
 
-def real_root_count(p: list[int], lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> int:
-    """Distinct real roots of the nonzero p between lo < hi, each end counted
-    if closed: V(lo) − V(hi) on the Sturm chain of p counts (lo, hi]."""
-    chain = _sturm_chain(_primitive(_trim(p)))
-    (va, sa), (vb, sb) = _signs(chain, lo), _signs(chain, hi)
-    return va - vb + (lo_closed and sa[0] == 0) - (not hi_closed and sb[0] == 0)
-
-
 def poly_gcd(a: list[int], b: list[int]) -> list[int]:
     """The gcd over Q[x], primitive with a positive leading coefficient; []
     when both are zero."""
@@ -182,27 +176,17 @@ def _rational_root_in(s: list[int], a: Fraction, b: Fraction, inner: int) -> Fra
             return None
 
 
-def common_real_zero_gcd(parts) -> list[int]:
-    """The gcd of these integer polynomials, such as the real and imaginary
-    parts of Gaussian ones: its real roots are exactly their common real
-    zeros, and [] means they all vanish identically."""
-    g: list[int] = []
-    for part in parts:
-        if len(g := poly_gcd(g, part)) == 1:
-            break
-    return g
-
-
 def exact_zero_points(parts, lo: Fraction, hi: Fraction):
-    """Common zero set of the integer polynomials `parts` on [lo, hi].
+    """Common zero set of the integer polynomials `parts` on [lo, hi], such
+    as the real and imaginary parts of Gaussian ones: the real roots of
+    their gcd, whose scan stops once it is constant.
 
     Returns None when all of them vanish identically (the zero set is the
     whole interval); otherwise the finite sorted list of rational zeros,
     raising IrrationalRoot if an irrational common zero exists there.
     """
-    g = common_real_zero_gcd(parts)
-    if not g:
-        return None
-    if len(g) == 1:
-        return []
-    return certify_only_rational_roots(g, lo, hi)
+    g: list[int] = []
+    for part in parts:
+        if len(g := poly_gcd(g, part)) == 1:
+            return []
+    return None if not g else certify_only_rational_roots(g, lo, hi)

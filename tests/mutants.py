@@ -371,6 +371,31 @@ MUTANTS = (
          "tests/test_cli.py::test_vanishing_generators_are_decided[interval]",
          "tests/test_cli.py::test_two_piece_generator_vanishing_at_both_ends_is_decided"),
     ),
+    # The spawned stream leaves the state alone: every trial then runs one document.
+    Mutant(
+        "term-norm-bound-reads-a-spawned-stream",
+        "src/essmod/properties.py",
+        'spec, _ = _planted_spec(rng, "interval")',
+        'spec, _ = _planted_spec(rng.spawn(4), "interval")',
+        ("tests/test_properties.py::test_property_substream_states_are_pinned",),
+    ),
+    # A rational rank drop named by the interval it lies in, not by its point.
+    Mutant(
+        "root-in-names-the-interval",
+        "src/essmod/fields.py",
+        'return f"at x = {zeros[0]}"',
+        'return f"in {iv}"',
+        ("tests/test_cli.py::test_rational_rank_drop_is_named_by_its_point",),
+    ),
+    # An irrational root is a rank drop too: x² − 1/2 drops rank at 1/√2 alone.
+    Mutant(
+        "root-in-ignores-irrational-drops",
+        "src/essmod/fields.py",
+        'except IrrationalRoot:\n            return f"in {iv}"',
+        "except IrrationalRoot:\n            continue",
+        ("tests/test_fields.py::test_spanning_certificate_matches_all_minors_oracle",
+         "tests/test_cli.py::test_irrational_rank_drop_is_not_spanning"),
+    ),
     # Every trial still passes on the other draws, so no digest shows them.
     Mutant(
         "set-algebra-draws-up-to-three-points",

@@ -15,6 +15,7 @@ import pytest
 import report_oracle
 from field_docs import corpus_fields, full_field
 from poly_oracle import GaussianPoly, RationalPoly, piece, scalar
+from series_docs import row_doc
 
 from essmod import cli, fields, properties, runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape
@@ -1397,6 +1398,19 @@ def test_irrational_rank_drop_is_not_spanning(tmp_path, capsys):
     g = scalar(GaussianPoly(RationalPoly((-F(1, 2), 0, 1)), RationalPoly.zero()))
     code, err, _ = check_full_field(tmp_path, capsys, 1, [g])
     assert code == 2 and err.startswith("error: GeneratorsNotSpanning: ") and err.count("\n") == 1, (code, err)
+    assert "in [0, 1]" in err, err
+
+
+def test_rational_rank_drop_is_named_by_its_point(tmp_path, capsys):
+    """The series' illegal twin drops rank at 1/2, off its (empty) defect
+    set: the refusal names that point, not the interval it lies in."""
+    path = tmp_path / "illegal.json"
+    path.write_text(serialize.dumps(row_doc(4, 64, "illegal")))
+    capsys.readouterr()
+    code = cli.main(["check", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: GeneratorsNotSpanning: ") and err.count("\n") == 1, (code, err)
+    assert "at x = 1/2" in err, err
 
 
 def test_rank_one_generators_fail_fast(tmp_path, capsys):

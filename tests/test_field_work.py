@@ -137,10 +137,16 @@ SERIES_ROWS = [
 # inside them, and the minors `fields._minors` yielded. Pinned while every
 # gcd of two nonzero operands ran the exact remainder sequence: a cell's
 # first gcd, of [] and one minor coefficient, runs none, so each corpus cell
-# stops after one minor, and 150 of the 160 series gcd calls run one.
+# stops after one minor, and 150 of the 160 series gcd calls run one. Over
+# all of `check`: the Sturm chains built (`polynomials._sturm_chain`), and
+# the largest coefficient bit length in any `_remainder_sequence`, gcd or
+# chain. The corpus residual sets find no common zero, so build no chain;
+# the series chains are the root searches of the spanning certificate.
 SPANNING_GCD_WORK = {
-    "corpus": {"poly_gcd": 24, "remainder_sequences": 0, "prem": 0, "minors": 24},
-    "series": {"poly_gcd": 160, "remainder_sequences": 150, "prem": 246, "minors": 81},
+    "corpus": {"poly_gcd": 24, "remainder_sequences": 0, "prem": 0, "minors": 24,
+               "sturm_chains": 0, "max_coeff_bits": 6},
+    "series": {"poly_gcd": 160, "remainder_sequences": 150, "prem": 246, "minors": 81,
+               "sturm_chains": 6, "max_coeff_bits": 88_991},
 }
 
 
@@ -161,7 +167,13 @@ def test_spanning_gcd_work_is_pinned(monkeypatch):
     def remainder_sequence(a, b):
         if inside:
             inside[-1] = True
-        return original_sequence(a, b)
+        seq = original_sequence(a, b)
+        work["max_coeff_bits"] = max(work["max_coeff_bits"], *(abs(c).bit_length() for q in seq for c in q))
+        return seq
+
+    def sturm_chain(cs):
+        work["sturm_chains"] += 1
+        return original_chain(cs)
 
     def prem(a, b):
         if inside:
@@ -177,13 +189,15 @@ def test_spanning_gcd_work_is_pinned(monkeypatch):
                  "series": [(row_doc(*row), row[2] == "illegal") for row in SERIES_ROWS]}
     original_gcd, original_sequence = fields.poly_gcd, polynomials._remainder_sequence
     original_prem, original_minors = polynomials._prem, fields._minors
+    original_chain = polynomials._sturm_chain
     monkeypatch.setattr(fields, "poly_gcd", gcd)
     monkeypatch.setattr(polynomials, "_remainder_sequence", remainder_sequence)
     monkeypatch.setattr(polynomials, "_prem", prem)
     monkeypatch.setattr(fields, "_minors", minors)
+    monkeypatch.setattr(polynomials, "_sturm_chain", sturm_chain)
     counted = {}
     for label, docs in documents.items():
-        work.update(poly_gcd=0, remainder_sequences=0, prem=0, minors=0)
+        work.update(poly_gcd=0, remainder_sequences=0, prem=0, minors=0, sturm_chains=0, max_coeff_bits=0)
         for doc, refused in docs:
             if refused:
                 with pytest.raises(GeneratorsNotSpanning):

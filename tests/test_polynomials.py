@@ -18,10 +18,8 @@ from essmod.polynomials import (
     _sturm_chain,
     _value,
     certify_only_rational_roots,
-    common_real_zero_gcd,
     exact_zero_points,
     poly_gcd,
-    real_root_count,
 )
 
 
@@ -122,7 +120,6 @@ def test_eval_and_degree():
     """The integer kernels read a list with trailing zeros as its trimmed self."""
     q = [1, -2, 1, 0, 0]  # (x-1)^2
     assert _value(q[:3], 1, 1) == 0 and _value(q[:3], 3, 1) == 4
-    assert real_root_count(q, F(0), F(2), True, True) == 1
     assert poly_gcd(q, [0]) == [1, -2, 1] and poly_gcd([], [0, 0]) == []
     assert poly_gcd([-2, 4], [3, -6, 0]) == [-1, 2]  # primitive, positive leading coefficient
     assert certify_only_rational_roots(q, F(0), F(2)) == [F(1)]
@@ -205,12 +202,10 @@ def test_gaussian_poly_arithmetic_and_conj():
     assert _scaled_value(m.pieces[0][1], F(1, 2)) == ((2, 1),)  # 2·(1 + i/2)
 
 
-def test_common_real_zero_gcd():
+def test_exact_zero_points_common_factor():
     g1 = GaussianPoly(p(0, 1) * p(-1, 1), p(0))  # x(x-1)
     g2 = GaussianPoly(p(0, 1) * p(-2, 1), p(0))  # x(x-2)
-    g = common_real_zero_gcd(int_parts([g1, g2]))
-    assert g == [0, 1]
-    assert certify_only_rational_roots(g, F(-3), F(3)) == [F(0)]
+    assert exact_zero_points(int_parts([g1, g2]), F(-3), F(3)) == [F(0)]
 
 
 def test_exact_zero_points_modes():

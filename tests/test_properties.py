@@ -93,7 +93,7 @@ SUBSTREAM_STATES = {
     "fields.residual_subset_total": 0x23C28382B5EC238B,
     "fields.criterion_coherence": 0x790DF2E74CA59A48,
     "fields.inductive_postcondition": 0x1A738B426458E709,
-    "fields.term_norm_bound": 0x5C55827DF1D1B1BA,
+    "fields.term_norm_bound": 0xCDAB8C75B918784A,
     "fields.commutative_identity": 0x9CA06A68B316139F,
     "cli.gen_determinism": 0xF519F86EE2385B4C,
     "cli.gen_check_roundtrip": 0xA4F3CEFF4F1371BF,
