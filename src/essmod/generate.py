@@ -207,10 +207,10 @@ def _rand_poly_section(rng: SplitMix64, d: int) -> PiecewiseSection:
     return PiecewiseSection._of(d, (ZERO, ONE), (_reduced(8, cols),))
 
 
-def gen_field(
+def planted_field(
     d: int, pieces: int, n_generators: int, defect: str, seed: int
-) -> dict:
-    """Field instance with a planted defect structure.
+) -> FieldModuleSpec:
+    """Field with a planted defect structure.
 
     defect "none" keeps the full fiber everywhere; "points" plants proper
     subspaces at isolated rational points (still essential); "interval"
@@ -230,13 +230,15 @@ def gen_field(
     rng = SplitMix64(seed)
     for attempt in range(32):
         try:
-            spec = _gen_field_attempt(rng.spawn(attempt), d, pieces, n_generators, defect)
-            break
+            return _gen_field_attempt(rng.spawn(attempt), d, pieces, n_generators, defect)
         except IrrationalRoot:
             continue
-    else:
-        raise IrrationalRoot("could not sample rational-root defect boundaries")
-    payload = field_spec_to_json(spec)
+    raise IrrationalRoot("could not sample rational-root defect boundaries")
+
+
+def gen_field(d: int, pieces: int, n_generators: int, defect: str, seed: int) -> dict:
+    """The instance document of `planted_field`'s spec, its planted decision as `expected`."""
+    payload = field_spec_to_json(planted_field(d, pieces, n_generators, defect, seed))
     doc = instance_to_json("field", payload, seed)
     doc["expected"] = {"essential": defect != "interval"}
     return doc

@@ -18,7 +18,6 @@ import numpy as np
 from . import algebra, fields, generate, linalg, modules, runner, sections, serialize, subsets
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import EigenvalueAtThreshold, IrrationalRoot, ZeroInput
-from .generate import SplitMix64
 from .modules import ModuleElement, Submodule
 from .sections import PiecewiseSection
 from .subsets import SymbolicSubset
@@ -363,16 +362,15 @@ def prop_set_algebra(rng):
     return s.is_nowhere_dense() == s.closure().interior().is_empty()
 
 
-def _planted_spec(rng, defect: str):
+def _planted_spec(rng, defect: str) -> fields.FieldModuleSpec:
     d = rng.randint(1, 3)
-    doc = generate.gen_field(
+    return generate.planted_field(
         d=d,
         pieces=rng.randint(2, 6),
         n_generators=rng.randint(d, d + 2),
         defect=defect,
         seed=rng.next_u64(),
     )
-    return serialize.field_spec_from_json(doc["payload"]), doc
 
 
 def _rand_linear(rng) -> list:
@@ -394,7 +392,7 @@ def prop_residual_subset_total(rng):
     first generator times the bump on (1/4, 3/4) vanishes on part of the
     total, so there the inclusion is strict and its direction shows."""
     defect_kind = ("none", "points", "interval")[rng.randint(0, 2)]
-    spec, _ = _planted_spec(rng.spawn(1), defect_kind)
+    spec = _planted_spec(rng.spawn(1), defect_kind)
     total = fields.analyze_field(spec).total
     m = _rand_combination(rng, spec)
     bumped = spec.generators[0].mul_scalar_section(sections.bump(Fraction(1, 4), Fraction(3, 4)))
@@ -406,7 +404,7 @@ def prop_criterion_coherence(rng):
     """The planted defect decides. A non-essential spec gets the witnesses
     `essmod witness` reports, held to the report's rule."""
     planted = ("none", "points", "interval")[rng.randint(0, 2)]
-    spec, _ = _planted_spec(rng.spawn(2), planted)
+    spec = _planted_spec(rng.spawn(2), planted)
     decision = fields.is_essential_field(spec)
     if decision.essential != (planted != "interval"):
         return False
@@ -434,7 +432,7 @@ def prop_criterion_coherence(rng):
 
 @_property("fields.inductive_postcondition")
 def prop_inductive_postcondition(rng):
-    spec, _ = _planted_spec(rng.spawn(3), "interval")
+    spec = _planted_spec(rng.spawn(3), "interval")
     total = fields.is_essential_field(spec).analysis.total
     count = rng.randint(2, 6)
     return fields.inductive_witness_section(spec, *fields.witness_samples(total, count), total).verified
@@ -448,7 +446,7 @@ def prop_term_norm_bound(rng):
     (x_j − r_j, x_j + r_j), r_j half the distance from x_j to the nearest
     earlier sample or end, and at x_j, where a_j peaks, each coordinate has
     modulus at most 2^-j."""
-    spec, _ = _planted_spec(rng, "interval")
+    spec = _planted_spec(rng, "interval")
     consts = tuple(
         g for g in spec.generators
         if all(len(cols) == 1 for _, cols in g.pieces)
@@ -517,7 +515,7 @@ def run_suite(seed: int, trials: int) -> serialize.Report:
     sorted by name; its digest covers them, and `timing_ms` and the per-property
     `property_timing_ms` stay outside it."""
     t0 = time.perf_counter()
-    base = SplitMix64(seed)
+    base = generate.SplitMix64(seed)
     results = []
     timing = {}
     for idx, prop in enumerate(PROPERTIES):

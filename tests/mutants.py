@@ -375,8 +375,8 @@ MUTANTS = (
     Mutant(
         "term-norm-bound-reads-a-spawned-stream",
         "src/essmod/properties.py",
-        'spec, _ = _planted_spec(rng, "interval")',
-        'spec, _ = _planted_spec(rng.spawn(4), "interval")',
+        'spec = _planted_spec(rng, "interval")',
+        'spec = _planted_spec(rng.spawn(4), "interval")',
         ("tests/test_properties.py::test_property_substream_states_are_pinned",),
     ),
     # A rational rank drop named by the interval it lies in, not by its point.
@@ -395,6 +395,14 @@ MUTANTS = (
         "except IrrationalRoot:\n            continue",
         ("tests/test_fields.py::test_spanning_certificate_matches_all_minors_oracle",
          "tests/test_cli.py::test_irrational_rank_drop_is_not_spanning"),
+    ),
+    # A sample where no generator leaves L: the defect set disagrees with the generators.
+    Mutant(
+        "inductive-pick-never-refused",
+        "src/essmod/fields.py",
+        "if k_j is None:",
+        "if False:",
+        ("tests/test_witnesses.py::test_inductive_witness_refuses_a_defect_set_the_generators_contradict",),
     ),
     # Every trial still passes on the other draws, so no digest shows them.
     Mutant(

@@ -37,6 +37,18 @@ from essmod.subsets import SymbolicSubset
 
 ZERO = Fraction(0)
 
+# The series rows whose `check` took under 1 s (in-process, on a shared
+# 2-vCPU VM) when the gcd work of tests/test_field_work.py was pinned, as
+# (degree, bits, kind), kind the denominator shape A or B, "shared" for a
+# common factor x − 1/2 of all minors at 1/2 in the defect set, or
+# "illegal" for its twin with that drop off the defect set. Each is d = 4
+# with 8 generators; `row_doc(*row)` builds one.
+SERIES_ROWS = [
+    (2, 64, "A"), (2, 256, "A"), (2, 1024, "A"), (4, 64, "A"),
+    (1, 64, "B"), (1, 256, "B"), (2, 64, "B"),
+    (2, 64, "shared"), (4, 64, "shared"), (4, 64, "illegal"),
+]
+
 
 def _coefficient(rng: random.Random, bits: int, shape: str) -> Fraction:
     num = (rng.getrandbits(bits - 1) | 1 << (bits - 1)) * rng.choice((-1, 1))

@@ -7,6 +7,10 @@ corpus order: a report as its canonical JSON without `timing_ms`, a
 refusal as its error class and message, one outcome per line. Every
 seed-1 report also passes the independent oracle of tests/report_oracle.py.
 
+The sub-second rows of the coefficient-size series (tests/series_docs.py)
+have one such sha256 as well, every report verified; the illegal twin's
+refusals are two of its lines.
+
 Exact-stack reports may not move at all. Float numbers may move within
 1e-12: a change that moves them re-pins the float digests and states in
 CHANGES.md the largest change of each number, and that no decision,
@@ -20,6 +24,7 @@ import pytest
 import report_oracle
 from field_docs import corpus_fields
 from float_docs import corpus_floats
+from series_docs import SERIES_ROWS, row_doc
 
 from essmod import runner, serialize
 from essmod.errors import EssmodError
@@ -32,6 +37,8 @@ OUTCOME_DIGESTS = {
     ("field_corpus", 1): "02332a35457aab05a960bb768827ca3971a0cd8a3bd6b4f0f6c523cdb92d4572",
     ("field_corpus", 2): "56d80c6879312ad8ffbb3902887fb7fc64a4138bef7a9d00521dbc4f6ca04141",
 }
+
+SERIES_DIGEST = "13a98094b3d20104baa298bc7a26cc8514a48e1ce8467e99ee7a9d0c93595fb8"
 
 
 def outcome_lines(doc, verify: bool):
@@ -57,3 +64,11 @@ def test_corpus_outcomes_are_pinned(corpus, seed):
             h.update(line.encode() + b"\n")
     assert len(docs) == {"float_corpus": 360, "field_corpus": 216}[corpus]
     assert h.hexdigest() == OUTCOME_DIGESTS[corpus, seed]
+
+
+def test_series_outcomes_are_pinned():
+    h = hashlib.sha256()
+    for row in SERIES_ROWS:
+        for line in outcome_lines(row_doc(*row), verify=True):
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == SERIES_DIGEST

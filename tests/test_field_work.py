@@ -12,7 +12,7 @@ The counts are deterministic: they depend on the documents, not on timing.
 
 import pytest
 from field_docs import corpus_fields
-from series_docs import row_doc
+from series_docs import SERIES_ROWS, row_doc
 
 import essmod
 from essmod import fields, polynomials, runner, serialize
@@ -120,17 +120,6 @@ def test_field_decisions_build_only_what_they_report(monkeypatch):
     assert len(witnesses) == 24
     assert in_witnesses - (counts["exact_zero_points"] - before) == EMPTINESS_ZERO_POINTS
 
-
-# The series rows whose `check` took under 1 s (in-process, on a shared
-# 2-vCPU VM) when these counts were pinned, as (degree, bits, kind), kind
-# the denominator shape A or B, "shared" for a common factor x − 1/2 of all
-# minors at 1/2 in the defect set, or "illegal" for its twin with that drop
-# off the defect set. Each is d = 4 with 8 generators.
-SERIES_ROWS = [
-    (2, 64, "A"), (2, 256, "A"), (2, 1024, "A"), (4, 64, "A"),
-    (1, 64, "B"), (1, 256, "B"), (2, 64, "B"),
-    (2, 64, "shared"), (4, 64, "shared"), (4, 64, "illegal"),
-]
 
 # The spanning certificate's gcd work, per set of documents: `fields.poly_gcd`
 # calls, how many of them ran an exact remainder sequence, the `_prem` steps

@@ -17,6 +17,7 @@ from essmod.generate import (
     gen_field,
     gen_module_submodule,
     gen_right_ideal,
+    planted_field,
     rand_algebra_element,
     rand_matrix,
 )
@@ -170,25 +171,37 @@ def test_generation_grid_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGEST
 
 
-# sha256 of the canonical JSON of every document of `field_grid`, recorded
-# when the partition was the full set less the planted part, cut by set
-# algebra. Of its 120 interval documents, 52 have a cut inside the planted
-# interval and 6 a cut at one of its ends; 4 of its points documents have a
-# cut on a planted point.
+# sha256 of the canonical JSON of the document of every `field_grid` case,
+# recorded when the partition was the full set less the planted part, cut
+# by set algebra. Of its 120 interval documents, 52 have a cut inside the
+# planted interval and 6 a cut at one of its ends; 4 of its points
+# documents have a cut on a planted point.
 FIELD_GRID_DIGEST = "6d2ed780a98a2146634cbe578b89bfd3ac19d16bf3b945e6a8cbc8e8f76e2c9b"
 
 
 def field_grid():
+    """The (d, pieces, generators, defect, seed) of each document."""
     for seed in range(3):
         for d in range(1, 5):
             for pieces in (2, 3, 4, 8, 16):
                 for g in (d, 8):
-                    yield from (gen_field(d, pieces, g, defect, seed) for defect in ("none", "points", "interval"))
+                    yield from ((d, pieces, g, defect, seed) for defect in ("none", "points", "interval"))
 
 
 def test_field_generation_grid_is_pinned():
-    text = "\n".join(serialize.canonical_json(doc) for doc in field_grid())
+    text = "\n".join(serialize.canonical_json(gen_field(*case)) for case in field_grid())
     assert hashlib.sha256(text.encode()).hexdigest() == FIELD_GRID_DIGEST
+
+
+def test_planted_spec_equals_its_loaded_document():
+    """On `field_grid`, the spec `planted_field` builds is the spec its
+    `gen_field` document loads as, down to the runs of one L (`cuts` and
+    `rows`), which dataclass equality does not compare: the suite's field
+    properties take the spec without a JSON round trip."""
+    for case in field_grid():
+        planted, loaded = planted_field(*case), serialize.field_spec_from_json(gen_field(*case)["payload"])
+        assert planted == loaded, case
+        assert (planted.subfield.cuts, planted.subfield.rows) == (loaded.subfield.cuts, loaded.subfield.rows), case
 
 
 # Sweeps per generated field. Each took 10.7 on these documents (2,320 over

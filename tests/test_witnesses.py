@@ -11,7 +11,7 @@ from projector_oracle import value_at
 from poly_oracle import GaussianPoly, RationalPoly, piece
 
 from essmod import rationals
-from essmod.errors import NoRoom, PreconditionFailed, SampleNotInDefect, ZeroInput
+from essmod.errors import NoGeneratorDefect, NoRoom, PreconditionFailed, SampleNotInDefect, ZeroInput
 from essmod.fields import (
     FieldModuleSpec,
     FieldPiece,
@@ -218,6 +218,15 @@ def test_inductive_witness_rejects_sample_outside_defect():
     spec = planted_interval_spec()
     with pytest.raises(SampleNotInDefect):
         inductive_witness_section(spec, (F(1, 10), F(2, 5)), [F(1, 10)], analyze_field(spec).total)
+
+
+def test_inductive_witness_refuses_a_defect_set_the_generators_contradict():
+    """On the full field over C² with generators e₁ and e₂, no generator
+    leaves L at 1/2: a defect set [1/4, 3/4] there disagrees with them."""
+    spec = FieldModuleSpec(2, (PiecewiseSection.polynomial([[1], [0]]), PiecewiseSection.polynomial([[0], [1]])),
+                           full_field(2))
+    with pytest.raises(NoGeneratorDefect, match="at sample 1/2"):
+        inductive_witness_section(spec, (F(1, 4), F(3, 4)), [F(1, 2)], SymbolicSubset.interval(F(1, 4), F(3, 4)))
 
 
 def test_inductive_witness_refuses_no_samples():
