@@ -12,6 +12,8 @@ property that floating point would ruin.
 
 `analyze_field` computes each generator's defect set once per spec; the
 decision, the witnesses and the CLI reports all read from that analysis.
+Each witness owns its verdict (`verified`); `non_essential_witnesses` owns
+the AND of the two that `essmod witness` and the suite read.
 """
 
 from __future__ import annotations
@@ -453,7 +455,6 @@ def essential_witness(
 
 @dataclass(frozen=True)
 class ProbeReport:
-    interval: tuple[Fraction, Fraction]
     residual_empty: bool
     product_zero: bool
 
@@ -476,10 +477,12 @@ class NonEssentialWitness:
     probes: tuple[ProbeReport, ...]
 
     @property
+    def probes_ok(self) -> bool:
+        return all(p.implication_holds for p in self.probes)
+
+    @property
     def verified(self) -> bool:
-        return self.closure_equal and self.ma_nonzero and all(
-            p.implication_holds for p in self.probes
-        )
+        return self.closure_equal and self.ma_nonzero and self.probes_ok
 
 
 def non_essential_witness(
@@ -497,16 +500,8 @@ def non_essential_witness(
     closure_equal = z_ma.closure() == y_ma.closure()
     probes = []
     for iv in z_ma.intervals[:4]:
-        u, w = _middle_half(iv)
-        b = bump(u, w)
-        mab = ma.mul_scalar_section(b)
-        probes.append(
-            ProbeReport(
-                interval=(u, w),
-                residual_empty=_residual_empty(mab, field),
-                product_zero=mab.is_zero(),
-            )
-        )
+        mab = ma.mul_scalar_section(bump(*_middle_half(iv)))
+        probes.append(ProbeReport(residual_empty=_residual_empty(mab, field), product_zero=mab.is_zero()))
     return NonEssentialWitness(
         a=a,
         ma=ma,
@@ -515,13 +510,6 @@ def non_essential_witness(
         ma_nonzero=not ma.is_zero(),
         probes=tuple(probes),
     )
-
-
-def direct_witness(spec: FieldModuleSpec, analysis: FieldAnalysis) -> NonEssentialWitness | None:
-    """The non-essential witness of the first generator whose defect set
-    (`analysis.defects`) holds an interval, or None if none does."""
-    return next((non_essential_witness(g, spec.subfield, defect)
-                 for g, defect in zip(spec.generators, analysis.defects) if defect.intervals), None)
 
 
 def witness_samples(total: SymbolicSubset, count: int) -> tuple[tuple[Fraction, Fraction], list[Fraction]]:
@@ -642,6 +630,27 @@ def inductive_witness_section(
         samples=tuple(xs),
         sample_defects_verified=all(_outside(ann, _scaled_value(cells[c][1], x)) for x, ann, c in zip(xs, anns, here)),
     )
+
+
+class NonEssentialWitnesses(NamedTuple):
+    """The witnesses `essmod witness` reports on a non-essential spec, and their verdict: both verify."""
+
+    interval: tuple[Fraction, Fraction]
+    inductive: InductiveWitness
+    direct: NonEssentialWitness
+    verified: bool
+
+
+def non_essential_witnesses(spec: FieldModuleSpec, analysis: FieldAnalysis, count: int) -> NonEssentialWitnesses:
+    """The inductive witness on `count` samples of the total defect set
+    (`witness_samples`), and the direct witness of the first generator
+    whose defect set (`analysis.defects`) holds an interval: one does, as
+    the total has interior and is the union of those sets."""
+    interval, xs = witness_samples(analysis.total, count)
+    inductive = inductive_witness_section(spec, interval, xs, analysis.total)
+    direct = next(non_essential_witness(g, spec.subfield, defect)
+                  for g, defect in zip(spec.generators, analysis.defects) if defect.intervals)
+    return NonEssentialWitnesses(interval, inductive, direct, inductive.verified and direct.verified)
 
 
 def commutative_limit_identity(m: PiecewiseSection, n: PiecewiseSection) -> bool:

@@ -185,6 +185,11 @@ class SubmoduleCertificate:
     witness: ModuleElement | None = None
     witness_probe_found: bool | None = None
 
+    @property
+    def verified(self) -> bool:
+        """The decision stands: N is essential, or no right multiple of m enters N."""
+        return self.essential or self.witness_probe_found is False
+
 
 def is_essential_submodule(N: Submodule) -> tuple[bool, SubmoduleCertificate]:
     """Decide essentiality of N via the compact-operator correspondence:

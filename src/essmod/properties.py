@@ -302,8 +302,7 @@ def prop_correspondence(rng):
                 continue
             if modules.reformulation_probe(m, n) is None:
                 return False
-        return True
-    return cert.witness_probe_found is False
+    return cert.verified
 
 
 @_property("module.intertwine")
@@ -413,27 +412,18 @@ def prop_criterion_coherence(rng):
             m = _rand_combination(rng, spec)
             if m.is_zero():
                 continue
-            defect = fields.residual_set(m, spec.subfield)
-            if not defect.is_nowhere_dense():
-                return False
-            w = fields.essential_witness(m, spec.subfield, defect)
+            w = fields.essential_witness(m, spec.subfield, fields.residual_set(m, spec.subfield))
             if not w.verified:
                 return False
         return True
-    total = decision.analysis.total
-    inductive = fields.inductive_witness_section(spec, *fields.witness_samples(total, 4), total)
-    direct = fields.direct_witness(spec, decision.analysis)
-    return (
-        inductive.verified
-        and (direct is None or direct.verified)
-        and not fields.residual_set(inductive.m, spec.subfield).is_nowhere_dense()
-    )
+    w = fields.non_essential_witnesses(spec, decision.analysis, 4)
+    return w.verified and not fields.residual_set(w.inductive.m, spec.subfield).is_nowhere_dense()
 
 
 @_property("fields.inductive_postcondition")
 def prop_inductive_postcondition(rng):
     spec = _planted_spec(rng.spawn(3), "interval")
-    total = fields.is_essential_field(spec).analysis.total
+    total = fields.analyze_field(spec).total
     count = rng.randint(2, 6)
     return fields.inductive_witness_section(spec, *fields.witness_samples(total, count), total).verified
 
@@ -452,7 +442,7 @@ def prop_term_norm_bound(rng):
         if all(len(cols) == 1 for _, cols in g.pieces)
     )
     spec = fields.FieldModuleSpec(spec.d, consts, spec.subfield)
-    total = fields.is_essential_field(spec).analysis.total
+    total = fields.analyze_field(spec).total
     interval, xs = fields.witness_samples(total, 3)
     prev = PiecewiseSection.zero(spec.d)
     for j, x in enumerate(xs, start=1):

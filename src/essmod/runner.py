@@ -4,6 +4,8 @@ Reports are finished by `serialize.finish`: read-only JSON-able dicts that
 carry their own canonical text. Every report carries the digest of the
 instance it was computed from plus a digest of its own canonical body
 (timing excluded), so reruns with the same seed are comparable bit for bit.
+The `checks_ok` of a module report or a field witness is read off the
+certificate or witness bundle that proves it (`verified`), as the suite does.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def run_check(doc) -> serialize.Report:
             cert_doc["witness"] = module_element_to_json(cert.witness)
             cert_doc["witness_probe_found"] = cert.witness_probe_found
         report["certificate"] = cert_doc
-        report["checks_ok"] = decision or cert.witness_probe_found is False
+        report["checks_ok"] = cert.verified
     else:
         spec = field_spec_from_json(payload)
         decision = fields.is_essential_field(spec)
@@ -108,15 +110,9 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> serialize.Repo
         n = submodule_from_json(payload)
         decision, cert = modules.is_essential_submodule(n)
         report["decision"] = decision
-        if decision:
-            report["witness"] = None
-            report["checks_ok"] = True
-        else:
-            report["witness"] = {
-                "m": module_element_to_json(cert.witness),
-                "probe_found": cert.witness_probe_found,
-            }
-            report["checks_ok"] = cert.witness_probe_found is False
+        report["witness"] = None if decision else {"m": module_element_to_json(cert.witness),
+                                                   "probe_found": cert.witness_probe_found}
+        report["checks_ok"] = cert.verified
     else:
         spec = field_spec_from_json(payload)
         decision = fields.is_essential_field(spec)
@@ -134,31 +130,30 @@ def run_witness(doc, samples: int = 8, section_index: int = 0) -> serialize.Repo
             }
             report["checks_ok"] = w.verified
         else:
-            report["witness"] = _non_essential_witnesses(spec, decision, samples)
-            report["checks_ok"] = report["witness"]["all_verified"]
+            w = fields.non_essential_witnesses(spec, decision.analysis, samples)
+            report["witness"] = _non_essential_witnesses(w)
+            report["checks_ok"] = w.verified
     return serialize.finish(report, t0)
 
 
-def _non_essential_witnesses(spec, decision, samples: int) -> dict:
-    analysis = decision.analysis
-    (lo, hi), xs = fields.witness_samples(analysis.total, samples)
-    inductive = fields.inductive_witness_section(spec, (lo, hi), xs, analysis.total)
-    direct = fields.direct_witness(spec, analysis)
+def _non_essential_witnesses(w: fields.NonEssentialWitnesses) -> dict:
+    """The report's witness block: `fields.non_essential_witnesses`, formatted."""
+    inductive, direct = w.inductive, w.direct
     return {
         "kind": "non_essential",
-        "interval": [frac_to_json(lo), frac_to_json(hi)],
-        "samples": [frac_to_json(x) for x in xs],
+        "interval": [frac_to_json(w.interval[0]), frac_to_json(w.interval[1])],
+        "samples": [frac_to_json(x) for x in inductive.samples],
         "inductive": {
             "m": section_to_json(inductive.m),
             "lambdas": [frac_to_json(l) for l in inductive.lambdas],
             "picks": list(inductive.picks),
             "sample_defects_verified": inductive.sample_defects_verified,
         },
-        "direct": None if direct is None else {
+        "direct": {
             "support": [frac_to_json(direct.support[0]), frac_to_json(direct.support[1])],
             "closure_equal": direct.closure_equal,
             "ma_nonzero": direct.ma_nonzero,
-            "probes_ok": all(p.implication_holds for p in direct.probes),
+            "probes_ok": direct.probes_ok,
         },
-        "all_verified": inductive.verified and (direct is None or direct.verified),
+        "all_verified": w.verified,
     }

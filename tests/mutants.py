@@ -404,6 +404,24 @@ MUTANTS = (
         "if False:",
         ("tests/test_witnesses.py::test_inductive_witness_refuses_a_defect_set_the_generators_contradict",),
     ),
+    # Each report's checks_ok and the suite read the verdict off the
+    # certificate or witness bundle that proves it: no other copy hides a fault.
+    Mutant(
+        "submodule-verdict-ignores-the-probe",
+        "src/essmod/modules.py",
+        "return self.essential or self.witness_probe_found is False",
+        "return True",
+        ("tests/test_cli.py::test_a_found_probe_fails_the_module_reports",
+         "tests/test_properties.py::test_property_reads_the_verdict_its_witness_owns[found-probe]"),
+    ),
+    Mutant(
+        "non-essential-verdict-drops-the-direct-witness",
+        "src/essmod/fields.py",
+        "inductive.verified and direct.verified)",
+        "inductive.verified)",
+        ("tests/test_cli.py::test_a_failing_direct_probe_fails_the_witness",
+         "tests/test_properties.py::test_property_reads_the_verdict_its_witness_owns[failing-direct-probe]"),
+    ),
     # Every trial still passes on the other draws, so no digest shows them.
     Mutant(
         "set-algebra-draws-up-to-three-points",

@@ -28,9 +28,13 @@ its certificate cannot hide behind the same fault here.
   or end, a_j = (t − x_j + r_j)(x_j + r_j − t)/r_j² on (x_j ∓ r_j) and 0
   elsewhere, and m = Σ λ_j g_{k_j} a_j. g_{k_j} and m must leave L at
   x_j, and λ_j is 2^-j, or 2^-(j+1) only where 2^-j puts the partial sum
-  at x_j (the earlier terms plus 2^-j·g_{k_j}(x_j)) in L. The `direct`
-  block is not checked. An essential one's `a`, `ma` and `support` are
-  checked whole: a is
+  at x_j (the earlier terms plus 2^-j·g_{k_j}(x_j)) in L. Its
+  `all_verified` must be `sample_defects_verified` AND (`direct` is null,
+  or its `closure_equal`, `ma_nonzero` and `probes_ok` all hold), and
+  `checks_ok` must equal it. The `direct` block's geometric claims are
+  not checked: that supp(ma) and the residual set of ma have one closure,
+  that ma ≠ 0, and each probe's implication. An essential one's `a`, `ma`
+  and `support` are checked whole: a is
   (x − α)(β − x) on `support` = (α, β) and 0 elsewhere, ma equals g·a
   exactly on the common refinement (g the generator `section_index`
   picks), ma is nonzero, and ma(x) ∈ L_x everywhere: every coefficient
@@ -193,7 +197,11 @@ def _verify_field(payload: dict, report: dict, section_index: int):
     if report["kind"] == "check_report":
         assert _subset(report["defect_set"]) == defect, (report["defect_set"], defect)
     elif not report["decision"]:
-        _verify_inductive_witness(payload, report["witness"], defect)
+        w, direct = report["witness"], report["witness"]["direct"]
+        _verify_inductive_witness(payload, w, defect)
+        direct_ok = direct is None or direct["closure_equal"] and direct["ma_nonzero"] and direct["probes_ok"]
+        assert w["all_verified"] is (w["inductive"]["sample_defects_verified"] and direct_ok), w["all_verified"]
+        assert report["checks_ok"] is w["all_verified"]
     else:
         generators = payload["generators"]
         _verify_essential_witness(payload, generators[section_index % len(generators)], report["witness"])

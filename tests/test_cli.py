@@ -17,14 +17,14 @@ from field_docs import corpus_fields, full_field
 from poly_oracle import GaussianPoly, RationalPoly, piece, scalar
 from series_docs import row_doc
 
-from essmod import cli, fields, properties, runner, serialize
+from essmod import cli, fields, modules, properties, runner, serialize
 from essmod.algebra import AlgebraElement, AlgebraShape
 from essmod.errors import EigenvalueAtThreshold, PreconditionFailed, SchemaError
 from essmod.fields import FieldModuleSpec
 from essmod.generate import gen_field, gen_module_submodule, gen_right_ideal
 from essmod.modules import ModuleElement
 from essmod.sections import PiecewiseSection, bump, unit_bump
-from test_witnesses import ADVERSARIAL_SAMPLES, adversarial_lambda_spec
+from test_witnesses import ADVERSARIAL_SAMPLES, adversarial_lambda_spec, fail_a_direct_probe
 
 
 def run_cli(args, tmp_path, stdin_doc=None, monkeypatch=None, capsys=None):
@@ -1211,6 +1211,53 @@ def test_report_oracle_refuses_a_wrong_inductive_witness(mutate):
     mutate(report["witness"])
     with pytest.raises(AssertionError):
         report_oracle.verify(doc, report)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda w: w.update(all_verified=False),
+    lambda w: w["direct"].update(probes_ok=False),
+], ids=["all-verified", "direct-probes-ok"])
+def test_report_oracle_reads_the_non_essential_verdict(mutate):
+    """`all_verified` is the inductive witness's flag AND the direct
+    block's three, and `checks_ok` is `all_verified`: flipping either side
+    of that rule alone is refused."""
+    doc = INTERVAL_DOCS[0]
+    report = json.loads(serialize.dumps(runner.run_witness(doc)))
+    report_oracle.verify(doc, report)
+    mutate(report["witness"])
+    with pytest.raises(AssertionError):
+        report_oracle.verify(doc, report)
+
+
+def test_a_failing_direct_probe_fails_the_witness(tmp_path, monkeypatch):
+    """`fields.non_essential_witnesses` owns the verdict the report reads:
+    one failing probe of the direct witness, the inductive one verified,
+    makes `witness` report `checks_ok` false and exit 1."""
+    fail_a_direct_probe(monkeypatch)
+    doc, out = tmp_path / "doc.json", tmp_path / "w.json"
+    doc.write_text(serialize.dumps(INTERVAL_DOCS[0]))
+    assert cli.main(["witness", "--in", str(doc), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    w = report["witness"]
+    assert w["inductive"]["sample_defects_verified"] is True and w["direct"]["probes_ok"] is False
+    assert w["all_verified"] is report["checks_ok"] is False
+
+
+def test_a_found_probe_fails_the_module_reports(tmp_path, monkeypatch):
+    """`SubmoduleCertificate.verified` owns the module verdict: a witness m
+    whose reformulation probe finds a right multiple inside N makes `check`
+    and `witness` report `checks_ok` false and exit 1."""
+    monkeypatch.setattr(modules, "reformulation_probe", lambda m, n: m)
+    shape = AlgebraShape((2,))
+    e11 = modules.ModuleElement.from_coords([AlgebraElement(shape, (np.diag([1.0, 0.0]).astype(complex),))])
+    payload = {"shape": serialize.shape_to_json(shape), "k": 1, "generators": [serialize.module_element_to_json(e11)]}
+    doc, out = tmp_path / "doc.json", tmp_path / "report.json"
+    doc.write_text(serialize.dumps(serialize.instance_to_json("module_submodule", payload, None)))
+    for command, key in (("check", "certificate"), ("witness", "witness")):
+        assert cli.main([command, "--in", str(doc), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["decision"] is report["checks_ok"] is False
+        assert report[key]["witness_probe_found" if command == "check" else "probe_found"] is True
 
 
 def inductive_block(spec, interval, xs) -> dict:

@@ -9,7 +9,8 @@ seed-1 report also passes the independent oracle of tests/report_oracle.py.
 
 The sub-second rows of the coefficient-size series (tests/series_docs.py)
 have one such sha256 as well, every report verified; the illegal twin's
-refusals are two of its lines.
+refusals are two of its lines. So do the documents of tests/hard_docs.py,
+which reach the exact deciders' rare branches (tests/test_reach.py).
 
 Exact-stack reports may not move at all. Float numbers may move within
 1e-12: a change that moves them re-pins the float digests and states in
@@ -24,6 +25,7 @@ import pytest
 import report_oracle
 from field_docs import corpus_fields
 from float_docs import corpus_floats
+from hard_docs import hard_docs
 from series_docs import SERIES_ROWS, row_doc
 
 from essmod import runner, serialize
@@ -39,6 +41,8 @@ OUTCOME_DIGESTS = {
 }
 
 SERIES_DIGEST = "13a98094b3d20104baa298bc7a26cc8514a48e1ce8467e99ee7a9d0c93595fb8"
+
+HARD_DIGEST = "e531d70f736df9d6828d3efaf1c750cef1888f0b507fd1cebb3e1757562d8ff7"
 
 
 def outcome_lines(doc, verify: bool):
@@ -72,3 +76,11 @@ def test_series_outcomes_are_pinned():
         for line in outcome_lines(row_doc(*row), verify=True):
             h.update(line.encode() + b"\n")
     assert h.hexdigest() == SERIES_DIGEST
+
+
+def test_hard_outcomes_are_pinned():
+    h = hashlib.sha256()
+    for _, doc in hard_docs():
+        for line in outcome_lines(doc, verify=True):
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == HARD_DIGEST

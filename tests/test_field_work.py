@@ -53,7 +53,7 @@ def test_non_essential_witness_takes_no_sweep_and_no_fraction_piece(decided, mon
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert len(decided) == 72 and not any(decision.essential for _, decision in decided)
     for spec, decision in decided:
-        runner._non_essential_witnesses(spec, decision, 8)
+        runner._non_essential_witnesses(fields.non_essential_witnesses(spec, decision.analysis, 8))
     assert calls["_sweep"] <= MAX_SWEEPS * len(decided), calls
     assert calls["from_coeffs"] <= MAX_FROM_COEFFS * len(decided), calls
 

@@ -2,8 +2,9 @@ import time
 
 import pytest
 
-from essmod import properties, serialize
+from essmod import modules, properties, serialize
 from essmod.generate import SplitMix64
+from test_witnesses import fail_a_direct_probe
 
 
 def test_single_trial_suite_is_fast():
@@ -68,6 +69,19 @@ def test_property_passes_alone(i, function, name):
     result = getattr(properties, function)(SplitMix64(42).spawn(i + 1), 20)
     assert result.name == name
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("module.correspondence", lambda monkeypatch: monkeypatch.setattr(modules, "reformulation_probe", lambda m, n: m)),
+    ("fields.criterion_coherence", fail_a_direct_probe),
+], ids=["found-probe", "failing-direct-probe"])
+def test_property_reads_the_verdict_its_witness_owns(name, fault, monkeypatch):
+    """The suite reads the verdicts the reports read: a module witness whose
+    probe finds a multiple in N, or a direct field witness with a failing
+    probe, fails the property that checks it."""
+    i, function = next((i, f) for i, (f, n) in enumerate(PROPERTY_NAMES) if n == name)
+    fault(monkeypatch)
+    assert not getattr(properties, function)(SplitMix64(42).spawn(i + 1), 20).passed
 
 
 # Each property's SplitMix64 state after the 20 trials of the by-name run:

@@ -10,7 +10,7 @@ from field_docs import full_field
 from projector_oracle import value_at
 from poly_oracle import GaussianPoly, RationalPoly, piece
 
-from essmod import rationals
+from essmod import fields, rationals
 from essmod.errors import NoGeneratorDefect, NoRoom, PreconditionFailed, SampleNotInDefect, ZeroInput
 from essmod.fields import (
     FieldModuleSpec,
@@ -133,6 +133,19 @@ def test_non_essential_witness_precondition_failure():
     m = PiecewiseSection.polynomial([[1]])
     with pytest.raises(PreconditionFailed):
         non_essential_witness(m, field, residual_set(m, field))
+
+
+def fail_a_direct_probe(monkeypatch):
+    """Patch `fields.non_essential_witness` to add a probe whose implication
+    fails: m·a·b lies in L everywhere and is not zero, a right multiple of
+    m·a inside the submodule."""
+    original = fields.non_essential_witness
+
+    def with_a_failing_probe(m, field, defect):
+        w = original(m, field, defect)
+        return dataclasses.replace(w, probes=(*w.probes, fields.ProbeReport(residual_empty=True, product_zero=False)))
+
+    monkeypatch.setattr(fields, "non_essential_witness", with_a_failing_probe)
 
 
 # --- where the non-essential witnesses go -------------------------------------------
