@@ -3,6 +3,8 @@ piecewise-constant subspace assignments, and exact essentiality analysis.
 
 The subspace field x ↦ L_x is primary data: a partition of [0, 1] into
 symbolic pieces, each carrying Gaussian-integer columns that span L_x.
+Its table of owners comes from `subsets` (`_owners`, or generation's own
+painting), and each piece's region is read off it in normal form.
 Membership m(x) ∈ L_x is decided by the piece's annihilator: Gaussian-integer
 rows a with a·B = 0, whose common kernel is exactly col B. Everything here is
 exact: a section piece is Gaussian-integer columns over one denominator
@@ -39,7 +41,7 @@ from .errors import (
 from .polynomials import _value, exact_zero_points, poly_gcd
 from .rationals import GaussianIntVector, annihilator
 from .sections import PiecewiseSection, _add_times, _cell_pieces, _reduced, _scaled_value, _zero_piece, bump, pointwise_inner
-from .subsets import SymbolicSubset, _check_range, _label_runs, _of_runs, _order, _runs
+from .subsets import SymbolicSubset, _check_range, _label_runs, _of_runs, _order, _owners, _runs
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,15 +59,13 @@ class FieldPiece:
 @dataclass(frozen=True)
 class SubspaceField:
     """Piecewise-constant assignment x ↦ L_x ⊆ C^d on an exact partition,
-    ordered once: one `_order` over the parts of all regions gives the
+    ordered once: `subsets._owners` orders the parts of all regions into
     sorted bounds (0 and 1 among them), which cut [0, 1] into regions 2i
-    (the point bounds[i]) and 2i + 1 (the gap after it), and the owner of
-    each region, the piece that holds it. Overlaps between pieces and gaps
-    are read off that table, and each region comes out in normal form, so
-    it may be given as any checked parts (`subsets._parts`). The field
-    keeps the runs of one L, `cuts` and `rows`, where neighbouring pieces
-    with equal annihilator rows merge: `annihilator_at` and the atoms read
-    them."""
+    (the point bounds[i]) and 2i + 1 (the gap after it), and gives each
+    region its owner, the piece that holds it, refusing overlaps and gaps.
+    Each region comes out in normal form. The field keeps the runs of one
+    L, `cuts` and `rows`, where neighbouring pieces with equal annihilator
+    rows merge: `annihilator_at` and the atoms read them."""
 
     d: int
     pieces: tuple[FieldPiece, ...]
@@ -73,27 +73,16 @@ class SubspaceField:
     def __post_init__(self):
         if any(len(col) != self.d for p in self.pieces for col in p.basis):
             raise DimensionMismatch("basis columns must have the fiber dimension")
-        bounds, slot = _order([ZERO, ONE, *(x for p in self.pieces for x in p.region.points),
-                               *(x for p in self.pieces for iv in p.region.intervals for x in (iv.lo, iv.hi))])
-        owners = [None] * (2 * len(bounds) - 1)
-        for i, p in enumerate(self.pieces):
-            marks = [slot[x.as_integer_ratio()] for x in p.region.points]
-            for iv in p.region.intervals:
-                marks += range(slot[iv.lo.as_integer_ratio()] + (not iv.lo_closed), slot[iv.hi.as_integer_ratio()] + iv.hi_closed)
-            for r in marks:
-                if owners[r] not in (None, i):
-                    raise ValueError("partition pieces overlap")
-                owners[r] = i
-        if None in owners:
-            raise ValueError("partition pieces do not cover [0, 1]")
-        self._normalize(tuple(p.basis for p in self.pieces), bounds, owners)
+        self._normalize(tuple(p.basis for p in self.pieces),
+                        *_owners([(p.region.points, p.region.intervals) for p in self.pieces]))
 
     @classmethod
     def _of(cls, d: int, bases: tuple, bounds: list[Fraction], owners: list[int]) -> "SubspaceField":
-        """The field whose piece i has the columns bases[i] and owns region r
-        of the increasing `bounds` (0 and 1 among them) iff owners[r] == i,
-        each piece owning some region: built unchecked and normalized as the
-        constructor normalizes a loaded partition's table."""
+        """The field whose piece i has the columns bases[i] (each of length d)
+        and owns region r of the increasing `bounds` (0 and 1 among them) iff
+        owners[r] == i: built unchecked and normalized as the constructor
+        normalizes its table. A loaded piece may own no region (`_owners` of
+        a document's partition); its region is then empty."""
         out = cls.__new__(cls)
         out.__dict__["d"] = d
         out._normalize(bases, bounds, owners)
@@ -374,7 +363,7 @@ def check_generator_spanning(spec: FieldModuleSpec, defect: SymbolicSubset) -> i
     rest of a cell is built only to look for a root of a nonconstant gcd.
     Sections that vanish at 0 and 1 live over the open interval (0, 1)."""
     if spec.vanish_at_boundary:
-        defect = defect.union(SymbolicSubset(points=(ZERO, ONE)))
+        defect = SymbolicSubset(points=(*defect.points, ZERO, ONE), intervals=defect.intervals)
     cuts, slot = _order([b for g in spec.generators for b in g.breakpoints])
     on = [_cell_pieces(g.breakpoints, slot) for g in spec.generators]  # each generator's piece on each cell
     cells = [(c, a, b) for c, (a, b) in enumerate(zip(cuts, cuts[1:])) if not _covers(defect, a, b)]

@@ -33,7 +33,7 @@ from .serialize import (
     module_element_to_json,
     shape_to_json,
 )
-from .subsets import _order
+from .subsets import Interval, _spans
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -250,23 +250,23 @@ def _gen_field_attempt(
     """One draw of a field: the planted pieces, each owning its point or the
     open gap between its interval ends, then the full-fiber cells [0, c₁),
     …, [c_m, 1] cut at up to 3 dyadic points, each owning the rest of its
-    span. Every bound is ordered once (`_order`), each region gets its
-    owner, and the field is built from that table (`SubspaceField._of`),
-    normalized as a loaded one is, with no sweep and no second ordering."""
+    span. One `_spans` call orders every bound and reads each part's
+    regions by the one region rule, each region gets its owner, and the
+    field is built from that table (`SubspaceField._of`), normalized as a
+    loaded one is, with no sweep and no second ordering."""
     full_basis = identity_columns(d)
-    planted = []  # (ends, basis): a point (x,) or an open interval (lo, hi)
+    planted = []  # (parts, basis): a point or an open interval
     if defect == "points":
-        planted = [((x,), _rand_proper_basis(rng, d)) for x in _distinct_dyadics(rng, max(1, min(pieces - 1, 4)))]
+        planted = [(((x,), ()), _rand_proper_basis(rng, d)) for x in _distinct_dyadics(rng, max(1, min(pieces - 1, 4)))]
     elif defect == "interval":
         lo = Fraction(rng.randint(1, 12), 16)
-        planted = [((lo, lo + Fraction(rng.randint(1, 2), 16)), _rand_proper_basis(rng, d))]
+        hi = lo + Fraction(rng.randint(1, 2), 16)
+        planted = [(((), (Interval._of(lo, hi, False, False),)), _rand_proper_basis(rng, d))]
     cuts = _distinct_dyadics(rng, min(max(0, pieces - len(planted) - 1), 3), denom_power=5)
-    bounds, slot = _order([ZERO, ONE, *(x for ends, _ in planted for x in ends), *cuts])
-    cut_slots = [slot[c.as_integer_ratio()] for c in cuts]
+    bounds, (*planted_spans, cut_spans) = _spans([*(parts for parts, _ in planted), (cuts, ())])
+    cut_slots = [r for r, _ in cut_spans]
     owners = [len(planted) + bisect_right(cut_slots, r) for r in range(2 * len(bounds) - 1)]
-    for i, (ends, _) in enumerate(planted):
-        inner = len(ends) - 1  # an interval owns the gaps between its ends, not the ends
-        first, last = slot[ends[0].as_integer_ratio()] + inner, slot[ends[-1].as_integer_ratio()] - inner
+    for i, ((first, last),) in enumerate(planted_spans):
         owners[first:last + 1] = [i] * (last + 1 - first)
     bases = [basis for _, basis in planted] + [full_basis] * (len(cuts) + 1)
     used = sorted(set(owners))  # a cell inside the planted interval owns nothing and is no piece

@@ -24,11 +24,11 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, RightIdeal
 from .errors import NonFinite, NotProjection, SchemaError, SizeCap
-from .fields import FieldModuleSpec, FieldPiece, SubspaceField
+from .fields import FieldModuleSpec, SubspaceField
 from .modules import ModuleElement, Submodule
 from .rationals import GaussianIntVector
 from .sections import PiecewiseSection, from_ratios
-from .subsets import Interval, SymbolicSubset, _parts
+from .subsets import Interval, SymbolicSubset, _owners, _parts
 
 SCHEMA = "essmod/1"
 KINDS = ("right_ideal", "module_submodule", "field")
@@ -342,13 +342,12 @@ def field_spec_from_json(doc) -> FieldModuleSpec:
     if _require(d, int, "d") < 1:
         raise SchemaError("field spec needs a positive fiber dimension d")
     try:  # a constructor's ValueError, such as an interval with lo > hi, is an input error
-        # each region's parts are only checked here: the field orders and normalizes all of them at once
-        regions = [SymbolicSubset._of(*map(tuple, _parts(*_subset_parts(p))))
-                   for p in _require(doc["partition"], list, "partition")]
+        # each region's parts are only checked here: one owner table orders and normalizes all of them at once
+        regions = [_parts(*_subset_parts(p)) for p in _require(doc["partition"], list, "partition")]
         bases = _require(doc["subspace_bases"], list, "subspace_bases")
         if len(bases) != len(regions):
             raise SchemaError("partition and subspace_bases lengths differ")
-        field = SubspaceField(d, tuple(FieldPiece(region, _basis_from_json(basis, d)) for region, basis in zip(regions, bases)))
+        field = SubspaceField._of(d, tuple(_basis_from_json(basis, d) for basis in bases), *_owners(regions))
         generators = tuple(section_from_json(g) for g in _require(doc["generators"], list, "generators"))
         return FieldModuleSpec(d, generators, field, _require(doc.get("vanish_at_boundary", False), bool, "vanish_at_boundary"))
     except (ValueError, SchemaError) as exc:

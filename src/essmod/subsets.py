@@ -2,21 +2,22 @@
 
 Every subset is kept in a normalized form: disjoint sorted intervals that
 cannot be merged or extended, and isolated points lying in no interval.
-One merge-sweep kernel, `_sweep`, computes that form for the constructor
-and for the two set operations, union and difference; a ∩ b is
+One merge-sweep kernel, `_sweep`, computes that form of one list of parts
+minus another, for the constructor (minus nothing) and `difference`; a
+union is the constructor on both sets' parts, a ∩ b is
 a.difference(a.difference(b)) and a complement [0, 1] minus the set.
-It sorts the endpoints of all operands once, which cuts [0, 1] into
-elementary regions, and reads each operand's coverage of every region off
+It sorts the endpoints of both lists once, which cuts [0, 1] into
+elementary regions, and reads each list's coverage of every region off
 a running count of its interval openings and closings: linear after the
 sort. Its last step, `_runs`, reads the normal form off any ordered walk of
 regions, and a caller that walks [0, 1] in order already
 (`fields.residual_set`) calls it directly. Closure and interior need no
 sweep: each is read straight off the normal form in one pass.
-A field's regions pass no sweep, loaded or generated: `_parts` checks a
-loaded region as the constructor does, generation gives each region of
-its planted partition one owner, and `_label_runs` and `_of_runs` read
-every piece's normal form off such a table of owners
-(`fields.SubspaceField` normalizes all its regions at once this way).
+A field's regions pass no sweep, loaded or generated: `_owners` gives
+each region of a partition's checked parts (`_parts`) its one owner,
+generation paints its own table, and `_label_runs` and `_of_runs` read
+every piece's normal form off such a table. All three read the regions a
+part covers off one rule, `_spans`.
 
 One kernel, `_order`, orders boundaries without comparing or hashing
 Fractions: n/d is deduped and found by its pair (n, d) and sorted by the
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable
 
 from .errors import OutOfRange
 
@@ -79,11 +79,11 @@ class SymbolicSubset:
     intervals: tuple[Interval, ...] = ()
 
     def __post_init__(self):
-        self.__dict__.update(vars(_sweep((_parts(self.points, self.intervals),), bool)))
+        self.__dict__.update(vars(_sweep(_parts(self.points, self.intervals), ((), ()))))
 
     @classmethod
     def _of(cls, points: tuple[Fraction, ...], intervals: tuple[Interval, ...]) -> "SymbolicSubset":
-        """A set whose parts are in normal form already (or a field region's checked parts): built unchecked."""
+        """A set whose parts are in normal form already: built unchecked."""
         out = cls.__new__(cls)
         out.__dict__.update(points=points, intervals=intervals)
         return out
@@ -105,11 +105,8 @@ class SymbolicSubset:
 
     # -- set algebra ---------------------------------------------------------
 
-    def union(self, other: "SymbolicSubset") -> "SymbolicSubset":
-        return _rebuild((self, other), lambda a, b: a or b)
-
     def difference(self, other: "SymbolicSubset") -> "SymbolicSubset":
-        return _rebuild((self, other), lambda a, b: a and not b)
+        return _sweep((self.points, self.intervals), (other.points, other.intervals))
 
     # -- topology (relative to [0, 1]) ---------------------------------------
 
@@ -164,11 +161,6 @@ def _parts(points, intervals) -> tuple[list[Fraction], list[Interval]]:
     return pts, ivs
 
 
-def _rebuild(sets, keep: Callable[..., bool]) -> "SymbolicSubset":
-    """Set operation on normalized operands: the result is normal already."""
-    return _sweep([(s.points, s.intervals) for s in sets], keep)
-
-
 def _order(xs) -> tuple[list[Fraction], dict[tuple[int, int], int]]:
     """The distinct values of the Fractions xs in increasing order, and the
     region of each (region 2i is bounds[i]), keyed by its integer pair."""
@@ -180,36 +172,52 @@ def _order(xs) -> tuple[list[Fraction], dict[tuple[int, int], int]]:
     return [by_pair[p] for p in pairs], {p: 2 * i for i, p in enumerate(pairs)}
 
 
-def _sweep(operands, keep: Callable[..., bool]) -> "SymbolicSubset":
-    """Normal form of the set that holds a region iff `keep` holds for the
-    coverage counts of the operands there.
-
-    Each operand is a (points, intervals) pair, in any order and possibly
-    overlapping. The sorted union of all endpoints (plus 0 and 1) cuts
-    [0, 1] into regions 0..n-1, alternately a boundary point (even) and the
-    open gap to the next boundary (odd); every operand is constant on each.
-    An operand adds +1 where each of its pieces starts and -1 after it
-    ends; a running sum then gives its coverage of every region, and
-    `_runs` reads the kept regions off in order.
-    """
+def _spans(parts) -> tuple[list[Fraction], list[list[tuple[int, int]]]]:
+    """The sorted bounds of all ends of the (points, intervals) pairs `parts`
+    and 0 and 1, regions numbered as in `_runs`, and for each pair the first
+    and last region each of its parts covers, an open end leaving out its bound."""
     ends = [ZERO, ONE]
-    for pts, ivs in operands:
+    for pts, ivs in parts:
         ends += pts
         ends += (x for iv in ivs for x in (iv.lo, iv.hi))
     bounds, slot = _order(ends)
+    return bounds, [[(slot[p.as_integer_ratio()],) * 2 for p in pts]
+                    + [(slot[iv.lo.as_integer_ratio()] + (not iv.lo_closed), slot[iv.hi.as_integer_ratio()] - (not iv.hi_closed))
+                       for iv in ivs] for pts, ivs in parts]
+
+
+def _sweep(kept, removed) -> "SymbolicSubset":
+    """Normal form of the (points, intervals) pair `kept` less `removed`,
+    each in any order and possibly overlapping: each adds +1 where a part
+    starts (`_spans`) and -1 after it ends, a running sum gives its coverage
+    of every region, and `_runs` reads the regions kept off in order."""
+    bounds, spans = _spans((kept, removed))
     n = 2 * len(bounds) - 1
     counts = []
-    for pts, ivs in operands:
+    for part_spans in spans:
         delta = [0] * (n + 1)
-        for p in pts:
-            r = slot[p.as_integer_ratio()]
-            delta[r] += 1
-            delta[r + 1] -= 1
-        for iv in ivs:
-            delta[slot[iv.lo.as_integer_ratio()] + (not iv.lo_closed)] += 1
-            delta[slot[iv.hi.as_integer_ratio()] + iv.hi_closed] -= 1
+        for first, last in part_spans:
+            delta[first] += 1
+            delta[last + 1] -= 1
         counts.append(accumulate(delta[:n]))
-    return _runs(bounds, [keep(*c) for c in zip(*counts)])
+    return _runs(bounds, [a > 0 and not b for a, b in zip(*counts)])
+
+
+def _owners(parts) -> tuple[list[Fraction], list[int]]:
+    """The sorted bounds of `_spans` and the owner of each region, for the
+    partition whose piece i has the checked parts[i] (`_parts`): ValueError
+    if two pieces share a region or some region has no owner."""
+    bounds, spans = _spans(parts)
+    owners = [None] * (2 * len(bounds) - 1)
+    for i, piece in enumerate(spans):
+        for first, last in piece:
+            for r in range(first, last + 1):
+                if owners[r] not in (None, i):
+                    raise ValueError("partition pieces overlap")
+                owners[r] = i
+    if None in owners:
+        raise ValueError("partition pieces do not cover [0, 1]")
+    return bounds, owners
 
 
 def _runs(bounds, inside: list[bool]) -> "SymbolicSubset":

@@ -74,7 +74,7 @@ MUTANTS = (
     ),
     Mutant(
         "piece-repeating-its-own-region-refused",
-        "src/essmod/fields.py",
+        "src/essmod/subsets.py",
         "if owners[r] not in (None, i):",
         "if owners[r] is not None:",
         ("tests/test_fields.py::test_written_partition_loads_as_its_normal_form",),
@@ -213,8 +213,8 @@ MUTANTS = (
     Mutant(
         "planted-interval-owns-its-ends",
         "src/essmod/generate.py",
-        "inner = len(ends) - 1",
-        "inner = 0",
+        "Interval._of(lo, hi, False, False)",
+        "Interval._of(lo, hi, True, True)",
         ("tests/test_generate.py::test_field_generation_grid_is_pinned",),
     ),
     Mutant(
@@ -284,24 +284,24 @@ MUTANTS = (
     Mutant(
         "difference-is-symmetric",
         "src/essmod/subsets.py",
-        "lambda a, b: a and not b)",
-        "lambda a, b: a != b)",
+        "[a > 0 and not b for a, b in zip(*counts)]",
+        "[(a > 0) != (b > 0) for a, b in zip(*counts)]",
         ("tests/test_properties.py::test_property_passes_alone[fields.set_algebra]",),
     ),
     # Inclusion read as an empty difference: with the mutant, residual − total is the residual set itself.
     Mutant(
         "difference-keeps-the-first-operand",
         "src/essmod/subsets.py",
-        "lambda a, b: a and not b)",
-        "lambda a, b: a)",
+        "[a > 0 and not b for a, b in zip(*counts)]",
+        "[a > 0 for a, b in zip(*counts)]",
         ("tests/test_properties.py::test_property_passes_alone[fields.residual_subset_total]",),
     ),
     # A bumped generator vanishes on part of the total: total − residual is then not empty.
     Mutant(
-        "rebuild-reverses-its-operands",
+        "difference-reverses-its-operands",
         "src/essmod/subsets.py",
-        "for s in sets], keep)",
-        "for s in reversed(sets)], keep)",
+        "return _sweep((self.points, self.intervals), (other.points, other.intervals))",
+        "return _sweep((other.points, other.intervals), (self.points, self.intervals))",
         ("tests/test_properties.py::test_property_passes_alone[fields.residual_subset_total]",),
     ),
     # A section's support set is its residual set over the zero field: over the full fiber it is empty.
@@ -361,15 +361,26 @@ MUTANTS = (
         "return int(np.sum(s > 1e3 * tol * max(1.0, s[0])))",
         ("tests/test_modules.py::test_float_decision_flips_at_the_tolerance_band",),
     ),
-    # Union's only caller adds the ends 0 and 1 to a flagged generator's defect set.
+    # The spanning certificate's open base adds the ends 0 and 1 to a flagged generator's defect set.
     Mutant(
         "union-drops-its-second-operand",
-        "src/essmod/subsets.py",
-        "lambda a, b: a or b)",
-        "lambda a, b: a)",
-        ("tests/test_cli.py::test_vanishing_generators_are_decided[points]",
+        "src/essmod/fields.py",
+        "SymbolicSubset(points=(*defect.points, ZERO, ONE), intervals=defect.intervals)",
+        "SymbolicSubset(points=defect.points, intervals=defect.intervals)",
+        ("tests/test_corpus_pins.py::test_hard_outcomes_are_pinned",
+         "tests/test_cli.py::test_vanishing_generators_are_decided[points]",
          "tests/test_cli.py::test_vanishing_generators_are_decided[interval]",
          "tests/test_cli.py::test_two_piece_generator_vanishing_at_both_ends_is_decided"),
+    ),
+    # The one region rule of the sweep, the owner table and generation: an
+    # open interval end counted as closed.
+    Mutant(
+        "open-lo-end-counted-as-closed",
+        "src/essmod/subsets.py",
+        "slot[iv.lo.as_integer_ratio()] + (not iv.lo_closed)",
+        "slot[iv.lo.as_integer_ratio()]",
+        ("tests/test_subsets.py::test_open_adjacent_intervals_stay_separate",
+         "tests/test_generate.py::test_field_generation_grid_is_pinned"),
     ),
     # The spawned stream leaves the state alone: every trial then runs one document.
     Mutant(

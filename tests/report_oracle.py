@@ -21,7 +21,8 @@ its certificate cannot hide behind the same fault here.
   1 for sections that vanish there. A check report's `defect_set` must be
   that union in normal form, merged here by testing every boundary and
   every gap's midpoint; `decision` (essential) must hold exactly when the
-  union holds no interval. A witness report must agree on `decision`. A
+  union holds no interval, and `checks_ok` must be true. A witness report
+  must agree on `decision`; an essential one's `checks_ok` must be true. A
   non-essential one's inductive samples must lie in the union and in its
   `interval`, and its `m` is rebuilt by the bump rule and compared
   exactly: r_j is half the distance from x_j to the nearest earlier sample
@@ -29,9 +30,10 @@ its certificate cannot hide behind the same fault here.
   elsewhere, and m = Σ λ_j g_{k_j} a_j. g_{k_j} and m must leave L at
   x_j, and λ_j is 2^-j, or 2^-(j+1) only where 2^-j puts the partial sum
   at x_j (the earlier terms plus 2^-j·g_{k_j}(x_j)) in L. Its
-  `all_verified` must be `sample_defects_verified` AND (`direct` is null,
-  or its `closure_equal`, `ma_nonzero` and `probes_ok` all hold), and
-  `checks_ok` must equal it. The `direct` block's geometric claims are
+  `all_verified` must be `sample_defects_verified` AND the `direct`
+  block's `closure_equal`, `ma_nonzero` and `probes_ok`, and `checks_ok`
+  must equal it, false too: a report whose failing direct probe makes it
+  false is verified, not refused. The `direct` block's geometric claims are
   not checked: that supp(ma) and the residual set of ma have one closure,
   that ma ≠ 0, and each probe's implication. An essential one's `a`, `ma`
   and `support` are checked whole: a is
@@ -193,16 +195,19 @@ def _range_projector(m: np.ndarray, rank: int) -> np.ndarray:
 
 def _verify_field(payload: dict, report: dict, section_index: int):
     defect = _field_defect(payload)
-    assert report["decision"] is (not defect["intervals"]) and report["checks_ok"] is True
+    assert report["decision"] is (not defect["intervals"])
     if report["kind"] == "check_report":
+        assert report["checks_ok"] is True
         assert _subset(report["defect_set"]) == defect, (report["defect_set"], defect)
     elif not report["decision"]:
         w, direct = report["witness"], report["witness"]["direct"]
         _verify_inductive_witness(payload, w, defect)
-        direct_ok = direct is None or direct["closure_equal"] and direct["ma_nonzero"] and direct["probes_ok"]
+        assert direct is not None, "a non-essential witness without its direct block"
+        direct_ok = direct["closure_equal"] and direct["ma_nonzero"] and direct["probes_ok"]
         assert w["all_verified"] is (w["inductive"]["sample_defects_verified"] and direct_ok), w["all_verified"]
         assert report["checks_ok"] is w["all_verified"]
     else:
+        assert report["checks_ok"] is True
         generators = payload["generators"]
         _verify_essential_witness(payload, generators[section_index % len(generators)], report["witness"])
 

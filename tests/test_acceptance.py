@@ -168,12 +168,13 @@ def _planted_defect_union(payload):
     from essmod.serialize import _basis_from_json
     from essmod.subsets import SymbolicSubset
 
-    acc = SymbolicSubset()
+    points, intervals = [], []
     for region, basis_doc in zip(regions, bases):
         basis = _basis_from_json(basis_doc, d)
         if not basis or projector_oracle.mat_rank(projector_oracle.matrix_of(basis, d)) < d:
-            acc = acc.union(region)
-    return acc
+            points += region.points
+            intervals += region.intervals
+    return SymbolicSubset(points=tuple(points), intervals=tuple(intervals))
 
 
 def test_criterion_5_field_criterion():

@@ -1232,7 +1232,9 @@ def test_report_oracle_reads_the_non_essential_verdict(mutate):
 def test_a_failing_direct_probe_fails_the_witness(tmp_path, monkeypatch):
     """`fields.non_essential_witnesses` owns the verdict the report reads:
     one failing probe of the direct witness, the inductive one verified,
-    makes `witness` report `checks_ok` false and exit 1."""
+    makes `witness` report `checks_ok` false and exit 1. The report oracle
+    derives that false: it verifies the report, and refuses it with
+    `checks_ok` flipped to true."""
     fail_a_direct_probe(monkeypatch)
     doc, out = tmp_path / "doc.json", tmp_path / "w.json"
     doc.write_text(serialize.dumps(INTERVAL_DOCS[0]))
@@ -1241,6 +1243,10 @@ def test_a_failing_direct_probe_fails_the_witness(tmp_path, monkeypatch):
     w = report["witness"]
     assert w["inductive"]["sample_defects_verified"] is True and w["direct"]["probes_ok"] is False
     assert w["all_verified"] is report["checks_ok"] is False
+    report_oracle.verify(INTERVAL_DOCS[0], report)
+    report["checks_ok"] = True
+    with pytest.raises(AssertionError):
+        report_oracle.verify(INTERVAL_DOCS[0], report)
 
 
 def test_a_found_probe_fails_the_module_reports(tmp_path, monkeypatch):

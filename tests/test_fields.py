@@ -185,9 +185,7 @@ def test_total_defect_union_of_disjoint_defects():
     e1 = PiecewiseSection.polynomial([[1], [0]])
     e2 = PiecewiseSection.polynomial([[0], [1]])
     spec = FieldModuleSpec(2, (e1, e2), field)
-    expected = SymbolicSubset.interval(F(1, 8), F(1, 4), False, False).union(
-        SymbolicSubset.interval(F(5, 8), F(3, 4), False, False)
-    )
+    expected = SymbolicSubset(intervals=(Interval(F(1, 8), F(1, 4), False, False), Interval(F(5, 8), F(3, 4), False, False)))
     analysis = analyze_field(spec)
     assert analysis.total == expected
     assert analysis.defects == (residual_set(e1, field), residual_set(e2, field))

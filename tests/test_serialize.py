@@ -19,7 +19,7 @@ from essmod.generate import SplitMix64, gen_field, rand_algebra_element, rand_mo
 from essmod.modules import Submodule, module_basis
 from essmod.rationals import annihilator, identity_columns
 from essmod.sections import PiecewiseSection, bump
-from essmod.subsets import SymbolicSubset
+from essmod.subsets import Interval, SymbolicSubset
 
 MIXED = AlgebraShape((1, 2))
 
@@ -295,7 +295,7 @@ def test_module_element_and_submodule_roundtrip():
 
 
 def test_subset_roundtrip():
-    s = SymbolicSubset.interval(F(1, 3), F(2, 3), False, True).union(SymbolicSubset(points=(F(1, 8),)))
+    s = SymbolicSubset(points=(F(1, 8),), intervals=(Interval(F(1, 3), F(2, 3), False, True),))
     assert subset_from_json(serialize.subset_to_json(s)) == s
 
 
