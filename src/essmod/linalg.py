@@ -6,6 +6,10 @@ absolute and gets scaled by (1 + norm) of the input where a relative notion
 makes sense: all intended instances are well-conditioned matrices of size
 at most 16. ACCEPT_TOL is looser: it decides whether a projection or a
 certificate computed in floats is accepted.
+
+``svd`` and ``herm_eig`` are the package's only LAPACK entries, so each
+guard and shortcut in front of LAPACK is written once. The one rank rule
+reads an empty spectrum, that of an m×0 matrix, as rank 0.
 """
 
 from __future__ import annotations
@@ -77,30 +81,19 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _numerical_rank(s: np.ndarray, tol: float) -> int:
-    """The one rank rule: singular values above tol·max(1, s[0])."""
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    """The one rank rule: singular values above tol·max(1, σ₁); an empty
+    spectrum, that of an m×0 matrix, has rank 0."""
+    return int(np.sum(s > tol * s.max(initial=1.0)))
 
 
 def matrix_rank(a) -> int:
     """Numerical rank at the acceptance tolerance."""
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0
-    return _numerical_rank(np.linalg.svd(m, compute_uv=False), ACCEPT_TOL)
-
-
-def orthonormal_column_basis(a) -> np.ndarray:
-    """Orthonormal basis of the column space at DEFAULT_TOL, as matrix
-    columns (none for a zero matrix)."""
-    m = as_matrix(a)
-    if not m.any():
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :_numerical_rank(s, DEFAULT_TOL)]
+    return _numerical_rank(svd(a, compute_uv=False), ACCEPT_TOL)
 
 
 def column_space_projector(a) -> np.ndarray:
-    """Orthogonal projector onto the column space of ``a``."""
-    q = orthonormal_column_basis(a)
+    """Orthogonal projector q·q* onto the column space of ``a``, q its left
+    singular vectors above DEFAULT_TOL (none for a zero matrix)."""
+    u, s, _ = svd(a)
+    q = u[:, :_numerical_rank(s, DEFAULT_TOL)]
     return q @ q.conj().T
-

@@ -158,7 +158,7 @@ def reformulation_probe(m: ModuleElement, N: Submodule) -> AlgebraElement | None
         image = x_b @ kernel
         if not image.any():  # no kernel, or norm 0: it beats no best_norm
             continue
-        _, s, vh = np.linalg.svd(image)
+        _, s, vh = linalg.svd(image)
         if s[0] > best_norm:
             best_norm, best_block, best_col = float(s[0]), b, kernel @ vh[0].conj()
     if best_norm <= DEFAULT_TOL * (1.0 + m.norm()):

@@ -263,7 +263,8 @@ MUTANTS = (
         "src/essmod/modules.py",
         "a @ b.conj().T for a, b in zip(x.blocks, y.blocks)",
         "a @ b.T for a, b in zip(x.blocks, y.blocks)",
-        ("tests/test_properties.py::test_property_passes_alone[module.theta_apply]",),
+        ("tests/test_properties.py::test_property_passes_alone[module.theta_apply]",
+         "tests/test_properties.py::test_property_passes_alone[module.left_module_identity]"),
     ),
     # T·θ_{u,Tu} = θ_{Tu,Tu} holds for any theta of the form X_b·f(Y_b), so the product is what it checks.
     Mutant(
@@ -357,8 +358,8 @@ MUTANTS = (
     Mutant(
         "rank-cut-a-thousand-times-the-tolerance",
         "src/essmod/linalg.py",
-        "return int(np.sum(s > tol * max(1.0, s[0])))",
-        "return int(np.sum(s > 1e3 * tol * max(1.0, s[0])))",
+        "return int(np.sum(s > tol * s.max(initial=1.0)))",
+        "return int(np.sum(s > 1e3 * tol * s.max(initial=1.0)))",
         ("tests/test_modules.py::test_float_decision_flips_at_the_tolerance_band",),
     ),
     # The spanning certificate's open base adds the ends 0 and 1 to a flagged generator's defect set.
@@ -447,7 +448,25 @@ MUTANTS = (
         "src/essmod/linalg.py",
         "return float(s[0]) if s.size else 0.0",
         "return float(s[-1]) if s.size else 0.0",
-        ("tests/test_properties.py::test_property_passes_alone[numeric.op_norm]",),
+        ("tests/test_properties.py::test_property_passes_alone[numeric.op_norm]",
+         "tests/test_properties.py::test_property_passes_alone[module.theta_norm_bound]",
+         "tests/test_properties.py::test_property_passes_alone[module.theta_nondegenerate]"),
+    ),
+    # The adjoint as a plain transpose: x·xᵀ is then not x·x*, whose spectrum the calculus reads off x's SVD.
+    Mutant(
+        "adjoint-drops-the-conjugate",
+        "src/essmod/algebra.py",
+        "return self._with(a.T.conj() for a in self.blocks)",
+        "return self._with(a.T for a in self.blocks)",
+        ("tests/test_properties.py::test_property_passes_alone[algebra.calculus_homomorphism]",),
+    ),
+    # A trace just below an integer, as the float trace of a rank-r projector can be, read as one rank less.
+    Mutant(
+        "rank-truncates-the-trace",
+        "src/essmod/algebra.py",
+        "return int(round(sum(np.trace(b).real for b in self.support_projection.blocks)))",
+        "return int(sum(np.trace(b).real for b in self.support_projection.blocks))",
+        ("tests/test_properties.py::test_property_passes_alone[algebra.subideal_pipeline]",),
     ),
     # Eigenvalues out of step with their eigenvectors: u·diag(eigs)·u* is then another matrix.
     Mutant(

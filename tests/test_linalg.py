@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,11 +28,34 @@ def test_herm_eig_zero_matrix():
     assert np.allclose(u @ u.conj().T, np.eye(3))
 
 
-def test_zero_matrix_norm_and_basis_take_no_lapack(monkeypatch):
+def test_zero_matrix_norm_rank_and_projector_take_no_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("an SVD of a zero matrix"))
     assert linalg.op_norm(np.zeros((3, 2))) == 0.0
     assert linalg.op_norm(np.zeros((0, 2))) == 0.0
-    assert linalg.orthonormal_column_basis(np.zeros((3, 2))).shape == (3, 0)
+    assert linalg.matrix_rank(np.zeros((3, 2))) == 0
+    assert linalg.matrix_rank(np.zeros((0, 2))) == 0
+    assert np.array_equal(linalg.column_space_projector(np.zeros((3, 2))), np.zeros((3, 3)))
+
+
+LAPACK_CALLS = {"svd", "eigh", "eig", "eigvals", "eigvalsh", "qr", "lstsq", "pinv", "matrix_rank", "inv", "solve",
+                "det"}
+
+
+def test_lapack_is_asked_only_by_svd_and_herm_eig():
+    """Every `np.linalg` decomposition or solver in the package sits inside
+    `linalg.svd` or `linalg.herm_eig`, where the guards in front of LAPACK
+    are written once; `np.linalg.norm` is free to use."""
+    stray = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "linalg.py":
+            entries = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ("svd", "herm_eig")]
+            allowed = {id(node) for f in entries for node in ast.walk(f)}
+        stray += [f"{path.name}:{node.lineno} np.linalg.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in LAPACK_CALLS
+                  and ast.unparse(node.value) == "np.linalg" and id(node) not in allowed]
+    assert not stray, stray
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

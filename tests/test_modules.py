@@ -318,7 +318,8 @@ def span_basis_oracle(N: Submodule) -> np.ndarray:
     cols = [module_vec(g * e) for g in N.generators for e in matrix_units(N.shape)]
     if not cols:
         return np.zeros((N.k * sum(n * n for n in N.shape.block_dims), 0), dtype=complex)
-    return linalg.orthonormal_column_basis(np.column_stack(cols))
+    u, s, _ = np.linalg.svd(np.column_stack(cols), full_matrices=False)
+    return u[:, :int(np.sum(s > DEFAULT_TOL * max(1.0, s[0])))]
 
 
 def contains_oracle(N: Submodule, x: ModuleElement) -> bool:
